@@ -39,38 +39,3 @@ def rref(matrix):
 
 def rank(matrix) -> int:
     return len(rref(matrix)[1])
-
-
-def nullspace(matrix):
-    """A basis of the kernel, one vector per free column."""
-    rows, pivots = rref(matrix)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
-def matvec(matrix, x):
-    return tuple(sum(a * b for a, b in zip(row, x)) for row in matrix)
-
-
-def solve(matrix, rhs):
-    """One exact solution of matrix·x = rhs, or None if inconsistent."""
-    aug = [list(map(Fraction, row)) + [Fraction(v)]
-           for row, v in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
-    ncols = len(matrix[0]) if matrix else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return tuple(x)

@@ -24,11 +24,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError):
         raise ValueError("not an exact rational: %r" % text)
-
-
-def format_vector(xs):
-    return [format_rational(x) for x in xs]
-
-
-def parse_vector(items):
-    return tuple(parse_rational(x) for x in items)

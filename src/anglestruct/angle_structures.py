@@ -18,23 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._rational import format_rational, parse_rational
 from .normal_coords import (
     QUAD_EDGES,
     NormalCoordinate,
+    _edge_coefficient,
     chi_star,
     compatibility_system,
     is_in_solution_space,
-    z_functional,
 )
-from .triangulation import (
-    EDGES_AT_VERTEX,
-    Triangulation,
-    build_edge_classes,
-    build_vertex_classes,
-)
-
-# Rational multiple of pi.
-AnglePi = Fraction
+from .triangulation import EDGES_AT_VERTEX, Triangulation
 
 
 class AngleStructureError(ValueError):
@@ -58,7 +51,7 @@ class AngleAssignment:
     def tet_count(self) -> int:
         return len(self.angles) // 6
 
-    def angle(self, tet: int, edge: int) -> AnglePi:
+    def angle(self, tet: int, edge: int) -> Fraction:
         return self.angles[6 * tet + edge]
 
 
@@ -75,18 +68,18 @@ class AreaCurvature:
 
 
 def area_of_triangle(alpha: AngleAssignment, tet: int,
-                     corner: int) -> AnglePi:
+                     corner: int) -> Fraction:
     """Corner angle sum minus pi for the triangle cutting off a vertex."""
     return sum(alpha.angle(tet, k)
                for k in EDGES_AT_VERTEX[corner]) - 1
 
 
-def area_of_quad(alpha: AngleAssignment, tet: int, quad: int) -> AnglePi:
+def area_of_quad(alpha: AngleAssignment, tet: int, quad: int) -> Fraction:
     """Angle sum over the four crossed edges minus 2*pi."""
     return sum(alpha.angle(tet, k) for k in QUAD_EDGES[quad]) - 2
 
 
-def curvature(alpha: AngleAssignment, t: Triangulation, e) -> AnglePi:
+def curvature(alpha: AngleAssignment, t: Triangulation, e) -> Fraction:
     """2*pi (interior) or pi (boundary) minus the angles around the edge."""
     base = Fraction(1) if e.is_boundary else Fraction(2)
     return base - sum(alpha.angle(i, k) for i, k in e.corners)
@@ -98,7 +91,7 @@ def realized_area_curvature(alpha: AngleAssignment,
         raise AngleStructureError("assignment size does not match")
     area = tuple(area_of_triangle(alpha, i, l)
                  for i in range(t.tet_count) for l in range(4))
-    curv = tuple(curvature(alpha, t, e) for e in build_edge_classes(t))
+    curv = tuple(curvature(alpha, t, e) for e in t.edge_classes)
     return AreaCurvature(area=area, curvature=curv)
 
 
@@ -115,7 +108,7 @@ def classify(alpha: AngleAssignment) -> str:
 class VertexConditionEntry:
     tet: int
     vertex: int
-    corner_sum: AnglePi
+    corner_sum: Fraction
     link_euler: int
     status: str  # "pass" | "fail" | "skipped"
 
@@ -129,7 +122,7 @@ def check_vertex_link_conditions(alpha: AngleAssignment, t: Triangulation):
     and are reported as skipped.
     """
     euler_at = {}
-    for cls in build_vertex_classes(t):
+    for cls in t.vertex_classes:
         for corner in cls.corners:
             euler_at[corner] = cls.link_euler
     report = []
@@ -168,35 +161,45 @@ def is_flat_pair(alpha: AngleAssignment, t: Triangulation) -> bool:
     return True
 
 
+def _rationals_field(data: dict, key: str) -> list:
+    """The list of "p/q" strings under key, parsed; other JSON types,
+    including a bare string, are rejected rather than coerced."""
+    items = data[key]
+    if not isinstance(items, list) or \
+            not all(isinstance(v, str) for v in items):
+        raise AngleStructureError(
+            'field "%s" must be a list of rational strings' % key)
+    try:
+        return [parse_rational(v) for v in items]
+    except ValueError as err:
+        raise AngleStructureError('field "%s": %s' % (key, err))
+
+
 def angles_to_json(alpha: AngleAssignment) -> dict:
-    from ._rational import format_rational
     return {"angles": [format_rational(a) for a in alpha.angles]}
 
 
 def angles_from_json(data: dict) -> AngleAssignment:
-    from ._rational import parse_rational
     if not isinstance(data, dict) or "angles" not in data:
         raise AngleStructureError('expected an object with an "angles" key')
-    vec = [parse_rational(v) for v in data["angles"]]
+    vec = _rationals_field(data, "angles")
     if len(vec) % 6 != 0:
         raise AngleStructureError("angle count must be a multiple of 6")
     return AngleAssignment.from_vector(len(vec) // 6, vec)
 
 
 def ac_to_json(ac: AreaCurvature) -> dict:
-    from ._rational import format_rational
     return {"area": [format_rational(a) for a in ac.area],
             "curvature": [format_rational(k) for k in ac.curvature]}
 
 
 def ac_from_json(data: dict) -> AreaCurvature:
-    from ._rational import parse_rational
     if not isinstance(data, dict) or "area" not in data or \
             "curvature" not in data:
         raise AngleStructureError(
             'expected an object with "area" and "curvature" keys')
-    return AreaCurvature.of([parse_rational(v) for v in data["area"]],
-                            [parse_rational(v) for v in data["curvature"]])
+    return AreaCurvature.of(_rationals_field(data, "area"),
+                            _rationals_field(data, "curvature"))
 
 
 def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
@@ -207,12 +210,11 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
     curvatures in units of pi the pi factors cancel and the value is an
     exact rational.
     """
-    edge_classes = build_edge_classes(t)
+    edge_classes = t.edge_classes
     if len(ac.area) != 4 * t.tet_count or len(ac.curvature) != len(
             edge_classes):
         raise AngleStructureError("area-curvature size does not match")
-    sys = compatibility_system(t)
-    if not is_in_solution_space(sys, s):
+    if not is_in_solution_space(compatibility_system(t), s):
         raise AngleStructureError("coordinate is not in the solution space")
     total = Fraction(0)
     for i in range(t.tet_count):
@@ -221,7 +223,7 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
     for cls in edge_classes:
         kappa = ac.curvature[cls.index]
         if kappa != 0:
-            total += z_functional(t, s, cls, sys) * kappa
+            total += _edge_coefficient(s, cls) * kappa
     return total
 
 
@@ -231,8 +233,7 @@ def chi_via_lemma2(t: Triangulation, s: NormalCoordinate,
     pairing with a realizing semi assignment."""
     if classify(alpha) == "generalized":
         raise AngleStructureError("assignment is not semi")
-    sys = compatibility_system(t)
-    if not is_in_solution_space(sys, s):
+    if not is_in_solution_space(compatibility_system(t), s):
         raise AngleStructureError("coordinate is not in the solution space")
     total = chi_star(t, s)
     for i in range(t.tet_count):

@@ -19,6 +19,7 @@ import os
 import sys
 import time
 
+from ._linalg import rank
 from ._rational import format_rational
 from .angle_structures import (
     AngleAssignment,
@@ -30,15 +31,12 @@ from .angle_structures import (
     realized_area_curvature,
 )
 from .existence import (
-    Fails,
     Holds,
-    angle_linear_system,
     certify_condition2,
     find_angle_structure,
     find_semi_angle_structure,
 )
-from .fixtures import FixtureError, fixture, fixture_names
-from .lp_core import verify_certificate
+from .fixtures import fixture, fixture_names
 from .normal_coords import (
     NormalCoordinate,
     chi_star,
@@ -48,14 +46,11 @@ from .normal_coords import (
 from .perturbation import (
     apply_theorem3,
     build_perturbation,
-    edge_angle_census,
     max_perturbation_parameter,
 )
 from .triangulation import (
     Triangulation,
     TriangulationError,
-    build_edge_classes,
-    build_vertex_classes,
     format_triangulation,
     is_ideal_triangulation,
     is_orientable,
@@ -115,15 +110,22 @@ def _coordinate_json(s: NormalCoordinate) -> dict:
     return {"quads": _vector(s.quads), "tris": _vector(s.tris)}
 
 
-def _ac_fields(ac) -> dict:
-    return ac_to_json(ac)
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ValueError("cannot write %s: %s" % (path, err.strerror))
 
 
 def _emit(report: dict, args, lines) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     if args.json:
         sys.stdout.write(text)
     else:
@@ -134,9 +136,7 @@ def _emit(report: dict, args, lines) -> None:
 
 
 def _triangulation_summary(t: Triangulation) -> dict:
-    edge_classes = build_edge_classes(t)
-    vertex_classes = build_vertex_classes(t)
-    ideal, ideal_report = is_ideal_triangulation(t)
+    ideal, _ = is_ideal_triangulation(t)
     return {
         "tet_count": t.tet_count,
         "boundary_face_count": len(t.boundary_faces()),
@@ -145,12 +145,12 @@ def _triangulation_summary(t: Triangulation) -> dict:
         "edge_classes": [
             {"index": e.index, "valence": e.valence,
              "boundary": e.is_boundary}
-            for e in edge_classes],
+            for e in t.edge_classes],
         "vertex_classes": [
             {"index": v.index, "corner_count": len(v.corners),
              "link_euler": v.link_euler, "link_closed": v.link_closed,
              "link_orientable": v.link_orientable}
-            for v in vertex_classes],
+            for v in t.vertex_classes],
     }
 
 
@@ -184,7 +184,7 @@ def cmd_analyze(args) -> int:
     t, dig = _load_triangulation(args.triangulation)
     summary = _triangulation_summary(t)
     csys = compatibility_system(t)
-    solution_dim = 7 * t.tet_count - _matrix_rank(csys.matrix)
+    solution_dim = 7 * t.tet_count - rank(csys.matrix)
     report = {"schema": "v1", "command": "analyze",
               "inputs": {"triangulation": dig}, "exit_code": EXIT_OK}
     report.update(summary)
@@ -193,7 +193,7 @@ def cmd_analyze(args) -> int:
         "solution_space_dim": solution_dim,
     }
     linking = []
-    for v in build_vertex_classes(t):
+    for v in t.vertex_classes:
         s = _vertex_linking_coordinate(t, v)
         linking.append({
             "vertex_class": v.index,
@@ -225,11 +225,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _matrix_rank(matrix) -> int:
-    from ._linalg import rank
-    return rank([list(row) for row in matrix]) if matrix else 0
-
-
 def _vertex_linking_coordinate(t, vclass) -> NormalCoordinate:
     from fractions import Fraction
     tris = [Fraction(0)] * (4 * t.tet_count)
@@ -253,18 +248,16 @@ def cmd_solve(args) -> int:
         report["result"] = "assignment"
         report["assignment"] = angles_to_json(result)
         report["classification"] = classify(result)
-        report["realized"] = _ac_fields(realized)
+        report["realized"] = ac_to_json(realized)
         lines = ["%s assignment found" % report["classification"],
                  "angles: %s" % " ".join(_vector(result.angles))]
     else:
-        solved = angle_linear_system(t, ac, args.mode)
-        mode = "strict" if args.mode == "strict" else "nonneg"
-        verified = verify_certificate(solved, result.y, mode)
+        # The solvers verify every certificate they emit and raise
+        # LPError otherwise.
         report["result"] = "certificate"
-        report["certificate"] = {"y": _vector(result.y),
-                                 "verified": verified}
+        report["certificate"] = {"y": _vector(result.y), "verified": True}
         lines = ["no %s assignment exists; certificate attached "
-                 "(verified: %s)" % (args.mode, verified)]
+                 "(verified: True)" % args.mode]
     _emit(report, args, lines)
     return EXIT_OK
 
@@ -301,18 +294,17 @@ def cmd_perturb(args) -> int:
     new, ac_after = apply_theorem3(alpha, t)
     fam = build_perturbation(alpha, t)
     t_max = max_perturbation_parameter(fam)
-    census = edge_angle_census(alpha, t)
     report = {"schema": "v1", "command": "perturb",
               "inputs": {"triangulation": dig_t, "angles": dig_a},
               "exit_code": EXIT_OK,
               "census": [{"edge_class": j, "zero": c[0], "pi": c[1],
                           "interior": c[2]}
-                         for j, c in enumerate(census.entries)],
+                         for j, c in enumerate(fam.census.entries)],
               "t_max": format_rational(t_max),
               "t_star": format_rational(t_max / 2),
               "assignment": angles_to_json(new),
-              "before": _ac_fields(realized_area_curvature(alpha, t)),
-              "after": _ac_fields(ac_after)}
+              "before": ac_to_json(realized_area_curvature(alpha, t)),
+              "after": ac_to_json(ac_after)}
     lines = ["perturbed to a strict assignment at t* = %s (t_max = %s)"
              % (report["t_star"], report["t_max"]),
              "areas after: %s" % " ".join(_vector(ac_after.area)),
@@ -333,24 +325,16 @@ def cmd_fixtures(args) -> int:
     fx = fixture(args.name)
     outdir = args.dir or "."
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    tri_path = os.path.join(outdir, "%s.tri" % fx.name)
-    with open(tri_path, "w", encoding="utf-8") as fh:
-        fh.write(format_triangulation(fx.triangulation))
-    written.append(tri_path)
+    files = [("%s.tri" % fx.name, format_triangulation(fx.triangulation))]
     if fx.angles is not None:
-        path = os.path.join(outdir, "%s.angles.json" % fx.name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(angles_to_json(fx.angles), fh, sort_keys=True,
-                      indent=2)
-            fh.write("\n")
-        written.append(path)
+        files.append(("%s.angles.json" % fx.name,
+                      _json_text(angles_to_json(fx.angles))))
     if fx.ac is not None:
-        path = os.path.join(outdir, "%s.ac.json" % fx.name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(ac_to_json(fx.ac), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        files.append(("%s.ac.json" % fx.name, _json_text(ac_to_json(fx.ac))))
+    written = []
+    for name, text in files:
+        path = os.path.join(outdir, name)
+        _write_text(path, text)
         written.append(path)
     report = {"schema": "v1", "command": "fixtures", "name": fx.name,
               "description": fx.description,

@@ -52,12 +52,7 @@ from .normal_coords import (
     compatibility_system,
     solution_space_basis,
 )
-from .triangulation import (
-    EDGE_VERTICES,
-    EDGES_AT_VERTEX,
-    Triangulation,
-    build_edge_classes,
-)
+from .triangulation import EDGE_VERTICES, EDGES_AT_VERTEX, Triangulation
 
 
 class ExistenceError(ValueError):
@@ -84,7 +79,7 @@ class AngleSystem:
 
 def build_angle_system(t: Triangulation, ac: AreaCurvature) -> AngleSystem:
     n = t.tet_count
-    edge_classes = build_edge_classes(t)
+    edge_classes = t.edge_classes
     m = len(edge_classes)
     if len(ac.area) != 4 * n or len(ac.curvature) != m:
         raise ExistenceError("area-curvature size does not match")

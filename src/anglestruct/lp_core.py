@@ -331,21 +331,3 @@ def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
     if mode == "nonneg":
         return ydotb > 0
     return ydotb >= 0 and (ydotb > 0 or cut)
-
-
-def system_to_json(sys: LinearSystem) -> dict:
-    from ._rational import format_rational
-    return {
-        "coeffs": [[format_rational(v) for v in row] for row in sys.coeffs],
-        "rhs": [format_rational(v) for v in sys.rhs],
-        "signs": list(sys.signs),
-    }
-
-
-def system_from_json(data: dict) -> LinearSystem:
-    from ._rational import parse_rational
-    return LinearSystem.of(
-        coeffs=[[parse_rational(v) for v in row] for row in data["coeffs"]],
-        rhs=[parse_rational(v) for v in data["rhs"]],
-        signs=data["signs"],
-    )

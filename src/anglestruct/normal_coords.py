@@ -22,10 +22,9 @@ from . import _linalg
 from .triangulation import (
     EDGE_INDEX,
     EDGE_VERTICES,
-    EDGES_AT_VERTEX,
     FACE_VERTICES,
     Triangulation,
-    build_edge_classes,
+    build_edge_classes,  # noqa: F401  (bench/test_bench.py reads it here)
 )
 
 # The four tet-edges a quad of type p crosses: all but the pair (p, 5-p)
@@ -89,17 +88,6 @@ class NormalCoordinate:
             tris=tuple(a + b for a, b in zip(self.tris, other.tris)))
 
 
-def is_embedded_candidate(s: NormalCoordinate) -> bool:
-    """Whether s could count the disks of an embedded normal surface:
-    non-negative integers with at most one nonzero quad type per tet."""
-    if any(v < 0 or v.denominator != 1 for v in s.vector):
-        return False
-    for i in range(len(s.quads) // 3):
-        if sum(1 for p in range(3) if s.quad(i, p) != 0) > 1:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CompatibilitySystem:
     """The disk-matching equations: one row per interior face arc type."""
@@ -143,88 +131,83 @@ def is_in_solution_space(sys: CompatibilitySystem,
         raise NormalCoordinateError(
             "coordinate has %d entries, system has %d columns"
             % (len(vec), sys.columns))
-    return all(sum(a * b for a, b in zip(row, vec)) == 0
+    # Each row has at most four nonzero entries.
+    return all(sum(a * b for a, b in zip(row, vec) if a) == 0
                for row in sys.matrix)
 
 
-def _boundary_flags(t: Triangulation):
-    return {(i, f): t.gluing(i, f) is None
-            for i in range(t.tet_count) for f in range(4)}
+def chi_star_disk(t: Triangulation, disk) -> Fraction:
+    """The chi_star weight of one disk type: chi_star of the coordinate
+    that is 1 on that disk type and 0 elsewhere.
 
-
-def chi_star_disk(t: Triangulation, disk, edge_classes=None) -> Fraction:
-    """The chi_star weight of one disk type.
-
-    ``disk`` is ("tri", tet, vertex) or ("quad", tet, type).  The weight
-    is -(arcs + boundary arcs)/2 + the sum of 1/valence over the edge
-    classes the disk crosses; for an embedded surface these weights add
-    up to the surface's Euler characteristic.
+    ``disk`` is ("tri", tet, vertex) or ("quad", tet, type).
     """
-    if edge_classes is None:
-        edge_classes = build_edge_classes(t)
-    valence_of = {}
-    for cls in edge_classes:
-        for corner in cls.corners:
-            valence_of[corner] = cls.valence
     kind, i, which = disk
-    if kind == "tri":
-        edges = EDGES_AT_VERTEX[which]
-        faces = [f for f in range(4) if f != which]
-        inner = Fraction(1)
-    elif kind == "quad":
-        edges = QUAD_EDGES[which]
-        faces = range(4)
-        inner = Fraction(2)
+    n = t.tet_count
+    if kind == "quad":
+        column = 3 * i + which
+    elif kind == "tri":
+        column = 3 * n + 4 * i + which
     else:
         raise NormalCoordinateError("unknown disk kind %r" % (kind,))
-    b = sum(1 for f in faces if t.gluing(i, f) is None)
-    total = -(inner + b) / 2
-    for k in edges:
-        total += Fraction(1, valence_of[(i, k)])
-    return total
+    unit = [Fraction(0)] * (7 * n)
+    unit[column] = Fraction(1)
+    return chi_star(t, NormalCoordinate.from_vector(n, unit))
 
 
-def chi_star(t: Triangulation, s: NormalCoordinate,
-             edge_classes=None) -> Fraction:
-    """The generalized Euler characteristic: linear in the coordinate."""
-    if edge_classes is None:
-        edge_classes = build_edge_classes(t)
+def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
+    """The generalized Euler characteristic: linear in the coordinate.
+
+    V - E + F, counted disk by disk.  A disk's point on a tet-edge is
+    shared by the valence-many corners of that edge class, its arcs in
+    glued faces are shared with the disk beyond the face, and its arcs in
+    boundary faces are its own.  So a triangle weighs -(1 + b)/2 and a
+    quad -(2 + b)/2, b being its number of boundary arcs, plus 1/valence
+    for each tet-edge it crosses.  For an embedded surface the total is
+    the surface's Euler characteristic.
+    """
     total = Fraction(0)
     for i in range(t.tet_count):
+        for k in range(6):
+            valence = t.edge_class_of[(i, k)].valence
+            total += _crossing_weight(s, i, k) * Fraction(1, valence)
+        boundary = [f for f in range(4) if t.gluing(i, f) is None]
         for p in range(3):
-            if s.quad(i, p) != 0:
-                total += s.quad(i, p) * chi_star_disk(
-                    t, ("quad", i, p), edge_classes)
+            total -= s.quad(i, p) * Fraction(2 + len(boundary), 2)
         for l in range(4):
-            if s.tri(i, l) != 0:
-                total += s.tri(i, l) * chi_star_disk(
-                    t, ("tri", i, l), edge_classes)
+            b = sum(1 for f in boundary if f != l)
+            total -= s.tri(i, l) * Fraction(1 + b, 2)
     return total
 
 
-def z_functional(t: Triangulation, s: NormalCoordinate, e,
-                 sys: CompatibilitySystem = None) -> Fraction:
+def _crossing_weight(s: NormalCoordinate, i: int, k: int) -> Fraction:
+    """The total weight of the disk types of tetrahedron i that cross
+    tet-edge k: the triangles at its two ends and the two quads that do
+    not separate it."""
+    u, v = EDGE_VERTICES[k]
+    pair = min(k, 5 - k)
+    return s.tri(i, u) + s.tri(i, v) + \
+        sum(s.quad(i, p) for p in range(3) if p != pair)
+
+
+def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
     """The edge coefficient of s at edge class e.
 
     Averages, over the corners identified to e (with multiplicity), the
-    total weight of the disk types crossing that tet-edge: the triangles
-    at its two endpoints and the two quads not separating it.  For an
-    embedded surface this is half the number of intersections with e.
+    crossing weight of that tet-edge.  For an embedded surface this is
+    half the number of intersections with e.
     """
-    if sys is None:
-        sys = compatibility_system(t)
-    if not is_in_solution_space(sys, s):
+    if not is_in_solution_space(compatibility_system(t), s):
         raise NormalCoordinateError(
             "coordinate is not in the solution space")
-    total = Fraction(0)
-    for i, k in e.corners:
-        u, v = EDGE_VERTICES[k]
-        total += s.tri(i, u) + s.tri(i, v)
-        pair = min(k, 5 - k)
-        for p in range(3):
-            if p != pair:
-                total += s.quad(i, p)
-    return total / (2 * e.valence)
+    return _edge_coefficient(s, e)
+
+
+def _edge_coefficient(s: NormalCoordinate, e) -> Fraction:
+    """z_functional without the solution-space check, for callers that
+    have already made it."""
+    return sum((_crossing_weight(s, i, k) for i, k in e.corners),
+               Fraction(0)) / (2 * e.valence)
 
 
 class BasisVerificationError(RuntimeError):
@@ -281,7 +264,7 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
         raise BasisVerificationError(
             "basis requires a triangulation without boundary faces")
     n = t.tet_count
-    edge_classes = build_edge_classes(t)
+    edge_classes = t.edge_classes
     m = len(edge_classes)
     sys = compatibility_system(t)
     w_sigma = tuple(_tetrahedral_vector(n, i) for i in range(n))
@@ -294,13 +277,13 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
                     "%s vector %d is not in the solution space" % (name, idx))
     for w in w_sigma:
         for cls in edge_classes:
-            if z_functional(t, w, cls, sys) != 0:
+            if _edge_coefficient(w, cls) != 0:
                 raise BasisVerificationError(
                     "tetrahedral vector has nonzero edge coefficient")
     for j, w in enumerate(w_edge):
         for cls in edge_classes:
             want = Fraction(1) if cls.index == j else Fraction(0)
-            if z_functional(t, w, cls, sys) != want:
+            if _edge_coefficient(w, cls) != want:
                 raise BasisVerificationError(
                     "edge vector %d has wrong coefficient at edge %d"
                     % (j, cls.index))
@@ -332,14 +315,16 @@ def decompose(t: Triangulation, s: NormalCoordinate,
               basis: SolutionBasis = None):
     """The unique (omega, z) with s = sum omega_i w_sigma_i + sum z_j w_edge_j.
 
-    The edge weights are read off with z_functional; the tetrahedral
+    The edge weights are the edge coefficients of s; the tetrahedral
     weights come from the residual, which is then checked to vanish
     exactly.
     """
     if basis is None:
         basis = solution_space_basis(t)
-    sys = compatibility_system(t)
-    z = tuple(z_functional(t, s, cls, sys) for cls in basis.edge_classes)
+    if not is_in_solution_space(compatibility_system(t), s):
+        raise NormalCoordinateError(
+            "coordinate is not in the solution space")
+    z = tuple(_edge_coefficient(s, cls) for cls in basis.edge_classes)
     residual = s
     for w, c in zip(basis.w_edge, z):
         if c != 0:
@@ -350,15 +335,3 @@ def decompose(t: Triangulation, s: NormalCoordinate,
         raise BasisVerificationError(
             "decomposition failed to recover the coordinate")
     return omega, z
-
-
-@dataclass(frozen=True)
-class QuadConePredicates:
-    all_quads_nonneg: bool
-    some_quad_positive: bool
-
-
-def quad_cone_predicates(s: NormalCoordinate) -> QuadConePredicates:
-    return QuadConePredicates(
-        all_quads_nonneg=all(v >= 0 for v in s.quads),
-        some_quad_positive=any(v > 0 for v in s.quads))

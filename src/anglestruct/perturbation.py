@@ -25,7 +25,7 @@ from .angle_structures import (
     is_flat_pair,
     realized_area_curvature,
 )
-from .triangulation import EDGES_AT_VERTEX, Triangulation, build_edge_classes
+from .triangulation import EDGES_AT_VERTEX, Triangulation
 
 
 class PerturbationError(ValueError):
@@ -48,7 +48,7 @@ def edge_angle_census(alpha: AngleAssignment,
     if alpha.tet_count != t.tet_count:
         raise PerturbationError("assignment size does not match")
     entries = []
-    for cls in build_edge_classes(t):
+    for cls in t.edge_classes:
         m1 = n1 = k1 = 0
         for i, k in cls.corners:
             a = alpha.angle(i, k)
@@ -91,7 +91,7 @@ def build_perturbation(alpha: AngleAssignment,
     """
     census = edge_angle_census(alpha, t)
     coeffs = [Fraction(0)] * (6 * alpha.tet_count)
-    for cls, (m1, n1, k1) in zip(build_edge_classes(t), census.entries):
+    for cls, (m1, n1, k1) in zip(t.edge_classes, census.entries):
         if m1 == 0 and n1 == 0:
             continue
         if k1 == 0:
@@ -164,7 +164,7 @@ def apply_theorem3(alpha: AngleAssignment, t: Triangulation):
     if any(a >= 0 for a in ac.area):
         raise PerturbationError(
             "internal error: perturbed assignment has a nonnegative area")
-    for cls in build_edge_classes(t):
+    for cls in t.edge_classes:
         if curvature(new, t, cls) != curvature(alpha, t, cls):
             raise PerturbationError(
                 "internal error: curvature changed on edge class %d"

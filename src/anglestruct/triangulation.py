@@ -16,6 +16,7 @@ and vertex classes with the Euler characteristic of their links.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 # Tet-edge k is the vertex pair EDGE_VERTICES[k].  Pairs are listed in
@@ -38,13 +39,6 @@ EDGES_AT_VERTEX = tuple(
 FACES_AT_EDGE = tuple(
     tuple(f for f in range(4) if f not in EDGE_VERTICES[k]) for k in range(6)
 )
-
-
-def opposite_edge(k: int) -> int:
-    return 5 - k
-
-
-IDENTITY_PERM = (0, 1, 2, 3)
 
 
 def compose(p, q):
@@ -85,6 +79,9 @@ class Triangulation:
     stored; the constructor accepts either one direction or both and
     checks that the result is a fixed-point-free involution on the glued
     face slots.
+
+    The edge and vertex classes are computed on first use and kept on the
+    instance; every consumer in the package reads them from here.
     """
 
     def __init__(self, tet_count: int, gluings=None, name: str = ""):
@@ -112,6 +109,22 @@ class Triangulation:
                         "non-involutive gluing at face (%d,%d)" % src)
                 table[src] = dst
         self._gluing = table
+
+    @cached_property
+    def edge_classes(self):
+        """The edge classes, as build_edge_classes returns them."""
+        return build_edge_classes(self)
+
+    @cached_property
+    def vertex_classes(self):
+        """The vertex classes, as build_vertex_classes returns them."""
+        return build_vertex_classes(self)
+
+    @cached_property
+    def edge_class_of(self):
+        """Map each (tet, tet-edge) corner to its EdgeClass."""
+        return {corner: cls for cls in self.edge_classes
+                for corner in cls.corners}
 
     def _check_face(self, i, f):
         if not (0 <= i < self.tet_count):
@@ -320,17 +333,6 @@ def build_edge_classes(t: Triangulation):
                  for n, (_, bdry, corners) in enumerate(raw))
 
 
-def edge_lookup(t: Triangulation, edge_classes=None):
-    """Map each (tet, tet-edge) corner to the index of its edge class."""
-    if edge_classes is None:
-        edge_classes = build_edge_classes(t)
-    out = {}
-    for cls in edge_classes:
-        for corner in cls.corners:
-            out[corner] = cls.index
-    return out
-
-
 class _UnionFind:
     def __init__(self):
         self.parent = {}
@@ -509,7 +511,7 @@ def is_ideal_triangulation(t: Triangulation):
     link_closed) triple per vertex class.
     """
     report = tuple((c.index, c.link_euler, c.link_closed)
-                   for c in build_vertex_classes(t))
+                   for c in t.vertex_classes)
     flag = all(closed and euler <= 0 for _, euler, closed in report)
     return flag, report
 

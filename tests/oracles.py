@@ -60,6 +60,20 @@ def union_find_edge_partition(t):
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
+def has_folded_edge(t) -> bool:
+    """Whether some tet-edge is glued to itself with its ends swapped,
+    by union-find over oriented tet-edges."""
+    uf = UnionFind()
+    for (i, f), (j, g), perm in t.glued_pairs():
+        for u, v in EDGE_VERTICES:
+            if f in (u, v):
+                continue
+            uf.union((i, u, v), (j, perm[u], perm[v]))
+            uf.union((i, v, u), (j, perm[v], perm[u]))
+    return any(uf.find((i, u, v)) == uf.find((i, v, u))
+               for i in range(t.tet_count) for u, v in EDGE_VERTICES)
+
+
 def smith_diagonal(mat):
     """Diagonal of the Smith normal form of an integer matrix."""
     m = [row[:] for row in mat]
@@ -202,6 +216,24 @@ def _rref(matrix):
 
 def _rank(matrix):
     return len(_rref(matrix)[1]) if matrix else 0
+
+
+def nullspace(matrix):
+    """A basis of the kernel, one vector per free column; used to sample
+    the solution space independently of the package's canonical basis."""
+    rows, pivots = _rref(matrix)
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def _basic_solutions(coeffs, rhs):

@@ -52,7 +52,6 @@ from anglestruct.lp_core import FREE, NONNEG, STRICT_POS
 from anglestruct.normal_coords import NormalCoordinate, chi_star
 from anglestruct.perturbation import apply_theorem3
 from anglestruct.triangulation import build_vertex_classes
-from anglestruct._linalg import nullspace
 
 F = Fraction
 
@@ -83,7 +82,7 @@ def solution_space_samples(t, rng, count):
     matrix = [list(row) for row in compatibility_system(t).matrix]
     width = 7 * t.tet_count
     if matrix:
-        basis = nullspace(matrix)
+        basis = oracles.nullspace(matrix)
     else:
         basis = [[F(i == j) for j in range(width)] for i in range(width)]
     for _ in range(count):

@@ -224,6 +224,24 @@ def test_certify_malformed_json_is_input_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command,key,payload", [
+    ("solve", "ac", {"area": "00000000", "curvature": "00"}),
+    ("certify", "angles", {"angles": [1] * 12}),
+    ("certify", "angles", {"angles": 5}),
+])
+def test_json_vectors_must_be_lists_of_strings(capsys, tmp_path, command,
+                                               key, payload):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, [command, paths["tri"], str(bad)])
+    assert code == 1
+    assert out == ""
+    field = sorted(payload)[0]
+    assert "error: %s: field \"%s\"" % (bad, field) in err
+    assert "Traceback" not in err
+
+
 def test_perturb_flat_fixture(capsys, tmp_path):
     paths = write_fixture(capsys, tmp_path, "fig8-flat1")
     code, out, _ = run(capsys, ["perturb", paths["tri"], paths["angles"],
@@ -257,6 +275,17 @@ def test_out_file_matches_json_stdout(capsys, tmp_path):
                                 "--out", str(target)])
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    target = tmp_path / "absent" / "x.json"
+    code, out, err = run(capsys, ["validate", paths["tri"], "--json",
+                                  "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert "error: cannot write %s: " % target in err
+    assert "Traceback" not in err
 
 
 def test_json_output_is_canonical(capsys, tmp_path):

@@ -9,8 +9,7 @@ from anglestruct import (Infeasible, LinearSystem, NotStrict, Optimum,
                          minimize_linear, solve_feasibility_nonneg,
                          solve_feasibility_strict, verify_certificate)
 from anglestruct.existence import angle_linear_system
-from anglestruct.lp_core import (FREE, LPError, NONNEG, STRICT_POS,
-                                 system_from_json, system_to_json)
+from anglestruct.lp_core import FREE, LPError, NONNEG, STRICT_POS
 
 F = Fraction
 
@@ -207,13 +206,3 @@ def test_strict_agrees_with_brute_force_on_bounded_systems():
         else:
             assert verify_certificate(sys, res.certificate.y, "strict")
         done += 1
-
-
-def test_json_round_trip():
-    sys = LinearSystem.of([[F(1, 2), -1], [0, F(3)]], [F(5, 7), 0],
-                          [FREE, NONNEG])
-    blob = system_to_json(sys)
-    again = system_from_json(blob)
-    assert again == sys
-    # serialized rationals keep exact "p/q" form
-    assert blob["coeffs"][0][0] == "1/2"

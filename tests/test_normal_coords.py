@@ -9,8 +9,7 @@ from anglestruct import (NormalCoordinate, build_edge_classes,
                          fixture_names, is_in_solution_space,
                          solution_space_basis, z_functional)
 from anglestruct.normal_coords import (NormalCoordinateError, QUAD_EDGES,
-                                       is_embedded_candidate,
-                                       quad_cone_predicates, quad_type_at_arc)
+                                       quad_type_at_arc)
 from anglestruct.triangulation import EDGE_INDEX
 
 
@@ -98,6 +97,15 @@ def test_z_functional_is_dual_to_the_edge_solutions():
         assert all(z_functional(fig8, w, e) == 0 for e in ecs)
 
 
+def test_z_functional_rejects_coordinates_outside_the_space():
+    fig8 = fixture("fig8").triangulation
+    bad = NormalCoordinate(quads=(Fraction(1),) + (Fraction(0),) * 5,
+                           tris=(Fraction(0),) * 8)
+    for e in build_edge_classes(fig8):
+        with pytest.raises(NormalCoordinateError):
+            z_functional(fig8, bad, e)
+
+
 def test_vertex_link_is_in_the_solution_space_with_frozen_decomposition():
     fig8 = fixture("fig8").triangulation
     link = vertex_link_coordinate(fig8)
@@ -151,20 +159,6 @@ def test_decompose_rejects_vectors_outside_the_space():
                            tris=(Fraction(0),) * 8)
     with pytest.raises(ValueError):
         decompose(fig8, bad)
-
-
-def test_embedded_candidate_and_cone_predicates():
-    fig8 = fixture("fig8").triangulation
-    link = vertex_link_coordinate(fig8)
-    assert is_embedded_candidate(link)
-    two_quads = NormalCoordinate(
-        quads=(Fraction(1), Fraction(1)) + (Fraction(0),) * 4,
-        tris=(Fraction(0),) * 8)
-    assert not is_embedded_candidate(two_quads)
-    preds = quad_cone_predicates(two_quads)
-    assert preds.all_quads_nonneg and preds.some_quad_positive
-    preds0 = quad_cone_predicates(link)
-    assert preds0.all_quads_nonneg and not preds0.some_quad_positive
 
 
 def test_normal_coordinate_arithmetic():

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anglestruct._rational import (format_rational, format_vector,
-                                   parse_rational, parse_vector)
+from anglestruct._rational import format_rational, parse_rational
 
 
 def test_format_always_carries_denominator():
@@ -31,9 +30,3 @@ def test_round_trip_is_exact_on_random_fractions():
     for _ in range(200):
         x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
         assert parse_rational(format_rational(x)) == x
-
-
-def test_vector_helpers_round_trip():
-    xs = (Fraction(1, 2), Fraction(-3), Fraction(0))
-    assert parse_vector(format_vector(xs)) == xs
-    assert format_vector(xs) == ["1/2", "-3/1", "0/1"]

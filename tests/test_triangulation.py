@@ -9,15 +9,14 @@ from anglestruct import (Triangulation, TriangulationError,
                          insert_flat_tetrahedron, is_ideal_triangulation,
                          is_orientable, parse_triangulation)
 from anglestruct.fixtures import FIG8_TABLE, ONE_TET_TABLE
-from anglestruct.triangulation import (EDGE_VERTICES, EDGES_AT_VERTEX,
-                                       opposite_edge)
+from anglestruct.triangulation import EDGE_VERTICES, EDGES_AT_VERTEX
 
 
 def test_edge_tables_are_consistent():
     # the six tet edges, the opposite-edge pairing, and the three edges
     # meeting each vertex must all agree with each other
     for k, (u, v) in enumerate(EDGE_VERTICES):
-        ou, ov = EDGE_VERTICES[opposite_edge(k)]
+        ou, ov = EDGE_VERTICES[5 - k]
         assert {u, v} | {ou, ov} == {0, 1, 2, 3}
     for vert in range(4):
         assert EDGES_AT_VERTEX[vert] == tuple(
