@@ -76,6 +76,7 @@ from .perturbation import (
     EdgeAngleCensus,
     PerturbationError,
     PerturbationFamily,
+    Perturbed,
     apply_theorem3,
     build_perturbation,
     edge_angle_census,

@@ -1,9 +1,10 @@
-"""Exact linear algebra over Fraction matrices.
+"""Exact rank of sparse rational matrices.
 
-Plain Gaussian elimination; everything stays rational. Matrices are lists
-(or tuples) of row tuples. Sizes here are small (at most a few hundred
-columns), so no attempt is made at sparsity or pivoting heuristics beyond
-picking the first nonzero.
+A matrix is a sequence of rows, each a sequence of (column, coefficient)
+pairs; absent columns are zero.  The compatibility equations have at
+most four nonzeros per row, so elimination keeps each row as a dict of
+its nonzero entries and reduces it against the pivot rows found so far,
+leading column first.  Everything stays rational.
 """
 
 from __future__ import annotations
@@ -11,31 +12,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+def rank(rows) -> int:
+    """The rank of the matrix whose sparse rows are given."""
+    pivots = {}  # leading column -> reduced row with a 1 in that column
+    for pairs in rows:
+        row = {c: Fraction(v) for c, v in pairs if v}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = {c: v / row[lead] for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in pivots[lead].items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return len(pivots)

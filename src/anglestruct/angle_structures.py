@@ -24,7 +24,6 @@ from .normal_coords import (
     NormalCoordinate,
     _edge_coefficient,
     chi_star,
-    compatibility_system,
     is_in_solution_space,
 )
 from .triangulation import EDGES_AT_VERTEX, Triangulation
@@ -214,7 +213,7 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
     if len(ac.area) != 4 * t.tet_count or len(ac.curvature) != len(
             edge_classes):
         raise AngleStructureError("area-curvature size does not match")
-    if not is_in_solution_space(compatibility_system(t), s):
+    if not is_in_solution_space(t.compatibility_system, s):
         raise AngleStructureError("coordinate is not in the solution space")
     total = Fraction(0)
     for i in range(t.tet_count):
@@ -233,7 +232,7 @@ def chi_via_lemma2(t: Triangulation, s: NormalCoordinate,
     pairing with a realizing semi assignment."""
     if classify(alpha) == "generalized":
         raise AngleStructureError("assignment is not semi")
-    if not is_in_solution_space(compatibility_system(t), s):
+    if not is_in_solution_space(t.compatibility_system, s):
         raise AngleStructureError("coordinate is not in the solution space")
     total = chi_star(t, s)
     for i in range(t.tet_count):

@@ -19,7 +19,6 @@ import os
 import sys
 import time
 
-from ._linalg import rank
 from ._rational import format_rational
 from .angle_structures import (
     AngleAssignment,
@@ -40,14 +39,9 @@ from .fixtures import fixture, fixture_names
 from .normal_coords import (
     NormalCoordinate,
     chi_star,
-    compatibility_system,
     solution_space_basis,
 )
-from .perturbation import (
-    apply_theorem3,
-    build_perturbation,
-    max_perturbation_parameter,
-)
+from .perturbation import apply_theorem3
 from .triangulation import (
     Triangulation,
     TriangulationError,
@@ -183,13 +177,13 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     t, dig = _load_triangulation(args.triangulation)
     summary = _triangulation_summary(t)
-    csys = compatibility_system(t)
-    solution_dim = 7 * t.tet_count - rank(csys.matrix)
+    csys = t.compatibility_system
+    solution_dim = csys.columns - csys.rank
     report = {"schema": "v1", "command": "analyze",
               "inputs": {"triangulation": dig}, "exit_code": EXIT_OK}
     report.update(summary)
     report["compatibility"] = {
-        "rows": len(csys.matrix), "columns": 7 * t.tet_count,
+        "rows": len(csys.rows), "columns": csys.columns,
         "solution_space_dim": solution_dim,
     }
     linking = []
@@ -291,25 +285,23 @@ def cmd_certify(args) -> int:
 def cmd_perturb(args) -> int:
     t, dig_t = _load_triangulation(args.triangulation)
     alpha, dig_a = _load_json(args.angles, angles_from_json)
-    new, ac_after = apply_theorem3(alpha, t)
-    fam = build_perturbation(alpha, t)
-    t_max = max_perturbation_parameter(fam)
+    res = apply_theorem3(alpha, t)
     report = {"schema": "v1", "command": "perturb",
               "inputs": {"triangulation": dig_t, "angles": dig_a},
               "exit_code": EXIT_OK,
               "census": [{"edge_class": j, "zero": c[0], "pi": c[1],
                           "interior": c[2]}
-                         for j, c in enumerate(fam.census.entries)],
-              "t_max": format_rational(t_max),
-              "t_star": format_rational(t_max / 2),
-              "assignment": angles_to_json(new),
+                         for j, c in enumerate(res.family.census.entries)],
+              "t_max": format_rational(res.t_max),
+              "t_star": format_rational(res.t_max / 2),
+              "assignment": angles_to_json(res.assignment),
               "before": ac_to_json(realized_area_curvature(alpha, t)),
-              "after": ac_to_json(ac_after)}
+              "after": ac_to_json(res.realized)}
     lines = ["perturbed to a strict assignment at t* = %s (t_max = %s)"
              % (report["t_star"], report["t_max"]),
-             "areas after: %s" % " ".join(_vector(ac_after.area)),
+             "areas after: %s" % " ".join(_vector(res.realized.area)),
              "curvatures preserved: %s" % " ".join(
-                 _vector(ac_after.curvature))]
+                 _vector(res.realized.curvature))]
     _emit(report, args, lines)
     return EXIT_OK
 
@@ -324,7 +316,10 @@ def cmd_fixtures(args) -> int:
         return EXIT_OK
     fx = fixture(args.name)
     outdir = args.dir or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as err:
+        raise ValueError("cannot create %s: %s" % (outdir, err.strerror))
     files = [("%s.tri" % fx.name, format_triangulation(fx.triangulation))]
     if fx.angles is not None:
         files.append(("%s.angles.json" % fx.name,

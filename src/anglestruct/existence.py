@@ -49,7 +49,6 @@ from .normal_coords import (
     NormalCoordinate,
     chi_star,
     combine,
-    compatibility_system,
     solution_space_basis,
 )
 from .triangulation import EDGE_VERTICES, EDGES_AT_VERTEX, Triangulation
@@ -198,9 +197,8 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
         raise ExistenceError("assignment is not semi")
     if alpha.tet_count != t.tet_count:
         raise ExistenceError("assignment size does not match")
-    csys = compatibility_system(t)
     n = t.tet_count
-    rows = [tuple(row) for row in csys.matrix]
+    rows = list(t.compatibility_system.matrix)
     rhs = [Fraction(0)] * len(rows)
     slice_row = [Fraction(1)] * (3 * n) + [Fraction(0)] * (4 * n)
     rows.append(tuple(slice_row))
@@ -227,11 +225,11 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
 class EquivalenceReport:
     hypothesis_met: bool
     reason: str
-    semi: Optional[AngleAssignment]
-    strict_exists: Optional[bool]
-    condition2_holds: Optional[bool]
-    strict_result: object
-    condition2_result: object
+    semi: Optional[AngleAssignment] = None
+    strict_exists: Optional[bool] = None
+    condition2_holds: Optional[bool] = None
+    strict_result: object = None
+    condition2_result: object = None
 
 
 def check_corollary2(t: Triangulation, ac: AreaCurvature) -> EquivalenceReport:
@@ -244,16 +242,13 @@ def check_corollary2(t: Triangulation, ac: AreaCurvature) -> EquivalenceReport:
     """
     if any(a > 0 for a in ac.area):
         return EquivalenceReport(
-            hypothesis_met=False, reason="a triangle area is positive",
-            semi=None, strict_exists=None, condition2_holds=None,
-            strict_result=None, condition2_result=None)
+            hypothesis_met=False, reason="a triangle area is positive")
     semi_res = find_semi_angle_structure(t, ac)
     if isinstance(semi_res, Certificate):
         return EquivalenceReport(
             hypothesis_met=False,
             reason="no semi assignment realizes the data",
-            semi=None, strict_exists=None, condition2_holds=None,
-            strict_result=semi_res, condition2_result=None)
+            strict_result=semi_res)
     strict_res = find_angle_structure(t, ac)
     cond2 = certify_condition2(t, semi_res)
     strict_exists = isinstance(strict_res, AngleAssignment)

@@ -227,6 +227,14 @@ def _fold(colmap, xstd, width: int):
     return tuple(x)
 
 
+def _verified(sys: LinearSystem, y, mode: str) -> Certificate:
+    """The certificate y, once verify_certificate has accepted it."""
+    if not verify_certificate(sys, y, mode):
+        raise LPError("internal error: emitted certificate failed "
+                      "verification")
+    return Certificate(y=y)
+
+
 def solve_feasibility_nonneg(sys: LinearSystem):
     """Find x with A x = b and constrained entries >= 0, or refute it.
 
@@ -238,11 +246,7 @@ def solve_feasibility_nonneg(sys: LinearSystem):
     coeffs, colmap = _standardize(sys)
     res = _solve(coeffs, sys.rhs, [Fraction(0)] * len(colmap))
     if res["status"] == "infeasible":
-        cert = Certificate(y=res["farkas"])
-        if not verify_certificate(sys, cert.y, "nonneg"):
-            raise LPError("internal error: emitted certificate failed "
-                          "verification")
-        return Infeasible(certificate=cert)
+        return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
     return Solution(x=_fold(colmap, res["x"], sys.col_count))
 
 
@@ -268,17 +272,14 @@ def solve_feasibility_strict(sys: LinearSystem):
     cost = [Fraction(0)] * t + [Fraction(-1), Fraction(0)]
     res = _solve(coeffs, rhs, cost)
     if res["status"] == "infeasible":
-        cert = Certificate(y=res["farkas"][:k])
+        y = res["farkas"][:k]
     else:
         eps = res["x"][t]
         if eps > 0:
             x = tuple(res["x"][j] + eps for j in range(t))
             return StrictSolution(x=x, margin=eps)
-        cert = Certificate(y=res["dual"][:k])
-    if not verify_certificate(sys, cert.y, "strict"):
-        raise LPError("internal error: emitted certificate failed "
-                      "verification")
-    return NotStrict(certificate=cert)
+        y = res["dual"][:k]
+    return NotStrict(certificate=_verified(sys, y, "strict"))
 
 
 def minimize_linear(objective, sys: LinearSystem):
@@ -290,11 +291,7 @@ def minimize_linear(objective, sys: LinearSystem):
     cost = [sgn * objective[orig] for orig, sgn in colmap]
     res = _solve(coeffs, sys.rhs, cost)
     if res["status"] == "infeasible":
-        cert = Certificate(y=res["farkas"])
-        if not verify_certificate(sys, cert.y, "nonneg"):
-            raise LPError("internal error: emitted certificate failed "
-                          "verification")
-        return Infeasible(certificate=cert)
+        return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
     if res["status"] == "unbounded":
         return Unbounded(ray=_fold(colmap, res["ray"], sys.col_count))
     return Optimum(value=res["value"],

@@ -15,8 +15,10 @@ one edge vector per edge class.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _linalg
 from .triangulation import (
@@ -90,14 +92,25 @@ class NormalCoordinate:
 
 @dataclass(frozen=True)
 class CompatibilitySystem:
-    """The disk-matching equations: one row per interior face arc type."""
-    tet_count: int
-    matrix: tuple
-    labels: tuple
+    """The disk-matching equations: one row per interior face arc type.
+
+    A row is the (column, coefficient) pairs of its nonzero entries, and
+    is empty when they all cancel.  ``matrix`` is the dense view of the
+    rows; ``rank`` is computed on first use and kept.
+    """
+    columns: int
+    rows: tuple
 
     @property
-    def columns(self) -> int:
-        return 7 * self.tet_count
+    def matrix(self) -> tuple:
+        """The rows as dense tuples of length ``columns``."""
+        return tuple(
+            tuple(entries.get(c, Fraction(0)) for c in range(self.columns))
+            for entries in map(dict, self.rows))
+
+    @cached_property
+    def rank(self) -> int:
+        return _linalg.rank(self.rows)
 
 
 def compatibility_system(t: Triangulation) -> CompatibilitySystem:
@@ -107,21 +120,20 @@ def compatibility_system(t: Triangulation) -> CompatibilitySystem:
     the disks crossing it on each side are one quad and one triangle; the
     row equates the two sides.  When a face is glued to a face of the same
     tetrahedron the two sides may hit the same column and entries cancel.
+    ``t.compatibility_system`` keeps the one built for t.
     """
     n = t.tet_count
     rows = []
-    labels = []
     for (i, f), (j, g), perm in t.glued_pairs():
         for v in FACE_VERTICES[f]:
-            row = [Fraction(0)] * (7 * n)
+            row = defaultdict(int)
             row[3 * i + quad_type_at_arc(f, v)] += 1
             row[3 * n + 4 * i + v] += 1
             row[3 * j + quad_type_at_arc(g, perm[v])] -= 1
             row[3 * n + 4 * j + perm[v]] -= 1
-            rows.append(tuple(row))
-            labels.append(((i, f), (j, g), v))
-    return CompatibilitySystem(tet_count=n, matrix=tuple(rows),
-                               labels=tuple(labels))
+            rows.append(tuple((c, Fraction(a))
+                              for c, a in sorted(row.items()) if a))
+    return CompatibilitySystem(columns=7 * n, rows=tuple(rows))
 
 
 def is_in_solution_space(sys: CompatibilitySystem,
@@ -131,9 +143,7 @@ def is_in_solution_space(sys: CompatibilitySystem,
         raise NormalCoordinateError(
             "coordinate has %d entries, system has %d columns"
             % (len(vec), sys.columns))
-    # Each row has at most four nonzero entries.
-    return all(sum(a * b for a, b in zip(row, vec) if a) == 0
-               for row in sys.matrix)
+    return all(sum(a * vec[c] for c, a in row) == 0 for row in sys.rows)
 
 
 def chi_star_disk(t: Triangulation, disk) -> Fraction:
@@ -197,7 +207,7 @@ def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
     crossing weight of that tet-edge.  For an embedded surface this is
     half the number of intersections with e.
     """
-    if not is_in_solution_space(compatibility_system(t), s):
+    if not is_in_solution_space(t.compatibility_system, s):
         raise NormalCoordinateError(
             "coordinate is not in the solution space")
     return _edge_coefficient(s, e)
@@ -266,7 +276,7 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
     n = t.tet_count
     edge_classes = t.edge_classes
     m = len(edge_classes)
-    sys = compatibility_system(t)
+    sys = t.compatibility_system
     w_sigma = tuple(_tetrahedral_vector(n, i) for i in range(n))
     w_edge = tuple(_edge_vector(n, cls) for cls in edge_classes)
 
@@ -287,10 +297,10 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
                 raise BasisVerificationError(
                     "edge vector %d has wrong coefficient at edge %d"
                     % (j, cls.index))
-    stacked = [w.vector for w in w_sigma + w_edge]
+    stacked = [enumerate(w.vector) for w in w_sigma + w_edge]
     if _linalg.rank(stacked) != n + m:
         raise BasisVerificationError("basis vectors are dependent")
-    if 7 * n - _linalg.rank(sys.matrix) != n + m:
+    if sys.columns - sys.rank != n + m:
         raise BasisVerificationError(
             "solution space dimension differs from n+m")
     return SolutionBasis(w_sigma=w_sigma, w_edge=w_edge,
@@ -321,7 +331,7 @@ def decompose(t: Triangulation, s: NormalCoordinate,
     """
     if basis is None:
         basis = solution_space_basis(t)
-    if not is_in_solution_space(compatibility_system(t), s):
+    if not is_in_solution_space(t.compatibility_system, s):
         raise NormalCoordinateError(
             "coordinate is not in the solution space")
     z = tuple(_edge_coefficient(s, cls) for cls in basis.edge_classes)

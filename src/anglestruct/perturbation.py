@@ -145,9 +145,19 @@ def max_perturbation_parameter(fam: PerturbationFamily) -> Fraction:
     return t_max
 
 
-def apply_theorem3(alpha: AngleAssignment, t: Triangulation):
+@dataclass(frozen=True)
+class Perturbed:
+    """The strict assignment apply_theorem3 returns, its realized data,
+    and the family and safe range it was taken from."""
+    assignment: AngleAssignment
+    realized: AreaCurvature
+    family: PerturbationFamily
+    t_max: Fraction
+
+
+def apply_theorem3(alpha: AngleAssignment, t: Triangulation) -> Perturbed:
     """Deform a flat semi assignment into a strict one at half the safe
-    range, returning the new assignment and its realized data.
+    range.
 
     Re-verified before returning: the result is strict, every triangle
     area is negative, and every edge curvature matches the input exactly.
@@ -155,8 +165,8 @@ def apply_theorem3(alpha: AngleAssignment, t: Triangulation):
     if not is_flat_pair(alpha, t):
         raise PerturbationError("assignment is not a flat pair")
     fam = build_perturbation(alpha, t)
-    t_star = max_perturbation_parameter(fam) / 2
-    new = fam.at(t_star)
+    t_max = max_perturbation_parameter(fam)
+    new = fam.at(t_max / 2)
     if classify(new) != "strict":
         raise PerturbationError(
             "internal error: perturbed assignment is not strict")
@@ -169,4 +179,4 @@ def apply_theorem3(alpha: AngleAssignment, t: Triangulation):
             raise PerturbationError(
                 "internal error: curvature changed on edge class %d"
                 % cls.index)
-    return (new, ac)
+    return Perturbed(assignment=new, realized=ac, family=fam, t_max=t_max)

@@ -80,8 +80,8 @@ class Triangulation:
     checks that the result is a fixed-point-free involution on the glued
     face slots.
 
-    The edge and vertex classes are computed on first use and kept on the
-    instance; every consumer in the package reads them from here.
+    Edge classes, vertex classes and the compatibility system are
+    computed on first use and kept; the package reads them from here.
     """
 
     def __init__(self, tet_count: int, gluings=None, name: str = ""):
@@ -119,6 +119,13 @@ class Triangulation:
     def vertex_classes(self):
         """The vertex classes, as build_vertex_classes returns them."""
         return build_vertex_classes(self)
+
+    @cached_property
+    def compatibility_system(self):
+        """The system normal_coords.compatibility_system builds."""
+        # Imported here: normal_coords imports this module.
+        from .normal_coords import compatibility_system
+        return compatibility_system(self)
 
     @cached_property
     def edge_class_of(self):
@@ -214,10 +221,7 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
         gluings[(j, g)] = (i, f, inverse(perm))
     if tet_count is None:
         raise TriangulationError("missing 'tets N' header")
-    try:
-        return Triangulation(tet_count, gluings, name=name)
-    except TriangulationError as err:
-        raise TriangulationError(str(err))
+    return Triangulation(tet_count, gluings, name=name)
 
 
 def format_triangulation(t: Triangulation) -> str:

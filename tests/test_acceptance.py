@@ -269,7 +269,8 @@ def test_criterion_5_flat_to_strict_perturbation():
     start = time.monotonic()
     for name, t_star in (("fig8-flat1", F(1, 6)), ("fig8-flat2", F(1, 8))):
         fx = fixture(name)
-        new, after = apply_theorem3(fx.angles, fx.triangulation)
+        res = apply_theorem3(fx.angles, fx.triangulation)
+        new, after = res.assignment, res.realized
         assert classify(new) == "strict"
         assert all(a < 0 for a in after.area)
         before = realized_area_curvature(fx.angles, fx.triangulation)
@@ -304,7 +305,7 @@ def test_criterion_6_strict_solutions_have_negative_quad_areas():
         assert found > 0
     for name in ("fig8-flat1", "fig8-flat2"):
         fx = fixture(name)
-        new, after = apply_theorem3(fx.angles, fx.triangulation)
+        new = apply_theorem3(fx.angles, fx.triangulation).assignment
         for tet in range(fx.triangulation.tet_count):
             for p in range(3):
                 assert quad_area(new, tet, p) < 0

@@ -288,6 +288,17 @@ def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_uncreatable_fixtures_dir_is_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    target = blocker / "sub"
+    code, out, err = run(capsys, ["fixtures", "fig8", str(target)])
+    assert code == 2
+    assert out == ""
+    assert "error: cannot create %s: " % target in err
+    assert not target.exists()
+
+
 def test_json_output_is_canonical(capsys, tmp_path):
     paths = write_fixture(capsys, tmp_path, "fig8")
     code, out, _ = run(capsys, ["analyze", paths["tri"], "--json"])

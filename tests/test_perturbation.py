@@ -245,7 +245,10 @@ def test_apply_rejects_non_flat_input():
 ])
 def test_apply_postconditions(name, t_star):
     fx = fixture(name)
-    new, ac = apply_theorem3(fx.angles, fx.triangulation)
+    res = apply_theorem3(fx.angles, fx.triangulation)
+    new, ac = res.assignment, res.realized
+    assert res.t_max == 2 * t_star
+    assert res.family == build_perturbation(fx.angles, fx.triangulation)
     assert classify(new) == "strict"
     assert all(a < 0 for a in ac.area)
     assert ac == realized_area_curvature(new, fx.triangulation)
@@ -259,7 +262,7 @@ def test_apply_postconditions(name, t_star):
 
 def test_apply_output_target_is_strictly_realizable():
     fx = fixture("fig8-flat1")
-    new, ac = apply_theorem3(fx.angles, fx.triangulation)
+    ac = apply_theorem3(fx.angles, fx.triangulation).realized
     found = find_angle_structure(fx.triangulation, ac)
     assert isinstance(found, AngleAssignment)
     assert classify(found) == "strict"
