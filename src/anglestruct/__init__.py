@@ -28,13 +28,11 @@ from .angle_structures import (
     realized_area_curvature,
 )
 from .existence import (
-    AngleSystem,
     EquivalenceReport,
     ExistenceError,
     Fails,
     Holds,
     angle_linear_system,
-    build_angle_system,
     certify_condition2,
     check_corollary2,
     find_angle_structure,

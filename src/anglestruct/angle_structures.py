@@ -147,6 +147,8 @@ def is_flat_pair(alpha: AngleAssignment, t: Triangulation) -> bool:
     This is the flatness shape the perturbation step consumes: area zero
     is allowed only in the fully degenerate pattern.
     """
+    if alpha.tet_count != t.tet_count:
+        raise AngleStructureError("assignment size does not match")
     if classify(alpha) == "generalized":
         raise AngleStructureError("assignment is not semi")
     for i in range(t.tet_count):

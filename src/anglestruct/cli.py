@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from ._rational import format_rational
 from .angle_structures import (
@@ -220,7 +221,6 @@ def cmd_analyze(args) -> int:
 
 
 def _vertex_linking_coordinate(t, vclass) -> NormalCoordinate:
-    from fractions import Fraction
     tris = [Fraction(0)] * (4 * t.tet_count)
     for i, v in vclass.corners:
         tris[4 * i + v] = Fraction(1)

@@ -37,9 +37,6 @@ from .lp_core import (
     Infeasible,
     LinearSystem,
     NotStrict,
-    Optimum,
-    Solution,
-    StrictSolution,
     Unbounded,
     minimize_linear,
     solve_feasibility_nonneg,
@@ -59,64 +56,6 @@ class ExistenceError(ValueError):
     detected violation of the strict/condition-2 equivalence."""
 
 
-@dataclass(frozen=True)
-class AngleSystem:
-    """The linear system B x = ab over the 6n tet-edge angles.
-
-    Rows: 4n corner rows (one per tetrahedron corner, 1 on the three
-    tet-edges at that corner) followed by m edge rows (entry = how often
-    the tet-edge occurs around that edge class).  Right-hand side: the
-    corner targets a_i^l = A(triangle) + pi followed by the edge targets
-    b_j = 2*pi - kappa (interior) or pi - kappa (boundary), in units of
-    pi throughout.
-    """
-    tet_count: int
-    edge_count: int
-    matrix: tuple
-    ab: tuple
-
-
-def build_angle_system(t: Triangulation, ac: AreaCurvature) -> AngleSystem:
-    n = t.tet_count
-    edge_classes = t.edge_classes
-    m = len(edge_classes)
-    if len(ac.area) != 4 * n or len(ac.curvature) != m:
-        raise ExistenceError("area-curvature size does not match")
-    width = 6 * n
-    matrix = []
-    ab = []
-    for i in range(n):
-        for l in range(4):
-            row = [Fraction(0)] * width
-            for k in EDGES_AT_VERTEX[l]:
-                row[6 * i + k] = Fraction(1)
-            matrix.append(tuple(row))
-            ab.append(ac.area[4 * i + l] + 1)
-    for cls in edge_classes:
-        row = [Fraction(0)] * width
-        for i, k in cls.corners:
-            row[6 * i + k] += Fraction(1)
-        matrix.append(tuple(row))
-        base = Fraction(1) if cls.is_boundary else Fraction(2)
-        ab.append(base - ac.curvature[cls.index])
-    return AngleSystem(tet_count=n, edge_count=m, matrix=tuple(matrix),
-                       ab=tuple(ab))
-
-
-def _capped(asys: AngleSystem):
-    """Append per-angle rows x_e + slack = 1 bounding every angle by pi."""
-    width = 6 * asys.tet_count
-    matrix = [row + tuple([Fraction(0)] * width) for row in asys.matrix]
-    rhs = list(asys.ab)
-    for e in range(width):
-        row = [Fraction(0)] * (2 * width)
-        row[e] = Fraction(1)
-        row[width + e] = Fraction(1)
-        matrix.append(tuple(row))
-        rhs.append(Fraction(1))
-    return matrix, rhs
-
-
 def _check_realization(t, ac, x, mode: str) -> AngleAssignment:
     alpha = AngleAssignment.from_vector(t.tet_count, x)
     realized = realized_area_curvature(alpha, t)
@@ -131,22 +70,52 @@ def _check_realization(t, ac, x, mode: str) -> AngleAssignment:
 
 def angle_linear_system(t: Triangulation, ac: AreaCurvature,
                         mode: str) -> LinearSystem:
-    """The exact linear system the solvers run for the given mode.
+    """The linear system B x = (a, b) the solvers run for the given mode.
+
+    Columns: the 6n tet-edge angles.  Rows: 4n corner rows (one per
+    tetrahedron corner, 1 on the three tet-edges at that corner) followed
+    by m edge rows (entry = how often the tet-edge occurs around that
+    edge class).  Right-hand side: the corner targets a_i^l =
+    A(triangle) + pi followed by the edge targets b_j = 2*pi - kappa
+    (interior) or pi - kappa (boundary), in units of pi throughout.
 
     With every triangle area <= 0 the corner rows already bound each
-    angle by pi, so the plain system suffices; otherwise per-angle cap
-    rows x + slack = 1 are appended and the slacks share the sign
-    constraint of the angles.
+    angle by pi, so that system suffices; otherwise per-angle cap rows
+    x + slack = 1 are appended and the slacks share the sign constraint
+    of the angles.
     """
     if mode not in ("semi", "strict"):
         raise ExistenceError("unknown solve mode %r" % (mode,))
-    asys = build_angle_system(t, ac)
-    width = 6 * t.tet_count
+    n = t.tet_count
+    edge_classes = t.edge_classes
+    if len(ac.area) != 4 * n or len(ac.curvature) != len(edge_classes):
+        raise ExistenceError("area-curvature size does not match")
+    width = 6 * n
+    capped = any(a > 0 for a in ac.area)
+    cols = 2 * width if capped else width
+    coeffs = []
+    rhs = []
+    for i in range(n):
+        for l in range(4):
+            row = [0] * cols
+            for k in EDGES_AT_VERTEX[l]:
+                row[6 * i + k] = 1
+            coeffs.append(row)
+            rhs.append(ac.area[4 * i + l] + 1)
+    for cls in edge_classes:
+        row = [0] * cols
+        for i, k in cls.corners:
+            row[6 * i + k] += 1
+        coeffs.append(row)
+        rhs.append((1 if cls.is_boundary else 2) - ac.curvature[cls.index])
+    if capped:
+        for e in range(width):
+            row = [0] * cols
+            row[e] = row[width + e] = 1
+            coeffs.append(row)
+            rhs.append(1)
     sign = STRICT_POS if mode == "strict" else NONNEG
-    if all(a <= 0 for a in ac.area):
-        return LinearSystem.of(asys.matrix, asys.ab, [sign] * width)
-    matrix, rhs = _capped(asys)
-    return LinearSystem.of(matrix, rhs, [sign] * (2 * width))
+    return LinearSystem.of(coeffs, rhs, [sign] * cols)
 
 
 def find_semi_angle_structure(t: Triangulation, ac: AreaCurvature):

@@ -2,6 +2,10 @@
 
 Everything runs over fractions.Fraction: a two-phase tableau simplex with
 Bland's rule (deterministic, cycle-free), no floating point anywhere.
+The tableau's last row is the objective row: the reduced cost of every
+column, then minus the cost of the current basic solution.  Pivots update
+it like any other row, and the phase-1 residue, the optimum, the Farkas
+vector and the dual are all read off it.
 Three entry points cover what the rest of the package needs: feasibility
 of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
@@ -98,51 +102,52 @@ class Unbounded:
 
 
 def _pivot(rows, basis, r: int, j: int) -> None:
+    """Pivot on (r, j); other rows change in the pivot row's nonzeros."""
     piv = rows[r][j]
     rows[r] = [v / piv for v in rows[r]]
-    pivot_row = rows[r]
-    for i in range(len(rows)):
-        if i == r:
-            continue
-        f = rows[i][j]
-        if f:
-            rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
+    nonzero = [(c, v) for c, v in enumerate(rows[r]) if v]
+    for i, row in enumerate(rows):
+        f = row[j]
+        if f and i != r:
+            for c, v in nonzero:
+                row[c] -= f * v
     basis[r] = j
 
 
-def _pivot_loop(rows, basis, cost, barred, ncols: int):
+def _priced(rows, basis, cost):
+    """The objective row of cost against basis: the reduced cost of
+    every column, then minus the cost of the basic solution."""
+    obj = list(cost) + [Fraction(0)]
+    for row, b in zip(rows, basis):
+        if cost[b]:
+            for c, v in enumerate(row):
+                if v:
+                    obj[c] -= cost[b] * v
+    return obj
+
+
+def _pivot_loop(rows, basis, ncols: int):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
-    Entering variable: lowest-index non-barred column with negative
-    reduced cost.  Leaving variable: minimum ratio, ties broken by the
-    lowest basic variable index.  Returns ("optimal", None) or
-    ("unbounded", entering_column).
+    Entering variable: lowest-index column below ncols with negative
+    reduced cost in the objective row.  Leaving variable: minimum ratio,
+    ties broken by the lowest basic variable index.  Returns None at
+    optimality, else the entering column of an unbounded ray.
     """
     while True:
-        cb = [cost[b] for b in basis]
-        in_basis = set(basis)
-        enter = -1
-        for j in range(ncols):
-            if j in barred or j in in_basis:
-                continue
-            reduced = cost[j]
-            for r in range(len(rows)):
-                if cb[r]:
-                    reduced -= cb[r] * rows[r][j]
-            if reduced < 0:
-                enter = j
-                break
-        if enter < 0:
-            return ("optimal", None)
+        obj = rows[-1]
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            return None
         best = None
-        for r in range(len(rows)):
+        for r in range(len(basis)):
             a = rows[r][enter]
             if a > 0:
                 key = (rows[r][-1] / a, basis[r], r)
                 if best is None or key < best:
                     best = key
         if best is None:
-            return ("unbounded", enter)
+            return enter
         _pivot(rows, basis, best[2], enter)
 
 
@@ -150,9 +155,11 @@ def _solve(coeffs, rhs, cost):
     """Two-phase simplex for min c.x, A x = b, all x >= 0.
 
     Returns a dict with status "optimal" (x, value, dual), "unbounded"
-    (ray), or "infeasible" (farkas).  Dual and Farkas vectors are read
-    off the artificial columns of the final tableau and unscaled back to
-    the caller's row orientation.
+    (ray), or "infeasible" (farkas).  The residue, the value, and the
+    Farkas and dual vectors are read off the final objective row: its
+    last entry is minus the phase's cost, and at artificial column q it
+    is that column's phase cost minus y_q, where y is in the scaled row
+    orientation and is unscaled back to the caller's.
     """
     k = len(coeffs)
     t = len(cost)
@@ -164,16 +171,13 @@ def _solve(coeffs, rhs, cost):
         row.append(scale[i] * rhs[i])
         rows.append(row)
     basis = [t + i for i in range(k)]
-    total = t + k
 
     phase1 = [Fraction(0)] * t + [Fraction(1)] * k
-    _pivot_loop(rows, basis, phase1, frozenset(), total)
-    residue = sum((rows[r][-1] for r in range(k) if basis[r] >= t),
-                  Fraction(0))
-    if residue > 0:
-        y = [scale[q] * sum((phase1[basis[r]] * rows[r][t + q]
-                             for r in range(k)), Fraction(0))
-             for q in range(k)]
+    rows.append(_priced(rows, basis, phase1))
+    _pivot_loop(rows, basis, t + k)
+    obj = rows[-1]
+    if obj[-1] < 0:
+        y = [scale[q] * (1 - obj[t + q]) for q in range(k)]
         return {"status": "infeasible", "farkas": tuple(y)}
 
     # Pivot leftover artificials out wherever a real column is available;
@@ -185,10 +189,9 @@ def _solve(coeffs, rhs, cost):
             if piv >= 0:
                 _pivot(rows, basis, r, piv)
 
-    phase2 = list(cost) + [Fraction(0)] * k
-    barred = frozenset(range(t, total))
-    status, enter = _pivot_loop(rows, basis, phase2, barred, total)
-    if status == "unbounded":
+    rows[-1] = _priced(rows, basis, list(cost) + [Fraction(0)] * k)
+    enter = _pivot_loop(rows, basis, t)
+    if enter is not None:
         ray = [Fraction(0)] * t
         ray[enter] = Fraction(1)
         for r in range(k):
@@ -199,11 +202,9 @@ def _solve(coeffs, rhs, cost):
     for r in range(k):
         if basis[r] < t:
             x[basis[r]] = rows[r][-1]
-    value = sum((cost[j] * x[j] for j in range(t) if x[j]), Fraction(0))
-    dual = [scale[q] * sum((phase2[basis[r]] * rows[r][t + q]
-                            for r in range(k)), Fraction(0))
-            for q in range(k)]
-    return {"status": "optimal", "x": tuple(x), "value": value,
+    obj = rows[-1]
+    dual = [-scale[q] * obj[t + q] for q in range(k)]
+    return {"status": "optimal", "x": tuple(x), "value": -obj[-1],
             "dual": tuple(dual)}
 
 

@@ -268,6 +268,19 @@ def test_perturb_non_flat_input_is_usage_error(capsys, tmp_path):
     assert "not a flat pair" in err
 
 
+@pytest.mark.parametrize("angles", [["1/6"] * 6, []])
+def test_perturb_wrong_size_assignment_is_usage_error(capsys, tmp_path,
+                                                      angles):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"angles": angles}), encoding="utf-8")
+    code, out, err = run(capsys, ["perturb", paths["tri"], str(small)])
+    assert code == 2
+    assert out == ""
+    assert "error: assignment size does not match" in err
+    assert "Traceback" not in err
+
+
 def test_out_file_matches_json_stdout(capsys, tmp_path):
     paths = write_fixture(capsys, tmp_path, "fig8")
     target = tmp_path / "report.json"

@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 
 from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
-                         ExistenceError, Fails, Holds, build_angle_system,
+                         ExistenceError, Fails, Holds, angle_linear_system,
                          build_edge_classes, certify_condition2,
                          check_corollary2, classify, find_angle_structure,
                          find_semi_angle_structure, fixture, identity_4_9,
-                         realized_area_curvature, solve_feasibility_strict,
-                         verify_certificate)
-from anglestruct.existence import angle_linear_system
+                         realized_area_curvature, verify_certificate)
 from anglestruct.lp_core import NONNEG, STRICT_POS
 
 F = Fraction
@@ -24,36 +22,37 @@ def zero_ac(t):
 
 def test_angle_system_shape_and_targets_on_fig8():
     fig8 = fixture("fig8").triangulation
-    asys = build_angle_system(fig8, zero_ac(fig8))
-    assert (len(asys.matrix), len(asys.matrix[0])) == (10, 12)
+    asys = angle_linear_system(fig8, zero_ac(fig8), "semi")
+    assert (len(asys.coeffs), len(asys.coeffs[0])) == (10, 12)
     # corner targets: zero triangle area lifts to a half-turn; interior
     # edge targets: zero curvature lifts to a full turn
-    assert asys.ab[:8] == (F(1),) * 8
-    assert asys.ab[8:] == (F(2),) * 2
+    assert asys.rhs[:8] == (F(1),) * 8
+    assert asys.rhs[8:] == (F(2),) * 2
     for j in range(12):
-        col = [asys.matrix[r][j] for r in range(10)]
+        col = [asys.coeffs[r][j] for r in range(10)]
         assert sum(col) == 3 and set(col) <= {F(0), F(1)}
         assert sum(col[:8]) == 2 and sum(col[8:]) == 1
 
 
 def test_angle_system_boundary_edge_targets():
     one = fixture("one-tet").triangulation
-    asys = build_angle_system(one, zero_ac(one))
+    asys = angle_linear_system(one, zero_ac(one), "semi")
     # all six edge classes are boundary, so the edge targets sit at a
     # half-turn rather than a full turn
-    assert asys.ab[4:] == (F(1),) * 6
+    assert asys.rhs[4:] == (F(1),) * 6
     a_flat = AreaCurvature(area=(F(-1, 2),) * 4,
                            curvature=(F(1, 4),) * 6)
-    asys2 = build_angle_system(one, a_flat)
-    assert asys2.ab[:4] == (F(1, 2),) * 4
-    assert asys2.ab[4:] == (F(3, 4),) * 6
+    asys2 = angle_linear_system(one, a_flat, "semi")
+    assert asys2.rhs[:4] == (F(1, 2),) * 4
+    assert asys2.rhs[4:] == (F(3, 4),) * 6
 
 
 def test_angle_system_rejects_mismatched_dimensions():
     fig8 = fixture("fig8").triangulation
     with pytest.raises(ExistenceError):
-        build_angle_system(fig8, AreaCurvature(area=(F(0),) * 3,
-                                               curvature=(F(0),) * 2))
+        angle_linear_system(fig8, AreaCurvature(area=(F(0),) * 3,
+                                                curvature=(F(0),) * 2),
+                            "semi")
 
 
 def test_angle_linear_system_modes_and_capping():

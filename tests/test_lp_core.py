@@ -14,6 +14,10 @@ from anglestruct.lp_core import FREE, LPError, NONNEG, STRICT_POS
 F = Fraction
 
 
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
 def check_solution(sys, x):
     for row, b in zip(sys.coeffs, sys.rhs):
         assert sum(c * v for c, v in zip(row, x)) == b
@@ -177,9 +181,15 @@ def test_minimize_agrees_with_brute_force_on_small_systems():
             assert isinstance(res, Infeasible), (trial, sys)
         elif status == "unbounded":
             assert isinstance(res, Unbounded), (trial, sys)
+            ray = res.ray
+            for row in sys.coeffs:
+                assert dot(row, ray) == 0, (trial, sys)
+            assert all(v >= 0 for v, sg in zip(ray, sys.signs)
+                       if sg != FREE), (trial, sys)
+            assert dot(obj, ray) < 0, (trial, sys)
         else:
             assert isinstance(res, Optimum), (trial, sys)
-            assert res.value == value, (trial, sys)
+            assert res.value == value == dot(obj, res.x), (trial, sys)
             check_solution(sys, res.x)
 
 

@@ -4,6 +4,8 @@ Each table pairs the 4n face slots at random and glues each pair by a
 random permutation carrying one face to the other, so folded edges,
 self-glued tetrahedra and non-manifold vertex links all occur.  Up to
 two of the pairs are then left unglued, which gives boundary faces.
+Closed one-tetrahedron tables also check the semi and strict solvers
+against brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from anglestruct import (AngleAssignment, BasisVerificationError,
-                         Triangulation, chi_area_curvature, chi_via_lemma2,
-                         combine, compatibility_system, decompose,
-                         realized_area_curvature, solution_space_basis)
+from anglestruct import (AngleAssignment, AreaCurvature,
+                         BasisVerificationError, Triangulation,
+                         angle_linear_system, chi_area_curvature,
+                         chi_via_lemma2, combine, compatibility_system,
+                         decompose, find_angle_structure,
+                         find_semi_angle_structure, realized_area_curvature,
+                         solution_space_basis)
 
 
 @st.composite
@@ -56,6 +61,8 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
         == oracles.union_find_edge_partition(t)
     corners = sorted(c for v in t.vertex_classes for c in v.corners)
     assert corners == [(i, v) for i in range(n) for v in range(4)]
+    for v in t.vertex_classes:
+        assert v.link_euler == oracles.link_euler_oracle(t, v.corners)
 
     csys = t.compatibility_system
     assert csys == compatibility_system(t)
@@ -65,6 +72,24 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     assert csys.rank == oracles._rank(csys.matrix)
     if t.boundary_faces():
         return
+
+    if n == 1:
+        # Brute force enumerates bases, so it stays at one tetrahedron.
+        # Angles in [0, 1/3] give areas <= 0; curvature 2 on every edge
+        # then gives a target no semi assignment realizes.
+        thirds = data.draw(st.lists(st.integers(0, 12), min_size=6,
+                                    max_size=6))
+        ac = realized_area_curvature(AngleAssignment.from_vector(
+            1, [Fraction(a, 36) for a in thirds]), t)
+        for target in (ac, AreaCurvature.of(ac.area,
+                                            [2] * len(t.edge_classes))):
+            semi = find_semi_angle_structure(t, target)
+            strict = find_angle_structure(t, target)
+            assert isinstance(semi, AngleAssignment) == oracles.bf_feasible(
+                angle_linear_system(t, target, "semi"))
+            assert isinstance(strict, AngleAssignment) == \
+                oracles.bf_strict_feasible(
+                    angle_linear_system(t, target, "strict"))
 
     try:
         basis = solution_space_basis(t)

@@ -8,7 +8,7 @@ from anglestruct import (Triangulation, TriangulationError,
                          fixture, fixture_names, format_triangulation,
                          insert_flat_tetrahedron, is_ideal_triangulation,
                          is_orientable, parse_triangulation)
-from anglestruct.fixtures import FIG8_TABLE, ONE_TET_TABLE
+from anglestruct.fixtures import FIG8_TABLE
 from anglestruct.triangulation import EDGE_VERTICES, EDGES_AT_VERTEX
 
 
