@@ -5,7 +5,8 @@ Bland's rule (deterministic, cycle-free), no floating point anywhere.
 The tableau's last row is the objective row: the reduced cost of every
 column, then minus the cost of the current basic solution.  Pivots update
 it like any other row, and the phase-1 residue, the optimum, the Farkas
-vector and the dual are all read off it.
+vector and the dual are all read off it.  Free columns are not split in
+two: each enters the basis before phase 1 and never leaves it.
 Three entry points cover what the rest of the package needs: feasibility
 of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
@@ -126,13 +127,14 @@ def _priced(rows, basis, cost):
     return obj
 
 
-def _pivot_loop(rows, basis, ncols: int):
+def _pivot_loop(rows, basis, ncols: int, free):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
     Entering variable: lowest-index column below ncols with negative
-    reduced cost in the objective row.  Leaving variable: minimum ratio,
-    ties broken by the lowest basic variable index.  Returns None at
-    optimality, else the entering column of an unbounded ray.
+    reduced cost in the objective row.  Leaving variable: minimum ratio
+    over the rows whose basic column is not free, ties broken by the
+    lowest basic variable index.  Returns None at optimality, else the
+    entering column of an unbounded ray.
     """
     while True:
         obj = rows[-1]
@@ -142,7 +144,7 @@ def _pivot_loop(rows, basis, ncols: int):
         best = None
         for r in range(len(basis)):
             a = rows[r][enter]
-            if a > 0:
+            if a > 0 and basis[r] not in free:
                 key = (rows[r][-1] / a, basis[r], r)
                 if best is None or key < best:
                     best = key
@@ -151,8 +153,16 @@ def _pivot_loop(rows, basis, ncols: int):
         _pivot(rows, basis, best[2], enter)
 
 
-def _solve(coeffs, rhs, cost):
-    """Two-phase simplex for min c.x, A x = b, all x >= 0.
+def _solve(coeffs, rhs, cost, free):
+    """Two-phase simplex for min c.x, A x = b, x >= 0 off the free columns.
+
+    Free columns are not split.  Before phase 1 each one enters the basis
+    by one ratio test, the minimum of rhs / |a| over the rows no free
+    column holds yet, which keeps every artificial value >= 0 whatever
+    the pivot's sign; a free column that is zero on all those rows stays
+    zero there, and out of the basis.  Free basics never leave, and a
+    free column out of the basis with a nonzero phase-2 reduced cost is
+    an unbounded direction, signed against that cost.
 
     Returns a dict with status "optimal" (x, value, dual), "unbounded"
     (ray), or "infeasible" (farkas).  The residue, the value, and the
@@ -171,10 +181,16 @@ def _solve(coeffs, rhs, cost):
         row.append(scale[i] * rhs[i])
         rows.append(row)
     basis = [t + i for i in range(k)]
+    for j in sorted(free):
+        best = min(((rows[r][-1] / abs(rows[r][j]), basis[r], r)
+                    for r in range(k)
+                    if rows[r][j] and basis[r] not in free), default=None)
+        if best is not None:
+            _pivot(rows, basis, best[2], j)
 
     phase1 = [Fraction(0)] * t + [Fraction(1)] * k
     rows.append(_priced(rows, basis, phase1))
-    _pivot_loop(rows, basis, t + k)
+    _pivot_loop(rows, basis, t + k, free)
     obj = rows[-1]
     if obj[-1] < 0:
         y = [scale[q] * (1 - obj[t + q]) for q in range(k)]
@@ -189,43 +205,29 @@ def _solve(coeffs, rhs, cost):
             if piv >= 0:
                 _pivot(rows, basis, r, piv)
 
-    rows[-1] = _priced(rows, basis, list(cost) + [Fraction(0)] * k)
-    enter = _pivot_loop(rows, basis, t)
+    rows[-1] = obj = _priced(rows, basis, list(cost) + [Fraction(0)] * k)
+    enter = next((j for j in sorted(free - set(basis)) if obj[j]), None)
+    if enter is None:
+        enter = _pivot_loop(rows, basis, t, free)
     if enter is not None:
         ray = [Fraction(0)] * t
-        ray[enter] = Fraction(1)
+        ray[enter] = Fraction(-1 if obj[enter] > 0 else 1)
         for r in range(k):
             if basis[r] < t and rows[r][enter]:
-                ray[basis[r]] = -rows[r][enter]
+                ray[basis[r]] = -ray[enter] * rows[r][enter]
         return {"status": "unbounded", "ray": tuple(ray)}
     x = [Fraction(0)] * t
     for r in range(k):
         if basis[r] < t:
             x[basis[r]] = rows[r][-1]
-    obj = rows[-1]
     dual = [-scale[q] * obj[t + q] for q in range(k)]
     return {"status": "optimal", "x": tuple(x), "value": -obj[-1],
             "dual": tuple(dual)}
 
 
-def _standardize(sys: LinearSystem):
-    """Split free columns into positive and negative parts."""
-    colmap = []
-    for c, sg in enumerate(sys.signs):
-        colmap.append((c, Fraction(1)))
-        if sg == FREE:
-            colmap.append((c, Fraction(-1)))
-    coeffs = [tuple(sgn * row[orig] for orig, sgn in colmap)
-              for row in sys.coeffs]
-    return coeffs, colmap
-
-
-def _fold(colmap, xstd, width: int):
-    x = [Fraction(0)] * width
-    for (orig, sgn), v in zip(colmap, xstd):
-        if v:
-            x[orig] += sgn * v
-    return tuple(x)
+def _free(sys: LinearSystem):
+    """The indices of the system's free columns."""
+    return frozenset(j for j, s in enumerate(sys.signs) if s == FREE)
 
 
 def _verified(sys: LinearSystem, y, mode: str) -> Certificate:
@@ -244,11 +246,11 @@ def solve_feasibility_nonneg(sys: LinearSystem):
     """
     if any(s == STRICT_POS for s in sys.signs):
         raise LPError("strict-pos columns belong to solve_feasibility_strict")
-    coeffs, colmap = _standardize(sys)
-    res = _solve(coeffs, sys.rhs, [Fraction(0)] * len(colmap))
+    res = _solve(sys.coeffs, sys.rhs, [Fraction(0)] * sys.col_count,
+                 _free(sys))
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
-    return Solution(x=_fold(colmap, res["x"], sys.col_count))
+    return Solution(x=res["x"])
 
 
 def solve_feasibility_strict(sys: LinearSystem):
@@ -271,7 +273,7 @@ def solve_feasibility_strict(sys: LinearSystem):
     coeffs.append(tuple([Fraction(0)] * t) + (Fraction(1), Fraction(1)))
     rhs = tuple(sys.rhs) + (Fraction(1),)
     cost = [Fraction(0)] * t + [Fraction(-1), Fraction(0)]
-    res = _solve(coeffs, rhs, cost)
+    res = _solve(coeffs, rhs, cost, frozenset())
     if res["status"] == "infeasible":
         y = res["farkas"][:k]
     else:
@@ -288,15 +290,12 @@ def minimize_linear(objective, sys: LinearSystem):
     objective = tuple(Fraction(v) for v in objective)
     if len(objective) != sys.col_count:
         raise LPError("objective length does not match column count")
-    coeffs, colmap = _standardize(sys)
-    cost = [sgn * objective[orig] for orig, sgn in colmap]
-    res = _solve(coeffs, sys.rhs, cost)
+    res = _solve(sys.coeffs, sys.rhs, objective, _free(sys))
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
     if res["status"] == "unbounded":
-        return Unbounded(ray=_fold(colmap, res["ray"], sys.col_count))
-    return Optimum(value=res["value"],
-                   x=_fold(colmap, res["x"], sys.col_count))
+        return Unbounded(ray=res["ray"])
+    return Optimum(value=res["value"], x=res["x"])
 
 
 def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:

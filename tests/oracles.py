@@ -4,7 +4,10 @@ Nothing here calls the code paths it is meant to check: edge classes are
 rebuilt by plain union-find instead of cycle walking, first homology
 comes from a Smith normal form over the dual spine with its own one-step
 traversal, and linear programs are settled by exhaustive enumeration of
-basic solutions instead of simplex pivoting.
+basic solutions instead of simplex pivoting.  The quad-slice maximum is
+too large to enumerate; it reruns the simplex on the slice program with
+every free column split into a nonnegative pair, so the solver's own
+free-column handling is checked against its plain nonnegative path.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+
+from anglestruct.lp_core import (Infeasible, LinearSystem, Optimum,
+                                 minimize_linear)
 
 EDGE_VERTICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 EDGE_INDEX = {}
@@ -274,6 +280,37 @@ def _split_free(sys):
     coeffs = [[sgn * row[orig] for orig, sgn in colmap]
               for row in sys.coeffs]
     return coeffs, colmap
+
+
+def quad_areas(alpha, n):
+    """Per quad type, its tetrahedron's angle total minus the opposite
+    pair it does not cross, minus 2 (the angles are in units of pi)."""
+    areas = []
+    for i in range(n):
+        a = alpha.angles[6 * i:6 * i + 6]
+        total = sum(a)
+        areas.extend(total - a[p] - a[5 - p] - 2 for p in range(3))
+    return areas
+
+
+def quad_slice_max(t, alpha):
+    """The raw maximum of the quad-area pairing over the quad slice
+    (solution space, quads >= 0 summing to 1, triangles free), or None
+    when the slice is empty."""
+    n = t.tet_count
+    rows = [list(row) for row in t.compatibility_system.matrix]
+    rows.append([Fraction(1)] * (3 * n) + [Fraction(0)] * (4 * n))
+    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
+    signs = ["nonneg"] * (3 * n) + ["free"] * (4 * n)
+    cost = [-a for a in quad_areas(alpha, n)] + [Fraction(0)] * (4 * n)
+    coeffs, colmap = _split_free(LinearSystem.of(rows, rhs, signs))
+    split = LinearSystem.of(coeffs, rhs, ["nonneg"] * len(colmap))
+    res = minimize_linear([sgn * cost[orig] for orig, sgn in colmap], split)
+    if isinstance(res, Infeasible):
+        return None
+    if not isinstance(res, Optimum):
+        raise ValueError("quad-slice program unbounded")
+    return -res.value
 
 
 def bf_feasible(sys) -> bool:

@@ -8,6 +8,7 @@ suite.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from anglestruct.angle_structures import (
 )
 from anglestruct.cli import main
 from anglestruct.fixtures import fixture, fixture_names
+from anglestruct.normal_coords import NormalCoordinate, is_in_solution_space
 from anglestruct.triangulation import parse_triangulation
 
 
@@ -211,8 +213,17 @@ def test_certify_fails_with_witness_on_zero_quad_areas(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["result"] == "fails"
     assert rep["optimum"] == "0/1"
-    assert rep["witness"]["quads"] == ["1/6"] * 6
-    assert rep["witness"]["tris"] == ["0/1"] * 8
+    # The optimum is 0 on the whole slice, so the vertex returned is the
+    # one the pivot order reaches first; pin it, and check it is on the
+    # slice and in the solution space.
+    assert rep["witness"]["quads"] == ["1/3"] * 3 + ["0/1"] * 3
+    assert rep["witness"]["tris"] == ["-1/3"] * 4 + ["0/1"] * 4
+    quads = [Fraction(v) for v in rep["witness"]["quads"]]
+    tris = [Fraction(v) for v in rep["witness"]["tris"]]
+    assert all(v >= 0 for v in quads) and sum(quads) == 1
+    t = fixture("fig8").triangulation
+    assert is_in_solution_space(t.compatibility_system,
+                                NormalCoordinate.from_vector(2, quads + tris))
 
 
 def test_certify_malformed_json_is_input_error(capsys, tmp_path):

@@ -5,7 +5,9 @@ random permutation carrying one face to the other, so folded edges,
 self-glued tetrahedra and non-manifold vertex links all occur.  Up to
 two of the pairs are then left unglued, which gives boundary faces.
 Closed one-tetrahedron tables also check the semi and strict solvers
-against brute-force enumeration.
+against brute-force enumeration, and every closed table checks the
+quad-slice certification against the same program solved with its free
+columns split in two.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from hypothesis import strategies as st
 
 import oracles
 from anglestruct import (AngleAssignment, AreaCurvature,
-                         BasisVerificationError, Triangulation,
-                         angle_linear_system, chi_area_curvature,
-                         chi_via_lemma2, combine, compatibility_system,
-                         decompose, find_angle_structure,
-                         find_semi_angle_structure, realized_area_curvature,
+                         BasisVerificationError, Fails, Triangulation,
+                         angle_linear_system, certify_condition2,
+                         chi_area_curvature, chi_via_lemma2, combine,
+                         compatibility_system, decompose,
+                         find_angle_structure, find_semi_angle_structure,
+                         is_in_solution_space, realized_area_curvature,
                          solution_space_basis)
 
 
@@ -91,6 +94,23 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
                 oracles.bf_strict_feasible(
                     angle_linear_system(t, target, "strict"))
 
+    angles = data.draw(st.lists(st.integers(0, 36), min_size=6 * n,
+                                max_size=6 * n))
+    alpha = AngleAssignment.from_vector(n, [Fraction(a, 36)
+                                            for a in angles])
+    # The slice program has free triangle columns; the oracle solves it
+    # with each one split into a nonnegative pair.
+    cert = certify_condition2(t, alpha)
+    raw_max = oracles.quad_slice_max(t, alpha)
+    assert isinstance(cert, Fails) == (raw_max is not None and raw_max >= 0)
+    assert cert.optimum == (None if raw_max is None else raw_max / 2)
+    if isinstance(cert, Fails):
+        w = cert.witness
+        assert is_in_solution_space(t.compatibility_system, w)
+        assert all(v >= 0 for v in w.quads) and sum(w.quads) == 1
+        assert sum(a * v for a, v in zip(oracles.quad_areas(alpha, n),
+                                         w.quads)) == raw_max
+
     try:
         basis = solution_space_basis(t)
     except BasisVerificationError:
@@ -100,9 +120,5 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     z = data.draw(rationals(len(t.edge_classes)))
     s = combine(basis, omega, z)
     assert decompose(t, s, basis) == (omega, z)
-    angles = data.draw(st.lists(st.integers(0, 36), min_size=6 * n,
-                                max_size=6 * n))
-    alpha = AngleAssignment.from_vector(n, [Fraction(a, 36)
-                                            for a in angles])
     ac = realized_area_curvature(alpha, t)
     assert chi_area_curvature(t, s, ac) == chi_via_lemma2(t, s, alpha)
