@@ -97,6 +97,15 @@ def _load_json(path: str, reader):
     return obj, _digest(path, data)
 
 
+def _check_sizes(args, t, path, **vectors):
+    need = {"angles": 6 * t.tet_count, "area": 4 * t.tet_count,
+            "curvature": len(t.edge_classes)}
+    for field, values in vectors.items():
+        if len(values) != need[field]:
+            raise ValueError('%s: field "%s" has %d entries, %s needs %d' % (
+                path, field, len(values), args.triangulation, need[field]))
+
+
 def _vector(values) -> list:
     return [format_rational(v) for v in values]
 
@@ -231,6 +240,7 @@ def _vertex_linking_coordinate(t, vclass) -> NormalCoordinate:
 def cmd_solve(args) -> int:
     t, dig_t = _load_triangulation(args.triangulation)
     ac, dig_ac = _load_json(args.ac, ac_from_json)
+    _check_sizes(args, t, args.ac, area=ac.area, curvature=ac.curvature)
     finder = find_angle_structure if args.mode == "strict" \
         else find_semi_angle_structure
     result = finder(t, ac)
@@ -259,6 +269,7 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     t, dig_t = _load_triangulation(args.triangulation)
     alpha, dig_a = _load_json(args.angles, angles_from_json)
+    _check_sizes(args, t, args.angles, angles=alpha.angles)
     result = certify_condition2(t, alpha)
     report = {"schema": "v1", "command": "certify",
               "inputs": {"triangulation": dig_t, "angles": dig_a},
@@ -285,6 +296,7 @@ def cmd_certify(args) -> int:
 def cmd_perturb(args) -> int:
     t, dig_t = _load_triangulation(args.triangulation)
     alpha, dig_a = _load_json(args.angles, angles_from_json)
+    _check_sizes(args, t, args.angles, angles=alpha.angles)
     res = apply_theorem3(alpha, t)
     report = {"schema": "v1", "command": "perturb",
               "inputs": {"triangulation": dig_t, "angles": dig_a},

@@ -93,29 +93,21 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
     width = 6 * n
     capped = any(a > 0 for a in ac.area)
     cols = 2 * width if capped else width
-    coeffs = []
+    rows = []
     rhs = []
     for i in range(n):
         for l in range(4):
-            row = [0] * cols
-            for k in EDGES_AT_VERTEX[l]:
-                row[6 * i + k] = 1
-            coeffs.append(row)
+            rows.append([(6 * i + k, 1) for k in EDGES_AT_VERTEX[l]])
             rhs.append(ac.area[4 * i + l] + 1)
     for cls in edge_classes:
-        row = [0] * cols
-        for i, k in cls.corners:
-            row[6 * i + k] += 1
-        coeffs.append(row)
+        rows.append([(6 * i + k, 1) for i, k in cls.corners])
         rhs.append((1 if cls.is_boundary else 2) - ac.curvature[cls.index])
     if capped:
         for e in range(width):
-            row = [0] * cols
-            row[e] = row[width + e] = 1
-            coeffs.append(row)
+            rows.append([(e, 1), (width + e, 1)])
             rhs.append(1)
     sign = STRICT_POS if mode == "strict" else NONNEG
-    return LinearSystem.of(coeffs, rhs, [sign] * cols)
+    return LinearSystem.of(rows, rhs, [sign] * cols)
 
 
 def find_semi_angle_structure(t: Triangulation, ac: AreaCurvature):
@@ -167,11 +159,8 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     if alpha.tet_count != t.tet_count:
         raise ExistenceError("assignment size does not match")
     n = t.tet_count
-    rows = list(t.compatibility_system.matrix)
-    rhs = [Fraction(0)] * len(rows)
-    slice_row = [Fraction(1)] * (3 * n) + [Fraction(0)] * (4 * n)
-    rows.append(tuple(slice_row))
-    rhs.append(Fraction(1))
+    rows = [*t.compatibility_system.rows, [(c, 1) for c in range(3 * n)]]
+    rhs = [0] * (len(rows) - 1) + [1]
     signs = [NONNEG] * (3 * n) + [FREE] * (4 * n)
     objective = [-area_of_quad(alpha, i, p)
                  for i in range(n) for p in range(3)]

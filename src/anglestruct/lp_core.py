@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 FREE = "free"
 NONNEG = "nonneg"
@@ -34,26 +35,38 @@ class LPError(ValueError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rational equality system A x = b with a sign constraint per column."""
-    coeffs: tuple
+    """Rational equality system A x = b with a sign constraint per column;
+    each row of A is the sorted (column, coefficient) pairs of its nonzeros."""
+    rows: tuple
     rhs: tuple
     signs: tuple
 
     @classmethod
-    def of(cls, coeffs, rhs, signs):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in coeffs)
+    def of(cls, rows, rhs, signs):
+        """Pairs on the same column add up, and zero sums are dropped."""
         b = tuple(Fraction(v) for v in rhs)
         sg = tuple(signs)
         if len(rows) != len(b):
             raise LPError("row count does not match rhs length")
-        width = len(sg)
-        for row in rows:
-            if len(row) != width:
-                raise LPError("ragged coefficient matrix")
         for s in sg:
             if s not in _SIGNS:
                 raise LPError("unknown sign constraint %r" % (s,))
-        return cls(coeffs=rows, rhs=b, signs=sg)
+        sparse = []
+        for pairs in rows:
+            row = {}
+            for c, v in pairs:
+                if not (isinstance(c, int) and 0 <= c < len(sg)):
+                    raise LPError("no column %r" % (c,))
+                row[c] = row.get(c, 0) + Fraction(v)
+            sparse.append(tuple((c, v) for c, v in sorted(row.items()) if v))
+        return cls(rows=tuple(sparse), rhs=b, signs=sg)
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        """The dense rows: a view for readers outside the package."""
+        return tuple(
+            tuple(row.get(c, Fraction(0)) for c in range(self.col_count))
+            for row in map(dict, self.rows))
 
     @property
     def row_count(self) -> int:
@@ -153,7 +166,7 @@ def _pivot_loop(rows, basis, ncols: int, free):
         _pivot(rows, basis, best[2], enter)
 
 
-def _solve(coeffs, rhs, cost, free):
+def _solve(sparse, rhs, cost, free):
     """Two-phase simplex for min c.x, A x = b, x >= 0 off the free columns.
 
     Free columns are not split.  Before phase 1 each one enters the basis
@@ -171,14 +184,16 @@ def _solve(coeffs, rhs, cost, free):
     is that column's phase cost minus y_q, where y is in the scaled row
     orientation and is unscaled back to the caller's.
     """
-    k = len(coeffs)
+    k = len(sparse)
     t = len(cost)
     scale = [Fraction(1) if b >= 0 else Fraction(-1) for b in rhs]
     rows = []
-    for i in range(k):
-        row = [scale[i] * v for v in coeffs[i]]
-        row.extend(Fraction(1) if q == i else Fraction(0) for q in range(k))
-        row.append(scale[i] * rhs[i])
+    for i, pairs in enumerate(sparse):
+        row = [Fraction(0)] * (t + k + 1)
+        for c, v in pairs:
+            row[c] = scale[i] * v
+        row[t + i] = Fraction(1)
+        row[-1] = scale[i] * rhs[i]
         rows.append(row)
     basis = [t + i for i in range(k)]
     for j in sorted(free):
@@ -226,7 +241,9 @@ def _solve(coeffs, rhs, cost, free):
 
 
 def _free(sys: LinearSystem):
-    """The indices of the system's free columns."""
+    """The indices of the system's free columns; none may be strict-pos."""
+    if STRICT_POS in sys.signs:
+        raise LPError("strict-pos columns belong to solve_feasibility_strict")
     return frozenset(j for j, s in enumerate(sys.signs) if s == FREE)
 
 
@@ -244,9 +261,7 @@ def solve_feasibility_nonneg(sys: LinearSystem):
     The refutation is a Farkas vector y with A^T y <= 0 on constrained
     columns, A^T y = 0 on free columns, and y.b > 0.
     """
-    if any(s == STRICT_POS for s in sys.signs):
-        raise LPError("strict-pos columns belong to solve_feasibility_strict")
-    res = _solve(sys.coeffs, sys.rhs, [Fraction(0)] * sys.col_count,
+    res = _solve(sys.rows, sys.rhs, [Fraction(0)] * sys.col_count,
                  _free(sys))
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
@@ -267,13 +282,12 @@ def solve_feasibility_strict(sys: LinearSystem):
         raise LPError("strict feasibility requires all strict-pos columns")
     k = sys.row_count
     t = sys.col_count
-    coeffs = []
-    for row in sys.coeffs:
-        coeffs.append(tuple(row) + (sum(row, Fraction(0)), Fraction(0)))
-    coeffs.append(tuple([Fraction(0)] * t) + (Fraction(1), Fraction(1)))
+    rows = [row + ((t, sum((v for _, v in row), Fraction(0))),)
+            for row in sys.rows]
+    rows.append(((t, Fraction(1)), (t + 1, Fraction(1))))
     rhs = tuple(sys.rhs) + (Fraction(1),)
     cost = [Fraction(0)] * t + [Fraction(-1), Fraction(0)]
-    res = _solve(coeffs, rhs, cost, frozenset())
+    res = _solve(rows, rhs, cost, frozenset())
     if res["status"] == "infeasible":
         y = res["farkas"][:k]
     else:
@@ -290,7 +304,7 @@ def minimize_linear(objective, sys: LinearSystem):
     objective = tuple(Fraction(v) for v in objective)
     if len(objective) != sys.col_count:
         raise LPError("objective length does not match column count")
-    res = _solve(sys.coeffs, sys.rhs, objective, _free(sys))
+    res = _solve(sys.rows, sys.rhs, objective, _free(sys))
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
     if res["status"] == "unbounded":
@@ -313,10 +327,13 @@ def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
     if len(y) != sys.row_count:
         return False
     ydotb = sum((yi * bi for yi, bi in zip(y, sys.rhs)), Fraction(0))
+    aty = [Fraction(0)] * sys.col_count
+    for yi, row in zip(y, sys.rows):
+        if yi:
+            for c, v in row:
+                aty[c] += yi * v
     cut = False
-    for j, sg in enumerate(sys.signs):
-        w = sum((y[i] * sys.coeffs[i][j] for i in range(sys.row_count)),
-                Fraction(0))
+    for w, sg in zip(aty, sys.signs):
         if sg == FREE:
             if w != 0:
                 return False

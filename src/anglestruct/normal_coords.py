@@ -95,8 +95,8 @@ class CompatibilitySystem:
     """The disk-matching equations: one row per interior face arc type.
 
     A row is the (column, coefficient) pairs of its nonzero entries, and
-    is empty when they all cancel.  ``matrix`` is the dense view of the
-    rows; ``rank`` is computed on first use and kept.
+    is empty when they all cancel.  ``matrix`` is a dense view for readers
+    outside the package; ``rank`` is computed on first use and kept.
     """
     columns: int
     rows: tuple

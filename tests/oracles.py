@@ -4,10 +4,12 @@ Nothing here calls the code paths it is meant to check: edge classes are
 rebuilt by plain union-find instead of cycle walking, first homology
 comes from a Smith normal form over the dual spine with its own one-step
 traversal, and linear programs are settled by exhaustive enumeration of
-basic solutions instead of simplex pivoting.  The quad-slice maximum is
-too large to enumerate; it reruns the simplex on the slice program with
-every free column split into a nonnegative pair, so the solver's own
-free-column handling is checked against its plain nonnegative path.
+basic solutions instead of simplex pivoting.  The angle system is
+rebuilt as dense rows, cell by cell, with folded tet-edges found by a
+union-find of their own.  The quad-slice maximum is too large to
+enumerate; it reruns the simplex on the slice program with every free
+column split into a nonnegative pair, so the solver's own free-column
+handling is checked against its plain nonnegative path.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def union_find_edge_partition(t):
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def has_folded_edge(t) -> bool:
-    """Whether some tet-edge is glued to itself with its ends swapped,
+def folded_tet_edges(t):
+    """The (tet, edge) pairs glued to themselves with their ends swapped,
     by union-find over oriented tet-edges."""
     uf = UnionFind()
     for (i, f), (j, g), perm in t.glued_pairs():
@@ -76,8 +78,56 @@ def has_folded_edge(t) -> bool:
                 continue
             uf.union((i, u, v), (j, perm[u], perm[v]))
             uf.union((i, v, u), (j, perm[v], perm[u]))
-    return any(uf.find((i, u, v)) == uf.find((i, v, u))
-               for i in range(t.tet_count) for u, v in EDGE_VERTICES)
+    return {(i, k) for i in range(t.tet_count)
+            for k, (u, v) in enumerate(EDGE_VERTICES)
+            if uf.find((i, u, v)) == uf.find((i, v, u))}
+
+
+def has_folded_edge(t) -> bool:
+    """Whether some tet-edge is glued to itself with its ends swapped."""
+    return bool(folded_tet_edges(t))
+
+
+def angle_system_dense(t, ac, mode):
+    """The angle system as dense (coeffs, rhs, signs), built cell by cell.
+
+    A corner row is 1 on the three tet-edges through its vertex.  An edge
+    row is 1 on each tet-edge of the class and 2 on a folded one, and its
+    class is a boundary class when one of those tet-edges lies in an
+    unglued face.  With a positive area, each angle and its slack share a
+    cap row.  Only the order of the edge rows is taken from
+    t.edge_classes; the folds and the boundary come from the gluings.
+    """
+    n = t.tet_count
+    width = 6 * n
+    capped = any(a > 0 for a in ac.area)
+    cols = 2 * width if capped else width
+    folded = folded_tet_edges(t)
+    coeffs, rhs = [], []
+    for i in range(n):
+        for l in range(4):
+            row = [Fraction(0)] * cols
+            for k, ends in enumerate(EDGE_VERTICES):
+                if l in ends:
+                    row[6 * i + k] = Fraction(1)
+            coeffs.append(tuple(row))
+            rhs.append(ac.area[4 * i + l] + 1)
+    for cls in t.edge_classes:
+        row = [Fraction(0)] * cols
+        for i, k in set(cls.corners):
+            row[6 * i + k] = Fraction(2 if (i, k) in folded else 1)
+        coeffs.append(tuple(row))
+        boundary = any(t.gluing(i, f) is None
+                       for i, k in cls.corners for f in FACES_AT_EDGE[k])
+        rhs.append((1 if boundary else 2) - ac.curvature[cls.index])
+    if capped:
+        for e in range(width):
+            row = [Fraction(0)] * cols
+            row[e] = row[width + e] = Fraction(1)
+            coeffs.append(tuple(row))
+            rhs.append(Fraction(1))
+    sign = "strict-pos" if mode == "strict" else "nonneg"
+    return tuple(coeffs), tuple(rhs), (sign,) * cols
 
 
 def smith_diagonal(mat):
@@ -271,6 +321,16 @@ def _basic_solutions(coeffs, rhs):
             yield x
 
 
+def dense_system(coeffs, rhs, signs):
+    """LinearSystem.of on dense rows, one entry per sign: each row is
+    passed as the (column, coefficient) pairs of its nonzero entries."""
+    if any(len(row) != len(signs) for row in coeffs):
+        raise ValueError("ragged dense rows")
+    return LinearSystem.of(
+        [[(c, v) for c, v in enumerate(row) if v] for row in coeffs],
+        rhs, signs)
+
+
 def _split_free(sys):
     colmap = []
     for c, sg in enumerate(sys.signs):
@@ -303,8 +363,8 @@ def quad_slice_max(t, alpha):
     rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
     signs = ["nonneg"] * (3 * n) + ["free"] * (4 * n)
     cost = [-a for a in quad_areas(alpha, n)] + [Fraction(0)] * (4 * n)
-    coeffs, colmap = _split_free(LinearSystem.of(rows, rhs, signs))
-    split = LinearSystem.of(coeffs, rhs, ["nonneg"] * len(colmap))
+    coeffs, colmap = _split_free(dense_system(rows, rhs, signs))
+    split = dense_system(coeffs, rhs, ["nonneg"] * len(colmap))
     res = minimize_linear([sgn * cost[orig] for orig, sgn in colmap], split)
     if isinstance(res, Infeasible):
         return None

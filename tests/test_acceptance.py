@@ -20,7 +20,6 @@ from fractions import Fraction
 import oracles
 from anglestruct import (
     Infeasible,
-    LinearSystem,
     NotStrict,
     Optimum,
     Solution,
@@ -220,7 +219,7 @@ def test_criterion_4_farkas_soundness():
     for _ in range(40):
         cols = rng.randint(1, 5)
         rows = rng.randint(1, 3)
-        sys_ = LinearSystem.of(
+        sys_ = oracles.dense_system(
             [[F(rng.randint(-3, 3)) for _ in range(cols)]
              for _ in range(rows)],
             [F(rng.randint(-4, 4)) for _ in range(rows)],
@@ -232,7 +231,7 @@ def test_criterion_4_farkas_soundness():
     for _ in range(25):
         cols = rng.randint(1, 5)
         rows = rng.randint(1, 3)
-        sys_ = LinearSystem.of(
+        sys_ = oracles.dense_system(
             [[F(rng.randint(-3, 3)) for _ in range(cols)]
              for _ in range(rows)],
             [F(rng.randint(-4, 4)) for _ in range(rows)],
@@ -253,7 +252,7 @@ def test_criterion_4_farkas_soundness():
         rhs = [F(rng.randint(-2, 2))]
         coeffs.append([F(1)] * cols)
         rhs.append(F(rng.randint(1, 3)))
-        sys_ = LinearSystem.of(coeffs, rhs, [STRICT_POS] * cols)
+        sys_ = oracles.dense_system(coeffs, rhs, [STRICT_POS] * cols)
         res = solve_feasibility_strict(sys_)
         assert isinstance(res, StrictSolution) == \
             oracles.bf_strict_feasible(sys_)

@@ -279,17 +279,45 @@ def test_perturb_non_flat_input_is_usage_error(capsys, tmp_path):
     assert "not a flat pair" in err
 
 
-@pytest.mark.parametrize("angles", [["1/6"] * 6, []])
-def test_perturb_wrong_size_assignment_is_usage_error(capsys, tmp_path,
-                                                      angles):
+def check_wrong_size_angles(capsys, tmp_path, command, angles):
     paths = write_fixture(capsys, tmp_path, "fig8")
     small = tmp_path / "small.json"
     small.write_text(json.dumps({"angles": angles}), encoding="utf-8")
-    code, out, err = run(capsys, ["perturb", paths["tri"], str(small)])
+    code, out, err = run(capsys, [command, paths["tri"], str(small)])
     assert code == 2
     assert out == ""
-    assert "error: assignment size does not match" in err
+    assert err.splitlines()[0] == (
+        'error: %s: field "angles" has %d entries, %s needs 12'
+        % (small, len(angles), paths["tri"]))
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("angles", [["1/6"] * 6, []])
+def test_perturb_wrong_size_assignment_is_usage_error(capsys, tmp_path,
+                                                      angles):
+    check_wrong_size_angles(capsys, tmp_path, "perturb", angles)
+
+
+@pytest.mark.parametrize("angles", [["1/6"] * 6, []])
+def test_certify_wrong_size_assignment_is_usage_error(capsys, tmp_path,
+                                                      angles):
+    check_wrong_size_angles(capsys, tmp_path, "certify", angles)
+
+
+@pytest.mark.parametrize("field,wrong", [("area", ["0"] * 4),
+                                         ("curvature", ["0"] * 3)])
+def test_solve_wrong_size_field_is_named(capsys, tmp_path, field, wrong):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    ac = {"area": ["0"] * 8, "curvature": ["0"] * 2}
+    ac[field] = wrong
+    bad = tmp_path / "bad.ac.json"
+    bad.write_text(json.dumps(ac), encoding="utf-8")
+    code, out, err = run(capsys, ["solve", paths["tri"], str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == (
+        'error: %s: field "%s" has %d entries, %s needs %d'
+        % (bad, field, len(wrong), paths["tri"], 8 if field == "area" else 2))
 
 
 def test_out_file_matches_json_stdout(capsys, tmp_path):

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Static checks on the package's source, by its syntax tree.
 
-A stdlib stand-in for pyflakes' unused-import check (F401); an import
-line marked ``# noqa: F401`` is kept on purpose and exempt.
+Every module uses each name it imports: a stdlib stand-in for pyflakes'
+unused-import check (F401); an import line marked ``# noqa: F401`` is
+kept on purpose and exempt.  And no module reads a dense matrix view.
 """
 
 from __future__ import annotations
@@ -31,3 +32,17 @@ def test_module_uses_every_name_it_imports(path):
                 if "# noqa: F401" not in lines[alias.lineno - 1])
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_reads_no_dense_view(path):
+    # Systems are sparse rows from the gluings to the tableau.  The dense
+    # CompatibilitySystem.matrix and LinearSystem.coeffs views are kept
+    # for readers outside the package; PerturbationFamily.coeffs, read in
+    # perturbation.py, is another field with the same name.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "matrix" not in read
+    if path.name in ("lp_core.py", "existence.py", "normal_coords.py"):
+        assert "coeffs" not in read

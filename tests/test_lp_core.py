@@ -29,12 +29,12 @@ def check_solution(sys, x):
 
 
 def test_feasibility_simple_cases():
-    sys = LinearSystem.of([[1, 1]], [1], [NONNEG, NONNEG])
+    sys = oracles.dense_system([[1, 1]], [1], [NONNEG, NONNEG])
     res = solve_feasibility_nonneg(sys)
     assert isinstance(res, Solution)
     check_solution(sys, res.x)
 
-    sys2 = LinearSystem.of([[1, 1]], [-1], [NONNEG, NONNEG])
+    sys2 = oracles.dense_system([[1, 1]], [-1], [NONNEG, NONNEG])
     res2 = solve_feasibility_nonneg(sys2)
     assert isinstance(res2, Infeasible)
     y = res2.certificate.y
@@ -56,14 +56,14 @@ def test_feasibility_on_the_two_tet_angle_system():
 
 
 def test_strict_feasibility_simple_cases():
-    sys = LinearSystem.of([[1, 1]], [1], [STRICT_POS, STRICT_POS])
+    sys = oracles.dense_system([[1, 1]], [1], [STRICT_POS, STRICT_POS])
     res = solve_feasibility_strict(sys)
     assert isinstance(res, StrictSolution)
     assert res.margin == F(1, 2)
     check_solution(sys, res.x)
 
-    sys2 = LinearSystem.of([[1, 0], [0, 1], [1, 1]], [1, -1, 0],
-                           [STRICT_POS, STRICT_POS])
+    sys2 = oracles.dense_system([[1, 0], [0, 1], [1, 1]], [1, -1, 0],
+                                [STRICT_POS, STRICT_POS])
     res2 = solve_feasibility_strict(sys2)
     assert isinstance(res2, NotStrict)
     assert verify_certificate(sys2, res2.certificate.y, "strict")
@@ -73,16 +73,16 @@ def test_strict_feasibility_boundary_of_cone():
     # force one angle to zero by prescribing its triangle target at the
     # horn: with one corner target dropped to 0, only a semi solution on
     # the cone boundary survives
-    sys = LinearSystem.of([[1, 1, 0], [0, 0, 1], [1, 1, 1]],
-                          [1, 0, 1],
-                          [STRICT_POS, STRICT_POS, STRICT_POS])
+    sys = oracles.dense_system([[1, 1, 0], [0, 0, 1], [1, 1, 1]],
+                               [1, 0, 1],
+                               [STRICT_POS, STRICT_POS, STRICT_POS])
     res = solve_feasibility_strict(sys)
     assert isinstance(res, NotStrict)
     assert verify_certificate(sys, res.certificate.y, "strict")
 
 
 def test_minimize_examples():
-    sys = LinearSystem.of([[1, 1]], [1], [NONNEG, NONNEG])
+    sys = oracles.dense_system([[1, 1]], [1], [NONNEG, NONNEG])
     res = minimize_linear([F(1), F(0)], sys)
     assert isinstance(res, Optimum) and res.value == 0
     assert res.x[0] == 0 and res.x[1] == 1
@@ -91,7 +91,7 @@ def test_minimize_examples():
     assert isinstance(res2, Optimum) and res2.value == -1
     assert res2.x[0] == 1
 
-    free = LinearSystem.of([[1, -1]], [0], [FREE, FREE])
+    free = oracles.dense_system([[1, -1]], [0], [FREE, FREE])
     res3 = minimize_linear([F(1), F(0)], free)
     assert isinstance(res3, Unbounded)
     ray = res3.ray
@@ -99,14 +99,15 @@ def test_minimize_examples():
     assert sum(c * v for c, v in zip([F(1), F(0)], ray)) < 0
     assert ray[0] - ray[1] == 0
 
-    infeasible = LinearSystem.of([[1, 1], [1, 1]], [1, 2], [NONNEG, NONNEG])
+    infeasible = oracles.dense_system([[1, 1], [1, 1]], [1, 2],
+                                      [NONNEG, NONNEG])
     res4 = minimize_linear([F(1), F(1)], infeasible)
     assert isinstance(res4, Infeasible)
     assert verify_certificate(infeasible, res4.certificate.y, "nonneg")
 
 
 def test_verify_certificate_rejects_junk():
-    sys = LinearSystem.of([[1, 1]], [-1], [NONNEG, NONNEG])
+    sys = oracles.dense_system([[1, 1]], [-1], [NONNEG, NONNEG])
     assert not verify_certificate(sys, [F(0)], "nonneg")
     assert not verify_certificate(sys, [F(0)], "strict")
     assert not verify_certificate(sys, [F(1)], "nonneg")  # A^T y > 0
@@ -120,20 +121,51 @@ def test_verify_certificate_rejects_junk():
 
 def test_signs_are_validated():
     with pytest.raises(LPError):
-        LinearSystem.of([[1, 1]], [1], [NONNEG, "sometimes"])
+        oracles.dense_system([[1, 1]], [1], [NONNEG, "sometimes"])
     with pytest.raises(LPError):
-        LinearSystem.of([[1, 1]], [1, 2], [NONNEG, NONNEG])
-    sys = LinearSystem.of([[1, 1]], [1], [STRICT_POS, NONNEG])
+        oracles.dense_system([[1, 1]], [1, 2], [NONNEG, NONNEG])
+    sys = oracles.dense_system([[1, 1]], [1], [STRICT_POS, NONNEG])
     with pytest.raises(LPError):
         solve_feasibility_nonneg(sys)
     with pytest.raises(LPError):
         solve_feasibility_strict(sys)
     with pytest.raises(LPError):
-        minimize_linear([F(1)], sys)
+        minimize_linear([F(1), F(0)], sys)
+    # Read as nonneg, both strict-pos columns would give the optimum
+    # (0, 1), a point outside the open set.
+    both = oracles.dense_system([[1, 1]], [1], [STRICT_POS, STRICT_POS])
+    with pytest.raises(LPError):
+        minimize_linear([F(1), F(0)], both)
+
+
+def test_linear_system_rows_are_sorted_nonzero_pairs():
+    sys = LinearSystem.of(
+        [[(2, 1), (0, F(1, 2)), (2, 1)], [(1, 3), (1, -3), (2, 0)], []],
+        [1, 0, 0], [NONNEG, NONNEG, FREE])
+    # repeated pairs add up, and zero sums and zero pairs are dropped
+    assert sys.rows == (((0, F(1, 2)), (2, F(2))), (), ())
+    zero = (F(0),) * 3
+    assert sys.coeffs == ((F(1, 2), F(0), F(2)), zero, zero)
+    assert sys.coeffs is sys.coeffs
+    assert oracles.dense_system(sys.coeffs, sys.rhs, sys.signs) == sys
+    for column in (3, -1, 1.0):
+        with pytest.raises(LPError):
+            LinearSystem.of([[(0, 1), (column, 1)]], [1], [NONNEG] * 3)
+
+
+def test_coeffs_view_equals_the_dense_rows():
+    rng = random.Random(2025)
+    for _ in range(20):
+        cols = rng.randint(1, 5)
+        dense = tuple(tuple(F(rng.randint(-2, 2)) for _ in range(cols))
+                      for _ in range(rng.randint(1, 4)))
+        sys = oracles.dense_system(dense, [0] * len(dense), [FREE] * cols)
+        assert sys.coeffs == dense
+        assert all(v for row in sys.rows for _, v in row)
 
 
 def test_determinism():
-    sys = LinearSystem.of(
+    sys = oracles.dense_system(
         [[1, 2, -1, 0], [0, 1, 1, -2]], [3, 1],
         [NONNEG, NONNEG, NONNEG, NONNEG])
     first = solve_feasibility_nonneg(sys)
@@ -151,7 +183,7 @@ def rand_system(rng, rows, cols, signs_pool):
               for _ in range(rows)]
     rhs = [F(rng.randint(-4, 4)) for _ in range(rows)]
     signs = [rng.choice(signs_pool) for _ in range(cols)]
-    return LinearSystem.of(coeffs, rhs, signs)
+    return oracles.dense_system(coeffs, rhs, signs)
 
 
 def test_feasibility_agrees_with_brute_force_on_small_systems():
@@ -206,7 +238,7 @@ def test_strict_agrees_with_brute_force_on_bounded_systems():
         rhs = [F(rng.randint(-2, 2)) for _ in range(rows)]
         coeffs.append([F(1)] * cols)
         rhs.append(F(rng.randint(1, 3)))
-        sys = LinearSystem.of(coeffs, rhs, [STRICT_POS] * cols)
+        sys = oracles.dense_system(coeffs, rhs, [STRICT_POS] * cols)
         res = solve_feasibility_strict(sys)
         expect = oracles.bf_strict_feasible(sys)
         assert isinstance(res, StrictSolution) == expect, sys

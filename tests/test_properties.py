@@ -4,10 +4,11 @@ Each table pairs the 4n face slots at random and glues each pair by a
 random permutation carrying one face to the other, so folded edges,
 self-glued tetrahedra and non-manifold vertex links all occur.  Up to
 two of the pairs are then left unglued, which gives boundary faces.
-Closed one-tetrahedron tables also check the semi and strict solvers
-against brute-force enumeration, and every closed table checks the
-quad-slice certification against the same program solved with its free
-columns split in two.
+Every table also checks the angle system against a dense build, cell by
+cell.  Closed one-tetrahedron tables also check the semi and strict
+solvers against brute-force enumeration, and every closed table checks
+the quad-slice certification against the same program solved with its
+free columns split in two.
 """
 
 from __future__ import annotations
@@ -73,6 +74,16 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     for row, dense in zip(csys.rows, csys.matrix):
         assert dict(row) == {c: v for c, v in enumerate(dense) if v}
     assert csys.rank == oracles._rank(csys.matrix)
+    # The angle system's sparse rows against a dense build, once without
+    # and once with the cap rows that a positive area adds.
+    area = data.draw(rationals(4 * n))
+    curvature = data.draw(rationals(len(t.edge_classes)))
+    for target in ([-abs(a) for a in area], [abs(a) + 1 for a in area]):
+        ac = AreaCurvature.of(target, curvature)
+        for mode in ("semi", "strict"):
+            sys = angle_linear_system(t, ac, mode)
+            assert (sys.coeffs, sys.rhs, sys.signs) == \
+                oracles.angle_system_dense(t, ac, mode)
     if t.boundary_faces():
         return
 
