@@ -180,10 +180,15 @@ def angles_to_json(alpha: AngleAssignment) -> dict:
     return {"angles": [format_rational(a) for a in alpha.angles]}
 
 
-def angles_from_json(data: dict) -> AngleAssignment:
+def angle_vector_from_json(data: dict) -> list:
+    """The parsed "angles" field, whatever its length."""
     if not isinstance(data, dict) or "angles" not in data:
         raise AngleStructureError('expected an object with an "angles" key')
-    vec = _rationals_field(data, "angles")
+    return _rationals_field(data, "angles")
+
+
+def angles_from_json(data: dict) -> AngleAssignment:
+    vec = angle_vector_from_json(data)
     if len(vec) % 6 != 0:
         raise AngleStructureError("angle count must be a multiple of 6")
     return AngleAssignment.from_vector(len(vec) // 6, vec)

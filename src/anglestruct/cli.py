@@ -25,7 +25,7 @@ from .angle_structures import (
     AngleAssignment,
     ac_from_json,
     ac_to_json,
-    angles_from_json,
+    angle_vector_from_json,
     angles_to_json,
     classify,
     realized_area_curvature,
@@ -104,6 +104,14 @@ def _check_sizes(args, t, path, **vectors):
         if len(values) != need[field]:
             raise ValueError('%s: field "%s" has %d entries, %s needs %d' % (
                 path, field, len(values), args.triangulation, need[field]))
+
+
+def _load_angles(args, t):
+    """The angle file's assignment, its length checked against the
+    triangulation before the vector is cut into tetrahedra."""
+    vec, digest = _load_json(args.angles, angle_vector_from_json)
+    _check_sizes(args, t, args.angles, angles=vec)
+    return AngleAssignment.from_vector(t.tet_count, vec), digest
 
 
 def _vector(values) -> list:
@@ -268,8 +276,7 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     t, dig_t = _load_triangulation(args.triangulation)
-    alpha, dig_a = _load_json(args.angles, angles_from_json)
-    _check_sizes(args, t, args.angles, angles=alpha.angles)
+    alpha, dig_a = _load_angles(args, t)
     result = certify_condition2(t, alpha)
     report = {"schema": "v1", "command": "certify",
               "inputs": {"triangulation": dig_t, "angles": dig_a},
@@ -295,8 +302,7 @@ def cmd_certify(args) -> int:
 
 def cmd_perturb(args) -> int:
     t, dig_t = _load_triangulation(args.triangulation)
-    alpha, dig_a = _load_json(args.angles, angles_from_json)
-    _check_sizes(args, t, args.angles, angles=alpha.angles)
+    alpha, dig_a = _load_angles(args, t)
     res = apply_theorem3(alpha, t)
     report = {"schema": "v1", "command": "perturb",
               "inputs": {"triangulation": dig_t, "angles": dig_a},

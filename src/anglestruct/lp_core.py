@@ -1,7 +1,10 @@
 """Exact rational linear programming with verified infeasibility certificates.
 
-Everything runs over fractions.Fraction: a two-phase tableau simplex with
-Bland's rule (deterministic, cycle-free), no floating point anywhere.
+A two-phase tableau simplex with Bland's rule (deterministic,
+cycle-free), exact and with no floating point anywhere.  Systems and
+answers are fractions.Fraction; the tableau is fraction-free, each row a
+list of ints over one positive denominator that pivots keep reduced by
+the row's gcd, so a pivot costs int operations, not Fraction objects.
 The tableau's last row is the objective row: the reduced cost of every
 column, then minus the cost of the current basic solution.  Pivots update
 it like any other row, and the phase-1 residue, the optimum, the Farkas
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 FREE = "free"
 NONNEG = "nonneg"
@@ -115,32 +119,85 @@ class Unbounded:
     ray: tuple
 
 
-def _pivot(rows, basis, r: int, j: int) -> None:
-    """Pivot on (r, j); other rows change in the pivot row's nonzeros."""
-    piv = rows[r][j]
-    rows[r] = [v / piv for v in rows[r]]
-    nonzero = [(c, v) for c, v in enumerate(rows[r]) if v]
+def _pivot(rows, dens, basis, r: int, j: int) -> None:
+    """Pivot on (r, j).
+
+    Row r is rescaled to denominator p, its entry in column j made
+    positive, so it holds 1 there.  Each other row whose entry f in
+    column j is nonzero becomes v*p - f*w over d*p, with p and f first
+    divided by their gcd: when that leaves p == 1, the row is updated in
+    place over the pivot row's nonzeros and keeps its denominator.  Rows
+    with a zero in column j are not touched.
+    """
+    w = rows[r]
+    if w[j] < 0:
+        w = [-v for v in w]
+    g = gcd(*w)
+    if g > 1:
+        w = [v // g for v in w]
+    rows[r] = w
+    p = dens[r] = w[j]
+    nonzero = [(c, v) for c, v in enumerate(w) if v]
     for i, row in enumerate(rows):
         f = row[j]
-        if f and i != r:
-            for c, v in nonzero:
-                row[c] -= f * v
+        if not f or i == r:
+            continue
+        d = dens[i]
+        g = gcd(p, f)
+        q, f = p // g, f // g
+        if q != 1:
+            row = rows[i] = [v * q for v in row]
+            d *= q
+        for c, v in nonzero:
+            row[c] -= f * v
+        if d > 1:
+            g = gcd(d, *row)
+            if g > 1:
+                rows[i] = [v // g for v in row]
+                d //= g
+        dens[i] = d
     basis[r] = j
 
 
-def _priced(rows, basis, cost):
+def _priced(rows, dens, basis, cost):
     """The objective row of cost against basis: the reduced cost of
-    every column, then minus the cost of the basic solution."""
-    obj = list(cost) + [Fraction(0)]
-    for row, b in zip(rows, basis):
-        if cost[b]:
-            for c, v in enumerate(row):
-                if v:
-                    obj[c] -= cost[b] * v
-    return obj
+    every column, then minus the cost of the basic solution, as ints
+    over one denominator.
+
+    The denominator is a multiple of every cost denominator and, for
+    each basic row over d whose column has a nonzero cost c, of
+    c.denominator * d, where c times the row's entries lives; the lcm of
+    c.denominator and d alone would not hold them.
+    """
+    costed = [(cost[b], r) for r, b in enumerate(basis) if cost[b]]
+    den = lcm(*(c.denominator for c in cost),
+              *(c.denominator * dens[r] for c, r in costed))
+    obj = [c.numerator * (den // c.denominator) for c in cost] + [0]
+    for c, r in costed:
+        f = c.numerator * (den // (c.denominator * dens[r]))
+        for col, v in enumerate(rows[r]):
+            if v:
+                obj[col] -= f * v
+    g = gcd(den, *obj)
+    if g > 1:
+        obj = [v // g for v in obj]
+    return obj, den // g
 
 
-def _pivot_loop(rows, basis, ncols: int, free):
+def _leaving(candidates):
+    """Bland's ratio test: the row r of the least rhs / a over the
+    (rhs, a, basic column, r) candidates, a > 0, ties broken by the
+    lowest basic column.  Both numbers are ints over the row's own
+    denominator, which cancels in the ratio.  None if there are none."""
+    best = None
+    for cand in candidates:
+        if best is None or (cand[0] * best[1], cand[2]) < \
+                (best[0] * cand[1], best[2]):
+            best = cand
+    return None if best is None else best[3]
+
+
+def _pivot_loop(rows, dens, basis, ncols: int, free):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
     Entering variable: lowest-index column below ncols with negative
@@ -154,20 +211,24 @@ def _pivot_loop(rows, basis, ncols: int, free):
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             return None
-        best = None
-        for r in range(len(basis)):
-            a = rows[r][enter]
-            if a > 0 and basis[r] not in free:
-                key = (rows[r][-1] / a, basis[r], r)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        r = _leaving((row[-1], row[enter], b, r)
+                     for r, (row, b) in enumerate(zip(rows, basis))
+                     if row[enter] > 0 and b not in free)
+        if r is None:
             return enter
-        _pivot(rows, basis, best[2], enter)
+        _pivot(rows, dens, basis, r, enter)
 
 
 def _solve(sparse, rhs, cost, free):
     """Two-phase simplex for min c.x, A x = b, x >= 0 off the free columns.
+
+    The tableau is exact and fraction-free: each row, the objective row
+    included, is a list of ints over one positive denominator, reduced
+    by their gcd after each update.  A row is built from its pairs over
+    the lcm of its denominators; Fractions appear again only when x,
+    the value, the dual, the Farkas vector or the ray are read out.
+    Signs, ratio tests and so Bland's pivots are those of the same
+    tableau over Fractions.
 
     Free columns are not split.  Before phase 1 each one enters the basis
     by one ratio test, the minimum of rhs / |a| over the rows no free
@@ -186,29 +247,32 @@ def _solve(sparse, rhs, cost, free):
     """
     k = len(sparse)
     t = len(cost)
-    scale = [Fraction(1) if b >= 0 else Fraction(-1) for b in rhs]
-    rows = []
+    scale = [1 if b >= 0 else -1 for b in rhs]
+    rows, dens = [], []
     for i, pairs in enumerate(sparse):
-        row = [Fraction(0)] * (t + k + 1)
+        d = lcm(rhs[i].denominator, *(v.denominator for _, v in pairs))
+        row = [0] * (t + k + 1)
         for c, v in pairs:
-            row[c] = scale[i] * v
-        row[t + i] = Fraction(1)
-        row[-1] = scale[i] * rhs[i]
+            row[c] = scale[i] * v.numerator * (d // v.denominator)
+        row[t + i] = d
+        row[-1] = scale[i] * rhs[i].numerator * (d // rhs[i].denominator)
         rows.append(row)
+        dens.append(d)
     basis = [t + i for i in range(k)]
     for j in sorted(free):
-        best = min(((rows[r][-1] / abs(rows[r][j]), basis[r], r)
-                    for r in range(k)
-                    if rows[r][j] and basis[r] not in free), default=None)
-        if best is not None:
-            _pivot(rows, basis, best[2], j)
+        r = _leaving((row[-1], abs(row[j]), b, r)
+                     for r, (row, b) in enumerate(zip(rows, basis))
+                     if row[j] and b not in free)
+        if r is not None:
+            _pivot(rows, dens, basis, r, j)
 
-    phase1 = [Fraction(0)] * t + [Fraction(1)] * k
-    rows.append(_priced(rows, basis, phase1))
-    _pivot_loop(rows, basis, t + k, free)
-    obj = rows[-1]
+    obj, den = _priced(rows, dens, basis, [0] * t + [1] * k)
+    rows.append(obj)
+    dens.append(den)
+    _pivot_loop(rows, dens, basis, t + k, free)
+    obj, den = rows[-1], dens[-1]
     if obj[-1] < 0:
-        y = [scale[q] * (1 - obj[t + q]) for q in range(k)]
+        y = [scale[q] * (1 - Fraction(obj[t + q], den)) for q in range(k)]
         return {"status": "infeasible", "farkas": tuple(y)}
 
     # Pivot leftover artificials out wherever a real column is available;
@@ -218,26 +282,29 @@ def _solve(sparse, rhs, cost, free):
         if basis[r] >= t:
             piv = next((j for j in range(t) if rows[r][j] != 0), -1)
             if piv >= 0:
-                _pivot(rows, basis, r, piv)
+                _pivot(rows, dens, basis, r, piv)
 
-    rows[-1] = obj = _priced(rows, basis, list(cost) + [Fraction(0)] * k)
+    rows[-1], dens[-1] = obj, den = _priced(
+        rows, dens, basis, list(cost) + [0] * k)
     enter = next((j for j in sorted(free - set(basis)) if obj[j]), None)
     if enter is None:
-        enter = _pivot_loop(rows, basis, t, free)
+        enter = _pivot_loop(rows, dens, basis, t, free)
+        obj, den = rows[-1], dens[-1]
     if enter is not None:
         ray = [Fraction(0)] * t
         ray[enter] = Fraction(-1 if obj[enter] > 0 else 1)
         for r in range(k):
             if basis[r] < t and rows[r][enter]:
-                ray[basis[r]] = -ray[enter] * rows[r][enter]
+                ray[basis[r]] = -ray[enter] * Fraction(rows[r][enter],
+                                                       dens[r])
         return {"status": "unbounded", "ray": tuple(ray)}
     x = [Fraction(0)] * t
     for r in range(k):
         if basis[r] < t:
-            x[basis[r]] = rows[r][-1]
-    dual = [-scale[q] * obj[t + q] for q in range(k)]
-    return {"status": "optimal", "x": tuple(x), "value": -obj[-1],
-            "dual": tuple(dual)}
+            x[basis[r]] = Fraction(rows[r][-1], dens[r])
+    dual = [-scale[q] * Fraction(obj[t + q], den) for q in range(k)]
+    return {"status": "optimal", "x": tuple(x),
+            "value": -Fraction(obj[-1], den), "dual": tuple(dual)}
 
 
 def _free(sys: LinearSystem):

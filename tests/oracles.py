@@ -9,15 +9,19 @@ rebuilt as dense rows, cell by cell, with folded tet-edges found by a
 union-find of their own.  The quad-slice maximum is too large to
 enumerate; it reruns the simplex on the slice program with every free
 column split into a nonnegative pair, so the solver's own free-column
-handling is checked against its plain nonnegative path.
+handling is checked against its plain nonnegative path.  The simplex
+itself is kept here as it was over a Fraction tableau, so that the
+integer tableau can be checked to take the same pivots.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
+from anglestruct import lp_core
 from anglestruct.lp_core import (Infeasible, LinearSystem, Optimum,
                                  minimize_linear)
 
@@ -319,6 +323,163 @@ def _basic_solutions(coeffs, rhs):
         if key not in seen:
             seen.add(key)
             yield x
+
+
+def _fraction_pivot(rows, basis, r: int, j: int) -> None:
+    """Pivot on (r, j); other rows change in the pivot row's nonzeros."""
+    piv = rows[r][j]
+    rows[r] = [v / piv for v in rows[r]]
+    nonzero = [(c, v) for c, v in enumerate(rows[r]) if v]
+    for i, row in enumerate(rows):
+        f = row[j]
+        if f and i != r:
+            for c, v in nonzero:
+                row[c] -= f * v
+    basis[r] = j
+
+
+def _fraction_priced(rows, basis, cost):
+    """The objective row of cost against basis: the reduced cost of
+    every column, then minus the cost of the basic solution."""
+    obj = list(cost) + [Fraction(0)]
+    for row, b in zip(rows, basis):
+        if cost[b]:
+            for c, v in enumerate(row):
+                if v:
+                    obj[c] -= cost[b] * v
+    return obj
+
+
+def _fraction_pivot_loop(rows, basis, ncols: int, free):
+    """Run Bland-rule simplex to optimality or an unbounded column.
+
+    Entering variable: lowest-index column below ncols with negative
+    reduced cost in the objective row.  Leaving variable: minimum ratio
+    over the rows whose basic column is not free, ties broken by the
+    lowest basic variable index.  Returns None at optimality, else the
+    entering column of an unbounded ray.
+    """
+    while True:
+        obj = rows[-1]
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            return None
+        best = None
+        for r in range(len(basis)):
+            a = rows[r][enter]
+            if a > 0 and basis[r] not in free:
+                key = (rows[r][-1] / a, basis[r], r)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            return enter
+        _fraction_pivot(rows, basis, best[2], enter)
+
+
+def fraction_simplex(sparse, rhs, cost, free):
+    """lp_core._solve as it was over a Fraction tableau, kept to check
+    that the integer tableau takes the same pivots.
+
+    Two-phase simplex for min c.x, A x = b, x >= 0 off the free columns.
+
+    Free columns are not split.  Before phase 1 each one enters the basis
+    by one ratio test, the minimum of rhs / |a| over the rows no free
+    column holds yet, which keeps every artificial value >= 0 whatever
+    the pivot's sign; a free column that is zero on all those rows stays
+    zero there, and out of the basis.  Free basics never leave, and a
+    free column out of the basis with a nonzero phase-2 reduced cost is
+    an unbounded direction, signed against that cost.
+
+    Returns a dict with status "optimal" (x, value, dual), "unbounded"
+    (ray), or "infeasible" (farkas).  The residue, the value, and the
+    Farkas and dual vectors are read off the final objective row: its
+    last entry is minus the phase's cost, and at artificial column q it
+    is that column's phase cost minus y_q, where y is in the scaled row
+    orientation and is unscaled back to the caller's.
+    """
+    k = len(sparse)
+    t = len(cost)
+    scale = [Fraction(1) if b >= 0 else Fraction(-1) for b in rhs]
+    rows = []
+    for i, pairs in enumerate(sparse):
+        row = [Fraction(0)] * (t + k + 1)
+        for c, v in pairs:
+            row[c] = scale[i] * v
+        row[t + i] = Fraction(1)
+        row[-1] = scale[i] * rhs[i]
+        rows.append(row)
+    basis = [t + i for i in range(k)]
+    for j in sorted(free):
+        best = min(((rows[r][-1] / abs(rows[r][j]), basis[r], r)
+                    for r in range(k)
+                    if rows[r][j] and basis[r] not in free), default=None)
+        if best is not None:
+            _fraction_pivot(rows, basis, best[2], j)
+
+    phase1 = [Fraction(0)] * t + [Fraction(1)] * k
+    rows.append(_fraction_priced(rows, basis, phase1))
+    _fraction_pivot_loop(rows, basis, t + k, free)
+    obj = rows[-1]
+    if obj[-1] < 0:
+        y = [scale[q] * (1 - obj[t + q]) for q in range(k)]
+        return {"status": "infeasible", "farkas": tuple(y)}
+
+    # Pivot leftover artificials out wherever a real column is available;
+    # rows that stay artificial-basic are identically zero on real
+    # columns and inert from here on.
+    for r in range(k):
+        if basis[r] >= t:
+            piv = next((j for j in range(t) if rows[r][j] != 0), -1)
+            if piv >= 0:
+                _fraction_pivot(rows, basis, r, piv)
+
+    rows[-1] = obj = _fraction_priced(rows, basis,
+                                      list(cost) + [Fraction(0)] * k)
+    enter = next((j for j in sorted(free - set(basis)) if obj[j]), None)
+    if enter is None:
+        enter = _fraction_pivot_loop(rows, basis, t, free)
+    if enter is not None:
+        ray = [Fraction(0)] * t
+        ray[enter] = Fraction(-1 if obj[enter] > 0 else 1)
+        for r in range(k):
+            if basis[r] < t and rows[r][enter]:
+                ray[basis[r]] = -ray[enter] * rows[r][enter]
+        return {"status": "unbounded", "ray": tuple(ray)}
+    x = [Fraction(0)] * t
+    for r in range(k):
+        if basis[r] < t:
+            x[basis[r]] = rows[r][-1]
+    dual = [-scale[q] * obj[t + q] for q in range(k)]
+    return {"status": "optimal", "x": tuple(x), "value": -obj[-1],
+            "dual": tuple(dual)}
+
+
+def _typed(res):
+    return {key: tuple((type(v), v) for v in value)
+            if isinstance(value, tuple) else (type(value), value)
+            for key, value in res.items()}
+
+
+@contextmanager
+def same_pivots():
+    """Within the block, every lp_core._solve call is also solved by
+    fraction_simplex, and the two result dicts must be identical, entry
+    types included.  Yields the list of the statuses compared so far."""
+    integer = lp_core._solve
+    statuses = []
+
+    def both(sparse, rhs, cost, free):
+        res = integer(sparse, rhs, cost, free)
+        assert _typed(res) == _typed(fraction_simplex(sparse, rhs, cost,
+                                                      free)), res
+        statuses.append(res["status"])
+        return res
+
+    lp_core._solve = both
+    try:
+        yield statuses
+    finally:
+        lp_core._solve = integer
 
 
 def dense_system(coeffs, rhs, signs):

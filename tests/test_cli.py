@@ -292,13 +292,15 @@ def check_wrong_size_angles(capsys, tmp_path, command, angles):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("angles", [["1/6"] * 6, []])
+@pytest.mark.parametrize("angles", [["1/6"] * 6, [], ["1/6"] * 5,
+                                    ["1/6"] * 13])
 def test_perturb_wrong_size_assignment_is_usage_error(capsys, tmp_path,
                                                       angles):
     check_wrong_size_angles(capsys, tmp_path, "perturb", angles)
 
 
-@pytest.mark.parametrize("angles", [["1/6"] * 6, []])
+@pytest.mark.parametrize("angles", [["1/6"] * 6, [], ["1/6"] * 5,
+                                    ["1/6"] * 13])
 def test_certify_wrong_size_assignment_is_usage_error(capsys, tmp_path,
                                                       angles):
     check_wrong_size_angles(capsys, tmp_path, "certify", angles)

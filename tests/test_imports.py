@@ -2,7 +2,8 @@
 
 Every module uses each name it imports: a stdlib stand-in for pyflakes'
 unused-import check (F401); an import line marked ``# noqa: F401`` is
-kept on purpose and exempt.  And no module reads a dense matrix view.
+kept on purpose and exempt.  No module reads a dense matrix view, and
+the simplex's per-pivot code uses no Fraction and no "/".
 """
 
 from __future__ import annotations
@@ -46,3 +47,18 @@ def test_package_reads_no_dense_view(path):
     assert "matrix" not in read
     if path.name in ("lp_core.py", "existence.py", "normal_coords.py"):
         assert "coeffs" not in read
+
+
+def test_pivot_loop_stays_in_integers():
+    # The tableau is ints over one denominator per row; Fractions are
+    # built only at readout.  The per-pivot code neither calls Fraction
+    # nor divides with "/", so it cannot drift back to Fraction cells.
+    tree = ast.parse((PACKAGE / "lp_core.py").read_text(encoding="utf-8"))
+    hot = {node.name: node for node in tree.body
+           if isinstance(node, ast.FunctionDef)
+           and node.name in ("_pivot", "_pivot_loop", "_leaving")}
+    assert sorted(hot) == ["_leaving", "_pivot", "_pivot_loop"]
+    for fn in hot.values():
+        for node in ast.walk(fn):
+            assert not (isinstance(node, ast.Name) and node.id == "Fraction")
+            assert not isinstance(node, ast.Div)

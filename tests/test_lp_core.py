@@ -9,7 +9,9 @@ from anglestruct import (Infeasible, LinearSystem, NotStrict, Optimum,
                          minimize_linear, solve_feasibility_nonneg,
                          solve_feasibility_strict, verify_certificate)
 from anglestruct.existence import angle_linear_system
-from anglestruct.lp_core import FREE, LPError, NONNEG, STRICT_POS
+from anglestruct import lp_core
+from anglestruct.lp_core import (FREE, NONNEG, STRICT_POS, Certificate,
+                                 LPError)
 
 F = Fraction
 
@@ -248,3 +250,101 @@ def test_strict_agrees_with_brute_force_on_bounded_systems():
         else:
             assert verify_certificate(sys, res.certificate.y, "strict")
         done += 1
+
+
+def rand_rational_system(rng, rows, cols, signs_pool):
+    coeffs = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)]
+              for _ in range(rows)]
+    rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
+    signs = [rng.choice(signs_pool) for _ in range(cols)]
+    return oracles.dense_system(coeffs, rhs, signs)
+
+
+def test_integer_tableau_takes_the_fraction_simplex_pivots():
+    # Free, nonneg and negative-rhs rows, with integer and with rational
+    # entries and costs; each system is also solved as a strict one,
+    # which runs the margin program.
+    rng = random.Random(2029)
+    with oracles.same_pivots() as statuses:
+        for trial in range(160):
+            build = rand_system if trial % 2 else rand_rational_system
+            cols = rng.randint(1, 6)
+            sys = build(rng, rng.randint(1, 4), cols, [NONNEG, NONNEG, FREE])
+            obj = [F(rng.randint(-6, 6), rng.randint(1, 4))
+                   for _ in range(cols)]
+            solve_feasibility_nonneg(sys)
+            minimize_linear(obj, sys)
+            solve_feasibility_strict(LinearSystem.of(
+                sys.rows, sys.rhs, [STRICT_POS] * cols))
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}
+    assert len(statuses) == 3 * 160
+
+
+def test_free_column_entering_on_a_negative_pivot():
+    # x0 is free; its ratio test picks row 0, rhs 3 over |-2|, so it
+    # enters on the pivot -2.
+    sys = oracles.dense_system([[-2, 1, 0], [1, 1, 1]], [3, 6],
+                               [FREE, NONNEG, NONNEG])
+    obj = [F(1), F(0), F(0)]
+    res = minimize_linear(obj, sys)
+    assert oracles.bf_minimize(obj, sys) == ("optimal", F(-3, 2))
+    assert res == Optimum(value=F(-3, 2), x=(F(-3, 2), F(0), F(15, 2)))
+    rows = [[-2, 1, 0, 3], [1, 1, 1, 6]]
+    dens = [1, 1]
+    basis = [3, 4]
+    lp_core._pivot(rows, dens, basis, 0, 0)
+    # Row 0 holds x0 = -3/2 + x1/2 over denominator 2: sign flipped.
+    assert (rows, dens, basis) == ([[2, -1, 0, -3], [0, 3, 2, 15]],
+                                   [2, 2], [0, 4])
+
+
+def test_pivot_that_is_not_a_unit():
+    # Phase 1 enters x0 on 3/2: row 0's ints are 3, 2 over 2, so the
+    # pivot row is rescaled to denominator 3 and row 1 to 3 times its own.
+    sys = oracles.dense_system([[F(3, 2), 1, 0], [1, 1, 1]], [3, 4],
+                               [NONNEG] * 3)
+    obj = [F(-1), F(0), F(0)]
+    res = minimize_linear(obj, sys)
+    assert oracles.bf_minimize(obj, sys) == ("optimal", F(-2))
+    assert res == Optimum(value=F(-2), x=(F(2), F(0), F(2)))
+
+
+def test_objective_denominators_differ_from_the_row_denominators():
+    # After phase 1, x0 is basic in a row over denominator 2 (2/3 over
+    # 2/3 leaves x1/2); its cost 1/2 then prices x1 at -1/4, which needs
+    # the objective over 4, not over lcm(2, 2).
+    sys = oracles.dense_system([[F(2, 3), F(1, 3)]], [F(1, 3)],
+                               [NONNEG, NONNEG])
+    obj = [F(1, 2), F(0)]
+    res = minimize_linear(obj, sys)
+    assert oracles.bf_minimize(obj, sys) == ("optimal", F(0))
+    assert res == Optimum(value=F(0), x=(F(0), F(1)))
+    rows = [[2, 1, 3, 1], [0, 0, 0, 0]]
+    assert lp_core._priced(rows, [2, 1], [0], [F(1, 2), F(0), F(0)]) == \
+        ([0, -1, -3, -1], 4)
+
+
+def test_updated_row_is_reduced_by_its_gcd():
+    # min -x0 - x1 on 2 x0 + x1 = 3.  Phase 2 starts with x0 basic,
+    # row 0 being 2, 1 | 1 | 3 over 2, and the objective row 0, -1 | 1 |
+    # 3 over 2.  x1 enters on the pivot 1, and the objective row becomes
+    # 2, 0 | 2 | 6 over 2, which is reduced to 1, 0 | 1 | 3 over 1.
+    rows = [[2, 1, 1, 3], [0, -1, 1, 3]]
+    dens = [2, 2]
+    basis = [0]
+    lp_core._pivot(rows, dens, basis, 0, 1)
+    assert (rows, dens, basis) == ([[2, 1, 1, 3], [1, 0, 1, 3]],
+                                   [1, 1], [1])
+    sys = oracles.dense_system([[2, 1]], [3], [NONNEG] * 2)
+    obj = [F(-1), F(-1)]
+    assert oracles.bf_minimize(obj, sys) == ("optimal", F(-3))
+    assert minimize_linear(obj, sys) == Optimum(value=F(-3),
+                                                x=(F(0), F(3)))
+    bad = oracles.dense_system([[2, 1, 0], [4, 2, 1]], [3, 5],
+                               [NONNEG] * 3)
+    res = solve_feasibility_nonneg(bad)
+    assert not oracles.bf_feasible(bad)
+    assert res == Infeasible(certificate=Certificate(y=(F(1), F(-1, 2))))
+    assert oracles.fraction_simplex(bad.rows, bad.rhs, [F(0)] * 3,
+                                    frozenset())["farkas"] == (F(1), F(-1, 2))
+    assert verify_certificate(bad, res.certificate.y, "nonneg")

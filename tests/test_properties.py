@@ -8,7 +8,9 @@ Every table also checks the angle system against a dense build, cell by
 cell.  Closed one-tetrahedron tables also check the semi and strict
 solvers against brute-force enumeration, and every closed table checks
 the quad-slice certification against the same program solved with its
-free columns split in two.
+free columns split in two.  The angle systems of every table, in both
+modes, and the quad-slice program are also solved over the Fraction
+tableau, which must give the same results.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
                          is_in_solution_space, realized_area_curvature,
-                         solution_space_basis)
+                         solution_space_basis, solve_feasibility_nonneg,
+                         solve_feasibility_strict)
 
 
 @st.composite
@@ -78,12 +81,18 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     # and once with the cap rows that a positive area adds.
     area = data.draw(rationals(4 * n))
     curvature = data.draw(rationals(len(t.edge_classes)))
-    for target in ([-abs(a) for a in area], [abs(a) + 1 for a in area]):
-        ac = AreaCurvature.of(target, curvature)
-        for mode in ("semi", "strict"):
-            sys = angle_linear_system(t, ac, mode)
-            assert (sys.coeffs, sys.rhs, sys.signs) == \
-                oracles.angle_system_dense(t, ac, mode)
+    # Each is also solved, and the integer tableau must take the pivots
+    # of the Fraction one.
+    with oracles.same_pivots() as statuses:
+        for target in ([-abs(a) for a in area], [abs(a) + 1 for a in area]):
+            ac = AreaCurvature.of(target, curvature)
+            for mode, solve in (("semi", solve_feasibility_nonneg),
+                                ("strict", solve_feasibility_strict)):
+                sys = angle_linear_system(t, ac, mode)
+                assert (sys.coeffs, sys.rhs, sys.signs) == \
+                    oracles.angle_system_dense(t, ac, mode)
+                solve(sys)
+    assert len(statuses) == 4
     if t.boundary_faces():
         return
 
@@ -111,7 +120,9 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
                                             for a in angles])
     # The slice program has free triangle columns; the oracle solves it
     # with each one split into a nonnegative pair.
-    cert = certify_condition2(t, alpha)
+    with oracles.same_pivots() as statuses:
+        cert = certify_condition2(t, alpha)
+    assert len(statuses) == 1
     raw_max = oracles.quad_slice_max(t, alpha)
     assert isinstance(cert, Fails) == (raw_max is not None and raw_max >= 0)
     assert cert.optimum == (None if raw_max is None else raw_max / 2)
