@@ -92,7 +92,7 @@ def _load_json(path: str, reader):
     data = _read_bytes(path)
     try:
         obj = reader(json.loads(data.decode("utf-8")))
-    except (ValueError, UnicodeDecodeError) as err:
+    except (ValueError, UnicodeDecodeError, RecursionError) as err:
         raise _InputError("%s: %s" % (path, err))
     return obj, _digest(path, data)
 

@@ -5,11 +5,12 @@ cycle-free), exact and with no floating point anywhere.  Systems and
 answers are fractions.Fraction; the tableau is fraction-free, each row a
 list of ints over one positive denominator that pivots keep reduced by
 the row's gcd, so a pivot costs int operations, not Fraction objects.
-The tableau's last row is the objective row: the reduced cost of every
-column, then minus the cost of the current basic solution.  Pivots update
-it like any other row, and the phase-1 residue, the optimum, the Farkas
-vector and the dual are all read off it.  Free columns are not split in
-two: each enters the basis before phase 1 and never leaves it.
+Below the constraint rows the tableau carries the phase-2 and then the
+phase-1 objective row: the reduced cost of every column, then minus the
+cost of the current basic solution.  Both are built once and only pivots
+change them; the residue, the optimum, the Farkas vector and the dual
+are read off them.  Free columns are not split in two: each enters the
+basis before phase 1 and never leaves it.
 Three entry points cover what the rest of the package needs: feasibility
 of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
@@ -159,31 +160,6 @@ def _pivot(rows, dens, basis, r: int, j: int) -> None:
     basis[r] = j
 
 
-def _priced(rows, dens, basis, cost):
-    """The objective row of cost against basis: the reduced cost of
-    every column, then minus the cost of the basic solution, as ints
-    over one denominator.
-
-    The denominator is a multiple of every cost denominator and, for
-    each basic row over d whose column has a nonzero cost c, of
-    c.denominator * d, where c times the row's entries lives; the lcm of
-    c.denominator and d alone would not hold them.
-    """
-    costed = [(cost[b], r) for r, b in enumerate(basis) if cost[b]]
-    den = lcm(*(c.denominator for c in cost),
-              *(c.denominator * dens[r] for c, r in costed))
-    obj = [c.numerator * (den // c.denominator) for c in cost] + [0]
-    for c, r in costed:
-        f = c.numerator * (den // (c.denominator * dens[r]))
-        for col, v in enumerate(rows[r]):
-            if v:
-                obj[col] -= f * v
-    g = gcd(den, *obj)
-    if g > 1:
-        obj = [v // g for v in obj]
-    return obj, den // g
-
-
 def _leaving(candidates):
     """Bland's ratio test: the row r of the least rhs / a over the
     (rhs, a, basic column, r) candidates, a > 0, ties broken by the
@@ -222,13 +198,14 @@ def _pivot_loop(rows, dens, basis, ncols: int, free):
 def _solve(sparse, rhs, cost, free):
     """Two-phase simplex for min c.x, A x = b, x >= 0 off the free columns.
 
-    The tableau is exact and fraction-free: each row, the objective row
-    included, is a list of ints over one positive denominator, reduced
-    by their gcd after each update.  A row is built from its pairs over
-    the lcm of its denominators; Fractions appear again only when x,
-    the value, the dual, the Farkas vector or the ray are read out.
-    Signs, ratio tests and so Bland's pivots are those of the same
-    tableau over Fractions.
+    The tableau is exact and fraction-free: each row is a list of ints
+    over one positive denominator, reduced by their gcd after each
+    update.  A constraint row is built from its pairs over the lcm of its
+    denominators; Fractions appear again only at readout.  Signs, ratio
+    tests and so Bland's pivots are those of the same tableau over
+    Fractions.  The two objective rows below the constraint rows start
+    as the reduced costs of the all-artificial basis: the costs, and 1
+    on each artificial minus the sum of the constraint rows.
 
     Free columns are not split.  Before phase 1 each one enters the basis
     by one ratio test, the minimum of rhs / |a| over the rows no free
@@ -239,10 +216,11 @@ def _solve(sparse, rhs, cost, free):
     an unbounded direction, signed against that cost.
 
     Returns a dict with status "optimal" (x, value, dual), "unbounded"
-    (ray), or "infeasible" (farkas).  The residue, the value, and the
-    Farkas and dual vectors are read off the final objective row: its
-    last entry is minus the phase's cost, and at artificial column q it
-    is that column's phase cost minus y_q, where y is in the scaled row
+    (ray), or "infeasible" (farkas).  The phase-1 row, popped after
+    phase 1, gives the residue and the Farkas vector, and the final
+    phase-2 row the value and the dual: an objective row's last entry is
+    minus its phase's cost, and at artificial column q it is that
+    column's phase cost minus y_q, where y is in the scaled row
     orientation and is unscaled back to the caller's.
     """
     k = len(sparse)
@@ -258,6 +236,18 @@ def _solve(sparse, rhs, cost, free):
         row[-1] = scale[i] * rhs[i].numerator * (d // rhs[i].denominator)
         rows.append(row)
         dens.append(d)
+    den = lcm(*dens)
+    phase1 = [0] * t + [den] * k + [0]
+    for row, d in zip(rows, dens):
+        f = den // d
+        for c, v in enumerate(row):
+            if v:
+                phase1[c] -= f * v
+    g = gcd(den, *phase1)
+    d = lcm(*(c.denominator for c in cost))
+    rows += [[c.numerator * (d // c.denominator) for c in cost]
+             + [0] * (k + 1), [v // g for v in phase1]]
+    dens += [d, den // g]
     basis = [t + i for i in range(k)]
     for j in sorted(free):
         r = _leaving((row[-1], abs(row[j]), b, r)
@@ -266,11 +256,8 @@ def _solve(sparse, rhs, cost, free):
         if r is not None:
             _pivot(rows, dens, basis, r, j)
 
-    obj, den = _priced(rows, dens, basis, [0] * t + [1] * k)
-    rows.append(obj)
-    dens.append(den)
     _pivot_loop(rows, dens, basis, t + k, free)
-    obj, den = rows[-1], dens[-1]
+    obj, den = rows.pop(), dens.pop()
     if obj[-1] < 0:
         y = [scale[q] * (1 - Fraction(obj[t + q], den)) for q in range(k)]
         return {"status": "infeasible", "farkas": tuple(y)}
@@ -284,12 +271,11 @@ def _solve(sparse, rhs, cost, free):
             if piv >= 0:
                 _pivot(rows, dens, basis, r, piv)
 
-    rows[-1], dens[-1] = obj, den = _priced(
-        rows, dens, basis, list(cost) + [0] * k)
-    enter = next((j for j in sorted(free - set(basis)) if obj[j]), None)
+    enter = next((j for j in sorted(free - set(basis)) if rows[-1][j]),
+                 None)
     if enter is None:
         enter = _pivot_loop(rows, dens, basis, t, free)
-        obj, den = rows[-1], dens[-1]
+    obj, den = rows[-1], dens[-1]
     if enter is not None:
         ray = [Fraction(0)] * t
         ray[enter] = Fraction(-1 if obj[enter] > 0 else 1)

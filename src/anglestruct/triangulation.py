@@ -71,6 +71,30 @@ def _check_perm(perm):
         raise TriangulationError("not a permutation of 0123: %r" % (perm,))
 
 
+def _glue(table, tet_count, i, f, j, g, perm):
+    """Record face (i, f) glued to (j, g) by perm in table, both ways,
+    once the faces, perm and the involution on table are checked."""
+    for tet, face in ((i, f), (j, g)):
+        if not (0 <= tet < tet_count):
+            raise TriangulationError(
+                "tetrahedron index %d out of range" % tet)
+        if not (0 <= face < 4):
+            raise TriangulationError("face index %d out of range" % face)
+    _check_perm(perm)
+    if perm[f] != g:
+        raise TriangulationError(
+            "permutation %r does not carry face %d to face %d"
+            % (perm, f, g))
+    if (i, f) == (j, g):
+        raise TriangulationError("face (%d,%d) glued to itself" % (i, f))
+    for src, dst in (((i, f), (j, g, perm)),
+                     ((j, g), (i, f, inverse(perm)))):
+        if table.get(src, dst) != dst:
+            raise TriangulationError(
+                "non-involutive gluing at face (%d,%d)" % src)
+        table[src] = dst
+
+
 class Triangulation:
     """An immutable gluing table plus lookups derived from it.
 
@@ -91,23 +115,7 @@ class Triangulation:
         self.name = name
         table = {}
         for (i, f), (j, g, perm) in dict(gluings or {}).items():
-            perm = tuple(perm)
-            self._check_face(i, f)
-            self._check_face(j, g)
-            _check_perm(perm)
-            if perm[f] != g:
-                raise TriangulationError(
-                    "permutation %r does not carry face %d to face %d"
-                    % (perm, f, g))
-            if (i, f) == (j, g):
-                raise TriangulationError(
-                    "face (%d,%d) glued to itself" % (i, f))
-            for src, dst in (((i, f), (j, g, perm)),
-                             ((j, g), (i, f, inverse(perm)))):
-                if src in table and table[src] != dst:
-                    raise TriangulationError(
-                        "non-involutive gluing at face (%d,%d)" % src)
-                table[src] = dst
+            _glue(table, tet_count, i, f, j, g, tuple(perm))
         self._gluing = table
 
     @cached_property
@@ -132,12 +140,6 @@ class Triangulation:
         """Map each (tet, tet-edge) corner to its EdgeClass."""
         return {corner: cls for cls in self.edge_classes
                 for corner in cls.corners}
-
-    def _check_face(self, i, f):
-        if not (0 <= i < self.tet_count):
-            raise TriangulationError("tetrahedron index %d out of range" % i)
-        if not (0 <= f < 4):
-            raise TriangulationError("face index %d out of range" % f)
 
     def gluing(self, tet: int, face: int):
         """(tet, face, perm) on the far side, or None for a boundary face."""
@@ -181,44 +183,30 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
         if not line:
             continue
         fields = line.split()
-        if tet_count is None:
-            if fields[0] != "tets" or len(fields) != 2:
-                raise TriangulationError(
-                    "line %d: expected 'tets N' header" % lineno)
-            try:
-                tet_count = int(fields[1])
-            except ValueError:
-                raise TriangulationError(
-                    "line %d: bad tetrahedron count %r" % (lineno, fields[1]))
-            if tet_count < 1:
-                raise TriangulationError(
-                    "line %d: need at least one tetrahedron" % lineno)
-            continue
-        if fields[0] != "glue" or len(fields) != 6:
-            raise TriangulationError(
-                "line %d: expected 'glue I F J G P'" % lineno)
         try:
-            i, f, j, g = (int(x) for x in fields[1:5])
-        except ValueError:
-            raise TriangulationError("line %d: bad index" % lineno)
-        p = fields[5]
-        if len(p) != 4 or set(p) != {"0", "1", "2", "3"}:
-            raise TriangulationError(
-                "line %d: bad permutation %r" % (lineno, p))
-        perm = tuple(int(c) for c in p)
-        key = (i, f)
-        val = (j, g, perm)
-        if key in gluings and gluings[key] != val:
-            raise TriangulationError(
-                "line %d: non-involutive gluing at face (%d,%d)"
-                % (lineno, i, f))
-        back = gluings.get((j, g))
-        if back is not None and back != (i, f, inverse(perm)):
-            raise TriangulationError(
-                "line %d: non-involutive gluing at face (%d,%d)"
-                % (lineno, j, g))
-        gluings[key] = val
-        gluings[(j, g)] = (i, f, inverse(perm))
+            if tet_count is None:
+                if fields[0] != "tets" or len(fields) != 2:
+                    raise TriangulationError("expected 'tets N' header")
+                try:
+                    tet_count = int(fields[1])
+                except ValueError:
+                    raise TriangulationError(
+                        "bad tetrahedron count %r" % (fields[1],))
+                if tet_count < 1:
+                    raise TriangulationError("need at least one tetrahedron")
+                continue
+            if fields[0] != "glue" or len(fields) != 6:
+                raise TriangulationError("expected 'glue I F J G P'")
+            try:
+                i, f, j, g = (int(x) for x in fields[1:5])
+            except ValueError:
+                raise TriangulationError("bad index")
+            p = fields[5]
+            if len(p) != 4 or set(p) != {"0", "1", "2", "3"}:
+                raise TriangulationError("bad permutation %r" % (p,))
+            _glue(gluings, tet_count, i, f, j, g, tuple(int(c) for c in p))
+        except TriangulationError as err:
+            raise TriangulationError("line %d: %s" % (lineno, err))
     if tet_count is None:
         raise TriangulationError("missing 'tets N' header")
     return Triangulation(tet_count, gluings, name=name)

@@ -463,23 +463,39 @@ def _typed(res):
 @contextmanager
 def same_pivots():
     """Within the block, every lp_core._solve call is also solved by
-    fraction_simplex, and the two result dicts must be identical, entry
-    types included.  Yields the list of the statuses compared so far."""
-    integer = lp_core._solve
+    fraction_simplex.  The two must pivot on the same (row, column)
+    pairs in the same order, and their result dicts must be identical,
+    entry types included.  Yields the list of the statuses compared so
+    far."""
+    global _fraction_pivot
+    integer, integer_pivot = lp_core._solve, lp_core._pivot
+    fraction_pivot = _fraction_pivot
     statuses = []
+    steps = {integer_pivot: [], fraction_pivot: []}
+
+    def logged(pivot):
+        def step(*args):
+            steps[pivot].append(args[-2:])
+            pivot(*args)
+        return step
 
     def both(sparse, rhs, cost, free):
+        for log in steps.values():
+            log.clear()
         res = integer(sparse, rhs, cost, free)
         assert _typed(res) == _typed(fraction_simplex(sparse, rhs, cost,
                                                       free)), res
+        assert steps[integer_pivot] == steps[fraction_pivot], res
         statuses.append(res["status"])
         return res
 
-    lp_core._solve = both
+    lp_core._solve, lp_core._pivot = both, logged(integer_pivot)
+    _fraction_pivot = logged(fraction_pivot)
     try:
         yield statuses
     finally:
-        lp_core._solve = integer
+        lp_core._solve, lp_core._pivot = integer, integer_pivot
+        _fraction_pivot = fraction_pivot
 
 
 def dense_system(coeffs, rhs, signs):

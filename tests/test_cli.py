@@ -112,6 +112,16 @@ def test_validate_unparseable_file_is_input_error(capsys, tmp_path):
     assert "bad tetrahedron count" in err
 
 
+def test_validate_gluing_error_names_its_line(capsys, tmp_path):
+    bad = tmp_path / "x.tri"
+    bad.write_text("tets 2\nglue 5 0 1 0 0123\n", encoding="utf-8")
+    code, out, err = run(capsys, ["validate", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == \
+        "error: %s: line 2: tetrahedron index 5 out of range" % bad
+
+
 def test_validate_non_utf8_file_is_input_error(capsys, tmp_path):
     bad = tmp_path / "binary.tri"
     bad.write_bytes(b"\xff\xfe\x00tets")
@@ -233,6 +243,19 @@ def test_certify_malformed_json_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["certify", paths["tri"], str(bad)])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, command):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000, encoding="utf-8")
+    code, out, err = run(capsys, [command, paths["tri"], str(deep)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "error: %s: maximum recursion depth exceeded while decoding a "
+        "JSON array from a unicode string" % deep)
 
 
 @pytest.mark.parametrize("command,key,payload", [

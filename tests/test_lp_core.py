@@ -311,17 +311,16 @@ def test_pivot_that_is_not_a_unit():
 
 def test_objective_denominators_differ_from_the_row_denominators():
     # After phase 1, x0 is basic in a row over denominator 2 (2/3 over
-    # 2/3 leaves x1/2); its cost 1/2 then prices x1 at -1/4, which needs
-    # the objective over 4, not over lcm(2, 2).
+    # 2/3 leaves x1/2); its cost 1/2 then prices x1 at -1/4, so the
+    # phase-2 row is over 4, not over lcm(2, 2).
     sys = oracles.dense_system([[F(2, 3), F(1, 3)]], [F(1, 3)],
                                [NONNEG, NONNEG])
     obj = [F(1, 2), F(0)]
-    res = minimize_linear(obj, sys)
+    with oracles.same_pivots() as statuses:
+        res = minimize_linear(obj, sys)
+    assert statuses == ["optimal"]
     assert oracles.bf_minimize(obj, sys) == ("optimal", F(0))
     assert res == Optimum(value=F(0), x=(F(0), F(1)))
-    rows = [[2, 1, 3, 1], [0, 0, 0, 0]]
-    assert lp_core._priced(rows, [2, 1], [0], [F(1, 2), F(0), F(0)]) == \
-        ([0, -1, -3, -1], 4)
 
 
 def test_updated_row_is_reduced_by_its_gcd():

@@ -49,7 +49,12 @@ def test_parse_format_round_trip_on_fixtures():
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(TriangulationError) as err:
         parse_triangulation(text)
-    assert fragment in str(err.value)
+    # Each bad line is the last line of its text, and every error but
+    # the missing header starts with that line's number.
+    message = str(err.value)
+    assert fragment in message
+    assert not text or message.startswith(
+        "line %d: " % len(text.splitlines()))
 
 
 def test_edge_classes_match_union_find_on_every_fixture():
