@@ -4,26 +4,38 @@ A matrix is a sequence of rows, each a sequence of (column, coefficient)
 pairs; absent columns are zero.  The compatibility equations have at
 most four nonzeros per row, so elimination keeps each row as a dict of
 its nonzero entries and reduces it against the pivot rows found so far,
-leading column first.  Everything stays rational.
+leading column first.  The elimination is fraction-free: each row is
+scaled to integers over the lcm of its denominators, which keeps its
+rank, and every pivot row is primitive with a positive leading entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
 def rank(rows) -> int:
-    """The rank of the matrix whose sparse rows are given."""
-    pivots = {}  # leading column -> reduced row with a 1 in that column
+    """The rank of the matrix whose sparse rows are given; coefficients
+    are ints or Fractions."""
+    pivots = {}  # leading column -> primitive integer row, positive there
     for pairs in rows:
-        row = {c: Fraction(v) for c, v in pairs if v}
+        entries = [(c, v) for c, v in pairs if v]
+        den = lcm(*(v.denominator for _, v in entries))
+        row = {c: v.numerator * (den // v.denominator) for c, v in entries}
         while row:
             lead = min(row)
-            if lead not in pivots:
-                pivots[lead] = {c: v / row[lead] for c, v in row.items()}
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row.values())
+                if row[lead] < 0:
+                    g = -g
+                pivots[lead] = {c: v // g for c, v in row.items()}
                 break
-            f = row[lead]
-            for c, v in pivots[lead].items():
+            g = gcd(pivot[lead], row[lead])
+            p, f = pivot[lead] // g, row[lead] // g
+            if p != 1:
+                row = {c: v * p for c, v in row.items()}
+            for c, v in pivot.items():
                 w = row.get(c, 0) - f * v
                 if w:
                     row[c] = w

@@ -13,6 +13,7 @@ decision), 1 = invalid input, 2 = precondition or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -256,11 +257,12 @@ def cmd_solve(args) -> int:
               "inputs": {"triangulation": dig_t, "ac": dig_ac},
               "exit_code": EXIT_OK}
     if isinstance(result, AngleAssignment):
-        realized = realized_area_curvature(result, t)
         report["result"] = "assignment"
         report["assignment"] = angles_to_json(result)
         report["classification"] = classify(result)
-        report["realized"] = ac_to_json(realized)
+        # The finders return an assignment only after
+        # existence._check_realization found its realized data equal to ac.
+        report["realized"] = ac_to_json(ac)
         lines = ["%s assignment found" % report["classification"],
                  "angles: %s" % " ".join(_vector(result.angles))]
     else:
@@ -357,7 +359,10 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  parse_args
+    does not change it and no default is mutable, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="anglestruct",
         description="exact angle-structure existence, certification, and "

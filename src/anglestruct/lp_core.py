@@ -62,7 +62,8 @@ class LinearSystem:
             for c, v in pairs:
                 if not (isinstance(c, int) and 0 <= c < len(sg)):
                     raise LPError("no column %r" % (c,))
-                row[c] = row.get(c, 0) + Fraction(v)
+                v = Fraction(v)
+                row[c] = row[c] + v if c in row else v
             sparse.append(tuple((c, v) for c, v in sorted(row.items()) if v))
         return cls(rows=tuple(sparse), rhs=b, signs=sg)
 

@@ -12,9 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from anglestruct import cli
 from anglestruct.angle_structures import (
     ac_from_json,
+    ac_to_json,
     angles_from_json,
+    realized_area_curvature,
 )
 from anglestruct.cli import main
 from anglestruct.fixtures import fixture, fixture_names
@@ -156,6 +159,18 @@ def test_analyze_with_boundary_skips_canonical_basis(capsys, tmp_path):
         assert entry["link_euler"] == 1
 
 
+def assert_realized_recomputes(paths, rep):
+    """The report's realized data, recomputed from its own assignment,
+    equals both the report's field and the target file."""
+    with open(paths["tri"], encoding="utf-8") as fh:
+        t = parse_triangulation(fh.read(), name="fig8")
+    alpha = angles_from_json(rep["assignment"])
+    recomputed = ac_to_json(realized_area_curvature(alpha, t))
+    with open(paths["ac"], encoding="utf-8") as fh:
+        target = json.load(fh)
+    assert recomputed == rep["realized"] == target
+
+
 def test_solve_strict_on_realizable_target(capsys, tmp_path):
     paths = write_fixture(capsys, tmp_path, "fig8")
     code, out, _ = run(capsys, ["solve", paths["tri"], paths["ac"],
@@ -164,9 +179,7 @@ def test_solve_strict_on_realizable_target(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["result"] == "assignment"
     assert rep["classification"] == "strict"
-    with open(paths["ac"], encoding="utf-8") as fh:
-        target = json.load(fh)
-    assert rep["realized"] == target
+    assert_realized_recomputes(paths, rep)
     assert len(rep["assignment"]["angles"]) == 12
 
 
@@ -179,6 +192,7 @@ def test_solve_semi_mode(capsys, tmp_path):
     assert rep["mode"] == "semi"
     assert rep["result"] == "assignment"
     assert rep["classification"] in ("semi", "strict")
+    assert_realized_recomputes(paths, rep)
 
 
 def test_solve_infeasible_target_is_still_a_decision(capsys, tmp_path):
@@ -406,6 +420,26 @@ def test_argparse_usage_errors(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    out_path = tmp_path / "R.json"
+    code, _, _ = run(capsys, ["solve", paths["tri"], paths["ac"],
+                              "--mode", "semi", "--out", str(out_path),
+                              "--json"])
+    assert code == 0
+    out_path.unlink()
+    code, out, _ = run(capsys, ["solve", paths["tri"], paths["ac"],
+                                "--json"])
+    assert code == 0
+    assert json.loads(out)["mode"] == "strict"
+    assert not out_path.exists()
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

@@ -36,6 +36,23 @@ def test_rank_matches_pivot_count_and_transpose():
         assert r <= min(len(m), len(m[0]))
 
 
+def test_rank_on_rational_entries():
+    # rows with non-integer entries are scaled to integers over the lcm of
+    # their denominators before elimination
+    rng = random.Random(13)
+    for _ in range(40):
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+              for _ in range(rng.randint(1, 6))]]
+        cols = len(m[0])
+        m += [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+               for _ in range(cols)] for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            # a rational combination of two rows keeps the rank below full
+            a, b = Fraction(rng.randint(1, 5), 3), Fraction(-2, 7)
+            m.append([a * x + b * y for x, y in zip(m[0], m[-1])])
+        assert rank(sparse(m)) == _rank(m)
+
+
 def test_nullspace_vectors_are_in_the_kernel():
     rng = random.Random(11)
     for _ in range(30):
