@@ -13,7 +13,6 @@ decision), 1 = invalid input, 2 = precondition or usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -359,10 +358,7 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use.  parse_args
-    does not change it and no default is mutable, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="anglestruct",
         description="exact angle-structure existence, certification, and "

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from anglestruct import cli
 from anglestruct.angle_structures import (
     ac_from_json,
     ac_to_json,
@@ -420,26 +419,6 @@ def test_argparse_usage_errors(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path):
-    assert cli._build_parser() is cli._build_parser()
-    paths = write_fixture(capsys, tmp_path, "fig8")
-    out_path = tmp_path / "R.json"
-    code, _, _ = run(capsys, ["solve", paths["tri"], paths["ac"],
-                              "--mode", "semi", "--out", str(out_path),
-                              "--json"])
-    assert code == 0
-    out_path.unlink()
-    code, out, _ = run(capsys, ["solve", paths["tri"], paths["ac"],
-                                "--json"])
-    assert code == 0
-    assert json.loads(out)["mode"] == "strict"
-    assert not out_path.exists()
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

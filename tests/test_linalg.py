@@ -5,9 +5,12 @@ from anglestruct._linalg import rank
 from oracles import _rank, nullspace
 
 
-def rand_matrix(rng, rows, cols, lo=-5, hi=5):
-    return [[Fraction(rng.randint(lo, hi)) for _ in range(cols)]
-            for _ in range(rows)]
+def rand_matrix(rng, rows, cols, lo=-5, hi=5, den=1):
+    """Entries n/d with lo <= n <= hi and 1 <= d <= den."""
+    def entry():
+        n = rng.randint(lo, hi)
+        return Fraction(n, rng.randint(1, den)) if den > 1 else Fraction(n)
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
 def sparse(matrix):
@@ -27,30 +30,21 @@ def test_rank_on_known_sparse_matrix():
 
 
 def test_rank_matches_pivot_count_and_transpose():
+    # integer entries first, then rational ones, which rank scales to
+    # integers over the lcm of each row's denominators
     rng = random.Random(7)
-    for _ in range(30):
-        m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        r = rank(sparse(m))
-        mt = [list(col) for col in zip(*m)]
-        assert r == rank(sparse(mt)) == _rank(m)
-        assert r <= min(len(m), len(m[0]))
-
-
-def test_rank_on_rational_entries():
-    # rows with non-integer entries are scaled to integers over the lcm of
-    # their denominators before elimination
-    rng = random.Random(13)
-    for _ in range(40):
-        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-              for _ in range(rng.randint(1, 6))]]
-        cols = len(m[0])
-        m += [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-               for _ in range(cols)] for _ in range(rng.randint(0, 5))]
-        if rng.random() < 0.5:
-            # a rational combination of two rows keeps the rank below full
-            a, b = Fraction(rng.randint(1, 5), 3), Fraction(-2, 7)
-            m.append([a * x + b * y for x, y in zip(m[0], m[-1])])
-        assert rank(sparse(m)) == _rank(m)
+    for den in (1, 4):
+        for _ in range(30):
+            m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), den=den)
+            if den > 1 and rng.random() < 0.5:
+                # a rational combination of two rows keeps the rank below
+                # full
+                a, b = Fraction(rng.randint(1, 5), 3), Fraction(-2, 7)
+                m.append([a * x + b * y for x, y in zip(m[0], m[-1])])
+            r = rank(sparse(m))
+            mt = [list(col) for col in zip(*m)]
+            assert r == rank(sparse(mt)) == _rank(m)
+            assert r <= min(len(m), len(m[0]))
 
 
 def test_nullspace_vectors_are_in_the_kernel():
