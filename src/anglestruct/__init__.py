@@ -62,7 +62,6 @@ from .normal_coords import (
     NormalCoordinateError,
     SolutionBasis,
     chi_star,
-    chi_star_disk,
     combine,
     compatibility_system,
     decompose,

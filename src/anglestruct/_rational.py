@@ -7,7 +7,12 @@ readers never have to guess whether a value is exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# ASCII digits only, with an optional sign on the numerator: int() alone
+# would also take "1_0", non-ASCII digits and inner whitespace.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def format_rational(x) -> str:
@@ -16,11 +21,8 @@ def format_rational(x) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    s = text.strip()
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError):
+    match = _RATIONAL.fullmatch(text.strip())
+    den = int(match[2] or 1) if match else 0
+    if not den:
         raise ValueError("not an exact rational: %r" % text)
+    return Fraction(int(match[1]), den)

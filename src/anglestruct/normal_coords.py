@@ -79,16 +79,6 @@ class NormalCoordinate:
     def tri(self, tet: int, l: int) -> Fraction:
         return self.tris[4 * tet + l]
 
-    def scale(self, c):
-        c = Fraction(c)
-        return NormalCoordinate(quads=tuple(c * v for v in self.quads),
-                                tris=tuple(c * v for v in self.tris))
-
-    def add(self, other):
-        return NormalCoordinate(
-            quads=tuple(a + b for a, b in zip(self.quads, other.quads)),
-            tris=tuple(a + b for a, b in zip(self.tris, other.tris)))
-
 
 @dataclass(frozen=True)
 class CompatibilitySystem:
@@ -144,25 +134,6 @@ def is_in_solution_space(sys: CompatibilitySystem,
             "coordinate has %d entries, system has %d columns"
             % (len(vec), sys.columns))
     return all(sum(a * vec[c] for c, a in row) == 0 for row in sys.rows)
-
-
-def chi_star_disk(t: Triangulation, disk) -> Fraction:
-    """The chi_star weight of one disk type: chi_star of the coordinate
-    that is 1 on that disk type and 0 elsewhere.
-
-    ``disk`` is ("tri", tet, vertex) or ("quad", tet, type).
-    """
-    kind, i, which = disk
-    n = t.tet_count
-    if kind == "quad":
-        column = 3 * i + which
-    elif kind == "tri":
-        column = 3 * n + 4 * i + which
-    else:
-        raise NormalCoordinateError("unknown disk kind %r" % (kind,))
-    unit = [Fraction(0)] * (7 * n)
-    unit[column] = Fraction(1)
-    return chi_star(t, NormalCoordinate.from_vector(n, unit))
 
 
 def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
@@ -305,18 +276,24 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
                          edge_classes=edge_classes)
 
 
+def _add_scaled(total: list, c, w: NormalCoordinate) -> None:
+    """Add c times w into the coordinate list total."""
+    c = Fraction(c)
+    for col, x in enumerate(w.vector):
+        if x:
+            total[col] += c * x
+
+
 def combine(basis: SolutionBasis, omega, z) -> NormalCoordinate:
     """The solution-space element with tetrahedral weights omega and edge
     weights z."""
     n = len(basis.w_sigma)
-    s = NormalCoordinate.zero(n)
-    for w, c in zip(basis.w_sigma, omega):
-        if c != 0:
-            s = s.add(w.scale(c))
-    for w, c in zip(basis.w_edge, z):
-        if c != 0:
-            s = s.add(w.scale(c))
-    return s
+    total = [Fraction(0)] * (7 * n)
+    for vecs, weights in ((basis.w_sigma, omega), (basis.w_edge, z)):
+        for w, c in zip(vecs, weights):
+            if c != 0:
+                _add_scaled(total, c, w)
+    return NormalCoordinate.from_vector(n, total)
 
 
 def decompose(t: Triangulation, s: NormalCoordinate,
@@ -333,11 +310,12 @@ def decompose(t: Triangulation, s: NormalCoordinate,
         raise NormalCoordinateError(
             "coordinate is not in the solution space")
     z = tuple(_edge_coefficient(s, cls) for cls in basis.edge_classes)
-    residual = s
+    n = t.tet_count
+    residual = list(s.vector)
     for w, c in zip(basis.w_edge, z):
         if c != 0:
-            residual = residual.add(w.scale(-c))
-    omega = tuple(residual.tri(i, 0) for i in range(t.tet_count))
+            _add_scaled(residual, -c, w)
+    omega = tuple(residual[3 * n + 4 * i] for i in range(n))
     check = combine(basis, omega, z)
     if check.vector != s.vector:
         raise BasisVerificationError(

@@ -168,13 +168,19 @@ class Triangulation:
             ", %r" % self.name if self.name else "")
 
 
+def _is_digits(field: str) -> bool:
+    """Whether field is ASCII digits alone, as int() would not check."""
+    return field.isascii() and field.isdigit()
+
+
 def parse_triangulation(text: str, name: str = "") -> Triangulation:
     """Parse the plain-text gluing table format.
 
     The first non-comment line is ``tets N``; every further line reads
     ``glue I F J G P`` where P is four characters over 0123 giving the
-    vertex permutation.  ``#`` starts a comment.  Unglued faces are
-    boundary faces.  Errors carry the offending line number.
+    vertex permutation.  N, I, F, J and G are ASCII digits, with no
+    sign.  ``#`` starts a comment.  Unglued faces are boundary faces.
+    Errors carry the offending line number.
     """
     tet_count = None
     gluings = {}
@@ -187,20 +193,18 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
             if tet_count is None:
                 if fields[0] != "tets" or len(fields) != 2:
                     raise TriangulationError("expected 'tets N' header")
-                try:
-                    tet_count = int(fields[1])
-                except ValueError:
+                if not _is_digits(fields[1]):
                     raise TriangulationError(
                         "bad tetrahedron count %r" % (fields[1],))
+                tet_count = int(fields[1])
                 if tet_count < 1:
                     raise TriangulationError("need at least one tetrahedron")
                 continue
             if fields[0] != "glue" or len(fields) != 6:
                 raise TriangulationError("expected 'glue I F J G P'")
-            try:
-                i, f, j, g = (int(x) for x in fields[1:5])
-            except ValueError:
+            if not all(map(_is_digits, fields[1:5])):
                 raise TriangulationError("bad index")
+            i, f, j, g = (int(x) for x in fields[1:5])
             p = fields[5]
             if len(p) != 4 or set(p) != {"0", "1", "2", "3"}:
                 raise TriangulationError("bad permutation %r" % (p,))
@@ -238,108 +242,92 @@ class EdgeClass:
         return len(self.corners)
 
 
-def _edge_step(t, tet, oriented, exit_face):
-    """Cross the gluing at exit_face, following an oriented tet-edge.
+def _walk(t, state):
+    """Walk round an edge from state (tet, oriented tet-edge, enter face,
+    exit face), crossing the gluing at each exit face.
 
-    Returns (tet', oriented', enter_face', exit_face') on the far side, or
-    None when exit_face is a boundary face.
+    Returns the corners met and, when the walk leaves through an unglued
+    face, its last state; None when it closes up at the start state.
     """
-    glu = t.gluing(tet, exit_face)
-    if glu is None:
-        return None
-    j, g, perm = glu
-    u, v = oriented
-    u2, v2 = perm[u], perm[v]
-    f1, f2 = FACES_AT_EDGE[EDGE_INDEX[(u2, v2)]]
-    return j, (u2, v2), g, (f2 if f1 == g else f1)
-
-
-def _canonical_cycle(corners):
-    best = None
-    seqs = (corners, corners[::-1])
-    for seq in seqs:
-        for r in range(len(seq)):
-            rot = seq[r:] + seq[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
+    start = state
+    corners = []
+    while True:
+        i, (u, v), _, exit_face = state
+        corners.append((i, EDGE_INDEX[(u, v)]))
+        glu = t.gluing(i, exit_face)
+        if glu is None:
+            return corners, state
+        j, g, perm = glu
+        f1, f2 = FACES_AT_EDGE[EDGE_INDEX[(perm[u], perm[v])]]
+        state = (j, (perm[u], perm[v]), g, f2 if f1 == g else f1)
+        if state == start:
+            return corners, None
 
 
 def build_edge_classes(t: Triangulation):
     """Edge classes of the quotient, ordered by their least corner.
 
     Corners are grouped by walking around each edge through the face
-    gluings.  An edge whose walk reaches an unglued face slot is a
-    boundary edge (the walk is a path); otherwise the walk closes up into
-    a cycle.  Walking, rather than plain union-find over corners, keeps
-    the corner order and counts a wedge twice when the edge is folded
-    onto itself, which is what the angle sums around the edge need.
+    gluings.  A walk that leaves through an unglued face is walked again
+    from that end, so a boundary edge is the path between its two
+    unglued faces; otherwise the walk closes up into a cycle.  Walking,
+    rather than plain union-find over corners, keeps the corner order and
+    counts a wedge twice when the edge is folded onto itself, which is
+    what the angle sums around the edge need.  Each path or cycle is
+    stored as the least of its readings in either direction, from any
+    start for a cycle.
     """
     raw = []
-    done_open_slots = set()
-    on_path = set()
-    for i in range(t.tet_count):
-        for k in range(6):
-            for f in FACES_AT_EDGE[k]:
-                if t.gluing(i, f) is not None or (i, k, f) in done_open_slots:
-                    continue
-                done_open_slots.add((i, k, f))
-                f1, f2 = FACES_AT_EDGE[k]
-                cur = (i, EDGE_VERTICES[k], f, f2 if f1 == f else f1)
-                corners = [(i, k)]
-                while True:
-                    nxt = _edge_step(t, cur[0], cur[1], cur[3])
-                    if nxt is None:
-                        done_open_slots.add(
-                            (cur[0], EDGE_INDEX[cur[1]], cur[3]))
-                        break
-                    cur = nxt
-                    corners.append((cur[0], EDGE_INDEX[cur[1]]))
-                on_path.update(corners)
-                corners = tuple(corners)
-                raw.append((min(corners), True,
-                            min(corners, corners[::-1])))
-    seen = set(on_path)
+    seen = set()
     for i in range(t.tet_count):
         for k in range(6):
             if (i, k) in seen:
                 continue
-            f1, f2 = FACES_AT_EDGE[k]
-            start = (i, EDGE_VERTICES[k], f1)
-            cur = (i, EDGE_VERTICES[k], f1, f2)
-            corners = []
-            while True:
-                corners.append((cur[0], EDGE_INDEX[cur[1]]))
-                nxt = _edge_step(t, cur[0], cur[1], cur[3])
-                if nxt is None:
-                    raise TriangulationError(
-                        "internal: edge cycle hit a boundary face")
-                cur = nxt
-                if (cur[0], cur[1], cur[2]) == start:
-                    break
+            corners, end = _walk(t, (i, EDGE_VERTICES[k]) + FACES_AT_EDGE[k])
+            if end is not None:
+                j, oriented, enter, exit_face = end
+                corners, _ = _walk(t, (j, oriented, exit_face, enter))
             seen.update(corners)
-            corners = _canonical_cycle(tuple(corners))
-            raw.append((min(corners), False, corners))
+            turns = range(len(corners)) if end is None else (0,)
+            corners = min(tuple(seq[r:] + seq[:r]) for seq in
+                          (corners, corners[::-1]) for r in turns)
+            raw.append((min(corners), end is not None, corners))
     raw.sort()
     return tuple(EdgeClass(index=n, corners=corners, is_boundary=bdry)
                  for n, (_, bdry, corners) in enumerate(raw))
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def _components(nodes, links):
+    """Connected components of a signed graph, in order of least node.
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent.setdefault(p, p)
-            x, p = p, self.parent[p]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    ``links`` are (a, b, sign) triples with sign +1 or -1.  Each
+    component comes back as (its sorted nodes, clash), clash being
+    whether no choice of node signs s has s[b] == s[a] * sign on every
+    link inside it.
+    """
+    adjacent = {}
+    for a, b, sign in links:
+        adjacent.setdefault(a, []).append((b, sign))
+        adjacent.setdefault(b, []).append((a, sign))
+    signs = {}
+    out = []
+    for start in sorted(nodes):
+        if start in signs:
+            continue
+        signs[start] = 1
+        stack, members, clash = [start], [start], False
+        while stack:
+            a = stack.pop()
+            for b, sign in adjacent.get(a, ()):
+                want = signs[a] * sign
+                if b not in signs:
+                    signs[b] = want
+                    stack.append(b)
+                    members.append(b)
+                elif signs[b] != want:
+                    clash = True
+        out.append((sorted(members), clash))
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,8 +336,10 @@ class VertexClass:
 
     The link surface is assembled from one triangle per (tet, vertex)
     corner, with sides matched across the face gluings.  ``link_euler``
-    is V - E + F of that surface and ``link_closed`` records whether all
-    triangle sides found partners.
+    is V - E + F of that surface, ``link_closed`` records whether all
+    triangle sides found partners, and ``link_orientable`` whether the
+    triangles can be oriented so that every matched side pair is
+    reversed.
     """
     index: int
     corners: tuple
@@ -358,63 +348,38 @@ class VertexClass:
     link_orientable: bool
 
 
-def _link_direction(v, a, b):
-    """Direction of the link-triangle side {a,b} at vertex v.
-
-    The corner triangle at v has its three link vertices labelled by the
-    opposite tet vertices; the reference orientation is their ascending
-    cyclic order.
-    """
-    w = [x for x in range(4) if x != v]
-    succ = {w[0]: w[1], w[1]: w[2], w[2]: w[0]}
-    return (a, b) if succ[a] == b else (b, a)
-
-
 def build_vertex_classes(t: Triangulation):
-    """Vertex classes of the quotient, ordered by their least corner."""
-    uf = _UnionFind()
-    ends = _UnionFind()
-    for i in range(t.tet_count):
-        for v in range(4):
-            uf.find((i, v))
-        for k in range(6):
-            for v in EDGE_VERTICES[k]:
-                ends.find((i, k, v))
-    for (i, f), (j, g), perm in t.glued_pairs():
-        for v in FACE_VERTICES[f]:
-            uf.union((i, v), (j, perm[v]))
-        for u, v in combinations(FACE_VERTICES[f], 2):
-            k = EDGE_INDEX[(u, v)]
-            k2 = EDGE_INDEX[(perm[u], perm[v])]
-            ends.union((i, k, u), (j, k2, perm[u]))
-            ends.union((i, k, v), (j, k2, perm[v]))
+    """Vertex classes of the quotient, ordered by their least corner.
 
-    groups = {}
-    for i in range(t.tet_count):
-        for v in range(4):
-            groups.setdefault(uf.find((i, v)), []).append((i, v))
-    ordered = sorted(groups.values())
-    class_of = {}
-    for n, corners in enumerate(ordered):
-        for c in corners:
-            class_of[c] = n
+    Corner (i, v) carries the link triangle on the other three vertices,
+    oriented by their ascending cyclic order.  A gluing matches two such
+    triangles along a side, and their orientations fit together (give
+    that side opposite directions) exactly when
+    -parity(perm) * (-1)**(v + perm[v]) is +1.
+    """
+    links = [((i, v), (j, perm[v]),
+              -perm_parity(perm) * (-1) ** (v + perm[v]))
+             for (i, f), (j, g), perm in t.glued_pairs()
+             for v in FACE_VERTICES[f]]
+    classes = _components(
+        [(i, v) for i in range(t.tet_count) for v in range(4)], links)
+    class_of = {c: n for n, (corners, _) in enumerate(classes)
+                for c in corners}
 
-    # Link vertices: one per class of edge ends, attributed to the vertex
-    # class of the end's vertex.
-    v_count = [0] * len(ordered)
-    end_roots = set()
-    for i in range(t.tet_count):
-        for k in range(6):
-            for v in EDGE_VERTICES[k]:
-                root = ends.find((i, k, v))
-                if root not in end_roots:
-                    end_roots.add(root)
-                    v_count[class_of[(root[0], root[2])]] += 1
+    # Link vertices: the two ends of each edge class, or one end when a
+    # repeated corner shows that a fold swaps them.
+    v_count = [0] * len(classes)
+    for e in t.edge_classes:
+        i, k = e.corners[0]
+        u, w = EDGE_VERTICES[k]
+        v_count[class_of[(i, u)]] += 1
+        if len(set(e.corners)) == e.valence:
+            v_count[class_of[(i, w)]] += 1
 
     # Link edges: each matched pair of triangle sides gives one edge, each
     # unmatched side one boundary edge.
-    e_count = [0] * len(ordered)
-    closed = [True] * len(ordered)
+    e_count = [0] * len(classes)
+    closed = [True] * len(classes)
     for i in range(t.tet_count):
         for v in range(4):
             n = class_of[(i, v)]
@@ -426,45 +391,11 @@ def build_vertex_classes(t: Triangulation):
                     closed[n] = False
                 else:
                     e_count[n] += 1
-    e_count = [x // 2 for x in e_count]
-
-    orientable = _link_orientability(t, class_of, len(ordered))
     return tuple(
         VertexClass(index=n, corners=tuple(corners),
-                    link_euler=v_count[n] - e_count[n] + len(corners),
-                    link_closed=closed[n], link_orientable=orientable[n])
-        for n, corners in enumerate(ordered))
-
-
-def _link_orientability(t, class_of, n_classes):
-    """Two-color the link triangles; a parity clash means non-orientable."""
-    adj = {}
-    for (i, f), (j, g), perm in t.glued_pairs():
-        for v in FACE_VERTICES[f]:
-            a, b = (x for x in FACE_VERTICES[f] if x != v)
-            p, q = _link_direction(v, a, b)
-            r, s = _link_direction(perm[v], perm[a], perm[b])
-            rel = 1 if (perm[p], perm[q]) == (s, r) else -1
-            adj.setdefault((i, v), []).append(((j, perm[v]), rel))
-            adj.setdefault((j, perm[v]), []).append(((i, v), rel))
-    orientable = [True] * n_classes
-    sign = {}
-    for i in range(t.tet_count):
-        for v in range(4):
-            if (i, v) in sign:
-                continue
-            sign[(i, v)] = 1
-            stack = [(i, v)]
-            while stack:
-                cur = stack.pop()
-                for other, rel in adj.get(cur, ()):
-                    want = sign[cur] * rel
-                    if other not in sign:
-                        sign[other] = want
-                        stack.append(other)
-                    elif sign[other] != want:
-                        orientable[class_of[cur]] = False
-    return orientable
+                    link_euler=v_count[n] - e_count[n] // 2 + len(corners),
+                    link_closed=closed[n], link_orientable=not clash)
+        for n, (corners, clash) in enumerate(classes))
 
 
 def is_orientable(t: Triangulation) -> bool:
@@ -473,26 +404,10 @@ def is_orientable(t: Triangulation) -> bool:
     A gluing between coherently oriented tetrahedra is compatible exactly
     when its vertex permutation is odd.
     """
-    sign = {}
-    for start in range(t.tet_count):
-        if start in sign:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for f in range(4):
-                glu = t.gluing(i, f)
-                if glu is None:
-                    continue
-                j, _, perm = glu
-                want = sign[i] * (-perm_parity(perm))
-                if j not in sign:
-                    sign[j] = want
-                    stack.append(j)
-                elif sign[j] != want:
-                    return False
-    return True
+    links = [(i, j, -perm_parity(perm))
+             for (i, _), (j, _), perm in t.glued_pairs()]
+    components = _components(range(t.tet_count), links)
+    return not any(clash for _, clash in components)
 
 
 def is_ideal_triangulation(t: Triangulation):

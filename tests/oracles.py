@@ -6,7 +6,10 @@ comes from a Smith normal form over the dual spine with its own one-step
 traversal, and linear programs are settled by exhaustive enumeration of
 basic solutions instead of simplex pivoting.  The angle system is
 rebuilt as dense rows, cell by cell, with folded tet-edges found by a
-union-find of their own.  The quad-slice maximum is too large to
+union-find of their own.  Orientability, of the tetrahedra and of each
+vertex link, comes from a union-find over (node, +1/-1) pairs, with
+each link gluing's sign read off the directions of the glued triangle
+sides.  The quad-slice maximum is too large to
 enumerate; it reruns the simplex on the slice program with every free
 column split into a nonnegative pair, so the solver's own free-column
 handling is checked against its plain nonnegative path.  The simplex
@@ -632,3 +635,77 @@ def link_euler_oracle(t, corners) -> int:
              for i, v in corner_set for k in range(6)
              if v in EDGE_VERTICES[k]}
     return len(verts) - len(arcs) + faces
+
+
+def _signed_clashes(links):
+    """The nodes of signed links (a, b, sign) whose two signs a union-find
+    over (node, +1) and (node, -1) pairs joins: each link ties (a, s) to
+    (b, s * sign) for both s, and a clash spreads over its component."""
+    uf = UnionFind()
+    for a, b, sign in links:
+        for s in (1, -1):
+            uf.union((a, s), (b, s * sign))
+    return {a for a, _ in list(uf.parent)
+            if uf.find((a, 1)) == uf.find((a, -1))}
+
+
+def orientable_oracle(t) -> bool:
+    """Whether the tetrahedra can be oriented so that every gluing
+    reverses orientation: a gluing ties tet j's orientation to tet i's,
+    flipped by an even vertex permutation."""
+    links = []
+    for (i, _), (j, _), perm in t.glued_pairs():
+        inversions = sum(1 for a, b in combinations(range(4), 2)
+                         if perm[a] > perm[b])
+        links.append((i, j, 1 if inversions % 2 else -1))
+    return not _signed_clashes(links)
+
+
+def _link_direction(v, a, b):
+    """Direction of the link-triangle side {a, b} at vertex v, with the
+    triangle oriented by the ascending cyclic order of the three labels
+    other than v."""
+    w = [x for x in range(4) if x != v]
+    succ = {w[0]: w[1], w[1]: w[2], w[2]: w[0]}
+    return (a, b) if succ[a] == b else (b, a)
+
+
+def link_orientable_oracle(t, corners) -> bool:
+    """Whether the link of the vertex class with these corners is
+    orientable.  Two link triangles matched across a gluing agree when
+    the glued side's direction in one maps to the reverse of its
+    direction in the other."""
+    links = []
+    for (i, f), (j, g), perm in t.glued_pairs():
+        for v in range(4):
+            if v == f:
+                continue
+            a, b = (x for x in range(4) if x not in (f, v))
+            p, q = _link_direction(v, a, b)
+            r, s = _link_direction(perm[v], perm[a], perm[b])
+            agree = (perm[p], perm[q]) == (s, r)
+            links.append(((i, v), (j, perm[v]), 1 if agree else -1))
+    return not (_signed_clashes(links) & set(corners))
+
+
+def is_edge_walk(t, cls) -> bool:
+    """Whether repeated _step from some state of the first corner reads
+    off the class's corners in order: from an unglued face to an unglued
+    face for a boundary class, and back to that state for the others."""
+    i, k = cls.corners[0]
+    for oriented in (EDGE_VERTICES[k], EDGE_VERTICES[k][::-1]):
+        for enter, exit_face in (FACES_AT_EDGE[k], FACES_AT_EDGE[k][::-1]):
+            if cls.is_boundary and t.gluing(i, enter) is not None:
+                continue
+            start = cur = (i, oriented, enter, exit_face)
+            walked = [(i, k)]
+            while len(walked) <= len(cls.corners) and \
+                    t.gluing(cur[0], cur[3]) is not None:
+                cur = _step(t, cur[0], cur[1], cur[3])
+                if cur == start:
+                    break
+                walked.append((cur[0], EDGE_INDEX[cur[1]]))
+            closed = t.gluing(cur[0], cur[3]) is not None
+            if tuple(walked) == cls.corners and closed != cls.is_boundary:
+                return True
+    return False

@@ -124,6 +124,21 @@ def test_validate_gluing_error_names_its_line(capsys, tmp_path):
         "error: %s: line 2: tetrahedron index 5 out of range" % bad
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("tets 1_0\n", 1, "bad tetrahedron count '1_0'"),
+    ("tets 1\nglue 0 0 0 \u0661 1023\n", 2, "bad index"),
+])
+def test_validate_rejects_non_ascii_digit_numbers(capsys, tmp_path, text,
+                                                   line, message):
+    bad = tmp_path / "digits.tri"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["validate", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == \
+        "error: %s: line %d: %s" % (bad, line, message)
+
+
 def test_validate_non_utf8_file_is_input_error(capsys, tmp_path):
     bad = tmp_path / "binary.tri"
     bad.write_bytes(b"\xff\xfe\x00tets")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from anglestruct import (NormalCoordinate, build_edge_classes,
-                         build_vertex_classes, chi_star, chi_star_disk,
+                         build_vertex_classes, chi_star,
                          combine, compatibility_system, decompose, fixture,
                          fixture_names, is_in_solution_space,
                          solution_space_basis, z_functional)
@@ -64,15 +64,21 @@ def test_compatibility_dimensions():
     assert (len(sys1.matrix), len(sys1.matrix[0])) == (18, 21)
 
 
+def unit(t, column):
+    """The coordinate that is 1 on one disk type and 0 elsewhere."""
+    vec = [0] * (7 * t.tet_count)
+    vec[column] = 1
+    return NormalCoordinate.from_vector(t.tet_count, vec)
+
+
 def test_chi_star_disk_weights():
+    # Columns are the 3n quads, then the 4n triangles, tet-major.
     fig8 = fixture("fig8").triangulation
-    assert chi_star_disk(fig8, ("tri", 0, 0)) == 0
-    assert chi_star_disk(fig8, ("quad", 1, 2)) == Fraction(-1, 3)
+    assert chi_star(fig8, unit(fig8, 6 + 0)) == 0              # tri 0, 0
+    assert chi_star(fig8, unit(fig8, 3 + 2)) == Fraction(-1, 3)  # quad 1, 2
     one = fixture("one-tet").triangulation
-    assert chi_star_disk(one, ("tri", 0, 3)) == 1
-    assert chi_star_disk(one, ("quad", 0, 0)) == 1
-    with pytest.raises(NormalCoordinateError):
-        chi_star_disk(fig8, ("pentagon", 0, 0))
+    assert chi_star(one, unit(one, 3 + 3)) == 1                # tri 0, 3
+    assert chi_star(one, unit(one, 0)) == 1                    # quad 0, 0
 
 
 def test_basis_solutions_and_their_chi_star():
@@ -162,9 +168,15 @@ def test_decompose_rejects_vectors_outside_the_space():
 
 
 def test_normal_coordinate_arithmetic():
-    a = NormalCoordinate(quads=(Fraction(1), Fraction(0), Fraction(2)),
-                         tris=(Fraction(1),) * 4)
-    b = a.scale(Fraction(1, 2))
-    assert b.quad(0, 2) == 1 and b.tri(0, 3) == Fraction(1, 2)
-    c = a.add(b)
-    assert c.quad(0, 0) == Fraction(3, 2)
+    # combine adds the scaled basis vectors entry by entry.
+    fig8 = fixture("fig8").triangulation
+    basis = solution_space_basis(fig8)
+    omega, z = (Fraction(1, 2), Fraction(-3)), (Fraction(2, 3), Fraction(0))
+    s = combine(basis, omega, z)
+    vecs = basis.w_sigma + basis.w_edge
+    assert s.vector == tuple(
+        sum(c * w.vector[col] for c, w in zip(omega + z, vecs))
+        for col in range(14))
+    w = basis.w_edge[0]
+    assert s.quad(0, 2) == Fraction(-1, 2) + Fraction(2, 3) * w.quad(0, 2)
+    assert s.tri(1, 3) == Fraction(-3) + Fraction(2, 3) * w.tri(1, 3)

@@ -4,11 +4,14 @@ Each table pairs the 4n face slots at random and glues each pair by a
 random permutation carrying one face to the other, so folded edges,
 self-glued tetrahedra and non-manifold vertex links all occur.  Up to
 two of the pairs are then left unglued, which gives boundary faces.
-Every table also checks the angle system against a dense build, cell by
-cell.  Closed one-tetrahedron tables also check the semi and strict
-solvers against brute-force enumeration, and every closed table checks
-the quad-slice certification against the same program solved with its
-free columns split in two.  The angle systems of every table, in both
+Every table checks its edge classes, vertex links and orientability
+against oracles that read the gluings directly, the corner order of
+each edge class against a step-by-step walk, and the angle system
+against a dense build, cell by cell.  Closed one-tetrahedron tables
+also check the semi and strict solvers against brute-force
+enumeration, and every closed table checks the quad-slice
+certification against the same program solved with its free columns
+split in two.  The angle systems of every table, in both
 modes, and the quad-slice program are also solved over the Fraction
 tableau, which must give the same results.
 """
@@ -27,9 +30,9 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          chi_area_curvature, chi_via_lemma2, combine,
                          compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
-                         is_in_solution_space, realized_area_curvature,
-                         solution_space_basis, solve_feasibility_nonneg,
-                         solve_feasibility_strict)
+                         is_in_solution_space, is_orientable,
+                         realized_area_curvature, solution_space_basis,
+                         solve_feasibility_nonneg, solve_feasibility_strict)
 
 
 @st.composite
@@ -70,6 +73,14 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     assert corners == [(i, v) for i in range(n) for v in range(4)]
     for v in t.vertex_classes:
         assert v.link_euler == oracles.link_euler_oracle(t, v.corners)
+        assert v.link_orientable == \
+            oracles.link_orientable_oracle(t, v.corners)
+        assert v.link_closed == all(t.gluing(i, f) is not None
+                                    for i, l in v.corners
+                                    for f in range(4) if f != l)
+    assert is_orientable(t) == oracles.orientable_oracle(t)
+    for e in t.edge_classes:
+        assert oracles.is_edge_walk(t, e)
 
     csys = t.compatibility_system
     assert csys == compatibility_system(t)

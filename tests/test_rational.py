@@ -17,9 +17,12 @@ def test_parse_accepts_bare_integers_and_fractions():
     assert parse_rational("7") == 7
     assert parse_rational(" -3/9 ") == Fraction(-1, 3)
     assert parse_rational("0/5") == 0
+    assert parse_rational("+1/2") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5", "2 3"])
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5", "2 3",
+                                 "1_0/3", "\u0661/\u0663", "1/+2", " 1 / 2 ",
+                                 "1/-2"])
 def test_parse_rejects_inexact_or_malformed(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -37,9 +37,13 @@ def test_parse_format_round_trip_on_fixtures():
     ("", "missing 'tets N' header"),
     ("glue 0 0 1 0 0123", "line 1: expected 'tets N' header"),
     ("tets x", "line 1: bad tetrahedron count"),
+    ("tets 1_0", "line 1: bad tetrahedron count"),
+    ("tets \u0662", "line 1: bad tetrahedron count"),
+    ("tets +2", "line 1: bad tetrahedron count"),
     ("tets 0", "line 1: need at least one"),
     ("tets 1\nglue 0 0 0 1", "line 2: expected 'glue I F J G P'"),
     ("tets 1\nglue 0 0 0 q 0123", "line 2: bad index"),
+    ("tets 1\nglue 0 0 0 0_1 1023", "line 2: bad index"),
     ("tets 1\nglue 0 0 0 1 0124", "line 2: bad permutation"),
     ("tets 2\nglue 0 0 1 0 0213\nglue 1 0 0 0 0312", "non-involutive"),
     ("tets 1\nglue 0 0 2 0 0213", "index 2 out of range"),
@@ -176,3 +180,13 @@ def test_random_tables_round_trip(tmp_path):
         t = Triangulation(n)
         text = format_triangulation(t)
         assert parse_triangulation(text).tet_count == n
+
+
+def test_klein_bottle_vertex_link():
+    # One tetrahedron with two self-gluings: its single vertex class has
+    # a closed link of Euler characteristic 0 that is not orientable.
+    t = parse_triangulation("tets 1\nglue 0 0 0 2 2013\nglue 0 1 0 3 0312\n")
+    (vc,) = build_vertex_classes(t)
+    assert (vc.link_euler, vc.link_closed, vc.link_orientable) == \
+        (0, True, False)
+    assert not is_orientable(t)
