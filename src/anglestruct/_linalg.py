@@ -1,12 +1,13 @@
-"""Exact rank of sparse rational matrices.
+"""Exact echelon form of sparse rational matrices.
 
 A matrix is a sequence of rows, each a sequence of (column, coefficient)
 pairs; absent columns are zero.  The compatibility equations have at
 most four nonzeros per row, so elimination keeps each row as a dict of
 its nonzero entries and reduces it against the pivot rows found so far,
 leading column first.  The elimination is fraction-free: each row is
-scaled to integers over the lcm of its denominators, which keeps its
-rank, and every pivot row is primitive with a positive leading entry.
+scaled to integers over the lcm of its denominators, which keeps the
+row space, and every pivot row is primitive with a positive leading
+entry.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
-def rank(rows) -> int:
-    """The rank of the matrix whose sparse rows are given; coefficients
-    are ints or Fractions."""
-    pivots = {}  # leading column -> primitive integer row, positive there
+def echelon(rows) -> dict:
+    """An echelon form of the matrix whose sparse rows are given, as
+    leading column -> pivot row, each a dict of its nonzero int entries,
+    all in columns >= the leading one, primitive and positive there.  The
+    pivot rows span the row space; coefficients are ints or Fractions."""
+    pivots = {}
     for pairs in rows:
         entries = [(c, v) for c, v in pairs if v]
         den = lcm(*(v.denominator for _, v in entries))
@@ -41,4 +44,10 @@ def rank(rows) -> int:
                     row[c] = w
                 else:
                     del row[c]
-    return len(pivots)
+    return pivots
+
+
+def rank(rows) -> int:
+    """The rank of the matrix whose sparse rows are given: the size of
+    its echelon form."""
+    return len(echelon(rows))

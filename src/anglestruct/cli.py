@@ -285,11 +285,9 @@ def cmd_certify(args) -> int:
     if isinstance(result, Holds):
         report["result"] = "holds"
         report["vacuous"] = result.vacuous
-        report["optimum"] = (None if result.optimum is None
-                             else format_rational(result.optimum))
-        lines = ["negative quad-area condition holds%s; optimum %s"
-                 % (" vacuously" if result.vacuous else "",
-                    report["optimum"])]
+        report["optimum"] = format_rational(result.optimum)
+        lines = ["negative quad-area condition holds; optimum %s"
+                 % report["optimum"]]
     else:
         report["result"] = "fails"
         report["optimum"] = format_rational(result.optimum)

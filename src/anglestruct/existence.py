@@ -12,7 +12,8 @@ The second deliverable is the certification of the quad-cone condition:
 a strict structure with nonpositive triangle areas exists if and only if
 every compatible normal class with nonnegative, not-all-zero quad part
 has negative total quad area against the semi assignment.  That is one
-exact LP over the normalized quad slice.
+exact LP over the normalized quad slice, its triangle part projected
+away.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import _linalg
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
@@ -30,14 +32,13 @@ from .angle_structures import (
     realized_area_curvature,
 )
 from .lp_core import (
-    FREE,
     NONNEG,
     STRICT_POS,
     Certificate,
     Infeasible,
     LinearSystem,
     NotStrict,
-    Unbounded,
+    Optimum,
     minimize_linear,
     solve_feasibility_nonneg,
     solve_feasibility_strict,
@@ -46,6 +47,7 @@ from .normal_coords import (
     NormalCoordinate,
     chi_star,
     combine,
+    is_in_solution_space,
     solution_space_basis,
 )
 from .triangulation import EDGE_VERTICES, EDGES_AT_VERTEX, Triangulation
@@ -132,9 +134,10 @@ def find_angle_structure(t: Triangulation, ac: AreaCurvature):
 
 @dataclass(frozen=True)
 class Holds:
-    """The quad-slice maximum is negative (or the slice is empty,
-    flagged vacuous): no compatible class can stop a strict upgrade."""
-    optimum: Optional[Fraction]
+    """The quad-slice maximum is negative: no compatible class can stop a
+    strict upgrade.  The slice is never empty, so vacuous is always
+    False; it stays as the field behind the report's "vacuous" key."""
+    optimum: Fraction
     vacuous: bool = False
 
 
@@ -153,29 +156,49 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     solution space with quad part >= 0 summing to 1, triangle part free.
     Holds when the maximum is negative.  The reported optimum is half the
     raw maximum, the exact gap chi^(A,k)(s) - chi*(s) at the optimizer.
+
+    The triangle part is projected away before the LP.  With the triangle
+    columns numbered first, the compatibility rows' echelon form has
+    triangle-led rows, which fix their leading triangle weight, and
+    quad-led rows, with quad entries alone: the LP runs on those and the
+    slice row over the 3n quads.  A witness gets its triangle weights by
+    back-substitution, last lead first, 0 on unled columns.  The program
+    is never infeasible: -W_sigma_0 / 3 (1/3 on tet 0's quads, -1/3 on
+    its triangles) lies in the slice.
     """
     if classify(alpha) == "generalized":
         raise ExistenceError("assignment is not semi")
     if alpha.tet_count != t.tet_count:
         raise ExistenceError("assignment size does not match")
     n = t.tet_count
-    rows = [*t.compatibility_system.rows, [(c, 1) for c in range(3 * n)]]
+    q, tris = 3 * n, 4 * n
+    # Triangle column q + l becomes l, and quad column c becomes tris + c.
+    echelon = _linalg.echelon(
+        [(c - q if c >= q else c + tris, v) for c, v in row]
+        for row in t.compatibility_system.rows)
+    rows = [[(c - tris, v) for c, v in row.items()]
+            for lead, row in echelon.items() if lead >= tris]
+    rows.append([(c, 1) for c in range(q)])
     rhs = [0] * (len(rows) - 1) + [1]
-    signs = [NONNEG] * (3 * n) + [FREE] * (4 * n)
     objective = [-area_of_quad(alpha, i, p)
                  for i in range(n) for p in range(3)]
-    objective += [Fraction(0)] * (4 * n)
-    res = minimize_linear(objective, LinearSystem.of(rows, rhs, signs))
-    if isinstance(res, Infeasible):
-        return Holds(optimum=None, vacuous=True)
-    if isinstance(res, Unbounded):
-        raise ExistenceError(
-            "internal error: quad-slice program unbounded")
+    res = minimize_linear(objective, LinearSystem.of(rows, rhs, [NONNEG] * q))
+    if not isinstance(res, Optimum):
+        raise ExistenceError("internal error: quad-slice program %s"
+                             % type(res).__name__.lower())
     raw_max = -res.value
     optimum = raw_max / 2
     if raw_max < 0:
         return Holds(optimum=optimum)
-    witness = NormalCoordinate.from_vector(n, res.x)
+    x = [Fraction(0)] * tris + list(res.x)
+    for lead in sorted((l for l in echelon if l < tris), reverse=True):
+        row = echelon[lead]
+        x[lead] = -sum((v * x[c] for c, v in row.items() if c != lead),
+                       Fraction(0)) / row[lead]
+    witness = NormalCoordinate.from_vector(n, x[tris:] + x[:tris])
+    if not is_in_solution_space(t.compatibility_system, witness):
+        raise ExistenceError(
+            "internal error: quad-slice witness left the solution space")
     return Fails(optimum=optimum, witness=witness)
 
 

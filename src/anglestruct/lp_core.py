@@ -9,8 +9,8 @@ Below the constraint rows the tableau carries the phase-2 and then the
 phase-1 objective row: the reduced cost of every column, then minus the
 cost of the current basic solution.  Both are built once and only pivots
 change them; the residue, the optimum, the Farkas vector and the dual
-are read off them.  Free columns are not split in two: each enters the
-basis before phase 1 and never leaves it.
+are read off them.  Every column is sign-constrained: nonnegative, or
+strictly positive in the margin program.
 Three entry points cover what the rest of the package needs: feasibility
 of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
@@ -27,11 +27,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-FREE = "free"
 NONNEG = "nonneg"
 STRICT_POS = "strict-pos"
 
-_SIGNS = (FREE, NONNEG, STRICT_POS)
+_SIGNS = (NONNEG, STRICT_POS)
 
 
 class LPError(ValueError):
@@ -174,14 +173,13 @@ def _leaving(candidates):
     return None if best is None else best[3]
 
 
-def _pivot_loop(rows, dens, basis, ncols: int, free):
+def _pivot_loop(rows, dens, basis, ncols: int):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
     Entering variable: lowest-index column below ncols with negative
-    reduced cost in the objective row.  Leaving variable: minimum ratio
-    over the rows whose basic column is not free, ties broken by the
-    lowest basic variable index.  Returns None at optimality, else the
-    entering column of an unbounded ray.
+    reduced cost in the objective row.  Leaving variable: minimum ratio,
+    ties broken by the lowest basic variable index.  Returns None at
+    optimality, else the entering column of an unbounded ray.
     """
     while True:
         obj = rows[-1]
@@ -190,14 +188,14 @@ def _pivot_loop(rows, dens, basis, ncols: int, free):
             return None
         r = _leaving((row[-1], row[enter], b, r)
                      for r, (row, b) in enumerate(zip(rows, basis))
-                     if row[enter] > 0 and b not in free)
+                     if row[enter] > 0)
         if r is None:
             return enter
         _pivot(rows, dens, basis, r, enter)
 
 
-def _solve(sparse, rhs, cost, free):
-    """Two-phase simplex for min c.x, A x = b, x >= 0 off the free columns.
+def _solve(sparse, rhs, cost):
+    """Two-phase simplex for min c.x, A x = b, x >= 0.
 
     The tableau is exact and fraction-free: each row is a list of ints
     over one positive denominator, reduced by their gcd after each
@@ -207,14 +205,6 @@ def _solve(sparse, rhs, cost, free):
     Fractions.  The two objective rows below the constraint rows start
     as the reduced costs of the all-artificial basis: the costs, and 1
     on each artificial minus the sum of the constraint rows.
-
-    Free columns are not split.  Before phase 1 each one enters the basis
-    by one ratio test, the minimum of rhs / |a| over the rows no free
-    column holds yet, which keeps every artificial value >= 0 whatever
-    the pivot's sign; a free column that is zero on all those rows stays
-    zero there, and out of the basis.  Free basics never leave, and a
-    free column out of the basis with a nonzero phase-2 reduced cost is
-    an unbounded direction, signed against that cost.
 
     Returns a dict with status "optimal" (x, value, dual), "unbounded"
     (ray), or "infeasible" (farkas).  The phase-1 row, popped after
@@ -250,14 +240,7 @@ def _solve(sparse, rhs, cost, free):
              + [0] * (k + 1), [v // g for v in phase1]]
     dens += [d, den // g]
     basis = [t + i for i in range(k)]
-    for j in sorted(free):
-        r = _leaving((row[-1], abs(row[j]), b, r)
-                     for r, (row, b) in enumerate(zip(rows, basis))
-                     if row[j] and b not in free)
-        if r is not None:
-            _pivot(rows, dens, basis, r, j)
-
-    _pivot_loop(rows, dens, basis, t + k, free)
+    _pivot_loop(rows, dens, basis, t + k)
     obj, den = rows.pop(), dens.pop()
     if obj[-1] < 0:
         y = [scale[q] * (1 - Fraction(obj[t + q], den)) for q in range(k)]
@@ -272,18 +255,14 @@ def _solve(sparse, rhs, cost, free):
             if piv >= 0:
                 _pivot(rows, dens, basis, r, piv)
 
-    enter = next((j for j in sorted(free - set(basis)) if rows[-1][j]),
-                 None)
-    if enter is None:
-        enter = _pivot_loop(rows, dens, basis, t, free)
+    enter = _pivot_loop(rows, dens, basis, t)
     obj, den = rows[-1], dens[-1]
     if enter is not None:
         ray = [Fraction(0)] * t
-        ray[enter] = Fraction(-1 if obj[enter] > 0 else 1)
+        ray[enter] = Fraction(1)
         for r in range(k):
             if basis[r] < t and rows[r][enter]:
-                ray[basis[r]] = -ray[enter] * Fraction(rows[r][enter],
-                                                       dens[r])
+                ray[basis[r]] = -Fraction(rows[r][enter], dens[r])
         return {"status": "unbounded", "ray": tuple(ray)}
     x = [Fraction(0)] * t
     for r in range(k):
@@ -294,11 +273,10 @@ def _solve(sparse, rhs, cost, free):
             "value": -Fraction(obj[-1], den), "dual": tuple(dual)}
 
 
-def _free(sys: LinearSystem):
-    """The indices of the system's free columns; none may be strict-pos."""
+def _nonneg(sys: LinearSystem) -> None:
+    """Refuse strict-pos columns outside the margin program."""
     if STRICT_POS in sys.signs:
         raise LPError("strict-pos columns belong to solve_feasibility_strict")
-    return frozenset(j for j, s in enumerate(sys.signs) if s == FREE)
 
 
 def _verified(sys: LinearSystem, y, mode: str) -> Certificate:
@@ -310,13 +288,12 @@ def _verified(sys: LinearSystem, y, mode: str) -> Certificate:
 
 
 def solve_feasibility_nonneg(sys: LinearSystem):
-    """Find x with A x = b and constrained entries >= 0, or refute it.
+    """Find x with A x = b and x >= 0, or refute it.
 
-    The refutation is a Farkas vector y with A^T y <= 0 on constrained
-    columns, A^T y = 0 on free columns, and y.b > 0.
+    The refutation is a Farkas vector y with A^T y <= 0 and y.b > 0.
     """
-    res = _solve(sys.rows, sys.rhs, [Fraction(0)] * sys.col_count,
-                 _free(sys))
+    _nonneg(sys)
+    res = _solve(sys.rows, sys.rhs, [Fraction(0)] * sys.col_count)
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
     return Solution(x=res["x"])
@@ -341,7 +318,7 @@ def solve_feasibility_strict(sys: LinearSystem):
     rows.append(((t, Fraction(1)), (t + 1, Fraction(1))))
     rhs = tuple(sys.rhs) + (Fraction(1),)
     cost = [Fraction(0)] * t + [Fraction(-1), Fraction(0)]
-    res = _solve(rows, rhs, cost, frozenset())
+    res = _solve(rows, rhs, cost)
     if res["status"] == "infeasible":
         y = res["farkas"][:k]
     else:
@@ -354,11 +331,12 @@ def solve_feasibility_strict(sys: LinearSystem):
 
 
 def minimize_linear(objective, sys: LinearSystem):
-    """Exact minimum of objective.x over {A x = b, constrained x >= 0}."""
+    """Exact minimum of objective.x over {A x = b, x >= 0}."""
     objective = tuple(Fraction(v) for v in objective)
     if len(objective) != sys.col_count:
         raise LPError("objective length does not match column count")
-    res = _solve(sys.rows, sys.rhs, objective, _free(sys))
+    _nonneg(sys)
+    res = _solve(sys.rows, sys.rhs, objective)
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
     if res["status"] == "unbounded":
@@ -369,10 +347,10 @@ def minimize_linear(objective, sys: LinearSystem):
 def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
     """Recompute the Farkas sign conditions for the claimed mode.
 
-    nonneg mode: A^T y <= 0 on constrained columns, = 0 on free columns,
-    y.b > 0.  strict mode: the same column conditions with y.b >= 0, and
-    additionally the certificate must actually cut the open cone: either
-    y.b > 0 or some constrained column with A^T y strictly negative.
+    nonneg mode: A^T y <= 0 on every column, y.b > 0.  strict mode: the
+    same column conditions with y.b >= 0, and additionally the
+    certificate must actually cut the open cone: either y.b > 0 or some
+    column with A^T y strictly negative.
     Pure recomputation; never trusts solver state.
     """
     if mode not in ("nonneg", "strict"):
@@ -386,16 +364,8 @@ def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
         if yi:
             for c, v in row:
                 aty[c] += yi * v
-    cut = False
-    for w, sg in zip(aty, sys.signs):
-        if sg == FREE:
-            if w != 0:
-                return False
-        else:
-            if w > 0:
-                return False
-            if w < 0:
-                cut = True
+    if any(w > 0 for w in aty):
+        return False
     if mode == "nonneg":
         return ydotb > 0
-    return ydotb >= 0 and (ydotb > 0 or cut)
+    return ydotb > 0 or (ydotb == 0 and any(w < 0 for w in aty))

@@ -9,11 +9,11 @@ rebuilt as dense rows, cell by cell, with folded tet-edges found by a
 union-find of their own.  Orientability, of the tetrahedra and of each
 vertex link, comes from a union-find over (node, +1/-1) pairs, with
 each link gluing's sign read off the directions of the glued triangle
-sides.  The quad-slice maximum is too large to
-enumerate; it reruns the simplex on the slice program with every free
-column split into a nonnegative pair, so the solver's own free-column
-handling is checked against its plain nonnegative path.  The simplex
-itself is kept here as it was over a Fraction tableau, so that the
+sides.  The quad-slice maximum is too large to enumerate; it reruns the
+simplex on the unprojected slice program, over the full compatibility
+rows with every triangle column split into a nonnegative pair, so the
+solver's projection of the triangle columns is checked against a
+program that never projects.  The simplex itself is kept here as it was over a Fraction tableau, so that the
 integer tableau can be checked to take the same pivots.
 """
 
@@ -25,8 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from anglestruct import lp_core
-from anglestruct.lp_core import (Infeasible, LinearSystem, Optimum,
-                                 minimize_linear)
+from anglestruct.lp_core import LinearSystem, Optimum, minimize_linear
 
 EDGE_VERTICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 EDGE_INDEX = {}
@@ -353,14 +352,13 @@ def _fraction_priced(rows, basis, cost):
     return obj
 
 
-def _fraction_pivot_loop(rows, basis, ncols: int, free):
+def _fraction_pivot_loop(rows, basis, ncols: int):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
     Entering variable: lowest-index column below ncols with negative
-    reduced cost in the objective row.  Leaving variable: minimum ratio
-    over the rows whose basic column is not free, ties broken by the
-    lowest basic variable index.  Returns None at optimality, else the
-    entering column of an unbounded ray.
+    reduced cost in the objective row.  Leaving variable: minimum ratio,
+    ties broken by the lowest basic variable index.  Returns None at
+    optimality, else the entering column of an unbounded ray.
     """
     while True:
         obj = rows[-1]
@@ -370,7 +368,7 @@ def _fraction_pivot_loop(rows, basis, ncols: int, free):
         best = None
         for r in range(len(basis)):
             a = rows[r][enter]
-            if a > 0 and basis[r] not in free:
+            if a > 0:
                 key = (rows[r][-1] / a, basis[r], r)
                 if best is None or key < best:
                     best = key
@@ -379,19 +377,11 @@ def _fraction_pivot_loop(rows, basis, ncols: int, free):
         _fraction_pivot(rows, basis, best[2], enter)
 
 
-def fraction_simplex(sparse, rhs, cost, free):
+def fraction_simplex(sparse, rhs, cost):
     """lp_core._solve as it was over a Fraction tableau, kept to check
     that the integer tableau takes the same pivots.
 
-    Two-phase simplex for min c.x, A x = b, x >= 0 off the free columns.
-
-    Free columns are not split.  Before phase 1 each one enters the basis
-    by one ratio test, the minimum of rhs / |a| over the rows no free
-    column holds yet, which keeps every artificial value >= 0 whatever
-    the pivot's sign; a free column that is zero on all those rows stays
-    zero there, and out of the basis.  Free basics never leave, and a
-    free column out of the basis with a nonzero phase-2 reduced cost is
-    an unbounded direction, signed against that cost.
+    Two-phase simplex for min c.x, A x = b, x >= 0.
 
     Returns a dict with status "optimal" (x, value, dual), "unbounded"
     (ray), or "infeasible" (farkas).  The residue, the value, and the
@@ -412,16 +402,9 @@ def fraction_simplex(sparse, rhs, cost, free):
         row[-1] = scale[i] * rhs[i]
         rows.append(row)
     basis = [t + i for i in range(k)]
-    for j in sorted(free):
-        best = min(((rows[r][-1] / abs(rows[r][j]), basis[r], r)
-                    for r in range(k)
-                    if rows[r][j] and basis[r] not in free), default=None)
-        if best is not None:
-            _fraction_pivot(rows, basis, best[2], j)
-
     phase1 = [Fraction(0)] * t + [Fraction(1)] * k
     rows.append(_fraction_priced(rows, basis, phase1))
-    _fraction_pivot_loop(rows, basis, t + k, free)
+    _fraction_pivot_loop(rows, basis, t + k)
     obj = rows[-1]
     if obj[-1] < 0:
         y = [scale[q] * (1 - obj[t + q]) for q in range(k)]
@@ -438,15 +421,13 @@ def fraction_simplex(sparse, rhs, cost, free):
 
     rows[-1] = obj = _fraction_priced(rows, basis,
                                       list(cost) + [Fraction(0)] * k)
-    enter = next((j for j in sorted(free - set(basis)) if obj[j]), None)
-    if enter is None:
-        enter = _fraction_pivot_loop(rows, basis, t, free)
+    enter = _fraction_pivot_loop(rows, basis, t)
     if enter is not None:
         ray = [Fraction(0)] * t
-        ray[enter] = Fraction(-1 if obj[enter] > 0 else 1)
+        ray[enter] = Fraction(1)
         for r in range(k):
             if basis[r] < t and rows[r][enter]:
-                ray[basis[r]] = -ray[enter] * rows[r][enter]
+                ray[basis[r]] = -rows[r][enter]
         return {"status": "unbounded", "ray": tuple(ray)}
     x = [Fraction(0)] * t
     for r in range(k):
@@ -482,12 +463,12 @@ def same_pivots():
             pivot(*args)
         return step
 
-    def both(sparse, rhs, cost, free):
+    def both(sparse, rhs, cost):
         for log in steps.values():
             log.clear()
-        res = integer(sparse, rhs, cost, free)
-        assert _typed(res) == _typed(fraction_simplex(sparse, rhs, cost,
-                                                      free)), res
+        res = integer(sparse, rhs, cost)
+        expect = fraction_simplex(sparse, rhs, cost)
+        assert _typed(res) == _typed(expect), res
         assert steps[integer_pivot] == steps[fraction_pivot], res
         statuses.append(res["status"])
         return res
@@ -511,17 +492,6 @@ def dense_system(coeffs, rhs, signs):
         rhs, signs)
 
 
-def _split_free(sys):
-    colmap = []
-    for c, sg in enumerate(sys.signs):
-        colmap.append((c, 1))
-        if sg == "free":
-            colmap.append((c, -1))
-    coeffs = [[sgn * row[orig] for orig, sgn in colmap]
-              for row in sys.coeffs]
-    return coeffs, colmap
-
-
 def quad_areas(alpha, n):
     """Per quad type, its tetrahedron's angle total minus the opposite
     pair it does not cross, minus 2 (the angles are in units of pi)."""
@@ -535,35 +505,32 @@ def quad_areas(alpha, n):
 
 def quad_slice_max(t, alpha):
     """The raw maximum of the quad-area pairing over the quad slice
-    (solution space, quads >= 0 summing to 1, triangles free), or None
-    when the slice is empty."""
+    (solution space, quads >= 0 summing to 1, triangles free), solved on
+    the full compatibility rows: each triangle column becomes a pair of
+    nonnegative columns, the second negated."""
     n = t.tet_count
-    rows = [list(row) for row in t.compatibility_system.matrix]
-    rows.append([Fraction(1)] * (3 * n) + [Fraction(0)] * (4 * n))
+    rows = [list(row) + [-v for v in row[3 * n:]]
+            for row in t.compatibility_system.matrix]
+    rows.append([Fraction(1)] * (3 * n) + [Fraction(0)] * (8 * n))
     rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
-    signs = ["nonneg"] * (3 * n) + ["free"] * (4 * n)
-    cost = [-a for a in quad_areas(alpha, n)] + [Fraction(0)] * (4 * n)
-    coeffs, colmap = _split_free(dense_system(rows, rhs, signs))
-    split = dense_system(coeffs, rhs, ["nonneg"] * len(colmap))
-    res = minimize_linear([sgn * cost[orig] for orig, sgn in colmap], split)
-    if isinstance(res, Infeasible):
-        return None
+    cost = [-a for a in quad_areas(alpha, n)] + [Fraction(0)] * (8 * n)
+    res = minimize_linear(cost, dense_system(rows, rhs,
+                                             ["nonneg"] * (11 * n)))
     if not isinstance(res, Optimum):
-        raise ValueError("quad-slice program unbounded")
+        raise ValueError("quad-slice program %s" % type(res).__name__)
     return -res.value
 
 
 def bf_feasible(sys) -> bool:
     """Sign-constrained feasibility by basic-solution enumeration."""
-    coeffs, colmap = _split_free(sys)
     return any(all(v >= 0 for v in x)
-               for x in _basic_solutions(coeffs, list(sys.rhs)))
+               for x in _basic_solutions(sys.coeffs, list(sys.rhs)))
 
 
 def bf_minimize(objective, sys):
     """('infeasible', None) | ('unbounded', None) | ('optimal', value)."""
-    coeffs, colmap = _split_free(sys)
-    cost = [sgn * Fraction(objective[orig]) for orig, sgn in colmap]
+    coeffs = sys.coeffs
+    cost = [Fraction(v) for v in objective]
     t = len(cost)
     feas = [x for x in _basic_solutions(coeffs, list(sys.rhs))
             if all(v >= 0 for v in x)]

@@ -47,7 +47,7 @@ from anglestruct.existence import (
     find_semi_angle_structure,
 )
 from anglestruct.fixtures import fixture, fixture_names
-from anglestruct.lp_core import FREE, NONNEG, STRICT_POS
+from anglestruct.lp_core import NONNEG, STRICT_POS
 from anglestruct.normal_coords import NormalCoordinate, chi_star
 from anglestruct.perturbation import apply_theorem3
 from anglestruct.triangulation import build_vertex_classes
@@ -223,7 +223,7 @@ def test_criterion_4_farkas_soundness():
             [[F(rng.randint(-3, 3)) for _ in range(cols)]
              for _ in range(rows)],
             [F(rng.randint(-4, 4)) for _ in range(rows)],
-            [rng.choice([NONNEG, NONNEG, FREE]) for _ in range(cols)])
+            [NONNEG] * cols)
         res = solve_feasibility_nonneg(sys_)
         assert isinstance(res, Solution) == oracles.bf_feasible(sys_)
         if isinstance(res, Infeasible):
@@ -235,7 +235,7 @@ def test_criterion_4_farkas_soundness():
             [[F(rng.randint(-3, 3)) for _ in range(cols)]
              for _ in range(rows)],
             [F(rng.randint(-4, 4)) for _ in range(rows)],
-            [rng.choice([NONNEG, NONNEG, FREE]) for _ in range(cols)])
+            [NONNEG] * cols)
         obj = [F(rng.randint(-3, 3)) for _ in range(cols)]
         res = minimize_linear(obj, sys_)
         status, value = oracles.bf_minimize(obj, sys_)

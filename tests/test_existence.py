@@ -8,7 +8,8 @@ from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
                          build_edge_classes, certify_condition2,
                          check_corollary2, classify, find_angle_structure,
                          find_semi_angle_structure, fixture, identity_4_9,
-                         realized_area_curvature, verify_certificate)
+                         parse_triangulation, realized_area_curvature,
+                         verify_certificate)
 from anglestruct.lp_core import NONNEG, STRICT_POS
 
 F = Fraction
@@ -316,3 +317,18 @@ def test_degenerate_zero_corner_target_breaks_agreement_loudly():
 
     with pytest.raises(ExistenceError, match="equivalence violated"):
         check_corollary2(fig8, ac)
+
+
+@pytest.mark.xfail(strict=True, raises=ExistenceError,
+                   reason="Corollary 2's hypothesis does not yet exclude "
+                          "forced-zero angles")
+def test_check_corollary2_agrees_on_semi_data_with_a_zero_angle():
+    # Two tetrahedra with no folded edge; the strict side is refuted by a
+    # verified certificate while the quad slice gives Holds(-47/72).
+    t = parse_triangulation("tets 2\nglue 0 0 0 3 3120\nglue 0 1 1 3 0321\n"
+                            "glue 0 2 1 2 1320\nglue 1 0 1 1 1230\n")
+    alpha = AngleAssignment.from_vector(2, [F(v) for v in (
+        "1/36 1/12 0 5/18 5/18 7/36 5/18 1/3 1/18 1/36 5/18 1/18").split()])
+    rep = check_corollary2(t, realized_area_curvature(alpha, t))
+    assert not rep.hypothesis_met or \
+        rep.strict_exists == rep.condition2_holds

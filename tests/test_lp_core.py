@@ -10,8 +10,7 @@ from anglestruct import (Infeasible, LinearSystem, NotStrict, Optimum,
                          solve_feasibility_strict, verify_certificate)
 from anglestruct.existence import angle_linear_system
 from anglestruct import lp_core
-from anglestruct.lp_core import (FREE, NONNEG, STRICT_POS, Certificate,
-                                 LPError)
+from anglestruct.lp_core import NONNEG, STRICT_POS, Certificate, LPError
 
 F = Fraction
 
@@ -93,14 +92,6 @@ def test_minimize_examples():
     assert isinstance(res2, Optimum) and res2.value == -1
     assert res2.x[0] == 1
 
-    free = oracles.dense_system([[1, -1]], [0], [FREE, FREE])
-    res3 = minimize_linear([F(1), F(0)], free)
-    assert isinstance(res3, Unbounded)
-    ray = res3.ray
-    # the ray decreases the objective along the homogeneous system
-    assert sum(c * v for c, v in zip([F(1), F(0)], ray)) < 0
-    assert ray[0] - ray[1] == 0
-
     infeasible = oracles.dense_system([[1, 1], [1, 1]], [1, 2],
                                       [NONNEG, NONNEG])
     res4 = minimize_linear([F(1), F(1)], infeasible)
@@ -122,8 +113,9 @@ def test_verify_certificate_rejects_junk():
 
 
 def test_signs_are_validated():
-    with pytest.raises(LPError):
-        oracles.dense_system([[1, 1]], [1], [NONNEG, "sometimes"])
+    for sign in ("sometimes", "free"):
+        with pytest.raises(LPError):
+            oracles.dense_system([[1, 1]], [1], [NONNEG, sign])
     with pytest.raises(LPError):
         oracles.dense_system([[1, 1]], [1, 2], [NONNEG, NONNEG])
     sys = oracles.dense_system([[1, 1]], [1], [STRICT_POS, NONNEG])
@@ -143,7 +135,7 @@ def test_signs_are_validated():
 def test_linear_system_rows_are_sorted_nonzero_pairs():
     sys = LinearSystem.of(
         [[(2, 1), (0, F(1, 2)), (2, 1)], [(1, 3), (1, -3), (2, 0)], []],
-        [1, 0, 0], [NONNEG, NONNEG, FREE])
+        [1, 0, 0], [NONNEG] * 3)
     # repeated pairs add up, and zero sums and zero pairs are dropped
     assert sys.rows == (((0, F(1, 2)), (2, F(2))), (), ())
     zero = (F(0),) * 3
@@ -161,7 +153,7 @@ def test_coeffs_view_equals_the_dense_rows():
         cols = rng.randint(1, 5)
         dense = tuple(tuple(F(rng.randint(-2, 2)) for _ in range(cols))
                       for _ in range(rng.randint(1, 4)))
-        sys = oracles.dense_system(dense, [0] * len(dense), [FREE] * cols)
+        sys = oracles.dense_system(dense, [0] * len(dense), [NONNEG] * cols)
         assert sys.coeffs == dense
         assert all(v for row in sys.rows for _, v in row)
 
@@ -180,19 +172,17 @@ def test_determinism():
         assert minimize_linear(obj, sys).x == opt.x
 
 
-def rand_system(rng, rows, cols, signs_pool):
+def rand_system(rng, rows, cols):
     coeffs = [[F(rng.randint(-3, 3)) for _ in range(cols)]
               for _ in range(rows)]
     rhs = [F(rng.randint(-4, 4)) for _ in range(rows)]
-    signs = [rng.choice(signs_pool) for _ in range(cols)]
-    return oracles.dense_system(coeffs, rhs, signs)
+    return oracles.dense_system(coeffs, rhs, [NONNEG] * cols)
 
 
 def test_feasibility_agrees_with_brute_force_on_small_systems():
     rng = random.Random(2026)
     for trial in range(120):
-        sys = rand_system(rng, rng.randint(1, 3), rng.randint(1, 5),
-                          [NONNEG, NONNEG, FREE])
+        sys = rand_system(rng, rng.randint(1, 3), rng.randint(1, 5))
         res = solve_feasibility_nonneg(sys)
         expect = oracles.bf_feasible(sys)
         assert isinstance(res, Solution) == expect, (trial, sys)
@@ -206,8 +196,7 @@ def test_minimize_agrees_with_brute_force_on_small_systems():
     rng = random.Random(2027)
     for trial in range(100):
         cols = rng.randint(1, 5)
-        sys = rand_system(rng, rng.randint(1, 3), cols,
-                          [NONNEG, NONNEG, FREE])
+        sys = rand_system(rng, rng.randint(1, 3), cols)
         obj = [F(rng.randint(-3, 3)) for _ in range(cols)]
         res = minimize_linear(obj, sys)
         status, value = oracles.bf_minimize(obj, sys)
@@ -218,8 +207,7 @@ def test_minimize_agrees_with_brute_force_on_small_systems():
             ray = res.ray
             for row in sys.coeffs:
                 assert dot(row, ray) == 0, (trial, sys)
-            assert all(v >= 0 for v, sg in zip(ray, sys.signs)
-                       if sg != FREE), (trial, sys)
+            assert all(v >= 0 for v in ray), (trial, sys)
             assert dot(obj, ray) < 0, (trial, sys)
         else:
             assert isinstance(res, Optimum), (trial, sys)
@@ -252,16 +240,15 @@ def test_strict_agrees_with_brute_force_on_bounded_systems():
         done += 1
 
 
-def rand_rational_system(rng, rows, cols, signs_pool):
+def rand_rational_system(rng, rows, cols):
     coeffs = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)]
               for _ in range(rows)]
     rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
-    signs = [rng.choice(signs_pool) for _ in range(cols)]
-    return oracles.dense_system(coeffs, rhs, signs)
+    return oracles.dense_system(coeffs, rhs, [NONNEG] * cols)
 
 
 def test_integer_tableau_takes_the_fraction_simplex_pivots():
-    # Free, nonneg and negative-rhs rows, with integer and with rational
+    # Nonneg columns and negative-rhs rows, with integer and with rational
     # entries and costs; each system is also solved as a strict one,
     # which runs the margin program.
     rng = random.Random(2029)
@@ -269,7 +256,7 @@ def test_integer_tableau_takes_the_fraction_simplex_pivots():
         for trial in range(160):
             build = rand_system if trial % 2 else rand_rational_system
             cols = rng.randint(1, 6)
-            sys = build(rng, rng.randint(1, 4), cols, [NONNEG, NONNEG, FREE])
+            sys = build(rng, rng.randint(1, 4), cols)
             obj = [F(rng.randint(-6, 6), rng.randint(1, 4))
                    for _ in range(cols)]
             solve_feasibility_nonneg(sys)
@@ -278,24 +265,6 @@ def test_integer_tableau_takes_the_fraction_simplex_pivots():
                 sys.rows, sys.rhs, [STRICT_POS] * cols))
     assert set(statuses) == {"optimal", "unbounded", "infeasible"}
     assert len(statuses) == 3 * 160
-
-
-def test_free_column_entering_on_a_negative_pivot():
-    # x0 is free; its ratio test picks row 0, rhs 3 over |-2|, so it
-    # enters on the pivot -2.
-    sys = oracles.dense_system([[-2, 1, 0], [1, 1, 1]], [3, 6],
-                               [FREE, NONNEG, NONNEG])
-    obj = [F(1), F(0), F(0)]
-    res = minimize_linear(obj, sys)
-    assert oracles.bf_minimize(obj, sys) == ("optimal", F(-3, 2))
-    assert res == Optimum(value=F(-3, 2), x=(F(-3, 2), F(0), F(15, 2)))
-    rows = [[-2, 1, 0, 3], [1, 1, 1, 6]]
-    dens = [1, 1]
-    basis = [3, 4]
-    lp_core._pivot(rows, dens, basis, 0, 0)
-    # Row 0 holds x0 = -3/2 + x1/2 over denominator 2: sign flipped.
-    assert (rows, dens, basis) == ([[2, -1, 0, -3], [0, 3, 2, 15]],
-                                   [2, 2], [0, 4])
 
 
 def test_pivot_that_is_not_a_unit():
@@ -344,6 +313,6 @@ def test_updated_row_is_reduced_by_its_gcd():
     res = solve_feasibility_nonneg(bad)
     assert not oracles.bf_feasible(bad)
     assert res == Infeasible(certificate=Certificate(y=(F(1), F(-1, 2))))
-    assert oracles.fraction_simplex(bad.rows, bad.rhs, [F(0)] * 3,
-                                    frozenset())["farkas"] == (F(1), F(-1, 2))
+    assert oracles.fraction_simplex(bad.rows, bad.rhs,
+                                    [F(0)] * 3)["farkas"] == (F(1), F(-1, 2))
     assert verify_certificate(bad, res.certificate.y, "nonneg")

@@ -10,10 +10,10 @@ each edge class against a step-by-step walk, and the angle system
 against a dense build, cell by cell.  Closed one-tetrahedron tables
 also check the semi and strict solvers against brute-force
 enumeration, and every closed table checks the quad-slice
-certification against the same program solved with its free columns
-split in two.  The angle systems of every table, in both
-modes, and the quad-slice program are also solved over the Fraction
-tableau, which must give the same results.
+certification, which projects the triangle columns away, against the
+unprojected program with each triangle column split in two.  The angle
+systems of every table, in both modes, and the quad-slice program are
+also solved over the Fraction tableau, which must give the same results.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 import oracles
 from anglestruct import (AngleAssignment, AreaCurvature,
-                         BasisVerificationError, Fails, Triangulation,
+                         BasisVerificationError, Fails, NormalCoordinate,
+                         Triangulation,
                          angle_linear_system, certify_condition2,
                          chi_area_curvature, chi_via_lemma2, combine,
                          compatibility_system, decompose,
@@ -88,6 +89,12 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     for row, dense in zip(csys.rows, csys.matrix):
         assert dict(row) == {c: v for c, v in enumerate(dense) if v}
     assert csys.rank == oracles._rank(csys.matrix)
+    # -W_sigma_0 / 3 lies in the quad slice, so the slice is never empty.
+    third = NormalCoordinate(
+        quads=(Fraction(1, 3),) * 3 + (Fraction(0),) * (3 * n - 3),
+        tris=(Fraction(-1, 3),) * 4 + (Fraction(0),) * (4 * n - 4))
+    assert is_in_solution_space(csys, third)
+    assert min(third.quads) >= 0 and sum(third.quads) == 1
     # The angle system's sparse rows against a dense build, once without
     # and once with the cap rows that a positive area adds.
     area = data.draw(rationals(4 * n))
@@ -129,14 +136,14 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
                                 max_size=6 * n))
     alpha = AngleAssignment.from_vector(n, [Fraction(a, 36)
                                             for a in angles])
-    # The slice program has free triangle columns; the oracle solves it
-    # with each one split into a nonnegative pair.
+    # certify_condition2 projects the triangle columns away; the oracle
+    # keeps them, each split into a nonnegative pair.
     with oracles.same_pivots() as statuses:
         cert = certify_condition2(t, alpha)
     assert len(statuses) == 1
     raw_max = oracles.quad_slice_max(t, alpha)
-    assert isinstance(cert, Fails) == (raw_max is not None and raw_max >= 0)
-    assert cert.optimum == (None if raw_max is None else raw_max / 2)
+    assert isinstance(cert, Fails) == (raw_max >= 0)
+    assert cert.optimum == raw_max / 2
     if isinstance(cert, Fails):
         w = cert.witness
         assert is_in_solution_space(t.compatibility_system, w)
