@@ -1,18 +1,47 @@
-"""Exact echelon form of sparse rational matrices.
+"""Exact echelon form of sparse rational matrices, and the one
+fraction-free elimination step behind it and behind the simplex.
 
 A matrix is a sequence of rows, each a sequence of (column, coefficient)
 pairs; absent columns are zero.  The compatibility equations have at
 most four nonzeros per row, so elimination keeps each row as a dict of
-its nonzero entries and reduces it against the pivot rows found so far,
-leading column first.  The elimination is fraction-free: each row is
-scaled to integers over the lcm of its denominators, which keeps the
+its nonzero int entries and reduces it against the pivot rows found so
+far, leading column first.  The elimination is fraction-free: each row
+is scaled to integers over the lcm of its denominators, which keeps the
 row space, and every pivot row is primitive with a positive leading
-entry.
+entry.  `lp_core`'s tableau rows are dicts of the same kind, and its
+pivots take the same two steps, `_eliminate` and `_primitive`.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+
+
+def _primitive(row: dict, lead: int) -> dict:
+    """row divided by the gcd of its entries, positive at column lead;
+    row itself when that divisor is 1."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row: dict, pivot: dict, lead: int) -> dict:
+    """q*row - f*pivot, with q and f the entries of pivot and row at
+    column lead over their gcd, so that entry cancels; zero entries are
+    dropped.  q > 0 when pivot is positive at lead.  row is updated in
+    place when q == 1."""
+    g = gcd(pivot[lead], row[lead])
+    q, f = pivot[lead] // g, row[lead] // g
+    if q != 1:
+        row = {c: v * q for c, v in row.items()}
+    for c, v in pivot.items():
+        w = row.get(c, 0) - f * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    return row
 
 
 def echelon(rows) -> dict:
@@ -29,21 +58,9 @@ def echelon(rows) -> dict:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                g = gcd(*row.values())
-                if row[lead] < 0:
-                    g = -g
-                pivots[lead] = {c: v // g for c, v in row.items()}
+                pivots[lead] = _primitive(row, lead)
                 break
-            g = gcd(pivot[lead], row[lead])
-            p, f = pivot[lead] // g, row[lead] // g
-            if p != 1:
-                row = {c: v * p for c, v in row.items()}
-            for c, v in pivot.items():
-                w = row.get(c, 0) - f * v
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
+            row = _eliminate(row, pivot, lead)
     return pivots
 
 

@@ -2,9 +2,11 @@
 
 A two-phase tableau simplex with Bland's rule (deterministic,
 cycle-free), exact and with no floating point anywhere.  Systems and
-answers are fractions.Fraction; the tableau is fraction-free, each row a
-list of ints over one positive denominator that pivots keep reduced by
-the row's gcd, so a pivot costs int operations, not Fraction objects.
+answers are fractions.Fraction; the tableau is fraction-free and
+sparse, each row a dict of its nonzero ints whose entry at the row's
+basic column is its positive denominator.  A pivot is `_linalg`'s
+elimination step, the one the echelon form takes, and keeps every row
+primitive, so it costs int operations, not Fraction objects.
 Below the constraint rows the tableau carries the phase-2 and then the
 phase-1 objective row: the reduced cost of every column, then minus the
 cost of the current basic solution.  Both are built once and only pivots
@@ -25,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
+
+from ._linalg import _eliminate, _primitive
 
 NONNEG = "nonneg"
 STRICT_POS = "strict-pos"
@@ -120,43 +124,19 @@ class Unbounded:
     ray: tuple
 
 
-def _pivot(rows, dens, basis, r: int, j: int) -> None:
+def _pivot(rows, basis, r: int, j: int) -> None:
     """Pivot on (r, j).
 
-    Row r is rescaled to denominator p, its entry in column j made
-    positive, so it holds 1 there.  Each other row whose entry f in
-    column j is nonzero becomes v*p - f*w over d*p, with p and f first
-    divided by their gcd: when that leaves p == 1, the row is updated in
-    place over the pivot row's nonzeros and keeps its denominator.  Rows
-    with a zero in column j are not touched.
+    Row r is made primitive and positive at j, which makes its entry
+    there its denominator.  Every other row with an entry at j is
+    eliminated against it and made primitive, positive at its own basic
+    column, where its denominator stays.  Rows with no entry at j are
+    not touched.
     """
-    w = rows[r]
-    if w[j] < 0:
-        w = [-v for v in w]
-    g = gcd(*w)
-    if g > 1:
-        w = [v // g for v in w]
-    rows[r] = w
-    p = dens[r] = w[j]
-    nonzero = [(c, v) for c, v in enumerate(w) if v]
+    pivot = rows[r] = _primitive(rows[r], j)
     for i, row in enumerate(rows):
-        f = row[j]
-        if not f or i == r:
-            continue
-        d = dens[i]
-        g = gcd(p, f)
-        q, f = p // g, f // g
-        if q != 1:
-            row = rows[i] = [v * q for v in row]
-            d *= q
-        for c, v in nonzero:
-            row[c] -= f * v
-        if d > 1:
-            g = gcd(d, *row)
-            if g > 1:
-                rows[i] = [v // g for v in row]
-                d //= g
-        dens[i] = d
+        if j in row and i != r:
+            rows[i] = _primitive(_eliminate(row, pivot, j), basis[i])
     basis[r] = j
 
 
@@ -173,35 +153,39 @@ def _leaving(candidates):
     return None if best is None else best[3]
 
 
-def _pivot_loop(rows, dens, basis, ncols: int):
+def _pivot_loop(rows, basis, ncols: int, end: int):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
     Entering variable: lowest-index column below ncols with negative
-    reduced cost in the objective row.  Leaving variable: minimum ratio,
-    ties broken by the lowest basic variable index.  Returns None at
-    optimality, else the entering column of an unbounded ray.
+    reduced cost in the objective row.  Leaving variable: minimum ratio
+    of the rhs column end over the constraint rows, the rows basic below
+    end, ties broken by the lowest basic variable index.  Returns None
+    at optimality, else the entering column of an unbounded ray.
     """
     while True:
-        obj = rows[-1]
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = min((j for j, v in rows[-1].items() if v < 0 and j < ncols),
+                    default=None)
         if enter is None:
             return None
-        r = _leaving((row[-1], row[enter], b, r)
+        r = _leaving((row.get(end, 0), row[enter], b, r)
                      for r, (row, b) in enumerate(zip(rows, basis))
-                     if row[enter] > 0)
+                     if b < end and row.get(enter, 0) > 0)
         if r is None:
             return enter
-        _pivot(rows, dens, basis, r, enter)
+        _pivot(rows, basis, r, enter)
 
 
 def _solve(sparse, rhs, cost):
     """Two-phase simplex for min c.x, A x = b, x >= 0.
 
-    The tableau is exact and fraction-free: each row is a list of ints
-    over one positive denominator, reduced by their gcd after each
-    update.  A constraint row is built from its pairs over the lcm of its
-    denominators; Fractions appear again only at readout.  Signs, ratio
-    tests and so Bland's pivots are those of the same tableau over
+    The tableau is exact and fraction-free: each row is a dict of its
+    nonzero int entries over one positive denominator, the row's entry
+    at its basic column.  Columns t..t+k-1 are the artificials, t+k the
+    rhs, and t+k+1 and t+k+2 the identity columns that make the phase-2
+    and the phase-1 objective rows basic, so each holds its row's
+    denominator.  A constraint row is built from its pairs over the lcm
+    of its denominators; Fractions appear again only at readout.  Signs,
+    ratio tests and so Bland's pivots are those of the same tableau over
     Fractions.  The two objective rows below the constraint rows start
     as the reduced costs of the all-artificial basis: the costs, and 1
     on each artificial minus the sum of the constraint rows.
@@ -209,41 +193,42 @@ def _solve(sparse, rhs, cost):
     Returns a dict with status "optimal" (x, value, dual), "unbounded"
     (ray), or "infeasible" (farkas).  The phase-1 row, popped after
     phase 1, gives the residue and the Farkas vector, and the final
-    phase-2 row the value and the dual: an objective row's last entry is
+    phase-2 row the value and the dual: an objective row's rhs entry is
     minus its phase's cost, and at artificial column q it is that
     column's phase cost minus y_q, where y is in the scaled row
     orientation and is unscaled back to the caller's.
     """
     k = len(sparse)
     t = len(cost)
+    end = t + k
     scale = [1 if b >= 0 else -1 for b in rhs]
-    rows, dens = [], []
-    for i, pairs in enumerate(sparse):
-        d = lcm(rhs[i].denominator, *(v.denominator for _, v in pairs))
-        row = [0] * (t + k + 1)
-        for c, v in pairs:
-            row[c] = scale[i] * v.numerator * (d // v.denominator)
+    rows = []
+    for i, (pairs, b, s) in enumerate(zip(sparse, rhs, scale)):
+        pairs = (*pairs, (end, b))
+        d = lcm(*(v.denominator for _, v in pairs))
+        row = {c: s * v.numerator * (d // v.denominator)
+               for c, v in pairs if v}
         row[t + i] = d
-        row[-1] = scale[i] * rhs[i].numerator * (d // rhs[i].denominator)
         rows.append(row)
-        dens.append(d)
-    den = lcm(*dens)
-    phase1 = [0] * t + [den] * k + [0]
-    for row, d in zip(rows, dens):
-        f = den // d
-        for c, v in enumerate(row):
-            if v:
-                phase1[c] -= f * v
-    g = gcd(den, *phase1)
+    den = lcm(*(row[t + i] for i, row in enumerate(rows)))
+    phase1 = dict.fromkeys([*range(t, end), end + 2], den)
+    for i, row in enumerate(rows):
+        f = den // row[t + i]
+        for c, v in row.items():
+            phase1[c] = phase1.get(c, 0) - f * v
+    phase1 = {c: v for c, v in phase1.items() if v}
     d = lcm(*(c.denominator for c in cost))
-    rows += [[c.numerator * (d // c.denominator) for c in cost]
-             + [0] * (k + 1), [v // g for v in phase1]]
-    dens += [d, den // g]
-    basis = [t + i for i in range(k)]
-    _pivot_loop(rows, dens, basis, t + k)
-    obj, den = rows.pop(), dens.pop()
-    if obj[-1] < 0:
-        y = [scale[q] * (1 - Fraction(obj[t + q], den)) for q in range(k)]
+    obj = {j: c.numerator * (d // c.denominator)
+           for j, c in enumerate(cost) if c}
+    obj[end + 1] = d
+    rows += [obj, _primitive(phase1, end + 2)]
+    basis = [t + i for i in range(k)] + [end + 1, end + 2]
+    _pivot_loop(rows, basis, end, end)
+    obj = rows.pop()
+    den = obj[basis.pop()]
+    if obj.get(end, 0) < 0:
+        y = [scale[q] * (1 - Fraction(obj.get(t + q, 0), den))
+             for q in range(k)]
         return {"status": "infeasible", "farkas": tuple(y)}
 
     # Pivot leftover artificials out wherever a real column is available;
@@ -251,26 +236,26 @@ def _solve(sparse, rhs, cost):
     # columns and inert from here on.
     for r in range(k):
         if basis[r] >= t:
-            piv = next((j for j in range(t) if rows[r][j] != 0), -1)
-            if piv >= 0:
-                _pivot(rows, dens, basis, r, piv)
+            piv = min((j for j in rows[r] if j < t), default=None)
+            if piv is not None:
+                _pivot(rows, basis, r, piv)
 
-    enter = _pivot_loop(rows, dens, basis, t)
-    obj, den = rows[-1], dens[-1]
+    enter = _pivot_loop(rows, basis, t, end)
+    obj, den = rows[-1], rows[-1][end + 1]
     if enter is not None:
         ray = [Fraction(0)] * t
         ray[enter] = Fraction(1)
         for r in range(k):
-            if basis[r] < t and rows[r][enter]:
-                ray[basis[r]] = -Fraction(rows[r][enter], dens[r])
+            if basis[r] < t and enter in rows[r]:
+                ray[basis[r]] = -Fraction(rows[r][enter], rows[r][basis[r]])
         return {"status": "unbounded", "ray": tuple(ray)}
     x = [Fraction(0)] * t
     for r in range(k):
         if basis[r] < t:
-            x[basis[r]] = Fraction(rows[r][-1], dens[r])
-    dual = [-scale[q] * Fraction(obj[t + q], den) for q in range(k)]
+            x[basis[r]] = Fraction(rows[r].get(end, 0), rows[r][basis[r]])
+    dual = [-scale[q] * Fraction(obj.get(t + q, 0), den) for q in range(k)]
     return {"status": "optimal", "x": tuple(x),
-            "value": -Fraction(obj[-1], den), "dual": tuple(dual)}
+            "value": -Fraction(obj.get(end, 0), den), "dual": tuple(dual)}
 
 
 def _nonneg(sys: LinearSystem) -> None:

@@ -211,6 +211,8 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
             _glue(gluings, tet_count, i, f, j, g, tuple(int(c) for c in p))
         except TriangulationError as err:
             raise TriangulationError("line %d: %s" % (lineno, err))
+        except ValueError:  # past int()'s limit on digits
+            raise TriangulationError("line %d: number too long" % lineno)
     if tet_count is None:
         raise TriangulationError("missing 'tets N' header")
     return Triangulation(tet_count, gluings, name=name)

@@ -127,6 +127,11 @@ def test_validate_gluing_error_names_its_line(capsys, tmp_path):
 @pytest.mark.parametrize("text,line,message", [
     ("tets 1_0\n", 1, "bad tetrahedron count '1_0'"),
     ("tets 1\nglue 0 0 0 \u0661 1023\n", 2, "bad index"),
+    # int() refuses more than 4300 digits with a plain ValueError
+    pytest.param("tets %s\n" % ("9" * 5000), 1, "number too long",
+                 id="tets-5000-digits"),
+    pytest.param("tets 1\nglue 0 0 %s 0 1023\n" % ("9" * 5000), 2,
+                 "number too long", id="glue-5000-digits"),
 ])
 def test_validate_rejects_non_ascii_digit_numbers(capsys, tmp_path, text,
                                                    line, message):

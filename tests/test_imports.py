@@ -3,7 +3,8 @@
 Every module uses each name it imports: a stdlib stand-in for pyflakes'
 unused-import check (F401); an import line marked ``# noqa: F401`` is
 kept on purpose and exempt.  No module reads a dense matrix view, and
-the simplex's per-pivot code uses no Fraction and no "/".
+the simplex's per-pivot code, with the elimination step it shares with
+the echelon form, uses no Fraction and no "/".
 """
 
 from __future__ import annotations
@@ -50,14 +51,21 @@ def test_package_reads_no_dense_view(path):
 
 
 def test_pivot_loop_stays_in_integers():
-    # The tableau is ints over one denominator per row; Fractions are
-    # built only at readout.  The per-pivot code neither calls Fraction
-    # nor divides with "/", so it cannot drift back to Fraction cells.
-    tree = ast.parse((PACKAGE / "lp_core.py").read_text(encoding="utf-8"))
-    hot = {node.name: node for node in tree.body
-           if isinstance(node, ast.FunctionDef)
-           and node.name in ("_pivot", "_pivot_loop", "_leaving")}
-    assert sorted(hot) == ["_leaving", "_pivot", "_pivot_loop"]
+    # Tableau rows are dicts of ints over one denominator per row, the
+    # entry at the row's basic column; Fractions are built only at
+    # readout.  The per-pivot code and the _linalg step it calls neither
+    # call Fraction nor divide with "/", so they cannot drift back to
+    # Fraction cells.
+    hot = {}
+    for module, names in (("lp_core.py", ("_pivot", "_pivot_loop",
+                                          "_leaving")),
+                          ("_linalg.py", ("_eliminate", "_primitive"))):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        hot.update((node.name, node) for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in names)
+    assert sorted(hot) == ["_eliminate", "_leaving", "_pivot",
+                           "_pivot_loop", "_primitive"]
     for fn in hot.values():
         for node in ast.walk(fn):
             assert not (isinstance(node, ast.Name) and node.id == "Fraction")

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
+from math import gcd
 
-from anglestruct._linalg import rank
+from anglestruct._linalg import echelon, rank
 from oracles import _rank, nullspace
 
 
@@ -45,6 +46,24 @@ def test_rank_matches_pivot_count_and_transpose():
             mt = [list(col) for col in zip(*m)]
             assert r == rank(sparse(mt)) == _rank(m)
             assert r <= min(len(m), len(m[0]))
+
+
+def test_echelon_pivot_rows_are_primitive_and_span_the_rows():
+    # every pivot row has its leading column as key and as its lowest
+    # nonzero column, no zero entry, gcd 1 and a positive lead; the rows
+    # lie in the row space and there are rank-many of them
+    rng = random.Random(5)
+    for den in (1, 4):
+        for _ in range(30):
+            m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 6), den=den)
+            pivots = echelon(sparse(m))
+            for lead, row in pivots.items():
+                assert min(row) == lead
+                assert all(type(v) is int and v for v in row.values())
+                assert gcd(*row.values()) == 1 and row[lead] > 0
+            dense = [[Fraction(row.get(c, 0)) for c in range(len(m[0]))]
+                     for row in pivots.values()]
+            assert _rank(m + dense) == _rank(m) == len(pivots)
 
 
 def test_nullspace_vectors_are_in_the_kernel():

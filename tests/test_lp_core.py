@@ -293,16 +293,16 @@ def test_objective_denominators_differ_from_the_row_denominators():
 
 
 def test_updated_row_is_reduced_by_its_gcd():
-    # min -x0 - x1 on 2 x0 + x1 = 3.  Phase 2 starts with x0 basic,
-    # row 0 being 2, 1 | 1 | 3 over 2, and the objective row 0, -1 | 1 |
-    # 3 over 2.  x1 enters on the pivot 1, and the objective row becomes
-    # 2, 0 | 2 | 6 over 2, which is reduced to 1, 0 | 1 | 3 over 1.
-    rows = [[2, 1, 1, 3], [0, -1, 1, 3]]
-    dens = [2, 2]
-    basis = [0]
-    lp_core._pivot(rows, dens, basis, 0, 1)
-    assert (rows, dens, basis) == ([[2, 1, 1, 3], [1, 0, 1, 3]],
-                                   [1, 1], [1])
+    # min -x0 - x1 on 2 x0 + x1 = 3.  Phase 2 starts with x0 basic, row
+    # 0 being 2, 1 | 1 | 3 over its entry 2 at x0, and the objective row
+    # 0, -1 | 1 | 3 over 2, held in its identity column 4.  x1 enters on
+    # the pivot 1, and the objective row becomes 2, 0 | 2 | 6 over 2,
+    # which is reduced to 1, 0 | 1 | 3 over 1.  Zero entries are absent.
+    rows = [{0: 2, 1: 1, 2: 1, 3: 3}, {1: -1, 2: 1, 3: 3, 4: 2}]
+    basis = [0, 4]
+    lp_core._pivot(rows, basis, 0, 1)
+    assert (rows, basis) == ([{0: 2, 1: 1, 2: 1, 3: 3},
+                              {0: 1, 2: 1, 3: 3, 4: 1}], [1, 4])
     sys = oracles.dense_system([[2, 1]], [3], [NONNEG] * 2)
     obj = [F(-1), F(-1)]
     assert oracles.bf_minimize(obj, sys) == ("optimal", F(-3))
