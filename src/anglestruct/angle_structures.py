@@ -22,7 +22,7 @@ from ._rational import format_rational, parse_rational
 from .normal_coords import (
     QUAD_EDGES,
     NormalCoordinate,
-    _edge_coefficient,
+    _edge_coefficients,
     chi_star,
     is_in_solution_space,
 )
@@ -226,10 +226,9 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
     for i in range(t.tet_count):
         for l in range(4):
             total += s.tri(i, l) * ac.area[4 * i + l] / 2
-    for cls in edge_classes:
-        kappa = ac.curvature[cls.index]
-        if kappa != 0:
-            total += _edge_coefficient(s, cls) * kappa
+    curved = [cls for cls in edge_classes if ac.curvature[cls.index] != 0]
+    for cls, z in zip(curved, _edge_coefficients(s, curved)):
+        total += z * ac.curvature[cls.index]
     return total
 
 

@@ -5,12 +5,22 @@ each vertex) and 3 quadrilaterals (one separating each opposite edge
 pair).  A normal coordinate assigns a rational number to every disk type,
 quads first, tet-major.  Coordinates whose disk counts match across every
 interior face form the solution space C(M,T); that matching is one linear
-equation per (interior face, normal arc type) pair.
+equation per (interior face, normal arc type) pair, with int coefficients
+0, +-1 or +-2.
 
 The module also evaluates the generalized Euler characteristic chi_star,
 the per-edge coefficient functional z, and builds a verified basis of the
 solution space consisting of one tetrahedral vector per tetrahedron and
 one edge vector per edge class.
+
+Coordinates are exact: each entry is an int or a Fraction, and anything
+else, a float above all, is refused where it enters.  The kernels run
+on ints.  A coordinate is scaled once, on first use, to ints over the
+lcm of its denominators.  Membership is then an int dot product per row,
+and one pass gives the 6n crossing weights as ints (for each tet-edge,
+the weight of its tetrahedron's disks that cross it).  Fractions are
+built only for results: one per edge coefficient, and for chi_star one
+per edge class plus one for the disk terms.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import _linalg
 from .triangulation import (
@@ -47,12 +58,29 @@ def quad_type_at_arc(face: int, vertex: int) -> int:
 
 
 class NormalCoordinateError(ValueError):
-    """Raised for dimension mismatches or non-solution inputs."""
+    """Raised for dimension mismatches, inexact entries or non-solution
+    inputs."""
+
+
+def _exact(where: str, values) -> tuple:
+    """values as a tuple, each checked to be an int or a Fraction."""
+    values = tuple(values)
+    for idx, v in enumerate(values):
+        if not isinstance(v, (int, Fraction)):
+            raise NormalCoordinateError(
+                "%s entry %d is %r, not an int or a Fraction"
+                % (where, idx, v))
+    return values
 
 
 @dataclass(frozen=True)
 class NormalCoordinate:
-    """A rational weight per normal disk type of one triangulation."""
+    """A rational weight per normal disk type of one triangulation.
+
+    ``_scaled`` is derived on first use and kept: (den, nums), with den
+    the lcm of the entries' denominators and nums the vector times den,
+    as ints.
+    """
     quads: tuple
     tris: tuple
 
@@ -63,7 +91,8 @@ class NormalCoordinate:
 
     @classmethod
     def from_vector(cls, tet_count: int, vec):
-        vec = tuple(Fraction(v) for v in vec)
+        vec = tuple(map(Fraction, _exact("NormalCoordinate.from_vector",
+                                         vec)))
         if len(vec) != 7 * tet_count:
             raise NormalCoordinateError(
                 "expected %d coordinates, got %d" % (7 * tet_count, len(vec)))
@@ -79,14 +108,21 @@ class NormalCoordinate:
     def tri(self, tet: int, l: int) -> Fraction:
         return self.tris[4 * tet + l]
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        vec = _exact("NormalCoordinate", self.quads + self.tris)
+        den = lcm(*(v.denominator for v in vec))
+        return den, tuple(v.numerator * (den // v.denominator) for v in vec)
+
 
 @dataclass(frozen=True)
 class CompatibilitySystem:
     """The disk-matching equations: one row per interior face arc type.
 
-    A row is the (column, coefficient) pairs of its nonzero entries, and
-    is empty when they all cancel.  ``matrix`` is a dense view for readers
-    outside the package; ``rank`` is computed on first use and kept.
+    A row is the (column, coefficient) pairs of its nonzero entries, each
+    coefficient an int, and is empty when they all cancel.  ``matrix`` is
+    a dense view for readers outside the package; ``rank`` is computed on
+    first use and kept.
     """
     columns: int
     rows: tuple
@@ -95,7 +131,7 @@ class CompatibilitySystem:
     def matrix(self) -> tuple:
         """The rows as dense tuples of length ``columns``."""
         return tuple(
-            tuple(entries.get(c, Fraction(0)) for c in range(self.columns))
+            tuple(entries.get(c, 0) for c in range(self.columns))
             for entries in map(dict, self.rows))
 
     @cached_property
@@ -121,19 +157,43 @@ def compatibility_system(t: Triangulation) -> CompatibilitySystem:
             row[3 * n + 4 * i + v] += 1
             row[3 * j + quad_type_at_arc(g, perm[v])] -= 1
             row[3 * n + 4 * j + perm[v]] -= 1
-            rows.append(tuple((c, Fraction(a))
-                              for c, a in sorted(row.items()) if a))
+            rows.append(tuple((c, a) for c, a in sorted(row.items()) if a))
     return CompatibilitySystem(columns=7 * n, rows=tuple(rows))
 
 
 def is_in_solution_space(sys: CompatibilitySystem,
                          s: NormalCoordinate) -> bool:
-    vec = s.vector
-    if len(vec) != sys.columns:
+    nums = s._scaled[1]
+    if len(nums) != sys.columns:
         raise NormalCoordinateError(
             "coordinate has %d entries, system has %d columns"
-            % (len(vec), sys.columns))
-    return all(sum(a * vec[c] for c, a in row) == 0 for row in sys.rows)
+            % (len(nums), sys.columns))
+    return all(sum(a * nums[c] for c, a in row) == 0 for row in sys.rows)
+
+
+def _crossing_weights(nums) -> list:
+    """The crossing weights of a scaled coordinate: entry 6i + k is the
+    weight of the disk types of tetrahedron i that cross its tet-edge k,
+    the triangles at the edge's two ends and the two quads that do not
+    separate it, over the coordinate's denominator."""
+    n = len(nums) // 7
+    out = []
+    for i in range(n):
+        q0, q1, q2 = nums[3 * i:3 * i + 3]
+        t0, t1, t2, t3 = nums[3 * n + 4 * i:3 * n + 4 * i + 4]
+        # Tet-edges 01, 02, 03, 12, 13, 23; quad p separates edges p and
+        # 5 - p.
+        out += (t0 + t1 + q1 + q2, t0 + t2 + q0 + q2, t0 + t3 + q0 + q1,
+                t1 + t2 + q0 + q1, t1 + t3 + q0 + q2, t2 + t3 + q1 + q2)
+    return out
+
+
+def _edge_sums(nums, edge_classes) -> list:
+    """For each edge class, the crossing weights of a scaled coordinate
+    summed over the class's corners, with multiplicity, from one crossing
+    list."""
+    w = _crossing_weights(nums)
+    return [sum(w[6 * i + k] for i, k in e.corners) for e in edge_classes]
 
 
 def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
@@ -146,29 +206,28 @@ def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
     quad -(2 + b)/2, b being its number of boundary arcs, plus 1/valence
     for each tet-edge it crosses.  For an embedded surface the total is
     the surface's Euler characteristic.
+
+    A folded edge lists a corner twice, and its valence counts it twice,
+    but the corner is one tet-edge: its crossing weight is counted once.
     """
-    total = Fraction(0)
-    for i in range(t.tet_count):
-        for k in range(6):
-            valence = t.edge_class_of[(i, k)].valence
-            total += _crossing_weight(s, i, k) * Fraction(1, valence)
+    n = t.tet_count
+    den, nums = s._scaled
+    if len(nums) != 7 * n:
+        raise NormalCoordinateError(
+            "coordinate has %d entries, triangulation needs %d"
+            % (len(nums), 7 * n))
+    w = _crossing_weights(nums)
+    total = sum(Fraction(sum(w[6 * i + k] for i, k in set(e.corners)),
+                         e.valence * den)
+                for e in t.edge_classes)
+    disks = 0
+    for i in range(n):
         boundary = [f for f in range(4) if t.gluing(i, f) is None]
-        for p in range(3):
-            total -= s.quad(i, p) * Fraction(2 + len(boundary), 2)
+        b = len(boundary)
+        disks += (2 + b) * sum(nums[3 * i:3 * i + 3])
         for l in range(4):
-            b = sum(1 for f in boundary if f != l)
-            total -= s.tri(i, l) * Fraction(1 + b, 2)
-    return total
-
-
-def _crossing_weight(s: NormalCoordinate, i: int, k: int) -> Fraction:
-    """The total weight of the disk types of tetrahedron i that cross
-    tet-edge k: the triangles at its two ends and the two quads that do
-    not separate it."""
-    u, v = EDGE_VERTICES[k]
-    pair = min(k, 5 - k)
-    return s.tri(i, u) + s.tri(i, v) + \
-        sum(s.quad(i, p) for p in range(3) if p != pair)
+            disks += (1 + b - (l in boundary)) * nums[3 * n + 4 * i + l]
+    return total - Fraction(disks, 2 * den)
 
 
 def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
@@ -181,14 +240,16 @@ def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
     if not is_in_solution_space(t.compatibility_system, s):
         raise NormalCoordinateError(
             "coordinate is not in the solution space")
-    return _edge_coefficient(s, e)
+    return _edge_coefficients(s, (e,))[0]
 
 
-def _edge_coefficient(s: NormalCoordinate, e) -> Fraction:
-    """z_functional without the solution-space check, for callers that
-    have already made it."""
-    return sum((_crossing_weight(s, i, k) for i, k in e.corners),
-               Fraction(0)) / (2 * e.valence)
+def _edge_coefficients(s: NormalCoordinate, edge_classes) -> tuple:
+    """z_functional at each of the given classes, without the
+    solution-space check, for callers that have already made it."""
+    den, nums = s._scaled
+    return tuple(Fraction(total, 2 * e.valence * den)
+                 for total, e in zip(_edge_sums(nums, edge_classes),
+                                     edge_classes))
 
 
 class BasisVerificationError(RuntimeError):
@@ -240,6 +301,7 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
     tetrahedral vectors (together these imply linear independence), and
     that the count n+m matches the solution space dimension; any failure
     raises BasisVerificationError rather than returning a bad basis.
+    Each vector's m edge coefficients come from one crossing list.
     """
     if t.boundary_faces():
         raise BasisVerificationError(
@@ -256,15 +318,17 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
             if not is_in_solution_space(sys, w):
                 raise BasisVerificationError(
                     "%s vector %d is not in the solution space" % (name, idx))
+    # An edge coefficient is its edge sum over 2 * valence * den, so it
+    # is 0 or 1 exactly when the sum is 0 or that divisor.
     for w in w_sigma:
-        for cls in edge_classes:
-            if _edge_coefficient(w, cls) != 0:
-                raise BasisVerificationError(
-                    "tetrahedral vector has nonzero edge coefficient")
+        if any(_edge_sums(w._scaled[1], edge_classes)):
+            raise BasisVerificationError(
+                "tetrahedral vector has nonzero edge coefficient")
     for j, w in enumerate(w_edge):
-        for cls in edge_classes:
-            want = Fraction(1) if cls.index == j else Fraction(0)
-            if _edge_coefficient(w, cls) != want:
+        den, nums = w._scaled
+        for cls, total in zip(edge_classes, _edge_sums(nums, edge_classes)):
+            want = 2 * cls.valence * den if cls.index == j else 0
+            if total != want:
                 raise BasisVerificationError(
                     "edge vector %d has wrong coefficient at edge %d"
                     % (j, cls.index))
@@ -276,24 +340,30 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
                          edge_classes=edge_classes)
 
 
-def _add_scaled(total: list, c, w: NormalCoordinate) -> None:
-    """Add c times w into the coordinate list total."""
-    c = Fraction(c)
-    for col, x in enumerate(w.vector):
-        if x:
-            total[col] += c * x
-
-
 def combine(basis: SolutionBasis, omega, z) -> NormalCoordinate:
     """The solution-space element with tetrahedral weights omega and edge
-    weights z."""
+    weights z.
+
+    Each weight times its vector's scaled view is summed as ints over the
+    lcm of the weights' denominators, and each entry is one Fraction.
+    """
     n = len(basis.w_sigma)
-    total = [Fraction(0)] * (7 * n)
-    for vecs, weights in ((basis.w_sigma, omega), (basis.w_edge, z)):
-        for w, c in zip(vecs, weights):
+    terms = []
+    for vecs, weights, name in ((basis.w_sigma, omega, "combine omega"),
+                                (basis.w_edge, z, "combine z")):
+        for w, c in zip(vecs, _exact(name, weights)):
             if c != 0:
-                _add_scaled(total, c, w)
-    return NormalCoordinate.from_vector(n, total)
+                den, nums = w._scaled
+                terms.append((Fraction(c) / den, nums))
+    scale = lcm(*(c.denominator for c, _ in terms))
+    total = [0] * (7 * n)
+    for c, nums in terms:
+        f = c.numerator * (scale // c.denominator)
+        for col, x in enumerate(nums):
+            if x:
+                total[col] += f * x
+    vec = tuple(Fraction(v, scale) for v in total)
+    return NormalCoordinate(quads=vec[:3 * n], tris=vec[3 * n:])
 
 
 def decompose(t: Triangulation, s: NormalCoordinate,
@@ -301,7 +371,8 @@ def decompose(t: Triangulation, s: NormalCoordinate,
     """The unique (omega, z) with s = sum omega_i w_sigma_i + sum z_j w_edge_j.
 
     The edge weights are the edge coefficients of s; the tetrahedral
-    weights come from the residual, which is then checked to vanish
+    weights come from the residual s - sum z_j w_edge_j, read at each
+    tetrahedron's first triangle.  s is then checked to be recombined
     exactly.
     """
     if basis is None:
@@ -309,13 +380,15 @@ def decompose(t: Triangulation, s: NormalCoordinate,
     if not is_in_solution_space(t.compatibility_system, s):
         raise NormalCoordinateError(
             "coordinate is not in the solution space")
-    z = tuple(_edge_coefficient(s, cls) for cls in basis.edge_classes)
-    n = t.tet_count
-    residual = list(s.vector)
+    z = _edge_coefficients(s, basis.edge_classes)
+    q = 3 * t.tet_count
+    omega = list(s.vector[q::4])
     for w, c in zip(basis.w_edge, z):
         if c != 0:
-            _add_scaled(residual, -c, w)
-    omega = tuple(residual[3 * n + 4 * i] for i in range(n))
+            for i, x in enumerate(w.vector[q::4]):
+                if x:
+                    omega[i] -= c * x
+    omega = tuple(omega)
     check = combine(basis, omega, z)
     if check.vector != s.vector:
         raise BasisVerificationError(

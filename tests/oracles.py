@@ -13,8 +13,11 @@ sides.  The quad-slice maximum is too large to enumerate; it reruns the
 simplex on the unprojected slice program, over the full compatibility
 rows with every triangle column split into a nonnegative pair, so the
 solver's projection of the triangle columns is checked against a
-program that never projects.  The simplex itself is kept here as it was over a Fraction tableau, so that the
-integer tableau can be checked to take the same pivots.
+program that never projects.  The simplex itself is kept here as it
+was over a Fraction tableau, so that the integer tableau can be checked
+to take the same pivots.  So are the normal-coordinate formulas, one
+Fraction at a time: membership, crossing weights, edge coefficients and
+chi*, against which the integer kernels are checked.
 """
 
 from __future__ import annotations
@@ -264,11 +267,15 @@ def _rref(matrix):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        m[r] = [v / m[r][c] for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        lead = m[r][c]
+        nonzero = [(k, v / lead) for k, v in enumerate(m[r]) if v]
+        for k, v in nonzero:
+            m[r][k] = v
+        for i, row in enumerate(m):
+            if i != r and row[c] != 0:
+                f = row[c]
+                for k, v in nonzero:
+                    row[k] -= f * v
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -277,7 +284,26 @@ def _rref(matrix):
 
 
 def _rank(matrix):
-    return len(_rref(matrix)[1]) if matrix else 0
+    """The rank by forward elimination, on the pivots _rref takes: in
+    each column the first row at or below the current one that is
+    nonzero there.  Rows below a pivot change only in its nonzeros."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        nonzero = [(k, v) for k, v in enumerate(m[r]) if v]
+        for row in m[r + 1:]:
+            if row[c] != 0:
+                f = row[c] / m[r][c]
+                for k, v in nonzero:
+                    row[k] -= f * v
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def nullspace(matrix):
@@ -328,10 +354,13 @@ def _basic_solutions(coeffs, rhs):
 
 
 def _fraction_pivot(rows, basis, r: int, j: int) -> None:
-    """Pivot on (r, j); other rows change in the pivot row's nonzeros."""
-    piv = rows[r][j]
-    rows[r] = [v / piv for v in rows[r]]
-    nonzero = [(c, v) for c, v in enumerate(rows[r]) if v]
+    """Pivot on (r, j); every row changes only in the pivot row's
+    nonzeros, the pivot row itself by dividing them by its entry at j."""
+    pivot = rows[r]
+    piv = pivot[j]
+    nonzero = [(c, v / piv) for c, v in enumerate(pivot) if v]
+    for c, v in nonzero:
+        pivot[c] = v
     for i, row in enumerate(rows):
         f = row[j]
         if f and i != r:
@@ -519,6 +548,49 @@ def quad_slice_max(t, alpha):
     if not isinstance(res, Optimum):
         raise ValueError("quad-slice program %s" % type(res).__name__)
     return -res.value
+
+
+def in_solution_space(t, s) -> bool:
+    """Membership in the solution space, one Fraction product per nonzero
+    of each compatibility row."""
+    vec = s.vector
+    return all(sum((Fraction(a) * vec[c] for c, a in row), Fraction(0)) == 0
+               for row in t.compatibility_system.rows)
+
+
+def crossing_weight(s, i: int, k: int) -> Fraction:
+    """The total weight of the disk types of tetrahedron i that cross
+    tet-edge k: the triangles at its two ends and the two quads that do
+    not separate it."""
+    u, v = EDGE_VERTICES[k]
+    pair = min(k, 5 - k)
+    return s.tri(i, u) + s.tri(i, v) + \
+        sum(s.quad(i, p) for p in range(3) if p != pair)
+
+
+def edge_coefficient(s, e) -> Fraction:
+    """The edge coefficient z_e: the crossing weights of e's corners, with
+    multiplicity, over twice the valence."""
+    return sum((crossing_weight(s, i, k) for i, k in e.corners),
+               Fraction(0)) / (2 * e.valence)
+
+
+def chi_star(t, s) -> Fraction:
+    """chi* tet-edge by tet-edge: each of the 6n tet-edges adds its
+    crossing weight over its class's valence, once, and each disk type
+    its share of the faces and arcs."""
+    total = Fraction(0)
+    for i in range(t.tet_count):
+        for k in range(6):
+            valence = t.edge_class_of[(i, k)].valence
+            total += crossing_weight(s, i, k) * Fraction(1, valence)
+        boundary = [f for f in range(4) if t.gluing(i, f) is None]
+        for p in range(3):
+            total -= s.quad(i, p) * Fraction(2 + len(boundary), 2)
+        for l in range(4):
+            b = sum(1 for f in boundary if f != l)
+            total -= s.tri(i, l) * Fraction(1 + b, 2)
+    return total
 
 
 def bf_feasible(sys) -> bool:

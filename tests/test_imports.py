@@ -4,7 +4,8 @@ Every module uses each name it imports: a stdlib stand-in for pyflakes'
 unused-import check (F401); an import line marked ``# noqa: F401`` is
 kept on purpose and exempt.  No module reads a dense matrix view, and
 the simplex's per-pivot code, with the elimination step it shares with
-the echelon form, uses no Fraction and no "/".
+the echelon form, and the integer normal-coordinate kernels use no
+Fraction and no "/".
 """
 
 from __future__ import annotations
@@ -55,17 +56,23 @@ def test_pivot_loop_stays_in_integers():
     # entry at the row's basic column; Fractions are built only at
     # readout.  The per-pivot code and the _linalg step it calls neither
     # call Fraction nor divide with "/", so they cannot drift back to
-    # Fraction cells.
+    # Fraction cells.  Nor do the normal-coordinate kernels that read a
+    # coordinate's scaled int view: the membership loop, the crossing
+    # weights and their sums per edge class.
     hot = {}
     for module, names in (("lp_core.py", ("_pivot", "_pivot_loop",
                                           "_leaving")),
-                          ("_linalg.py", ("_eliminate", "_primitive"))):
+                          ("_linalg.py", ("_eliminate", "_primitive")),
+                          ("normal_coords.py", ("is_in_solution_space",
+                                                "_crossing_weights",
+                                                "_edge_sums"))):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         hot.update((node.name, node) for node in tree.body
                    if isinstance(node, ast.FunctionDef)
                    and node.name in names)
-    assert sorted(hot) == ["_eliminate", "_leaving", "_pivot",
-                           "_pivot_loop", "_primitive"]
+    assert sorted(hot) == ["_crossing_weights", "_edge_sums", "_eliminate",
+                           "_leaving", "_pivot", "_pivot_loop", "_primitive",
+                           "is_in_solution_space"]
     for fn in hot.values():
         for node in ast.walk(fn):
             assert not (isinstance(node, ast.Name) and node.id == "Fraction")

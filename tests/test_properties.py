@@ -14,6 +14,10 @@ certification, which projects the triangle columns away, against the
 unprojected program with each triangle column split in two.  The angle
 systems of every table, in both modes, and the quad-slice program are
 also solved over the Fraction tableau, which must give the same results.
+Every table also checks the integer normal-coordinate kernels
+(membership, crossing weights, edge coefficients, z and chi*) against
+their Fraction formulas, on a point of the solution space and on a
+point bumped off it.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          BasisVerificationError, Fails, NormalCoordinate,
                          Triangulation,
                          angle_linear_system, certify_condition2,
-                         chi_area_curvature, chi_via_lemma2, combine,
-                         compatibility_system, decompose,
+                         chi_area_curvature, chi_star, chi_via_lemma2,
+                         combine, compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
                          is_in_solution_space, is_orientable,
                          realized_area_curvature, solution_space_basis,
-                         solve_feasibility_nonneg, solve_feasibility_strict)
+                         solve_feasibility_nonneg, solve_feasibility_strict,
+                         z_functional)
+from anglestruct.normal_coords import _crossing_weights, _edge_coefficients
 
 
 @st.composite
@@ -99,6 +105,31 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
         tris=(Fraction(-1, 3),) * 4 + (Fraction(0),) * (4 * n - 4))
     assert is_in_solution_space(csys, third)
     assert min(third.quads) >= 0 and sum(third.quads) == 1
+    # The integer kernels against the Fraction formulas, on a rational
+    # point of the solution space and on that point bumped at one disk
+    # type, boundary faces and folded edges included.
+    null = oracles.nullspace(csys.matrix)
+    weights = data.draw(rationals(len(null)))
+    inside = NormalCoordinate.from_vector(n, [
+        sum((w * v[c] for w, v in zip(weights, null)), Fraction(0))
+        for c in range(7 * n)])
+    bumped = list(inside.vector)
+    bumped[data.draw(st.integers(0, 7 * n - 1))] += data.draw(
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
+    outside = NormalCoordinate.from_vector(n, bumped)
+    assert oracles.in_solution_space(t, inside)
+    for s in (inside, outside):
+        assert is_in_solution_space(csys, s) == \
+            oracles.in_solution_space(t, s)
+        den, nums = s._scaled
+        assert [Fraction(w, den) for w in _crossing_weights(nums)] == \
+            [oracles.crossing_weight(s, i, k)
+             for i in range(n) for k in range(6)]
+        assert _edge_coefficients(s, t.edge_classes) == tuple(
+            oracles.edge_coefficient(s, e) for e in t.edge_classes)
+        assert chi_star(t, s) == oracles.chi_star(t, s)
+    assert [z_functional(t, inside, e) for e in t.edge_classes] == \
+        [oracles.edge_coefficient(inside, e) for e in t.edge_classes]
     # The angle system's sparse rows against a dense build, once without
     # and once with the cap rows that a positive area adds.
     area = data.draw(rationals(4 * n))
