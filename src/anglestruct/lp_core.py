@@ -30,6 +30,7 @@ from functools import cached_property
 from math import lcm
 
 from ._linalg import _eliminate, _primitive
+from ._rational import exact, scaled
 
 NONNEG = "nonneg"
 STRICT_POS = "strict-pos"
@@ -52,7 +53,7 @@ class LinearSystem:
     @classmethod
     def of(cls, rows, rhs, signs):
         """Pairs on the same column add up, and zero sums are dropped."""
-        b = tuple(Fraction(v) for v in rhs)
+        b = exact("LinearSystem.of rhs", rhs, LPError)
         sg = tuple(signs)
         if len(rows) != len(b):
             raise LPError("row count does not match rhs length")
@@ -60,12 +61,14 @@ class LinearSystem:
             if s not in _SIGNS:
                 raise LPError("unknown sign constraint %r" % (s,))
         sparse = []
-        for pairs in rows:
+        for r, pairs in enumerate(rows):
+            pairs = tuple(pairs)
+            values = exact("LinearSystem.of row %d" % r,
+                           (v for _, v in pairs), LPError)
             row = {}
-            for c, v in pairs:
+            for (c, _), v in zip(pairs, values):
                 if not (isinstance(c, int) and 0 <= c < len(sg)):
                     raise LPError("no column %r" % (c,))
-                v = Fraction(v)
                 row[c] = row[c] + v if c in row else v
             sparse.append(tuple((c, v) for c, v in sorted(row.items()) if v))
         return cls(rows=tuple(sparse), rhs=b, signs=sg)
@@ -205,9 +208,8 @@ def _solve(sparse, rhs, cost):
     rows = []
     for i, (pairs, b, s) in enumerate(zip(sparse, rhs, scale)):
         pairs = (*pairs, (end, b))
-        d = lcm(*(v.denominator for _, v in pairs))
-        row = {c: s * v.numerator * (d // v.denominator)
-               for c, v in pairs if v}
+        d, ints = scaled(v for _, v in pairs)
+        row = {c: s * v for (c, _), v in zip(pairs, ints) if v}
         row[t + i] = d
         rows.append(row)
     den = lcm(*(row[t + i] for i, row in enumerate(rows)))
@@ -217,9 +219,8 @@ def _solve(sparse, rhs, cost):
         for c, v in row.items():
             phase1[c] = phase1.get(c, 0) - f * v
     phase1 = {c: v for c, v in phase1.items() if v}
-    d = lcm(*(c.denominator for c in cost))
-    obj = {j: c.numerator * (d // c.denominator)
-           for j, c in enumerate(cost) if c}
+    d, ints = scaled(cost)
+    obj = {j: c for j, c in enumerate(ints) if c}
     obj[end + 1] = d
     rows += [obj, _primitive(phase1, end + 2)]
     basis = [t + i for i in range(k)] + [end + 1, end + 2]
@@ -317,7 +318,7 @@ def solve_feasibility_strict(sys: LinearSystem):
 
 def minimize_linear(objective, sys: LinearSystem):
     """Exact minimum of objective.x over {A x = b, x >= 0}."""
-    objective = tuple(Fraction(v) for v in objective)
+    objective = exact("minimize_linear objective", objective, LPError)
     if len(objective) != sys.col_count:
         raise LPError("objective length does not match column count")
     _nonneg(sys)
@@ -340,7 +341,7 @@ def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
     """
     if mode not in ("nonneg", "strict"):
         raise LPError("unknown certificate mode %r" % (mode,))
-    y = tuple(Fraction(v) for v in y)
+    y = exact("verify_certificate y", y, LPError)
     if len(y) != sys.row_count:
         return False
     ydotb = sum((yi * bi for yi, bi in zip(y, sys.rhs)), Fraction(0))

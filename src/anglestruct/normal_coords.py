@@ -13,14 +13,14 @@ the per-edge coefficient functional z, and builds a verified basis of the
 solution space consisting of one tetrahedral vector per tetrahedron and
 one edge vector per edge class.
 
-Coordinates are exact: each entry is an int or a Fraction, and anything
-else, a float above all, is refused where it enters.  The kernels run
-on ints.  A coordinate is scaled once, on first use, to ints over the
-lcm of its denominators.  Membership is then an int dot product per row,
-and one pass gives the 6n crossing weights as ints (for each tet-edge,
-the weight of its tetrahedron's disks that cross it).  Fractions are
-built only for results: one per edge coefficient, and for chi_star one
-per edge class plus one for the disk terms.
+Coordinates are exact: `_rational.exact` refuses anything but an int or
+a Fraction, a float above all, where it enters.  The kernels run on
+ints: `_rational.scaled` takes a coordinate, once, on first use, to ints
+over the lcm of its denominators.  Membership is an int dot product per
+row, and one pass gives the 6n crossing weights as ints (for each
+tet-edge, the weight of its tetrahedron's disks that cross it).
+Fractions are built only for results: one per edge coefficient, and for
+chi_star one per edge class plus one for the disk terms.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import _linalg
+from ._rational import exact, scaled
 from .triangulation import (
     EDGE_INDEX,
     EDGE_VERTICES,
@@ -62,37 +62,24 @@ class NormalCoordinateError(ValueError):
     inputs."""
 
 
-def _exact(where: str, values) -> tuple:
-    """values as a tuple, each checked to be an int or a Fraction."""
-    values = tuple(values)
-    for idx, v in enumerate(values):
-        if not isinstance(v, (int, Fraction)):
-            raise NormalCoordinateError(
-                "%s entry %d is %r, not an int or a Fraction"
-                % (where, idx, v))
-    return values
-
-
 @dataclass(frozen=True)
 class NormalCoordinate:
     """A rational weight per normal disk type of one triangulation.
 
-    ``_scaled`` is derived on first use and kept: (den, nums), with den
-    the lcm of the entries' denominators and nums the vector times den,
-    as ints.
+    ``_scaled``, derived on first use and kept, is (den, nums): the
+    entries over the lcm of their denominators, as `_rational.scaled`.
     """
     quads: tuple
     tris: tuple
 
     @classmethod
     def zero(cls, tet_count: int):
-        return cls(quads=(Fraction(0),) * (3 * tet_count),
-                   tris=(Fraction(0),) * (4 * tet_count))
+        return cls.from_vector(tet_count, [0] * (7 * tet_count))
 
     @classmethod
     def from_vector(cls, tet_count: int, vec):
-        vec = tuple(map(Fraction, _exact("NormalCoordinate.from_vector",
-                                         vec)))
+        vec = exact("NormalCoordinate.from_vector", vec,
+                    NormalCoordinateError)
         if len(vec) != 7 * tet_count:
             raise NormalCoordinateError(
                 "expected %d coordinates, got %d" % (7 * tet_count, len(vec)))
@@ -110,9 +97,8 @@ class NormalCoordinate:
 
     @cached_property
     def _scaled(self) -> tuple:
-        vec = _exact("NormalCoordinate", self.quads + self.tris)
-        den = lcm(*(v.denominator for v in vec))
-        return den, tuple(v.numerator * (den // v.denominator) for v in vec)
+        return scaled(exact("NormalCoordinate", self.quads + self.tris,
+                            NormalCoordinateError))
 
 
 @dataclass(frozen=True)
@@ -272,24 +258,20 @@ class SolutionBasis:
 
 
 def _tetrahedral_vector(n: int, i: int) -> NormalCoordinate:
-    quads = [Fraction(0)] * (3 * n)
-    tris = [Fraction(0)] * (4 * n)
-    for p in range(3):
-        quads[3 * i + p] = Fraction(-1)
-    for l in range(4):
-        tris[4 * i + l] = Fraction(1)
-    return NormalCoordinate(quads=tuple(quads), tris=tuple(tris))
+    vec = [0] * (7 * n)
+    vec[3 * i:3 * i + 3] = (-1, -1, -1)
+    vec[3 * n + 4 * i:3 * n + 4 * i + 4] = (1, 1, 1, 1)
+    return NormalCoordinate.from_vector(n, vec)
 
 
 def _edge_vector(n: int, cls) -> NormalCoordinate:
-    quads = [Fraction(0)] * (3 * n)
-    tris = [Fraction(0)] * (4 * n)
+    vec = [0] * (7 * n)
     for i, k in cls.corners:
         u, v = EDGE_VERTICES[k]
-        tris[4 * i + u] += 1
-        tris[4 * i + v] += 1
-        quads[3 * i + min(k, 5 - k)] -= 1
-    return NormalCoordinate(quads=tuple(quads), tris=tuple(tris))
+        vec[3 * n + 4 * i + u] += 1
+        vec[3 * n + 4 * i + v] += 1
+        vec[3 * i + min(k, 5 - k)] -= 1
+    return NormalCoordinate.from_vector(n, vec)
 
 
 def solution_space_basis(t: Triangulation) -> SolutionBasis:
@@ -351,19 +333,16 @@ def combine(basis: SolutionBasis, omega, z) -> NormalCoordinate:
     terms = []
     for vecs, weights, name in ((basis.w_sigma, omega, "combine omega"),
                                 (basis.w_edge, z, "combine z")):
-        for w, c in zip(vecs, _exact(name, weights)):
+        for w, c in zip(vecs, exact(name, weights, NormalCoordinateError)):
             if c != 0:
-                den, nums = w._scaled
-                terms.append((Fraction(c) / den, nums))
-    scale = lcm(*(c.denominator for c, _ in terms))
+                terms.append((c / w._scaled[0], w._scaled[1]))
+    scale, factors = scaled(c for c, _ in terms)
     total = [0] * (7 * n)
-    for c, nums in terms:
-        f = c.numerator * (scale // c.denominator)
+    for f, (_, nums) in zip(factors, terms):
         for col, x in enumerate(nums):
             if x:
                 total[col] += f * x
-    vec = tuple(Fraction(v, scale) for v in total)
-    return NormalCoordinate(quads=vec[:3 * n], tris=vec[3 * n:])
+    return NormalCoordinate.from_vector(n, (Fraction(v, scale) for v in total))
 
 
 def decompose(t: Triangulation, s: NormalCoordinate,

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._rational import exact
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
@@ -71,7 +72,7 @@ class PerturbationFamily:
     census: EdgeAngleCensus
 
     def at(self, t: Fraction) -> AngleAssignment:
-        t = Fraction(t)
+        t = exact("PerturbationFamily.at", (t,), PerturbationError)[0]
         return AngleAssignment(angles=tuple(
             a + c * t for a, c in zip(self.base.angles, self.coeffs)))
 

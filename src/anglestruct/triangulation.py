@@ -135,12 +135,6 @@ class Triangulation:
         from .normal_coords import compatibility_system
         return compatibility_system(self)
 
-    @cached_property
-    def edge_class_of(self):
-        """Map each (tet, tet-edge) corner to its EdgeClass."""
-        return {corner: cls for cls in self.edge_classes
-                for corner in cls.corners}
-
     def gluing(self, tet: int, face: int):
         """(tet, face, perm) on the far side, or None for a boundary face."""
         return self._gluing.get((tet, face))
@@ -168,6 +162,11 @@ class Triangulation:
             ", %r" % self.name if self.name else "")
 
 
+# The largest tetrahedron count a gluing table may declare: at about
+# 13 KB each, a short header cannot ask for gigabytes.
+MAX_TETS = 10000
+
+
 def _is_digits(field: str) -> bool:
     """Whether field is ASCII digits alone, as int() would not check."""
     return field.isascii() and field.isdigit()
@@ -179,8 +178,8 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
     The first non-comment line is ``tets N``; every further line reads
     ``glue I F J G P`` where P is four characters over 0123 giving the
     vertex permutation.  N, I, F, J and G are ASCII digits, with no
-    sign.  ``#`` starts a comment.  Unglued faces are boundary faces.
-    Errors carry the offending line number.
+    sign, and N is at most MAX_TETS.  ``#`` starts a comment.  Unglued
+    faces are boundary faces.  Errors carry the offending line number.
     """
     tet_count = None
     gluings = {}
@@ -199,6 +198,9 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
                 tet_count = int(fields[1])
                 if tet_count < 1:
                     raise TriangulationError("need at least one tetrahedron")
+                if tet_count > MAX_TETS:
+                    raise TriangulationError("tetrahedron count %d exceeds %d"
+                                             % (tet_count, MAX_TETS))
                 continue
             if fields[0] != "glue" or len(fields) != 6:
                 raise TriangulationError("expected 'glue I F J G P'")

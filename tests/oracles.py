@@ -579,11 +579,12 @@ def chi_star(t, s) -> Fraction:
     """chi* tet-edge by tet-edge: each of the 6n tet-edges adds its
     crossing weight over its class's valence, once, and each disk type
     its share of the faces and arcs."""
+    valence = {corner: e.valence for e in t.edge_classes
+               for corner in e.corners}
     total = Fraction(0)
     for i in range(t.tet_count):
         for k in range(6):
-            valence = t.edge_class_of[(i, k)].valence
-            total += crossing_weight(s, i, k) * Fraction(1, valence)
+            total += crossing_weight(s, i, k) * Fraction(1, valence[(i, k)])
         boundary = [f for f in range(4) if t.gluing(i, f) is None]
         for p in range(3):
             total -= s.quad(i, p) * Fraction(2 + len(boundary), 2)

@@ -21,7 +21,8 @@ from anglestruct.angle_structures import (
 from anglestruct.cli import main
 from anglestruct.fixtures import fixture, fixture_names
 from anglestruct.normal_coords import NormalCoordinate, is_in_solution_space
-from anglestruct.triangulation import parse_triangulation
+from anglestruct.triangulation import (TriangulationError,
+                                       parse_triangulation)
 
 
 def run(capsys, argv):
@@ -122,6 +123,24 @@ def test_validate_gluing_error_names_its_line(capsys, tmp_path):
     assert out == ""
     assert err.splitlines()[0] == \
         "error: %s: line 2: tetrahedron index 5 out of range" % bad
+
+
+def test_validate_refuses_a_tetrahedron_count_past_the_bound(capsys,
+                                                            tmp_path):
+    # 14 bytes that would ask for about 130 GB of tetrahedra.
+    big = tmp_path / "big.tri"
+    big.write_text("tets 10000000\n", encoding="utf-8")
+    assert big.stat().st_size == 14
+    # The parser is asked first: without the bound, validate would go on
+    # to build the ten million tetrahedra.
+    with pytest.raises(TriangulationError):
+        parse_triangulation(big.read_text(encoding="utf-8"))
+    code, out, err = run(capsys, ["validate", str(big)])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[0] == \
+        "error: %s: line 1: tetrahedron count 10000000 exceeds 10000" % big
 
 
 @pytest.mark.parametrize("text,line,message", [

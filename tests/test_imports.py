@@ -2,7 +2,8 @@
 
 Every module uses each name it imports: a stdlib stand-in for pyflakes'
 unused-import check (F401); an import line marked ``# noqa: F401`` is
-kept on purpose and exempt.  No module reads a dense matrix view, and
+kept on purpose and exempt.  No module reads a dense matrix view, only
+`_rational` takes a number apart into numerator and denominator, and
 the simplex's per-pivot code, with the elimination step it shares with
 the echelon form, and the integer normal-coordinate kernels use no
 Fraction and no "/".
@@ -49,6 +50,21 @@ def test_package_reads_no_dense_view(path):
     assert "matrix" not in read
     if path.name in ("lp_core.py", "existence.py", "normal_coords.py"):
         assert "coeffs" not in read
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "_rational.py"],
+                         ids=lambda p: p.name)
+def test_only_rational_takes_numbers_apart(path):
+    # _rational is the one module that knows what an exact number is:
+    # its exact() gates every entry point and its scaled() takes a row
+    # or a vector to ints over the lcm of its denominators.  No other
+    # module reads a numerator or a denominator or keeps its own _exact.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not read & {"numerator", "denominator"}
+    assert "_exact" not in {n.name for n in ast.walk(tree)
+                            if isinstance(n, ast.FunctionDef)}
 
 
 def test_pivot_loop_stays_in_integers():

@@ -182,33 +182,6 @@ def test_normal_coordinate_arithmetic():
     assert s.tri(1, 3) == Fraction(-3) + Fraction(2, 3) * w.tri(1, 3)
 
 
-def test_inexact_entries_are_refused_where_they_enter():
-    # A float would be stored as its binary fraction (0.1 as
-    # 3602879701896397/36028797018963968), and a coordinate built from
-    # floats would be checked in float arithmetic, not exactly.
-    with pytest.raises(NormalCoordinateError,
-                       match=r"from_vector entry 0 is 0\.1"):
-        NormalCoordinate.from_vector(1, [0.1] * 7)
-    with pytest.raises(NormalCoordinateError, match="from_vector entry 6"):
-        NormalCoordinate.from_vector(1, [0] * 6 + ["1/2"])
-    fig8 = fixture("fig8").triangulation
-    basis = solution_space_basis(fig8)
-    with pytest.raises(NormalCoordinateError,
-                       match=r"combine omega entry 0 is 0\.1"):
-        combine(basis, [0.1, 0], [0, 0])
-    with pytest.raises(NormalCoordinateError, match="combine z entry 1"):
-        combine(basis, [0, 0], [Fraction(1, 2), 0.5])
-    floats = NormalCoordinate(quads=(0.0,) * 6, tris=(0.0,) * 8)
-    for call in (lambda: is_in_solution_space(fig8.compatibility_system,
-                                              floats),
-                 lambda: chi_star(fig8, floats),
-                 lambda: z_functional(fig8, floats, fig8.edge_classes[0]),
-                 lambda: decompose(fig8, floats, basis)):
-        with pytest.raises(NormalCoordinateError,
-                           match=r"NormalCoordinate entry 0 is 0\.0"):
-            call()
-
-
 def test_chi_star_refuses_a_coordinate_of_another_size():
     fig8 = fixture("fig8").triangulation
     with pytest.raises(NormalCoordinateError, match="has 21 entries"):

@@ -1,8 +1,17 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
+                         ExistenceError, LinearSystem, LPError,
+                         NormalCoordinate, NormalCoordinateError,
+                         PerturbationError, build_perturbation, chi_star,
+                         combine, decompose, fixture, identity_4_9,
+                         is_in_solution_space, minimize_linear,
+                         solution_space_basis, verify_certificate,
+                         z_functional)
 from anglestruct._rational import format_rational, parse_rational
 
 
@@ -33,3 +42,103 @@ def test_round_trip_is_exact_on_random_fractions():
     for _ in range(200):
         x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
         assert parse_rational(format_rational(x)) == x
+
+
+def _fig8():
+    return fixture("fig8").triangulation
+
+
+def _system():
+    return LinearSystem.of([[(0, 1), (1, 1)]], [1], ["nonneg"] * 2)
+
+
+def _coordinate(x):
+    """A fig8 coordinate built field by field, with x as its last entry:
+    it is checked where the kernels scale it, in any call that reads it."""
+    return NormalCoordinate(quads=(0,) * 6, tris=(0,) * 7 + (x,))
+
+
+def _family():
+    fx = fixture("fig8-flat1")
+    return build_perturbation(fx.angles, fx.triangulation)
+
+
+# Each exact entry point: the error class of its module, the name its
+# message gives, the index of the bad entry, and a call passing x there.
+ENTRY_POINTS = {
+    "NormalCoordinate.from_vector": (
+        NormalCoordinateError, "NormalCoordinate.from_vector", 6,
+        lambda x: NormalCoordinate.from_vector(1, [0] * 6 + [x])),
+    "is_in_solution_space": (
+        NormalCoordinateError, "NormalCoordinate", 13,
+        lambda x: is_in_solution_space(_fig8().compatibility_system,
+                                       _coordinate(x))),
+    "chi_star": (
+        NormalCoordinateError, "NormalCoordinate", 13,
+        lambda x: chi_star(_fig8(), _coordinate(x))),
+    "z_functional": (
+        NormalCoordinateError, "NormalCoordinate", 13,
+        lambda x: z_functional(_fig8(), _coordinate(x),
+                               _fig8().edge_classes[0])),
+    "decompose": (
+        NormalCoordinateError, "NormalCoordinate", 13,
+        lambda x: decompose(_fig8(), _coordinate(x))),
+    "combine-omega": (
+        NormalCoordinateError, "combine omega", 0,
+        lambda x: combine(solution_space_basis(_fig8()), [x, 0], [0, 0])),
+    "combine-z": (
+        NormalCoordinateError, "combine z", 1,
+        lambda x: combine(solution_space_basis(_fig8()), [0, 0],
+                          [Fraction(1, 2), x])),
+    "AngleAssignment.from_vector": (
+        AngleStructureError, "AngleAssignment.from_vector", 5,
+        lambda x: AngleAssignment.from_vector(1, [0] * 5 + [x])),
+    "AreaCurvature.of-area": (
+        AngleStructureError, "AreaCurvature.of area", 1,
+        lambda x: AreaCurvature.of([0, x], [0])),
+    "AreaCurvature.of-curvature": (
+        AngleStructureError, "AreaCurvature.of curvature", 0,
+        lambda x: AreaCurvature.of([0, 0], [x])),
+    "LinearSystem.of-rhs": (
+        LPError, "LinearSystem.of rhs", 1,
+        lambda x: LinearSystem.of([[(0, 1)], [(1, 1)]], [1, x],
+                                  ["nonneg"] * 2)),
+    "LinearSystem.of-row": (
+        LPError, "LinearSystem.of row 1", 1,
+        lambda x: LinearSystem.of([[(0, 1)], [(0, 1), (1, x)]], [1, 1],
+                                  ["nonneg"] * 2)),
+    "minimize_linear": (
+        LPError, "minimize_linear objective", 1,
+        lambda x: minimize_linear([0, x], _system())),
+    "verify_certificate": (
+        LPError, "verify_certificate y", 0,
+        lambda x: verify_certificate(_system(), [x], "nonneg")),
+    "identity_4_9-h": (
+        ExistenceError, "identity_4_9 h", 7,
+        lambda x: identity_4_9(_fig8(), fixture("fig8").angles,
+                               [0] * 7 + [x], [0, 0], [0, 0])),
+    "identity_4_9-z": (
+        ExistenceError, "identity_4_9 z", 1,
+        lambda x: identity_4_9(_fig8(), fixture("fig8").angles,
+                               [0] * 8, [0, x], [0, 0])),
+    "identity_4_9-omega": (
+        ExistenceError, "identity_4_9 omega", 0,
+        lambda x: identity_4_9(_fig8(), fixture("fig8").angles,
+                               [0] * 8, [0, 0], [x, 0])),
+    "PerturbationFamily.at": (
+        PerturbationError, "PerturbationFamily.at", 0,
+        lambda x: _family().at(x)),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_inexact_entries_are_refused_where_they_enter(entry, bad):
+    # Fraction() would store a float as its binary fraction (0.1 as
+    # 3602879701896397/36028797018963968) and parse a string, so every
+    # exact entry point refuses both, with its own module's error.
+    error, where, idx, call = ENTRY_POINTS[entry]
+    with pytest.raises(error, match=re.escape(
+            "%s entry %d is %r, not an int or a Fraction"
+            % (where, idx, bad))):
+        call(bad)

@@ -9,7 +9,8 @@ from anglestruct import (Triangulation, TriangulationError,
                          insert_flat_tetrahedron, is_ideal_triangulation,
                          is_orientable, parse_triangulation)
 from anglestruct.fixtures import FIG8_TABLE
-from anglestruct.triangulation import EDGE_VERTICES, EDGES_AT_VERTEX
+from anglestruct.triangulation import (EDGE_VERTICES, EDGES_AT_VERTEX,
+                                       MAX_TETS)
 
 
 def test_edge_tables_are_consistent():
@@ -41,6 +42,7 @@ def test_parse_format_round_trip_on_fixtures():
     ("tets \u0662", "line 1: bad tetrahedron count"),
     ("tets +2", "line 1: bad tetrahedron count"),
     ("tets 0", "line 1: need at least one"),
+    ("tets 10001", "line 1: tetrahedron count 10001 exceeds 10000"),
     ("tets 1\nglue 0 0 0 1", "line 2: expected 'glue I F J G P'"),
     ("tets 1\nglue 0 0 0 q 0123", "line 2: bad index"),
     ("tets 1\nglue 0 0 0 0_1 1023", "line 2: bad index"),
@@ -59,6 +61,11 @@ def test_parse_errors_carry_line_numbers(text, fragment):
     assert fragment in message
     assert not text or message.startswith(
         "line %d: " % len(text.splitlines()))
+
+
+def test_parse_accepts_the_largest_tetrahedron_count():
+    assert MAX_TETS == 10000
+    assert parse_triangulation("tets 10000").tet_count == MAX_TETS
 
 
 def test_edge_classes_match_union_find_on_every_fixture():
