@@ -38,6 +38,10 @@ class AngleAssignment:
     """6n dihedral angles in units of pi, tet-major, edges 0..5."""
     angles: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "angles", exact(
+            "AngleAssignment angles", self.angles, AngleStructureError))
+
     @classmethod
     def from_vector(cls, tet_count: int, vec):
         vec = exact("AngleAssignment.from_vector", vec, AngleStructureError)
@@ -59,6 +63,12 @@ class AreaCurvature:
     """Prescribed or realized data: 4n triangle areas, m edge curvatures."""
     area: tuple
     curvature: tuple
+
+    def __post_init__(self):
+        for field in ("area", "curvature"):
+            object.__setattr__(self, field, exact(
+                "AreaCurvature " + field, getattr(self, field),
+                AngleStructureError))
 
     @classmethod
     def of(cls, area, curvature):

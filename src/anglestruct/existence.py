@@ -8,6 +8,14 @@ nonnegative or strictly positive solution.  Both answers come with proof:
 an assignment is re-verified against the realized area-curvature data,
 and a refusal carries a Farkas certificate checked by recomputation.
 
+The solvers run a smaller system with the same solutions.  A
+tetrahedron's four corner rows fix the difference of each pair of
+opposite angles, so one variable per pair, shifted by the offset the
+prescribed areas force, leaves one row per tetrahedron: 3n columns and
+n + m rows in place of 6n and 4n + m.  A refusal of that system is
+lifted to a Farkas vector over angle_linear_system's rows, the paper's
+system, and verified there too.
+
 The second deliverable is the certification of the quad-cone condition:
 a strict structure with nonpositive triangle areas exists if and only if
 every compatible normal class with nonnegative, not-all-zero quad part
@@ -18,12 +26,13 @@ away.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import _linalg
-from ._rational import exact
+from ._rational import exact, scaled
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
@@ -40,6 +49,7 @@ from .lp_core import (
     LinearSystem,
     NotStrict,
     Optimum,
+    _verified,
     minimize_linear,
     solve_feasibility_nonneg,
     solve_feasibility_strict,
@@ -71,9 +81,26 @@ def _check_realization(t, ac, x, mode: str) -> AngleAssignment:
     return alpha
 
 
+def _targets(t: Triangulation, ac: AreaCurvature, mode: str):
+    """(den, corner, edge, capped): the corner targets a_i^l = A + 1 and
+    the edge targets b_j = 2 (1 on the boundary) - kappa as ints over one
+    denominator, and whether a positive area needs caps."""
+    if mode not in ("semi", "strict"):
+        raise ExistenceError("unknown solve mode %r" % (mode,))
+    n = t.tet_count
+    edge_classes = t.edge_classes
+    if len(ac.area) != 4 * n or len(ac.curvature) != len(edge_classes):
+        raise ExistenceError("area-curvature size does not match")
+    den, ints = scaled(ac.area + ac.curvature)
+    corner = [a + den for a in ints[:4 * n]]
+    edge = [(1 if cls.is_boundary else 2) * den - ints[4 * n + cls.index]
+            for cls in edge_classes]
+    return den, corner, edge, any(a > 0 for a in ints[:4 * n])
+
+
 def angle_linear_system(t: Triangulation, ac: AreaCurvature,
                         mode: str) -> LinearSystem:
-    """The linear system B x = (a, b) the solvers run for the given mode.
+    """The linear system B x = (a, b) of the paper, in the given mode.
 
     Columns: the 6n tet-edge angles.  Rows: 4n corner rows (one per
     tetrahedron corner, 1 on the three tet-edges at that corner) followed
@@ -85,52 +112,140 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
     With every triangle area <= 0 the corner rows already bound each
     angle by pi, so that system suffices; otherwise per-angle cap rows
     x + slack = 1 are appended and the slacks share the sign constraint
-    of the angles.
+    of the angles.  The finders solve the smaller pair system below; every
+    refutation they return is a Farkas vector over this system's rows.
     """
-    if mode not in ("semi", "strict"):
-        raise ExistenceError("unknown solve mode %r" % (mode,))
+    den, corner, edge, capped = _targets(t, ac, mode)
     n = t.tet_count
-    edge_classes = t.edge_classes
-    if len(ac.area) != 4 * n or len(ac.curvature) != len(edge_classes):
-        raise ExistenceError("area-curvature size does not match")
     width = 6 * n
-    capped = any(a > 0 for a in ac.area)
-    cols = 2 * width if capped else width
-    rows = []
-    rhs = []
-    for i in range(n):
-        for l in range(4):
-            rows.append([(6 * i + k, 1) for k in EDGES_AT_VERTEX[l]])
-            rhs.append(ac.area[4 * i + l] + 1)
-    for cls in edge_classes:
-        rows.append([(6 * i + k, 1) for i, k in cls.corners])
-        rhs.append((1 if cls.is_boundary else 2) - ac.curvature[cls.index])
+    rows = [[(6 * i + k, 1) for k in EDGES_AT_VERTEX[l]]
+            for i in range(n) for l in range(4)]
+    rows += [[(6 * i + k, 1) for i, k in cls.corners]
+             for cls in t.edge_classes]
+    rhs = [Fraction(v, den) for v in corner + edge]
     if capped:
-        for e in range(width):
-            rows.append([(e, 1), (width + e, 1)])
-            rhs.append(1)
+        rows += [[(e, 1), (width + e, 1)] for e in range(width)]
+        rhs += [1] * width
     sign = STRICT_POS if mode == "strict" else NONNEG
+    cols = 2 * width if capped else width
     return LinearSystem.of(rows, rhs, [sign] * cols)
+
+
+def _pair_system(t: Triangulation, ac: AreaCurvature, mode: str):
+    """The angle system over one column per pair of opposite tet-edges,
+    and the 6n shifts, as ints over a denominator, that take its
+    solutions back to angles.
+
+    A tetrahedron's four corner rows fix the difference of each opposite
+    pair: x_k - x_{5-k} = d_k, the corner targets at the ends of edge k
+    minus those at the ends of edge 5 - k, halved.  So x_k = y + max(0,
+    d_k) and x_{5-k} = y + max(0, -d_k), and x >= 0 (> 0) exactly when
+    y >= 0 (> 0).  Columns 3i + k, k < 3, are tet i's pairs.  Rows: one
+    per tetrahedron, its three pairs summing to the corner target at
+    vertex 0 minus the shifts on the edges there; the m edge rows in the
+    pair columns, less their shifts; and when capped, y + slack = 1 - |d|
+    per pair, since the larger angle of the pair is y + |d|.  Every
+    number is an int over twice the targets' denominator, so d is too.
+    """
+    den, corner, edge, capped = _targets(t, ac, mode)
+    n = t.tet_count
+    den *= 2
+    shift = []
+    rows, rhs = [], []
+    for i in range(n):
+        c = corner[4 * i:4 * i + 4]
+        shift += [max(c[u] + c[v] - c[a] - c[b], 0) for (u, v), (a, b)
+                  in zip(EDGE_VERTICES, reversed(EDGE_VERTICES))]
+        rows.append([(3 * i + k, 1) for k in range(3)])
+        rhs.append(2 * c[0] - sum(shift[6 * i:6 * i + 3]))
+    for cls, b in zip(t.edge_classes, edge):
+        # Both sides of a pair, or a folded edge, can lie on one edge
+        # class: the count is an int here, not a Fraction sum in of().
+        rows.append(Counter(3 * i + min(k, 5 - k)
+                            for i, k in cls.corners).items())
+        rhs.append(2 * b - sum(shift[6 * i + k] for i, k in cls.corners))
+    width = 3 * n
+    if capped:
+        rows += [[(p, 1), (width + p, 1)] for p in range(width)]
+        rhs += [den - shift[6 * i + k] - shift[6 * i + 5 - k]
+                for i in range(n) for k in range(3)]
+    sign = STRICT_POS if mode == "strict" else NONNEG
+    cols = 2 * width if capped else width
+    return LinearSystem.of(rows, [Fraction(v, den) for v in rhs],
+                           [sign] * cols), den, shift
+
+
+def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
+    """The pair system's Farkas vector y = (z, w, g) as one over
+    angle_linear_system's rows, verified there.
+
+    The edge multipliers w stay, and u = E^T w is what they put on each
+    tet-edge column.  On each pair's tight side, the side with the
+    positive shift (side k when d = 0), the corner multipliers h are
+    chosen so that the full column is 0: the two corners at that edge sum
+    to E = -u - g, and the cap multiplier g goes on that side's cap row.
+    The other side's two corners sum to z_i - E, which makes its full
+    column the pair's column z_i + u_k + u_{5-k} + g <= 0, and the slack
+    columns are g and 0.  Six edge sums whose opposite pairs all add up
+    to z_i come from h_v = (sum of the three at v - z_i) / 2.  Then y.b
+    is the pair system's y.b, so the refutation carries over, strictness
+    included: a negative pair or slack column stays a negative column.
+    The sums are taken over y scaled to ints.
+    """
+    n = t.tet_count
+    m = len(t.edge_classes)
+    den, ints = scaled(y)
+    z, g = ints[:n], ints[n + m:]
+    u = [0] * (6 * n)
+    for cls, wj in zip(t.edge_classes, ints[n:n + m]):
+        if wj:
+            for i, k in cls.corners:
+                u[6 * i + k] += wj
+    h = []
+    caps = [Fraction(0)] * (6 * n if g else 0)
+    for i in range(n):
+        sums = [0] * 6
+        for k in range(3):
+            tight = 5 - k if shift[6 * i + 5 - k] else k
+            sums[tight] = -u[6 * i + tight] - (g[3 * i + k] if g else 0)
+            sums[5 - tight] = z[i] - sums[tight]
+            if g:
+                caps[6 * i + tight] = y[n + m + 3 * i + k]
+        h += [Fraction(sum(sums[k] for k in EDGES_AT_VERTEX[v]) - z[i],
+                       2 * den) for v in range(4)]
+    return _verified(angle_linear_system(t, ac, mode),
+                     (*h, *y[n:n + m], *caps),
+                     "strict" if mode == "strict" else "nonneg")
+
+
+def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
+    sys, den, shift = _pair_system(t, ac, mode)
+    if mode == "strict":
+        res = solve_feasibility_strict(sys)
+    else:
+        res = solve_feasibility_nonneg(sys)
+    if isinstance(res, (Infeasible, NotStrict)):
+        return _lifted(t, ac, mode, shift, res.certificate.y)
+    x = [res.x[3 * i + min(k, 5 - k)] + Fraction(shift[6 * i + k], den)
+         for i in range(t.tet_count) for k in range(6)]
+    return _check_realization(t, ac, x, mode)
 
 
 def find_semi_angle_structure(t: Triangulation, ac: AreaCurvature):
     """A semi assignment (angles in [0, pi]) realizing ac, or a Farkas
-    certificate that none exists."""
-    sys = angle_linear_system(t, ac, "semi")
-    res = solve_feasibility_nonneg(sys)
-    if isinstance(res, Infeasible):
-        return res.certificate
-    return _check_realization(t, ac, res.x[:6 * t.tet_count], "semi")
+    certificate over angle_linear_system's semi rows that none exists.
+
+    Solved over the pair system (3n columns, n + m rows, plus 3n caps
+    and slacks when an area is positive); a refutation is lifted to the
+    full system and verified there, an assignment re-verified."""
+    return _decide(t, ac, "semi")
 
 
 def find_angle_structure(t: Triangulation, ac: AreaCurvature):
     """A strict assignment (angles in (0, pi)) realizing ac, or a
-    strict-mode Farkas certificate, decided by margin maximization."""
-    sys = angle_linear_system(t, ac, "strict")
-    res = solve_feasibility_strict(sys)
-    if isinstance(res, NotStrict):
-        return res.certificate
-    return _check_realization(t, ac, res.x[:6 * t.tet_count], "strict")
+    strict-mode Farkas certificate over angle_linear_system's strict
+    rows, decided by margin maximization over the pair system."""
+    return _decide(t, ac, "strict")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from ._linalg import _eliminate, _primitive
 from ._rational import exact, scaled
@@ -337,19 +338,25 @@ def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
     same column conditions with y.b >= 0, and additionally the
     certificate must actually cut the open cone: either y.b > 0 or some
     column with A^T y strictly negative.
-    Pure recomputation; never trusts solver state.
+    Pure recomputation; never trusts solver state.  y, b and the
+    coefficients of A are each scaled to ints over one positive
+    denominator, so both products are int sums with the signs of the
+    rational ones.
     """
     if mode not in ("nonneg", "strict"):
         raise LPError("unknown certificate mode %r" % (mode,))
     y = exact("verify_certificate y", y, LPError)
     if len(y) != sys.row_count:
         return False
-    ydotb = sum((yi * bi for yi, bi in zip(y, sys.rhs)), Fraction(0))
-    aty = [Fraction(0)] * sys.col_count
-    for yi, row in zip(y, sys.rows):
-        if yi:
-            for c, v in row:
-                aty[c] += yi * v
+    _, ys = scaled(y)
+    _, bs = scaled(sys.rhs)
+    ydotb = sum(map(mul, ys, bs))
+    _, coeffs = scaled(v for row in sys.rows for _, v in row)
+    coeffs = iter(coeffs)
+    aty = [0] * sys.col_count
+    for yi, row in zip(ys, sys.rows):
+        for (c, _), v in zip(row, coeffs):
+            aty[c] += yi * v
     if any(w > 0 for w in aty):
         return False
     if mode == "nonneg":

@@ -17,7 +17,9 @@ program that never projects.  The simplex itself is kept here as it
 was over a Fraction tableau, so that the integer tableau can be checked
 to take the same pivots.  So are the normal-coordinate formulas, one
 Fraction at a time: membership, crossing weights, edge coefficients and
-chi*, against which the integer kernels are checked.
+chi*, against which the integer kernels are checked, and the Farkas
+sign conditions recomputed over Fractions, against which the integer
+certificate check is.
 """
 
 from __future__ import annotations
@@ -519,6 +521,23 @@ def dense_system(coeffs, rhs, signs):
     return LinearSystem.of(
         [[(c, v) for c, v in enumerate(row) if v] for row in coeffs],
         rhs, signs)
+
+
+def verify_certificate(sys, y, mode: str) -> bool:
+    """The Farkas sign conditions of lp_core.verify_certificate, with
+    A^T y and y.b summed as Fractions."""
+    if len(y) != sys.row_count:
+        return False
+    ydotb = sum((Fraction(a) * b for a, b in zip(y, sys.rhs)), Fraction(0))
+    aty = [Fraction(0)] * sys.col_count
+    for a, row in zip(y, sys.rows):
+        for c, v in row:
+            aty[c] += Fraction(a) * v
+    if any(w > 0 for w in aty):
+        return False
+    if mode == "nonneg":
+        return ydotb > 0
+    return ydotb > 0 or (ydotb == 0 and any(w < 0 for w in aty))
 
 
 def quad_areas(alpha, n):

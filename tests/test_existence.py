@@ -133,6 +133,72 @@ def test_positive_area_targets_are_still_decided():
             angle_linear_system(fig8, ac, "semi"), res.y, "nonneg")
 
 
+def test_finders_solve_one_column_per_opposite_edge_pair(monkeypatch):
+    # n + m rows over 3n pair columns; a positive area adds 3n cap rows
+    # and 3n slack columns.  fig8 has n = m = 2, one-tet n = 1, m = 6.
+    from anglestruct import existence
+    shapes = []
+    for name in ("solve_feasibility_nonneg", "solve_feasibility_strict"):
+        def spy(sys, solve=getattr(existence, name)):
+            shapes.append((sys.row_count, sys.col_count, set(sys.signs)))
+            return solve(sys)
+        monkeypatch.setattr(existence, name, spy)
+    fig8 = fixture("fig8").triangulation
+    one = fixture("one-tet").triangulation
+    pos = AreaCurvature(area=(F(1, 2),) * 8, curvature=(F(0),) * 2)
+    for t, ac in ((fig8, zero_ac(fig8)), (fig8, pos), (one, zero_ac(one))):
+        find_semi_angle_structure(t, ac)
+        find_angle_structure(t, ac)
+    assert shapes == [(4, 6, {NONNEG}), (4, 6, {STRICT_POS}),
+                      (10, 12, {NONNEG}), (10, 12, {STRICT_POS}),
+                      (7, 3, {NONNEG}), (7, 3, {STRICT_POS})]
+
+
+def _degenerate_fig8_target():
+    fig8 = fixture("fig8").triangulation
+    alpha = AngleAssignment.from_vector(
+        2, [F(0), F(0), F(0), F(1, 2), F(1, 2), F(1, 2)] + [F(1, 3)] * 6)
+    return fig8, realized_area_curvature(alpha, fig8)
+
+
+def _wide_fig8_target():
+    # Corner targets 2, 2, 0, 0 in tet 0 and 0, 0, 2, 2 in tet 1 give
+    # opposite pairs that differ by 2 and -2, more than the caps allow,
+    # so the tight side is the first of the pair in one tet and the
+    # second in the other.
+    return fixture("fig8").triangulation, AreaCurvature.of(
+        [1, 1, -1, -1, -1, -1, 1, 1], [0, 0])
+
+
+# Each refused target: (triangulation, area-curvature) and the modes
+# in which no assignment realizes it.
+REFUSED = {
+    "fig8-infeasible": (lambda: (fixture("fig8-infeasible").triangulation,
+                                 fixture("fig8-infeasible").ac),
+                        ("semi", "strict")),
+    "one-tet-curvature": (lambda: (fixture("one-tet").triangulation,
+                                   AreaCurvature.of([0] * 4, [2] * 6)),
+                          ("semi", "strict")),
+    "zero-corner-sum": (_degenerate_fig8_target, ("strict",)),
+    "capped-wide": (_wide_fig8_target, ("semi", "strict")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_lifted_certificates_verify_on_the_full_system(name):
+    build, modes = REFUSED[name]
+    t, ac = build()
+    for mode in modes:
+        finder = find_angle_structure if mode == "strict" \
+            else find_semi_angle_structure
+        cert = finder(t, ac)
+        assert isinstance(cert, Certificate)
+        full = angle_linear_system(t, ac, mode)
+        assert len(cert.y) == full.row_count
+        assert verify_certificate(full, cert.y,
+                                  "strict" if mode == "strict" else "nonneg")
+
+
 def test_certify_condition2_on_fig8():
     fig8 = fixture("fig8").triangulation
     third = fixture("fig8").angles

@@ -5,8 +5,8 @@ unused-import check (F401); an import line marked ``# noqa: F401`` is
 kept on purpose and exempt.  No module reads a dense matrix view, only
 `_rational` takes a number apart into numerator and denominator, and
 the simplex's per-pivot code, with the elimination step it shares with
-the echelon form, and the integer normal-coordinate kernels use no
-Fraction and no "/".
+the echelon form, the integer normal-coordinate kernels and the
+certificate check use no Fraction and no "/".
 """
 
 from __future__ import annotations
@@ -74,10 +74,12 @@ def test_pivot_loop_stays_in_integers():
     # call Fraction nor divide with "/", so they cannot drift back to
     # Fraction cells.  Nor do the normal-coordinate kernels that read a
     # coordinate's scaled int view: the membership loop, the crossing
-    # weights and their sums per edge class.
+    # weights and their sums per edge class.  Nor does the certificate
+    # check, which sums A^T y and y.b over scaled ints.
     hot = {}
     for module, names in (("lp_core.py", ("_pivot", "_pivot_loop",
-                                          "_leaving")),
+                                          "_leaving",
+                                          "verify_certificate")),
                           ("_linalg.py", ("_eliminate", "_primitive")),
                           ("normal_coords.py", ("is_in_solution_space",
                                                 "_crossing_weights",
@@ -88,7 +90,7 @@ def test_pivot_loop_stays_in_integers():
                    and node.name in names)
     assert sorted(hot) == ["_crossing_weights", "_edge_sums", "_eliminate",
                            "_leaving", "_pivot", "_pivot_loop", "_primitive",
-                           "is_in_solution_space"]
+                           "is_in_solution_space", "verify_certificate"]
     for fn in hot.values():
         for node in ast.walk(fn):
             assert not (isinstance(node, ast.Name) and node.id == "Fraction")

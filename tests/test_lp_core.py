@@ -267,6 +267,34 @@ def test_integer_tableau_takes_the_fraction_simplex_pivots():
     assert len(statuses) == 3 * 160
 
 
+def test_integer_certificate_check_agrees_with_the_fraction_one():
+    # Rational coefficients and rhs with unlike denominators, each checked
+    # against the solver's own refutations, their negations, 0, and
+    # random vectors; the strict case y.b = 0 with a negative column shows
+    # on the solved strict systems.
+    rng = random.Random(2030)
+    verdicts = set()
+    for _ in range(200):
+        cols = rng.randint(1, 5)
+        sys = rand_rational_system(rng, rng.randint(1, 4), cols)
+        strict = LinearSystem.of(sys.rows, sys.rhs, [STRICT_POS] * cols)
+        k = sys.row_count
+        ys = [(F(0),) * k,
+              tuple(F(rng.randint(-5, 5), rng.randint(1, 6))
+                    for _ in range(k))]
+        for res in (solve_feasibility_nonneg(sys),
+                    solve_feasibility_strict(strict)):
+            if isinstance(res, (Infeasible, NotStrict)):
+                ys += [res.certificate.y,
+                       tuple(-v for v in res.certificate.y)]
+        for y in ys:
+            for mode in ("nonneg", "strict"):
+                expect = oracles.verify_certificate(sys, y, mode)
+                assert verify_certificate(sys, y, mode) == expect, (sys, y)
+                verdicts.add((mode, expect))
+    assert len(verdicts) == 4
+
+
 def test_pivot_that_is_not_a_unit():
     # Phase 1 enters x0 on 3/2: row 0's ints are 3, 2 over 2, so the
     # pivot row is rescaled to denominator 3 and row 1 to 3 times its own.

@@ -7,7 +7,11 @@ two of the pairs are then left unglued, which gives boundary faces.
 Every table checks its edge classes, vertex links and orientability
 against oracles that read the gluings directly, the corner order of
 each edge class against a step-by-step walk, and the angle system
-against a dense build, cell by cell.  Closed one-tetrahedron tables
+against a dense build, cell by cell.  The finders, which solve the
+smaller system over opposite-edge pairs, must agree with the full one on
+every table, in both modes and with and without caps: each refutation
+verifies as a certificate over the full rows, and each assignment
+realizes its target.  Closed one-tetrahedron tables
 also check the semi and strict solvers against brute-force
 enumeration, and every closed table checks the quad-slice
 certification, which projects the triangle columns away, against the
@@ -30,15 +34,15 @@ from hypothesis import strategies as st
 import oracles
 from anglestruct import (AngleAssignment, AreaCurvature,
                          BasisVerificationError, Fails, NormalCoordinate,
-                         Triangulation,
+                         Solution, StrictSolution, Triangulation,
                          angle_linear_system, certify_condition2,
                          chi_area_curvature, chi_star, chi_via_lemma2,
-                         combine, compatibility_system, decompose,
+                         classify, combine, compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
                          is_in_solution_space, is_orientable,
                          realized_area_curvature, solution_space_basis,
                          solve_feasibility_nonneg, solve_feasibility_strict,
-                         z_functional)
+                         verify_certificate, z_functional)
 from anglestruct.normal_coords import _crossing_weights, _edge_coefficients
 
 
@@ -136,16 +140,45 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     curvature = data.draw(rationals(len(t.edge_classes)))
     # Each is also solved, and the integer tableau must take the pivots
     # of the Fraction one.
+    targets = [AreaCurvature.of(target, curvature) for target in
+               ([-abs(a) for a in area], [abs(a) + 1 for a in area])]
+    feasible = {}
     with oracles.same_pivots() as statuses:
-        for target in ([-abs(a) for a in area], [abs(a) + 1 for a in area]):
-            ac = AreaCurvature.of(target, curvature)
+        for ac in targets:
             for mode, solve in (("semi", solve_feasibility_nonneg),
                                 ("strict", solve_feasibility_strict)):
                 sys = angle_linear_system(t, ac, mode)
                 assert (sys.coeffs, sys.rhs, sys.signs) == \
                     oracles.angle_system_dense(t, ac, mode)
-                solve(sys)
+                feasible[ac, mode] = isinstance(
+                    solve(sys), (Solution, StrictSolution))
     assert len(statuses) == 4
+    # The finders solve the pair system, also on both tableaus, and must
+    # agree with the full system: a refutation is a certificate over its
+    # rows, and an assignment realizes the target.  The data realized by
+    # strict angles, often with a positive area, is realizable in both
+    # modes.
+    realized = realized_area_curvature(AngleAssignment.from_vector(
+        n, [Fraction(a, 36) for a in data.draw(
+            st.lists(st.integers(1, 35), min_size=6 * n, max_size=6 * n))]),
+        t)
+    feasible[realized, "semi"] = feasible[realized, "strict"] = True
+    with oracles.same_pivots() as statuses:
+        for ac in (*targets, realized):
+            for mode, find in (("semi", find_semi_angle_structure),
+                               ("strict", find_angle_structure)):
+                res = find(t, ac)
+                assert isinstance(res, AngleAssignment) == feasible[ac, mode]
+                if isinstance(res, AngleAssignment):
+                    assert realized_area_curvature(res, t) == ac
+                    assert classify(res) in (
+                        ("strict",) if mode == "strict"
+                        else ("semi", "strict"))
+                else:
+                    assert verify_certificate(
+                        angle_linear_system(t, ac, mode), res.y,
+                        "strict" if mode == "strict" else "nonneg")
+    assert len(statuses) == 6
     if t.boundary_faces():
         return
 

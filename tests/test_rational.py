@@ -93,6 +93,15 @@ ENTRY_POINTS = {
     "AngleAssignment.from_vector": (
         AngleStructureError, "AngleAssignment.from_vector", 5,
         lambda x: AngleAssignment.from_vector(1, [0] * 5 + [x])),
+    "AngleAssignment": (
+        AngleStructureError, "AngleAssignment angles", 5,
+        lambda x: AngleAssignment(angles=(0,) * 5 + (x,))),
+    "AreaCurvature-area": (
+        AngleStructureError, "AreaCurvature area", 1,
+        lambda x: AreaCurvature(area=(0, x), curvature=(0,))),
+    "AreaCurvature-curvature": (
+        AngleStructureError, "AreaCurvature curvature", 0,
+        lambda x: AreaCurvature(area=(0, 0), curvature=(x,))),
     "AreaCurvature.of-area": (
         AngleStructureError, "AreaCurvature.of area", 1,
         lambda x: AreaCurvature.of([0, x], [0])),
