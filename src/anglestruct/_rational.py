@@ -1,6 +1,10 @@
-"""Exact numbers: `exact` refuses floats, and all but ints and Fractions,
-at every entry point; `scaled` takes a row or a vector to ints over the
-lcm of its denominators, and no other module takes a number apart.
+"""Exact numbers: `exact` refuses floats, bools, and all but ints and
+Fractions, at every entry point; `exact_scaled` is the same gate for
+readers that want ints, and keeps ints as ints; `scaled` takes a row or
+a vector to ints over the lcm of its denominators, `reduced` takes such
+a (den, ints) form to its least denominator, and no other module takes
+a number apart.  Lists of plain ints pass the gate and the scaling in
+one look at their types.
 
 Every number crossing a file boundary is a fraction printed as "p/q" with
 q > 0 and gcd(p,q) = 1; the denominator is kept even when it is 1 so that
@@ -11,33 +15,69 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 # ASCII digits only, with an optional sign on the numerator: int() alone
 # would also take "1_0", non-ASCII digits and inner whitespace.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+# The type of a plain int: the one type that the gate and the scaling
+# pass through without a look at each entry.
+_INT = frozenset([int])
+
+
+def _gate(where: str, values, error) -> tuple:
+    """values as a tuple, once each is an int or a Fraction; a bool, a
+    float or anything else raises error, naming where and its index."""
+    values = tuple(values)
+    if not _INT.issuperset(map(type, values)):
+        for idx, v in enumerate(values):
+            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+                raise error("%s entry %d is %r, not an int or a Fraction"
+                            % (where, idx, v))
+    return values
+
+
 def exact(where: str, values, error) -> tuple:
     """values as Fractions: an int is converted, a Fraction kept, and
     anything else raises error, naming where and the entry's index."""
-    values = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
-    for idx, v in enumerate(values):
-        if not isinstance(v, Fraction):
-            raise error("%s entry %d is %r, not an int or a Fraction"
-                        % (where, idx, v))
-    return values
+    return tuple(v if isinstance(v, Fraction) else Fraction(v)
+                 for v in _gate(where, values, error))
+
+
+def exact_scaled(where: str, values, error) -> tuple:
+    """(den, ints): values through the gate of exact, over the lcm of
+    their denominators; ints come back as they are, over 1."""
+    values = tuple(values)
+    if _INT.issuperset(map(type, values)):
+        return 1, values
+    return scaled(_gate(where, values, error))
 
 
 def scaled(values) -> tuple:
     """(den, ints): ints or Fractions over the lcm of their denominators."""
     values = tuple(values)
+    if _INT.issuperset(map(type, values)):
+        return 1, values
     den = lcm(*(v.denominator for v in values))
+    if den == 1:
+        return 1, tuple(v.numerator for v in values)
     return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
+def reduced(den: int, ints) -> tuple:
+    """(den, ints) with den and the ints divided by their gcd: the least
+    positive denominator that holds the same values, den > 0."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return den, tuple(ints)
+    return den // g, tuple(v // g for v in ints)
+
+
 def format_rational(x) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from ._rational import exact, format_rational, parse_rational
+from ._rational import exact, format_rational, parse_rational, scaled
 from .normal_coords import (
     QUAD_EDGES,
     NormalCoordinate,
@@ -35,7 +36,12 @@ class AngleStructureError(ValueError):
 
 @dataclass(frozen=True)
 class AngleAssignment:
-    """6n dihedral angles in units of pi, tet-major, edges 0..5."""
+    """6n dihedral angles in units of pi, tet-major, edges 0..5.
+
+    ``_scaled``, derived on first use and kept, is (den, ints): the
+    angles over the lcm of their denominators, as `_rational.scaled`.
+    Sums and bounds are read off it as ints.
+    """
     angles: tuple
 
     def __post_init__(self):
@@ -56,6 +62,10 @@ class AngleAssignment:
 
     def angle(self, tet: int, edge: int) -> Fraction:
         return self.angles[6 * tet + edge]
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        return scaled(self.angles)
 
 
 @dataclass(frozen=True)
@@ -81,19 +91,27 @@ class AreaCurvature:
 def area_of_triangle(alpha: AngleAssignment, tet: int,
                      corner: int) -> Fraction:
     """Corner angle sum minus pi for the triangle cutting off a vertex."""
-    return sum(alpha.angle(tet, k)
-               for k in EDGES_AT_VERTEX[corner]) - 1
+    den, a = alpha._scaled
+    return Fraction(sum(a[6 * tet + k] for k in EDGES_AT_VERTEX[corner])
+                    - den, den)
+
+
+def _quad_area(scaled_angles, tet: int, quad: int) -> int:
+    """A quad's area as an int over the den of the (den, ints) angles."""
+    den, a = scaled_angles
+    return sum(a[6 * tet + k] for k in QUAD_EDGES[quad]) - 2 * den
 
 
 def area_of_quad(alpha: AngleAssignment, tet: int, quad: int) -> Fraction:
     """Angle sum over the four crossed edges minus 2*pi."""
-    return sum(alpha.angle(tet, k) for k in QUAD_EDGES[quad]) - 2
+    return Fraction(_quad_area(alpha._scaled, tet, quad), alpha._scaled[0])
 
 
 def curvature(alpha: AngleAssignment, t: Triangulation, e) -> Fraction:
     """2*pi (interior) or pi (boundary) minus the angles around the edge."""
-    base = Fraction(1) if e.is_boundary else Fraction(2)
-    return base - sum(alpha.angle(i, k) for i, k in e.corners)
+    den, a = alpha._scaled
+    return Fraction((1 if e.is_boundary else 2) * den
+                    - sum(a[6 * i + k] for i, k in e.corners), den)
 
 
 def realized_area_curvature(alpha: AngleAssignment,
@@ -108,9 +126,10 @@ def realized_area_curvature(alpha: AngleAssignment,
 
 def classify(alpha: AngleAssignment) -> str:
     """'strict' for angles in (0,pi), 'semi' for [0,pi], else 'generalized'."""
-    if all(0 < a < 1 for a in alpha.angles):
+    den, ints = alpha._scaled
+    if all(0 < a < den for a in ints):
         return "strict"
-    if all(0 <= a <= 1 for a in alpha.angles):
+    if all(0 <= a <= den for a in ints):
         return "semi"
     return "generalized"
 
@@ -252,10 +271,7 @@ def chi_via_lemma2(t: Triangulation, s: NormalCoordinate,
         raise AngleStructureError("assignment is not semi")
     if not is_in_solution_space(t.compatibility_system, s):
         raise AngleStructureError("coordinate is not in the solution space")
-    total = chi_star(t, s)
-    for i in range(t.tet_count):
-        for p in range(3):
-            x = s.quad(i, p)
-            if x != 0:
-                total -= area_of_quad(alpha, i, p) * x / 2
-    return total
+    den, nums = s._scaled
+    pairing = sum(x * _quad_area(alpha._scaled, *divmod(i, 3))
+                  for i, x in enumerate(nums[:3 * t.tet_count]) if x)
+    return chi_star(t, s) - Fraction(pairing, 2 * den * alpha._scaled[0])

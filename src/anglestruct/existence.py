@@ -5,8 +5,8 @@ The decision problem is linear: stack one row per tetrahedron corner
 one row per edge class (the angles around the edge must sum to the total
 angle 2*pi or pi minus the prescribed curvature), then ask for a
 nonnegative or strictly positive solution.  Both answers come with proof:
-an assignment is re-verified against the realized area-curvature data,
-and a refusal carries a Farkas certificate checked by recomputation.
+an assignment is re-verified against the targets and the mode, and a
+refusal carries a Farkas certificate checked by recomputation.
 
 The solvers run a smaller system with the same solutions.  A
 tetrahedron's four corner rows fix the difference of each pair of
@@ -15,6 +15,15 @@ prescribed areas force, leaves one row per tetrahedron: 3n columns and
 n + m rows in place of 6n and 4n + m.  A refusal of that system is
 lifted to a Farkas vector over angle_linear_system's rows, the paper's
 system, and verified there too.
+
+From the targets to the verdict the finders work in ints.  The targets
+are scaled once, to ints over one denominator, and both systems take
+their rhs as those ints.  The pair solution becomes angles over one
+denominator, and the assignment is re-verified on its own scaled ints:
+each corner and edge sum against its target, with no AreaCurvature
+built.  A refusal is lifted over the pair certificate's scaled ints.
+Past lp_core's own answers on the pair system, Fractions are built only
+for what is returned: the angles and the lifted y.
 
 The second deliverable is the certification of the quad-cone condition:
 a strict structure with nonpositive triangle areas exists if and only if
@@ -26,9 +35,9 @@ away.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import _linalg
@@ -69,18 +78,6 @@ class ExistenceError(ValueError):
     detected violation of the strict/condition-2 equivalence."""
 
 
-def _check_realization(t, ac, x, mode: str) -> AngleAssignment:
-    alpha = AngleAssignment.from_vector(t.tet_count, x)
-    realized = realized_area_curvature(alpha, t)
-    kind = classify(alpha)
-    ok = kind == "strict" if mode == "strict" else kind in ("semi", "strict")
-    if realized.area != ac.area or realized.curvature != ac.curvature or \
-            not ok:
-        raise ExistenceError(
-            "internal error: solver output failed re-verification")
-    return alpha
-
-
 def _targets(t: Triangulation, ac: AreaCurvature, mode: str):
     """(den, corner, edge, capped): the corner targets a_i^l = A + 1 and
     the edge targets b_j = 2 (1 on the boundary) - kappa as ints over one
@@ -96,6 +93,30 @@ def _targets(t: Triangulation, ac: AreaCurvature, mode: str):
     edge = [(1 if cls.is_boundary else 2) * den - ints[4 * n + cls.index]
             for cls in edge_classes]
     return den, corner, edge, any(a > 0 for a in ints[:4 * n])
+
+
+def _check_realization(t: Triangulation, targets, alpha: AngleAssignment,
+                       mode: str) -> AngleAssignment:
+    """alpha, once its angle sums at each corner and around each edge
+    class meet the targets and its angles lie in the mode's bounds.
+
+    The sums are taken over alpha's scaled ints, over its den d, and the
+    targets are _targets' ints over theirs, den: a sum s meets a target
+    b exactly when s * den == b * d.  So this is the check that alpha
+    realizes the data, in ints and with no AreaCurvature built."""
+    den, corner, edge = targets[:3]
+    d, a = alpha._scaled
+    kind = classify(alpha)
+    ok = kind == "strict" if mode == "strict" else kind in ("semi", "strict")
+    sums = [sum(a[6 * i + k] for k in EDGES_AT_VERTEX[l])
+            for i in range(t.tet_count) for l in range(4)]
+    sums += [sum(a[6 * i + k] for i, k in cls.corners)
+             for cls in t.edge_classes]
+    if not ok or any(s * den != b * d
+                     for s, b in zip(sums, corner + edge)):
+        raise ExistenceError(
+            "internal error: solver output failed re-verification")
+    return alpha
 
 
 def angle_linear_system(t: Triangulation, ac: AreaCurvature,
@@ -114,6 +135,7 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
     x + slack = 1 are appended and the slacks share the sign constraint
     of the angles.  The finders solve the smaller pair system below; every
     refutation they return is a Farkas vector over this system's rows.
+    The targets go to LinearSystem.of as ints over their denominator.
     """
     den, corner, edge, capped = _targets(t, ac, mode)
     n = t.tet_count
@@ -122,19 +144,19 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
             for i in range(n) for l in range(4)]
     rows += [[(6 * i + k, 1) for i, k in cls.corners]
              for cls in t.edge_classes]
-    rhs = [Fraction(v, den) for v in corner + edge]
+    rhs = corner + edge
     if capped:
         rows += [[(e, 1), (width + e, 1)] for e in range(width)]
-        rhs += [1] * width
+        rhs += [den] * width
     sign = STRICT_POS if mode == "strict" else NONNEG
     cols = 2 * width if capped else width
-    return LinearSystem.of(rows, rhs, [sign] * cols)
+    return LinearSystem.of(rows, rhs, [sign] * cols, rhs_den=den)
 
 
-def _pair_system(t: Triangulation, ac: AreaCurvature, mode: str):
+def _pair_system(t: Triangulation, targets, mode: str):
     """The angle system over one column per pair of opposite tet-edges,
     and the 6n shifts, as ints over a denominator, that take its
-    solutions back to angles.
+    solutions back to angles; targets are _targets' for the same data.
 
     A tetrahedron's four corner rows fix the difference of each opposite
     pair: x_k - x_{5-k} = d_k, the corner targets at the ends of edge k
@@ -145,9 +167,10 @@ def _pair_system(t: Triangulation, ac: AreaCurvature, mode: str):
     vertex 0 minus the shifts on the edges there; the m edge rows in the
     pair columns, less their shifts; and when capped, y + slack = 1 - |d|
     per pair, since the larger angle of the pair is y + |d|.  Every
-    number is an int over twice the targets' denominator, so d is too.
+    number is an int over twice the targets' denominator, so d is too,
+    and the rhs goes to LinearSystem.of as those ints.
     """
-    den, corner, edge, capped = _targets(t, ac, mode)
+    den, corner, edge, capped = targets
     n = t.tet_count
     den *= 2
     shift = []
@@ -160,9 +183,8 @@ def _pair_system(t: Triangulation, ac: AreaCurvature, mode: str):
         rhs.append(2 * c[0] - sum(shift[6 * i:6 * i + 3]))
     for cls, b in zip(t.edge_classes, edge):
         # Both sides of a pair, or a folded edge, can lie on one edge
-        # class: the count is an int here, not a Fraction sum in of().
-        rows.append(Counter(3 * i + min(k, 5 - k)
-                            for i, k in cls.corners).items())
+        # class: of() adds up the pairs on one column.
+        rows.append([(3 * i + min(k, 5 - k), 1) for i, k in cls.corners])
         rhs.append(2 * b - sum(shift[6 * i + k] for i, k in cls.corners))
     width = 3 * n
     if capped:
@@ -171,8 +193,8 @@ def _pair_system(t: Triangulation, ac: AreaCurvature, mode: str):
                 for i in range(n) for k in range(3)]
     sign = STRICT_POS if mode == "strict" else NONNEG
     cols = 2 * width if capped else width
-    return LinearSystem.of(rows, [Fraction(v, den) for v in rhs],
-                           [sign] * cols), den, shift
+    return LinearSystem.of(rows, rhs, [sign] * cols, rhs_den=den), \
+        den, shift
 
 
 def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
@@ -190,19 +212,21 @@ def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
     to z_i come from h_v = (sum of the three at v - z_i) / 2.  Then y.b
     is the pair system's y.b, so the refutation carries over, strictness
     included: a negative pair or slack column stays a negative column.
-    The sums are taken over y scaled to ints.
+    The lift is taken over y scaled to ints, over den; h is over 2 den,
+    so w and g are doubled to join it, and the Fractions of the lifted
+    vector are built once it has been verified.
     """
     n = t.tet_count
     m = len(t.edge_classes)
     den, ints = scaled(y)
-    z, g = ints[:n], ints[n + m:]
+    z, w, g = ints[:n], ints[n:n + m], ints[n + m:]
     u = [0] * (6 * n)
-    for cls, wj in zip(t.edge_classes, ints[n:n + m]):
+    for cls, wj in zip(t.edge_classes, w):
         if wj:
             for i, k in cls.corners:
                 u[6 * i + k] += wj
     h = []
-    caps = [Fraction(0)] * (6 * n if g else 0)
+    caps = [0] * (6 * n if g else 0)
     for i in range(n):
         sums = [0] * 6
         for k in range(3):
@@ -210,25 +234,30 @@ def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
             sums[tight] = -u[6 * i + tight] - (g[3 * i + k] if g else 0)
             sums[5 - tight] = z[i] - sums[tight]
             if g:
-                caps[6 * i + tight] = y[n + m + 3 * i + k]
-        h += [Fraction(sum(sums[k] for k in EDGES_AT_VERTEX[v]) - z[i],
-                       2 * den) for v in range(4)]
+                caps[6 * i + tight] = 2 * g[3 * i + k]
+        h += [sum(sums[k] for k in EDGES_AT_VERTEX[v]) - z[i]
+              for v in range(4)]
     return _verified(angle_linear_system(t, ac, mode),
-                     (*h, *y[n:n + m], *caps),
+                     (2 * den, (*h, *(2 * v for v in w), *caps)),
                      "strict" if mode == "strict" else "nonneg")
 
 
 def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
-    sys, den, shift = _pair_system(t, ac, mode)
+    targets = _targets(t, ac, mode)
+    sys, den, shift = _pair_system(t, targets, mode)
     if mode == "strict":
         res = solve_feasibility_strict(sys)
     else:
         res = solve_feasibility_nonneg(sys)
     if isinstance(res, (Infeasible, NotStrict)):
         return _lifted(t, ac, mode, shift, res.certificate.y)
-    x = [res.x[3 * i + min(k, 5 - k)] + Fraction(shift[6 * i + k], den)
-         for i in range(t.tet_count) for k in range(6)]
-    return _check_realization(t, ac, x, mode)
+    d, xs = scaled(res.x)
+    lcd = lcm(d, den)
+    fx, fs = lcd // d, lcd // den
+    angles = [xs[3 * i + min(k, 5 - k)] * fx + shift[6 * i + k] * fs
+              for i in range(t.tet_count) for k in range(6)]
+    alpha = AngleAssignment(angles=tuple(Fraction(v, lcd) for v in angles))
+    return _check_realization(t, targets, alpha, mode)
 
 
 def find_semi_angle_structure(t: Triangulation, ac: AreaCurvature):
@@ -269,7 +298,9 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     The program: maximize sum_q area(q) x_q over all coordinates in the
     solution space with quad part >= 0 summing to 1, triangle part free.
     Holds when the maximum is negative.  The reported optimum is half the
-    raw maximum, the exact gap chi^(A,k)(s) - chi*(s) at the optimizer.
+    raw maximum, the exact gap chi*(s) - chi^(A,k)(s) at the optimizer s,
+    for the data alpha realizes: by Lemma 2 (chi_via_lemma2), chi^(A,k)
+    is chi* minus half the quad-area pairing.
 
     The triangle part is projected away before the LP.  With the triangle
     columns numbered first, the compatibility rows' echelon form has

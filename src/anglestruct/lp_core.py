@@ -1,8 +1,11 @@
 """Exact rational linear programming with verified infeasibility certificates.
 
 A two-phase tableau simplex with Bland's rule (deterministic,
-cycle-free), exact and with no floating point anywhere.  Systems and
-answers are fractions.Fraction; the tableau is fraction-free and
+cycle-free), exact and with no floating point anywhere.  A system is
+held once as ints: its rows over one positive denominator and its rhs
+over another, built by `_rational`'s gate, which keeps ints as ints.
+Answers are fractions.Fraction, built only at readout: x, the Farkas
+vector, the margin and the optimum.  The tableau is fraction-free and
 sparse, each row a dict of its nonzero ints whose entry at the row's
 basic column is its positive denominator.  A pivot is `_linalg`'s
 elimination step, the one the echelon form takes, and keeps every row
@@ -18,8 +21,9 @@ of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
 from zero by the largest possible epsilon), and linear minimization over
 the same polyhedra.  Infeasible outcomes carry a Farkas vector y that a
-separate routine re-verifies by plain recomputation, so no caller has to
-trust the solver's internals.
+separate routine re-verifies by plain recomputation, as int sums over
+the system's int form, so no caller has to trust the solver's
+internals.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from ._linalg import _eliminate, _primitive
-from ._rational import exact, scaled
+from ._rational import exact_scaled, reduced
 
 NONNEG = "nonneg"
 STRICT_POS = "strict-pos"
@@ -45,34 +49,75 @@ class LPError(ValueError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rational equality system A x = b with a sign constraint per column;
-    each row of A is the sorted (column, coefficient) pairs of its nonzeros."""
-    rows: tuple
-    rhs: tuple
+    """Rational equality system A x = b with a sign constraint per column,
+    held once as ints.
+
+    ``scaled_rows`` is (den, rows): each row of A as the sorted (column,
+    int) pairs of its nonzeros, every entry over the one positive den.
+    ``scaled_rhs`` is (den, ints), b over its own positive den.  Both
+    denominators are the least that hold their entries, so equal systems
+    compare equal however they were given.  ``rows``, ``rhs`` and
+    ``coeffs`` are Fraction views of them, derived on first use and kept.
+    """
+    scaled_rows: tuple
+    scaled_rhs: tuple
     signs: tuple
 
     @classmethod
-    def of(cls, rows, rhs, signs):
-        """Pairs on the same column add up, and zero sums are dropped."""
-        b = exact("LinearSystem.of rhs", rhs, LPError)
+    def of(cls, rows, rhs, signs, rhs_den: int = 1):
+        """Pairs on the same column add up, and zero sums are dropped.
+        Coefficients and rhs entries are ints or Fractions; each rhs
+        entry is read over rhs_den, a positive int."""
+        bden, b = exact_scaled("LinearSystem.of rhs", rhs, LPError)
         sg = tuple(signs)
         if len(rows) != len(b):
             raise LPError("row count does not match rhs length")
         for s in sg:
             if s not in _SIGNS:
                 raise LPError("unknown sign constraint %r" % (s,))
-        sparse = []
+        if not (type(rhs_den) is int and rhs_den > 0):
+            raise LPError("rhs denominator %r is not a positive int"
+                          % (rhs_den,))
+        ncols = len(sg)
+        dens, sums = [], []
         for r, pairs in enumerate(rows):
             pairs = tuple(pairs)
-            values = exact("LinearSystem.of row %d" % r,
-                           (v for _, v in pairs), LPError)
+            d, values = exact_scaled("LinearSystem.of row %d" % r,
+                                     [v for _, v in pairs], LPError)
             row = {}
             for (c, _), v in zip(pairs, values):
-                if not (isinstance(c, int) and 0 <= c < len(sg)):
+                if not (isinstance(c, int) and 0 <= c < ncols):
                     raise LPError("no column %r" % (c,))
-                row[c] = row[c] + v if c in row else v
-            sparse.append(tuple((c, v) for c, v in sorted(row.items()) if v))
-        return cls(rows=tuple(sparse), rhs=b, signs=sg)
+                row[c] = row.get(c, 0) + v
+            dens.append(d)
+            sums.append(row)
+        den = lcm(*dens)
+        sparse = []
+        for d, row in zip(dens, sums):
+            f = den // d
+            items = sorted(row.items())
+            if f != 1 or 0 in row.values():
+                items = [(c, v * f) for c, v in items if v]
+            sparse.append(tuple(items))
+        g = gcd(den, *(v for row in sparse for _, v in row)) \
+            if den > 1 else 1
+        if g > 1:
+            den //= g
+            sparse = [tuple((c, v // g) for c, v in row) for row in sparse]
+        return cls(scaled_rows=(den, tuple(sparse)),
+                   scaled_rhs=reduced(bden * rhs_den, b), signs=sg)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Each row of A as the sorted (column, Fraction) pairs of its
+        nonzeros."""
+        den, rows = self.scaled_rows
+        return tuple(tuple((c, Fraction(v, den)) for c, v in row)
+                     for row in rows)
+
+    @cached_property
+    def rhs(self) -> tuple:
+        return _fractions(self.scaled_rhs)
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -83,7 +128,7 @@ class LinearSystem:
 
     @property
     def row_count(self) -> int:
-        return len(self.rhs)
+        return len(self.scaled_rhs[1])
 
     @property
     def col_count(self) -> int:
@@ -179,7 +224,61 @@ def _pivot_loop(rows, basis, ncols: int, end: int):
         _pivot(rows, basis, r, enter)
 
 
-def _solve(sparse, rhs, cost):
+def _tableau(a, b, cost):
+    """The starting tableau of the all-artificial basis, and the sign
+    each row was multiplied by to make its rhs nonnegative.
+
+    a, b and cost are (den, ints) forms: the rows of A as (column, int)
+    pairs, then b and the costs.  Row i is A_i and b_i, both brought over
+    a's den times b's, with that product at its artificial column t + i:
+    one denominator for every constraint row.  Below them are the
+    phase-2 row, the costs over their den at column t + k + 1, and the
+    phase-1 row, 1 on each artificial minus the sum of the constraint
+    rows, made primitive, at column t + k + 2.
+    """
+    (aden, arows), (bden, bs), (cden, cs) = a, b, cost
+    k, t = len(bs), len(cs)
+    end = t + k
+    den = aden * bden
+    scale = [1 if v >= 0 else -1 for v in bs]
+    rows = []
+    for i, (pairs, v, s) in enumerate(zip(arows, bs, scale)):
+        row = {c: s * bden * w for c, w in pairs}
+        if v:
+            row[end] = s * aden * v
+        row[t + i] = den
+        rows.append(row)
+    phase1 = dict.fromkeys([*range(t, end), end + 2], den)
+    for row in rows:
+        for c, v in row.items():
+            phase1[c] = phase1.get(c, 0) - v
+    phase1 = {c: v for c, v in phase1.items() if v}
+    obj = {j: v for j, v in enumerate(cs) if v}
+    obj[end + 1] = cden
+    rows += [obj, _primitive(phase1, end + 2)]
+    basis = [t + i for i in range(k)] + [end + 1, end + 2]
+    return rows, basis, scale
+
+
+def _basic_values(rows, basis, t: int, col: int) -> tuple:
+    """(den, ints): per real column, the entry at col of the row it is
+    basic in over that row's denominator, 0 off the basis; over the lcm
+    of those denominators."""
+    den = lcm(*(row[b] for row, b in zip(rows, basis) if b < t))
+    ints = [0] * t
+    for row, b in zip(rows, basis):
+        if b < t:
+            ints[b] = row.get(col, 0) * (den // row[b])
+    return den, ints
+
+
+def _fractions(scaled_values) -> tuple:
+    """The Fractions of a (den, ints) form: answers are read out here."""
+    den, ints = scaled_values
+    return tuple(Fraction(v, den) for v in ints)
+
+
+def _solve(a, b, cost):
     """Two-phase simplex for min c.x, A x = b, x >= 0.
 
     The tableau is exact and fraction-free: each row is a dict of its
@@ -187,51 +286,30 @@ def _solve(sparse, rhs, cost):
     at its basic column.  Columns t..t+k-1 are the artificials, t+k the
     rhs, and t+k+1 and t+k+2 the identity columns that make the phase-2
     and the phase-1 objective rows basic, so each holds its row's
-    denominator.  A constraint row is built from its pairs over the lcm
-    of its denominators; Fractions appear again only at readout.  Signs,
+    denominator.  A, b and the costs come in as (den, ints) forms and
+    `_tableau` lays them out; no Fraction is built until readout.  Signs,
     ratio tests and so Bland's pivots are those of the same tableau over
-    Fractions.  The two objective rows below the constraint rows start
-    as the reduced costs of the all-artificial basis: the costs, and 1
-    on each artificial minus the sum of the constraint rows.
+    Fractions: a positive factor on a row changes none of them.
 
     Returns a dict with status "optimal" (x, value, dual), "unbounded"
-    (ray), or "infeasible" (farkas).  The phase-1 row, popped after
-    phase 1, gives the residue and the Farkas vector, and the final
-    phase-2 row the value and the dual: an objective row's rhs entry is
-    minus its phase's cost, and at artificial column q it is that
-    column's phase cost minus y_q, where y is in the scaled row
-    orientation and is unscaled back to the caller's.
+    (ray), or "infeasible" (farkas); each vector is a (den, ints) form
+    and the value a Fraction.  The phase-1 row, popped after phase 1,
+    gives the residue and the Farkas vector, and the final phase-2 row
+    the value and the dual: an objective row's rhs entry is minus its
+    phase's cost, and at artificial column q it is that column's phase
+    cost minus y_q, where y is in the sign-scaled row orientation and is
+    unscaled back to the caller's.
     """
-    k = len(sparse)
-    t = len(cost)
+    rows, basis, scale = _tableau(a, b, cost)
+    k = len(scale)
+    t = len(cost[1])
     end = t + k
-    scale = [1 if b >= 0 else -1 for b in rhs]
-    rows = []
-    for i, (pairs, b, s) in enumerate(zip(sparse, rhs, scale)):
-        pairs = (*pairs, (end, b))
-        d, ints = scaled(v for _, v in pairs)
-        row = {c: s * v for (c, _), v in zip(pairs, ints) if v}
-        row[t + i] = d
-        rows.append(row)
-    den = lcm(*(row[t + i] for i, row in enumerate(rows)))
-    phase1 = dict.fromkeys([*range(t, end), end + 2], den)
-    for i, row in enumerate(rows):
-        f = den // row[t + i]
-        for c, v in row.items():
-            phase1[c] = phase1.get(c, 0) - f * v
-    phase1 = {c: v for c, v in phase1.items() if v}
-    d, ints = scaled(cost)
-    obj = {j: c for j, c in enumerate(ints) if c}
-    obj[end + 1] = d
-    rows += [obj, _primitive(phase1, end + 2)]
-    basis = [t + i for i in range(k)] + [end + 1, end + 2]
     _pivot_loop(rows, basis, end, end)
     obj = rows.pop()
     den = obj[basis.pop()]
     if obj.get(end, 0) < 0:
-        y = [scale[q] * (1 - Fraction(obj.get(t + q, 0), den))
-             for q in range(k)]
-        return {"status": "infeasible", "farkas": tuple(y)}
+        y = [s * (den - obj.get(t + q, 0)) for q, s in enumerate(scale)]
+        return {"status": "infeasible", "farkas": (den, y)}
 
     # Pivot leftover artificials out wherever a real column is available;
     # rows that stay artificial-basic are identically zero on real
@@ -243,21 +321,16 @@ def _solve(sparse, rhs, cost):
                 _pivot(rows, basis, r, piv)
 
     enter = _pivot_loop(rows, basis, t, end)
-    obj, den = rows[-1], rows[-1][end + 1]
+    obj = rows.pop()
+    den = obj[basis.pop()]
     if enter is not None:
-        ray = [Fraction(0)] * t
-        ray[enter] = Fraction(1)
-        for r in range(k):
-            if basis[r] < t and enter in rows[r]:
-                ray[basis[r]] = -Fraction(rows[r][enter], rows[r][basis[r]])
-        return {"status": "unbounded", "ray": tuple(ray)}
-    x = [Fraction(0)] * t
-    for r in range(k):
-        if basis[r] < t:
-            x[basis[r]] = Fraction(rows[r].get(end, 0), rows[r][basis[r]])
-    dual = [-scale[q] * Fraction(obj.get(t + q, 0), den) for q in range(k)]
-    return {"status": "optimal", "x": tuple(x),
-            "value": -Fraction(obj.get(end, 0), den), "dual": tuple(dual)}
+        d, ray = _basic_values(rows, basis, t, enter)
+        ray = [-v for v in ray]
+        ray[enter] = d
+        return {"status": "unbounded", "ray": (d, ray)}
+    dual = [-s * obj.get(t + q, 0) for q, s in enumerate(scale)]
+    return {"status": "optimal", "x": _basic_values(rows, basis, t, end),
+            "value": -Fraction(obj.get(end, 0), den), "dual": (den, dual)}
 
 
 def _nonneg(sys: LinearSystem) -> None:
@@ -267,11 +340,13 @@ def _nonneg(sys: LinearSystem) -> None:
 
 
 def _verified(sys: LinearSystem, y, mode: str) -> Certificate:
-    """The certificate y, once verify_certificate has accepted it."""
-    if not verify_certificate(sys, y, mode):
+    """The certificate of the (den, ints) form y, once
+    verify_certificate has accepted its ints, which a positive den does
+    not change the signs of."""
+    if not verify_certificate(sys, y[1], mode):
         raise LPError("internal error: emitted certificate failed "
                       "verification")
-    return Certificate(y=y)
+    return Certificate(y=_fractions(y))
 
 
 def solve_feasibility_nonneg(sys: LinearSystem):
@@ -280,10 +355,10 @@ def solve_feasibility_nonneg(sys: LinearSystem):
     The refutation is a Farkas vector y with A^T y <= 0 and y.b > 0.
     """
     _nonneg(sys)
-    res = _solve(sys.rows, sys.rhs, [Fraction(0)] * sys.col_count)
+    res = _solve(sys.scaled_rows, sys.scaled_rhs, (1, (0,) * sys.col_count))
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
-    return Solution(x=res["x"])
+    return Solution(x=_fractions(res["x"]))
 
 
 def solve_feasibility_strict(sys: LinearSystem):
@@ -294,41 +369,45 @@ def solve_feasibility_strict(sys: LinearSystem):
     program bounded without affecting the sign of the optimum, so the
     reported margin never exceeds 1.  A positive optimum yields
     x = u + epsilon 1; otherwise the dual of the auxiliary program is a
-    strict-mode Farkas certificate.
+    strict-mode Farkas certificate.  The epsilon column of a row is the
+    sum of its ints, over the rows' den.
     """
     if any(s != STRICT_POS for s in sys.signs):
         raise LPError("strict feasibility requires all strict-pos columns")
     k = sys.row_count
     t = sys.col_count
-    rows = [row + ((t, sum((v for _, v in row), Fraction(0))),)
-            for row in sys.rows]
-    rows.append(((t, Fraction(1)), (t + 1, Fraction(1))))
-    rhs = tuple(sys.rhs) + (Fraction(1),)
-    cost = [Fraction(0)] * t + [Fraction(-1), Fraction(0)]
-    res = _solve(rows, rhs, cost)
+    den, rows = sys.scaled_rows
+    rows = [(*row, (t, m)) if (m := sum(v for _, v in row)) else row
+            for row in rows]
+    rows.append(((t, den), (t + 1, den)))
+    bden, bs = sys.scaled_rhs
+    res = _solve((den, rows), (bden, (*bs, bden)),
+                 (1, (0,) * t + (-1, 0)))
     if res["status"] == "infeasible":
-        y = res["farkas"][:k]
+        d, y = res["farkas"]
     else:
-        eps = res["x"][t]
+        d, x = res["x"]
+        eps = x[t]
         if eps > 0:
-            x = tuple(res["x"][j] + eps for j in range(t))
-            return StrictSolution(x=x, margin=eps)
-        y = res["dual"][:k]
-    return NotStrict(certificate=_verified(sys, y, "strict"))
+            return StrictSolution(x=tuple(Fraction(v + eps, d)
+                                          for v in x[:t]),
+                                  margin=Fraction(eps, d))
+        d, y = res["dual"]
+    return NotStrict(certificate=_verified(sys, (d, y[:k]), "strict"))
 
 
 def minimize_linear(objective, sys: LinearSystem):
     """Exact minimum of objective.x over {A x = b, x >= 0}."""
-    objective = exact("minimize_linear objective", objective, LPError)
-    if len(objective) != sys.col_count:
+    cost = exact_scaled("minimize_linear objective", objective, LPError)
+    if len(cost[1]) != sys.col_count:
         raise LPError("objective length does not match column count")
     _nonneg(sys)
-    res = _solve(sys.rows, sys.rhs, objective)
+    res = _solve(sys.scaled_rows, sys.scaled_rhs, cost)
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
     if res["status"] == "unbounded":
-        return Unbounded(ray=res["ray"])
-    return Optimum(value=res["value"], x=res["x"])
+        return Unbounded(ray=_fractions(res["ray"]))
+    return Optimum(value=res["value"], x=_fractions(res["x"]))
 
 
 def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
@@ -338,25 +417,22 @@ def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
     same column conditions with y.b >= 0, and additionally the
     certificate must actually cut the open cone: either y.b > 0 or some
     column with A^T y strictly negative.
-    Pure recomputation; never trusts solver state.  y, b and the
-    coefficients of A are each scaled to ints over one positive
-    denominator, so both products are int sums with the signs of the
-    rational ones.
+    Pure recomputation; never trusts solver state.  y is scaled to ints
+    over one positive denominator and read against the system's int
+    form, so both products are int sums with the signs of the rational
+    ones.
     """
     if mode not in ("nonneg", "strict"):
         raise LPError("unknown certificate mode %r" % (mode,))
-    y = exact("verify_certificate y", y, LPError)
-    if len(y) != sys.row_count:
+    _, ys = exact_scaled("verify_certificate y", y, LPError)
+    if len(ys) != sys.row_count:
         return False
-    _, ys = scaled(y)
-    _, bs = scaled(sys.rhs)
-    ydotb = sum(map(mul, ys, bs))
-    _, coeffs = scaled(v for row in sys.rows for _, v in row)
-    coeffs = iter(coeffs)
+    ydotb = sum(map(mul, ys, sys.scaled_rhs[1]))
     aty = [0] * sys.col_count
-    for yi, row in zip(ys, sys.rows):
-        for (c, _), v in zip(row, coeffs):
-            aty[c] += yi * v
+    for yi, row in zip(ys, sys.scaled_rows[1]):
+        if yi:
+            for c, v in row:
+                aty[c] += yi * v
     if any(w > 0 for w in aty):
         return False
     if mode == "nonneg":

@@ -469,6 +469,18 @@ def fraction_simplex(sparse, rhs, cost):
             "dual": tuple(dual)}
 
 
+def _fractions(scaled):
+    den, ints = scaled
+    return tuple(Fraction(v, den) for v in ints)
+
+
+def _read_out(res):
+    """An integer _solve result with each (den, ints) vector read out as
+    Fractions, the form fraction_simplex returns."""
+    return {key: value if key in ("status", "value") else _fractions(value)
+            for key, value in res.items()}
+
+
 def _typed(res):
     return {key: tuple((type(v), v) for v in value)
             if isinstance(value, tuple) else (type(value), value)
@@ -478,10 +490,11 @@ def _typed(res):
 @contextmanager
 def same_pivots():
     """Within the block, every lp_core._solve call is also solved by
-    fraction_simplex.  The two must pivot on the same (row, column)
-    pairs in the same order, and their result dicts must be identical,
-    entry types included.  Yields the list of the statuses compared so
-    far."""
+    fraction_simplex, on the same system given as Fractions.  The two
+    must pivot on the same (row, column) pairs in the same order, and
+    their result dicts must be identical, entry types included, once the
+    integer side's (den, ints) vectors are read out as Fractions.  Yields
+    the list of the statuses compared so far."""
     global _fraction_pivot
     integer, integer_pivot = lp_core._solve, lp_core._pivot
     fraction_pivot = _fraction_pivot
@@ -494,12 +507,15 @@ def same_pivots():
             pivot(*args)
         return step
 
-    def both(sparse, rhs, cost):
+    def both(a, b, cost):
         for log in steps.values():
             log.clear()
-        res = integer(sparse, rhs, cost)
-        expect = fraction_simplex(sparse, rhs, cost)
-        assert _typed(res) == _typed(expect), res
+        res = integer(a, b, cost)
+        den, rows = a
+        expect = fraction_simplex(
+            [[(c, Fraction(v, den)) for c, v in row] for row in rows],
+            _fractions(b), _fractions(cost))
+        assert _typed(_read_out(res)) == _typed(expect), res
         assert steps[integer_pivot] == steps[fraction_pivot], res
         statuses.append(res["status"])
         return res
@@ -538,6 +554,21 @@ def verify_certificate(sys, y, mode: str) -> bool:
     if mode == "nonneg":
         return ydotb > 0
     return ydotb > 0 or (ydotb == 0 and any(w < 0 for w in aty))
+
+
+def realized_data(t, alpha):
+    """(areas, curvatures) of an assignment, summed as Fractions angle by
+    angle: each corner's three angles minus 1, and 2 (1 on a boundary
+    class) minus the angles around each edge class."""
+    a = alpha.angles
+    at = [[k for k, ends in enumerate(EDGE_VERTICES) if v in ends]
+          for v in range(4)]
+    area = [sum((a[6 * i + k] for k in at[v]), Fraction(0)) - 1
+            for i in range(t.tet_count) for v in range(4)]
+    curvature = [(1 if e.is_boundary else 2) -
+                 sum((a[6 * i + k] for i, k in e.corners), Fraction(0))
+                 for e in t.edge_classes]
+    return area, curvature
 
 
 def quad_areas(alpha, n):

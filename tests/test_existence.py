@@ -6,11 +6,14 @@ import pytest
 from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
                          ExistenceError, Fails, Holds, angle_linear_system,
                          build_edge_classes, certify_condition2,
-                         check_corollary2, classify, find_angle_structure,
+                         check_corollary2, chi_area_curvature, chi_star,
+                         chi_via_lemma2, classify, find_angle_structure,
                          find_semi_angle_structure, fixture, identity_4_9,
                          parse_triangulation, realized_area_curvature,
                          verify_certificate)
-from anglestruct.lp_core import NONNEG, STRICT_POS
+from anglestruct import existence, lp_core
+from anglestruct.lp_core import (NONNEG, STRICT_POS, Infeasible, LPError,
+                                 NotStrict, Solution, StrictSolution)
 
 F = Fraction
 
@@ -154,6 +157,68 @@ def test_finders_solve_one_column_per_opposite_edge_pair(monkeypatch):
                       (7, 3, {NONNEG}), (7, 3, {STRICT_POS})]
 
 
+def _pair_x(alpha):
+    """The pair-system point of an assignment that realizes the target:
+    each opposite pair's smaller angle."""
+    a = alpha.angles
+    return tuple(min(a[6 * i + k], a[6 * i + 5 - k])
+                 for i in range(alpha.tet_count) for k in range(3))
+
+
+def test_assignment_off_the_target_fails_reverification(monkeypatch):
+    # A finder's x nudged off the target, with every angle still in
+    # (0, pi), is caught by the corner and edge sums alone.
+    fig8 = fixture("fig8").triangulation
+    third = fixture("fig8").angles
+    x = list(_pair_x(third))
+    x[0] += F(1, 100)
+    for name, res in (("solve_feasibility_nonneg", Solution(x=tuple(x))),
+                      ("solve_feasibility_strict",
+                       StrictSolution(x=tuple(x), margin=F(1, 3)))):
+        monkeypatch.setattr(existence, name, lambda sys, res=res: res)
+    for finder in (find_semi_angle_structure, find_angle_structure):
+        with pytest.raises(ExistenceError,
+                           match="solver output failed re-verification"):
+            finder(fig8, zero_ac(fig8))
+
+
+def test_strict_answer_with_a_zero_angle_fails_reverification(monkeypatch):
+    # fig8-flat1's stored angles realize its target, 0 and pi included:
+    # the sums pass, and only the strict bounds refuse them.
+    fx = fixture("fig8-flat1")
+    x = _pair_x(fx.angles)
+    assert min(x) == 0
+    monkeypatch.setattr(existence, "solve_feasibility_strict",
+                        lambda sys: StrictSolution(x=x, margin=F(1)))
+    with pytest.raises(ExistenceError,
+                       match="solver output failed re-verification"):
+        find_angle_structure(fx.triangulation, fx.ac)
+    monkeypatch.setattr(existence, "solve_feasibility_nonneg",
+                        lambda sys: Solution(x=x))
+    assert find_semi_angle_structure(fx.triangulation, fx.ac) == fx.angles
+
+
+def test_corrupted_pair_certificate_fails_on_the_lifted_system(monkeypatch):
+    # The pair system's refutation, negated after lp_core verified it, is
+    # lifted and refused by the check on angle_linear_system's rows.
+    fx = fixture("fig8-infeasible")
+    for mode, name, kind in (("semi", "solve_feasibility_nonneg",
+                              Infeasible),
+                             ("strict", "solve_feasibility_strict",
+                              NotStrict)):
+        def corrupted(sys, solve=getattr(lp_core, name), kind=kind):
+            res = solve(sys)
+            assert isinstance(res, kind)
+            y = tuple(-v for v in res.certificate.y)
+            return kind(certificate=Certificate(y=y))
+        monkeypatch.setattr(existence, name, corrupted)
+        finder = find_angle_structure if mode == "strict" \
+            else find_semi_angle_structure
+        with pytest.raises(LPError,
+                           match="emitted certificate failed verification"):
+            finder(fx.triangulation, fx.ac)
+
+
 def _degenerate_fig8_target():
     fig8 = fixture("fig8").triangulation
     alpha = AngleAssignment.from_vector(
@@ -216,6 +281,29 @@ def test_certify_condition2_fails_on_zero_area_quads():
     assert all(q >= 0 for q in w.quads) and any(q > 0 for q in w.quads)
     from anglestruct import compatibility_system, is_in_solution_space
     assert is_in_solution_space(compatibility_system(fx.triangulation), w)
+
+
+def test_certify_condition2_optimum_is_chi_star_minus_chi_at_the_witness():
+    # By Lemma 2, chi^(A,k)(s) = chi*(s) - half the quad-area pairing, so
+    # the reported optimum, half the maximal pairing, is chi*(w) -
+    # chi^(A,k)(w) at the witness w, for the data alpha realizes.  fig8
+    # has a canonical basis; one angle pair of tet 0 at 0 leaves a quad of
+    # area 2, and fig8-qzero's quads have area 0.
+    fig8 = fixture("fig8").triangulation
+    wide = AngleAssignment.from_vector(
+        2, [F(0), F(1), F(1), F(1), F(1), F(0)] + [F(1, 3)] * 6)
+    qzero = fixture("fig8-qzero")
+    optima = []
+    for t, alpha in ((fig8, wide), (qzero.triangulation, qzero.angles)):
+        res = certify_condition2(t, alpha)
+        assert isinstance(res, Fails)
+        w = res.witness
+        realized = realized_area_curvature(alpha, t)
+        assert res.optimum == chi_star(t, w) - \
+            chi_area_curvature(t, w, realized)
+        assert res.optimum == chi_star(t, w) - chi_via_lemma2(t, w, alpha)
+        optima.append(res.optimum)
+    assert optima[0] > 0 and optima[1] == 0
 
 
 def test_certify_condition2_rejects_generalized_assignments():
@@ -389,8 +477,9 @@ def test_degenerate_zero_corner_target_breaks_agreement_loudly():
                    reason="Corollary 2's hypothesis does not yet exclude "
                           "forced-zero angles")
 def test_check_corollary2_agrees_on_semi_data_with_a_zero_angle():
-    # Two tetrahedra with no folded edge; the strict side is refuted by a
-    # verified certificate while the quad slice gives Holds(-47/72).
+    # Two tetrahedra with two folded tet-edges, (0, 2) and (1, 0), as
+    # oracles.folded_tet_edges finds them; the strict side is refuted by
+    # a verified certificate while the quad slice gives Holds(-47/72).
     t = parse_triangulation("tets 2\nglue 0 0 0 3 3120\nglue 0 1 1 3 0321\n"
                             "glue 0 2 1 2 1320\nglue 1 0 1 1 1230\n")
     alpha = AngleAssignment.from_vector(2, [F(v) for v in (

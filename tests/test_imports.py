@@ -72,25 +72,34 @@ def test_pivot_loop_stays_in_integers():
     # entry at the row's basic column; Fractions are built only at
     # readout.  The per-pivot code and the _linalg step it calls neither
     # call Fraction nor divide with "/", so they cannot drift back to
-    # Fraction cells.  Nor do the normal-coordinate kernels that read a
-    # coordinate's scaled int view: the membership loop, the crossing
-    # weights and their sums per edge class.  Nor does the certificate
-    # check, which sums A^T y and y.b over scaled ints.
+    # Fraction cells.  Nor does the row build that lays a system's int
+    # form out as the starting tableau, nor the readout of basic values.
+    # Nor do the normal-coordinate kernels that read a coordinate's
+    # scaled int view: the membership loop, the crossing weights and
+    # their sums per edge class.  Nor does the certificate check, which
+    # sums A^T y and y.b over scaled ints, nor the lift of a pair-system
+    # refutation, nor the re-verification of an assignment, which sums
+    # its scaled angles against the int targets.
     hot = {}
     for module, names in (("lp_core.py", ("_pivot", "_pivot_loop",
-                                          "_leaving",
+                                          "_leaving", "_tableau",
+                                          "_basic_values",
                                           "verify_certificate")),
                           ("_linalg.py", ("_eliminate", "_primitive")),
                           ("normal_coords.py", ("is_in_solution_space",
                                                 "_crossing_weights",
-                                                "_edge_sums"))):
+                                                "_edge_sums")),
+                          ("existence.py", ("_check_realization",
+                                            "_lifted"))):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         hot.update((node.name, node) for node in tree.body
                    if isinstance(node, ast.FunctionDef)
                    and node.name in names)
-    assert sorted(hot) == ["_crossing_weights", "_edge_sums", "_eliminate",
-                           "_leaving", "_pivot", "_pivot_loop", "_primitive",
-                           "is_in_solution_space", "verify_certificate"]
+    assert sorted(hot) == ["_basic_values", "_check_realization",
+                           "_crossing_weights", "_edge_sums", "_eliminate",
+                           "_leaving", "_lifted", "_pivot", "_pivot_loop",
+                           "_primitive", "_tableau", "is_in_solution_space",
+                           "verify_certificate"]
     for fn in hot.values():
         for node in ast.walk(fn):
             assert not (isinstance(node, ast.Name) and node.id == "Fraction")

@@ -21,7 +21,11 @@ also solved over the Fraction tableau, which must give the same results.
 Every table also checks the integer normal-coordinate kernels
 (membership, crossing weights, edge coefficients, z and chi*) against
 their Fraction formulas, on a point of the solution space and on a
-point bumped off it.
+point bumped off it.  A second test checks, on each table, the finders'
+re-verification of an assignment, which sums scaled angles against int
+targets, against the Fraction sums and bounds it stands for, and that
+LinearSystem.of gives one system, with one answer, from ints and from
+equal Fractions.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from hypothesis import strategies as st
 
 import oracles
 from anglestruct import (AngleAssignment, AreaCurvature,
-                         BasisVerificationError, Fails, NormalCoordinate,
-                         Solution, StrictSolution, Triangulation,
+                         BasisVerificationError, ExistenceError, Fails,
+                         LinearSystem, NormalCoordinate, Solution,
+                         StrictSolution, Triangulation,
                          angle_linear_system, certify_condition2,
                          chi_area_curvature, chi_star, chi_via_lemma2,
                          classify, combine, compatibility_system, decompose,
@@ -43,6 +48,7 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          realized_area_curvature, solution_space_basis,
                          solve_feasibility_nonneg, solve_feasibility_strict,
                          verify_certificate, z_functional)
+from anglestruct import existence
 from anglestruct.normal_coords import _crossing_weights, _edge_coefficients
 
 
@@ -230,3 +236,73 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     assert decompose(t, s, basis) == (omega, z)
     ac = realized_area_curvature(alpha, t)
     assert chi_area_curvature(t, s, ac) == chi_via_lemma2(t, s, alpha)
+
+
+@settings(max_examples=50, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_int_checks_and_int_systems_agree_with_fractions(data):
+    # The finders' re-verification sums scaled angles against the int
+    # targets: it must accept exactly the assignments whose realized data,
+    # summed as Fractions, is the target and whose angles lie in the
+    # mode's bounds, for a realizing assignment and for one with an angle
+    # moved, against the realized target and against one with an entry
+    # moved.  realized_area_curvature and classify, which read the same
+    # scaled angles, must agree with those Fraction sums and bounds.
+    t = data.draw(gluing_tables())
+    n = t.tet_count
+    m = len(t.edge_classes)
+    alpha = AngleAssignment.from_vector(n, [
+        Fraction(a, 36) for a in data.draw(
+            st.lists(st.integers(0, 36), min_size=6 * n, max_size=6 * n))])
+    bump = st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)).map(
+        lambda v: v * data.draw(st.sampled_from((-1, 1))))
+    angles = list(alpha.angles)
+    angles[data.draw(st.integers(0, 6 * n - 1))] += data.draw(bump)
+    moved = AngleAssignment.from_vector(n, angles)
+    realized = realized_area_curvature(alpha, t)
+    data_moved = list(realized.area + realized.curvature)
+    data_moved[data.draw(st.integers(0, 4 * n + m - 1))] += data.draw(bump)
+    within = {"semi": lambda a: 0 <= a <= 1, "strict": lambda a: 0 < a < 1}
+    for beta in (alpha, moved):
+        area, curvature = oracles.realized_data(t, beta)
+        assert realized_area_curvature(beta, t) == \
+            AreaCurvature.of(area, curvature)
+        assert classify(beta) == next(
+            (mode for mode in ("strict", "semi")
+             if all(map(within[mode], beta.angles))), "generalized")
+    for ac in (realized, AreaCurvature.of(data_moved[:4 * n],
+                                          data_moved[4 * n:])):
+        for mode in within:
+            targets = existence._targets(t, ac, mode)
+            for beta in (alpha, moved):
+                area, curvature = oracles.realized_data(t, beta)
+                expect = (area, curvature) == \
+                    (list(ac.area), list(ac.curvature)) and \
+                    all(map(within[mode], beta.angles))
+                try:
+                    existence._check_realization(t, targets, beta, mode)
+                except ExistenceError as err:
+                    assert "failed re-verification" in str(err)
+                    assert not expect
+                else:
+                    assert expect
+    # LinearSystem.of holds one int form: the angle system, built from
+    # ints over the targets' denominator, equals the system given as the
+    # equal Fractions and as ints over a multiple of that denominator,
+    # and the solvers answer the Fraction-built one as they answer it.
+    for mode, solve in (("semi", solve_feasibility_nonneg),
+                        ("strict", solve_feasibility_strict)):
+        sys = angle_linear_system(t, realized, mode)
+        den, rows = sys.scaled_rows
+        bden, b = sys.scaled_rhs
+        assert den == 1
+        k = data.draw(st.integers(2, 5))
+        built = LinearSystem.of([[(c, Fraction(v)) for c, v in row]
+                                 for row in rows],
+                                [Fraction(v, bden) for v in b], sys.signs)
+        for other in (built, LinearSystem.of(rows, [k * v for v in b],
+                                             sys.signs, rhs_den=k * bden)):
+            assert other == sys
+            assert (other.rows, other.rhs) == (sys.rows, sys.rhs)
+        assert solve(built) == solve(sys)

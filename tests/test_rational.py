@@ -140,12 +140,13 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [0.1, "1/2"])
+@pytest.mark.parametrize("bad", [0.1, "1/2", True])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_inexact_entries_are_refused_where_they_enter(entry, bad):
     # Fraction() would store a float as its binary fraction (0.1 as
-    # 3602879701896397/36028797018963968) and parse a string, so every
-    # exact entry point refuses both, with its own module's error.
+    # 3602879701896397/36028797018963968) and parse a string, and a bool
+    # is an int that reads as 1 or 0, so every exact entry point refuses
+    # all three, with its own module's error.
     error, where, idx, call = ENTRY_POINTS[entry]
     with pytest.raises(error, match=re.escape(
             "%s entry %d is %r, not an int or a Fraction"
