@@ -354,66 +354,61 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_ANGLES = ("angles", {"help": "JSON file with the angle vector"})
+_REPORT = [("--json", {"action": "store_true",
+                       "help": "print the JSON report to stdout"}),
+           ("--out", {"metavar": "PATH",
+                      "help": "write the JSON report to PATH"})]
+
+# name -> (help, handler, each argument before --json and --out), in
+# the order that help lists the commands.
+_COMMANDS = {
+    "validate": ("check a gluing table and summarize its combinatorics",
+                 cmd_validate, [("triangulation", {})]),
+    "analyze": ("deep combinatorial report: edge and vertex classes, "
+                "compatibility system, chi* ground truth",
+                cmd_analyze, [("triangulation", {})]),
+    "solve": ("find an angle assignment realizing prescribed "
+              "area-curvature data", cmd_solve,
+              [("triangulation", {}),
+               ("ac", {"help": "JSON file with area and curvature vectors"}),
+               ("--mode", {"choices": ("semi", "strict"),
+                           "default": "strict"})]),
+    "certify": ("certify the negative-quad-area condition for a semi "
+                "assignment", cmd_certify, [("triangulation", {}), _ANGLES]),
+    "perturb": ("upgrade a flat semi assignment to a strict one",
+                cmd_perturb, [("triangulation", {}), _ANGLES]),
+    "fixtures": ("write a built-in fixture to disk (or list fixtures)",
+                 cmd_fixtures,
+                 [("name", {"nargs": "?"}),
+                  ("dir", {"nargs": "?",
+                           "help": "output directory (default: current)"})]),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The subparser of the command argv[0] names, or all of them when
+    it names none, so that help and usage errors list every command."""
     parser = argparse.ArgumentParser(
         prog="anglestruct",
         description="exact angle-structure existence, certification, and "
                     "perturbation on triangulated 3-manifolds")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="print the JSON report to stdout")
-        p.add_argument("--out", metavar="PATH",
-                       help="write the JSON report to PATH")
-
-    p = sub.add_parser("validate", help="check a gluing table and "
-                                        "summarize its combinatorics")
-    p.add_argument("triangulation")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="deep combinatorial report: edge "
-                                       "and vertex classes, compatibility "
-                                       "system, chi* ground truth")
-    p.add_argument("triangulation")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("solve", help="find an angle assignment realizing "
-                                     "prescribed area-curvature data")
-    p.add_argument("triangulation")
-    p.add_argument("ac", help="JSON file with area and curvature vectors")
-    p.add_argument("--mode", choices=("semi", "strict"), default="strict")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("certify", help="certify the negative-quad-area "
-                                       "condition for a semi assignment")
-    p.add_argument("triangulation")
-    p.add_argument("angles", help="JSON file with the angle vector")
-    common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("perturb", help="upgrade a flat semi assignment "
-                                       "to a strict one")
-    p.add_argument("triangulation")
-    p.add_argument("angles", help="JSON file with the angle vector")
-    common(p)
-    p.set_defaults(func=cmd_perturb)
-
-    p = sub.add_parser("fixtures", help="write a built-in fixture to disk "
-                                        "(or list fixtures)")
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("dir", nargs="?", default=None,
-                   help="output directory (default: current)")
-    common(p)
-    p.set_defaults(func=cmd_fixtures)
+    named = argv[:1] if argv and argv[0] in _COMMANDS else None
+    # A metavar keeps the full usage line; unset, errors say "command".
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(_COMMANDS) if named else None))
+    for name in named or _COMMANDS:
+        help_, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for arg, keywords in arguments + _REPORT:
+            p.add_argument(arg, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _build_parser(argv).parse_args(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

@@ -86,7 +86,7 @@ class LinearSystem:
                                      [v for _, v in pairs], LPError)
             row = {}
             for (c, _), v in zip(pairs, values):
-                if not (isinstance(c, int) and 0 <= c < ncols):
+                if not (type(c) is int and 0 <= c < ncols):
                     raise LPError("no column %r" % (c,))
                 row[c] = row.get(c, 0) + v
             dens.append(d)

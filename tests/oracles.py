@@ -13,9 +13,9 @@ sides.  The quad-slice maximum is too large to enumerate; it reruns the
 simplex on the unprojected slice program, over the full compatibility
 rows with every triangle column split into a nonnegative pair, so the
 solver's projection of the triangle columns is checked against a
-program that never projects.  The simplex itself is kept here as it
-was over a Fraction tableau, so that the integer tableau can be checked
-to take the same pivots.  So are the normal-coordinate formulas, one
+program that never projects.  The simplex itself is kept here over
+sparse rows of Fractions, so that the integer tableau can be checked to
+take the same pivots.  So are the normal-coordinate formulas, one
 Fraction at a time: membership, crossing weights, edge coefficients and
 chi*, against which the integer kernels are checked, and the Farkas
 sign conditions recomputed over Fractions, against which the integer
@@ -31,6 +31,8 @@ from itertools import combinations
 
 from anglestruct import lp_core
 from anglestruct.lp_core import LinearSystem, Optimum, minimize_linear
+
+ZERO, ONE = Fraction(0), Fraction(1)
 
 EDGE_VERTICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 EDGE_INDEX = {}
@@ -356,51 +358,52 @@ def _basic_solutions(coeffs, rhs):
 
 
 def _fraction_pivot(rows, basis, r: int, j: int) -> None:
-    """Pivot on (r, j); every row changes only in the pivot row's
-    nonzeros, the pivot row itself by dividing them by its entry at j."""
+    """Pivot on (r, j) over dict rows of nonzero Fractions: the pivot
+    row is divided by its entry at j, and every other row with an entry
+    at j changes only in the pivot row's nonzeros; entries that cancel
+    are dropped."""
     pivot = rows[r]
     piv = pivot[j]
-    nonzero = [(c, v / piv) for c, v in enumerate(pivot) if v]
-    for c, v in nonzero:
-        pivot[c] = v
+    if piv != 1:
+        for c, v in pivot.items():
+            pivot[c] = v / piv
+    nonzero = [(c, v) for c, v in pivot.items() if c != j]
     for i, row in enumerate(rows):
-        f = row[j]
-        if f and i != r:
+        if i != r and j in row:
+            f = -row.pop(j)
             for c, v in nonzero:
-                row[c] -= f * v
+                w = row.get(c)
+                if w is None:
+                    row[c] = f * v
+                else:
+                    w += f * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
     basis[r] = j
 
 
-def _fraction_priced(rows, basis, cost):
-    """The objective row of cost against basis: the reduced cost of
-    every column, then minus the cost of the basic solution."""
-    obj = list(cost) + [Fraction(0)]
-    for row, b in zip(rows, basis):
-        if cost[b]:
-            for c, v in enumerate(row):
-                if v:
-                    obj[c] -= cost[b] * v
-    return obj
-
-
-def _fraction_pivot_loop(rows, basis, ncols: int):
+def _fraction_pivot_loop(rows, basis, ncols: int, end: int):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
-    Entering variable: lowest-index column below ncols with negative
-    reduced cost in the objective row.  Leaving variable: minimum ratio,
-    ties broken by the lowest basic variable index.  Returns None at
-    optimality, else the entering column of an unbounded ray.
+    The objective row is rows[-1] and the constraint rows are the first
+    len(basis), with their rhs at column end.  Entering variable:
+    lowest-index column below ncols with negative reduced cost in the
+    objective row.  Leaving variable: minimum ratio, ties broken by the
+    lowest basic variable index.  Returns None at optimality, else the
+    entering column of an unbounded ray.
     """
     while True:
-        obj = rows[-1]
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = min((j for j, v in rows[-1].items() if j < ncols and v < 0),
+                    default=None)
         if enter is None:
             return None
         best = None
-        for r in range(len(basis)):
-            a = rows[r][enter]
-            if a > 0:
-                key = (rows[r][-1] / a, basis[r], r)
+        for r, b in enumerate(basis):
+            a = rows[r].get(enter)
+            if a is not None and a > 0:
+                key = (rows[r].get(end, ZERO) / a, b, r)
                 if best is None or key < best:
                     best = key
         if best is None:
@@ -409,36 +412,45 @@ def _fraction_pivot_loop(rows, basis, ncols: int):
 
 
 def fraction_simplex(sparse, rhs, cost):
-    """lp_core._solve as it was over a Fraction tableau, kept to check
-    that the integer tableau takes the same pivots.
+    """lp_core._solve over a tableau of Fractions, kept to check that the
+    integer tableau takes the same pivots.
 
-    Two-phase simplex for min c.x, A x = b, x >= 0.
+    Two-phase simplex for min c.x, A x = b, x >= 0.  Each row is a dict
+    of its nonzero Fractions: columns 0..t-1 real, t..t+k-1 artificial,
+    t+k the rhs.  Below the k constraint rows are the phase-2 row (the
+    costs) and the phase-1 row (1 on each artificial minus the sum of
+    the constraint rows); every pivot updates both, so neither is ever
+    priced again.
 
     Returns a dict with status "optimal" (x, value, dual), "unbounded"
     (ray), or "infeasible" (farkas).  The residue, the value, and the
     Farkas and dual vectors are read off the final objective row: its
-    last entry is minus the phase's cost, and at artificial column q it
+    rhs entry is minus the phase's cost, and at artificial column q it
     is that column's phase cost minus y_q, where y is in the scaled row
     orientation and is unscaled back to the caller's.
     """
     k = len(sparse)
     t = len(cost)
-    scale = [Fraction(1) if b >= 0 else Fraction(-1) for b in rhs]
+    end = t + k
+    scale = [ONE if b >= 0 else -ONE for b in rhs]
     rows = []
-    for i, pairs in enumerate(sparse):
-        row = [Fraction(0)] * (t + k + 1)
-        for c, v in pairs:
-            row[c] = scale[i] * v
-        row[t + i] = Fraction(1)
-        row[-1] = scale[i] * rhs[i]
+    for i, (pairs, b, s) in enumerate(zip(sparse, rhs, scale)):
+        row = {c: s * v for c, v in pairs if v}
+        row[t + i] = ONE
+        if b:
+            row[end] = s * b
         rows.append(row)
+    phase1 = dict.fromkeys(range(t, end), ONE)
+    for row in rows:
+        for c, v in row.items():
+            phase1[c] = phase1.get(c, ZERO) - v
+    rows.append({j: v for j, v in enumerate(cost) if v})
+    rows.append({c: v for c, v in phase1.items() if v})
     basis = [t + i for i in range(k)]
-    phase1 = [Fraction(0)] * t + [Fraction(1)] * k
-    rows.append(_fraction_priced(rows, basis, phase1))
-    _fraction_pivot_loop(rows, basis, t + k)
-    obj = rows[-1]
-    if obj[-1] < 0:
-        y = [scale[q] * (1 - obj[t + q]) for q in range(k)]
+    _fraction_pivot_loop(rows, basis, end, end)
+    obj = rows.pop()
+    if obj.get(end, ZERO) < 0:
+        y = [s * (1 - obj.get(t + q, ZERO)) for q, s in enumerate(scale)]
         return {"status": "infeasible", "farkas": tuple(y)}
 
     # Pivot leftover artificials out wherever a real column is available;
@@ -446,26 +458,25 @@ def fraction_simplex(sparse, rhs, cost):
     # columns and inert from here on.
     for r in range(k):
         if basis[r] >= t:
-            piv = next((j for j in range(t) if rows[r][j] != 0), -1)
-            if piv >= 0:
+            piv = min((j for j in rows[r] if j < t), default=None)
+            if piv is not None:
                 _fraction_pivot(rows, basis, r, piv)
 
-    rows[-1] = obj = _fraction_priced(rows, basis,
-                                      list(cost) + [Fraction(0)] * k)
-    enter = _fraction_pivot_loop(rows, basis, t)
+    enter = _fraction_pivot_loop(rows, basis, t, end)
+    obj = rows[-1]
     if enter is not None:
-        ray = [Fraction(0)] * t
-        ray[enter] = Fraction(1)
-        for r in range(k):
-            if basis[r] < t and rows[r][enter]:
-                ray[basis[r]] = -rows[r][enter]
+        ray = [ZERO] * t
+        ray[enter] = ONE
+        for row, b in zip(rows, basis):
+            if b < t and enter in row:
+                ray[b] = -row[enter]
         return {"status": "unbounded", "ray": tuple(ray)}
-    x = [Fraction(0)] * t
-    for r in range(k):
-        if basis[r] < t:
-            x[basis[r]] = rows[r][-1]
-    dual = [-scale[q] * obj[t + q] for q in range(k)]
-    return {"status": "optimal", "x": tuple(x), "value": -obj[-1],
+    x = [ZERO] * t
+    for row, b in zip(rows, basis):
+        if b < t:
+            x[b] = row.get(end, ZERO)
+    dual = [-s * obj.get(t + q, ZERO) for q, s in enumerate(scale)]
+    return {"status": "optimal", "x": tuple(x), "value": -obj.get(end, ZERO),
             "dual": tuple(dual)}
 
 

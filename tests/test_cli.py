@@ -7,11 +7,16 @@ suite.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from anglestruct import cli
 from anglestruct.angle_structures import (
     ac_from_json,
     ac_to_json,
@@ -457,11 +462,13 @@ def test_argparse_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert "the following arguments are required: command" in \
+        capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert "argument command: invalid choice: 'no-such-command'" in \
+        capsys.readouterr().err
 
 
 def test_timing_goes_to_stderr_not_stdout(capsys, tmp_path):
@@ -469,3 +476,72 @@ def test_timing_goes_to_stderr_not_stdout(capsys, tmp_path):
     _, out, err = run(capsys, ["validate", paths["tri"], "--json"])
     assert "elapsed:" in err
     assert "elapsed" not in out
+
+
+COMMANDS = ("validate", "analyze", "solve", "certify", "perturb", "fixtures")
+SURFACE = (
+    [[], ["-h"], ["--help"], ["-h", "solve"], ["no-such-command"], ["solv"]]
+    + [[name, "-h"] for name in COMMANDS]
+    + [[name] for name in COMMANDS]
+    + [[name, "x"] for name in ("solve", "certify", "perturb")]
+    + [["solve", "a", "b", "--mode", "x"], ["solve", "a", "b", "--bogus"],
+       ["fixtures", "a", "b", "c"], ["--json", "validate", "x"],
+       ["validate", "x", "--js", "--o"]])
+
+
+def outcome(capsys, argv):
+    """Exit code (or SystemExit code), stdout, and stderr up to the
+    elapsed: line, whose timing differs from run to run."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.split("elapsed:")[0]
+
+
+@pytest.mark.parametrize("argv", SURFACE, ids=lambda a: " ".join(a) or "-")
+def test_surface_reads_as_with_every_subparser(capsys, monkeypatch, argv):
+    # Help and usage errors of the parser built for argv, against those
+    # of the parser that holds every command.
+    monkeypatch.setenv("COLUMNS", "80")
+    narrowed = outcome(capsys, argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda _: build([]))
+    assert outcome(capsys, argv) == narrowed
+
+
+def subcommands(parser):
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_named_command_builds_its_subparser_alone(capsys, name):
+    assert subcommands(cli._build_parser([name, "x"])) == [name]
+    for argv in ([], ["-h", name], ["solv"]):
+        assert subcommands(cli._build_parser(argv)) == list(COMMANDS)
+    # Each call builds its own parser and keeps none.
+    outcome(capsys, [name, "-h"])
+    assert cli._build_parser([name]) is not cli._build_parser([name])
+    assert not [v for v in vars(cli).values()
+                if isinstance(v, argparse.ArgumentParser)]
+
+
+def test_console_script_path_reads_sys_argv(capsys, tmp_path):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    argv = ["solve", paths["tri"], paths["ac"], "--json"]
+    code, out, _ = run(capsys, argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = [sys.executable, "-m", "anglestruct.cli"]
+    proc = subprocess.run(script + argv, capture_output=True, env=env)
+    assert code == proc.returncode == 0
+    assert proc.stdout == out.encode("utf-8")
+    proc = subprocess.run(script + ["--help"], capture_output=True,
+                          env=env, text=True)
+    assert proc.returncode == 0
+    assert "{%s}" % ",".join(COMMANDS) in proc.stdout
+    for name in COMMANDS:
+        assert "\n    %s " % name in proc.stdout

@@ -145,6 +145,9 @@ def test_linear_system_rows_are_sorted_nonzero_pairs():
     for column in (3, -1, 1.0):
         with pytest.raises(LPError):
             LinearSystem.of([[(0, 1), (column, 1)]], [1], [NONNEG] * 3)
+    # A bool is an int subclass, but no column index, as it is no value.
+    with pytest.raises(LPError, match="no column True"):
+        LinearSystem.of([[(True, 1)]], [1], [NONNEG] * 2)
 
 
 def test_coeffs_view_equals_the_dense_rows():
