@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from ._rational import exact, format_rational, parse_rational, scaled
 from .normal_coords import (
@@ -114,14 +115,28 @@ def curvature(alpha: AngleAssignment, t: Triangulation, e) -> Fraction:
                     - sum(a[6 * i + k] for i, k in e.corners), den)
 
 
-def realized_area_curvature(alpha: AngleAssignment,
-                            t: Triangulation) -> AreaCurvature:
+def _angle_sums(alpha: AngleAssignment, t: Triangulation) -> tuple:
+    """(den, corner, edge): alpha's 4n corner sums, tet-major, and its m
+    edge-class sums, with multiplicity, as ints over the den of its
+    scaled angles: the realized data and the checks read these."""
     if alpha.tet_count != t.tet_count:
         raise AngleStructureError("assignment size does not match")
-    area = tuple(area_of_triangle(alpha, i, l)
-                 for i in range(t.tet_count) for l in range(4))
-    curv = tuple(curvature(alpha, t, e) for e in t.edge_classes)
-    return AreaCurvature(area=area, curvature=curv)
+    den, a = alpha._scaled
+    corner = [a[i + j] + a[i + k] + a[i + l]
+              for i in range(0, 6 * t.tet_count, 6)
+              for j, k, l in EDGES_AT_VERTEX]
+    edge = [sum(a[6 * i + k] for i, k in cls.corners)
+            for cls in t.edge_classes]
+    return den, corner, edge
+
+
+def realized_area_curvature(alpha: AngleAssignment,
+                            t: Triangulation) -> AreaCurvature:
+    den, corner, edge = _angle_sums(alpha, t)
+    return AreaCurvature(
+        area=tuple(Fraction(s - den, den) for s in corner),
+        curvature=tuple(Fraction((1 if cls.is_boundary else 2) * den - s, den)
+                        for cls, s in zip(t.edge_classes, edge)))
 
 
 def classify(alpha: AngleAssignment) -> str:
@@ -151,24 +166,23 @@ def check_vertex_link_conditions(alpha: AngleAssignment, t: Triangulation):
     the sum must stay below pi.  Positive-Euler links carry no condition
     and are reported as skipped.
     """
+    den, corner, _ = _angle_sums(alpha, t)
     euler_at = {}
     for cls in t.vertex_classes:
-        for corner in cls.corners:
-            euler_at[corner] = cls.link_euler
+        for i, v in cls.corners:
+            euler_at[4 * i + v] = cls.link_euler
     report = []
-    for i in range(t.tet_count):
-        for v in range(4):
-            total = sum(alpha.angle(i, k) for k in EDGES_AT_VERTEX[v])
-            euler = euler_at[(i, v)]
-            if euler == 0:
-                status = "pass" if total == 1 else "fail"
-            elif euler < 0:
-                status = "pass" if total < 1 else "fail"
-            else:
-                status = "skipped"
-            report.append(VertexConditionEntry(
-                tet=i, vertex=v, corner_sum=total, link_euler=euler,
-                status=status))
+    for c, total in enumerate(corner):
+        euler = euler_at[c]
+        if euler == 0:
+            status = "pass" if total == den else "fail"
+        elif euler < 0:
+            status = "pass" if total < den else "fail"
+        else:
+            status = "skipped"
+        report.append(VertexConditionEntry(
+            tet=c // 4, vertex=c % 4, corner_sum=Fraction(total, den),
+            link_euler=euler, status=status))
     return tuple(report)
 
 
@@ -176,21 +190,16 @@ def is_flat_pair(alpha: AngleAssignment, t: Triangulation) -> bool:
     """Whether every triangle is exactly (0,0,pi)-angled or has area < 0.
 
     This is the flatness shape the perturbation step consumes: area zero
-    is allowed only in the fully degenerate pattern.
+    is allowed only in the fully degenerate pattern.  At a semi corner
+    whose angles sum to pi, a pi angle leaves the other two at zero.
     """
-    if alpha.tet_count != t.tet_count:
-        raise AngleStructureError("assignment size does not match")
+    den, corner, _ = _angle_sums(alpha, t)
     if classify(alpha) == "generalized":
         raise AngleStructureError("assignment is not semi")
-    for i in range(t.tet_count):
-        for l in range(4):
-            angles = sorted(alpha.angle(i, k) for k in EDGES_AT_VERTEX[l])
-            if angles == [Fraction(0), Fraction(0), Fraction(1)]:
-                continue
-            if area_of_triangle(alpha, i, l) < 0:
-                continue
-            return False
-    return True
+    a = alpha._scaled[1]
+    return all(total < den or (total == den and den in (
+        a[6 * (c // 4) + k] for k in EDGES_AT_VERTEX[c % 4]))
+        for c, total in enumerate(corner))
 
 
 def _rationals_field(data: dict, key: str) -> list:
@@ -253,10 +262,10 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
         raise AngleStructureError("area-curvature size does not match")
     if not is_in_solution_space(t.compatibility_system, s):
         raise AngleStructureError("coordinate is not in the solution space")
-    total = Fraction(0)
-    for i in range(t.tet_count):
-        for l in range(4):
-            total += s.tri(i, l) * ac.area[4 * i + l] / 2
+    den, nums = s._scaled
+    aden, area = scaled(ac.area)
+    total = Fraction(sum(map(mul, nums[3 * t.tet_count:], area)),
+                     2 * den * aden)
     curved = [cls for cls in edge_classes if ac.curvature[cls.index] != 0]
     for cls, z in zip(curved, _edge_coefficients(s, curved)):
         total += z * ac.curvature[cls.index]
@@ -267,6 +276,8 @@ def chi_via_lemma2(t: Triangulation, s: NormalCoordinate,
                    alpha: AngleAssignment) -> Fraction:
     """The same functional computed as chi_star minus half the quad-area
     pairing with a realizing semi assignment."""
+    if alpha.tet_count != t.tet_count:
+        raise AngleStructureError("assignment size does not match")
     if classify(alpha) == "generalized":
         raise AngleStructureError("assignment is not semi")
     if not is_in_solution_space(t.compatibility_system, s):

@@ -45,6 +45,7 @@ from ._rational import exact, scaled
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
+    _angle_sums,
     area_of_quad,
     chi_area_curvature,
     classify,
@@ -100,20 +101,16 @@ def _check_realization(t: Triangulation, targets, alpha: AngleAssignment,
     """alpha, once its angle sums at each corner and around each edge
     class meet the targets and its angles lie in the mode's bounds.
 
-    The sums are taken over alpha's scaled ints, over its den d, and the
-    targets are _targets' ints over theirs, den: a sum s meets a target
-    b exactly when s * den == b * d.  So this is the check that alpha
-    realizes the data, in ints and with no AreaCurvature built."""
+    The sums are _angle_sums' ints, over alpha's den d, and the targets
+    are _targets' ints over theirs, den: a sum s meets a target b exactly
+    when s * den == b * d.  So this is the check that alpha realizes the
+    data, in ints and with no AreaCurvature built."""
     den, corner, edge = targets[:3]
-    d, a = alpha._scaled
+    d, corner_sums, edge_sums = _angle_sums(alpha, t)
     kind = classify(alpha)
     ok = kind == "strict" if mode == "strict" else kind in ("semi", "strict")
-    sums = [sum(a[6 * i + k] for k in EDGES_AT_VERTEX[l])
-            for i in range(t.tet_count) for l in range(4)]
-    sums += [sum(a[6 * i + k] for i, k in cls.corners)
-             for cls in t.edge_classes]
-    if not ok or any(s * den != b * d
-                     for s, b in zip(sums, corner + edge)):
+    if not ok or any(s * den != b * d for s, b in
+                     zip(corner_sums + edge_sums, corner + edge)):
         raise ExistenceError(
             "internal error: solver output failed re-verification")
     return alpha

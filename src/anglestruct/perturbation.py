@@ -50,16 +50,9 @@ def edge_angle_census(alpha: AngleAssignment,
         raise PerturbationError("assignment size does not match")
     entries = []
     for cls in t.edge_classes:
-        m1 = n1 = k1 = 0
-        for i, k in cls.corners:
-            a = alpha.angle(i, k)
-            if a == 0:
-                m1 += 1
-            elif a == 1:
-                n1 += 1
-            else:
-                k1 += 1
-        entries.append((m1, n1, k1))
+        angles = [alpha.angle(i, k) for i, k in cls.corners]
+        m1, n1 = angles.count(0), angles.count(1)
+        entries.append((m1, n1, len(angles) - m1 - n1))
     return EdgeAngleCensus(entries=tuple(entries))
 
 
@@ -175,8 +168,8 @@ def apply_theorem3(alpha: AngleAssignment, t: Triangulation) -> Perturbed:
     if any(a >= 0 for a in ac.area):
         raise PerturbationError(
             "internal error: perturbed assignment has a nonnegative area")
-    for cls in t.edge_classes:
-        if curvature(new, t, cls) != curvature(alpha, t, cls):
+    for cls, kappa in zip(t.edge_classes, ac.curvature):
+        if kappa != curvature(alpha, t, cls):
             raise PerturbationError(
                 "internal error: curvature changed on edge class %d"
                 % cls.index)

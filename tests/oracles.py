@@ -19,7 +19,9 @@ take the same pivots.  So are the normal-coordinate formulas, one
 Fraction at a time: membership, crossing weights, edge coefficients and
 chi*, against which the integer kernels are checked, and the Farkas
 sign conditions recomputed over Fractions, against which the integer
-certificate check is.
+certificate check is.  An assignment's realized data is summed angle by
+angle, and the vertex-link statuses and the flat-pair test are read off
+those Fraction areas, against the int corner sums the package compares.
 """
 
 from __future__ import annotations
@@ -567,19 +569,49 @@ def verify_certificate(sys, y, mode: str) -> bool:
     return ydotb > 0 or (ydotb == 0 and any(w < 0 for w in aty))
 
 
+CORNER_EDGES = tuple(tuple(k for k, ends in enumerate(EDGE_VERTICES)
+                           if v in ends) for v in range(4))
+
+
 def realized_data(t, alpha):
     """(areas, curvatures) of an assignment, summed as Fractions angle by
     angle: each corner's three angles minus 1, and 2 (1 on a boundary
     class) minus the angles around each edge class."""
     a = alpha.angles
-    at = [[k for k, ends in enumerate(EDGE_VERTICES) if v in ends]
-          for v in range(4)]
-    area = [sum((a[6 * i + k] for k in at[v]), Fraction(0)) - 1
+    area = [sum((a[6 * i + k] for k in CORNER_EDGES[v]), Fraction(0)) - 1
             for i in range(t.tet_count) for v in range(4)]
     curvature = [(1 if e.is_boundary else 2) -
                  sum((a[6 * i + k] for i, k in e.corners), Fraction(0))
                  for e in t.edge_classes]
     return area, curvature
+
+
+def vertex_link_report(t, alpha):
+    """(tet, vertex, corner sum, link Euler characteristic, status) per
+    corner, from realized_data's areas: the corner passes at a link of
+    Euler characteristic 0 when its area is 0, at a negative one when
+    its area is negative, and is skipped at a positive one."""
+    area, _ = realized_data(t, alpha)
+    euler = {c: cls.link_euler for cls in t.vertex_classes
+             for c in cls.corners}
+    report = []
+    for c, a in enumerate(area):
+        e = euler[divmod(c, 4)]
+        if e > 0:
+            status = "skipped"
+        else:
+            status = "pass" if (a == 0 if e == 0 else a < 0) else "fail"
+        report.append((*divmod(c, 4), a + 1, e, status))
+    return report
+
+
+def flat_pair(t, alpha) -> bool:
+    """Whether every triangle has negative area or angles exactly
+    (0, 0, 1), read from realized_data's areas and the sorted angles."""
+    area, _ = realized_data(t, alpha)
+    return all(a < 0 or sorted(alpha.angles[6 * (c // 4) + k]
+                               for k in CORNER_EDGES[c % 4]) == [0, 0, 1]
+               for c, a in enumerate(area))
 
 
 def quad_areas(alpha, n):

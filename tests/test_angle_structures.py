@@ -128,6 +128,15 @@ def test_vertex_link_conditions_skip_positive_links():
     assert [e.status for e in entries] == ["skipped"] * 4
 
 
+def test_vertex_link_conditions_refuse_a_size_mismatch():
+    # Too few tets would index past the angles, too many would go unread.
+    fig8 = fixture("fig8").triangulation
+    for n in (1, 3):
+        alpha = constant_assignment(n, F(1, 3))
+        with pytest.raises(AngleStructureError, match="size does not match"):
+            check_vertex_link_conditions(alpha, fig8)
+
+
 def test_chi_evaluators_agree_on_seeded_solution_vectors():
     rng = random.Random(17)
     fig8 = fixture("fig8").triangulation
@@ -159,6 +168,16 @@ def test_chi_evaluators_reject_bad_inputs():
     s = combine(basis, (F(1), F(0)), (F(0), F(0)))
     with pytest.raises(AngleStructureError):
         chi_via_lemma2(fig8, s, generalized)
+
+
+def test_chi_via_lemma2_refuses_a_size_mismatch():
+    # A 1-tet assignment would index past its angles; a 3-tet one would
+    # pair its first two tets' quad areas with s and answer a number.
+    fig8 = fixture("fig8").triangulation
+    s = combine(solution_space_basis(fig8), [0, 1], [1, 0])
+    for n in (1, 3):
+        with pytest.raises(AngleStructureError, match="size does not match"):
+            chi_via_lemma2(fig8, s, constant_assignment(n, F(1, 3)))
 
 
 def test_json_round_trips_are_exact():

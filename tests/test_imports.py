@@ -5,8 +5,11 @@ unused-import check (F401); an import line marked ``# noqa: F401`` is
 kept on purpose and exempt.  No module reads a dense matrix view, only
 `_rational` takes a number apart into numerator and denominator, and
 the simplex's per-pivot code, with the elimination step it shares with
-the echelon form, the integer normal-coordinate kernels and the
-certificate check use no Fraction and no "/".
+the echelon form, the integer normal-coordinate kernels, the
+certificate check and the tally of an assignment's angle sums use no
+Fraction and no "/".  That tally is the one place an assignment's
+angles are summed: its readers call no sum() of their own, and
+`existence` and `perturbation` read no assignment's scaled view.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ def test_pivot_loop_stays_in_integers():
     # scaled int view: the membership loop, the crossing weights and
     # their sums per edge class.  Nor does the certificate check, which
     # sums A^T y and y.b over scaled ints, nor the lift of a pair-system
-    # refutation, nor the re-verification of an assignment, which sums
-    # its scaled angles against the int targets.
+    # refutation, nor the re-verification of an assignment, which checks
+    # its angle sums against the int targets, nor the tally of those sums
+    # over the assignment's scaled angles.
     hot = {}
     for module, names in (("lp_core.py", ("_pivot", "_pivot_loop",
                                           "_leaving", "_tableau",
@@ -90,17 +94,43 @@ def test_pivot_loop_stays_in_integers():
                                                 "_crossing_weights",
                                                 "_edge_sums")),
                           ("existence.py", ("_check_realization",
-                                            "_lifted"))):
+                                            "_lifted")),
+                          ("angle_structures.py", ("_angle_sums",))):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         hot.update((node.name, node) for node in tree.body
                    if isinstance(node, ast.FunctionDef)
                    and node.name in names)
-    assert sorted(hot) == ["_basic_values", "_check_realization",
-                           "_crossing_weights", "_edge_sums", "_eliminate",
-                           "_leaving", "_lifted", "_pivot", "_pivot_loop",
-                           "_primitive", "_tableau", "is_in_solution_space",
-                           "verify_certificate"]
+    assert sorted(hot) == ["_angle_sums", "_basic_values",
+                           "_check_realization", "_crossing_weights",
+                           "_edge_sums", "_eliminate", "_leaving", "_lifted",
+                           "_pivot", "_pivot_loop", "_primitive", "_tableau",
+                           "is_in_solution_space", "verify_certificate"]
     for fn in hot.values():
         for node in ast.walk(fn):
             assert not (isinstance(node, ast.Name) and node.id == "Fraction")
             assert not isinstance(node, ast.Div)
+
+
+def test_angle_sums_are_tallied_in_one_place():
+    # angle_structures._angle_sums sums an assignment's angles at each
+    # corner and around each edge class.  The realized data, the
+    # re-verification of a solve and the vertex-link and flat-pair checks
+    # read its ints and call no sum() of their own; existence and
+    # perturbation read no assignment's _scaled view at all.
+    readers = {"angle_structures.py": ("realized_area_curvature",
+                                       "check_vertex_link_conditions",
+                                       "is_flat_pair"),
+               "existence.py": ("_check_realization",)}
+    found = []
+    for module, names in readers.items():
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                found.append(fn.name)
+                assert not any(isinstance(node, ast.Name) and
+                               node.id == "sum" for node in ast.walk(fn))
+    assert len(found) == 4
+    for module in ("existence.py", "perturbation.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        assert "_scaled" not in {n.attr for n in ast.walk(tree)
+                                 if isinstance(n, ast.Attribute)}

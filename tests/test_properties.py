@@ -41,10 +41,11 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          LinearSystem, NormalCoordinate, Solution,
                          StrictSolution, Triangulation,
                          angle_linear_system, certify_condition2,
-                         chi_area_curvature, chi_star, chi_via_lemma2,
-                         classify, combine, compatibility_system, decompose,
+                         check_vertex_link_conditions, chi_area_curvature,
+                         chi_star, chi_via_lemma2, classify, combine,
+                         compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
-                         is_in_solution_space, is_orientable,
+                         is_flat_pair, is_in_solution_space, is_orientable,
                          realized_area_curvature, solution_space_basis,
                          solve_feasibility_nonneg, solve_feasibility_strict,
                          verify_certificate, z_functional)
@@ -248,7 +249,13 @@ def test_int_checks_and_int_systems_agree_with_fractions(data):
     # mode's bounds, for a realizing assignment and for one with an angle
     # moved, against the realized target and against one with an entry
     # moved.  realized_area_curvature and classify, which read the same
-    # scaled angles, must agree with those Fraction sums and bounds.
+    # scaled angles, must agree with those Fraction sums and bounds, and
+    # so must check_vertex_link_conditions and, on semi assignments,
+    # is_flat_pair, which compare the same int corner sums with den.  A
+    # third assignment has each tet either alpha's scaled by 1/3 (corner
+    # sums at most pi) or with one opposite pair at pi and the rest at 0
+    # (every corner (0, 0, pi)) or that pair at 0 and the rest at pi/2
+    # (every corner (0, pi/2, pi/2)).
     t = data.draw(gluing_tables())
     n = t.tet_count
     m = len(t.edge_classes)
@@ -263,14 +270,28 @@ def test_int_checks_and_int_systems_agree_with_fractions(data):
     realized = realized_area_curvature(alpha, t)
     data_moved = list(realized.area + realized.curvature)
     data_moved[data.draw(st.integers(0, 4 * n + m - 1))] += data.draw(bump)
+    shapes = [None] + [(p, on, off) for p in range(3)
+                       for on, off in ((1, 0), (0, Fraction(1, 2)))]
+    tets = data.draw(st.lists(st.sampled_from(shapes),
+                              min_size=n, max_size=n))
+    flat = AngleAssignment.from_vector(n, [
+        a / 3 if shape is None else
+        shape[1] if k in (shape[0], 5 - shape[0]) else shape[2]
+        for i, shape in enumerate(tets)
+        for k, a in enumerate(alpha.angles[6 * i:6 * i + 6])])
     within = {"semi": lambda a: 0 <= a <= 1, "strict": lambda a: 0 < a < 1}
-    for beta in (alpha, moved):
+    for beta in (alpha, moved, flat):
         area, curvature = oracles.realized_data(t, beta)
         assert realized_area_curvature(beta, t) == \
             AreaCurvature.of(area, curvature)
         assert classify(beta) == next(
             (mode for mode in ("strict", "semi")
              if all(map(within[mode], beta.angles))), "generalized")
+        assert [(e.tet, e.vertex, e.corner_sum, e.link_euler, e.status)
+                for e in check_vertex_link_conditions(beta, t)] == \
+            oracles.vertex_link_report(t, beta)
+        if all(map(within["semi"], beta.angles)):
+            assert is_flat_pair(beta, t) == oracles.flat_pair(t, beta)
     for ac in (realized, AreaCurvature.of(data_moved[:4 * n],
                                           data_moved[4 * n:])):
         for mode in within:
