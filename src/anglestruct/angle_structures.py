@@ -89,9 +89,16 @@ class AreaCurvature:
                                    AngleStructureError))
 
 
+def _check_tet(alpha: AngleAssignment, tet: int) -> None:
+    if not 0 <= tet < alpha.tet_count:
+        raise AngleStructureError("tetrahedron %d is not among the %d of "
+                                  "the assignment" % (tet, alpha.tet_count))
+
+
 def area_of_triangle(alpha: AngleAssignment, tet: int,
                      corner: int) -> Fraction:
     """Corner angle sum minus pi for the triangle cutting off a vertex."""
+    _check_tet(alpha, tet)
     den, a = alpha._scaled
     return Fraction(sum(a[6 * tet + k] for k in EDGES_AT_VERTEX[corner])
                     - den, den)
@@ -105,22 +112,28 @@ def _quad_area(scaled_angles, tet: int, quad: int) -> int:
 
 def area_of_quad(alpha: AngleAssignment, tet: int, quad: int) -> Fraction:
     """Angle sum over the four crossed edges minus 2*pi."""
+    _check_tet(alpha, tet)
     return Fraction(_quad_area(alpha._scaled, tet, quad), alpha._scaled[0])
 
 
 def curvature(alpha: AngleAssignment, t: Triangulation, e) -> Fraction:
     """2*pi (interior) or pi (boundary) minus the angles around the edge."""
+    _check_size(alpha, t)
     den, a = alpha._scaled
     return Fraction((1 if e.is_boundary else 2) * den
                     - sum(a[6 * i + k] for i, k in e.corners), den)
+
+
+def _check_size(alpha: AngleAssignment, t: Triangulation) -> None:
+    if alpha.tet_count != t.tet_count:
+        raise AngleStructureError("assignment size does not match")
 
 
 def _angle_sums(alpha: AngleAssignment, t: Triangulation) -> tuple:
     """(den, corner, edge): alpha's 4n corner sums, tet-major, and its m
     edge-class sums, with multiplicity, as ints over the den of its
     scaled angles: the realized data and the checks read these."""
-    if alpha.tet_count != t.tet_count:
-        raise AngleStructureError("assignment size does not match")
+    _check_size(alpha, t)
     den, a = alpha._scaled
     corner = [a[i + j] + a[i + k] + a[i + l]
               for i in range(0, 6 * t.tet_count, 6)
@@ -276,8 +289,7 @@ def chi_via_lemma2(t: Triangulation, s: NormalCoordinate,
                    alpha: AngleAssignment) -> Fraction:
     """The same functional computed as chi_star minus half the quad-area
     pairing with a realizing semi assignment."""
-    if alpha.tet_count != t.tet_count:
-        raise AngleStructureError("assignment size does not match")
+    _check_size(alpha, t)
     if classify(alpha) == "generalized":
         raise AngleStructureError("assignment is not semi")
     if not is_in_solution_space(t.compatibility_system, s):

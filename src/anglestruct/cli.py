@@ -386,29 +386,42 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The subparser of the command argv[0] names, or all of them when
-    it names none, so that help and usage errors list every command."""
+def _command_parser(name, parser=None) -> argparse.ArgumentParser:
+    """The parser of command name alone, or parser given its arguments."""
+    if parser is None:
+        parser = argparse.ArgumentParser(prog="anglestruct " + name)
+    _, func, arguments = _COMMANDS[name]
+    for arg, keywords in arguments + _REPORT:
+        parser.add_argument(arg, **keywords)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser that holds every command's subparser."""
     parser = argparse.ArgumentParser(
         prog="anglestruct",
         description="exact angle-structure existence, certification, and "
                     "perturbation on triangulated 3-manifolds")
-    named = argv[:1] if argv and argv[0] in _COMMANDS else None
-    # A metavar keeps the full usage line; unset, errors say "command".
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        "{%s}" % ",".join(_COMMANDS) if named else None))
-    for name in named or _COMMANDS:
-        help_, func, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        for arg, keywords in arguments + _REPORT:
-            p.add_argument(arg, **keywords)
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, _, _) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_))
     return parser
+
+
+def _parse(argv):
+    """argv parsed by the parser of the command it names alone, or, when
+    it names none or leaves arguments over, by the full parser."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

@@ -181,26 +181,24 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
     sign, and N is at most MAX_TETS.  ``#`` starts a comment.  Unglued
     faces are boundary faces.  Errors carry the offending line number.
     """
-    tet_count = None
-    gluings = {}
+    t = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         try:
-            if tet_count is None:
+            if t is None:
                 if fields[0] != "tets" or len(fields) != 2:
                     raise TriangulationError("expected 'tets N' header")
                 if not _is_digits(fields[1]):
                     raise TriangulationError(
                         "bad tetrahedron count %r" % (fields[1],))
                 tet_count = int(fields[1])
-                if tet_count < 1:
-                    raise TriangulationError("need at least one tetrahedron")
                 if tet_count > MAX_TETS:
                     raise TriangulationError("tetrahedron count %d exceeds %d"
                                              % (tet_count, MAX_TETS))
+                t = Triangulation(tet_count, name=name)
                 continue
             if fields[0] != "glue" or len(fields) != 6:
                 raise TriangulationError("expected 'glue I F J G P'")
@@ -210,14 +208,15 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
             p = fields[5]
             if len(p) != 4 or set(p) != {"0", "1", "2", "3"}:
                 raise TriangulationError("bad permutation %r" % (p,))
-            _glue(gluings, tet_count, i, f, j, g, tuple(int(c) for c in p))
+            # Each line is checked once, into the table t keeps.
+            _glue(t._gluing, tet_count, i, f, j, g, tuple(int(c) for c in p))
         except TriangulationError as err:
             raise TriangulationError("line %d: %s" % (lineno, err))
         except ValueError:  # past int()'s limit on digits
             raise TriangulationError("line %d: number too long" % lineno)
-    if tet_count is None:
+    if t is None:
         raise TriangulationError("missing 'tets N' header")
-    return Triangulation(tet_count, gluings, name=name)
+    return t
 
 
 def format_triangulation(t: Triangulation) -> str:
@@ -279,7 +278,9 @@ def build_edge_classes(t: Triangulation):
     counts a wedge twice when the edge is folded onto itself, which is
     what the angle sums around the edge need.  Each path or cycle is
     stored as the least of its readings in either direction, from any
-    start for a cycle.
+    start for a cycle.  That least reading of a cycle starts at its
+    least corner, so only the readings from each visit to that corner
+    are compared: one per direction, two where a fold visits it twice.
     """
     raw = []
     seen = set()
@@ -292,10 +293,12 @@ def build_edge_classes(t: Triangulation):
                 j, oriented, enter, exit_face = end
                 corners, _ = _walk(t, (j, oriented, exit_face, enter))
             seen.update(corners)
-            turns = range(len(corners)) if end is None else (0,)
-            corners = min(tuple(seq[r:] + seq[:r]) for seq in
-                          (corners, corners[::-1]) for r in turns)
-            raw.append((min(corners), end is not None, corners))
+            least = min(corners)
+            readings = (corners, corners[::-1])
+            if end is None:  # a cycle: from each visit to its least corner
+                readings = [seq[r:] + seq[:r] for seq in readings
+                            for r, c in enumerate(seq) if c == least]
+            raw.append((least, end is not None, tuple(min(readings))))
     raw.sort()
     return tuple(EdgeClass(index=n, corners=corners, is_boundary=bdry)
                  for n, (_, bdry, corners) in enumerate(raw))

@@ -1,7 +1,9 @@
 """Independent re-derivations used as test oracles.
 
 Nothing here calls the code paths it is meant to check: edge classes are
-rebuilt by plain union-find instead of cycle walking, first homology
+rebuilt by plain union-find instead of cycle walking, and their stored
+readings are checked against the least of every reading of a walk that
+steps one gluing at a time, from every start and both ways; first homology
 comes from a Smith normal form over the dual spine with its own one-step
 traversal, and linear programs are settled by exhaustive enumeration of
 basic solutions instead of simplex pivoting.  The angle system is
@@ -217,6 +219,45 @@ def _step(t, tet, oriented, exit_face):
     return (j, new_oriented, g, new_exit)
 
 
+def _circle(t, state):
+    """The corners met stepping round an edge from state, the last
+    state, and whether the walk closed up rather than meeting an
+    unglued face."""
+    start, corners = state, []
+    while True:
+        corners.append((state[0], EDGE_INDEX[state[1]]))
+        if t.gluing(state[0], state[3]) is None:
+            return corners, state, False
+        state = _step(t, state[0], state[1], state[3])
+        if state == start:
+            return corners, state, True
+
+
+def least_edge_readings(t):
+    """Each edge class as (its least reading, is_boundary), in order of
+    least corner.  A class is circled with _step from its least corner,
+    and circled again from the far end when it meets an unglued face.
+    Every reading of a cycle is compared, from each of its corners and in
+    both directions; a path is read from either end."""
+    seen, out = set(), []
+    for i in range(t.tet_count):
+        for k in range(6):
+            if (i, k) in seen:
+                continue
+            corners, end, closed = _circle(
+                t, (i, EDGE_VERTICES[k]) + FACES_AT_EDGE[k])
+            if not closed:
+                j, oriented, enter, exit_face = end
+                corners, _, _ = _circle(t, (j, oriented, exit_face, enter))
+            seen.update(corners)
+            readings = [corners, corners[::-1]]
+            if closed:
+                readings = [seq[r:] + seq[:r] for seq in readings
+                            for r in range(len(seq))]
+            out.append((tuple(min(readings)), not closed))
+    return out
+
+
 def h1_invariants(t):
     """(free rank, torsion coefficients) of first homology from the dual
     spine presentation: one generator per face pair off a spanning tree,
@@ -397,20 +438,23 @@ def _fraction_pivot_loop(rows, basis, ncols: int, end: int):
     entering column of an unbounded ray.
     """
     while True:
-        enter = min((j for j, v in rows[-1].items() if j < ncols and v < 0),
-                    default=None)
+        enter = min((j for j, v in rows[-1].items()
+                     if j < ncols and v.numerator < 0), default=None)
         if enter is None:
             return None
         best = None
         for r, b in enumerate(basis):
             a = rows[r].get(enter)
-            if a is not None and a > 0:
-                key = (rows[r].get(end, ZERO) / a, b, r)
-                if best is None or key < best:
-                    best = key
+            if a is not None and a.numerator > 0:
+                # The ratio rhs / a as p / q with q > 0, compared with the
+                # best so far by cross-multiplying.
+                v = rows[r].get(end, ZERO)
+                p, q = v.numerator * a.denominator, v.denominator * a.numerator
+                if best is None or (p * best[1], b) < (best[0] * q, best[2]):
+                    best = (p, q, b, r)
         if best is None:
             return enter
-        _fraction_pivot(rows, basis, best[2], enter)
+        _fraction_pivot(rows, basis, best[3], enter)
 
 
 def fraction_simplex(sparse, rhs, cost):

@@ -137,6 +137,26 @@ def test_vertex_link_conditions_refuse_a_size_mismatch():
             check_vertex_link_conditions(alpha, fig8)
 
 
+@pytest.mark.parametrize("n", (1, 3))
+def test_curvature_refuses_a_size_mismatch(n):
+    # One tet would index past the angles; three would answer 0 from
+    # the first two and leave the third unread.
+    fig8 = fixture("fig8").triangulation
+    alpha = constant_assignment(n, F(1, 3))
+    for e in fig8.edge_classes:
+        with pytest.raises(AngleStructureError, match="size does not match"):
+            curvature(alpha, fig8, e)
+
+
+@pytest.mark.parametrize("tet", (2, 5, -1))
+def test_areas_refuse_a_tet_past_the_assignment(tet):
+    alpha = constant_assignment(2, F(1, 3))
+    with pytest.raises(AngleStructureError, match="not among the 2"):
+        area_of_triangle(alpha, tet, 0)
+    with pytest.raises(AngleStructureError, match="not among the 2"):
+        area_of_quad(alpha, tet, 0)
+
+
 def test_chi_evaluators_agree_on_seeded_solution_vectors():
     rng = random.Random(17)
     fig8 = fixture("fig8").triangulation

@@ -486,7 +486,16 @@ SURFACE = (
     + [[name, "x"] for name in ("solve", "certify", "perturb")]
     + [["solve", "a", "b", "--mode", "x"], ["solve", "a", "b", "--bogus"],
        ["fixtures", "a", "b", "c"], ["--json", "validate", "x"],
-       ["validate", "x", "--js", "--o"]])
+       ["validate", "x", "--js", "--o"]]
+    # Leftovers after the named command's own arguments, and the forms
+    # an option or its value can take around the positionals.
+    + [["validate", "x", "y"], ["solve", "a", "b", "--mode=x"],
+       ["solve", "a", "--mode=semi"], ["solve", "a", "b", "--mo", "x"],
+       ["solve", "a", "--mo", "semi"], ["validate", "--", "-x", "y"],
+       ["solve", "--", "a"], ["solve", "a", "--out", "-", "b", "c"],
+       ["certify", "a", "--json", "b", "c"], ["validate", "--out="],
+       ["validate", "--", "x"], ["solve", "--mode=semi", "a", "b"],
+       ["solve", "a", "--mo", "semi", "b", "--js"]])
 
 
 def outcome(capsys, argv):
@@ -502,12 +511,12 @@ def outcome(capsys, argv):
 
 @pytest.mark.parametrize("argv", SURFACE, ids=lambda a: " ".join(a) or "-")
 def test_surface_reads_as_with_every_subparser(capsys, monkeypatch, argv):
-    # Help and usage errors of the parser built for argv, against those
-    # of the parser that holds every command.
+    # Help, usage errors and run of argv as main parses it, against
+    # those of the parser that holds every command, for every argv.
     monkeypatch.setenv("COLUMNS", "80")
     narrowed = outcome(capsys, argv)
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda _: build([]))
+    monkeypatch.setattr(cli, "_parse",
+                        lambda argv: cli._build_parser().parse_args(argv))
     assert outcome(capsys, argv) == narrowed
 
 
@@ -519,12 +528,18 @@ def subcommands(parser):
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_a_named_command_builds_its_subparser_alone(capsys, name):
-    assert subcommands(cli._build_parser([name, "x"])) == [name]
-    for argv in ([], ["-h", name], ["solv"]):
-        assert subcommands(cli._build_parser(argv)) == list(COMMANDS)
+    parser = cli._command_parser(name)
+    assert parser.prog == "anglestruct " + name
+    assert not [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    _, _, arguments = cli._COMMANDS[name]
+    assert [a.dest for a in parser._actions] == (
+        ["help"] + [arg.lstrip("-") for arg, _ in arguments]
+        + ["json", "out"])
+    assert subcommands(cli._build_parser()) == list(COMMANDS)
     # Each call builds its own parser and keeps none.
     outcome(capsys, [name, "-h"])
-    assert cli._build_parser([name]) is not cli._build_parser([name])
+    assert cli._command_parser(name) is not cli._command_parser(name)
     assert not [v for v in vars(cli).values()
                 if isinstance(v, argparse.ArgumentParser)]
 

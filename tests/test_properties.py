@@ -25,13 +25,16 @@ point bumped off it.  A second test checks, on each table, the finders'
 re-verification of an assignment, which sums scaled angles against int
 targets, against the Fraction sums and bounds it stands for, and that
 LinearSystem.of gives one system, with one answer, from ints and from
-equal Fractions.
+equal Fractions.  A third checks, on closed tables, tables with boundary
+and tables with a folded edge, of up to 8 tetrahedra, that each edge
+class is stored as the least of all its readings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -40,8 +43,9 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          BasisVerificationError, ExistenceError, Fails,
                          LinearSystem, NormalCoordinate, Solution,
                          StrictSolution, Triangulation,
-                         angle_linear_system, certify_condition2,
-                         check_vertex_link_conditions, chi_area_curvature,
+                         angle_linear_system, build_edge_classes,
+                         certify_condition2, check_vertex_link_conditions,
+                         chi_area_curvature,
                          chi_star, chi_via_lemma2, classify, combine,
                          compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
@@ -54,11 +58,12 @@ from anglestruct.normal_coords import _crossing_weights, _edge_coefficients
 
 
 @st.composite
-def gluing_tables(draw):
-    n = draw(st.integers(1, 4))
+def gluing_tables(draw, tets=st.integers(1, 4),
+                  unglued_pairs=st.integers(0, 2)):
+    n = draw(tets)
     slots = draw(st.permutations([(i, f) for i in range(n)
                                   for f in range(4)]))
-    unglued = 2 * draw(st.integers(0, 2))
+    unglued = 2 * draw(unglued_pairs)
     gluings = {}
     for (i, f), (j, g) in zip(slots[unglued::2], slots[unglued + 1::2]):
         images = draw(st.permutations([w for w in range(4) if w != g]))
@@ -67,6 +72,26 @@ def gluing_tables(draw):
             perm[v] = w
         gluings[(i, f)] = (j, g, tuple(perm))
     return Triangulation(n, gluings)
+
+
+# Up to 8 tetrahedra, for longer edge cycles than the tables above.
+TABLE_KINDS = {
+    "closed": gluing_tables(st.integers(1, 8), st.just(0)),
+    "boundary": gluing_tables(st.integers(1, 8), st.integers(1, 3)),
+    "folded": gluing_tables(st.integers(1, 8)).filter(
+        oracles.has_folded_edge),
+}
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_edge_classes_are_their_least_readings(kind, data):
+    t = data.draw(TABLE_KINDS[kind])
+    assert [(e.index, e.corners, e.is_boundary)
+            for e in build_edge_classes(t)] == [
+        (n, corners, boundary) for n, (corners, boundary)
+        in enumerate(oracles.least_edge_readings(t))]
 
 
 def rationals(count):
