@@ -2,9 +2,9 @@
 Fractions, at every entry point; `exact_scaled` is the same gate for
 readers that want ints, and keeps ints as ints; `scaled` takes a row or
 a vector to ints over the lcm of its denominators, `reduced` takes such
-a (den, ints) form to its least denominator, and no other module takes
-a number apart.  Lists of plain ints pass the gate and the scaling in
-one look at their types.
+a (den, ints) form to its least denominator, `unscaled` turns it back
+into Fractions, and no other module takes a number apart.  Lists of
+plain ints pass the gate and the scaling in one look at their types.
 
 Every number crossing a file boundary is a fraction printed as "p/q" with
 q > 0 and gcd(p,q) = 1; the denominator is kept even when it is 1 so that
@@ -73,6 +73,14 @@ def reduced(den: int, ints) -> tuple:
     if g == 1:
         return den, tuple(ints)
     return den // g, tuple(v // g for v in ints)
+
+
+def unscaled(den: int, ints) -> tuple:
+    """(values, form): the Fractions ints / den, one built per distinct
+    int, and the form (den, ints) reduced, as scaled gives it for them."""
+    form = reduced(den, ints)
+    made = {v: Fraction(v, form[0]) for v in set(form[1])}
+    return tuple(map(made.__getitem__, form[1])), form
 
 
 def format_rational(x) -> str:

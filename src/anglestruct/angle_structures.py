@@ -129,15 +129,20 @@ def _check_size(alpha: AngleAssignment, t: Triangulation) -> None:
         raise AngleStructureError("assignment size does not match")
 
 
+def _angle_ints(alpha: AngleAssignment) -> tuple:
+    """(den, ints, corner): alpha's scaled angles and 4n corner sums."""
+    den, a = alpha._scaled
+    return den, a, [a[i + j] + a[i + k] + a[i + l]
+                    for i in range(0, len(a), 6)
+                    for j, k, l in EDGES_AT_VERTEX]
+
+
 def _angle_sums(alpha: AngleAssignment, t: Triangulation) -> tuple:
     """(den, corner, edge): alpha's 4n corner sums, tet-major, and its m
     edge-class sums, with multiplicity, as ints over the den of its
     scaled angles: the realized data and the checks read these."""
     _check_size(alpha, t)
-    den, a = alpha._scaled
-    corner = [a[i + j] + a[i + k] + a[i + l]
-              for i in range(0, 6 * t.tet_count, 6)
-              for j, k, l in EDGES_AT_VERTEX]
+    den, a, corner = _angle_ints(alpha)
     edge = [sum(a[6 * i + k] for i, k in cls.corners)
             for cls in t.edge_classes]
     return den, corner, edge

@@ -15,23 +15,23 @@ one edge vector per edge class.
 
 Coordinates are exact: `_rational.exact` refuses anything but an int or
 a Fraction, a float above all, where it enters.  The kernels run on
-ints: `_rational.scaled` takes a coordinate, once, on first use, to ints
-over the lcm of its denominators.  Membership is an int dot product per
-row, and one pass gives the 6n crossing weights as ints (for each
-tet-edge, the weight of its tetrahedron's disks that cross it).
-Fractions are built only for results: one per edge coefficient, and for
-chi_star one per edge class plus one for the disk terms.
+ints over the lcm of a coordinate's denominators, kept from its build
+when it is built from ints.  Membership compares both sides of each arc,
+one pass gives the 6n crossing weights (for each tet-edge, the weight of
+its tetrahedron's disks that cross it), and combine and decompose sum
+scaled vectors over one denominator.  Fractions are built only for
+results, and for chi_star one per edge class plus one for the disks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import _linalg
-from ._rational import exact, scaled
+from ._rational import exact, exact_scaled, scaled, unscaled
 from .triangulation import (
     EDGE_INDEX,
     EDGE_VERTICES,
@@ -64,13 +64,19 @@ class NormalCoordinateError(ValueError):
 
 @dataclass(frozen=True)
 class NormalCoordinate:
-    """A rational weight per normal disk type of one triangulation.
+    """A rational weight per normal disk type: 3n quads, 4n triangles.
 
-    ``_scaled``, derived on first use and kept, is (den, nums): the
-    entries over the lcm of their denominators, as `_rational.scaled`.
+    ``_scaled``, derived on first use unless built from ints, is (den,
+    nums): the entries over the lcm of their denominators, as `scaled`.
     """
     quads: tuple
     tris: tuple
+
+    def __post_init__(self):
+        if 4 * len(self.quads) != 3 * len(self.tris):
+            raise NormalCoordinateError(
+                "%d quads and %d triangles are not 3n and 4n"
+                % (len(self.quads), len(self.tris)))
 
     @classmethod
     def zero(cls, tet_count: int):
@@ -84,6 +90,14 @@ class NormalCoordinate:
             raise NormalCoordinateError(
                 "expected %d coordinates, got %d" % (7 * tet_count, len(vec)))
         return cls(quads=vec[:3 * tet_count], tris=vec[3 * tet_count:])
+
+    @classmethod
+    def _of_scaled(cls, den: int, nums):
+        """The coordinate nums / den, its scaled form kept."""
+        vec, form = unscaled(den, nums)
+        s = cls(quads=vec[:3 * len(vec) // 7], tris=vec[3 * len(vec) // 7:])
+        s.__dict__["_scaled"] = form
+        return s
 
     @property
     def vector(self):
@@ -103,15 +117,23 @@ class NormalCoordinate:
 
 @dataclass(frozen=True)
 class CompatibilitySystem:
-    """The disk-matching equations: one row per interior face arc type.
+    """The disk-matching equations: one per interior face arc type.
 
-    A row is the (column, coefficient) pairs of its nonzero entries, each
-    coefficient an int, and is empty when they all cancel.  ``matrix`` is
-    a dense view for readers outside the package; ``rank`` is computed on
-    first use and kept.
+    An arc is the columns (quad, triangle) on one side of the face, then
+    on the other, whose weights must match.  Its row, derived, is the
+    (column, int coefficient) pairs of its nonzero entries.  ``matrix`` is
+    a dense view for readers outside the package; ``rank`` is kept.
     """
     columns: int
-    rows: tuple
+    arcs: tuple
+
+    @cached_property
+    def rows(self) -> tuple:
+        # A quad can cancel only the other side's quad, and a triangle
+        # only the other triangle: the later key then holds 0.
+        return tuple(tuple((c, a) for c, a in sorted(
+            {q: 1, tri: 1, q2: -(q2 != q), tri2: -(tri2 != tri)}.items())
+            if a) for q, tri, q2, tri2 in self.arcs)
 
     @property
     def matrix(self) -> tuple:
@@ -130,21 +152,18 @@ def compatibility_system(t: Triangulation) -> CompatibilitySystem:
 
     For the arc cutting off vertex v inside glued face (i,f) ~ (j,g,perm),
     the disks crossing it on each side are one quad and one triangle; the
-    row equates the two sides.  When a face is glued to a face of the same
-    tetrahedron the two sides may hit the same column and entries cancel.
-    ``t.compatibility_system`` keeps the one built for t.
+    equation equates the two sides.  When a face is glued to a face of the
+    same tetrahedron the two sides may hit the same column and entries
+    cancel.  ``t.compatibility_system`` keeps the one built for t.
     """
     n = t.tet_count
-    rows = []
+    arcs = []
     for (i, f), (j, g), perm in t.glued_pairs():
         for v in FACE_VERTICES[f]:
-            row = defaultdict(int)
-            row[3 * i + quad_type_at_arc(f, v)] += 1
-            row[3 * n + 4 * i + v] += 1
-            row[3 * j + quad_type_at_arc(g, perm[v])] -= 1
-            row[3 * n + 4 * j + perm[v]] -= 1
-            rows.append(tuple((c, a) for c, a in sorted(row.items()) if a))
-    return CompatibilitySystem(columns=7 * n, rows=tuple(rows))
+            arcs.append((3 * i + quad_type_at_arc(f, v), 3 * n + 4 * i + v,
+                         3 * j + quad_type_at_arc(g, perm[v]),
+                         3 * n + 4 * j + perm[v]))
+    return CompatibilitySystem(columns=7 * n, arcs=tuple(arcs))
 
 
 def is_in_solution_space(sys: CompatibilitySystem,
@@ -154,7 +173,8 @@ def is_in_solution_space(sys: CompatibilitySystem,
         raise NormalCoordinateError(
             "coordinate has %d entries, system has %d columns"
             % (len(nums), sys.columns))
-    return all(sum(a * nums[c] for c, a in row) == 0 for row in sys.rows)
+    return all(nums[q] + nums[tri] == nums[q2] + nums[tri2]
+               for q, tri, q2, tri2 in sys.arcs)
 
 
 def _crossing_weights(nums) -> list:
@@ -223,6 +243,9 @@ def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
     crossing weight of that tet-edge.  For an embedded surface this is
     half the number of intersections with e.
     """
+    if e not in t.edge_classes:
+        raise NormalCoordinateError(
+            "%r is not an edge class of the triangulation" % (e,))
     if not is_in_solution_space(t.compatibility_system, s):
         raise NormalCoordinateError(
             "coordinate is not in the solution space")
@@ -261,7 +284,7 @@ def _tetrahedral_vector(n: int, i: int) -> NormalCoordinate:
     vec = [0] * (7 * n)
     vec[3 * i:3 * i + 3] = (-1, -1, -1)
     vec[3 * n + 4 * i:3 * n + 4 * i + 4] = (1, 1, 1, 1)
-    return NormalCoordinate.from_vector(n, vec)
+    return NormalCoordinate._of_scaled(1, vec)
 
 
 def _edge_vector(n: int, cls) -> NormalCoordinate:
@@ -271,7 +294,7 @@ def _edge_vector(n: int, cls) -> NormalCoordinate:
         vec[3 * n + 4 * i + u] += 1
         vec[3 * n + 4 * i + v] += 1
         vec[3 * i + min(k, 5 - k)] -= 1
-    return NormalCoordinate.from_vector(n, vec)
+    return NormalCoordinate._of_scaled(1, vec)
 
 
 def solution_space_basis(t: Triangulation) -> SolutionBasis:
@@ -322,27 +345,38 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
                          edge_classes=edge_classes)
 
 
+def _combination(terms, size: int) -> tuple:
+    """(den, ints): the sum of x / d times w over (d, x, w) terms, read
+    off each coordinate w's scaled form, over one denominator."""
+    den = lcm(*(d * w._scaled[0] for d, _, w in terms))
+    total = [0] * size
+    for d, x, w in terms:
+        wden, nums = w._scaled
+        f = x * (den // (d * wden))
+        for col, y in enumerate(nums):
+            if y:
+                total[col] += f * y
+    return den, total
+
+
 def combine(basis: SolutionBasis, omega, z) -> NormalCoordinate:
     """The solution-space element with tetrahedral weights omega and edge
     weights z.
 
-    Each weight times its vector's scaled view is summed as ints over the
-    lcm of the weights' denominators, and each entry is one Fraction.
+    Summed as ints, and each distinct entry is one Fraction.
     """
-    n = len(basis.w_sigma)
     terms = []
-    for vecs, weights, name in ((basis.w_sigma, omega, "combine omega"),
-                                (basis.w_edge, z, "combine z")):
-        for w, c in zip(vecs, exact(name, weights, NormalCoordinateError)):
-            if c != 0:
-                terms.append((c / w._scaled[0], w._scaled[1]))
-    scale, factors = scaled(c for c, _ in terms)
-    total = [0] * (7 * n)
-    for f, (_, nums) in zip(factors, terms):
-        for col, x in enumerate(nums):
-            if x:
-                total[col] += f * x
-    return NormalCoordinate.from_vector(n, (Fraction(v, scale) for v in total))
+    for vecs, weights, name in ((basis.w_sigma, omega, "omega"),
+                                (basis.w_edge, z, "z")):
+        den, nums = exact_scaled("combine " + name, weights,
+                                 NormalCoordinateError)
+        if len(nums) != len(vecs):
+            raise NormalCoordinateError(
+                "combine %s has %d weights for %d vectors"
+                % (name, len(nums), len(vecs)))
+        terms += ((den, x, w) for x, w in zip(nums, vecs) if x)
+    return NormalCoordinate._of_scaled(
+        *_combination(terms, 7 * len(basis.w_sigma)))
 
 
 def decompose(t: Triangulation, s: NormalCoordinate,
@@ -352,24 +386,26 @@ def decompose(t: Triangulation, s: NormalCoordinate,
     The edge weights are the edge coefficients of s; the tetrahedral
     weights come from the residual s - sum z_j w_edge_j, read at each
     tetrahedron's first triangle.  s is then checked to be recombined
-    exactly.
+    exactly, all of it in ints.
     """
     if basis is None:
         basis = solution_space_basis(t)
     if not is_in_solution_space(t.compatibility_system, s):
         raise NormalCoordinateError(
             "coordinate is not in the solution space")
-    z = _edge_coefficients(s, basis.edge_classes)
-    q = 3 * t.tet_count
-    omega = list(s.vector[q::4])
-    for w, c in zip(basis.w_edge, z):
-        if c != 0:
-            for i, x in enumerate(w.vector[q::4]):
-                if x:
-                    omega[i] -= c * x
-    omega = tuple(omega)
-    check = combine(basis, omega, z)
-    if check.vector != s.vector:
+    den, nums = s._scaled
+    valences = lcm(*(e.valence for e in basis.edge_classes))
+    zden = 2 * den * valences
+    z = [total * (valences // e.valence) for total, e in
+         zip(_edge_sums(nums, basis.edge_classes), basis.edge_classes)]
+    z_terms = [(zden, x, w) for x, w in zip(z, basis.w_edge) if x]
+    oden, residual = _combination(
+        [(1, 1, s)] + [(d, -x, w) for d, x, w in z_terms], len(nums))
+    omega = residual[3 * t.tet_count::4]
+    check_den, check = _combination(z_terms + [
+        (oden, x, w) for x, w in zip(omega, basis.w_sigma) if x], len(nums))
+    if any(a * den != b * check_den for a, b in zip(check, nums)):
         raise BasisVerificationError(
             "decomposition failed to recover the coordinate")
-    return omega, z
+    return (tuple(Fraction(x, oden) for x in omega),
+            tuple(Fraction(x, zden) for x in z))

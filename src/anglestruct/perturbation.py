@@ -8,19 +8,22 @@ every interior angle moves by -(m1 - 3 n1)/k1 * t.  The per-edge
 coefficients sum to zero, so every edge curvature is preserved for every
 t.  Each angle bound and each triangle-area bound is affine in t, so the
 largest safe parameter is an exact minimum of finitely many positive
-rationals; the deformation is evaluated at half of it.
+rationals; the deformation is evaluated at half of it.  All of it runs
+on ints, the bounds compared by cross-multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
-from ._rational import exact
+from ._rational import exact_scaled, scaled, unscaled
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
-    area_of_triangle,
+    _angle_ints,
     classify,
     curvature,
     is_flat_pair,
@@ -48,10 +51,11 @@ def edge_angle_census(alpha: AngleAssignment,
         raise PerturbationError("assignment is not semi")
     if alpha.tet_count != t.tet_count:
         raise PerturbationError("assignment size does not match")
+    den, a, _ = _angle_ints(alpha)
     entries = []
     for cls in t.edge_classes:
-        angles = [alpha.angle(i, k) for i, k in cls.corners]
-        m1, n1 = angles.count(0), angles.count(1)
+        angles = [a[6 * i + k] for i, k in cls.corners]
+        m1, n1 = angles.count(0), angles.count(den)
         entries.append((m1, n1, len(angles) - m1 - n1))
     return EdgeAngleCensus(entries=tuple(entries))
 
@@ -59,20 +63,30 @@ def edge_angle_census(alpha: AngleAssignment,
 @dataclass(frozen=True)
 class PerturbationFamily:
     """The affine family alpha_t = base + coeffs * t, one coefficient per
-    tet-edge, built so that every edge class has zero coefficient sum."""
+    tet-edge, built so that every edge class has zero coefficient sum.
+    ``_ints``, kept, is the coefficients as `_rational.scaled` gives them.
+    """
     base: AngleAssignment
     coeffs: tuple
     census: EdgeAngleCensus
 
+    @cached_property
+    def _ints(self) -> tuple:
+        return scaled(self.coeffs)
+
     def at(self, t: Fraction) -> AngleAssignment:
-        t = exact("PerturbationFamily.at", (t,), PerturbationError)[0]
-        return AngleAssignment(angles=tuple(
-            a + c * t for a, c in zip(self.base.angles, self.coeffs)))
+        tden, (tnum,) = exact_scaled("PerturbationFamily.at", (t,),
+                                     PerturbationError)
+        den, a, _ = _angle_ints(self.base)
+        scale, c = self._ints
+        return AngleAssignment(angles=unscaled(den * scale * tden, [
+            x * scale * tden + y * tnum * den for x, y in zip(a, c)])[0])
 
     def triangle_area_slope(self, tet: int, corner: int) -> Fraction:
         """d/dt of the triangle area at the given corner."""
-        return sum((self.coeffs[6 * tet + k]
-                    for k in EDGES_AT_VERTEX[corner]), Fraction(0))
+        scale, c = self._ints
+        return Fraction(sum(c[6 * tet + k] for k in EDGES_AT_VERTEX[corner]),
+                        scale)
 
 
 def build_perturbation(alpha: AngleAssignment,
@@ -84,7 +98,9 @@ def build_perturbation(alpha: AngleAssignment,
     offending edge is named otherwise.
     """
     census = edge_angle_census(alpha, t)
-    coeffs = [Fraction(0)] * (6 * alpha.tet_count)
+    den, a, _ = _angle_ints(alpha)
+    scale = lcm(*(k1 for m1, n1, k1 in census.entries if (m1 or n1) and k1))
+    coeffs = [0] * (6 * alpha.tet_count)
     for cls, (m1, n1, k1) in zip(t.edge_classes, census.entries):
         if m1 == 0 and n1 == 0:
             continue
@@ -92,24 +108,36 @@ def build_perturbation(alpha: AngleAssignment,
             raise PerturbationError(
                 "edge class %d has a zero or pi angle but no angle in "
                 "(0, pi)" % cls.index)
-        interior = -Fraction(m1 - 3 * n1, k1)
-        total = Fraction(0)
+        interior = (3 * n1 - m1) * (scale // k1)
         for i, k in cls.corners:
-            a = alpha.angle(i, k)
-            if a == 0:
-                c = Fraction(1)
-            elif a == 1:
-                c = Fraction(-3)
-            else:
-                c = interior
-            coeffs[6 * i + k] = c
-            total += c
-        if total != 0:
+            x = a[6 * i + k]
+            coeffs[6 * i + k] = \
+                scale if x == 0 else -3 * scale if x == den else interior
+        if sum(coeffs[6 * i + k] for i, k in cls.corners):
             raise PerturbationError(
                 "internal error: nonzero coefficient sum on edge class %d"
                 % cls.index)
-    return PerturbationFamily(base=alpha, coeffs=tuple(coeffs),
-                              census=census)
+    values, form = unscaled(scale, coeffs)
+    fam = PerturbationFamily(base=alpha, coeffs=values, census=census)
+    fam.__dict__["_ints"] = form
+    return fam
+
+
+def _least_bound(fam: PerturbationFamily) -> tuple:
+    """(num, den): the least bound on t, 1 when nothing binds.  With the
+    angles and corner sums over den, moving by c over scale, a bound is
+    p / q in units of scale / den, and bounds are cross-multiplied."""
+    den, a, corner = _angle_ints(fam.base)
+    scale, c = fam._ints
+    slopes = [c[i + j] + c[i + k] + c[i + l]
+              for i in range(0, len(c), 6) for j, k, l in EDGES_AT_VERTEX]
+    p, q = 1, 0
+    for bp, bq in [(den - x, y) if y > 0 else (x, -y)
+                   for x, y in zip(a, c) if y] + \
+            [(den - s, y) for s, y in zip(corner, slopes) if y > 0]:
+        if bp * q < p * bq:
+            p, q = bp, bq
+    return (p * scale, q * den) if q else (1, 1)
 
 
 def max_perturbation_parameter(fam: PerturbationFamily) -> Fraction:
@@ -120,23 +148,11 @@ def max_perturbation_parameter(fam: PerturbationFamily) -> Fraction:
     constraints never bind; if nothing binds at all the supremum is taken
     to be 1 (one pi) by convention.
     """
-    bounds = []
-    for a, c in zip(fam.base.angles, fam.coeffs):
-        if c > 0:
-            bounds.append((1 - a) / c)
-        elif c < 0:
-            bounds.append(a / (-c))
-    for tet in range(fam.base.tet_count):
-        for l in range(4):
-            slope = fam.triangle_area_slope(tet, l)
-            if slope > 0:
-                area = area_of_triangle(fam.base, tet, l)
-                bounds.append(-area / slope)
-    t_max = min(bounds) if bounds else Fraction(1)
-    if t_max <= 0:
+    num, den = _least_bound(fam)
+    if num <= 0:
         raise PerturbationError(
             "internal error: no positive perturbation range")
-    return t_max
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,15 @@ solver's projection of the triangle columns is checked against a
 program that never projects.  The simplex itself is kept here over
 sparse rows of Fractions, so that the integer tableau can be checked to
 take the same pivots.  So are the normal-coordinate formulas, one
-Fraction at a time: membership, crossing weights, edge coefficients and
-chi*, against which the integer kernels are checked, and the Farkas
-sign conditions recomputed over Fractions, against which the integer
-certificate check is.  An assignment's realized data is summed angle by
-angle, and the vertex-link statuses and the flat-pair test are read off
-those Fraction areas, against the int corner sums the package compares.
+Fraction at a time: membership, crossing weights, edge coefficients,
+chi*, combine and decompose, against which the integer kernels are
+checked, and the Farkas sign conditions recomputed over Fractions,
+against which the integer certificate check is.  An assignment's
+realized data is summed angle by angle, and the vertex-link statuses and
+the flat-pair test are read off those Fraction areas, against the int
+corner sums the package compares.  Theorem 3's move is rebuilt over
+Fractions too: its coefficients, its safe range as a plain minimum of
+Fraction bounds, and the angles at half of it.
 """
 
 from __future__ import annotations
@@ -729,6 +732,63 @@ def chi_star(t, s) -> Fraction:
             b = sum(1 for f in boundary if f != l)
             total -= s.tri(i, l) * Fraction(1 + b, 2)
     return total
+
+
+def combine(basis, omega, z) -> list:
+    """sum omega_i W_sigma_i + sum z_j W_e_j, entry by entry, one
+    Fraction product per weight and entry."""
+    vecs = basis.w_sigma + basis.w_edge
+    weights = tuple(omega) + tuple(z)
+    return [sum((c * w.vector[col] for c, w in zip(weights, vecs)), ZERO)
+            for col in range(len(vecs[0].vector))]
+
+
+def decompose(t, s, basis):
+    """(omega, z) over Fractions, None off the solution space: z is the
+    edge coefficients of s, and omega the residual s - sum z_j W_e_j read
+    at each tetrahedron's first triangle; the pair must recombine to s."""
+    if not in_solution_space(t, s):
+        return None
+    z = tuple(edge_coefficient(s, e) for e in basis.edge_classes)
+    first = [3 * t.tet_count + 4 * i for i in range(t.tet_count)]
+    omega = tuple(s.vector[c] - sum((x * w.vector[c]
+                                     for x, w in zip(z, basis.w_edge)), ZERO)
+                  for c in first)
+    assert combine(basis, omega, z) == list(s.vector)
+    return omega, z
+
+
+def theorem3(t, alpha):
+    """(coefficients, t_max, angles at t_max / 2) of the flat-to-strict
+    move, over Fractions; None when an edge class has a zero or pi angle
+    but no angle in (0, 1).  Around each edge class with m1 zero, n1 pi
+    and k1 other angles, a zero angle moves by 1, a pi angle by -3 and
+    any other by (3 n1 - m1) / k1.  t_max is the least bound that keeps
+    every moving angle in [0, 1] and every corner whose area grows at or
+    below area 0; 1 when nothing binds."""
+    a = alpha.angles
+    coeffs = [ZERO] * len(a)
+    for e in t.edge_classes:
+        around = [a[6 * i + k] for i, k in e.corners]
+        m1, n1 = around.count(0), around.count(1)
+        k1 = len(around) - m1 - n1
+        if m1 + n1 and not k1:
+            return None
+        for i, k in e.corners:
+            x = a[6 * i + k]
+            if m1 + n1:
+                coeffs[6 * i + k] = ONE if x == 0 else Fraction(-3) \
+                    if x == 1 else Fraction(3 * n1 - m1, k1)
+    area, _ = realized_data(t, alpha)
+    bounds = [(1 - x) / c if c > 0 else x / -c for x, c in zip(a, coeffs)
+              if c]
+    for c, f in enumerate(area):
+        i, v = divmod(c, 4)
+        slope = sum(coeffs[6 * i + k] for k in CORNER_EDGES[v])
+        if slope > 0:
+            bounds.append(-f / slope)
+    t_max = min(bounds, default=ONE)
+    return coeffs, t_max, [x + c * t_max / 2 for x, c in zip(a, coeffs)]
 
 
 def bf_feasible(sys) -> bool:

@@ -5,11 +5,13 @@ unused-import check (F401); an import line marked ``# noqa: F401`` is
 kept on purpose and exempt.  No module reads a dense matrix view, only
 `_rational` takes a number apart into numerator and denominator, and
 the simplex's per-pivot code, with the elimination step it shares with
-the echelon form, the integer normal-coordinate kernels, the
-certificate check and the tally of an assignment's angle sums use no
-Fraction and no "/".  That tally is the one place an assignment's
-angles are summed: its readers call no sum() of their own, and
-`existence` and `perturbation` read no assignment's scaled view.
+the echelon form, the integer normal-coordinate kernels (the arc
+membership, the crossing weights and decompose's recombination), the
+certificate check, the tally of an assignment's angle sums and Theorem
+3's bound search use no Fraction and no "/".  That tally is the one
+place an assignment's angles are summed: its readers call no sum() of
+their own, and `existence` and `perturbation` read no assignment's
+scaled view.
 """
 
 from __future__ import annotations
@@ -78,12 +80,16 @@ def test_pivot_loop_stays_in_integers():
     # Fraction cells.  Nor does the row build that lays a system's int
     # form out as the starting tableau, nor the readout of basic values.
     # Nor do the normal-coordinate kernels that read a coordinate's
-    # scaled int view: the membership loop, the crossing weights and
-    # their sums per edge class.  Nor does the certificate check, which
-    # sums A^T y and y.b over scaled ints, nor the lift of a pair-system
+    # scaled int view: the membership check, which compares the two
+    # sides of each arc, the crossing weights, their sums per edge class,
+    # and the sum of scaled vectors that combine and decompose's
+    # recombination share.  Nor does the certificate check, which sums
+    # A^T y and y.b over scaled ints, nor the lift of a pair-system
     # refutation, nor the re-verification of an assignment, which checks
     # its angle sums against the int targets, nor the tally of those sums
-    # over the assignment's scaled angles.
+    # over the assignment's scaled angles (its corner sums come with
+    # those angles from _angle_ints), nor Theorem 3's search for the
+    # least bound on its parameter, which cross-multiplies int bounds.
     hot = {}
     for module, names in (("lp_core.py", ("_pivot", "_pivot_loop",
                                           "_leaving", "_tableau",
@@ -92,18 +98,22 @@ def test_pivot_loop_stays_in_integers():
                           ("_linalg.py", ("_eliminate", "_primitive")),
                           ("normal_coords.py", ("is_in_solution_space",
                                                 "_crossing_weights",
-                                                "_edge_sums")),
+                                                "_edge_sums",
+                                                "_combination")),
                           ("existence.py", ("_check_realization",
                                             "_lifted")),
-                          ("angle_structures.py", ("_angle_sums",))):
+                          ("angle_structures.py", ("_angle_ints",
+                                                   "_angle_sums")),
+                          ("perturbation.py", ("_least_bound",))):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         hot.update((node.name, node) for node in tree.body
                    if isinstance(node, ast.FunctionDef)
                    and node.name in names)
-    assert sorted(hot) == ["_angle_sums", "_basic_values",
-                           "_check_realization", "_crossing_weights",
-                           "_edge_sums", "_eliminate", "_leaving", "_lifted",
-                           "_pivot", "_pivot_loop", "_primitive", "_tableau",
+    assert sorted(hot) == ["_angle_ints", "_angle_sums", "_basic_values",
+                           "_check_realization", "_combination",
+                           "_crossing_weights", "_edge_sums", "_eliminate",
+                           "_least_bound", "_leaving", "_lifted", "_pivot",
+                           "_pivot_loop", "_primitive", "_tableau",
                            "is_in_solution_space", "verify_certificate"]
     for fn in hot.values():
         for node in ast.walk(fn):

@@ -8,6 +8,7 @@ from anglestruct import (NormalCoordinate, build_edge_classes,
                          combine, compatibility_system, decompose, fixture,
                          fixture_names, is_in_solution_space,
                          solution_space_basis, z_functional)
+from anglestruct._rational import scaled
 from anglestruct.normal_coords import (NormalCoordinateError, QUAD_EDGES,
                                        quad_type_at_arc)
 from anglestruct.triangulation import EDGE_INDEX
@@ -199,3 +200,56 @@ def test_exact_entries_are_kept():
     basis = solution_space_basis(fig8)
     assert combine(basis, [1, 0], [0, Fraction(1, 2)]) == \
         combine(basis, [Fraction(1), 0], [0, Fraction(2, 4)])
+
+
+def test_coordinates_built_from_ints_keep_the_scaled_form():
+    # The basis vectors and combine's result are built as ints over one
+    # denominator; the form they keep is scaled's, at its least
+    # denominator, whatever denominator the sum was taken over.
+    s = NormalCoordinate._of_scaled(12, [0, 12, 6, -8, 0, 0, 12])
+    assert s._scaled == (6, (0, 6, 3, -4, 0, 0, 6))
+    assert s == NormalCoordinate.from_vector(1, [0, 1, Fraction(1, 2),
+                                                 Fraction(-2, 3), 0, 0, 1])
+    fig8 = fixture("fig8").triangulation
+    basis = solution_space_basis(fig8)
+    for w in basis.w_sigma + basis.w_edge:
+        assert w._scaled == scaled(w.vector) and w._scaled[0] == 1
+    for omega, z in (((Fraction(1, 2), Fraction(1, 2)), (0, 0)),
+                     ((Fraction(1, 6), 0), (Fraction(-1, 4), Fraction(1, 3))),
+                     ((0, 0), (0, 0))):
+        s = combine(basis, omega, z)
+        assert s._scaled == scaled(s.vector)
+        assert decompose(fig8, s, basis) == (omega, z)
+
+
+@pytest.mark.parametrize("omega,z,name,got,want", [
+    ([1], [0, 0], "omega", 1, 4),
+    ([1, 0, 0, 0, 0], [0, 0], "omega", 5, 4),
+    ([1, 0, 0, 0], [0], "z", 1, 2),
+    ([1, 0, 0, 0], [0, 0, 1], "z", 3, 2),
+])
+def test_combine_refuses_weights_of_the_wrong_length(omega, z, name, got,
+                                                     want):
+    basis = solution_space_basis(fixture("fig8-flat2").triangulation)
+    with pytest.raises(NormalCoordinateError,
+                       match="combine %s has %d weights for %d vectors"
+                       % (name, got, want)):
+        combine(basis, omega, z)
+
+
+def test_normal_coordinate_refuses_a_split_other_than_3n_and_4n():
+    with pytest.raises(NormalCoordinateError,
+                       match="5 quads and 9 triangles are not 3n and 4n"):
+        NormalCoordinate(quads=(Fraction(0),) * 5, tris=(Fraction(0),) * 9)
+    with pytest.raises(NormalCoordinateError):
+        NormalCoordinate(quads=(Fraction(0),) * 6, tris=(Fraction(0),) * 9)
+
+
+def test_z_functional_refuses_an_edge_of_another_triangulation():
+    fig8 = fixture("fig8").triangulation
+    link = vertex_link_coordinate(fig8)
+    other = build_edge_classes(fixture("fig8-flat2").triangulation)[0]
+    for e in (0, other):
+        with pytest.raises(NormalCoordinateError,
+                           match="not an edge class of the triangulation"):
+            z_functional(fig8, link, e)

@@ -27,7 +27,11 @@ targets, against the Fraction sums and bounds it stands for, and that
 LinearSystem.of gives one system, with one answer, from ints and from
 equal Fractions.  A third checks, on closed tables, tables with boundary
 and tables with a folded edge, of up to 8 tetrahedra, that each edge
-class is stored as the least of all its readings.
+class is stored as the least of all its readings.  A fourth checks the
+int decompose, membership and Theorem 3 against their Fraction oracles
+on fig8 with 1 to 6 stacked flat tetrahedra and on closed tables with no
+folded edge: a combined point and that point bumped at one disk type,
+and a flat pair built from strict host tetrahedra and flat ones.
 """
 
 from __future__ import annotations
@@ -49,12 +53,17 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          chi_star, chi_via_lemma2, classify, combine,
                          compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
-                         is_flat_pair, is_in_solution_space, is_orientable,
+                         fixture, insert_flat_tetrahedron, is_flat_pair,
+                         is_in_solution_space, is_orientable,
                          realized_area_curvature, solution_space_basis,
                          solve_feasibility_nonneg, solve_feasibility_strict,
                          verify_certificate, z_functional)
 from anglestruct import existence
-from anglestruct.normal_coords import _crossing_weights, _edge_coefficients
+from anglestruct._rational import scaled
+from anglestruct.normal_coords import (NormalCoordinateError,
+                                       _crossing_weights, _edge_coefficients)
+from anglestruct.perturbation import (PerturbationError, apply_theorem3,
+                                      max_perturbation_parameter)
 
 
 @st.composite
@@ -352,3 +361,78 @@ def test_int_checks_and_int_systems_agree_with_fractions(data):
             assert other == sys
             assert (other.rows, other.rhs) == (sys.rows, sys.rhs)
         assert solve(built) == solve(sys)
+
+
+def stacked_flat_table(k: int) -> Triangulation:
+    """fig8 with k flat tetrahedra stacked by the fig8-flat2 recipe."""
+    t, flat = insert_flat_tetrahedron(fixture("fig8").triangulation,
+                                      (0, 0), (1, 0), (0, 1, 3, 2))
+    for _ in range(k - 1):
+        t, flat = insert_flat_tetrahedron(t, (0, 0), (flat.tet, 3),
+                                          (3, 0, 2, 1))
+    return t
+
+
+KERNEL_TABLES = {"flat%d" % k: st.just(k).map(stacked_flat_table)
+                 for k in range(1, 7)}
+KERNEL_TABLES["closed"] = gluing_tables(st.integers(1, 4), st.just(0)).filter(
+    lambda t: not oracles.has_folded_edge(t))
+
+
+@pytest.mark.parametrize("kind", KERNEL_TABLES)
+@settings(max_examples=10, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_int_decompose_membership_and_theorem3_agree_with_fractions(kind,
+                                                                    data):
+    # Membership and decompose, on a combined point and on that point
+    # bumped at one disk type, which leaves the solution space; the
+    # scaled form a combination keeps is the one scaled would give.
+    t = data.draw(KERNEL_TABLES[kind])
+    n = t.tet_count
+    basis = solution_space_basis(t)
+    omega = data.draw(rationals(n))
+    z = data.draw(rationals(len(basis.w_edge)))
+    s = combine(basis, omega, z)
+    assert list(s.vector) == oracles.combine(basis, omega, z)
+    assert s._scaled == scaled(s.vector)
+    bumped = list(s.vector)
+    bumped[data.draw(st.integers(0, 7 * n - 1))] += data.draw(
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
+    outside = NormalCoordinate.from_vector(n, bumped)
+    for x in (s, outside):
+        member = oracles.in_solution_space(t, x)
+        assert is_in_solution_space(t.compatibility_system, x) == member
+        try:
+            got = decompose(t, x, basis)
+        except NormalCoordinateError:
+            got = None
+        assert got == oracles.decompose(t, x, basis)
+    assert decompose(t, s, basis) == (omega, z)
+    # Theorem 3 on a flat pair: each host tetrahedron has angles in
+    # [1/36, 11/36], so every corner has negative area, and each flat one
+    # has pi on one opposite pair and 0 elsewhere.  On a closed table the
+    # flat ones are drawn, and an edge class may have no angle in (0, pi).
+    if kind == "closed":
+        flat = [i for i in range(n) if data.draw(st.booleans())]
+    else:
+        flat = range(2, n)
+    pairs = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    host = data.draw(st.lists(st.integers(1, 11), min_size=6 * n,
+                              max_size=6 * n))
+    alpha = AngleAssignment.from_vector(n, [
+        Fraction(k in (pairs[i], 5 - pairs[i])) if i in flat
+        else Fraction(host[6 * i + k], 36)
+        for i in range(n) for k in range(6)])
+    assert oracles.flat_pair(t, alpha)
+    expect = oracles.theorem3(t, alpha)
+    try:
+        res = apply_theorem3(alpha, t)
+    except PerturbationError as err:
+        assert expect is None and "no angle in (0, pi)" in str(err)
+        return
+    coeffs, t_max, angles = expect
+    assert res.family.coeffs == tuple(coeffs)
+    assert res.t_max == max_perturbation_parameter(res.family) == t_max
+    assert res.assignment.angles == tuple(angles)
+    assert res.assignment._scaled == scaled(angles)
