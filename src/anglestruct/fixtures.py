@@ -69,106 +69,52 @@ class Fixture:
     ac: Optional[AreaCurvature]
 
 
-def _host_flat_angles(host_tets: int, flat_tets: int) -> AngleAssignment:
-    vec = [Fraction(1, 6)] * (6 * host_tets)
-    for _ in range(flat_tets):
-        vec.extend(_FLAT_PATTERN)
-    return AngleAssignment.from_vector(host_tets + flat_tets, vec)
-
-
-def _fig8() -> Fixture:
-    t = parse_triangulation(FIG8_TABLE, name="fig8")
-    alpha = AngleAssignment.from_vector(2, [Fraction(1, 3)] * 12)
-    return Fixture(
-        name="fig8",
-        description="figure-eight knot complement; all-pi/3 realizes "
-                    "(A, kappa) = (0, 0)",
-        triangulation=t, angles=alpha,
-        ac=realized_area_curvature(alpha, t))
-
-
-def _one_tet() -> Fixture:
-    t = parse_triangulation(ONE_TET_TABLE, name="one-tet")
-    alpha = AngleAssignment.from_vector(1, [Fraction(1, 3)] * 6)
-    return Fixture(
-        name="one-tet",
-        description="a single unglued tetrahedron (boundary everywhere)",
-        triangulation=t, angles=alpha,
-        ac=realized_area_curvature(alpha, t))
-
-
-def flat1_triangulation() -> Triangulation:
-    base = parse_triangulation(FIG8_TABLE, name="fig8")
-    t, _ = insert_flat_tetrahedron(base, (0, 0), (1, 0), (0, 1, 3, 2))
-    return t
-
-
-def _fig8_flat1() -> Fixture:
-    t = flat1_triangulation()
-    alpha = _host_flat_angles(2, 1)
-    return Fixture(
-        name="fig8-flat1",
-        description="fig8 with one flat tetrahedron inserted; flat semi "
-                    "assignment (hosts pi/6, flat pattern on the insert)",
-        triangulation=t, angles=alpha,
-        ac=realized_area_curvature(alpha, t))
-
-
-def flat2_triangulation() -> Triangulation:
-    base = flat1_triangulation()
-    t, _ = insert_flat_tetrahedron(base, (0, 0), (2, 3), (3, 0, 2, 1))
-    return t
-
-
-def _fig8_flat2() -> Fixture:
-    t = flat2_triangulation()
-    alpha = _host_flat_angles(2, 2)
-    return Fixture(
-        name="fig8-flat2",
-        description="fig8 with two stacked flat tetrahedra; flat semi "
-                    "assignment",
-        triangulation=t, angles=alpha,
-        ac=realized_area_curvature(alpha, t))
-
-
-def _fig8_qzero() -> Fixture:
-    t = parse_triangulation(FIG8_TABLE, name="fig8-qzero")
-    alpha = AngleAssignment.from_vector(2, [Fraction(1, 2)] * 12)
-    return Fixture(
-        name="fig8-qzero",
-        description="fig8 with all angles pi/2: every quad area is zero, "
-                    "so the quad-slice certification fails with a witness",
-        triangulation=t, angles=alpha,
-        ac=realized_area_curvature(alpha, t))
-
-
-def _fig8_infeasible() -> Fixture:
-    t = parse_triangulation(FIG8_TABLE, name="fig8-infeasible")
-    return Fixture(
-        name="fig8-infeasible",
-        description="fig8 with target A = 0, kappa = 2 pi on both edges; "
-                    "no semi assignment exists and the solvers emit "
-                    "certificates",
-        triangulation=t, angles=None,
-        ac=AreaCurvature.of([0] * 8, [2] * 2))
-
-
-_BUILDERS = {
-    "fig8": _fig8,
-    "one-tet": _one_tet,
-    "fig8-flat1": _fig8_flat1,
-    "fig8-flat2": _fig8_flat2,
-    "fig8-qzero": _fig8_qzero,
-    "fig8-infeasible": _fig8_infeasible,
+# name -> (description, gluing table, how many of _FLAT_INSERTS to
+# stack on it, angle vector or None); the target is the realized data
+# of the angles, or fig8-infeasible's A = 0, kappa = 2 without them.
+_FIXTURES = {
+    "fig8": ("figure-eight knot complement; all-pi/3 realizes "
+             "(A, kappa) = (0, 0)",
+             FIG8_TABLE, 0, (Fraction(1, 3),) * 12),
+    "one-tet": ("a single unglued tetrahedron (boundary everywhere)",
+                ONE_TET_TABLE, 0, (Fraction(1, 3),) * 6),
+    "fig8-flat1": ("fig8 with one flat tetrahedron inserted; flat semi "
+                   "assignment (hosts pi/6, flat pattern on the insert)",
+                   FIG8_TABLE, 1, (Fraction(1, 6),) * 12 + _FLAT_PATTERN),
+    "fig8-flat2": ("fig8 with two stacked flat tetrahedra; flat semi "
+                   "assignment",
+                   FIG8_TABLE, 2,
+                   (Fraction(1, 6),) * 12 + _FLAT_PATTERN * 2),
+    "fig8-qzero": ("fig8 with all angles pi/2: every quad area is zero, "
+                   "so the quad-slice certification fails with a witness",
+                   FIG8_TABLE, 0, (Fraction(1, 2),) * 12),
+    "fig8-infeasible": ("fig8 with target A = 0, kappa = 2 pi on both "
+                        "edges; no semi assignment exists and the "
+                        "solvers emit certificates",
+                        FIG8_TABLE, 0, None),
 }
+
+# insert_flat_tetrahedron's (face, face, matching) for each flat insert
+# in stacking order; the second goes on face 3 of the first, tet 2.
+_FLAT_INSERTS = (((0, 0), (1, 0), (0, 1, 3, 2)),
+                 ((0, 0), (2, 3), (3, 0, 2, 1)))
 
 
 def fixture_names() -> tuple:
-    return tuple(_BUILDERS)
+    return tuple(_FIXTURES)
 
 
 def fixture(name: str) -> Fixture:
-    if name not in _BUILDERS:
+    if name not in _FIXTURES:
         raise FixtureError("unknown fixture %r; known: %s"
-                           % (name, ", ".join(_BUILDERS)))
-    return _BUILDERS[name]()
+                           % (name, ", ".join(_FIXTURES)))
+    description, table, flats, angles = _FIXTURES[name]
+    t = parse_triangulation(table, name=name)
+    for face, other, matching in _FLAT_INSERTS[:flats]:
+        t, _ = insert_flat_tetrahedron(t, face, other, matching)
+    if angles is None:
+        return Fixture(name, description, t, None,
+                       AreaCurvature.of([0] * 8, [2] * 2))
+    alpha = AngleAssignment.from_vector(t.tet_count, angles)
+    return Fixture(name, description, t, alpha,
+                   realized_area_curvature(alpha, t))

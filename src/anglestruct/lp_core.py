@@ -5,7 +5,8 @@ cycle-free), exact and with no floating point anywhere.  A system is
 held once as ints: its rows over one positive denominator and its rhs
 over another, built by `_rational`'s gate, which keeps ints as ints.
 Answers are fractions.Fraction, built only at readout: x, the Farkas
-vector, the margin and the optimum.  The tableau is fraction-free and
+vector, the margin and the optimum, each vector read out of its (den,
+ints) form by `_rational.unscaled`.  The tableau is fraction-free and
 sparse, each row a dict of its nonzero ints whose entry at the row's
 basic column is its positive denominator.  A pivot is `_linalg`'s
 elimination step, the one the echelon form takes, and keeps every row
@@ -35,7 +36,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._linalg import _eliminate, _primitive
-from ._rational import exact_scaled, reduced
+from ._rational import exact_scaled, reduced, unscaled
 
 NONNEG = "nonneg"
 STRICT_POS = "strict-pos"
@@ -56,8 +57,9 @@ class LinearSystem:
     int) pairs of its nonzeros, every entry over the one positive den.
     ``scaled_rhs`` is (den, ints), b over its own positive den.  Both
     denominators are the least that hold their entries, so equal systems
-    compare equal however they were given.  ``rows``, ``rhs`` and
-    ``coeffs`` are Fraction views of them, derived on first use and kept.
+    compare equal however they were given.  ``rhs`` and the dense
+    ``coeffs`` are Fraction views of them for readers outside the
+    package, derived on first use and kept.
     """
     scaled_rows: tuple
     scaled_rhs: tuple
@@ -108,23 +110,16 @@ class LinearSystem:
                    scaled_rhs=reduced(bden * rhs_den, b), signs=sg)
 
     @cached_property
-    def rows(self) -> tuple:
-        """Each row of A as the sorted (column, Fraction) pairs of its
-        nonzeros."""
-        den, rows = self.scaled_rows
-        return tuple(tuple((c, Fraction(v, den)) for c, v in row)
-                     for row in rows)
-
-    @cached_property
     def rhs(self) -> tuple:
-        return _fractions(self.scaled_rhs)
+        return unscaled(*self.scaled_rhs)[0]
 
     @cached_property
     def coeffs(self) -> tuple:
         """The dense rows: a view for readers outside the package."""
+        den, rows = self.scaled_rows
         return tuple(
             tuple(row.get(c, Fraction(0)) for c in range(self.col_count))
-            for row in map(dict, self.rows))
+            for row in ({c: Fraction(v, den) for c, v in row} for row in rows))
 
     @property
     def row_count(self) -> int:
@@ -272,12 +267,6 @@ def _basic_values(rows, basis, t: int, col: int) -> tuple:
     return den, ints
 
 
-def _fractions(scaled_values) -> tuple:
-    """The Fractions of a (den, ints) form: answers are read out here."""
-    den, ints = scaled_values
-    return tuple(Fraction(v, den) for v in ints)
-
-
 def _solve(a, b, cost):
     """Two-phase simplex for min c.x, A x = b, x >= 0.
 
@@ -346,7 +335,7 @@ def _verified(sys: LinearSystem, y, mode: str) -> Certificate:
     if not verify_certificate(sys, y[1], mode):
         raise LPError("internal error: emitted certificate failed "
                       "verification")
-    return Certificate(y=_fractions(y))
+    return Certificate(y=unscaled(*y)[0])
 
 
 def solve_feasibility_nonneg(sys: LinearSystem):
@@ -358,7 +347,7 @@ def solve_feasibility_nonneg(sys: LinearSystem):
     res = _solve(sys.scaled_rows, sys.scaled_rhs, (1, (0,) * sys.col_count))
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
-    return Solution(x=_fractions(res["x"]))
+    return Solution(x=unscaled(*res["x"])[0])
 
 
 def solve_feasibility_strict(sys: LinearSystem):
@@ -389,8 +378,7 @@ def solve_feasibility_strict(sys: LinearSystem):
         d, x = res["x"]
         eps = x[t]
         if eps > 0:
-            return StrictSolution(x=tuple(Fraction(v + eps, d)
-                                          for v in x[:t]),
+            return StrictSolution(x=unscaled(d, [v + eps for v in x[:t]])[0],
                                   margin=Fraction(eps, d))
         d, y = res["dual"]
     return NotStrict(certificate=_verified(sys, (d, y[:k]), "strict"))
@@ -406,8 +394,8 @@ def minimize_linear(objective, sys: LinearSystem):
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
     if res["status"] == "unbounded":
-        return Unbounded(ray=_fractions(res["ray"]))
-    return Optimum(value=res["value"], x=_fractions(res["x"]))
+        return Unbounded(ray=unscaled(*res["ray"])[0])
+    return Optimum(value=res["value"], x=unscaled(*res["x"])[0])
 
 
 def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:

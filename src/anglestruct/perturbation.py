@@ -64,7 +64,8 @@ def edge_angle_census(alpha: AngleAssignment,
 class PerturbationFamily:
     """The affine family alpha_t = base + coeffs * t, one coefficient per
     tet-edge, built so that every edge class has zero coefficient sum.
-    ``_ints``, kept, is the coefficients as `_rational.scaled` gives them.
+    ``_ints`` is the coefficients as `_rational.scaled` gives them, derived
+    on first use and kept.
     """
     base: AngleAssignment
     coeffs: tuple
@@ -117,10 +118,8 @@ def build_perturbation(alpha: AngleAssignment,
             raise PerturbationError(
                 "internal error: nonzero coefficient sum on edge class %d"
                 % cls.index)
-    values, form = unscaled(scale, coeffs)
-    fam = PerturbationFamily(base=alpha, coeffs=values, census=census)
-    fam.__dict__["_ints"] = form
-    return fam
+    return PerturbationFamily(base=alpha, coeffs=unscaled(scale, coeffs)[0],
+                              census=census)
 
 
 def _least_bound(fam: PerturbationFamily) -> tuple:

@@ -599,6 +599,14 @@ def dense_system(coeffs, rhs, signs):
         rhs, signs)
 
 
+def fraction_rows(sys) -> tuple:
+    """Each row of a LinearSystem as the sorted (column, Fraction) pairs
+    of its nonzeros, read off its int form."""
+    den, rows = sys.scaled_rows
+    return tuple(tuple((c, Fraction(v, den)) for c, v in row)
+                 for row in rows)
+
+
 def verify_certificate(sys, y, mode: str) -> bool:
     """The Farkas sign conditions of lp_core.verify_certificate, with
     A^T y and y.b summed as Fractions."""
@@ -606,7 +614,7 @@ def verify_certificate(sys, y, mode: str) -> bool:
         return False
     ydotb = sum((Fraction(a) * b for a, b in zip(y, sys.rhs)), Fraction(0))
     aty = [Fraction(0)] * sys.col_count
-    for a, row in zip(y, sys.rows):
+    for a, row in zip(y, fraction_rows(sys)):
         for c, v in row:
             aty[c] += Fraction(a) * v
     if any(w > 0 for w in aty):

@@ -188,6 +188,11 @@ def test_chi_evaluators_reject_bad_inputs():
     s = combine(basis, (F(1), F(0)), (F(0), F(0)))
     with pytest.raises(AngleStructureError):
         chi_via_lemma2(fig8, s, generalized)
+    for wrong in (AreaCurvature.of(ac.area[:4], ac.curvature),
+                  AreaCurvature.of(ac.area, ac.curvature + (F(0),))):
+        with pytest.raises(AngleStructureError,
+                           match="area-curvature size does not match"):
+            chi_area_curvature(fig8, s, wrong)
 
 
 def test_chi_via_lemma2_refuses_a_size_mismatch():

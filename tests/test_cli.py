@@ -8,6 +8,7 @@ suite.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -73,6 +74,74 @@ def test_fixtures_without_angles_writes_table_and_target_only(capsys,
     assert code == 0
     rep = json.loads(out)
     assert rep["files"] == ["fig8-infeasible.tri", "fig8-infeasible.ac.json"]
+
+
+# The sha256 of every file `fixtures NAME DIR` writes, and the
+# description its report gives, for each bundled fixture.
+FIXTURE_GOLDEN = {
+    "fig8": (
+        "figure-eight knot complement; all-pi/3 realizes (A, kappa) = "
+        "(0, 0)",
+        {"fig8.tri": "ba0d85431d31d798e5c3965b418a6e55"
+                     "2accf75bf4364eca6fe91aae02e19118",
+         "fig8.angles.json": "efac24c559c7abaca461ebde3f777ae0"
+                             "fe02c38e7d96779b6d57617b7e60abc3",
+         "fig8.ac.json": "043dab2537998b6362768a7649c3adf4"
+                         "72c82b508cd5b9d6f0476778087d59cb"}),
+    "one-tet": (
+        "a single unglued tetrahedron (boundary everywhere)",
+        {"one-tet.tri": "01e8863187837d9e970392ff6f7e2236"
+                        "466d8faab5d15f85bb25a458005716ed",
+         "one-tet.angles.json": "8426e6e16b16702eaa08d530fff20da6"
+                                "8d3ef94ded4fb8852b8a30dc83ec239e",
+         "one-tet.ac.json": "c887019dffc5684225372c39b6d070c7"
+                            "669fecfb2c0416cbe1c7a56e5edca69c"}),
+    "fig8-flat1": (
+        "fig8 with one flat tetrahedron inserted; flat semi assignment "
+        "(hosts pi/6, flat pattern on the insert)",
+        {"fig8-flat1.tri": "9cc2ac2a1bacbe3e7b5c35ceb724f2e2"
+                           "9f5ef9f5a3a93c43af497784ee9c185b",
+         "fig8-flat1.angles.json": "129d521f4a461f28aa5465d3a12093e5"
+                                   "51158ee0025e9757f90f1009bc672e1b",
+         "fig8-flat1.ac.json": "e3b437bc7bbeba492e9ee2cc15967b61"
+                               "38dc19021ff32d80fa76e1db4fe8e89c"}),
+    "fig8-flat2": (
+        "fig8 with two stacked flat tetrahedra; flat semi assignment",
+        {"fig8-flat2.tri": "16e1fcb916340832fe65603cce4523a4"
+                           "a92b831d6aa0041d9cbddb6d25c03e72",
+         "fig8-flat2.angles.json": "a68c955f5e99ae85b813e5f04805996f"
+                                   "5bb55960df74f1abd9d3f370c526781b",
+         "fig8-flat2.ac.json": "af78176b6df527256b5fc778be670cbc"
+                               "73ee4c8c6daee6dac3aac46538df800a"}),
+    "fig8-qzero": (
+        "fig8 with all angles pi/2: every quad area is zero, so the "
+        "quad-slice certification fails with a witness",
+        {"fig8-qzero.tri": "ba0d85431d31d798e5c3965b418a6e55"
+                           "2accf75bf4364eca6fe91aae02e19118",
+         "fig8-qzero.angles.json": "022330674c3e1bd9b0096e91dcda663b"
+                                   "007eeb1c320cd1693383a797fb344b11",
+         "fig8-qzero.ac.json": "af41a629426921ff47facafc5e480f56"
+                               "81e7b857e36fdcbcb863f07ec532b48a"}),
+    "fig8-infeasible": (
+        "fig8 with target A = 0, kappa = 2 pi on both edges; no semi "
+        "assignment exists and the solvers emit certificates",
+        {"fig8-infeasible.tri": "ba0d85431d31d798e5c3965b418a6e55"
+                                "2accf75bf4364eca6fe91aae02e19118",
+         "fig8-infeasible.ac.json": "2f0790cb2fbdd2fbc5b39354db70608c"
+                                    "84420ebba66741d28383bb0df1fb743d"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_GOLDEN))
+def test_fixture_files_and_descriptions_are_pinned(capsys, tmp_path, name):
+    description, digests = FIXTURE_GOLDEN[name]
+    code, out, _ = run(capsys, ["fixtures", name, str(tmp_path), "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["description"] == description
+    assert sorted(rep["files"]) == sorted(digests)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == digests
 
 
 def test_fixtures_unknown_name_is_usage_error(capsys):
@@ -319,6 +388,8 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path, command):
     ("solve", "ac", {"area": "00000000", "curvature": "00"}),
     ("certify", "angles", {"angles": [1] * 12}),
     ("certify", "angles", {"angles": 5}),
+    ("certify", "angles", {"angles": "1/3"}),
+    ("perturb", "angles", {"angles": ["x"]}),
 ])
 def test_json_vectors_must_be_lists_of_strings(capsys, tmp_path, command,
                                                key, payload):
@@ -331,6 +402,24 @@ def test_json_vectors_must_be_lists_of_strings(capsys, tmp_path, command,
     field = sorted(payload)[0]
     assert "error: %s: field \"%s\"" % (bad, field) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("certify", {"angle": []}, 'expected an object with an "angles" key'),
+    ("perturb", [], 'expected an object with an "angles" key'),
+    ("solve", {"area": []},
+     'expected an object with "area" and "curvature" keys'),
+    ("solve", [1, 2], 'expected an object with "area" and "curvature" keys'),
+])
+def test_json_without_its_fields_is_input_error(capsys, tmp_path, command,
+                                                payload, message):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, [command, paths["tri"], str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == "error: %s: %s" % (bad, message)
 
 
 def test_perturb_flat_fixture(capsys, tmp_path):
@@ -409,6 +498,20 @@ def test_out_file_matches_json_stdout(capsys, tmp_path):
                                 "--out", str(target)])
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_out_without_json_prints_the_lines_and_where_it_wrote(capsys,
+                                                             tmp_path):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    target = tmp_path / "report.json"
+    argv = ["solve", paths["tri"], paths["ac"]]
+    code, plain, _ = run(capsys, argv)
+    assert code == 0
+    code, out, _ = run(capsys, argv + ["--out", str(target)])
+    assert code == 0
+    assert out == plain + "report written to %s\n" % target
+    _, report, _ = run(capsys, argv + ["--json"])
+    assert target.read_text(encoding="utf-8") == report
 
 
 def test_unwritable_out_path_is_usage_error(capsys, tmp_path):

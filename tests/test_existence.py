@@ -311,6 +311,8 @@ def test_certify_condition2_rejects_generalized_assignments():
     bad = AngleAssignment.from_vector(2, [F(-1, 6)] + [F(1, 3)] * 11)
     with pytest.raises(ExistenceError):
         certify_condition2(fig8, bad)
+    with pytest.raises(ExistenceError, match="assignment size does not match"):
+        certify_condition2(fig8, fixture("one-tet").angles)
 
 
 def test_certify_condition2_never_vacuous_on_fixtures():

@@ -11,7 +11,9 @@ certificate check, the tally of an assignment's angle sums and Theorem
 3's bound search use no Fraction and no "/".  That tally is the one
 place an assignment's angles are summed: its readers call no sum() of
 their own, and `existence` and `perturbation` read no assignment's
-scaled view.
+scaled view.  Answers are read out by `_rational.unscaled` alone,
+`LinearSystem` keeps no `rows` view for tests, and `perturbation`
+writes into no `__dict__`.
 """
 
 from __future__ import annotations
@@ -63,13 +65,27 @@ def test_package_reads_no_dense_view(path):
 def test_only_rational_takes_numbers_apart(path):
     # _rational is the one module that knows what an exact number is:
     # its exact() gates every entry point and its scaled() takes a row
-    # or a vector to ints over the lcm of its denominators.  No other
-    # module reads a numerator or a denominator or keeps its own _exact.
+    # or a vector to ints over the lcm of its denominators, and its
+    # unscaled() reads every answer back out as Fractions.  No other
+    # module reads a numerator or a denominator or keeps its own _exact
+    # or _fractions.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not read & {"numerator", "denominator"}
-    assert "_exact" not in {n.name for n in ast.walk(tree)
-                            if isinstance(n, ast.FunctionDef)}
+    assert not {"_exact", "_fractions"} & {n.name for n in ast.walk(tree)
+                                           if isinstance(n, ast.FunctionDef)}
+
+
+def test_no_view_kept_for_tests_and_no_slot_written_by_hand():
+    # LinearSystem has no Fraction rows view: the package reads its int
+    # form, and tests read oracles.fraction_rows.  The perturbation
+    # family's scaled coefficients are derived on first use, not written
+    # into its __dict__ past the cached property.
+    from anglestruct.lp_core import LinearSystem
+    assert not hasattr(LinearSystem, "rows")
+    tree = ast.parse((PACKAGE / "perturbation.py").read_text(encoding="utf-8"))
+    assert "__dict__" not in {n.attr for n in ast.walk(tree)
+                              if isinstance(n, ast.Attribute)}
 
 
 def test_pivot_loop_stays_in_integers():

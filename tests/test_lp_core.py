@@ -98,6 +98,11 @@ def test_minimize_examples():
     assert isinstance(res4, Infeasible)
     assert verify_certificate(infeasible, res4.certificate.y, "nonneg")
 
+    for objective in ([F(1)], [F(1)] * 3):
+        with pytest.raises(LPError, match="objective length does not "
+                                          "match column count"):
+            minimize_linear(objective, sys)
+
 
 def test_verify_certificate_rejects_junk():
     sys = oracles.dense_system([[1, 1]], [-1], [NONNEG, NONNEG])
@@ -137,7 +142,7 @@ def test_linear_system_rows_are_sorted_nonzero_pairs():
         [[(2, 1), (0, F(1, 2)), (2, 1)], [(1, 3), (1, -3), (2, 0)], []],
         [1, 0, 0], [NONNEG] * 3)
     # repeated pairs add up, and zero sums and zero pairs are dropped
-    assert sys.rows == (((0, F(1, 2)), (2, F(2))), (), ())
+    assert oracles.fraction_rows(sys) == (((0, F(1, 2)), (2, F(2))), (), ())
     zero = (F(0),) * 3
     assert sys.coeffs == ((F(1, 2), F(0), F(2)), zero, zero)
     assert sys.coeffs is sys.coeffs
@@ -148,6 +153,15 @@ def test_linear_system_rows_are_sorted_nonzero_pairs():
     # A bool is an int subclass, but no column index, as it is no value.
     with pytest.raises(LPError, match="no column True"):
         LinearSystem.of([[(True, 1)]], [1], [NONNEG] * 2)
+    for den in (0, True):
+        with pytest.raises(LPError, match="rhs denominator %r is not a "
+                                          "positive int" % (den,)):
+            LinearSystem.of([[(0, 1)]], [1], [NONNEG], rhs_den=den)
+    # two halves on one column sum to 1 over den 2, which the gcd
+    # reduces to den 1
+    halves = LinearSystem.of([[(0, F(1, 2)), (0, F(1, 2))]], [1], [NONNEG])
+    assert halves == LinearSystem.of([[(0, 1)]], [1], [NONNEG])
+    assert halves.scaled_rows == (1, (((0, 1),),))
 
 
 def test_coeffs_view_equals_the_dense_rows():
@@ -158,7 +172,7 @@ def test_coeffs_view_equals_the_dense_rows():
                       for _ in range(rng.randint(1, 4)))
         sys = oracles.dense_system(dense, [0] * len(dense), [NONNEG] * cols)
         assert sys.coeffs == dense
-        assert all(v for row in sys.rows for _, v in row)
+        assert all(v for row in oracles.fraction_rows(sys) for _, v in row)
 
 
 def test_determinism():
@@ -265,7 +279,7 @@ def test_integer_tableau_takes_the_fraction_simplex_pivots():
             solve_feasibility_nonneg(sys)
             minimize_linear(obj, sys)
             solve_feasibility_strict(LinearSystem.of(
-                sys.rows, sys.rhs, [STRICT_POS] * cols))
+                oracles.fraction_rows(sys), sys.rhs, [STRICT_POS] * cols))
     assert set(statuses) == {"optimal", "unbounded", "infeasible"}
     assert len(statuses) == 3 * 160
 
@@ -280,7 +294,8 @@ def test_integer_certificate_check_agrees_with_the_fraction_one():
     for _ in range(200):
         cols = rng.randint(1, 5)
         sys = rand_rational_system(rng, rng.randint(1, 4), cols)
-        strict = LinearSystem.of(sys.rows, sys.rhs, [STRICT_POS] * cols)
+        strict = LinearSystem.of(oracles.fraction_rows(sys), sys.rhs,
+                                 [STRICT_POS] * cols)
         k = sys.row_count
         ys = [(F(0),) * k,
               tuple(F(rng.randint(-5, 5), rng.randint(1, 6))
@@ -344,6 +359,6 @@ def test_updated_row_is_reduced_by_its_gcd():
     res = solve_feasibility_nonneg(bad)
     assert not oracles.bf_feasible(bad)
     assert res == Infeasible(certificate=Certificate(y=(F(1), F(-1, 2))))
-    assert oracles.fraction_simplex(bad.rows, bad.rhs,
+    assert oracles.fraction_simplex(oracles.fraction_rows(bad), bad.rhs,
                                     [F(0)] * 3)["farkas"] == (F(1), F(-1, 2))
     assert verify_certificate(bad, res.certificate.y, "nonneg")

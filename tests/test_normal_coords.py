@@ -151,6 +151,10 @@ def test_is_in_solution_space_rejects_perturbed_vectors():
     bumped = NormalCoordinate(
         quads=(w.quads[0] + 1,) + tuple(w.quads[1:]), tris=w.tris)
     assert not is_in_solution_space(sys, bumped)
+    with pytest.raises(NormalCoordinateError,
+                       match="coordinate has 21 entries, system has 14 "
+                             "columns"):
+        is_in_solution_space(sys, NormalCoordinate.zero(3))
 
 
 def test_solution_space_basis_refuses_boundary():
@@ -243,6 +247,9 @@ def test_normal_coordinate_refuses_a_split_other_than_3n_and_4n():
         NormalCoordinate(quads=(Fraction(0),) * 5, tris=(Fraction(0),) * 9)
     with pytest.raises(NormalCoordinateError):
         NormalCoordinate(quads=(Fraction(0),) * 6, tris=(Fraction(0),) * 9)
+    with pytest.raises(NormalCoordinateError,
+                       match="expected 14 coordinates, got 13"):
+        NormalCoordinate.from_vector(2, [0] * 13)
 
 
 def test_z_functional_refuses_an_edge_of_another_triangulation():

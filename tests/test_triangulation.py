@@ -120,6 +120,11 @@ def test_vertex_classes_and_ideality():
         [(1, False)] * 8
 
 
+def test_constructor_refuses_a_face_out_of_range():
+    with pytest.raises(TriangulationError, match="face index 4 out of range"):
+        Triangulation(1, {(0, 4): (0, 1, (0, 1, 2, 3))})
+
+
 def test_orientability():
     assert is_orientable(fixture("fig8").triangulation)
     assert is_orientable(fixture("one-tet").triangulation)
@@ -163,6 +168,9 @@ def test_insert_flat_tetrahedron_errors():
     with pytest.raises(TriangulationError,
                        match="does not carry face 0 to face 0"):
         insert_flat_tetrahedron(fig8, (0, 0), (1, 0), (1, 2, 3, 0))
+    with pytest.raises(TriangulationError,
+                       match="cannot insert at a single face"):
+        insert_flat_tetrahedron(fig8, (0, 0), (0, 0), (0, 1, 2, 3))
 
 
 def test_insert_flat_tetrahedron_between_boundary_faces():
