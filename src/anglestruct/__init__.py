@@ -15,7 +15,6 @@ from .angle_structures import (
     AreaCurvature,
     ac_from_json,
     ac_to_json,
-    angles_from_json,
     angles_to_json,
     area_of_quad,
     area_of_triangle,

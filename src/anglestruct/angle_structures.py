@@ -245,13 +245,6 @@ def angle_vector_from_json(data: dict) -> list:
     return _rationals_field(data, "angles")
 
 
-def angles_from_json(data: dict) -> AngleAssignment:
-    vec = angle_vector_from_json(data)
-    if len(vec) % 6 != 0:
-        raise AngleStructureError("angle count must be a multiple of 6")
-    return AngleAssignment.from_vector(len(vec) // 6, vec)
-
-
 def ac_to_json(ac: AreaCurvature) -> dict:
     return {"area": [format_rational(a) for a in ac.area],
             "curvature": [format_rational(k) for k in ac.curvature]}

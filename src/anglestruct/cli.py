@@ -6,6 +6,11 @@ JSON report in which every number is a reduced "p/q" rational.  Reports
 contain no timestamps and are byte-identical across reruns on identical
 inputs; wall-clock timing goes to stderr.
 
+Every report holds the header keys "schema" ("v1"), "command" and
+"exit_code" (0), plus "inputs" (basename and sha256 of each file read)
+when the command reads files.  A file that is not UTF-8 text is refused
+as "PATH: not a UTF-8 text file", gluing table and JSON file alike.
+
 Exit codes: 0 = decided (an attached infeasibility certificate is a
 decision), 1 = invalid input, 2 = precondition or usage error.
 """
@@ -44,7 +49,6 @@ from .normal_coords import (
 from .perturbation import apply_theorem3
 from .triangulation import (
     Triangulation,
-    TriangulationError,
     format_triangulation,
     is_ideal_triangulation,
     is_orientable,
@@ -60,40 +64,32 @@ class _InputError(Exception):
     """Unreadable or unparseable input file (exit 1)."""
 
 
-def _digest(path: str, data: bytes) -> dict:
-    return {"path": os.path.basename(path),
-            "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _read_bytes(path: str) -> bytes:
+def _load(path: str, parse):
+    """parse(text) of the UTF-8 file at path and its digest, or _InputError."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except OSError as err:
         raise _InputError("cannot read %s: %s" % (path, err.strerror))
-
-
-def _load_triangulation(path: str):
-    data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise _InputError("%s: not a UTF-8 text file" % path)
     try:
-        t = parse_triangulation(
-            text, name=os.path.splitext(os.path.basename(path))[0])
-    except TriangulationError as err:
+        parsed = parse(text)
+    except (ValueError, RecursionError) as err:
         raise _InputError("%s: %s" % (path, err))
-    return t, _digest(path, data)
+    return parsed, {"path": os.path.basename(path),
+                    "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _load_triangulation(path: str):
+    name = os.path.splitext(os.path.basename(path))[0]
+    return _load(path, lambda text: parse_triangulation(text, name=name))
 
 
 def _load_json(path: str, reader):
-    data = _read_bytes(path)
-    try:
-        obj = reader(json.loads(data.decode("utf-8")))
-    except (ValueError, UnicodeDecodeError, RecursionError) as err:
-        raise _InputError("%s: %s" % (path, err))
-    return obj, _digest(path, data)
+    return _load(path, lambda text: reader(json.loads(text)))
 
 
 def _check_sizes(args, t, path, **vectors):
@@ -133,8 +129,10 @@ def _write_text(path: str, text: str) -> None:
         raise ValueError("cannot write %s: %s" % (path, err.strerror))
 
 
-def _emit(report: dict, args, lines) -> None:
-    text = _json_text(report)
+def _emit(args, body: dict, lines) -> None:
+    """Write body under the report header every command shares."""
+    text = _json_text(dict(body, schema="v1", command=args.command,
+                           exit_code=EXIT_OK))
     if args.out:
         _write_text(args.out, text)
     if args.json:
@@ -165,12 +163,9 @@ def _triangulation_summary(t: Triangulation) -> dict:
     }
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     t, dig = _load_triangulation(args.triangulation)
     summary = _triangulation_summary(t)
-    report = {"schema": "v1", "command": "validate",
-              "inputs": {"triangulation": dig}, "exit_code": EXIT_OK}
-    report.update(summary)
     lines = [
         "valid triangulation: %d tetrahedra, %d boundary faces"
         % (summary["tet_count"], summary["boundary_face_count"]),
@@ -187,18 +182,15 @@ def cmd_validate(args) -> int:
         "orientable: %s, ideal: %s"
         % (summary["orientable"], summary["ideal"]),
     ]
-    _emit(report, args, lines)
-    return EXIT_OK
+    _emit(args, dict(summary, inputs={"triangulation": dig}), lines)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     t, dig = _load_triangulation(args.triangulation)
     summary = _triangulation_summary(t)
     csys = t.compatibility_system
     solution_dim = csys.columns - csys.rank
-    report = {"schema": "v1", "command": "analyze",
-              "inputs": {"triangulation": dig}, "exit_code": EXIT_OK}
-    report.update(summary)
+    report = dict(summary, inputs={"triangulation": dig})
     report["compatibility"] = {
         "rows": len(csys.rows), "columns": csys.columns,
         "solution_space_dim": solution_dim,
@@ -232,8 +224,7 @@ def cmd_analyze(args) -> int:
                 e["vertex_class"], e["chi_star"], e["link_euler"])
             for e in linking),
     ]
-    _emit(report, args, lines)
-    return EXIT_OK
+    _emit(args, report, lines)
 
 
 def _vertex_linking_coordinate(t, vclass) -> NormalCoordinate:
@@ -243,16 +234,15 @@ def _vertex_linking_coordinate(t, vclass) -> NormalCoordinate:
     return NormalCoordinate.from_vector(t.tet_count, vec)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     t, dig_t = _load_triangulation(args.triangulation)
     ac, dig_ac = _load_json(args.ac, ac_from_json)
     _check_sizes(args, t, args.ac, area=ac.area, curvature=ac.curvature)
     finder = find_angle_structure if args.mode == "strict" \
         else find_semi_angle_structure
     result = finder(t, ac)
-    report = {"schema": "v1", "command": "solve", "mode": args.mode,
-              "inputs": {"triangulation": dig_t, "ac": dig_ac},
-              "exit_code": EXIT_OK}
+    report = {"mode": args.mode,
+              "inputs": {"triangulation": dig_t, "ac": dig_ac}}
     if isinstance(result, AngleAssignment):
         report["result"] = "assignment"
         report["assignment"] = angles_to_json(result)
@@ -269,41 +259,34 @@ def cmd_solve(args) -> int:
         report["certificate"] = {"y": _vector(result.y), "verified": True}
         lines = ["no %s assignment exists; certificate attached "
                  "(verified: True)" % args.mode]
-    _emit(report, args, lines)
-    return EXIT_OK
+    _emit(args, report, lines)
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> None:
     t, dig_t = _load_triangulation(args.triangulation)
     alpha, dig_a = _load_angles(args, t)
     result = certify_condition2(t, alpha)
-    report = {"schema": "v1", "command": "certify",
-              "inputs": {"triangulation": dig_t, "angles": dig_a},
-              "exit_code": EXIT_OK}
+    report = {"inputs": {"triangulation": dig_t, "angles": dig_a},
+              "optimum": format_rational(result.optimum)}
     if isinstance(result, Holds):
         report["result"] = "holds"
         report["vacuous"] = False  # the quad slice is never empty
-        report["optimum"] = format_rational(result.optimum)
         lines = ["negative quad-area condition holds; optimum %s"
                  % report["optimum"]]
     else:
         report["result"] = "fails"
-        report["optimum"] = format_rational(result.optimum)
         report["witness"] = _coordinate_json(result.witness)
         lines = ["negative quad-area condition fails; optimum %s" % report["optimum"],
                  "witness quads: %s" % " ".join(
                      _vector(result.witness.quads))]
-    _emit(report, args, lines)
-    return EXIT_OK
+    _emit(args, report, lines)
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args) -> None:
     t, dig_t = _load_triangulation(args.triangulation)
     alpha, dig_a = _load_angles(args, t)
     res = apply_theorem3(alpha, t)
-    report = {"schema": "v1", "command": "perturb",
-              "inputs": {"triangulation": dig_t, "angles": dig_a},
-              "exit_code": EXIT_OK,
+    report = {"inputs": {"triangulation": dig_t, "angles": dig_a},
               "census": [{"edge_class": j, "zero": c[0], "pi": c[1],
                           "interior": c[2]}
                          for j, c in enumerate(res.family.census.entries)],
@@ -317,18 +300,14 @@ def cmd_perturb(args) -> int:
              "areas after: %s" % " ".join(_vector(res.realized.area)),
              "curvatures preserved: %s" % " ".join(
                  _vector(res.realized.curvature))]
-    _emit(report, args, lines)
-    return EXIT_OK
+    _emit(args, report, lines)
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(args) -> None:
     if not args.name:
-        report = {"schema": "v1", "command": "fixtures",
-                  "available": list(fixture_names()),
-                  "exit_code": EXIT_OK}
-        _emit(report, args, ["available fixtures: %s"
-                             % ", ".join(fixture_names())])
-        return EXIT_OK
+        _emit(args, {"available": list(fixture_names())},
+              ["available fixtures: %s" % ", ".join(fixture_names())])
+        return
     fx = fixture(args.name)
     outdir = args.dir or "."
     try:
@@ -346,12 +325,9 @@ def cmd_fixtures(args) -> int:
         path = os.path.join(outdir, name)
         _write_text(path, text)
         written.append(path)
-    report = {"schema": "v1", "command": "fixtures", "name": fx.name,
-              "description": fx.description,
-              "files": [os.path.basename(p) for p in written],
-              "exit_code": EXIT_OK}
-    _emit(report, args, ["wrote %s" % p for p in written])
-    return EXIT_OK
+    _emit(args, {"name": fx.name, "description": fx.description,
+                 "files": [os.path.basename(p) for p in written]},
+          ["wrote %s" % p for p in written])
 
 
 _ANGLES = ("angles", {"help": "JSON file with the angle vector"})
@@ -393,7 +369,7 @@ def _command_parser(name, parser=None) -> argparse.ArgumentParser:
     _, func, arguments = _COMMANDS[name]
     for arg, keywords in arguments + _REPORT:
         parser.add_argument(arg, **keywords)
-    parser.set_defaults(func=func)
+    parser.set_defaults(func=func, command=name)
     return parser
 
 
@@ -424,7 +400,7 @@ def main(argv=None) -> int:
     args = _parse(argv)
     start = time.monotonic()
     try:
-        code = args.func(args)
+        args.func(args)
     except _InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -434,7 +410,7 @@ def main(argv=None) -> int:
     finally:
         print("elapsed: %.3fs" % (time.monotonic() - start),
               file=sys.stderr)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -383,25 +383,19 @@ def build_vertex_classes(t: Triangulation):
         if len(set(e.corners)) == e.valence:
             v_count[class_of[(i, w)]] += 1
 
-    # Link edges: each matched pair of triangle sides gives one edge, each
-    # unmatched side one boundary edge.
-    e_count = [0] * len(classes)
-    closed = [True] * len(classes)
-    for i in range(t.tet_count):
-        for v in range(4):
-            n = class_of[(i, v)]
-            for f in range(4):
-                if f == v:
-                    continue
-                if t.gluing(i, f) is None:
-                    e_count[n] += 2  # counted once; doubled below
-                    closed[n] = False
-                else:
-                    e_count[n] += 1
+    # Link edges: a corner's triangle has three sides, one in each other
+    # face of its tet.  Sides in glued faces match in pairs; a side in a
+    # boundary face is a boundary edge alone and leaves the link open.
+    # So E = (3F + boundary sides) / 2 for F corners, and V - E + F is
+    # V - (F + boundary sides) / 2.
+    sides = [0] * len(classes)
+    for i, f in t.boundary_faces():
+        for v in FACE_VERTICES[f]:
+            sides[class_of[(i, v)]] += 1
     return tuple(
         VertexClass(index=n, corners=tuple(corners),
-                    link_euler=v_count[n] - e_count[n] // 2 + len(corners),
-                    link_closed=closed[n], link_orientable=not clash)
+                    link_euler=v_count[n] - (len(corners) + sides[n]) // 2,
+                    link_closed=sides[n] == 0, link_orientable=not clash)
         for n, (corners, clash) in enumerate(classes))
 
 

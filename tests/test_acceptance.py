@@ -33,7 +33,7 @@ from anglestruct import (
 from anglestruct.angle_structures import (
     AngleAssignment,
     AreaCurvature,
-    angles_from_json,
+    angle_vector_from_json,
     chi_area_curvature,
     chi_via_lemma2,
     classify,
@@ -111,8 +111,9 @@ def test_criterion_1_figure_eight_strict_pipeline(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"] == "assignment"
-    alpha = angles_from_json(rep["assignment"])
     t = fixture("fig8").triangulation
+    alpha = AngleAssignment.from_vector(
+        t.tet_count, angle_vector_from_json(rep["assignment"]))
     assert all(0 < a < 1 for a in alpha.angles)
     for tet in range(2):
         for vertex in range(4):

@@ -19,9 +19,10 @@ import pytest
 
 from anglestruct import cli
 from anglestruct.angle_structures import (
+    AngleAssignment,
     ac_from_json,
     ac_to_json,
-    angles_from_json,
+    angle_vector_from_json,
     realized_area_curvature,
 )
 from anglestruct.cli import main
@@ -62,7 +63,9 @@ def test_fixtures_writes_round_trippable_files(capsys, tmp_path):
         parsed = parse_triangulation(fh.read(), name="fig8")
     assert parsed.glued_pairs() == fx.triangulation.glued_pairs()
     with open(paths["angles"], encoding="utf-8") as fh:
-        assert angles_from_json(json.load(fh)) == fx.angles
+        assert AngleAssignment.from_vector(
+            fx.triangulation.tet_count,
+            angle_vector_from_json(json.load(fh))) == fx.angles
     with open(paths["ac"], encoding="utf-8") as fh:
         assert ac_from_json(json.load(fh)) == fx.ac
 
@@ -276,7 +279,8 @@ def assert_realized_recomputes(paths, rep):
     equals both the report's field and the target file."""
     with open(paths["tri"], encoding="utf-8") as fh:
         t = parse_triangulation(fh.read(), name="fig8")
-    alpha = angles_from_json(rep["assignment"])
+    alpha = AngleAssignment.from_vector(
+        t.tet_count, angle_vector_from_json(rep["assignment"]))
     recomputed = ac_to_json(realized_area_curvature(alpha, t))
     with open(paths["ac"], encoding="utf-8") as fh:
         target = json.load(fh)
@@ -437,7 +441,9 @@ def test_perturb_flat_fixture(capsys, tmp_path):
     assert rep["after"]["curvature"] == rep["before"]["curvature"]
     after = ac_from_json(rep["after"])
     assert all(a < 0 for a in after.area)
-    perturbed = angles_from_json(rep["assignment"])
+    perturbed = AngleAssignment.from_vector(
+        fixture("fig8-flat1").triangulation.tet_count,
+        angle_vector_from_json(rep["assignment"]))
     assert all(0 < a < 1 for a in perturbed.angles)
 
 
@@ -621,6 +627,49 @@ def test_surface_reads_as_with_every_subparser(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "_parse",
                         lambda argv: cli._build_parser().parse_args(argv))
     assert outcome(capsys, argv) == narrowed
+
+
+@pytest.mark.parametrize("argv,inputs", [
+    (["validate", "fig8.tri"], ["triangulation"]),
+    (["analyze", "fig8.tri"], ["triangulation"]),
+    (["solve", "fig8.tri", "fig8.ac.json"], ["ac", "triangulation"]),
+    (["certify", "fig8.tri", "fig8.angles.json"], ["angles", "triangulation"]),
+    (["perturb", "fig8-flat1.tri", "fig8-flat1.angles.json"],
+     ["angles", "triangulation"]),
+    (["fixtures"], []),
+    (["fixtures", "one-tet", "out"], []),
+], ids=lambda a: " ".join(a) or "-")
+def test_every_report_carries_the_shared_header(capsys, monkeypatch,
+                                                tmp_path, argv, inputs):
+    # One header on every report: the schema, the command as argv names
+    # it, exit code 0, and a digest of each file read; the same bytes
+    # come through the parser that holds every command.
+    for name in ("fig8", "fig8-flat1"):
+        write_fixture(capsys, tmp_path, name)
+    monkeypatch.chdir(tmp_path)
+    narrowed = outcome(capsys, argv + ["--json"])
+    code, out, _ = narrowed
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["schema"], rep["command"], rep["exit_code"]) == \
+        ("v1", argv[0], 0)
+    assert sorted(rep.get("inputs", {})) == inputs
+    monkeypatch.setattr(cli, "_parse",
+                        lambda argv: cli._build_parser().parse_args(argv))
+    assert outcome(capsys, argv + ["--json"]) == narrowed
+
+
+@pytest.mark.parametrize("command,name", [("solve", "binary.ac.json"),
+                                          ("certify", "binary.angles.json")])
+def test_non_utf8_json_file_is_input_error(capsys, tmp_path, command, name):
+    # Worded as for a gluing table, not as the codec words it.
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, [command, paths["tri"], str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == "error: %s: not a UTF-8 text file" % bad
 
 
 def subcommands(parser):

@@ -13,7 +13,9 @@ place an assignment's angles are summed: its readers call no sum() of
 their own, and `existence` and `perturbation` read no assignment's
 scaled view.  Answers are read out by `_rational.unscaled` alone,
 `LinearSystem` keeps no `rows` view for tests, and `perturbation`
-writes into no `__dict__`.
+writes into no `__dict__`.  The CLI's `_emit` writes the one report
+header: no command handler names "schema" or `EXIT_OK`, or returns a
+value.
 """
 
 from __future__ import annotations
@@ -160,3 +162,21 @@ def test_angle_sums_are_tallied_in_one_place():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         assert "_scaled" not in {n.attr for n in ast.walk(tree)
                                  if isinstance(n, ast.Attribute)}
+
+
+def test_cli_handlers_leave_the_header_to_emit():
+    # cli._emit adds "schema", "command" and "exit_code" to the body each
+    # cmd_* hands it, and main returns EXIT_OK once the handler returns,
+    # so no handler spells the header or an exit code of its own.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    handlers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("cmd_")]
+    assert len(handlers) == 6
+    for fn in handlers:
+        for node in ast.walk(fn):
+            assert not (isinstance(node, ast.Constant)
+                        and node.value == "schema"), fn.name
+            assert not (isinstance(node, ast.Name)
+                        and node.id == "EXIT_OK"), fn.name
+            assert not (isinstance(node, ast.Return)
+                        and node.value is not None), fn.name

@@ -125,6 +125,25 @@ def test_constructor_refuses_a_face_out_of_range():
         Triangulation(1, {(0, 4): (0, 1, (0, 1, 2, 3))})
 
 
+def test_equality_reads_the_gluings_alone():
+    t = parse_triangulation(FIG8_TABLE, name="fig8")
+    one_way = {(i, f): (j, g, perm) for (i, f), (j, g), perm
+               in t.glued_pairs()}
+    both_ways = dict(one_way)
+    for (i, f), (j, g, perm) in one_way.items():
+        both_ways[(j, g)] = (i, f, tuple(perm.index(k) for k in range(4)))
+    assert len(both_ways) == 2 * len(one_way)
+    assert Triangulation(2, one_way, name="a") == t
+    assert Triangulation(2, both_ways, name="b") == t
+    assert Triangulation(2, one_way) == Triangulation(2, both_ways)
+    bad = FIG8_TABLE.replace("glue 0 0 1 0 0123", "glue 0 0 1 0 0132")
+    assert bad != FIG8_TABLE
+    assert parse_triangulation(bad, name="fig8") != t
+    assert Triangulation(1) != Triangulation(2)
+    assert t != object()
+    assert t != FIG8_TABLE
+
+
 def test_orientability():
     assert is_orientable(fixture("fig8").triangulation)
     assert is_orientable(fixture("one-tet").triangulation)
