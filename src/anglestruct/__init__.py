@@ -19,8 +19,6 @@ from .angle_structures import (
     area_of_quad,
     area_of_triangle,
     check_vertex_link_conditions,
-    chi_area_curvature,
-    chi_via_lemma2,
     classify,
     curvature,
     is_flat_pair,
@@ -60,7 +58,9 @@ from .normal_coords import (
     NormalCoordinate,
     NormalCoordinateError,
     SolutionBasis,
+    chi_area_curvature,
     chi_star,
+    chi_via_lemma2,
     combine,
     compatibility_system,
     decompose,

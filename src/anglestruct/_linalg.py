@@ -8,8 +8,10 @@ its nonzero int entries and reduces it against the pivot rows found so
 far, leading column first.  The elimination is fraction-free: each row
 is scaled to integers over the lcm of its denominators, which keeps the
 row space, and every pivot row is primitive with a positive leading
-entry.  `lp_core`'s tableau rows are dicts of the same kind, and its
-pivots take the same two steps, `_eliminate` and `_primitive`.
+entry.  The size of the echelon form is the rank: `normal_coords` keeps
+one per compatibility system.  `lp_core`'s tableau rows are dicts of the
+same kind, and its pivots take the same two steps, `_eliminate` and
+`_primitive`.
 """
 
 from __future__ import annotations
@@ -63,9 +65,3 @@ def echelon(rows) -> dict:
                 break
             row = _eliminate(row, pivot, lead)
     return pivots
-
-
-def rank(rows) -> int:
-    """The rank of the matrix whose sparse rows are given: the size of
-    its echelon form."""
-    return len(echelon(rows))

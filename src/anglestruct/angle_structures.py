@@ -7,10 +7,8 @@ angle sum minus pi; a quad's is the sum over the four edges it crosses
 minus 2*pi.  An edge's curvature is 2*pi (interior) or pi (boundary)
 minus the angles gathered around it, counted with multiplicity.
 
-Both evaluators of the area-curvature functional chi^(A,k) live here: the
-direct weighted sum over a normal coordinate, and the decomposed form
-that replaces the curvature data with quad areas of a realizing
-assignment.
+Angles alone are known here; `normal_coords` pairs them with normal
+coordinates, reading the corner, edge and quad tallies kept here.
 """
 
 from __future__ import annotations
@@ -18,16 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from ._rational import exact, format_rational, parse_rational, scaled
-from .normal_coords import (
-    QUAD_EDGES,
-    NormalCoordinate,
-    _edge_coefficients,
-    chi_star,
-    is_in_solution_space,
-)
 from .triangulation import EDGES_AT_VERTEX, Triangulation
 
 
@@ -89,52 +79,71 @@ class AreaCurvature:
                                    AngleStructureError))
 
 
-def _check_tet(alpha: AngleAssignment, tet: int) -> None:
+def _check_disk(alpha: AngleAssignment, tet: int, kind: str, index: int,
+                count: int) -> None:
     if not 0 <= tet < alpha.tet_count:
         raise AngleStructureError("tetrahedron %d is not among the %d of "
                                   "the assignment" % (tet, alpha.tet_count))
+    if not 0 <= index < count:
+        raise AngleStructureError("%s %d is not among 0..%d"
+                                  % (kind, index, count - 1))
 
 
 def area_of_triangle(alpha: AngleAssignment, tet: int,
                      corner: int) -> Fraction:
     """Corner angle sum minus pi for the triangle cutting off a vertex."""
-    _check_tet(alpha, tet)
+    _check_disk(alpha, tet, "corner", corner, 4)
+    den, _, corners = _angle_ints(alpha)
+    return Fraction(corners[4 * tet + corner] - den, den)
+
+
+def _quad_areas(alpha: AngleAssignment) -> tuple:
+    """(den, ints): alpha's 3n quad areas over its den.  Quad p crosses
+    every edge of its tetrahedron but the pair p, 5 - p."""
     den, a = alpha._scaled
-    return Fraction(sum(a[6 * tet + k] for k in EDGES_AT_VERTEX[corner])
-                    - den, den)
-
-
-def _quad_area(scaled_angles, tet: int, quad: int) -> int:
-    """A quad's area as an int over the den of the (den, ints) angles."""
-    den, a = scaled_angles
-    return sum(a[6 * tet + k] for k in QUAD_EDGES[quad]) - 2 * den
+    return den, [sum(a[i:i + 6]) - a[i + p] - a[i + 5 - p] - 2 * den
+                 for i in range(0, len(a), 6) for p in range(3)]
 
 
 def area_of_quad(alpha: AngleAssignment, tet: int, quad: int) -> Fraction:
     """Angle sum over the four crossed edges minus 2*pi."""
-    _check_tet(alpha, tet)
-    return Fraction(_quad_area(alpha._scaled, tet, quad), alpha._scaled[0])
+    _check_disk(alpha, tet, "quad type", quad, 3)
+    den, areas = _quad_areas(alpha)
+    return Fraction(areas[3 * tet + quad], den)
 
 
 def curvature(alpha: AngleAssignment, t: Triangulation, e) -> Fraction:
     """2*pi (interior) or pi (boundary) minus the angles around the edge."""
-    _check_size(alpha, t)
-    den, a = alpha._scaled
-    return Fraction((1 if e.is_boundary else 2) * den
-                    - sum(a[6 * i + k] for i, k in e.corners), den)
+    if e not in t.edge_classes:
+        raise AngleStructureError(
+            "%r is not an edge class of the triangulation" % (e,))
+    return realized_area_curvature(alpha, t).curvature[e.index]
 
 
-def _check_size(alpha: AngleAssignment, t: Triangulation) -> None:
+def _check_size(alpha: AngleAssignment, t: Triangulation,
+                error=AngleStructureError) -> None:
     if alpha.tet_count != t.tet_count:
-        raise AngleStructureError("assignment size does not match")
+        raise error("assignment size does not match")
+
+
+def _check_semi(alpha: AngleAssignment, t: Triangulation,
+                error=AngleStructureError) -> None:
+    """Refuse, with error, an assignment of another size or not semi."""
+    _check_size(alpha, t, error)
+    if classify(alpha) == "generalized":
+        raise error("assignment is not semi")
+
+
+def _corner_sums(ints) -> list:
+    """The 4n corner sums, tet-major, of 6n per-tet-edge ints."""
+    return [ints[i + j] + ints[i + k] + ints[i + l]
+            for i in range(0, len(ints), 6) for j, k, l in EDGES_AT_VERTEX]
 
 
 def _angle_ints(alpha: AngleAssignment) -> tuple:
     """(den, ints, corner): alpha's scaled angles and 4n corner sums."""
     den, a = alpha._scaled
-    return den, a, [a[i + j] + a[i + k] + a[i + l]
-                    for i in range(0, len(a), 6)
-                    for j, k, l in EDGES_AT_VERTEX]
+    return den, a, _corner_sums(a)
 
 
 def _angle_sums(alpha: AngleAssignment, t: Triangulation) -> tuple:
@@ -211,10 +220,8 @@ def is_flat_pair(alpha: AngleAssignment, t: Triangulation) -> bool:
     is allowed only in the fully degenerate pattern.  At a semi corner
     whose angles sum to pi, a pi angle leaves the other two at zero.
     """
-    den, corner, _ = _angle_sums(alpha, t)
-    if classify(alpha) == "generalized":
-        raise AngleStructureError("assignment is not semi")
-    a = alpha._scaled[1]
+    _check_semi(alpha, t)
+    den, a, corner = _angle_ints(alpha)
     return all(total < den or (total == den and den in (
         a[6 * (c // 4) + k] for k in EDGES_AT_VERTEX[c % 4]))
         for c, total in enumerate(corner))
@@ -257,42 +264,3 @@ def ac_from_json(data: dict) -> AreaCurvature:
             'expected an object with "area" and "curvature" keys')
     return AreaCurvature.of(_rationals_field(data, "area"),
                             _rationals_field(data, "curvature"))
-
-
-def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
-                       ac: AreaCurvature) -> Fraction:
-    """The area-curvature functional evaluated directly on a coordinate.
-
-    (1/2pi) (sum_t y_t A_t + sum_j 2 z_j(s) kappa_j); with areas and
-    curvatures in units of pi the pi factors cancel and the value is an
-    exact rational.
-    """
-    edge_classes = t.edge_classes
-    if len(ac.area) != 4 * t.tet_count or len(ac.curvature) != len(
-            edge_classes):
-        raise AngleStructureError("area-curvature size does not match")
-    if not is_in_solution_space(t.compatibility_system, s):
-        raise AngleStructureError("coordinate is not in the solution space")
-    den, nums = s._scaled
-    aden, area = scaled(ac.area)
-    total = Fraction(sum(map(mul, nums[3 * t.tet_count:], area)),
-                     2 * den * aden)
-    curved = [cls for cls in edge_classes if ac.curvature[cls.index] != 0]
-    for cls, z in zip(curved, _edge_coefficients(s, curved)):
-        total += z * ac.curvature[cls.index]
-    return total
-
-
-def chi_via_lemma2(t: Triangulation, s: NormalCoordinate,
-                   alpha: AngleAssignment) -> Fraction:
-    """The same functional computed as chi_star minus half the quad-area
-    pairing with a realizing semi assignment."""
-    _check_size(alpha, t)
-    if classify(alpha) == "generalized":
-        raise AngleStructureError("assignment is not semi")
-    if not is_in_solution_space(t.compatibility_system, s):
-        raise AngleStructureError("coordinate is not in the solution space")
-    den, nums = s._scaled
-    pairing = sum(x * _quad_area(alpha._scaled, *divmod(i, 3))
-                  for i, x in enumerate(nums[:3 * t.tet_count]) if x)
-    return chi_star(t, s) - Fraction(pairing, 2 * den * alpha._scaled[0])

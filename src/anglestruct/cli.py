@@ -42,7 +42,7 @@ from .existence import (
 )
 from .fixtures import fixture, fixture_names
 from .normal_coords import (
-    NormalCoordinate,
+    _vertex_linking_coordinate,
     chi_star,
     solution_space_basis,
 )
@@ -111,10 +111,6 @@ def _load_angles(args, t):
 
 def _vector(values) -> list:
     return [format_rational(v) for v in values]
-
-
-def _coordinate_json(s: NormalCoordinate) -> dict:
-    return {"quads": _vector(s.quads), "tris": _vector(s.tris)}
 
 
 def _json_text(obj) -> str:
@@ -227,13 +223,6 @@ def cmd_analyze(args) -> None:
     _emit(args, report, lines)
 
 
-def _vertex_linking_coordinate(t, vclass) -> NormalCoordinate:
-    vec = [0] * (7 * t.tet_count)
-    for i, v in vclass.corners:
-        vec[3 * t.tet_count + 4 * i + v] = 1
-    return NormalCoordinate.from_vector(t.tet_count, vec)
-
-
 def cmd_solve(args) -> None:
     t, dig_t = _load_triangulation(args.triangulation)
     ac, dig_ac = _load_json(args.ac, ac_from_json)
@@ -275,7 +264,8 @@ def cmd_certify(args) -> None:
                  % report["optimum"]]
     else:
         report["result"] = "fails"
-        report["witness"] = _coordinate_json(result.witness)
+        report["witness"] = {"quads": _vector(result.witness.quads),
+                             "tris": _vector(result.witness.tris)}
         lines = ["negative quad-area condition fails; optimum %s" % report["optimum"],
                  "witness quads: %s" % " ".join(
                      _vector(result.witness.quads))]

@@ -30,7 +30,9 @@ a strict structure with nonpositive triangle areas exists if and only if
 every compatible normal class with nonnegative, not-all-zero quad part
 has negative total quad area against the semi assignment.  That is one
 exact LP over the normalized quad slice, its triangle part projected
-away.
+away; `normal_coords` gives the slice's rows and turns an optimal quad
+part back into a coordinate, and the objective is the assignment's quad
+areas as ints.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from . import _linalg
 from ._rational import exact, scaled
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
     _angle_sums,
-    area_of_quad,
-    chi_area_curvature,
+    _check_semi,
+    _quad_areas,
     classify,
     realized_area_curvature,
 )
@@ -66,6 +67,9 @@ from .lp_core import (
 )
 from .normal_coords import (
     NormalCoordinate,
+    _from_slice,
+    _quad_slice,
+    chi_area_curvature,
     chi_star,
     combine,
     is_in_solution_space,
@@ -299,45 +303,26 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     for the data alpha realizes: by Lemma 2 (chi_via_lemma2), chi^(A,k)
     is chi* minus half the quad-area pairing.
 
-    The triangle part is projected away before the LP.  With the triangle
-    columns numbered first, the compatibility rows' echelon form has
-    triangle-led rows, which fix their leading triangle weight, and
-    quad-led rows, with quad entries alone: the LP runs on those and the
-    slice row over the 3n quads.  A witness gets its triangle weights by
-    back-substitution, last lead first, 0 on unled columns.  The program
-    is never infeasible: -W_sigma_0 / 3 (1/3 on tet 0's quads, -1/3 on
-    its triangles) lies in the slice.
+    The triangle part is projected away: the LP runs on normal_coords'
+    _quad_slice, and _from_slice solves a witness's triangle weights.
+    The objective is the quad areas as ints over their den, which leaves
+    the pivots and the optimizer alone.  The program is never infeasible:
+    -W_sigma_0 / 3 (1/3 on tet 0's quads, -1/3 on its triangles) lies in
+    the slice.
     """
-    if classify(alpha) == "generalized":
-        raise ExistenceError("assignment is not semi")
-    if alpha.tet_count != t.tet_count:
-        raise ExistenceError("assignment size does not match")
-    n = t.tet_count
-    q, tris = 3 * n, 4 * n
-    # Triangle column q + l becomes l, and quad column c becomes tris + c.
-    echelon = _linalg.echelon(
-        [(c - q if c >= q else c + tris, v) for c, v in row]
-        for row in t.compatibility_system.rows)
-    rows = [[(c - tris, v) for c, v in row.items()]
-            for lead, row in echelon.items() if lead >= tris]
-    rows.append([(c, 1) for c in range(q)])
-    rhs = [0] * (len(rows) - 1) + [1]
-    objective = [-area_of_quad(alpha, i, p)
-                 for i in range(n) for p in range(3)]
-    res = minimize_linear(objective, LinearSystem.of(rows, rhs, [NONNEG] * q))
+    _check_semi(alpha, t, ExistenceError)
+    rows, rhs = _quad_slice(t.compatibility_system)
+    den, areas = _quad_areas(alpha)
+    res = minimize_linear([-a for a in areas],
+                          LinearSystem.of(rows, rhs, [NONNEG] * len(areas)))
     if not isinstance(res, Optimum):
         raise ExistenceError("internal error: quad-slice program %s"
                              % type(res).__name__.lower())
-    raw_max = -res.value
+    raw_max = -res.value / den
     optimum = raw_max / 2
     if raw_max < 0:
         return Holds(optimum=optimum)
-    x = [Fraction(0)] * tris + list(res.x)
-    for lead in sorted((l for l in echelon if l < tris), reverse=True):
-        row = echelon[lead]
-        x[lead] = -sum((v * x[c] for c, v in row.items() if c != lead),
-                       Fraction(0)) / row[lead]
-    witness = NormalCoordinate.from_vector(n, x[tris:] + x[:tris])
+    witness = _from_slice(t.compatibility_system, res.x)
     if not is_in_solution_space(t.compatibility_system, witness):
         raise ExistenceError(
             "internal error: quad-slice witness left the solution space")

@@ -8,10 +8,10 @@ interior face form the solution space C(M,T); that matching is one linear
 equation per (interior face, normal arc type) pair, with int coefficients
 0, +-1 or +-2.
 
-The module also evaluates the generalized Euler characteristic chi_star,
-the per-edge coefficient functional z, and builds a verified basis of the
-solution space consisting of one tetrahedral vector per tetrahedron and
-one edge vector per edge class.
+The module, the one that knows this layout, also evaluates chi_star,
+the per-edge coefficient functional z and both forms of chi^(A,k), and
+builds a verified basis of the solution space: one tetrahedral vector
+per tetrahedron and one edge vector per edge class.
 
 Coordinates are exact: `_rational.exact` refuses anything but an int or
 a Fraction, a float above all, where it enters.  The kernels run on
@@ -29,21 +29,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
-from . import _linalg
+from ._linalg import echelon
 from ._rational import exact, exact_scaled, scaled, unscaled
+from .angle_structures import (
+    AngleAssignment,
+    AngleStructureError,
+    AreaCurvature,
+    _check_semi,
+    _quad_areas,
+)
 from .triangulation import (
     EDGE_INDEX,
     EDGE_VERTICES,
     FACE_VERTICES,
     Triangulation,
     build_edge_classes,  # noqa: F401  (bench/test_bench.py reads it here)
-)
-
-# The four tet-edges a quad of type p crosses: all but the pair (p, 5-p)
-# it separates.
-QUAD_EDGES = tuple(
-    tuple(k for k in range(6) if k not in (p, 5 - p)) for p in range(3)
 )
 
 
@@ -122,7 +124,8 @@ class CompatibilitySystem:
     An arc is the columns (quad, triangle) on one side of the face, then
     on the other, whose weights must match.  Its row, derived, is the
     (column, int coefficient) pairs of its nonzero entries.  ``matrix`` is
-    a dense view for readers outside the package; ``rank`` is kept.
+    a dense view for readers outside the package.  ``_echelon``, kept,
+    is the rows' echelon form, triangles first; ``rank`` is its size.
     """
     columns: int
     arcs: tuple
@@ -143,8 +146,14 @@ class CompatibilitySystem:
             for entries in map(dict, self.rows))
 
     @cached_property
+    def _echelon(self) -> dict:
+        tris = 4 * self.columns // 7
+        return echelon([((c + tris) % self.columns, v) for c, v in row]
+                       for row in self.rows)
+
+    @property
     def rank(self) -> int:
-        return _linalg.rank(self.rows)
+        return len(self._echelon)
 
 
 def compatibility_system(t: Triangulation) -> CompatibilitySystem:
@@ -175,6 +184,34 @@ def is_in_solution_space(sys: CompatibilitySystem,
             % (len(nums), sys.columns))
     return all(nums[q] + nums[tri] == nums[q2] + nums[tri2]
                for q, tri, q2, tri2 in sys.arcs)
+
+
+def _check_member(t: Triangulation, s: NormalCoordinate,
+                  error=NormalCoordinateError) -> None:
+    if not is_in_solution_space(t.compatibility_system, s):
+        raise error("coordinate is not in the solution space")
+
+
+def _quad_slice(sys: CompatibilitySystem) -> tuple:
+    """(rows, rhs) over the 3n quads: the echelon form's quad-led rows,
+    which have quad entries alone, and the quads summing to 1."""
+    tris = 4 * sys.columns // 7
+    rows = [[(c - tris, v) for c, v in row.items()]
+            for lead, row in sys._echelon.items() if lead >= tris]
+    rows.append([(c, 1) for c in range(sys.columns - tris)])
+    return rows, [0] * (len(rows) - 1) + [1]
+
+
+def _from_slice(sys: CompatibilitySystem, quads) -> NormalCoordinate:
+    """The coordinate with the given quads, its triangles solved from the
+    triangle-led rows, last lead first, 0 on unled columns."""
+    tris = 4 * sys.columns // 7
+    x = [Fraction(0)] * tris + list(quads)
+    for lead in sorted((l for l in sys._echelon if l < tris), reverse=True):
+        row = sys._echelon[lead]
+        x[lead] = -sum((v * x[c] for c, v in row.items() if c != lead),
+                       Fraction(0)) / row[lead]
+    return NormalCoordinate.from_vector(sys.columns // 7, x[tris:] + x[:tris])
 
 
 def _crossing_weights(nums) -> list:
@@ -226,13 +263,11 @@ def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
     total = sum(Fraction(sum(w[6 * i + k] for i, k in set(e.corners)),
                          e.valence * den)
                 for e in t.edge_classes)
-    disks = 0
-    for i in range(n):
-        boundary = [f for f in range(4) if t.gluing(i, f) is None]
-        b = len(boundary)
-        disks += (2 + b) * sum(nums[3 * i:3 * i + 3])
-        for l in range(4):
-            disks += (1 + b - (l in boundary)) * nums[3 * n + 4 * i + l]
+    # Boundary face (i, f) is an arc of each tet-i disk but triangle f.
+    disks = 2 * sum(nums[:3 * n]) + sum(nums[3 * n:])
+    for i, f in t.boundary_faces():
+        tris = nums[3 * n + 4 * i:3 * n + 4 * i + 4]
+        disks += sum(nums[3 * i:3 * i + 3]) + sum(tris) - tris[f]
     return total - Fraction(disks, 2 * den)
 
 
@@ -246,19 +281,43 @@ def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
     if e not in t.edge_classes:
         raise NormalCoordinateError(
             "%r is not an edge class of the triangulation" % (e,))
-    if not is_in_solution_space(t.compatibility_system, s):
-        raise NormalCoordinateError(
-            "coordinate is not in the solution space")
-    return _edge_coefficients(s, (e,))[0]
-
-
-def _edge_coefficients(s: NormalCoordinate, edge_classes) -> tuple:
-    """z_functional at each of the given classes, without the
-    solution-space check, for callers that have already made it."""
+    _check_member(t, s)
     den, nums = s._scaled
-    return tuple(Fraction(total, 2 * e.valence * den)
-                 for total, e in zip(_edge_sums(nums, edge_classes),
-                                     edge_classes))
+    (total,) = _edge_sums(nums, (e,))
+    return Fraction(total, 2 * e.valence * den)
+
+
+def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
+                       ac: AreaCurvature) -> Fraction:
+    """The area-curvature functional evaluated directly on a coordinate.
+
+    (1/2pi) (sum_t y_t A_t + sum_j 2 z_j(s) kappa_j); with areas and
+    curvatures in units of pi the pi factors cancel and the value is an
+    exact rational.  It is summed as one int, z_j being E_j / 2 valence_j.
+    """
+    n, edge_classes = t.tet_count, t.edge_classes
+    if len(ac.area) != 4 * n or len(ac.curvature) != len(edge_classes):
+        raise AngleStructureError("area-curvature size does not match")
+    _check_member(t, s, AngleStructureError)
+    den, nums = s._scaled
+    aden, ints = scaled(ac.area + ac.curvature)
+    v = lcm(*(e.valence for e in edge_classes))
+    total = v * sum(map(mul, nums[3 * n:], ints[:4 * n])) + sum(
+        k * (v // e.valence) * x for e, k, x in
+        zip(edge_classes, ints[4 * n:], _edge_sums(nums, edge_classes)))
+    return Fraction(total, 2 * den * aden * v)
+
+
+def chi_via_lemma2(t: Triangulation, s: NormalCoordinate,
+                   alpha: AngleAssignment) -> Fraction:
+    """The same functional computed as chi_star minus half the quad-area
+    pairing with a realizing semi assignment."""
+    _check_semi(alpha, t)
+    _check_member(t, s, AngleStructureError)
+    den, nums = s._scaled
+    aden, areas = _quad_areas(alpha)
+    pairing = sum(map(mul, nums[:3 * t.tet_count], areas))
+    return chi_star(t, s) - Fraction(pairing, 2 * den * aden)
 
 
 class BasisVerificationError(RuntimeError):
@@ -280,21 +339,20 @@ class SolutionBasis:
     edge_classes: tuple
 
 
-def _tetrahedral_vector(n: int, i: int) -> NormalCoordinate:
+def _disk_vector(n: int, tris, quads=()) -> NormalCoordinate:
+    """The int coordinate adding 1 at each (tet, vertex) triangle and -1
+    at each (tet, quad type) quad."""
     vec = [0] * (7 * n)
-    vec[3 * i:3 * i + 3] = (-1, -1, -1)
-    vec[3 * n + 4 * i:3 * n + 4 * i + 4] = (1, 1, 1, 1)
+    for i, l in tris:
+        vec[3 * n + 4 * i + l] += 1
+    for i, p in quads:
+        vec[3 * i + p] -= 1
     return NormalCoordinate._of_scaled(1, vec)
 
 
-def _edge_vector(n: int, cls) -> NormalCoordinate:
-    vec = [0] * (7 * n)
-    for i, k in cls.corners:
-        u, v = EDGE_VERTICES[k]
-        vec[3 * n + 4 * i + u] += 1
-        vec[3 * n + 4 * i + v] += 1
-        vec[3 * i + min(k, 5 - k)] -= 1
-    return NormalCoordinate._of_scaled(1, vec)
+def _vertex_linking_coordinate(t: Triangulation, vclass) -> NormalCoordinate:
+    """1 on each triangle at a corner of the vertex class, 0 elsewhere."""
+    return _disk_vector(t.tet_count, vclass.corners)
 
 
 def solution_space_basis(t: Triangulation) -> SolutionBasis:
@@ -315,8 +373,13 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
     edge_classes = t.edge_classes
     m = len(edge_classes)
     sys = t.compatibility_system
-    w_sigma = tuple(_tetrahedral_vector(n, i) for i in range(n))
-    w_edge = tuple(_edge_vector(n, cls) for cls in edge_classes)
+    w_sigma = tuple(_disk_vector(n, [(i, l) for l in range(4)],
+                                 [(i, p) for p in range(3)])
+                    for i in range(n))
+    w_edge = tuple(_disk_vector(n, [(i, u) for i, k in cls.corners
+                                    for u in EDGE_VERTICES[k]],
+                                [(i, min(k, 5 - k)) for i, k in cls.corners])
+                   for cls in edge_classes)
 
     for name, vecs in (("tetrahedral", w_sigma), ("edge", w_edge)):
         for idx, w in enumerate(vecs):
@@ -390,9 +453,7 @@ def decompose(t: Triangulation, s: NormalCoordinate,
     """
     if basis is None:
         basis = solution_space_basis(t)
-    if not is_in_solution_space(t.compatibility_system, s):
-        raise NormalCoordinateError(
-            "coordinate is not in the solution space")
+    _check_member(t, s)
     den, nums = s._scaled
     valences = lcm(*(e.valence for e in basis.edge_classes))
     zden = 2 * den * valences

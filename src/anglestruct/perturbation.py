@@ -24,12 +24,15 @@ from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
     _angle_ints,
+    _angle_sums,
+    _check_disk,
+    _check_semi,
+    _corner_sums,
     classify,
-    curvature,
     is_flat_pair,
     realized_area_curvature,
 )
-from .triangulation import EDGES_AT_VERTEX, Triangulation
+from .triangulation import Triangulation
 
 
 class PerturbationError(ValueError):
@@ -47,10 +50,7 @@ class EdgeAngleCensus:
 
 def edge_angle_census(alpha: AngleAssignment,
                       t: Triangulation) -> EdgeAngleCensus:
-    if classify(alpha) == "generalized":
-        raise PerturbationError("assignment is not semi")
-    if alpha.tet_count != t.tet_count:
-        raise PerturbationError("assignment size does not match")
+    _check_semi(alpha, t, PerturbationError)
     den, a, _ = _angle_ints(alpha)
     entries = []
     for cls in t.edge_classes:
@@ -85,9 +85,9 @@ class PerturbationFamily:
 
     def triangle_area_slope(self, tet: int, corner: int) -> Fraction:
         """d/dt of the triangle area at the given corner."""
+        _check_disk(self.base, tet, "corner", corner, 4)
         scale, c = self._ints
-        return Fraction(sum(c[6 * tet + k] for k in EDGES_AT_VERTEX[corner]),
-                        scale)
+        return Fraction(_corner_sums(c)[4 * tet + corner], scale)
 
 
 def build_perturbation(alpha: AngleAssignment,
@@ -128,8 +128,7 @@ def _least_bound(fam: PerturbationFamily) -> tuple:
     p / q in units of scale / den, and bounds are cross-multiplied."""
     den, a, corner = _angle_ints(fam.base)
     scale, c = fam._ints
-    slopes = [c[i + j] + c[i + k] + c[i + l]
-              for i in range(0, len(c), 6) for j, k, l in EDGES_AT_VERTEX]
+    slopes = _corner_sums(c)
     p, q = 1, 0
     for bp, bq in [(den - x, y) if y > 0 else (x, -y)
                    for x, y in zip(a, c) if y] + \
@@ -183,9 +182,10 @@ def apply_theorem3(alpha: AngleAssignment, t: Triangulation) -> Perturbed:
     if any(a >= 0 for a in ac.area):
         raise PerturbationError(
             "internal error: perturbed assignment has a nonnegative area")
-    for cls, kappa in zip(t.edge_classes, ac.curvature):
-        if kappa != curvature(alpha, t, cls):
+    d, _, before = _angle_sums(alpha, t)
+    d2, _, after = _angle_sums(new, t)
+    for j, (s, s2) in enumerate(zip(before, after)):
+        if s * d2 != s2 * d:
             raise PerturbationError(
-                "internal error: curvature changed on edge class %d"
-                % cls.index)
+                "internal error: curvature changed on edge class %d" % j)
     return Perturbed(assignment=new, realized=ac, family=fam, t_max=t_max)

@@ -34,8 +34,6 @@ from anglestruct.angle_structures import (
     AngleAssignment,
     AreaCurvature,
     angle_vector_from_json,
-    chi_area_curvature,
-    chi_via_lemma2,
     classify,
     realized_area_curvature,
 )
@@ -48,7 +46,12 @@ from anglestruct.existence import (
 )
 from anglestruct.fixtures import fixture, fixture_names
 from anglestruct.lp_core import NONNEG, STRICT_POS
-from anglestruct.normal_coords import NormalCoordinate, chi_star
+from anglestruct.normal_coords import (
+    NormalCoordinate,
+    chi_area_curvature,
+    chi_star,
+    chi_via_lemma2,
+)
 from anglestruct.perturbation import apply_theorem3
 from anglestruct.triangulation import build_vertex_classes
 

@@ -158,6 +158,37 @@ def test_areas_refuse_a_tet_past_the_assignment(tet):
         area_of_quad(alpha, tet, 0)
 
 
+@pytest.mark.parametrize("quad", (-1, 3))
+def test_area_of_quad_refuses_a_quad_type_outside_0_to_2(quad):
+    # -1 would read quad 2's area, 3 would index past the tetrahedron.
+    alpha = constant_assignment(2, F(1, 3))
+    with pytest.raises(AngleStructureError,
+                       match="quad type %d is not among 0..2" % quad):
+        area_of_quad(alpha, 0, quad)
+
+
+@pytest.mark.parametrize("corner", (-1, 4))
+def test_area_of_triangle_refuses_a_corner_outside_0_to_3(corner):
+    # -1 would read corner 3's area, 4 would index past the tetrahedron.
+    alpha = constant_assignment(2, F(1, 3))
+    with pytest.raises(AngleStructureError,
+                       match="corner %d is not among 0..3" % corner):
+        area_of_triangle(alpha, 0, corner)
+
+
+@pytest.mark.parametrize("other", ("one-tet", "fig8-flat1"))
+def test_curvature_refuses_an_edge_class_of_another_triangulation(other):
+    # one-tet's first class would read fig8's angles and answer 2/3; the
+    # 3-tet table's last class would index past them.
+    fig8 = fixture("fig8").triangulation
+    foreign = fixture(other).triangulation.edge_classes
+    alpha = constant_assignment(2, F(1, 3))
+    for e in (foreign[0], foreign[-1]):
+        with pytest.raises(AngleStructureError,
+                           match="is not an edge class of the triangulation"):
+            curvature(alpha, fig8, e)
+
+
 def test_chi_evaluators_agree_on_seeded_solution_vectors():
     rng = random.Random(17)
     fig8 = fixture("fig8").triangulation

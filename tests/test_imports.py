@@ -15,7 +15,9 @@ scaled view.  Answers are read out by `_rational.unscaled` alone,
 `LinearSystem` keeps no `rows` view for tests, and `perturbation`
 writes into no `__dict__`.  The CLI's `_emit` writes the one report
 header: no command handler names "schema" or `EXIT_OK`, or returns a
-value.
+value.  `normal_coords` is the one module that knows the 7n coordinate
+layout: `angle_structures` imports nothing from it, and `existence`
+reaches the echelon form through it, not through `_linalg`.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def test_pivot_loop_stays_in_integers():
     # refutation, nor the re-verification of an assignment, which checks
     # its angle sums against the int targets, nor the tally of those sums
     # over the assignment's scaled angles (its corner sums come with
-    # those angles from _angle_ints), nor Theorem 3's search for the
+    # those angles from _angle_ints, by _corner_sums), nor the tally of
+    # its quad areas, nor Theorem 3's search for the
     # least bound on its parameter, which cross-multiplies int bounds.
     hot = {}
     for module, names in (("lp_core.py", ("_pivot", "_pivot_loop",
@@ -121,7 +124,9 @@ def test_pivot_loop_stays_in_integers():
                           ("existence.py", ("_check_realization",
                                             "_lifted")),
                           ("angle_structures.py", ("_angle_ints",
-                                                   "_angle_sums")),
+                                                   "_angle_sums",
+                                                   "_corner_sums",
+                                                   "_quad_areas")),
                           ("perturbation.py", ("_least_bound",))):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         hot.update((node.name, node) for node in tree.body
@@ -129,9 +134,10 @@ def test_pivot_loop_stays_in_integers():
                    and node.name in names)
     assert sorted(hot) == ["_angle_ints", "_angle_sums", "_basic_values",
                            "_check_realization", "_combination",
-                           "_crossing_weights", "_edge_sums", "_eliminate",
-                           "_least_bound", "_leaving", "_lifted", "_pivot",
-                           "_pivot_loop", "_primitive", "_tableau",
+                           "_corner_sums", "_crossing_weights", "_edge_sums",
+                           "_eliminate", "_least_bound", "_leaving",
+                           "_lifted", "_pivot", "_pivot_loop", "_primitive",
+                           "_quad_areas", "_tableau",
                            "is_in_solution_space", "verify_certificate"]
     for fn in hot.values():
         for node in ast.walk(fn):
@@ -143,7 +149,8 @@ def test_angle_sums_are_tallied_in_one_place():
     # angle_structures._angle_sums sums an assignment's angles at each
     # corner and around each edge class.  The realized data, the
     # re-verification of a solve and the vertex-link and flat-pair checks
-    # read its ints and call no sum() of their own; existence and
+    # read its ints (the flat-pair check its corner sums, from
+    # _angle_ints) and call no sum() of their own; existence and
     # perturbation read no assignment's _scaled view at all.
     readers = {"angle_structures.py": ("realized_area_curvature",
                                        "check_vertex_link_conditions",
@@ -180,3 +187,35 @@ def test_cli_handlers_leave_the_header_to_emit():
                         and node.id == "EXIT_OK"), fn.name
             assert not (isinstance(node, ast.Return)
                         and node.value is not None), fn.name
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that module imports from, by name."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module)
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_normal_coords_owns_the_coordinate_layout():
+    # The layering runs triangulation -> angle_structures -> normal_coords
+    # -> existence: angles know nothing of coordinates, and certify's
+    # quad slice and witness come from normal_coords' one echelon form.
+    # No other module spells an offset into the 3n quads, then 4n
+    # triangles layout, and the helpers that did are gone.
+    assert "normal_coords" not in _package_imports("angle_structures.py")
+    assert "_linalg" not in _package_imports("existence.py")
+    for path in MODULES:
+        if path.name != "normal_coords.py":
+            source = path.read_text(encoding="utf-8")
+            assert "3 * t.tet_count" not in source, path.name
+            assert "3 * n + 4 *" not in source, path.name
+    from anglestruct import _linalg, angle_structures, normal_coords
+    assert not hasattr(normal_coords, "_edge_coefficients")
+    assert not hasattr(angle_structures, "_quad_area")
+    assert not hasattr(_linalg, "rank")

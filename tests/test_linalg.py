@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from anglestruct._linalg import echelon, rank
+from anglestruct._linalg import echelon
 from oracles import _rank, nullspace
 
 
@@ -25,13 +25,13 @@ def test_rank_on_known_sparse_matrix():
             [(0, 2), (1, 4), (2, 7)],
             [(0, 3), (1, 6), (2, 10)],
             []]
-    assert rank(rows) == 2
-    assert rank([]) == 0
-    assert rank([[(3, Fraction(1, 2))], [(3, -1)]]) == 1
+    assert len(echelon(rows)) == 2
+    assert len(echelon([])) == 0
+    assert len(echelon([[(3, Fraction(1, 2))], [(3, -1)]])) == 1
 
 
 def test_rank_matches_pivot_count_and_transpose():
-    # integer entries first, then rational ones, which rank scales to
+    # integer entries first, then rational ones, which echelon scales to
     # integers over the lcm of each row's denominators
     rng = random.Random(7)
     for den in (1, 4):
@@ -42,9 +42,9 @@ def test_rank_matches_pivot_count_and_transpose():
                 # full
                 a, b = Fraction(rng.randint(1, 5), 3), Fraction(-2, 7)
                 m.append([a * x + b * y for x, y in zip(m[0], m[-1])])
-            r = rank(sparse(m))
+            r = len(echelon(sparse(m)))
             mt = [list(col) for col in zip(*m)]
-            assert r == rank(sparse(mt)) == _rank(m)
+            assert r == len(echelon(sparse(mt))) == _rank(m)
             assert r <= min(len(m), len(m[0]))
 
 
@@ -71,9 +71,9 @@ def test_nullspace_vectors_are_in_the_kernel():
     for _ in range(30):
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
         basis = nullspace(m)
-        assert len(basis) == len(m[0]) - rank(sparse(m))
+        assert len(basis) == len(m[0]) - len(echelon(sparse(m)))
         for v in basis:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
         # basis vectors are independent: stack them and check rank
         if basis:
-            assert rank(sparse(basis)) == len(basis)
+            assert len(echelon(sparse(basis))) == len(basis)

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from anglestruct import (NormalCoordinate, build_edge_classes,
+from anglestruct import (AngleAssignment, NormalCoordinate,
+                         area_of_quad, build_edge_classes,
                          build_vertex_classes, chi_star,
                          combine, compatibility_system, decompose, fixture,
                          fixture_names, is_in_solution_space,
                          solution_space_basis, z_functional)
 from anglestruct._rational import scaled
-from anglestruct.normal_coords import (NormalCoordinateError, QUAD_EDGES,
-                                       quad_type_at_arc)
+from anglestruct.normal_coords import NormalCoordinateError, quad_type_at_arc
 from anglestruct.triangulation import EDGE_INDEX
 
 
@@ -37,9 +37,16 @@ def test_quad_type_at_arc_names_the_separated_edge_pair():
 
 
 def test_quad_edges_are_the_four_edges_missed_by_the_pair():
-    for p in range(3):
-        crossed = set(QUAD_EDGES[p])
-        assert crossed == set(range(6)) - {p, 5 - p}
+    # A quad's area sums the angles on the four edges it crosses: all but
+    # the pair p, 5 - p it separates.
+    rng = random.Random(3)
+    alpha = AngleAssignment.from_vector(2, [
+        Fraction(rng.randint(0, 12), 12) for _ in range(12)])
+    for i in range(2):
+        for p in range(3):
+            crossed = set(range(6)) - {p, 5 - p}
+            assert area_of_quad(alpha, i, p) == \
+                sum(alpha.angle(i, k) for k in crossed) - 2
 
 
 def test_compatibility_rows_are_two_on_two_off():

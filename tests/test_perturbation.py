@@ -14,6 +14,7 @@ import pytest
 
 from anglestruct.angle_structures import (
     AngleAssignment,
+    AngleStructureError,
     area_of_triangle,
     classify,
     curvature,
@@ -184,6 +185,17 @@ def test_flat_triangle_area_slope_is_minus_one():
     # one pi coefficient -3 meet at every corner
     for corner in range(4):
         assert fam.triangle_area_slope(2, corner) == -1
+
+
+@pytest.mark.parametrize("tet, corner", ((0, -1), (0, 4), (3, 0)))
+def test_triangle_area_slope_refuses_a_corner_past_the_assignment(tet,
+                                                                  corner):
+    # An unchecked index into the 4n corner slopes would answer another
+    # tetrahedron's corner.
+    fx = fixture("fig8-flat1")
+    fam = build_perturbation(fx.angles, fx.triangulation)
+    with pytest.raises(AngleStructureError, match="is not among"):
+        fam.triangle_area_slope(tet, corner)
 
 
 def test_triangle_area_slope_matches_sampled_areas():

@@ -21,17 +21,19 @@ also solved over the Fraction tableau, which must give the same results.
 Every table also checks the integer normal-coordinate kernels
 (membership, crossing weights, edge coefficients, z and chi*) against
 their Fraction formulas, on a point of the solution space and on a
-point bumped off it.  A second test checks, on each table, the finders'
-re-verification of an assignment, which sums scaled angles against int
-targets, against the Fraction sums and bounds it stands for, and that
-LinearSystem.of gives one system, with one answer, from ints and from
-equal Fractions.  A third checks, on closed tables, tables with boundary
-and tables with a folded edge, of up to 8 tetrahedra, that each edge
-class is stored as the least of all its readings.  A fourth checks the
-int decompose, membership and Theorem 3 against their Fraction oracles
-on fig8 with 1 to 6 stacked flat tetrahedra and on closed tables with no
-folded edge: a combined point and that point bumped at one disk type,
-and a flat pair built from strict host tetrahedra and flat ones.
+point bumped off it, chi^(A,k) on the first against its defining sum,
+and the quad-area tally against the oracle's.  A second test checks, on
+each table, the finders' re-verification of an assignment, which sums
+scaled angles against int targets, against the Fraction sums and
+bounds it stands for, and that LinearSystem.of gives one system, with
+one answer, from ints and from equal Fractions.  A third checks, on
+closed tables, tables with boundary and tables with a folded edge, of
+up to 8 tetrahedra, that each edge class is stored as the least of all
+its readings.  A fourth checks the int decompose, membership and
+Theorem 3 against their Fraction oracles on fig8 with 1 to 6 stacked
+flat tetrahedra and on closed tables with no folded edge: a combined
+point and that point bumped at one disk type, and a flat pair built
+from strict host tetrahedra and flat ones.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          verify_certificate, z_functional)
 from anglestruct import existence
 from anglestruct._rational import scaled
+from anglestruct.angle_structures import _quad_areas
 from anglestruct.normal_coords import (NormalCoordinateError,
-                                       _crossing_weights, _edge_coefficients)
+                                       _crossing_weights, _edge_sums)
 from anglestruct.perturbation import (PerturbationError, apply_theorem3,
                                       max_perturbation_parameter)
 
@@ -170,8 +173,9 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
         assert [Fraction(w, den) for w in _crossing_weights(nums)] == \
             [oracles.crossing_weight(s, i, k)
              for i in range(n) for k in range(6)]
-        assert _edge_coefficients(s, t.edge_classes) == tuple(
-            oracles.edge_coefficient(s, e) for e in t.edge_classes)
+        assert [Fraction(total, 2 * e.valence * den) for total, e in
+                zip(_edge_sums(nums, t.edge_classes), t.edge_classes)] == \
+            [oracles.edge_coefficient(s, e) for e in t.edge_classes]
         assert chi_star(t, s) == oracles.chi_star(t, s)
     assert [z_functional(t, inside, e) for e in t.edge_classes] == \
         [oracles.edge_coefficient(inside, e) for e in t.edge_classes]
@@ -179,6 +183,13 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     # and once with the cap rows that a positive area adds.
     area = data.draw(rationals(4 * n))
     curvature = data.draw(rationals(len(t.edge_classes)))
+    # chi^(A,k) at the point of the solution space against the sum it
+    # stands for, half the triangle pairing plus z_j kappa_j, folded
+    # edges and boundary edges included.
+    assert chi_area_curvature(t, inside, AreaCurvature.of(area, curvature)) \
+        == sum(y * a for y, a in zip(inside.tris, area)) / 2 + sum(
+            oracles.edge_coefficient(inside, e) * curvature[e.index]
+            for e in t.edge_classes)
     # Each is also solved, and the integer tableau must take the pivots
     # of the Fraction one.
     targets = [AreaCurvature.of(target, curvature) for target in
@@ -245,6 +256,8 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
                                 max_size=6 * n))
     alpha = AngleAssignment.from_vector(n, [Fraction(a, 36)
                                             for a in angles])
+    den, areas = _quad_areas(alpha)
+    assert [Fraction(a, den) for a in areas] == oracles.quad_areas(alpha, n)
     # certify_condition2 projects the triangle columns away; the oracle
     # keeps them, each split into a nonnegative pair.
     with oracles.same_pivots() as statuses:
