@@ -42,7 +42,6 @@ from .lp_core import (
     Infeasible,
     LinearSystem,
     LPError,
-    NotStrict,
     Optimum,
     Solution,
     StrictSolution,
@@ -69,7 +68,6 @@ from .normal_coords import (
     z_functional,
 )
 from .perturbation import (
-    EdgeAngleCensus,
     PerturbationError,
     PerturbationFamily,
     Perturbed,

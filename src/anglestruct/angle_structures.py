@@ -51,9 +51,6 @@ class AngleAssignment:
     def tet_count(self) -> int:
         return len(self.angles) // 6
 
-    def angle(self, tet: int, edge: int) -> Fraction:
-        return self.angles[6 * tet + edge]
-
     @cached_property
     def _scaled(self) -> tuple:
         return scaled(self.angles)

@@ -141,12 +141,11 @@ def _emit(args, body: dict, lines) -> None:
 
 
 def _triangulation_summary(t: Triangulation) -> dict:
-    ideal, _ = is_ideal_triangulation(t)
     return {
         "tet_count": t.tet_count,
         "boundary_face_count": len(t.boundary_faces()),
         "orientable": is_orientable(t),
-        "ideal": ideal,
+        "ideal": is_ideal_triangulation(t),
         "edge_classes": [
             {"index": e.index, "valence": e.valence,
              "boundary": e.is_boundary}
@@ -279,7 +278,7 @@ def cmd_perturb(args) -> None:
     report = {"inputs": {"triangulation": dig_t, "angles": dig_a},
               "census": [{"edge_class": j, "zero": c[0], "pi": c[1],
                           "interior": c[2]}
-                         for j, c in enumerate(res.family.census.entries)],
+                         for j, c in enumerate(res.family.census)],
               "t_max": format_rational(res.t_max),
               "t_star": format_rational(res.t_max / 2),
               "assignment": angles_to_json(res.assignment),

@@ -58,7 +58,6 @@ from .lp_core import (
     Certificate,
     Infeasible,
     LinearSystem,
-    NotStrict,
     Optimum,
     _verified,
     minimize_linear,
@@ -250,7 +249,7 @@ def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
         res = solve_feasibility_strict(sys)
     else:
         res = solve_feasibility_nonneg(sys)
-    if isinstance(res, (Infeasible, NotStrict)):
+    if isinstance(res, Infeasible):
         return _lifted(t, ac, mode, shift, res.certificate.y)
     d, xs = scaled(res.x)
     lcd = lcm(d, den)
@@ -385,7 +384,7 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
         raise ExistenceError("assignment is not semi")
     n = t.tet_count
     basis = solution_space_basis(t)
-    m = len(basis.edge_classes)
+    m = len(t.edge_classes)
     h = exact("identity_4_9 h", h, ExistenceError)
     z = exact("identity_4_9 z", z, ExistenceError)
     omega = exact("identity_4_9 omega", omega, ExistenceError)
@@ -398,7 +397,7 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
         sum((z[j] * b[j] for j in range(m)), Fraction(0))
     s = combine(basis, omega, z)
     correction = Fraction(0)
-    for cls in basis.edge_classes:
+    for cls in t.edge_classes:
         for i, k in cls.corners:
             l1, l2 = EDGE_VERTICES[k]
             correction += (z[cls.index] + h[4 * i + l1] + h[4 * i + l2]) * \

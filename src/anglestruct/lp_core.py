@@ -21,10 +21,10 @@ Three entry points cover what the rest of the package needs: feasibility
 of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
 from zero by the largest possible epsilon), and linear minimization over
-the same polyhedra.  Infeasible outcomes carry a Farkas vector y that a
-separate routine re-verifies by plain recomputation, as int sums over
-the system's int form, so no caller has to trust the solver's
-internals.
+the same polyhedra.  All three refuse with one type, Infeasible, whose
+Farkas vector y a separate routine re-verifies by plain recomputation,
+as int sums over the system's int form, so no caller has to trust the
+solver's internals.
 """
 
 from __future__ import annotations
@@ -143,6 +143,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class Infeasible:
+    """A refusal, with a certificate in the mode of the entry point."""
     certificate: Certificate
 
 
@@ -150,11 +151,6 @@ class Infeasible:
 class StrictSolution:
     x: tuple
     margin: Fraction
-
-
-@dataclass(frozen=True)
-class NotStrict:
-    certificate: Certificate
 
 
 @dataclass(frozen=True)
@@ -357,9 +353,9 @@ def solve_feasibility_strict(sys: LinearSystem):
     A(u + epsilon 1) = b, u >= 0, 0 <= epsilon <= 1.  The cap keeps the
     program bounded without affecting the sign of the optimum, so the
     reported margin never exceeds 1.  A positive optimum yields
-    x = u + epsilon 1; otherwise the dual of the auxiliary program is a
-    strict-mode Farkas certificate.  The epsilon column of a row is the
-    sum of its ints, over the rows' den.
+    x = u + epsilon 1; otherwise the dual of the auxiliary program is the
+    strict-mode certificate of an Infeasible.  The epsilon column of a row
+    is the sum of its ints, over the rows' den.
     """
     if any(s != STRICT_POS for s in sys.signs):
         raise LPError("strict feasibility requires all strict-pos columns")
@@ -381,7 +377,7 @@ def solve_feasibility_strict(sys: LinearSystem):
             return StrictSolution(x=unscaled(d, [v + eps for v in x[:t]])[0],
                                   margin=Fraction(eps, d))
         d, y = res["dual"]
-    return NotStrict(certificate=_verified(sys, (d, y[:k]), "strict"))
+    return Infeasible(certificate=_verified(sys, (d, y[:k]), "strict"))
 
 
 def minimize_linear(objective, sys: LinearSystem):

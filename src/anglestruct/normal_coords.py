@@ -20,7 +20,7 @@ when it is built from ints.  Membership compares both sides of each arc,
 one pass gives the 6n crossing weights (for each tet-edge, the weight of
 its tetrahedron's disks that cross it), and combine and decompose sum
 scaled vectors over one denominator.  Fractions are built only for
-results, and for chi_star one per edge class plus one for the disks.
+results.
 """
 
 from __future__ import annotations
@@ -104,12 +104,6 @@ class NormalCoordinate:
     @property
     def vector(self):
         return self.quads + self.tris
-
-    def quad(self, tet: int, p: int) -> Fraction:
-        return self.quads[3 * tet + p]
-
-    def tri(self, tet: int, l: int) -> Fraction:
-        return self.tris[4 * tet + l]
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -260,15 +254,16 @@ def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
             "coordinate has %d entries, triangulation needs %d"
             % (len(nums), 7 * n))
     w = _crossing_weights(nums)
-    total = sum(Fraction(sum(w[6 * i + k] for i, k in set(e.corners)),
-                         e.valence * den)
+    v = lcm(*(e.valence for e in t.edge_classes))
+    edges = sum(v // e.valence * sum(w[6 * i + k]
+                                     for i, k in set(e.corners))
                 for e in t.edge_classes)
     # Boundary face (i, f) is an arc of each tet-i disk but triangle f.
     disks = 2 * sum(nums[:3 * n]) + sum(nums[3 * n:])
     for i, f in t.boundary_faces():
         tris = nums[3 * n + 4 * i:3 * n + 4 * i + 4]
         disks += sum(nums[3 * i:3 * i + 3]) + sum(tris) - tris[f]
-    return total - Fraction(disks, 2 * den)
+    return Fraction(2 * edges - v * disks, 2 * den * v)
 
 
 def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
@@ -330,13 +325,12 @@ class SolutionBasis:
 
     ``w_sigma[i]`` is supported on tetrahedron i alone: +1 on its four
     triangles, -1 on its three quads.  ``w_edge[j]`` weights each triangle
-    by how many of its corner's tet-edges lie in edge class j and each
-    quad by minus the number of its separated pair in class j; the edge
-    coefficients of w_edge[j] under z_functional are exactly delta_jk.
+    by how many of its corner's tet-edges lie in t.edge_classes[j] and
+    each quad by minus the number of its separated pair in class j; the
+    edge coefficients of w_edge[j] under z_functional are exactly delta_jk.
     """
     w_sigma: tuple
     w_edge: tuple
-    edge_classes: tuple
 
 
 def _disk_vector(n: int, tris, quads=()) -> NormalCoordinate:
@@ -404,8 +398,7 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
     if sys.columns - sys.rank != n + m:
         raise BasisVerificationError(
             "solution space dimension differs from n+m")
-    return SolutionBasis(w_sigma=w_sigma, w_edge=w_edge,
-                         edge_classes=edge_classes)
+    return SolutionBasis(w_sigma=w_sigma, w_edge=w_edge)
 
 
 def _combination(terms, size: int) -> tuple:
@@ -455,10 +448,10 @@ def decompose(t: Triangulation, s: NormalCoordinate,
         basis = solution_space_basis(t)
     _check_member(t, s)
     den, nums = s._scaled
-    valences = lcm(*(e.valence for e in basis.edge_classes))
+    valences = lcm(*(e.valence for e in t.edge_classes))
     zden = 2 * den * valences
     z = [total * (valences // e.valence) for total, e in
-         zip(_edge_sums(nums, basis.edge_classes), basis.edge_classes)]
+         zip(_edge_sums(nums, t.edge_classes), t.edge_classes)]
     z_terms = [(zden, x, w) for x, w in zip(z, basis.w_edge) if x]
     oden, residual = _combination(
         [(1, 1, s)] + [(d, -x, w) for d, x, w in z_terms], len(nums))

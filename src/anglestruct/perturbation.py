@@ -40,36 +40,30 @@ class PerturbationError(ValueError):
     cannot be re-verified."""
 
 
-@dataclass(frozen=True)
-class EdgeAngleCensus:
+def edge_angle_census(alpha: AngleAssignment, t: Triangulation) -> tuple:
     """Per edge class, the triple (m1, n1, k1): counts of zero angles,
     pi angles, and open-interval angles among its corners, with
     multiplicity."""
-    entries: tuple
-
-
-def edge_angle_census(alpha: AngleAssignment,
-                      t: Triangulation) -> EdgeAngleCensus:
     _check_semi(alpha, t, PerturbationError)
     den, a, _ = _angle_ints(alpha)
-    entries = []
+    census = []
     for cls in t.edge_classes:
         angles = [a[6 * i + k] for i, k in cls.corners]
         m1, n1 = angles.count(0), angles.count(den)
-        entries.append((m1, n1, len(angles) - m1 - n1))
-    return EdgeAngleCensus(entries=tuple(entries))
+        census.append((m1, n1, len(angles) - m1 - n1))
+    return tuple(census)
 
 
 @dataclass(frozen=True)
 class PerturbationFamily:
     """The affine family alpha_t = base + coeffs * t, one coefficient per
     tet-edge, built so that every edge class has zero coefficient sum.
-    ``_ints`` is the coefficients as `_rational.scaled` gives them, derived
-    on first use and kept.
+    ``census`` is the base's edge_angle_census; ``_ints``, derived on
+    first use and kept, the coefficients as `_rational.scaled` gives them.
     """
     base: AngleAssignment
     coeffs: tuple
-    census: EdgeAngleCensus
+    census: tuple
 
     @cached_property
     def _ints(self) -> tuple:
@@ -100,9 +94,9 @@ def build_perturbation(alpha: AngleAssignment,
     """
     census = edge_angle_census(alpha, t)
     den, a, _ = _angle_ints(alpha)
-    scale = lcm(*(k1 for m1, n1, k1 in census.entries if (m1 or n1) and k1))
+    scale = lcm(*(k1 for m1, n1, k1 in census if (m1 or n1) and k1))
     coeffs = [0] * (6 * alpha.tet_count)
-    for cls, (m1, n1, k1) in zip(t.edge_classes, census.entries):
+    for cls, (m1, n1, k1) in zip(t.edge_classes, census):
         if m1 == 0 and n1 == 0:
             continue
         if k1 == 0:

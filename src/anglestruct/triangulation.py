@@ -71,15 +71,18 @@ def _check_perm(perm):
         raise TriangulationError("not a permutation of 0123: %r" % (perm,))
 
 
+def _check_slot(tet_count, tet, face):
+    if not (0 <= tet < tet_count):
+        raise TriangulationError("tetrahedron index %d out of range" % tet)
+    if not (0 <= face < 4):
+        raise TriangulationError("face index %d out of range" % face)
+
+
 def _glue(table, tet_count, i, f, j, g, perm):
     """Record face (i, f) glued to (j, g) by perm in table, both ways,
     once the faces, perm and the involution on table are checked."""
-    for tet, face in ((i, f), (j, g)):
-        if not (0 <= tet < tet_count):
-            raise TriangulationError(
-                "tetrahedron index %d out of range" % tet)
-        if not (0 <= face < 4):
-            raise TriangulationError("face index %d out of range" % face)
+    _check_slot(tet_count, i, f)
+    _check_slot(tet_count, j, g)
     _check_perm(perm)
     if perm[f] != g:
         raise TriangulationError(
@@ -136,8 +139,12 @@ class Triangulation:
         return compatibility_system(self)
 
     def gluing(self, tet: int, face: int):
-        """(tet, face, perm) on the far side, or None for a boundary face."""
-        return self._gluing.get((tet, face))
+        """(tet, face, perm) on the far side, or None for a boundary face;
+        a slot that no tetrahedron has raises TriangulationError."""
+        glu = self._gluing.get((tet, face))
+        if glu is None:
+            _check_slot(self.tet_count, tet, face)
+        return glu
 
     def glued_pairs(self):
         """Each gluing once, as ((i,f),(j,g),perm) with the lesser side first."""
@@ -411,29 +418,22 @@ def is_orientable(t: Triangulation) -> bool:
     return not any(clash for _, clash in components)
 
 
-def is_ideal_triangulation(t: Triangulation):
+def is_ideal_triangulation(t: Triangulation) -> bool:
     """Whether every vertex link is a closed surface of non-positive Euler
-    characteristic, together with a per-vertex report.
-
-    Returns (flag, report) where report lists one (vertex index, link_euler,
-    link_closed) triple per vertex class.
-    """
-    report = tuple((c.index, c.link_euler, c.link_closed)
-                   for c in t.vertex_classes)
-    flag = all(closed and euler <= 0 for _, euler, closed in report)
-    return flag, report
+    characteristic; t.vertex_classes holds each link's data."""
+    return all(c.link_closed and c.link_euler <= 0
+               for c in t.vertex_classes)
 
 
 @dataclass(frozen=True)
 class FlatTetrahedron:
     """Bookkeeping for a tetrahedron inserted in a squashed-flat position.
 
-    ``diagonal`` names the opposite tet-edge pair that runs along the two
-    creases of the squashed tetrahedron; a flat assignment puts angle pi
-    on those two edges and 0 on the remaining four.
+    Its opposite tet-edges 0 and 5 run along the two creases of the
+    squashed tetrahedron; a flat assignment puts angle pi on those two
+    edges and 0 on the remaining four.
     """
     tet: int
-    diagonal: tuple
 
 
 # Internal self-gluing of the inserted tetrahedron: face 0 onto face 1 by
@@ -459,9 +459,11 @@ def insert_flat_tetrahedron(t: Triangulation, face_a, face_b, matching):
     different matching reroutes them.
 
     Returns the enlarged triangulation together with a FlatTetrahedron
-    record naming the new tetrahedron and its diagonal edge pair.
+    record naming the new tetrahedron; a face slot t lacks is refused.
     """
     (i, fa), (j, fb) = face_a, face_b
+    glu_a = t.gluing(i, fa)  # first, so that a slot t lacks is refused
+    glu_b = t.gluing(j, fb)
     if face_a == face_b:
         raise TriangulationError("cannot insert at a single face")
     matching = tuple(matching)
@@ -470,8 +472,6 @@ def insert_flat_tetrahedron(t: Triangulation, face_a, face_b, matching):
         raise TriangulationError(
             "matching %r does not carry face %d to face %d"
             % (matching, fa, fb))
-    glu_a = t.gluing(i, fa)
-    glu_b = t.gluing(j, fb)
     both_boundary = glu_a is None and glu_b is None
     glued_to_each_other = glu_a is not None and glu_a[:2] == (j, fb)
     if not (both_boundary or glued_to_each_other):
@@ -494,4 +494,4 @@ def insert_flat_tetrahedron(t: Triangulation, face_a, face_b, matching):
     gluings[(j, fb)] = (tau, 2, rho2)
     gluings[(tau, 0)] = (tau, 1, _FLAT_INTERNAL_PERM)
     new_t = Triangulation(tau + 1, gluings, name=t.name)
-    return new_t, FlatTetrahedron(tet=tau, diagonal=(0, 5))
+    return new_t, FlatTetrahedron(tet=tau)

@@ -712,8 +712,8 @@ def crossing_weight(s, i: int, k: int) -> Fraction:
     not separate it."""
     u, v = EDGE_VERTICES[k]
     pair = min(k, 5 - k)
-    return s.tri(i, u) + s.tri(i, v) + \
-        sum(s.quad(i, p) for p in range(3) if p != pair)
+    return s.tris[4 * i + u] + s.tris[4 * i + v] + \
+        sum(s.quads[3 * i + p] for p in range(3) if p != pair)
 
 
 def edge_coefficient(s, e) -> Fraction:
@@ -735,10 +735,10 @@ def chi_star(t, s) -> Fraction:
             total += crossing_weight(s, i, k) * Fraction(1, valence[(i, k)])
         boundary = [f for f in range(4) if t.gluing(i, f) is None]
         for p in range(3):
-            total -= s.quad(i, p) * Fraction(2 + len(boundary), 2)
+            total -= s.quads[3 * i + p] * Fraction(2 + len(boundary), 2)
         for l in range(4):
             b = sum(1 for f in boundary if f != l)
-            total -= s.tri(i, l) * Fraction(1 + b, 2)
+            total -= s.tris[4 * i + l] * Fraction(1 + b, 2)
     return total
 
 
@@ -757,7 +757,7 @@ def decompose(t, s, basis):
     at each tetrahedron's first triangle; the pair must recombine to s."""
     if not in_solution_space(t, s):
         return None
-    z = tuple(edge_coefficient(s, e) for e in basis.edge_classes)
+    z = tuple(edge_coefficient(s, e) for e in t.edge_classes)
     first = [3 * t.tet_count + 4 * i for i in range(t.tet_count)]
     omega = tuple(s.vector[c] - sum((x * w.vector[c]
                                      for x, w in zip(z, basis.w_edge)), ZERO)

@@ -20,7 +20,6 @@ from fractions import Fraction
 import oracles
 from anglestruct import (
     Infeasible,
-    NotStrict,
     Optimum,
     Solution,
     StrictSolution,
@@ -62,13 +61,13 @@ SAMPLED_FIXTURES = ("fig8", "one-tet", "fig8-flat1", "fig8-flat2")
 
 def corner_sum(alpha, tet, vertex):
     # independent corner sum: the three tet-edges meeting the vertex
-    return sum((alpha.angle(tet, k) for k in range(6)
+    return sum((alpha.angles[6 * tet + k] for k in range(6)
                 if vertex in oracles.EDGE_VERTICES[k]), F(0))
 
 
 def quad_area(alpha, tet, p):
     # crossed edges of quad type p: everything but the pair (p, 5 - p)
-    return sum((alpha.angle(tet, k) for k in range(6)
+    return sum((alpha.angles[6 * tet + k] for k in range(6)
                 if k not in (p, 5 - p)), F(0)) - 2
 
 
@@ -122,7 +121,7 @@ def test_criterion_1_figure_eight_strict_pipeline(capsys, tmp_path):
         for vertex in range(4):
             assert corner_sum(alpha, tet, vertex) == 1
     for cls in oracles.union_find_edge_partition(t):
-        assert sum(alpha.angle(i, k) for i, k in cls) == 2
+        assert sum(alpha.angles[6 * i + k] for i, k in cls) == 2
     realized = realized_area_curvature(alpha, t)
     assert realized.area == (F(0),) * 8
     assert realized.curvature == (F(0),) * 2
@@ -260,7 +259,7 @@ def test_criterion_4_farkas_soundness():
         res = solve_feasibility_strict(sys_)
         assert isinstance(res, StrictSolution) == \
             oracles.bf_strict_feasible(sys_)
-        if isinstance(res, NotStrict):
+        if isinstance(res, Infeasible):
             check_cert(sys_, res.certificate, "strict")
     assert verified >= 5
     print("criterion 4 PASS: %d emitted certificates verified; solver "

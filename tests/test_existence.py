@@ -13,7 +13,7 @@ from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
                          verify_certificate)
 from anglestruct import existence, lp_core
 from anglestruct.lp_core import (NONNEG, STRICT_POS, Infeasible, LPError,
-                                 NotStrict, Solution, StrictSolution)
+                                 Solution, StrictSolution)
 
 F = Fraction
 
@@ -202,15 +202,13 @@ def test_corrupted_pair_certificate_fails_on_the_lifted_system(monkeypatch):
     # The pair system's refutation, negated after lp_core verified it, is
     # lifted and refused by the check on angle_linear_system's rows.
     fx = fixture("fig8-infeasible")
-    for mode, name, kind in (("semi", "solve_feasibility_nonneg",
-                              Infeasible),
-                             ("strict", "solve_feasibility_strict",
-                              NotStrict)):
-        def corrupted(sys, solve=getattr(lp_core, name), kind=kind):
+    for mode, name in (("semi", "solve_feasibility_nonneg"),
+                       ("strict", "solve_feasibility_strict")):
+        def corrupted(sys, solve=getattr(lp_core, name)):
             res = solve(sys)
-            assert isinstance(res, kind)
+            assert isinstance(res, Infeasible)
             y = tuple(-v for v in res.certificate.y)
-            return kind(certificate=Certificate(y=y))
+            return Infeasible(certificate=Certificate(y=y))
         monkeypatch.setattr(existence, name, corrupted)
         finder = find_angle_structure if mode == "strict" \
             else find_semi_angle_structure
@@ -396,7 +394,7 @@ def test_identity_residual_formula_for_free_omega():
         omega = rand_vec(rng, 2)
         lhs, rhs = identity_4_9(fig8, third, h, z, omega)
         residual = sum(
-            (3 - sum(third.angle(i, k) for k in range(6))) *
+            (3 - sum(third.angles[6 * i + k] for k in range(6))) *
             (omega[i] - sum(h[4 * i + l] for l in range(4)))
             for i in range(2))
         assert rhs - lhs == residual

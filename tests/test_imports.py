@@ -17,12 +17,14 @@ writes into no `__dict__`.  The CLI's `_emit` writes the one report
 header: no command handler names "schema" or `EXIT_OK`, or returns a
 value.  `normal_coords` is the one module that knows the 7n coordinate
 layout: `angle_structures` imports nothing from it, and `existence`
-reaches the echelon form through it, not through `_linalg`.
+reaches the echelon form through it, not through `_linalg`.  No public
+type, field or accessor restates a value the package already holds.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -219,3 +221,23 @@ def test_normal_coords_owns_the_coordinate_layout():
     assert not hasattr(normal_coords, "_edge_coefficients")
     assert not hasattr(angle_structures, "_quad_area")
     assert not hasattr(_linalg, "rank")
+
+
+def test_no_second_name_for_a_value_the_package_holds():
+    # A strict refusal is an Infeasible like every other; the census is
+    # the tuple of triples; a flat tetrahedron's creases are always
+    # tet-edges 0 and 5; the basis's edge classes are t.edge_classes; and
+    # an assignment or a coordinate is read through its tuples, where an
+    # accessor that took an index past a tetrahedron's end answered with
+    # the next tetrahedron's entry.
+    import anglestruct
+    from anglestruct import (AngleAssignment, FlatTetrahedron,
+                             NormalCoordinate, SolutionBasis)
+    assert not hasattr(anglestruct, "NotStrict")
+    assert not hasattr(anglestruct, "EdgeAngleCensus")
+    assert tuple(f.name for f in fields(FlatTetrahedron)) == ("tet",)
+    assert tuple(f.name for f in fields(SolutionBasis)) == \
+        ("w_sigma", "w_edge")
+    for cls in (AngleAssignment, NormalCoordinate):
+        for name in ("angle", "quad", "tri"):
+            assert not hasattr(cls, name), (cls.__name__, name)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from anglestruct import (Infeasible, LinearSystem, NotStrict, Optimum,
-                         Solution, StrictSolution, Unbounded, fixture,
+from anglestruct import (Infeasible, LinearSystem, Optimum, Solution,
+                         StrictSolution, Unbounded, fixture,
                          minimize_linear, solve_feasibility_nonneg,
                          solve_feasibility_strict, verify_certificate)
 from anglestruct.existence import angle_linear_system
@@ -66,7 +66,7 @@ def test_strict_feasibility_simple_cases():
     sys2 = oracles.dense_system([[1, 0], [0, 1], [1, 1]], [1, -1, 0],
                                 [STRICT_POS, STRICT_POS])
     res2 = solve_feasibility_strict(sys2)
-    assert isinstance(res2, NotStrict)
+    assert isinstance(res2, Infeasible)
     assert verify_certificate(sys2, res2.certificate.y, "strict")
 
 
@@ -78,7 +78,7 @@ def test_strict_feasibility_boundary_of_cone():
                                [1, 0, 1],
                                [STRICT_POS, STRICT_POS, STRICT_POS])
     res = solve_feasibility_strict(sys)
-    assert isinstance(res, NotStrict)
+    assert isinstance(res, Infeasible)
     assert verify_certificate(sys, res.certificate.y, "strict")
 
 
@@ -302,7 +302,7 @@ def test_integer_certificate_check_agrees_with_the_fraction_one():
                     for _ in range(k))]
         for res in (solve_feasibility_nonneg(sys),
                     solve_feasibility_strict(strict)):
-            if isinstance(res, (Infeasible, NotStrict)):
+            if isinstance(res, Infeasible):
                 ys += [res.certificate.y,
                        tuple(-v for v in res.certificate.y)]
         for y in ys:

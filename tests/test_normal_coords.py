@@ -46,7 +46,7 @@ def test_quad_edges_are_the_four_edges_missed_by_the_pair():
         for p in range(3):
             crossed = set(range(6)) - {p, 5 - p}
             assert area_of_quad(alpha, i, p) == \
-                sum(alpha.angle(i, k) for k in crossed) - 2
+                sum(alpha.angles[6 * i + k] for k in crossed) - 2
 
 
 def test_compatibility_rows_are_two_on_two_off():
@@ -190,8 +190,8 @@ def test_normal_coordinate_arithmetic():
         sum(c * w.vector[col] for c, w in zip(omega + z, vecs))
         for col in range(14))
     w = basis.w_edge[0]
-    assert s.quad(0, 2) == Fraction(-1, 2) + Fraction(2, 3) * w.quad(0, 2)
-    assert s.tri(1, 3) == Fraction(-3) + Fraction(2, 3) * w.tri(1, 3)
+    assert s.quads[2] == Fraction(-1, 2) + Fraction(2, 3) * w.quads[2]
+    assert s.tris[4 + 3] == Fraction(-3) + Fraction(2, 3) * w.tris[4 + 3]
 
 
 def test_chi_star_refuses_a_coordinate_of_another_size():

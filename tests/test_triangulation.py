@@ -98,20 +98,19 @@ def test_vertex_classes_and_ideality():
     fig8 = fixture("fig8").triangulation
     (vc,) = build_vertex_classes(fig8)
     assert (vc.link_euler, vc.link_closed, vc.link_orientable) == (0, True, True)
-    assert is_ideal_triangulation(fig8)[0]
+    assert is_ideal_triangulation(fig8)
 
     one = fixture("one-tet").triangulation
     vcs = build_vertex_classes(one)
     assert [(v.link_euler, v.link_closed) for v in vcs] == [(1, False)] * 4
-    flag, report = is_ideal_triangulation(one)
-    assert not flag and len(report) == 4
+    assert not is_ideal_triangulation(one) and len(one.vertex_classes) == 4
 
     for name, euler in (("fig8-flat1", -2), ("fig8-flat2", -4)):
         t = fixture(name).triangulation
         (vc,) = build_vertex_classes(t)
         assert (vc.link_euler, vc.link_closed, vc.link_orientable) == \
             (euler, True, True)
-        assert is_ideal_triangulation(t)[0]
+        assert is_ideal_triangulation(t)
 
     # two unglued tets: eight disk links
     disjoint = Triangulation(2)
@@ -165,7 +164,11 @@ def test_insert_flat_tetrahedron_frozen_gluings():
     fig8 = fixture("fig8").triangulation
     t2, flat = insert_flat_tetrahedron(fig8, (0, 0), (1, 0), (0, 1, 3, 2))
     assert t2.tet_count == 3
-    assert (flat.tet, flat.diagonal) == (2, (0, 5))
+    assert flat.tet == 2
+    # the creases run along tet-edges 0 and 5: the stored flat angles put
+    # pi there and 0 on the other four edges of the inserted tetrahedron
+    flat1 = fixture("fig8-flat1").angles.angles
+    assert flat1[12:18] == (1, 0, 0, 0, 0, 1)
     assert t2.gluing(0, 0) == (2, 3, (3, 0, 1, 2))
     assert t2.gluing(1, 0) == (2, 2, (2, 1, 3, 0))
     # the squashed tet folds onto itself across its two front faces
@@ -192,6 +195,27 @@ def test_insert_flat_tetrahedron_errors():
         insert_flat_tetrahedron(fig8, (0, 0), (0, 0), (0, 1, 2, 3))
 
 
+def test_face_slots_that_do_not_exist_are_refused():
+    fig8 = fixture("fig8").triangulation
+    one = fixture("one-tet").triangulation
+    with pytest.raises(TriangulationError, match="face index 4 out of range"):
+        insert_flat_tetrahedron(fig8, (0, 4), (1, 0), (0, 1, 2, 3))
+    with pytest.raises(TriangulationError,
+                       match="face index -1 out of range"):
+        insert_flat_tetrahedron(fig8, (0, -1), (1, 0), (0, 1, 2, 3))
+    # tetrahedron 1 is the number the inserted one would take
+    with pytest.raises(TriangulationError,
+                       match="tetrahedron index 1 out of range"):
+        insert_flat_tetrahedron(one, (0, 0), (1, 1), (1, 0, 2, 3))
+    with pytest.raises(TriangulationError,
+                       match="tetrahedron index 7 out of range"):
+        fig8.gluing(7, 0)
+    with pytest.raises(TriangulationError,
+                       match="face index -1 out of range"):
+        fig8.gluing(0, -1)
+    assert one.gluing(0, 3) is None
+
+
 def test_insert_flat_tetrahedron_between_boundary_faces():
     one = fixture("one-tet").triangulation
     t2, flat = insert_flat_tetrahedron(one, (0, 0), (0, 1), (1, 0, 2, 3))
@@ -204,7 +228,7 @@ def test_repeated_insertion_matches_the_flat2_fixture():
     t2 = fixture("fig8-flat2").triangulation
     classes = build_edge_classes(t2)
     assert sorted(len(c.corners) for c in classes) == [10, 14]
-    assert is_orientable(t2) and is_ideal_triangulation(t2)[0]
+    assert is_orientable(t2) and is_ideal_triangulation(t2)
 
 
 def test_random_tables_round_trip(tmp_path):
