@@ -13,6 +13,12 @@ as "PATH: not a UTF-8 text file", gluing table and JSON file alike.
 
 Exit codes: 0 = decided (an attached infeasibility certificate is a
 decision), 1 = invalid input, 2 = precondition or usage error.
+
+argv is read from the command table _COMMANDS.  A plain argv (the
+command, its positionals, then each of its options at most once as
+spelled there) becomes the namespace without an argparse parser; any
+other argv, help and usage errors included, goes to the full parser
+that _build_parser makes from the same table for that one call.
 """
 
 from __future__ import annotations
@@ -326,7 +332,8 @@ _REPORT = [("--json", {"action": "store_true",
                       "help": "write the JSON report to PATH"})]
 
 # name -> (help, handler, each argument before --json and --out), in
-# the order that help lists the commands.
+# the order that help lists the commands.  Both _build_parser and _read
+# take every argument, default and choice from here.
 _COMMANDS = {
     "validate": ("check a gluing table and summarize its combinatorics",
                  cmd_validate, [("triangulation", {})]),
@@ -351,17 +358,6 @@ _COMMANDS = {
 }
 
 
-def _command_parser(name, parser=None) -> argparse.ArgumentParser:
-    """The parser of command name alone, or parser given its arguments."""
-    if parser is None:
-        parser = argparse.ArgumentParser(prog="anglestruct " + name)
-    _, func, arguments = _COMMANDS[name]
-    for arg, keywords in arguments + _REPORT:
-        parser.add_argument(arg, **keywords)
-    parser.set_defaults(func=func, command=name)
-    return parser
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The parser that holds every command's subparser."""
     parser = argparse.ArgumentParser(
@@ -369,19 +365,57 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact angle-structure existence, certification, and "
                     "perturbation on triangulated 3-manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _, _) in _COMMANDS.items():
-        _command_parser(name, sub.add_parser(name, help=help_))
+    for name, (help_, func, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_)
+        for arg, keywords in arguments + _REPORT:
+            command.add_argument(arg, **keywords)
+        command.set_defaults(func=func, command=name)
     return parser
 
 
+def _read(argv):
+    """The namespace of a plain argv, read from _COMMANDS alone, or None.
+
+    Plain means: argv names a command, the command's positionals come
+    first, and each of its options follows at most once in its own
+    spelling, with a value that does not start with "-" and is one of
+    its choices.  The namespace is the one the full parser gives.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    arguments = arguments + _REPORT
+    values = {arg.lstrip("-"): False if kw.get("action") == "store_true"
+              else kw.get("default") for arg, kw in arguments}
+    positionals = [(arg, kw) for arg, kw in arguments if arg[0] != "-"]
+    options = {arg: kw for arg, kw in arguments if arg[0] == "-"}
+    tokens = argv[1:]
+    end = next((i for i, tok in enumerate(tokens) if tok[:1] == "-"),
+               len(tokens))
+    if not (sum(kw.get("nargs") != "?" for _, kw in positionals)
+            <= end <= len(positionals)):
+        return None
+    for (arg, _), tok in zip(positionals, tokens[:end]):
+        values[arg] = tok
+    rest = iter(tokens[end:])
+    for opt in rest:
+        keywords = options.pop(opt, None)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            values[opt.lstrip("-")] = True
+            continue
+        value = next(rest, "-")  # a missing value is refused as an option
+        if value[:1] == "-" or value not in keywords.get("choices", (value,)):
+            return None
+        values[opt.lstrip("-")] = value
+    return argparse.Namespace(func=func, command=argv[0], **values)
+
+
 def _parse(argv):
-    """argv parsed by the parser of the command it names alone, or, when
-    it names none or leaves arguments over, by the full parser."""
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return _build_parser().parse_args(argv)
+    """argv read straight from _COMMANDS when it is plain, or else parsed
+    by the full parser, which also gives help and usage errors."""
+    return _read(argv) or _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -101,10 +101,6 @@ class NormalCoordinate:
         s.__dict__["_scaled"] = form
         return s
 
-    @property
-    def vector(self):
-        return self.quads + self.tris
-
     @cached_property
     def _scaled(self) -> tuple:
         return scaled(exact("NormalCoordinate", self.quads + self.tris,

@@ -701,7 +701,7 @@ def quad_slice_max(t, alpha):
 def in_solution_space(t, s) -> bool:
     """Membership in the solution space, one Fraction product per nonzero
     of each compatibility row."""
-    vec = s.vector
+    vec = s.quads + s.tris
     return all(sum((Fraction(a) * vec[c] for c, a in row), Fraction(0)) == 0
                for row in t.compatibility_system.rows)
 
@@ -745,10 +745,10 @@ def chi_star(t, s) -> Fraction:
 def combine(basis, omega, z) -> list:
     """sum omega_i W_sigma_i + sum z_j W_e_j, entry by entry, one
     Fraction product per weight and entry."""
-    vecs = basis.w_sigma + basis.w_edge
+    vecs = [w.quads + w.tris for w in basis.w_sigma + basis.w_edge]
     weights = tuple(omega) + tuple(z)
-    return [sum((c * w.vector[col] for c, w in zip(weights, vecs)), ZERO)
-            for col in range(len(vecs[0].vector))]
+    return [sum((c * w[col] for c, w in zip(weights, vecs)), ZERO)
+            for col in range(len(vecs[0]))]
 
 
 def decompose(t, s, basis):
@@ -759,10 +759,11 @@ def decompose(t, s, basis):
         return None
     z = tuple(edge_coefficient(s, e) for e in t.edge_classes)
     first = [3 * t.tet_count + 4 * i for i in range(t.tet_count)]
-    omega = tuple(s.vector[c] - sum((x * w.vector[c]
-                                     for x, w in zip(z, basis.w_edge)), ZERO)
+    vec = s.quads + s.tris
+    edge = [w.quads + w.tris for w in basis.w_edge]
+    omega = tuple(vec[c] - sum((x * w[c] for x, w in zip(z, edge)), ZERO)
                   for c in first)
-    assert combine(basis, omega, z) == list(s.vector)
+    assert combine(basis, omega, z) == list(vec)
     return omega, z
 
 

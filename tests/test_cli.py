@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anglestruct import cli
 from anglestruct.angle_structures import (
@@ -678,22 +681,103 @@ def subcommands(parser):
     return list(sub.choices)
 
 
+PLAIN = {"validate": ["validate", "fig8.tri"],
+         "analyze": ["analyze", "fig8.tri"],
+         "solve": ["solve", "fig8.tri", "fig8.ac.json"],
+         "certify": ["certify", "fig8.tri", "fig8.angles.json"],
+         "perturb": ["perturb", "fig8-flat1.tri", "fig8-flat1.angles.json"],
+         "fixtures": ["fixtures", "one-tet", "out"]}
+
+
 @pytest.mark.parametrize("name", COMMANDS)
-def test_a_named_command_builds_its_subparser_alone(capsys, name):
-    parser = cli._command_parser(name)
-    assert parser.prog == "anglestruct " + name
-    assert not [a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)]
-    _, _, arguments = cli._COMMANDS[name]
-    assert [a.dest for a in parser._actions] == (
-        ["help"] + [arg.lstrip("-") for arg, _ in arguments]
-        + ["json", "out"])
+def test_a_named_command_builds_its_subparser_alone(capsys, monkeypatch,
+                                                    tmp_path, name):
+    # A command's plain argv runs with no ArgumentParser at all; help, a
+    # bad choice and a leftover argument build the full parser, whose
+    # subparsers are the six commands, and each call builds its own.
+    for fx in ("fig8", "fig8-flat1"):
+        write_fixture(capsys, tmp_path, fx)
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert outcome(capsys, PLAIN[name])[0] == 0
+    assert outcome(capsys, PLAIN[name] + ["--json"])[0] == 0
+    assert built == []
+    for argv in ([name, "-h"], PLAIN[name] + ["--mode", "x"],
+                 PLAIN[name] + ["leftover"]):
+        assert outcome(capsys, argv)[0] == ("SystemExit", 0 if "-h" in argv
+                                            else 2)
+        assert built == ["anglestruct"] + ["anglestruct " + c
+                                           for c in COMMANDS]
+        built.clear()
     assert subcommands(cli._build_parser()) == list(COMMANDS)
-    # Each call builds its own parser and keeps none.
-    outcome(capsys, [name, "-h"])
-    assert cli._command_parser(name) is not cli._command_parser(name)
     assert not [v for v in vars(cli).values()
                 if isinstance(v, argparse.ArgumentParser)]
+
+
+# Each token of SURFACE that makes an argv more than plain: help, the
+# end of options, a lone dash, a negative number, an abbreviation and
+# an "=" form.  The empty string is a plain positional or value.
+TRICKY = ("--", "-", "-h", "--mo", "--js", "--mode=semi", "--out=", "-1")
+TOKENS = TRICKY + ("", "--json", "--out", "--mode", "semi", "strict", "x",
+                   "a.tri")
+
+
+@settings(max_examples=500, deadline=None)
+@given(name=st.sampled_from(COMMANDS),
+       tokens=st.lists(st.sampled_from(TOKENS), max_size=6))
+# Plain but for one abbreviated or "=" option, which random draws
+# seldom reach.
+@example(name="solve", tokens=["x", "a.tri", "--mo", "semi"])
+@example(name="solve", tokens=["x", "a.tri", "--json", "--mode=semi"])
+@example(name="validate", tokens=["x", "--js"])
+@example(name="fixtures", tokens=["--out=", "x"])
+def test_a_read_argv_is_the_namespace_the_full_parser_gives(name, tokens):
+    argv = [name] + tokens
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
+    if set(tokens) & set(TRICKY):
+        assert args is None
+
+
+def plain_argv():
+    """Every argv shape of the README and the benchmark workloads: each
+    command's positionals, then each subset of its options in each
+    order."""
+    shapes = [["validate", "t.tri"], ["analyze", "t.tri"],
+              ["solve", "t.tri", "t.ac.json"],
+              ["certify", "t.tri", "t.angles.json"],
+              ["perturb", "t.tri", "t.angles.json"],
+              ["fixtures"], ["fixtures", "fig8"], ["fixtures", "fig8", "."]]
+    for shape in shapes:
+        options = [["--json"], ["--out", "r.json"]]
+        if shape[0] == "solve":
+            options.append(["--mode", "semi"])
+        for k in range(len(options) + 1):
+            for chosen in itertools.permutations(options, k):
+                yield shape + [tok for opt in chosen for tok in opt]
+        if shape[0] == "solve":
+            yield shape + ["--mode", "strict", "--json"]
+
+
+@pytest.mark.parametrize("argv", list(plain_argv()), ids=" ".join)
+def test_every_plain_argv_is_read_without_a_parser(argv):
+    args = cli._read(argv)
+    assert args is not None
+    assert vars(args) == vars(cli._build_parser().parse_args(argv))
+    # One tricky token put in or swapped in anywhere after the command
+    # leaves argv to the full parser.
+    for i in range(1, len(argv) + 1):
+        for tok in TRICKY:
+            assert cli._read(argv[:i] + [tok] + argv[i:]) is None
+            assert cli._read(argv[:i] + [tok] + argv[i + 1:]) is None
 
 
 def test_console_script_path_reads_sys_argv(capsys, tmp_path):

@@ -241,3 +241,4 @@ def test_no_second_name_for_a_value_the_package_holds():
     for cls in (AngleAssignment, NormalCoordinate):
         for name in ("angle", "quad", "tri"):
             assert not hasattr(cls, name), (cls.__name__, name)
+    assert not hasattr(NormalCoordinate, "vector")

@@ -185,9 +185,9 @@ def test_normal_coordinate_arithmetic():
     basis = solution_space_basis(fig8)
     omega, z = (Fraction(1, 2), Fraction(-3)), (Fraction(2, 3), Fraction(0))
     s = combine(basis, omega, z)
-    vecs = basis.w_sigma + basis.w_edge
-    assert s.vector == tuple(
-        sum(c * w.vector[col] for c, w in zip(omega + z, vecs))
+    vecs = [w.quads + w.tris for w in basis.w_sigma + basis.w_edge]
+    assert s.quads + s.tris == tuple(
+        sum(c * w[col] for c, w in zip(omega + z, vecs))
         for col in range(14))
     w = basis.w_edge[0]
     assert s.quads[2] == Fraction(-1, 2) + Fraction(2, 3) * w.quads[2]
@@ -205,7 +205,7 @@ def test_exact_entries_are_kept():
     # as Fractions, and the scaled view is over the lcm of denominators.
     s = NormalCoordinate.from_vector(1, [0, 1, Fraction(1, 2),
                                          Fraction(-2, 3), 0, 0, 1])
-    assert all(type(v) is Fraction for v in s.vector)
+    assert all(type(v) is Fraction for v in s.quads + s.tris)
     assert s._scaled == (6, (0, 6, 3, -4, 0, 0, 6))
     fig8 = fixture("fig8").triangulation
     basis = solution_space_basis(fig8)
@@ -224,12 +224,12 @@ def test_coordinates_built_from_ints_keep_the_scaled_form():
     fig8 = fixture("fig8").triangulation
     basis = solution_space_basis(fig8)
     for w in basis.w_sigma + basis.w_edge:
-        assert w._scaled == scaled(w.vector) and w._scaled[0] == 1
+        assert w._scaled == scaled(w.quads + w.tris) and w._scaled[0] == 1
     for omega, z in (((Fraction(1, 2), Fraction(1, 2)), (0, 0)),
                      ((Fraction(1, 6), 0), (Fraction(-1, 4), Fraction(1, 3))),
                      ((0, 0), (0, 0))):
         s = combine(basis, omega, z)
-        assert s._scaled == scaled(s.vector)
+        assert s._scaled == scaled(s.quads + s.tris)
         assert decompose(fig8, s, basis) == (omega, z)
 
 

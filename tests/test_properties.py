@@ -161,7 +161,7 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     inside = NormalCoordinate.from_vector(n, [
         sum((w * v[c] for w, v in zip(weights, null)), Fraction(0))
         for c in range(7 * n)])
-    bumped = list(inside.vector)
+    bumped = list(inside.quads + inside.tris)
     bumped[data.draw(st.integers(0, 7 * n - 1))] += data.draw(
         st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
     outside = NormalCoordinate.from_vector(n, bumped)
@@ -408,9 +408,9 @@ def test_int_decompose_membership_and_theorem3_agree_with_fractions(kind,
     omega = data.draw(rationals(n))
     z = data.draw(rationals(len(basis.w_edge)))
     s = combine(basis, omega, z)
-    assert list(s.vector) == oracles.combine(basis, omega, z)
-    assert s._scaled == scaled(s.vector)
-    bumped = list(s.vector)
+    assert list(s.quads + s.tris) == oracles.combine(basis, omega, z)
+    assert s._scaled == scaled(s.quads + s.tris)
+    bumped = list(s.quads + s.tris)
     bumped[data.draw(st.integers(0, 7 * n - 1))] += data.draw(
         st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
     outside = NormalCoordinate.from_vector(n, bumped)
