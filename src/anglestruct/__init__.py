@@ -20,7 +20,6 @@ from .angle_structures import (
     area_of_triangle,
     check_vertex_link_conditions,
     classify,
-    curvature,
     is_flat_pair,
     realized_area_curvature,
 )

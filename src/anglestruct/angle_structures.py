@@ -109,14 +109,6 @@ def area_of_quad(alpha: AngleAssignment, tet: int, quad: int) -> Fraction:
     return Fraction(areas[3 * tet + quad], den)
 
 
-def curvature(alpha: AngleAssignment, t: Triangulation, e) -> Fraction:
-    """2*pi (interior) or pi (boundary) minus the angles around the edge."""
-    if e not in t.edge_classes:
-        raise AngleStructureError(
-            "%r is not an edge class of the triangulation" % (e,))
-    return realized_area_curvature(alpha, t).curvature[e.index]
-
-
 def _check_size(alpha: AngleAssignment, t: Triangulation,
                 error=AngleStructureError) -> None:
     if alpha.tet_count != t.tet_count:

@@ -139,18 +139,24 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
     """
     den, corner, edge, capped = _targets(t, ac, mode)
     n = t.tet_count
-    width = 6 * n
     rows = [[(6 * i + k, 1) for k in EDGES_AT_VERTEX[l]]
             for i in range(n) for l in range(4)]
     rows += [[(6 * i + k, 1) for i, k in cls.corners]
              for cls in t.edge_classes]
-    rhs = corner + edge
-    if capped:
-        rows += [[(e, 1), (width + e, 1)] for e in range(width)]
-        rhs += [den] * width
+    caps = [den] * (6 * n) if capped else []
+    return _system(rows, corner + edge, 6 * n, caps, mode, den)
+
+
+def _system(rows, rhs, width: int, caps, mode: str, den: int):
+    """rows and rhs over width columns, and a cap row x + slack = c for
+    each column when caps lists the c's, as a LinearSystem whose columns
+    all carry the mode's sign: its one statement of what is asked."""
+    if caps:
+        rows += [[(p, 1), (width + p, 1)] for p in range(width)]
+        rhs += caps
     sign = STRICT_POS if mode == "strict" else NONNEG
-    cols = 2 * width if capped else width
-    return LinearSystem.of(rows, rhs, [sign] * cols, rhs_den=den)
+    return LinearSystem.of(rows, rhs, [sign] * (width + len(caps)),
+                           rhs_den=den)
 
 
 def _pair_system(t: Triangulation, targets, mode: str):
@@ -186,15 +192,9 @@ def _pair_system(t: Triangulation, targets, mode: str):
         # class: of() adds up the pairs on one column.
         rows.append([(3 * i + min(k, 5 - k), 1) for i, k in cls.corners])
         rhs.append(2 * b - sum(shift[6 * i + k] for i, k in cls.corners))
-    width = 3 * n
-    if capped:
-        rows += [[(p, 1), (width + p, 1)] for p in range(width)]
-        rhs += [den - shift[6 * i + k] - shift[6 * i + 5 - k]
-                for i in range(n) for k in range(3)]
-    sign = STRICT_POS if mode == "strict" else NONNEG
-    cols = 2 * width if capped else width
-    return LinearSystem.of(rows, rhs, [sign] * cols, rhs_den=den), \
-        den, shift
+    caps = [den - shift[6 * i + k] - shift[6 * i + 5 - k]
+            for i in range(n) for k in range(3)] if capped else []
+    return _system(rows, rhs, 3 * n, caps, mode, den), den, shift
 
 
 def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
@@ -238,8 +238,7 @@ def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
         h += [sum(sums[k] for k in EDGES_AT_VERTEX[v]) - z[i]
               for v in range(4)]
     return _verified(angle_linear_system(t, ac, mode),
-                     (2 * den, (*h, *(2 * v for v in w), *caps)),
-                     "strict" if mode == "strict" else "nonneg")
+                     (2 * den, (*h, *(2 * v for v in w), *caps)))
 
 
 def _decide(t: Triangulation, ac: AreaCurvature, mode: str):

@@ -23,8 +23,9 @@ via margin maximization (find x with every constrained entry bounded away
 from zero by the largest possible epsilon), and linear minimization over
 the same polyhedra.  All three refuse with one type, Infeasible, whose
 Farkas vector y a separate routine re-verifies by plain recomputation,
-as int sums over the system's int form, so no caller has to trust the
-solver's internals.
+as int sums over the system's int form and against its column signs,
+which alone say whether no x >= 0 or no x > 0 is proved, so no caller
+has to trust the solver's internals or name a mode.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """A refusal, with a certificate in the mode of the entry point."""
+    """A refusal, with a certificate checked against the system's signs."""
     certificate: Certificate
 
 
@@ -324,11 +325,11 @@ def _nonneg(sys: LinearSystem) -> None:
         raise LPError("strict-pos columns belong to solve_feasibility_strict")
 
 
-def _verified(sys: LinearSystem, y, mode: str) -> Certificate:
+def _verified(sys: LinearSystem, y) -> Certificate:
     """The certificate of the (den, ints) form y, once
     verify_certificate has accepted its ints, which a positive den does
     not change the signs of."""
-    if not verify_certificate(sys, y[1], mode):
+    if not verify_certificate(sys, y[1]):
         raise LPError("internal error: emitted certificate failed "
                       "verification")
     return Certificate(y=unscaled(*y)[0])
@@ -342,7 +343,7 @@ def solve_feasibility_nonneg(sys: LinearSystem):
     _nonneg(sys)
     res = _solve(sys.scaled_rows, sys.scaled_rhs, (1, (0,) * sys.col_count))
     if res["status"] == "infeasible":
-        return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
+        return Infeasible(certificate=_verified(sys, res["farkas"]))
     return Solution(x=unscaled(*res["x"])[0])
 
 
@@ -354,8 +355,9 @@ def solve_feasibility_strict(sys: LinearSystem):
     program bounded without affecting the sign of the optimum, so the
     reported margin never exceeds 1.  A positive optimum yields
     x = u + epsilon 1; otherwise the dual of the auxiliary program is the
-    strict-mode certificate of an Infeasible.  The epsilon column of a row
-    is the sum of its ints, over the rows' den.
+    certificate of an Infeasible, which may cut with y.b = 0 since every
+    column is strict-pos.  The epsilon column of a row is the sum of its
+    ints, over the rows' den.
     """
     if any(s != STRICT_POS for s in sys.signs):
         raise LPError("strict feasibility requires all strict-pos columns")
@@ -377,7 +379,7 @@ def solve_feasibility_strict(sys: LinearSystem):
             return StrictSolution(x=unscaled(d, [v + eps for v in x[:t]])[0],
                                   margin=Fraction(eps, d))
         d, y = res["dual"]
-    return Infeasible(certificate=_verified(sys, (d, y[:k]), "strict"))
+    return Infeasible(certificate=_verified(sys, (d, y[:k])))
 
 
 def minimize_linear(objective, sys: LinearSystem):
@@ -388,26 +390,25 @@ def minimize_linear(objective, sys: LinearSystem):
     _nonneg(sys)
     res = _solve(sys.scaled_rows, sys.scaled_rhs, cost)
     if res["status"] == "infeasible":
-        return Infeasible(certificate=_verified(sys, res["farkas"], "nonneg"))
+        return Infeasible(certificate=_verified(sys, res["farkas"]))
     if res["status"] == "unbounded":
         return Unbounded(ray=unscaled(*res["ray"])[0])
     return Optimum(value=res["value"], x=unscaled(*res["x"])[0])
 
 
-def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
-    """Recompute the Farkas sign conditions for the claimed mode.
+def verify_certificate(sys: LinearSystem, y) -> bool:
+    """Recompute the Farkas sign conditions against the system's signs.
 
-    nonneg mode: A^T y <= 0 on every column, y.b > 0.  strict mode: the
-    same column conditions with y.b >= 0, and additionally the
-    certificate must actually cut the open cone: either y.b > 0 or some
-    column with A^T y strictly negative.
+    A^T y <= 0 on every column, and either y.b > 0, or y.b = 0 with
+    A^T y < 0 on some strict-pos column: no x >= 0 (> 0 on its
+    strict-pos columns) then solves A x = b, by Motzkin's transposition
+    theorem read column by column.  On an all-nonneg system that is
+    y.b > 0; on an all-strict-pos one, y.b > 0 or a negative column.
     Pure recomputation; never trusts solver state.  y is scaled to ints
     over one positive denominator and read against the system's int
     form, so both products are int sums with the signs of the rational
     ones.
     """
-    if mode not in ("nonneg", "strict"):
-        raise LPError("unknown certificate mode %r" % (mode,))
     _, ys = exact_scaled("verify_certificate y", y, LPError)
     if len(ys) != sys.row_count:
         return False
@@ -419,6 +420,5 @@ def verify_certificate(sys: LinearSystem, y, mode: str) -> bool:
                 aty[c] += yi * v
     if any(w > 0 for w in aty):
         return False
-    if mode == "nonneg":
-        return ydotb > 0
-    return ydotb > 0 or (ydotb == 0 and any(w < 0 for w in aty))
+    return ydotb > 0 or (ydotb == 0 and any(
+        w < 0 for w, s in zip(aty, sys.signs) if s == STRICT_POS))

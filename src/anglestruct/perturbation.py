@@ -25,7 +25,6 @@ from .angle_structures import (
     AreaCurvature,
     _angle_ints,
     _angle_sums,
-    _check_disk,
     _check_semi,
     _corner_sums,
     classify,
@@ -76,12 +75,6 @@ class PerturbationFamily:
         scale, c = self._ints
         return AngleAssignment(angles=unscaled(den * scale * tden, [
             x * scale * tden + y * tnum * den for x, y in zip(a, c)])[0])
-
-    def triangle_area_slope(self, tet: int, corner: int) -> Fraction:
-        """d/dt of the triangle area at the given corner."""
-        _check_disk(self.base, tet, "corner", corner, 4)
-        scale, c = self._ints
-        return Fraction(_corner_sums(c)[4 * tet + corner], scale)
 
 
 def build_perturbation(alpha: AngleAssignment,

@@ -37,7 +37,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from anglestruct import lp_core
-from anglestruct.lp_core import LinearSystem, Optimum, minimize_linear
+from anglestruct.lp_core import (STRICT_POS, LinearSystem, Optimum,
+                                 minimize_linear)
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -607,9 +608,10 @@ def fraction_rows(sys) -> tuple:
                  for row in rows)
 
 
-def verify_certificate(sys, y, mode: str) -> bool:
+def verify_certificate(sys, y) -> bool:
     """The Farkas sign conditions of lp_core.verify_certificate, with
-    A^T y and y.b summed as Fractions."""
+    A^T y and y.b summed as Fractions: A^T y <= 0, and y.b > 0 or y.b = 0
+    with A^T y < 0 on a column the system's signs make strict-pos."""
     if len(y) != sys.row_count:
         return False
     ydotb = sum((Fraction(a) * b for a, b in zip(y, sys.rhs)), Fraction(0))
@@ -619,9 +621,8 @@ def verify_certificate(sys, y, mode: str) -> bool:
             aty[c] += Fraction(a) * v
     if any(w > 0 for w in aty):
         return False
-    if mode == "nonneg":
-        return ydotb > 0
-    return ydotb > 0 or (ydotb == 0 and any(w < 0 for w in aty))
+    strict = [w for w, s in zip(aty, sys.signs) if s == STRICT_POS]
+    return ydotb > 0 or (ydotb == 0 and any(w < 0 for w in strict))
 
 
 CORNER_EDGES = tuple(tuple(k for k, ends in enumerate(EDGE_VERTICES)

@@ -170,9 +170,9 @@ def test_criterion_3_equivalence_on_sampled_targets():
 def test_criterion_4_farkas_soundness():
     verified = 0
 
-    def check_cert(sys, cert, mode):
+    def check_cert(sys, cert):
         nonlocal verified
-        assert verify_certificate(sys, cert.y, mode)
+        assert verify_certificate(sys, cert.y)
         verified += 1
 
     # pipeline certificates from unrealizable targets
@@ -183,7 +183,7 @@ def test_criterion_4_farkas_soundness():
         cert = finder(t, infeasible.ac)
         assert not isinstance(cert, AngleAssignment)
         sys_ = angle_linear_system(t, infeasible.ac, mode)
-        check_cert(sys_, cert, "strict" if mode == "strict" else "nonneg")
+        check_cert(sys_, cert)
 
     # a target with a zero corner sum: semi exists, strict provably not
     fig8 = fixture("fig8").triangulation
@@ -193,7 +193,7 @@ def test_criterion_4_farkas_soundness():
     cert = find_angle_structure(fig8, ac)
     assert not isinstance(cert, AngleAssignment)
     strict_sys = angle_linear_system(fig8, ac, "strict")
-    check_cert(strict_sys, cert, "strict")
+    check_cert(strict_sys, cert)
     # the full angle system has 12 variables: brute force must agree
     assert not oracles.bf_strict_feasible(strict_sys)
     assert oracles.bf_feasible(angle_linear_system(fig8, ac, "semi"))
@@ -201,13 +201,13 @@ def test_criterion_4_farkas_soundness():
     # boundary fixture with an unrealizable curvature
     onetet = fixture("one-tet").triangulation
     bad = AreaCurvature.of([0] * 4, [2] * 6)
-    for mode, vmode in (("semi", "nonneg"), ("strict", "strict")):
+    for mode in ("semi", "strict"):
         sys_ = angle_linear_system(onetet, bad, mode)
         finder = (find_semi_angle_structure if mode == "semi"
                   else find_angle_structure)
         cert = finder(onetet, bad)
         assert not isinstance(cert, AngleAssignment)
-        check_cert(sys_, cert, vmode)
+        check_cert(sys_, cert)
         assert not oracles.bf_feasible(sys_)
 
     # the realizable figure-eight systems, 12 variables each
@@ -230,7 +230,7 @@ def test_criterion_4_farkas_soundness():
         res = solve_feasibility_nonneg(sys_)
         assert isinstance(res, Solution) == oracles.bf_feasible(sys_)
         if isinstance(res, Infeasible):
-            check_cert(sys_, res.certificate, "nonneg")
+            check_cert(sys_, res.certificate)
     for _ in range(25):
         cols = rng.randint(1, 5)
         rows = rng.randint(1, 3)
@@ -248,7 +248,7 @@ def test_criterion_4_farkas_soundness():
             assert isinstance(res, Unbounded)
         else:
             assert isinstance(res, Infeasible)
-            check_cert(sys_, res.certificate, "nonneg")
+            check_cert(sys_, res.certificate)
     for _ in range(15):
         cols = rng.randint(2, 5)
         coeffs = [[F(rng.randint(-2, 2)) for _ in range(cols)]]
@@ -260,7 +260,7 @@ def test_criterion_4_farkas_soundness():
         assert isinstance(res, StrictSolution) == \
             oracles.bf_strict_feasible(sys_)
         if isinstance(res, Infeasible):
-            check_cert(sys_, res.certificate, "strict")
+            check_cert(sys_, res.certificate)
     assert verified >= 5
     print("criterion 4 PASS: %d emitted certificates verified; solver "
           "outcomes match brute-force enumeration on every small system"

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
-                         ac_from_json, ac_to_json, angles_to_json,
-                         area_of_quad, area_of_triangle,
+                         NormalCoordinateError, ac_from_json, ac_to_json,
+                         angles_to_json, area_of_quad, area_of_triangle,
                          build_edge_classes, check_vertex_link_conditions,
                          chi_area_curvature, chi_via_lemma2, classify,
-                         combine, curvature, fixture, is_flat_pair,
-                         realized_area_curvature, solution_space_basis)
+                         combine, fixture, is_flat_pair,
+                         realized_area_curvature, solution_space_basis,
+                         z_functional)
 from anglestruct.angle_structures import angle_vector_from_json
 
 F = Fraction
@@ -56,9 +57,11 @@ def test_curvature_values_on_fig8():
     fig8 = fixture("fig8").triangulation
     ecs = build_edge_classes(fig8)
     third = constant_assignment(2, F(1, 3))
-    assert [curvature(third, fig8, e) for e in ecs] == [0, 0]
+    assert [realized_area_curvature(third, fig8).curvature[e.index]
+            for e in ecs] == [0, 0]
     zero = constant_assignment(2, 0)
-    assert [curvature(zero, fig8, e) for e in ecs] == [2, 2]
+    assert [realized_area_curvature(zero, fig8).curvature[e.index]
+            for e in ecs] == [2, 2]
 
 
 def test_boundary_edges_use_the_half_turn_target():
@@ -66,7 +69,8 @@ def test_boundary_edges_use_the_half_turn_target():
     ecs = build_edge_classes(one)
     alpha = constant_assignment(1, F(1, 4))
     assert all(e.is_boundary for e in ecs)
-    assert all(curvature(alpha, one, e) == F(3, 4) for e in ecs)
+    assert all(realized_area_curvature(alpha, one).curvature[e.index]
+               == F(3, 4) for e in ecs)
 
 
 def test_realized_area_curvature_frozen_for_flat1():
@@ -144,9 +148,8 @@ def test_curvature_refuses_a_size_mismatch(n):
     # the first two and leave the third unread.
     fig8 = fixture("fig8").triangulation
     alpha = constant_assignment(n, F(1, 3))
-    for e in fig8.edge_classes:
-        with pytest.raises(AngleStructureError, match="size does not match"):
-            curvature(alpha, fig8, e)
+    with pytest.raises(AngleStructureError, match="size does not match"):
+        realized_area_curvature(alpha, fig8)
 
 
 @pytest.mark.parametrize("tet", (2, 5, -1))
@@ -177,16 +180,17 @@ def test_area_of_triangle_refuses_a_corner_outside_0_to_3(corner):
 
 
 @pytest.mark.parametrize("other", ("one-tet", "fig8-flat1"))
-def test_curvature_refuses_an_edge_class_of_another_triangulation(other):
-    # one-tet's first class would read fig8's angles and answer 2/3; the
-    # 3-tet table's last class would index past them.
+def test_z_functional_refuses_another_triangulations_edge_class(other):
+    # one-tet's first class would read fig8's crossing weights and answer
+    # for an edge fig8 does not have; the 3-tet table's last class would
+    # index past them.
     fig8 = fixture("fig8").triangulation
     foreign = fixture(other).triangulation.edge_classes
-    alpha = constant_assignment(2, F(1, 3))
+    s = solution_space_basis(fig8).w_edge[0]
     for e in (foreign[0], foreign[-1]):
-        with pytest.raises(AngleStructureError,
+        with pytest.raises(NormalCoordinateError,
                            match="is not an edge class of the triangulation"):
-            curvature(alpha, fig8, e)
+            z_functional(fig8, s, e)
 
 
 def test_chi_evaluators_agree_on_seeded_solution_vectors():

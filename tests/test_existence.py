@@ -96,12 +96,11 @@ def test_find_rejects_impossible_curvature_with_certificates():
     t, ac = fx.triangulation, fx.ac
     semi = find_semi_angle_structure(t, ac)
     assert isinstance(semi, Certificate)
-    assert verify_certificate(angle_linear_system(t, ac, "semi"),
-                              semi.y, "nonneg")
+    assert verify_certificate(angle_linear_system(t, ac, "semi"), semi.y)
     strict = find_angle_structure(t, ac)
     assert isinstance(strict, Certificate)
     assert verify_certificate(angle_linear_system(t, ac, "strict"),
-                              strict.y, "strict")
+                              strict.y)
 
 
 def test_flat_fixture_target_has_both_kinds_of_realization():
@@ -133,7 +132,7 @@ def test_positive_area_targets_are_still_decided():
         assert all(0 <= v <= 1 for v in res.angles)
     else:
         assert verify_certificate(
-            angle_linear_system(fig8, ac, "semi"), res.y, "nonneg")
+            angle_linear_system(fig8, ac, "semi"), res.y)
 
 
 def test_finders_solve_one_column_per_opposite_edge_pair(monkeypatch):
@@ -258,8 +257,7 @@ def test_lifted_certificates_verify_on_the_full_system(name):
         assert isinstance(cert, Certificate)
         full = angle_linear_system(t, ac, mode)
         assert len(cert.y) == full.row_count
-        assert verify_certificate(full, cert.y,
-                                  "strict" if mode == "strict" else "nonneg")
+        assert verify_certificate(full, cert.y)
 
 
 def test_certify_condition2_on_fig8():
@@ -465,7 +463,7 @@ def test_degenerate_zero_corner_target_breaks_agreement_loudly():
     strict = find_angle_structure(fig8, ac)
     assert isinstance(strict, Certificate)
     assert verify_certificate(angle_linear_system(fig8, ac, "strict"),
-                              strict.y, "strict")
+                              strict.y)
     res = certify_condition2(fig8, alpha)
     assert isinstance(res, Holds) and res.optimum == F(-1, 3)
 

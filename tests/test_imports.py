@@ -18,12 +18,15 @@ header: no command handler names "schema" or `EXIT_OK`, or returns a
 value.  `normal_coords` is the one module that knows the 7n coordinate
 layout: `angle_structures` imports nothing from it, and `existence`
 reaches the echelon form through it, not through `_linalg`.  No public
-type, field or accessor restates a value the package already holds.
+type, field or accessor restates a value the package already holds.  A
+certificate is checked against its own system's column signs: no module
+passes a mode beside the system.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -229,10 +232,13 @@ def test_no_second_name_for_a_value_the_package_holds():
     # tet-edges 0 and 5; the basis's edge classes are t.edge_classes; and
     # an assignment or a coordinate is read through its tuples, where an
     # accessor that took an index past a tetrahedron's end answered with
-    # the next tetrahedron's entry.
+    # the next tetrahedron's entry.  An edge's curvature is read off
+    # realized_area_curvature, and a triangle area's slope along a
+    # perturbation is its area at 1 minus its area at 0.
     import anglestruct
     from anglestruct import (AngleAssignment, FlatTetrahedron,
-                             NormalCoordinate, SolutionBasis)
+                             NormalCoordinate, PerturbationFamily,
+                             SolutionBasis, angle_structures)
     assert not hasattr(anglestruct, "NotStrict")
     assert not hasattr(anglestruct, "EdgeAngleCensus")
     assert tuple(f.name for f in fields(FlatTetrahedron)) == ("tet",)
@@ -242,3 +248,29 @@ def test_no_second_name_for_a_value_the_package_holds():
         for name in ("angle", "quad", "tri"):
             assert not hasattr(cls, name), (cls.__name__, name)
     assert not hasattr(NormalCoordinate, "vector")
+    assert not hasattr(anglestruct, "curvature")
+    assert not hasattr(angle_structures, "curvature")
+    assert not hasattr(PerturbationFamily, "triangle_area_slope")
+
+
+def test_a_certificate_is_checked_against_its_systems_signs():
+    # "no x >= 0" or "no x > 0" is said once, by the system's column
+    # signs: the check takes no mode, and no module hands it, or the
+    # solvers' _verified, a string beside the system.
+    from anglestruct import lp_core
+    for fn in (lp_core.verify_certificate, lp_core._verified):
+        assert list(inspect.signature(fn).parameters) == ["sys", "y"]
+    callers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and \
+                    node.func.id in ("_verified", "verify_certificate"):
+                callers.add(path.name)
+                for arg in node.args + [k.value for k in node.keywords]:
+                    for n in (arg, getattr(arg, "body", None),
+                              getattr(arg, "orelse", None)):
+                        assert not (isinstance(n, ast.Constant) and
+                                    isinstance(n.value, str)), \
+                            (path.name, node.lineno)
+    assert callers == {"existence.py", "lp_core.py"}

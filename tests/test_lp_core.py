@@ -39,7 +39,7 @@ def test_feasibility_simple_cases():
     res2 = solve_feasibility_nonneg(sys2)
     assert isinstance(res2, Infeasible)
     y = res2.certificate.y
-    assert verify_certificate(sys2, y, "nonneg")
+    assert verify_certificate(sys2, y)
     # the canonical refutation: both columns weighted down, y.b positive
     assert sum(yi * bi for yi, bi in zip(y, sys2.rhs)) > 0
 
@@ -67,7 +67,7 @@ def test_strict_feasibility_simple_cases():
                                 [STRICT_POS, STRICT_POS])
     res2 = solve_feasibility_strict(sys2)
     assert isinstance(res2, Infeasible)
-    assert verify_certificate(sys2, res2.certificate.y, "strict")
+    assert verify_certificate(sys2, res2.certificate.y)
 
 
 def test_strict_feasibility_boundary_of_cone():
@@ -79,7 +79,7 @@ def test_strict_feasibility_boundary_of_cone():
                                [STRICT_POS, STRICT_POS, STRICT_POS])
     res = solve_feasibility_strict(sys)
     assert isinstance(res, Infeasible)
-    assert verify_certificate(sys, res.certificate.y, "strict")
+    assert verify_certificate(sys, res.certificate.y)
 
 
 def test_minimize_examples():
@@ -96,7 +96,7 @@ def test_minimize_examples():
                                       [NONNEG, NONNEG])
     res4 = minimize_linear([F(1), F(1)], infeasible)
     assert isinstance(res4, Infeasible)
-    assert verify_certificate(infeasible, res4.certificate.y, "nonneg")
+    assert verify_certificate(infeasible, res4.certificate.y)
 
     for objective in ([F(1)], [F(1)] * 3):
         with pytest.raises(LPError, match="objective length does not "
@@ -106,15 +106,37 @@ def test_minimize_examples():
 
 def test_verify_certificate_rejects_junk():
     sys = oracles.dense_system([[1, 1]], [-1], [NONNEG, NONNEG])
-    assert not verify_certificate(sys, [F(0)], "nonneg")
-    assert not verify_certificate(sys, [F(0)], "strict")
-    assert not verify_certificate(sys, [F(1)], "nonneg")  # A^T y > 0
+    strict = oracles.dense_system([[1, 1]], [-1], [STRICT_POS, STRICT_POS])
+    assert not verify_certificate(sys, [F(0)])
+    assert not verify_certificate(strict, [F(0)])
+    assert not verify_certificate(sys, [F(1)])  # A^T y > 0
     good = solve_feasibility_nonneg(sys).certificate.y
-    assert verify_certificate(sys, good, "nonneg")
-    with pytest.raises(LPError):
-        verify_certificate(sys, good, "bogus-mode")
+    assert verify_certificate(sys, good)
     # a certificate of the wrong shape is simply not valid
-    assert not verify_certificate(sys, [F(1), F(1)], "nonneg")
+    assert not verify_certificate(sys, [F(1), F(1)])
+
+
+def test_a_certificate_answers_its_own_systems_question():
+    # A = [1], b = [0]: x = 0 solves it with x >= 0, and y = -1, with
+    # A^T y = -1 and y.b = 0, cuts off only x > 0.  With two columns the
+    # negative entry must fall on a strict-pos one: x = (0, 1) solves
+    # x0 = 0 with x1 > 0, and nothing solves x0 + x1 = 0 with x1 > 0.
+    nonneg = LinearSystem.of([[(0, 1)]], [0], [NONNEG])
+    strict = LinearSystem.of([[(0, 1)]], [0], [STRICT_POS])
+    assert solve_feasibility_nonneg(nonneg) == Solution(x=(F(0),))
+    assert not verify_certificate(nonneg, [-1])
+    assert verify_certificate(strict, [-1])
+    refused = solve_feasibility_strict(strict)
+    assert isinstance(refused, Infeasible)
+    assert verify_certificate(strict, refused.certificate.y)
+    assert not verify_certificate(nonneg, refused.certificate.y)
+    mixed = [NONNEG, STRICT_POS]
+    assert not verify_certificate(LinearSystem.of([[(0, 1)]], [0], mixed),
+                                  [-1])
+    assert verify_certificate(LinearSystem.of([[(0, 1), (1, 1)]], [0],
+                                              mixed), [-1])
+    for y in ([0], [1], [-1, 0]):
+        assert not verify_certificate(strict, y)
 
 
 def test_signs_are_validated():
@@ -206,7 +228,7 @@ def test_feasibility_agrees_with_brute_force_on_small_systems():
         if isinstance(res, Solution):
             check_solution(sys, res.x)
         else:
-            assert verify_certificate(sys, res.certificate.y, "nonneg")
+            assert verify_certificate(sys, res.certificate.y)
 
 
 def test_minimize_agrees_with_brute_force_on_small_systems():
@@ -253,7 +275,7 @@ def test_strict_agrees_with_brute_force_on_bounded_systems():
             assert res.margin > 0
             check_solution(sys, res.x)
         else:
-            assert verify_certificate(sys, res.certificate.y, "strict")
+            assert verify_certificate(sys, res.certificate.y)
         done += 1
 
 
@@ -287,30 +309,43 @@ def test_integer_tableau_takes_the_fraction_simplex_pivots():
 def test_integer_certificate_check_agrees_with_the_fraction_one():
     # Rational coefficients and rhs with unlike denominators, each checked
     # against the solver's own refutations, their negations, 0, and
-    # random vectors; the strict case y.b = 0 with a negative column shows
-    # on the solved strict systems.
-    rng = random.Random(2030)
-    verdicts = set()
+    # random vectors, on the system, its strict copy and copies with
+    # random column signs; the case y.b = 0 with a negative strict-pos
+    # column shows on the solved strict systems, and a mixed copy accepts
+    # such a y exactly when one of its negative columns is strict-pos.
+    rng, flips = random.Random(2030), random.Random(2031)
+    verdicts, between = set(), set()
     for _ in range(200):
         cols = rng.randint(1, 5)
         sys = rand_rational_system(rng, rng.randint(1, 4), cols)
-        strict = LinearSystem.of(oracles.fraction_rows(sys), sys.rhs,
-                                 [STRICT_POS] * cols)
+        copies = [LinearSystem.of(oracles.fraction_rows(sys), sys.rhs, signs)
+                  for signs in [[NONNEG] * cols, [STRICT_POS] * cols] + [
+                      [flips.choice((NONNEG, STRICT_POS)) for _ in range(cols)]
+                      for _ in range(4)]]
+        nonneg, strict = copies[:2]
         k = sys.row_count
         ys = [(F(0),) * k,
               tuple(F(rng.randint(-5, 5), rng.randint(1, 6))
                     for _ in range(k))]
-        for res in (solve_feasibility_nonneg(sys),
+        for res in (solve_feasibility_nonneg(nonneg),
                     solve_feasibility_strict(strict)):
             if isinstance(res, Infeasible):
                 ys += [res.certificate.y,
                        tuple(-v for v in res.certificate.y)]
         for y in ys:
-            for mode in ("nonneg", "strict"):
-                expect = oracles.verify_certificate(sys, y, mode)
-                assert verify_certificate(sys, y, mode) == expect, (sys, y)
-                verdicts.add((mode, expect))
-    assert len(verdicts) == 4
+            split = verify_certificate(nonneg, y) != \
+                verify_certificate(strict, y)
+            for s in copies:
+                expect = oracles.verify_certificate(s, y)
+                assert verify_certificate(s, y) == expect, (s, y)
+                kind = "mixed" if len(set(s.signs)) == 2 else s.signs[0]
+                verdicts.add((kind, expect))
+                if split and kind == "mixed":
+                    between.add(expect)
+    assert len(verdicts) == 6
+    # a y that only the strict copy accepts is accepted by some mixed
+    # pattern and refused by another
+    assert between == {True, False}
 
 
 def test_pivot_that_is_not_a_unit():
@@ -361,4 +396,4 @@ def test_updated_row_is_reduced_by_its_gcd():
     assert res == Infeasible(certificate=Certificate(y=(F(1), F(-1, 2))))
     assert oracles.fraction_simplex(oracles.fraction_rows(bad), bad.rhs,
                                     [F(0)] * 3)["farkas"] == (F(1), F(-1, 2))
-    assert verify_certificate(bad, res.certificate.y, "nonneg")
+    assert verify_certificate(bad, res.certificate.y)

@@ -14,10 +14,8 @@ import pytest
 
 from anglestruct.angle_structures import (
     AngleAssignment,
-    AngleStructureError,
     area_of_triangle,
     classify,
-    curvature,
     realized_area_curvature,
 )
 from anglestruct.existence import find_angle_structure
@@ -172,31 +170,22 @@ def test_curvature_preserved_along_the_family():
     fx = fixture("fig8-flat2")
     fam = build_perturbation(fx.angles, fx.triangulation)
     classes = build_edge_classes(fx.triangulation)
+    base = realized_area_curvature(fx.angles, fx.triangulation).curvature
     for t in (Fraction(1, 100), Fraction(1, 8), Fraction(3, 4), Fraction(5)):
-        moved = fam.at(t)
+        moved = realized_area_curvature(fam.at(t), fx.triangulation)
         for cls in classes:
-            assert (curvature(moved, fx.triangulation, cls)
-                    == curvature(fx.angles, fx.triangulation, cls))
+            assert moved.curvature[cls.index] == base[cls.index]
 
 
 def test_flat_triangle_area_slope_is_minus_one():
     fx = fixture("fig8-flat1")
     fam = build_perturbation(fx.angles, fx.triangulation)
     # corners of the inserted tetrahedron: two zero coefficients +1 and
-    # one pi coefficient -3 meet at every corner
+    # one pi coefficient -3 meet at every corner; areas are affine in t,
+    # so the slope is the area at 1 minus the area at 0
     for corner in range(4):
-        assert fam.triangle_area_slope(2, corner) == -1
-
-
-@pytest.mark.parametrize("tet, corner", ((0, -1), (0, 4), (3, 0)))
-def test_triangle_area_slope_refuses_a_corner_past_the_assignment(tet,
-                                                                  corner):
-    # An unchecked index into the 4n corner slopes would answer another
-    # tetrahedron's corner.
-    fx = fixture("fig8-flat1")
-    fam = build_perturbation(fx.angles, fx.triangulation)
-    with pytest.raises(AngleStructureError, match="is not among"):
-        fam.triangle_area_slope(tet, corner)
+        assert area_of_triangle(fam.at(1), 2, corner) - \
+            area_of_triangle(fam.at(0), 2, corner) == -1
 
 
 def test_triangle_area_slope_matches_sampled_areas():
@@ -207,7 +196,8 @@ def test_triangle_area_slope_matches_sampled_areas():
     for tet in range(fx.triangulation.tet_count):
         for corner in range(4):
             base_area = area_of_triangle(fx.angles, tet, corner)
-            slope = fam.triangle_area_slope(tet, corner)
+            slope = area_of_triangle(fam.at(1), tet, corner) - \
+                area_of_triangle(fam.at(0), tet, corner)
             assert area_of_triangle(moved, tet, corner) == base_area + slope * t
 
 

@@ -228,8 +228,7 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
                         else ("semi", "strict"))
                 else:
                     assert verify_certificate(
-                        angle_linear_system(t, ac, mode), res.y,
-                        "strict" if mode == "strict" else "nonneg")
+                        angle_linear_system(t, ac, mode), res.y)
     assert len(statuses) == 6
     if t.boundary_faces():
         return

@@ -121,7 +121,7 @@ ENTRY_POINTS = {
         lambda x: minimize_linear([0, x], _system())),
     "verify_certificate": (
         LPError, "verify_certificate y", 0,
-        lambda x: verify_certificate(_system(), [x], "nonneg")),
+        lambda x: verify_certificate(_system(), [x])),
     "identity_4_9-h": (
         ExistenceError, "identity_4_9 h", 7,
         lambda x: identity_4_9(_fig8(), fixture("fig8").angles,
