@@ -14,6 +14,7 @@ import pytest
 
 from anglestruct.angle_structures import (
     AngleAssignment,
+    AngleStructureError,
     area_of_triangle,
     classify,
     realized_area_curvature,
@@ -186,6 +187,18 @@ def test_flat_triangle_area_slope_is_minus_one():
     for corner in range(4):
         assert area_of_triangle(fam.at(1), 2, corner) - \
             area_of_triangle(fam.at(0), 2, corner) == -1
+
+
+@pytest.mark.parametrize("tet, corner", ((0, -1), (0, 4), (3, 0)))
+def test_triangle_area_slope_refuses_a_corner_past_the_assignment(tet,
+                                                                  corner):
+    # The slope is read from the family's points; an unchecked index into
+    # their 4n corners would answer another tetrahedron's corner.
+    fx = fixture("fig8-flat1")
+    fam = build_perturbation(fx.angles, fx.triangulation)
+    for t in (0, 1):
+        with pytest.raises(AngleStructureError, match="is not among"):
+            area_of_triangle(fam.at(t), tet, corner)
 
 
 def test_triangle_area_slope_matches_sampled_areas():
