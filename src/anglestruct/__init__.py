@@ -18,7 +18,6 @@ from .angle_structures import (
     angles_to_json,
     area_of_quad,
     area_of_triangle,
-    check_vertex_link_conditions,
     classify,
     is_flat_pair,
     realized_area_curvature,

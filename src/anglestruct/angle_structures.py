@@ -165,43 +165,6 @@ def classify(alpha: AngleAssignment) -> str:
     return "generalized"
 
 
-@dataclass(frozen=True)
-class VertexConditionEntry:
-    tet: int
-    vertex: int
-    corner_sum: Fraction
-    link_euler: int
-    status: str  # "pass" | "fail" | "skipped"
-
-
-def check_vertex_link_conditions(alpha: AngleAssignment, t: Triangulation):
-    """Per-corner angle-sum conditions driven by the vertex link topology.
-
-    At a vertex whose link has Euler characteristic 0 the three angles at
-    each of its corners must sum to exactly pi; at a negative-Euler link
-    the sum must stay below pi.  Positive-Euler links carry no condition
-    and are reported as skipped.
-    """
-    den, corner, _ = _angle_sums(alpha, t)
-    euler_at = {}
-    for cls in t.vertex_classes:
-        for i, v in cls.corners:
-            euler_at[4 * i + v] = cls.link_euler
-    report = []
-    for c, total in enumerate(corner):
-        euler = euler_at[c]
-        if euler == 0:
-            status = "pass" if total == den else "fail"
-        elif euler < 0:
-            status = "pass" if total < den else "fail"
-        else:
-            status = "skipped"
-        report.append(VertexConditionEntry(
-            tet=c // 4, vertex=c % 4, corner_sum=Fraction(total, den),
-            link_euler=euler, status=status))
-    return tuple(report)
-
-
 def is_flat_pair(alpha: AngleAssignment, t: Triangulation) -> bool:
     """Whether every triangle is exactly (0,0,pi)-angled or has area < 0.
 

@@ -342,9 +342,11 @@ def check_corollary2(t: Triangulation, ac: AreaCurvature) -> EquivalenceReport:
     """Run both sides of the equivalence and insist they agree.
 
     Hypothesis: all triangle areas <= 0 and some semi assignment realizes
-    the data.  Under it, a strict assignment exists exactly when the
+    the data.  Under it, a strict assignment should exist exactly when the
     quad-slice certification holds; any disagreement between the two
-    pipelines is raised as a hard error with both outcomes attached.
+    pipelines is raised as a hard error with both outcomes attached.  As
+    coded it does not hold: generated tables with semi but no strict
+    assignment can still certify, and raise (ROADMAP item 2).
     """
     if any(a > 0 for a in ac.area):
         return EquivalenceReport(
@@ -379,10 +381,8 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     (the two corner targets minus 2*pi).  Both sides are returned for
     the caller to compare; no equality is assumed here.
     """
-    if classify(alpha) == "generalized":
-        raise ExistenceError("assignment is not semi")
+    _check_semi(alpha, t, ExistenceError)
     n = t.tet_count
-    basis = solution_space_basis(t)
     m = len(t.edge_classes)
     h = exact("identity_4_9 h", h, ExistenceError)
     z = exact("identity_4_9 z", z, ExistenceError)
@@ -394,7 +394,7 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     b = [2 - ac.curvature[j] for j in range(m)]
     lhs = sum((h[c] * a[c] for c in range(4 * n)), Fraction(0)) + \
         sum((z[j] * b[j] for j in range(m)), Fraction(0))
-    s = combine(basis, omega, z)
+    s = combine(solution_space_basis(t), omega, z)
     correction = Fraction(0)
     for cls in t.edge_classes:
         for i, k in cls.corners:

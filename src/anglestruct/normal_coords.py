@@ -317,7 +317,8 @@ class BasisVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionBasis:
-    """A verified basis of the solution space for an ideal triangulation.
+    """A verified basis of the solution space of a triangulation without
+    boundary faces; its vertex links need not be those of an ideal one.
 
     ``w_sigma[i]`` is supported on tetrahedron i alone: +1 on its four
     triangles, -1 on its three quads.  ``w_edge[j]`` weights each triangle

@@ -22,11 +22,11 @@ Fraction at a time: membership, crossing weights, edge coefficients,
 chi*, combine and decompose, against which the integer kernels are
 checked, and the Farkas sign conditions recomputed over Fractions,
 against which the integer certificate check is.  An assignment's
-realized data is summed angle by angle, and the vertex-link statuses and
-the flat-pair test are read off those Fraction areas, against the int
-corner sums the package compares.  Theorem 3's move is rebuilt over
-Fractions too: its coefficients, its safe range as a plain minimum of
-Fraction bounds, and the angles at half of it.
+realized data is summed angle by angle, and the flat-pair test is read
+off those Fraction areas, against the int corner sums the package
+compares.  Theorem 3's move is rebuilt over Fractions too: its
+coefficients, its safe range as a plain minimum of Fraction bounds, and
+the angles at half of it.
 """
 
 from __future__ import annotations
@@ -640,25 +640,6 @@ def realized_data(t, alpha):
                  sum((a[6 * i + k] for i, k in e.corners), Fraction(0))
                  for e in t.edge_classes]
     return area, curvature
-
-
-def vertex_link_report(t, alpha):
-    """(tet, vertex, corner sum, link Euler characteristic, status) per
-    corner, from realized_data's areas: the corner passes at a link of
-    Euler characteristic 0 when its area is 0, at a negative one when
-    its area is negative, and is skipped at a positive one."""
-    area, _ = realized_data(t, alpha)
-    euler = {c: cls.link_euler for cls in t.vertex_classes
-             for c in cls.corners}
-    report = []
-    for c, a in enumerate(area):
-        e = euler[divmod(c, 4)]
-        if e > 0:
-            status = "skipped"
-        else:
-            status = "pass" if (a == 0 if e == 0 else a < 0) else "fail"
-        report.append((*divmod(c, 4), a + 1, e, status))
-    return report
 
 
 def flat_pair(t, alpha) -> bool:

@@ -6,11 +6,10 @@ import pytest
 from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
                          NormalCoordinateError, ac_from_json, ac_to_json,
                          angles_to_json, area_of_quad, area_of_triangle,
-                         build_edge_classes, check_vertex_link_conditions,
-                         chi_area_curvature, chi_via_lemma2, classify,
-                         combine, fixture, is_flat_pair,
-                         realized_area_curvature, solution_space_basis,
-                         z_functional)
+                         build_edge_classes, chi_area_curvature,
+                         chi_via_lemma2, classify, combine, fixture,
+                         is_flat_pair, realized_area_curvature,
+                         solution_space_basis, z_functional)
 from anglestruct.angle_structures import angle_vector_from_json
 
 F = Fraction
@@ -99,47 +98,6 @@ def test_is_flat_pair():
     bad = AngleAssignment.from_vector(2, [F(-1, 6)] + [F(1, 3)] * 11)
     with pytest.raises(AngleStructureError):
         is_flat_pair(bad, fixture("fig8").triangulation)
-
-
-def test_vertex_link_conditions_on_fig8():
-    fig8 = fixture("fig8").triangulation
-    third = constant_assignment(2, F(1, 3))
-    entries = check_vertex_link_conditions(third, fig8)
-    # torus link: every corner sum must equal one half-turn exactly
-    assert len(entries) == 8
-    assert all(e.status == "pass" and e.corner_sum == 1 and e.link_euler == 0
-               for e in entries)
-    skew = AngleAssignment.from_vector(
-        2, [F(1, 2), F(1, 4), F(1, 4)] + [F(1, 3)] * 9)
-    bad = [e for e in check_vertex_link_conditions(skew, fig8)
-           if e.status == "fail"]
-    assert bad and all(e.corner_sum != 1 for e in bad)
-
-
-def test_vertex_link_conditions_on_flat1():
-    # the flat fixture has a genus-two vertex link, so corner sums must
-    # drop strictly below one; the unperturbed flat assignment violates
-    # that at the corners whose sum is exactly one
-    fx = fixture("fig8-flat1")
-    entries = check_vertex_link_conditions(fx.angles, fx.triangulation)
-    assert all(e.link_euler == -2 for e in entries)
-    assert any(e.status == "fail" and e.corner_sum == 1 for e in entries)
-
-
-def test_vertex_link_conditions_skip_positive_links():
-    one = fixture("one-tet").triangulation
-    alpha = constant_assignment(1, F(1, 5))
-    entries = check_vertex_link_conditions(alpha, one)
-    assert [e.status for e in entries] == ["skipped"] * 4
-
-
-def test_vertex_link_conditions_refuse_a_size_mismatch():
-    # Too few tets would index past the angles, too many would go unread.
-    fig8 = fixture("fig8").triangulation
-    for n in (1, 3):
-        alpha = constant_assignment(n, F(1, 3))
-        with pytest.raises(AngleStructureError, match="size does not match"):
-            check_vertex_link_conditions(alpha, fig8)
 
 
 @pytest.mark.parametrize("n", (1, 3))

@@ -406,6 +406,17 @@ def test_identity_rejects_bad_shapes_and_generalized_angles():
     bad = AngleAssignment.from_vector(2, [F(-1, 6)] + [F(1, 3)] * 11)
     with pytest.raises(ExistenceError):
         identity_4_9(fig8, bad, (F(0),) * 8, (F(0),) * 2, (F(0),) * 2)
+    # An assignment on another number of tets, or h, z, omega of the
+    # wrong sizes, is refused before the basis is built, as at every
+    # other entry point of existence; one-tet's boundary faces would
+    # fail the basis.
+    for n in (1, 3):
+        other = AngleAssignment.from_vector(n, [F(1, 3)] * (6 * n))
+        with pytest.raises(ExistenceError, match="size does not match"):
+            identity_4_9(fig8, other, (F(0),) * 8, (F(0),) * 2, (F(0),) * 2)
+    one = fixture("one-tet")
+    with pytest.raises(ExistenceError, match="sizes do not match"):
+        identity_4_9(one.triangulation, one.angles, (), (), ())
 
 
 def test_strict_implies_negative_quad_areas():

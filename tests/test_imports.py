@@ -9,11 +9,13 @@ the echelon form, the integer normal-coordinate kernels (the arc
 membership, the crossing weights and decompose's recombination), the
 certificate check, the tally of an assignment's angle sums and Theorem
 3's bound search use no Fraction and no "/".  That tally is the one
-place an assignment's angles are summed: its readers call no sum() of
-their own, and `existence` and `perturbation` read no assignment's
-scaled view.  Answers are read out by `_rational.unscaled` alone,
-`LinearSystem` keeps no `rows` view for tests, and `perturbation`
-writes into no `__dict__`.  The CLI's `_emit` writes the one report
+place an assignment's angles are summed: its readers, the realized
+data, a solve's re-verification and the flat-pair check, call no sum()
+of their own, and `existence` and `perturbation` read no assignment's
+scaled view.  No per-corner vertex-link check is kept beside them.
+Answers are read out by `_rational.unscaled` alone, `LinearSystem`
+keeps no `rows` view for tests, and `perturbation` writes into no
+`__dict__`.  The CLI's `_emit` writes the one report
 header: no command handler names "schema" or `EXIT_OK`, or returns a
 value.  `normal_coords` is the one module that knows the 7n coordinate
 layout: `angle_structures` imports nothing from it, and `existence`
@@ -153,12 +155,17 @@ def test_pivot_loop_stays_in_integers():
 def test_angle_sums_are_tallied_in_one_place():
     # angle_structures._angle_sums sums an assignment's angles at each
     # corner and around each edge class.  The realized data, the
-    # re-verification of a solve and the vertex-link and flat-pair checks
-    # read its ints (the flat-pair check its corner sums, from
-    # _angle_ints) and call no sum() of their own; existence and
-    # perturbation read no assignment's _scaled view at all.
+    # re-verification of a solve and the flat-pair check read its ints
+    # (the flat-pair check its corner sums, from _angle_ints) and call no
+    # sum() of their own; existence and perturbation read no assignment's
+    # _scaled view at all.  The paper sets no per-corner rule by the
+    # vertex link's Euler characteristic, and the package keeps none.
+    import anglestruct
+    from anglestruct import angle_structures
+    for name in ("check_vertex_link_conditions", "VertexConditionEntry"):
+        assert not hasattr(anglestruct, name)
+        assert not hasattr(angle_structures, name)
     readers = {"angle_structures.py": ("realized_area_curvature",
-                                       "check_vertex_link_conditions",
                                        "is_flat_pair"),
                "existence.py": ("_check_realization",)}
     found = []
@@ -169,7 +176,7 @@ def test_angle_sums_are_tallied_in_one_place():
                 found.append(fn.name)
                 assert not any(isinstance(node, ast.Name) and
                                node.id == "sum" for node in ast.walk(fn))
-    assert len(found) == 4
+    assert len(found) == 3
     for module in ("existence.py", "perturbation.py"):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         assert "_scaled" not in {n.attr for n in ast.walk(tree)

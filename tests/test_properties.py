@@ -50,8 +50,7 @@ from anglestruct import (AngleAssignment, AreaCurvature,
                          LinearSystem, NormalCoordinate, Solution,
                          StrictSolution, Triangulation,
                          angle_linear_system, build_edge_classes,
-                         certify_condition2, check_vertex_link_conditions,
-                         chi_area_curvature,
+                         certify_condition2, chi_area_curvature,
                          chi_star, chi_via_lemma2, classify, combine,
                          compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
@@ -296,12 +295,11 @@ def test_int_checks_and_int_systems_agree_with_fractions(data):
     # moved, against the realized target and against one with an entry
     # moved.  realized_area_curvature and classify, which read the same
     # scaled angles, must agree with those Fraction sums and bounds, and
-    # so must check_vertex_link_conditions and, on semi assignments,
-    # is_flat_pair, which compare the same int corner sums with den.  A
-    # third assignment has each tet either alpha's scaled by 1/3 (corner
-    # sums at most pi) or with one opposite pair at pi and the rest at 0
-    # (every corner (0, 0, pi)) or that pair at 0 and the rest at pi/2
-    # (every corner (0, pi/2, pi/2)).
+    # so must is_flat_pair on semi assignments, which compares the same
+    # int corner sums with den.  A third assignment has each tet either
+    # alpha's scaled by 1/3 (corner sums at most pi) or with one opposite
+    # pair at pi and the rest at 0 (every corner (0, 0, pi)) or that pair
+    # at 0 and the rest at pi/2 (every corner (0, pi/2, pi/2)).
     t = data.draw(gluing_tables())
     n = t.tet_count
     m = len(t.edge_classes)
@@ -333,9 +331,6 @@ def test_int_checks_and_int_systems_agree_with_fractions(data):
         assert classify(beta) == next(
             (mode for mode in ("strict", "semi")
              if all(map(within[mode], beta.angles))), "generalized")
-        assert [(e.tet, e.vertex, e.corner_sum, e.link_euler, e.status)
-                for e in check_vertex_link_conditions(beta, t)] == \
-            oracles.vertex_link_report(t, beta)
         if all(map(within["semi"], beta.angles)):
             assert is_flat_pair(beta, t) == oracles.flat_pair(t, beta)
     for ac in (realized, AreaCurvature.of(data_moved[:4 * n],
