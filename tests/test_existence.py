@@ -120,6 +120,29 @@ def test_flat_fixture_target_has_both_kinds_of_realization():
     assert realized_area_curvature(strict, t) == ac
 
 
+@pytest.mark.parametrize("name, refused, corners",
+                         (("fig8-flat1", 4, 12), ("fig8-flat2", 8, 16),
+                          ("fig8-qzero", 8, 8)))
+def test_fixture_targets_need_no_per_corner_link_rule(name, refused,
+                                                      corners):
+    # A rule asking each corner at a torus link for area 0, and each at a
+    # link of negative Euler characteristic for area below 0, would
+    # refuse these corners.  The paper sets no such rule: the stored
+    # angles realize the fixture's own target, and the semi finder
+    # realizes it too.
+    fx = fixture(name)
+    t, ac = fx.triangulation, fx.ac
+    assert realized_area_curvature(fx.angles, t) == ac
+    euler = {c: cls.link_euler for cls in t.vertex_classes
+             for c in cls.corners}
+    off = [c for c, a in enumerate(ac.area)
+           if (a != 0 if euler[divmod(c, 4)] == 0 else a >= 0)]
+    assert (len(off), len(ac.area)) == (refused, corners)
+    semi = find_semi_angle_structure(t, ac)
+    assert isinstance(semi, AngleAssignment)
+    assert realized_area_curvature(semi, t) == ac
+
+
 def test_positive_area_targets_are_still_decided():
     # a target beyond the usual hypothesis: every triangle area +1/2,
     # realizable only with some angle above a half-turn, and the capped

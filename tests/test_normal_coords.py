@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from anglestruct import (AngleAssignment, NormalCoordinate,
+from anglestruct import (AngleAssignment, NormalCoordinate, Triangulation,
                          area_of_quad, build_edge_classes,
                          build_vertex_classes, chi_star,
                          combine, compatibility_system, decompose, fixture,
-                         fixture_names, is_in_solution_space,
-                         solution_space_basis, z_functional)
+                         fixture_names, is_ideal_triangulation,
+                         is_in_solution_space, solution_space_basis,
+                         z_functional)
 from anglestruct._rational import scaled
 from anglestruct.normal_coords import NormalCoordinateError, quad_type_at_arc
 from anglestruct.triangulation import EDGE_INDEX
@@ -169,6 +170,27 @@ def test_solution_space_basis_refuses_boundary():
     one = fixture("one-tet").triangulation
     with pytest.raises(BasisVerificationError):
         solution_space_basis(one)
+
+
+def test_solution_space_basis_on_a_closed_table_that_is_not_ideal():
+    # One tet, faces glued in pairs, one vertex whose link is a sphere:
+    # no boundary face, so the basis is built and verified, though the
+    # table is not ideal.
+    t = Triangulation(1, {(0, 0): (0, 1, (1, 2, 3, 0)),
+                          (0, 2): (0, 3, (2, 0, 3, 1))})
+    assert not t.boundary_faces() and not is_ideal_triangulation(t)
+    assert [(v.link_euler, v.link_closed) for v in t.vertex_classes] == \
+        [(2, True)]
+    basis = solution_space_basis(t)
+    sys = compatibility_system(t)
+    assert (len(basis.w_sigma), len(basis.w_edge)) == \
+        (1, len(t.edge_classes)) == (1, 2)
+    for w in basis.w_sigma + basis.w_edge:
+        assert is_in_solution_space(sys, w)
+    assert [[z_functional(t, w, e) for e in t.edge_classes]
+            for w in basis.w_edge] == [[1, 0], [0, 1]]
+    assert all(z_functional(t, basis.w_sigma[0], e) == 0
+               for e in t.edge_classes)
 
 
 def test_decompose_rejects_vectors_outside_the_space():
