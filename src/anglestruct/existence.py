@@ -302,17 +302,19 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     is chi* minus half the quad-area pairing.
 
     The triangle part is projected away: the LP runs on normal_coords'
-    _quad_slice, and _from_slice solves a witness's triangle weights.
-    The objective is the quad areas as ints over their den, which leaves
-    the pivots and the optimizer alone.  The program is never infeasible:
-    -W_sigma_0 / 3 (1/3 on tet 0's quads, -1/3 on its triangles) lies in
-    the slice.
+    _quad_slice, and _from_slice solves a witness's triangle weights in
+    ints.  The objective is the quad areas as ints over their den, which
+    leaves the pivots and the optimizer alone.  The slice holds the quad
+    part of -W_sigma_0 / 3 (1/3 on tet 0's quads, -1/3 on its
+    triangles), and the LP starts from that point, checked exactly, with
+    no phase 1.
     """
     _check_semi(alpha, t, ExistenceError)
-    rows, rhs = _quad_slice(t.compatibility_system)
+    rows, rhs, point = _quad_slice(t.compatibility_system)
     den, areas = _quad_areas(alpha)
     res = minimize_linear([-a for a in areas],
-                          LinearSystem.of(rows, rhs, [NONNEG] * len(areas)))
+                          LinearSystem.of(rows, rhs, [NONNEG] * len(areas)),
+                          start=point)
     if not isinstance(res, Optimum):
         raise ExistenceError("internal error: quad-slice program %s"
                              % type(res).__name__.lower())

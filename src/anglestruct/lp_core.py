@@ -21,11 +21,15 @@ Three entry points cover what the rest of the package needs: feasibility
 of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
 from zero by the largest possible epsilon), and linear minimization over
-the same polyhedra.  All three refuse with one type, Infeasible, whose
-Farkas vector y a separate routine re-verifies by plain recomputation,
-as int sums over the system's int form and against its column signs,
-which alone say whether no x >= 0 or no x > 0 is proved, so no caller
-has to trust the solver's internals or name a mode.
+the same polyhedra.  Minimization may start from a known point of the
+polyhedron, checked exactly against the system's ints: its support is
+pivoted into the artificial basis in place of phase 1, and the residue
+read off the phase-1 row must then be 0.  All three refuse with one
+type, Infeasible, whose Farkas vector y a separate routine re-verifies
+by plain recomputation, as int sums over the system's int form and
+against its column signs, which alone say whether no x >= 0 or no x > 0
+is proved, so no caller has to trust the solver's internals or name a
+mode.
 """
 
 from __future__ import annotations
@@ -264,7 +268,7 @@ def _basic_values(rows, basis, t: int, col: int) -> tuple:
     return den, ints
 
 
-def _solve(a, b, cost):
+def _solve(a, b, cost, start=None):
     """Two-phase simplex for min c.x, A x = b, x >= 0.
 
     The tableau is exact and fraction-free: each row is a dict of its
@@ -285,14 +289,34 @@ def _solve(a, b, cost):
     phase's cost, and at artificial column q it is that column's phase
     cost minus y_q, where y is in the sign-scaled row orientation and is
     unscaled back to the caller's.
+
+    A start, a (den, ints) point that solves the system, replaces phase
+    1: its support columns, in ascending order, are each pivoted into
+    the lowest constraint row that is still artificial-basic and has an
+    entry there, and a column with no such row is skipped.  The phase-1
+    row must then read residue 0 and every rhs be >= 0, or LPError is
+    raised: a start off the system leaves a residue, and a skipped
+    column can leave the columns pivoted in a negative value.  From
+    there phase 2 runs as after phase 1.
     """
     rows, basis, scale = _tableau(a, b, cost)
     k = len(scale)
     t = len(cost[1])
     end = t + k
-    _pivot_loop(rows, basis, end, end)
+    if start is None:
+        _pivot_loop(rows, basis, end, end)
+    else:
+        for j in [j for j, v in enumerate(start[1]) if v]:
+            r = min((r for r in range(k) if basis[r] >= t and j in rows[r]),
+                    default=None)
+            if r is not None:
+                _pivot(rows, basis, r, j)
     obj = rows.pop()
     den = obj[basis.pop()]
+    if start is not None and (obj.get(end, 0) or any(
+            row.get(end, 0) < 0 for row in rows[:k])):
+        raise LPError("internal error: the start's support gives no "
+                      "feasible basis")
     if obj.get(end, 0) < 0:
         y = [s * (den - obj.get(t + q, 0)) for q, s in enumerate(scale)]
         return {"status": "infeasible", "farkas": (den, y)}
@@ -382,13 +406,36 @@ def solve_feasibility_strict(sys: LinearSystem):
     return Infeasible(certificate=_verified(sys, (d, y[:k])))
 
 
-def minimize_linear(objective, sys: LinearSystem):
-    """Exact minimum of objective.x over {A x = b, x >= 0}."""
+def _checked_start(sys: LinearSystem, start) -> tuple:
+    """(den, ints): start through the gate, once it has one entry per
+    column, none negative, and A x = b holds as int sums over the
+    system's int form: row . x over aden * den against b over bden."""
+    den, xs = exact_scaled("minimize_linear start", start, LPError)
+    if len(xs) != sys.col_count:
+        raise LPError("start length does not match column count")
+    if any(v < 0 for v in xs):
+        raise LPError("start has a negative entry")
+    aden, rows = sys.scaled_rows
+    bden, bs = sys.scaled_rhs
+    if any(bden * sum(v * xs[c] for c, v in row) != aden * den * b
+           for row, b in zip(rows, bs)):
+        raise LPError("start does not solve the system")
+    return den, xs
+
+
+def minimize_linear(objective, sys: LinearSystem, start=None):
+    """Exact minimum of objective.x over {A x = b, x >= 0}.
+
+    With a start, a point of that polyhedron checked exactly here (any
+    failure raises LPError), the simplex runs from it with no phase 1.
+    """
     cost = exact_scaled("minimize_linear objective", objective, LPError)
     if len(cost[1]) != sys.col_count:
         raise LPError("objective length does not match column count")
     _nonneg(sys)
-    res = _solve(sys.scaled_rows, sys.scaled_rhs, cost)
+    if start is not None:
+        start = _checked_start(sys, start)
+    res = _solve(sys.scaled_rows, sys.scaled_rhs, cost, start)
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"]))
     if res["status"] == "unbounded":

@@ -183,25 +183,38 @@ def _check_member(t: Triangulation, s: NormalCoordinate,
 
 
 def _quad_slice(sys: CompatibilitySystem) -> tuple:
-    """(rows, rhs) over the 3n quads: the echelon form's quad-led rows,
-    which have quad entries alone, and the quads summing to 1."""
+    """(rows, rhs, point) over the 3n quads: the echelon form's quad-led
+    rows, which have quad entries alone, and the quads summing to 1; and
+    a point of that slice, 1/3 on tet 0's quads and 0 elsewhere, the
+    quad part of -W_sigma_0 / 3, which lies in every solution space."""
     tris = 4 * sys.columns // 7
+    quads = sys.columns - tris
     rows = [[(c - tris, v) for c, v in row.items()]
             for lead, row in sys._echelon.items() if lead >= tris]
-    rows.append([(c, 1) for c in range(sys.columns - tris)])
-    return rows, [0] * (len(rows) - 1) + [1]
+    rows.append([(c, 1) for c in range(quads)])
+    third = Fraction(1, 3)
+    return (rows, [0] * (len(rows) - 1) + [1],
+            [third] * 3 + [0] * (quads - 3))
 
 
 def _from_slice(sys: CompatibilitySystem, quads) -> NormalCoordinate:
     """The coordinate with the given quads, its triangles solved from the
-    triangle-led rows, last lead first, 0 on unled columns."""
+    triangle-led rows, last lead first, 0 on unled columns.
+
+    Solved in ints over the quads' denominator: each triangle-led row
+    leads with 1, since an arc's triangle part is a +-1 incidence row
+    and elimination keeps it one, so no row divides."""
     tris = 4 * sys.columns // 7
-    x = [Fraction(0)] * tris + list(quads)
+    den, nums = scaled(quads)
+    x = [0] * tris + list(nums)
     for lead in sorted((l for l in sys._echelon if l < tris), reverse=True):
         row = sys._echelon[lead]
-        x[lead] = -sum((v * x[c] for c, v in row.items() if c != lead),
-                       Fraction(0)) / row[lead]
-    return NormalCoordinate.from_vector(sys.columns // 7, x[tris:] + x[:tris])
+        if row[lead] != 1:
+            raise NormalCoordinateError(
+                "internal error: triangle-led row %d leads with %d"
+                % (lead, row[lead]))
+        x[lead] = -sum(v * x[c] for c, v in row.items() if c != lead)
+    return NormalCoordinate._of_scaled(den, x[tris:] + x[:tris])
 
 
 def _crossing_weights(nums) -> list:

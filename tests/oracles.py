@@ -17,16 +17,16 @@ rows with every triangle column split into a nonnegative pair, so the
 solver's projection of the triangle columns is checked against a
 program that never projects.  The simplex itself is kept here over
 sparse rows of Fractions, so that the integer tableau can be checked to
-take the same pivots.  So are the normal-coordinate formulas, one
-Fraction at a time: membership, crossing weights, edge coefficients,
-chi*, combine and decompose, against which the integer kernels are
-checked, and the Farkas sign conditions recomputed over Fractions,
-against which the integer certificate check is.  An assignment's
-realized data is summed angle by angle, and the flat-pair test is read
-off those Fraction areas, against the int corner sums the package
-compares.  Theorem 3's move is rebuilt over Fractions too: its
-coefficients, its safe range as a plain minimum of Fraction bounds, and
-the angles at half of it.
+take the same pivots, from a start too.  So are the normal-coordinate
+formulas, one Fraction at a time: membership, crossing weights, edge
+coefficients, chi*, combine, decompose and a slice witness's
+back-substitution, against which the integer kernels are checked, and
+the Farkas sign conditions recomputed over Fractions, against which the
+integer certificate check is.  An assignment's realized data is summed
+angle by angle, and the flat-pair test is read off those Fraction
+areas, against the int corner sums the package compares.  Theorem 3's
+move is rebuilt over Fractions too: its coefficients, its safe range as
+a plain minimum of Fraction bounds, and the angles at half of it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from anglestruct import lp_core
+from anglestruct import NormalCoordinate, lp_core
 from anglestruct.lp_core import (STRICT_POS, LinearSystem, Optimum,
                                  minimize_linear)
 
@@ -461,7 +461,7 @@ def _fraction_pivot_loop(rows, basis, ncols: int, end: int):
         _fraction_pivot(rows, basis, best[3], enter)
 
 
-def fraction_simplex(sparse, rhs, cost):
+def fraction_simplex(sparse, rhs, cost, start=None):
     """lp_core._solve over a tableau of Fractions, kept to check that the
     integer tableau takes the same pivots.
 
@@ -478,6 +478,11 @@ def fraction_simplex(sparse, rhs, cost):
     rhs entry is minus the phase's cost, and at artificial column q it
     is that column's phase cost minus y_q, where y is in the scaled row
     orientation and is unscaled back to the caller's.
+
+    A start, a point of Fractions, replaces phase 1: each support column
+    in ascending order is pivoted into the lowest row that is still
+    artificial-basic and holds it, or skipped if there is none.  Then the
+    residue must be 0 and every rhs >= 0, or ValueError is raised.
     """
     k = len(sparse)
     t = len(cost)
@@ -497,8 +502,17 @@ def fraction_simplex(sparse, rhs, cost):
     rows.append({j: v for j, v in enumerate(cost) if v})
     rows.append({c: v for c, v in phase1.items() if v})
     basis = [t + i for i in range(k)]
-    _fraction_pivot_loop(rows, basis, end, end)
+    if start is None:
+        _fraction_pivot_loop(rows, basis, end, end)
+    else:
+        for j in [j for j, v in enumerate(start) if v]:
+            held = [r for r in range(k) if basis[r] >= t and j in rows[r]]
+            if held:
+                _fraction_pivot(rows, basis, held[0], j)
     obj = rows.pop()
+    if start is not None and (obj.get(end, ZERO) or any(
+            rows[r].get(end, ZERO) < 0 for r in range(k))):
+        raise ValueError("the start's support gives no feasible basis")
     if obj.get(end, ZERO) < 0:
         y = [s * (1 - obj.get(t + q, ZERO)) for q, s in enumerate(scale)]
         return {"status": "infeasible", "farkas": tuple(y)}
@@ -551,11 +565,12 @@ def _typed(res):
 @contextmanager
 def same_pivots():
     """Within the block, every lp_core._solve call is also solved by
-    fraction_simplex, on the same system given as Fractions.  The two
-    must pivot on the same (row, column) pairs in the same order, and
-    their result dicts must be identical, entry types included, once the
-    integer side's (den, ints) vectors are read out as Fractions.  Yields
-    the list of the statuses compared so far."""
+    fraction_simplex, on the same system and start given as Fractions.
+    The two must pivot on the same (row, column) pairs in the same
+    order, start pivots included, and their result dicts must be
+    identical, entry types included, once the integer side's (den, ints)
+    vectors are read out as Fractions.  Yields the list of the statuses
+    compared so far."""
     global _fraction_pivot
     integer, integer_pivot = lp_core._solve, lp_core._pivot
     fraction_pivot = _fraction_pivot
@@ -568,14 +583,15 @@ def same_pivots():
             pivot(*args)
         return step
 
-    def both(a, b, cost):
+    def both(a, b, cost, start=None):
         for log in steps.values():
             log.clear()
-        res = integer(a, b, cost)
+        res = integer(a, b, cost, start)
         den, rows = a
         expect = fraction_simplex(
             [[(c, Fraction(v, den)) for c, v in row] for row in rows],
-            _fractions(b), _fractions(cost))
+            _fractions(b), _fractions(cost),
+            None if start is None else _fractions(start))
         assert _typed(_read_out(res)) == _typed(expect), res
         assert steps[integer_pivot] == steps[fraction_pivot], res
         statuses.append(res["status"])
@@ -678,6 +694,20 @@ def quad_slice_max(t, alpha):
     if not isinstance(res, Optimum):
         raise ValueError("quad-slice program %s" % type(res).__name__)
     return -res.value
+
+
+def from_slice(sys, quads):
+    """The coordinate with the given quads, its triangles solved from the
+    compatibility echelon's triangle-led rows over Fractions, last lead
+    first, each divided by its lead, and 0 on unled columns: the
+    back-substitution that normal_coords._from_slice runs in ints."""
+    tris = 4 * sys.columns // 7
+    x = [Fraction(0)] * tris + list(quads)
+    for lead in sorted((l for l in sys._echelon if l < tris), reverse=True):
+        row = sys._echelon[lead]
+        x[lead] = -sum((v * x[c] for c, v in row.items() if c != lead),
+                       Fraction(0)) / row[lead]
+    return NormalCoordinate.from_vector(sys.columns // 7, x[tris:] + x[:tris])
 
 
 def in_solution_space(t, s) -> bool:

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
-                         ExistenceError, Fails, Holds, angle_linear_system,
-                         build_edge_classes, certify_condition2,
-                         check_corollary2, chi_area_curvature, chi_star,
-                         chi_via_lemma2, classify, find_angle_structure,
-                         find_semi_angle_structure, fixture, identity_4_9,
-                         parse_triangulation, realized_area_curvature,
-                         verify_certificate)
+                         ExistenceError, Fails, Holds, Triangulation,
+                         angle_linear_system, build_edge_classes,
+                         certify_condition2, check_corollary2,
+                         chi_area_curvature, chi_star, chi_via_lemma2,
+                         classify, find_angle_structure,
+                         find_semi_angle_structure, fixture, fixture_names,
+                         identity_4_9, parse_triangulation,
+                         realized_area_curvature, verify_certificate)
 from anglestruct import existence, lp_core
 from anglestruct.lp_core import (NONNEG, STRICT_POS, Infeasible, LPError,
                                  Solution, StrictSolution)
@@ -332,6 +333,47 @@ def test_certify_condition2_rejects_generalized_assignments():
         certify_condition2(fig8, bad)
     with pytest.raises(ExistenceError, match="assignment size does not match"):
         certify_condition2(fig8, fixture("one-tet").angles)
+
+
+def _random_closed_table(rng, n):
+    """Pair the 4n face slots at random, each pair glued by a random
+    permutation carrying one face to the other."""
+    slots = [(i, f) for i in range(n) for f in range(4)]
+    rng.shuffle(slots)
+    gluings = {}
+    for (i, f), (j, g) in zip(slots[0::2], slots[1::2]):
+        images = [w for w in range(4) if w != g]
+        rng.shuffle(images)
+        perm = [g] * 4
+        for v, w in zip((v for v in range(4) if v != f), images):
+            perm[v] = w
+        gluings[(i, f)] = (j, g, tuple(perm))
+    return Triangulation(n, gluings)
+
+
+def test_certify_condition2_runs_no_phase_1(monkeypatch):
+    # The slice's known point replaces phase 1, the pivot loop over
+    # every column up to the artificials' end (ncols == end); the one
+    # loop left is phase 2.  Counted, not timed, on the fixtures (fig8's
+    # angles on fig8-infeasible, which has none) and on a closed table
+    # of 32 tetrahedra.
+    rng = random.Random(1)
+    cases = [(fx.triangulation, fx.angles or fixture("fig8").angles)
+             for fx in map(fixture, fixture_names())]
+    cases.append((_random_closed_table(rng, 32), AngleAssignment.from_vector(
+        32, [F(rng.randint(1, 12), 36) for _ in range(6 * 32)])))
+    loop, phase_1 = lp_core._pivot_loop, []
+
+    def counted(rows, basis, ncols, end):
+        phase_1.append(ncols == end)
+        return loop(rows, basis, ncols, end)
+
+    monkeypatch.setattr(lp_core, "_pivot_loop", counted)
+    for t, alpha in cases:
+        phase_1.clear()
+        certify_condition2(t, alpha)
+        assert phase_1 == [False], t.name
+    assert len(cases) == 7
 
 
 def test_certify_condition2_never_vacuous_on_fixtures():

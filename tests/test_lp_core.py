@@ -397,3 +397,89 @@ def test_updated_row_is_reduced_by_its_gcd():
     assert oracles.fraction_simplex(oracles.fraction_rows(bad), bad.rhs,
                                     [F(0)] * 3)["farkas"] == (F(1), F(-1, 2))
     assert verify_certificate(bad, res.certificate.y)
+
+
+def test_a_start_off_the_polyhedron_is_refused():
+    # x0 + x1 = 1 and x1 + x2 = 1: (1/2, 1/2, 1/2) lies on it, and each
+    # start below fails one of the three exact checks.
+    sys = oracles.dense_system([[1, 1, 0], [0, 1, 1]], [1, 1],
+                               [NONNEG] * 3)
+    obj = [F(1), F(0), F(0)]
+    for start, why in (([F(1, 2)] * 2, "start length does not match"),
+                       ([F(1, 2)] * 4, "start length does not match"),
+                       ([2, -1, 2], "start has a negative entry"),
+                       ([1, 0, 0], "start does not solve the system"),
+                       ([F(1, 2), F(1, 2), F(1, 3)],
+                        "start does not solve the system")):
+        with pytest.raises(LPError, match=why):
+            minimize_linear(obj, sys, start=start)
+    res = minimize_linear(obj, sys, start=[F(1, 2)] * 3)
+    assert oracles.bf_minimize(obj, sys) == ("optimal", res.value)
+    assert res == Optimum(value=F(0), x=(F(0), F(1), F(0)))
+
+
+def test_a_start_whose_support_gives_no_feasible_basis_is_an_error():
+    # (1, 1, 2) solves x0 + x2 = 3, x1 - x2 = -1, but x2 = x0 - x1 in
+    # columns: x0 and x1 are pivoted in, x2 is skipped, and the basis
+    # {x0, x1} reads x1 = -1.
+    sys = oracles.dense_system([[1, 0, 1], [0, 1, -1]], [3, -1],
+                               [NONNEG] * 3)
+    with pytest.raises(LPError, match="internal error: the start's "
+                                      "support gives no feasible basis"):
+        minimize_linear([F(0)] * 3, sys, start=[1, 1, 2])
+    # Past minimize_linear's check, a start off the system leaves an
+    # artificial basic at a positive value: the residue is not 0.
+    with pytest.raises(LPError, match="internal error"):
+        lp_core._solve((1, (((0, 1),), ((1, 1),))), (1, (1, 1)),
+                       (1, (0, 0)), (1, (1, 0)))
+
+
+def test_a_start_with_a_dependent_support_column_reaches_the_optimum():
+    # Columns 0 and 1 are equal: x0 is pivoted into row 0, which leaves
+    # x1 no artificial-basic row with an entry, so x1 is skipped and the
+    # leftover artificial of row 1 is pivoted out on x2.  Phase 2 then
+    # trades x0 for the cheaper x1.
+    sys = oracles.dense_system([[1, 1, 1], [1, 1, 0]], [1, 1], [NONNEG] * 3)
+    obj = [F(2), F(1), F(0)]
+    pivots = []
+    with oracles.same_pivots() as statuses:
+        pivot = lp_core._pivot
+        lp_core._pivot = lambda rows, basis, r, j: (
+            pivots.append((r, j)), pivot(rows, basis, r, j))
+        try:
+            res = minimize_linear(obj, sys, start=[F(1, 2), F(1, 2), 0])
+        finally:
+            lp_core._pivot = pivot
+    assert statuses == ["optimal"]
+    assert pivots == [(0, 0), (1, 2), (0, 1)]
+    assert oracles.bf_minimize(obj, sys) == ("optimal", F(1))
+    assert res == Optimum(value=F(1), x=(F(0), F(1), F(0)))
+
+
+def test_minimize_from_a_feasible_start_agrees_with_brute_force():
+    # The start is the feasibility solver's own basic solution, so its
+    # support is independent; both tableaus must take the same start and
+    # phase-2 pivots.
+    rng = random.Random(2032)
+    cases = []
+    while len(cases) < 80:
+        cols = rng.randint(1, 5)
+        build = rand_system if len(cases) % 2 else rand_rational_system
+        sys = build(rng, rng.randint(1, 3), cols)
+        feasible = solve_feasibility_nonneg(sys)
+        if isinstance(feasible, Solution):
+            cases.append((sys, feasible.x, [F(rng.randint(-3, 3),
+                                              rng.randint(1, 3))
+                                            for _ in range(cols)]))
+    with oracles.same_pivots() as statuses:
+        for sys, start, obj in cases:
+            res = minimize_linear(obj, sys, start=start)
+            status, value = oracles.bf_minimize(obj, sys)
+            if status == "unbounded":
+                assert isinstance(res, Unbounded), sys
+            else:
+                assert isinstance(res, Optimum), sys
+                assert res.value == value == dot(obj, res.x), sys
+                check_solution(sys, res.x)
+    assert set(statuses) == {"optimal", "unbounded"}
+    assert len(statuses) == 80

@@ -16,8 +16,9 @@ also check the semi and strict solvers against brute-force
 enumeration, and every closed table checks the quad-slice
 certification, which projects the triangle columns away, against the
 unprojected program with each triangle column split in two.  The angle
-systems of every table, in both modes, and the quad-slice program are
-also solved over the Fraction tableau, which must give the same results.
+systems of every table, in both modes, and the quad-slice program, from
+the slice's known point, are also solved over the Fraction tableau,
+which must take the same pivots and give the same results.
 Every table also checks the integer normal-coordinate kernels
 (membership, crossing weights, edge coefficients, z and chi*) against
 their Fraction formulas, on a point of the solution space and on a
@@ -33,7 +34,10 @@ its readings.  A fourth checks the int decompose, membership and
 Theorem 3 against their Fraction oracles on fig8 with 1 to 6 stacked
 flat tetrahedra and on closed tables with no folded edge: a combined
 point and that point bumped at one disk type, and a flat pair built
-from strict host tetrahedra and flat ones.
+from strict host tetrahedra and flat ones.  A fifth checks, on closed
+tables and tables with boundary of up to 8 tetrahedra, that every
+triangle-led row of the compatibility echelon leads with 1 and that the
+int back-substitution of a slice witness equals the Fraction one.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from anglestruct import existence
 from anglestruct._rational import scaled
 from anglestruct.angle_structures import _quad_areas
 from anglestruct.normal_coords import (NormalCoordinateError,
-                                       _crossing_weights, _edge_sums)
+                                       _crossing_weights, _edge_sums,
+                                       _from_slice, _quad_slice)
 from anglestruct.perturbation import (PerturbationError, apply_theorem3,
                                       max_perturbation_parameter)
 
@@ -103,6 +108,27 @@ def test_edge_classes_are_their_least_readings(kind, data):
             for e in build_edge_classes(t)] == [
         (n, corners, boundary) for n, (corners, boundary)
         in enumerate(oracles.least_edge_readings(t))]
+
+
+@pytest.mark.parametrize("kind", ["closed", "boundary"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_slice_witness_in_ints_equals_the_fraction_one(kind, data):
+    # _from_slice divides by no lead: each triangle-led row leads with 1.
+    # On the slice's known point, whose witness lies in the solution
+    # space, and on any rational quads, it must give the coordinate the
+    # Fraction back-substitution gives, with its scaled form kept.
+    t = data.draw(TABLE_KINDS[kind])
+    csys = t.compatibility_system
+    tris = 4 * t.tet_count
+    assert all(row[lead] == 1 for lead, row in csys._echelon.items()
+               if lead < tris)
+    point = _quad_slice(csys)[2]
+    for quads in (point, data.draw(rationals(3 * t.tet_count))):
+        w = _from_slice(csys, quads)
+        assert w == oracles.from_slice(csys, quads)
+        assert w._scaled == scaled(w.quads + w.tris)
+    assert is_in_solution_space(csys, _from_slice(csys, point))
 
 
 def rationals(count):
@@ -257,7 +283,9 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     den, areas = _quad_areas(alpha)
     assert [Fraction(a, den) for a in areas] == oracles.quad_areas(alpha, n)
     # certify_condition2 projects the triangle columns away; the oracle
-    # keeps them, each split into a nonnegative pair.
+    # keeps them, each split into a nonnegative pair.  Its one LP starts
+    # from the slice's known point on both tableaus, which must take the
+    # same start pivots and the same phase-2 pivots.
     with oracles.same_pivots() as statuses:
         cert = certify_condition2(t, alpha)
     assert len(statuses) == 1

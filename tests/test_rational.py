@@ -119,6 +119,9 @@ ENTRY_POINTS = {
     "minimize_linear": (
         LPError, "minimize_linear objective", 1,
         lambda x: minimize_linear([0, x], _system())),
+    "minimize_linear-start": (
+        LPError, "minimize_linear start", 1,
+        lambda x: minimize_linear([0, 0], _system(), start=[1, x])),
     "verify_certificate": (
         LPError, "verify_certificate y", 0,
         lambda x: verify_certificate(_system(), [x])),
