@@ -38,6 +38,9 @@ class AngleAssignment:
     def __post_init__(self):
         object.__setattr__(self, "angles", exact(
             "AngleAssignment angles", self.angles, AngleStructureError))
+        if len(self.angles) % 6:
+            raise AngleStructureError(
+                "%d angles are not 6n" % len(self.angles))
 
     @classmethod
     def from_vector(cls, tet_count: int, vec):

@@ -307,7 +307,7 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     leaves the pivots and the optimizer alone.  The slice holds the quad
     part of -W_sigma_0 / 3 (1/3 on tet 0's quads, -1/3 on its
     triangles), and the LP starts from that point, checked exactly, with
-    no phase 1.
+    phase 1 priced over that point's three quads.
     """
     _check_semi(alpha, t, ExistenceError)
     rows, rhs, point = _quad_slice(t.compatibility_system)

@@ -22,9 +22,9 @@ of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
 from zero by the largest possible epsilon), and linear minimization over
 the same polyhedra.  Minimization may start from a known point of the
-polyhedron, checked exactly against the system's ints: its support is
-pivoted into the artificial basis in place of phase 1, and the residue
-read off the phase-1 row must then be 0.  All three refuse with one
+polyhedron, checked exactly against the system's ints: phase 1 then
+prices only the columns of its support, and so ends at residue 0, since
+the point solves that smaller program.  All three refuse with one
 type, Infeasible, whose Farkas vector y a separate routine re-verifies
 by plain recomputation, as int sums over the system's int form and
 against its column signs, which alone say whether no x >= 0 or no x > 0
@@ -198,17 +198,17 @@ def _leaving(candidates):
     return None if best is None else best[3]
 
 
-def _pivot_loop(rows, basis, ncols: int, end: int):
+def _pivot_loop(rows, basis, cols, end: int):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
-    Entering variable: lowest-index column below ncols with negative
+    Entering variable: the lowest-index column in cols with negative
     reduced cost in the objective row.  Leaving variable: minimum ratio
     of the rhs column end over the constraint rows, the rows basic below
     end, ties broken by the lowest basic variable index.  Returns None
     at optimality, else the entering column of an unbounded ray.
     """
     while True:
-        enter = min((j for j, v in rows[-1].items() if v < 0 and j < ncols),
+        enter = min((j for j, v in rows[-1].items() if v < 0 and j in cols),
                     default=None)
         if enter is None:
             return None
@@ -268,7 +268,7 @@ def _basic_values(rows, basis, t: int, col: int) -> tuple:
     return den, ints
 
 
-def _solve(a, b, cost, start=None):
+def _solve(a, b, cost, cols=None):
     """Two-phase simplex for min c.x, A x = b, x >= 0.
 
     The tableau is exact and fraction-free: each row is a dict of its
@@ -290,33 +290,16 @@ def _solve(a, b, cost, start=None):
     cost minus y_q, where y is in the sign-scaled row orientation and is
     unscaled back to the caller's.
 
-    A start, a (den, ints) point that solves the system, replaces phase
-    1: its support columns, in ascending order, are each pivoted into
-    the lowest constraint row that is still artificial-basic and has an
-    entry there, and a column with no such row is skipped.  The phase-1
-    row must then read residue 0 and every rhs be >= 0, or LPError is
-    raised: a start off the system leaves a residue, and a skipped
-    column can leave the columns pivoted in a negative value.  From
-    there phase 2 runs as after phase 1.
+    Phase 1 prices the columns in cols, every real and artificial one by
+    default; phase 2 prices every real column.
     """
     rows, basis, scale = _tableau(a, b, cost)
     k = len(scale)
     t = len(cost[1])
     end = t + k
-    if start is None:
-        _pivot_loop(rows, basis, end, end)
-    else:
-        for j in [j for j, v in enumerate(start[1]) if v]:
-            r = min((r for r in range(k) if basis[r] >= t and j in rows[r]),
-                    default=None)
-            if r is not None:
-                _pivot(rows, basis, r, j)
+    _pivot_loop(rows, basis, range(end) if cols is None else cols, end)
     obj = rows.pop()
     den = obj[basis.pop()]
-    if start is not None and (obj.get(end, 0) or any(
-            row.get(end, 0) < 0 for row in rows[:k])):
-        raise LPError("internal error: the start's support gives no "
-                      "feasible basis")
     if obj.get(end, 0) < 0:
         y = [s * (den - obj.get(t + q, 0)) for q, s in enumerate(scale)]
         return {"status": "infeasible", "farkas": (den, y)}
@@ -330,7 +313,7 @@ def _solve(a, b, cost, start=None):
             if piv is not None:
                 _pivot(rows, basis, r, piv)
 
-    enter = _pivot_loop(rows, basis, t, end)
+    enter = _pivot_loop(rows, basis, range(t), end)
     obj = rows.pop()
     den = obj[basis.pop()]
     if enter is not None:
@@ -427,16 +410,22 @@ def minimize_linear(objective, sys: LinearSystem, start=None):
     """Exact minimum of objective.x over {A x = b, x >= 0}.
 
     With a start, a point of that polyhedron checked exactly here (any
-    failure raises LPError), the simplex runs from it with no phase 1.
+    failure raises LPError), phase 1 prices only the start's support.
+    The start solves that restricted program, so Bland's rule ends it at
+    residue 0; a residue left there is an internal LPError.
     """
     cost = exact_scaled("minimize_linear objective", objective, LPError)
     if len(cost[1]) != sys.col_count:
         raise LPError("objective length does not match column count")
     _nonneg(sys)
+    cols = None
     if start is not None:
-        start = _checked_start(sys, start)
-    res = _solve(sys.scaled_rows, sys.scaled_rhs, cost, start)
+        cols = {j for j, v in enumerate(_checked_start(sys, start)[1]) if v}
+    res = _solve(sys.scaled_rows, sys.scaled_rhs, cost, cols)
     if res["status"] == "infeasible":
+        if cols is not None:
+            raise LPError("internal error: phase 1 over the start's "
+                          "support left a residue")
         return Infeasible(certificate=_verified(sys, res["farkas"]))
     if res["status"] == "unbounded":
         return Unbounded(ray=unscaled(*res["ray"])[0])

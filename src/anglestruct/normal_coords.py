@@ -456,6 +456,12 @@ def decompose(t: Triangulation, s: NormalCoordinate,
     """
     if basis is None:
         basis = solution_space_basis(t)
+    if (len(basis.w_sigma), len(basis.w_edge)) != \
+            (t.tet_count, len(t.edge_classes)):
+        raise NormalCoordinateError(
+            "basis has %d tetrahedral and %d edge vectors, not %d and %d"
+            % (len(basis.w_sigma), len(basis.w_edge), t.tet_count,
+               len(t.edge_classes)))
     _check_member(t, s)
     den, nums = s._scaled
     valences = lcm(*(e.valence for e in t.edge_classes))

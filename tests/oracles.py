@@ -17,16 +17,17 @@ rows with every triangle column split into a nonnegative pair, so the
 solver's projection of the triangle columns is checked against a
 program that never projects.  The simplex itself is kept here over
 sparse rows of Fractions, so that the integer tableau can be checked to
-take the same pivots, from a start too.  So are the normal-coordinate
-formulas, one Fraction at a time: membership, crossing weights, edge
-coefficients, chi*, combine, decompose and a slice witness's
-back-substitution, against which the integer kernels are checked, and
-the Farkas sign conditions recomputed over Fractions, against which the
-integer certificate check is.  An assignment's realized data is summed
-angle by angle, and the flat-pair test is read off those Fraction
-areas, against the int corner sums the package compares.  Theorem 3's
-move is rebuilt over Fractions too: its coefficients, its safe range as
-a plain minimum of Fraction bounds, and the angles at half of it.
+take the same pivots, with phase 1 priced over a start's support too.
+So are the normal-coordinate formulas, one Fraction at a time:
+membership, crossing weights, edge coefficients, chi*, combine,
+decompose and a slice witness's back-substitution, against which the
+integer kernels are checked, and the Farkas sign conditions recomputed
+over Fractions, against which the integer certificate check is.  An
+assignment's realized data is summed angle by angle, and the flat-pair
+test is read off those Fraction areas, against the int corner sums the
+package compares.  Theorem 3's move is rebuilt over Fractions too: its
+coefficients, its safe range as a plain minimum of Fraction bounds, and
+the angles at half of it.
 """
 
 from __future__ import annotations
@@ -431,19 +432,19 @@ def _fraction_pivot(rows, basis, r: int, j: int) -> None:
     basis[r] = j
 
 
-def _fraction_pivot_loop(rows, basis, ncols: int, end: int):
+def _fraction_pivot_loop(rows, basis, cols, end: int):
     """Run Bland-rule simplex to optimality or an unbounded column.
 
     The objective row is rows[-1] and the constraint rows are the first
-    len(basis), with their rhs at column end.  Entering variable:
-    lowest-index column below ncols with negative reduced cost in the
+    len(basis), with their rhs at column end.  Entering variable: the
+    lowest-index column in cols with negative reduced cost in the
     objective row.  Leaving variable: minimum ratio, ties broken by the
     lowest basic variable index.  Returns None at optimality, else the
     entering column of an unbounded ray.
     """
     while True:
         enter = min((j for j, v in rows[-1].items()
-                     if j < ncols and v.numerator < 0), default=None)
+                     if j in cols and v.numerator < 0), default=None)
         if enter is None:
             return None
         best = None
@@ -461,7 +462,7 @@ def _fraction_pivot_loop(rows, basis, ncols: int, end: int):
         _fraction_pivot(rows, basis, best[3], enter)
 
 
-def fraction_simplex(sparse, rhs, cost, start=None):
+def fraction_simplex(sparse, rhs, cost, cols=None):
     """lp_core._solve over a tableau of Fractions, kept to check that the
     integer tableau takes the same pivots.
 
@@ -479,10 +480,8 @@ def fraction_simplex(sparse, rhs, cost, start=None):
     is that column's phase cost minus y_q, where y is in the scaled row
     orientation and is unscaled back to the caller's.
 
-    A start, a point of Fractions, replaces phase 1: each support column
-    in ascending order is pivoted into the lowest row that is still
-    artificial-basic and holds it, or skipped if there is none.  Then the
-    residue must be 0 and every rhs >= 0, or ValueError is raised.
+    Phase 1 prices the columns in cols, every real and artificial one by
+    default, and phase 2 every real column.
     """
     k = len(sparse)
     t = len(cost)
@@ -502,17 +501,9 @@ def fraction_simplex(sparse, rhs, cost, start=None):
     rows.append({j: v for j, v in enumerate(cost) if v})
     rows.append({c: v for c, v in phase1.items() if v})
     basis = [t + i for i in range(k)]
-    if start is None:
-        _fraction_pivot_loop(rows, basis, end, end)
-    else:
-        for j in [j for j, v in enumerate(start) if v]:
-            held = [r for r in range(k) if basis[r] >= t and j in rows[r]]
-            if held:
-                _fraction_pivot(rows, basis, held[0], j)
+    _fraction_pivot_loop(rows, basis, range(end) if cols is None else cols,
+                         end)
     obj = rows.pop()
-    if start is not None and (obj.get(end, ZERO) or any(
-            rows[r].get(end, ZERO) < 0 for r in range(k))):
-        raise ValueError("the start's support gives no feasible basis")
     if obj.get(end, ZERO) < 0:
         y = [s * (1 - obj.get(t + q, ZERO)) for q, s in enumerate(scale)]
         return {"status": "infeasible", "farkas": tuple(y)}
@@ -526,7 +517,7 @@ def fraction_simplex(sparse, rhs, cost, start=None):
             if piv is not None:
                 _fraction_pivot(rows, basis, r, piv)
 
-    enter = _fraction_pivot_loop(rows, basis, t, end)
+    enter = _fraction_pivot_loop(rows, basis, range(t), end)
     obj = rows[-1]
     if enter is not None:
         ray = [ZERO] * t
@@ -565,9 +556,9 @@ def _typed(res):
 @contextmanager
 def same_pivots():
     """Within the block, every lp_core._solve call is also solved by
-    fraction_simplex, on the same system and start given as Fractions.
-    The two must pivot on the same (row, column) pairs in the same
-    order, start pivots included, and their result dicts must be
+    fraction_simplex, on the same system given as Fractions and the same
+    phase-1 columns.  The two must pivot on the same (row, column) pairs
+    in the same order, and their result dicts must be
     identical, entry types included, once the integer side's (den, ints)
     vectors are read out as Fractions.  Yields the list of the statuses
     compared so far."""
@@ -583,15 +574,14 @@ def same_pivots():
             pivot(*args)
         return step
 
-    def both(a, b, cost, start=None):
+    def both(a, b, cost, cols=None):
         for log in steps.values():
             log.clear()
-        res = integer(a, b, cost, start)
+        res = integer(a, b, cost, cols)
         den, rows = a
         expect = fraction_simplex(
             [[(c, Fraction(v, den)) for c, v in row] for row in rows],
-            _fractions(b), _fractions(cost),
-            None if start is None else _fractions(start))
+            _fractions(b), _fractions(cost), cols)
         assert _typed(_read_out(res)) == _typed(expect), res
         assert steps[integer_pivot] == steps[fraction_pivot], res
         statuses.append(res["status"])

@@ -217,3 +217,8 @@ def test_assignment_accessors():
     assert alpha.tet_count == 2
     with pytest.raises(AngleStructureError):
         AngleAssignment.from_vector(2, [F(1)] * 7)
+    # 13 angles would read as 2 tets, pass fig8's size check and index
+    # past the angles; they are refused as a coordinate refuses a split
+    # that is not 3n and 4n.
+    with pytest.raises(AngleStructureError, match="13 angles are not 6n"):
+        AngleAssignment(angles=[F(1, 3)] * 13)

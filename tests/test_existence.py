@@ -351,10 +351,11 @@ def _random_closed_table(rng, n):
     return Triangulation(n, gluings)
 
 
-def test_certify_condition2_runs_no_phase_1(monkeypatch):
-    # The slice's known point replaces phase 1, the pivot loop over
-    # every column up to the artificials' end (ncols == end); the one
-    # loop left is phase 2.  Counted, not timed, on the fixtures (fig8's
+def test_certify_condition2_prices_phase_1_over_tet_0_quads(monkeypatch):
+    # The slice's known point is 1/3 on tet 0's three quads, so phase 1
+    # prices those three columns alone, in at most three pivots here;
+    # phase 2 prices every quad.  No loop prices every column up to the
+    # artificials' end.  Counted, not timed, on the fixtures (fig8's
     # angles on fig8-infeasible, which has none) and on a closed table
     # of 32 tetrahedra.
     rng = random.Random(1)
@@ -362,17 +363,29 @@ def test_certify_condition2_runs_no_phase_1(monkeypatch):
              for fx in map(fixture, fixture_names())]
     cases.append((_random_closed_table(rng, 32), AngleAssignment.from_vector(
         32, [F(rng.randint(1, 12), 36) for _ in range(6 * 32)])))
-    loop, phase_1 = lp_core._pivot_loop, []
+    loop, pivot = lp_core._pivot_loop, lp_core._pivot
+    calls, pivots = [], []
 
-    def counted(rows, basis, ncols, end):
-        phase_1.append(ncols == end)
-        return loop(rows, basis, ncols, end)
+    def counted(rows, basis, cols, end):
+        before = len(pivots)
+        enter = loop(rows, basis, cols, end)
+        calls.append((cols, end, len(pivots) - before))
+        return enter
+
+    def logged(*args):
+        pivots.append(args[-1])
+        pivot(*args)
 
     monkeypatch.setattr(lp_core, "_pivot_loop", counted)
+    monkeypatch.setattr(lp_core, "_pivot", logged)
     for t, alpha in cases:
-        phase_1.clear()
+        calls.clear()
         certify_condition2(t, alpha)
-        assert phase_1 == [False], t.name
+        assert len(calls) == 2, t.name
+        (first, _, made), (second, _, _) = calls
+        assert first == {0, 1, 2} and made <= 3, (t.name, calls)
+        assert second == range(3 * t.tet_count), t.name
+        assert all(cols != range(end) for cols, end, _ in calls), t.name
     assert len(cases) == 7
 
 

@@ -418,27 +418,42 @@ def test_a_start_off_the_polyhedron_is_refused():
     assert res == Optimum(value=F(0), x=(F(0), F(1), F(0)))
 
 
-def test_a_start_whose_support_gives_no_feasible_basis_is_an_error():
-    # (1, 1, 2) solves x0 + x2 = 3, x1 - x2 = -1, but x2 = x0 - x1 in
-    # columns: x0 and x1 are pivoted in, x2 is skipped, and the basis
-    # {x0, x1} reads x1 = -1.
+def test_a_start_whose_support_is_dependent_is_taken():
+    # (1, 1, 2) solves x0 + x2 = 3, x1 - x2 = -1, and its support is
+    # dependent: column 2 is column 0 minus column 1.  Phase 1 priced
+    # over that support ends at residue 0, and phase 2 reaches the
+    # optimum the simplex finds with no start.
     sys = oracles.dense_system([[1, 0, 1], [0, 1, -1]], [3, -1],
                                [NONNEG] * 3)
-    with pytest.raises(LPError, match="internal error: the start's "
-                                      "support gives no feasible basis"):
-        minimize_linear([F(0)] * 3, sys, start=[1, 1, 2])
-    # Past minimize_linear's check, a start off the system leaves an
-    # artificial basic at a positive value: the residue is not 0.
-    with pytest.raises(LPError, match="internal error"):
-        lp_core._solve((1, (((0, 1),), ((1, 1),))), (1, (1, 1)),
-                       (1, (0, 0)), (1, (1, 0)))
+    obj = [F(1)] * 3
+    with oracles.same_pivots() as statuses:
+        res = minimize_linear(obj, sys, start=[1, 1, 2])
+    assert statuses == ["optimal"]
+    assert oracles.bf_minimize(obj, sys) == ("optimal", F(3))
+    assert res == minimize_linear(obj, sys) == Optimum(
+        value=F(3), x=(F(2), F(0), F(1)))
+
+
+def test_a_residue_left_by_a_start_is_an_internal_error(monkeypatch):
+    # (1, 0, 0) is off x0 + x1 = 1, x1 + x2 = 1, so the exact check
+    # refuses it.  Let through, phase 1 over its support {0} leaves row
+    # 1's artificial basic at 1, which no certificate can stand for.
+    sys = oracles.dense_system([[1, 1, 0], [0, 1, 1]], [1, 1],
+                               [NONNEG] * 3)
+    with pytest.raises(LPError, match="start does not solve the system"):
+        minimize_linear([F(0)] * 3, sys, start=[1, 0, 0])
+    monkeypatch.setattr(lp_core, "_checked_start",
+                        lambda sys, start: (1, tuple(start)))
+    with pytest.raises(LPError, match="internal error: phase 1 over the "
+                                      "start's support left a residue"):
+        minimize_linear([F(0)] * 3, sys, start=[1, 0, 0])
 
 
 def test_a_start_with_a_dependent_support_column_reaches_the_optimum():
-    # Columns 0 and 1 are equal: x0 is pivoted into row 0, which leaves
-    # x1 no artificial-basic row with an entry, so x1 is skipped and the
-    # leftover artificial of row 1 is pivoted out on x2.  Phase 2 then
-    # trades x0 for the cheaper x1.
+    # Columns 0 and 1 are equal.  Phase 1, priced over the support
+    # {0, 1}, enters x0 in row 0 and ends at residue 0 with x1 priced at
+    # 0; the leftover artificial of row 1 is pivoted out on x2.  Phase 2
+    # then trades x0 for the cheaper x1.
     sys = oracles.dense_system([[1, 1, 1], [1, 1, 0]], [1, 1], [NONNEG] * 3)
     obj = [F(2), F(1), F(0)]
     pivots = []
@@ -457,20 +472,33 @@ def test_a_start_with_a_dependent_support_column_reaches_the_optimum():
 
 
 def test_minimize_from_a_feasible_start_agrees_with_brute_force():
-    # The start is the feasibility solver's own basic solution, so its
-    # support is independent; both tableaus must take the same start and
-    # phase-2 pivots.
+    # The first 80 starts are the feasibility solver's own basic
+    # solutions, so their supports are independent.  The next 80 are
+    # midpoints of two different basic feasible solutions u and v: no
+    # vertex, and a dependent support, since u - v is a nonzero kernel
+    # vector on it.  Phase 1 over each support must take its start, and
+    # both tableaus must take the same phase-1 and phase-2 pivots.
     rng = random.Random(2032)
     cases = []
-    while len(cases) < 80:
+    while len(cases) < 160:
         cols = rng.randint(1, 5)
         build = rand_system if len(cases) % 2 else rand_rational_system
         sys = build(rng, rng.randint(1, 3), cols)
-        feasible = solve_feasibility_nonneg(sys)
-        if isinstance(feasible, Solution):
-            cases.append((sys, feasible.x, [F(rng.randint(-3, 3),
-                                              rng.randint(1, 3))
-                                            for _ in range(cols)]))
+        if len(cases) < 80:
+            feasible = solve_feasibility_nonneg(sys)
+            if not isinstance(feasible, Solution):
+                continue
+            start = feasible.x
+        else:
+            vertices = [x for x in oracles._basic_solutions(sys.coeffs,
+                                                            list(sys.rhs))
+                        if all(v >= 0 for v in x)]
+            if len(vertices) < 2:
+                continue
+            u, v = rng.sample(vertices, 2)
+            start = [(a + b) / 2 for a, b in zip(u, v)]
+        cases.append((sys, start, [F(rng.randint(-3, 3), rng.randint(1, 3))
+                                   for _ in range(cols)]))
     with oracles.same_pivots() as statuses:
         for sys, start, obj in cases:
             res = minimize_linear(obj, sys, start=start)
@@ -482,4 +510,4 @@ def test_minimize_from_a_feasible_start_agrees_with_brute_force():
                 assert res.value == value == dot(obj, res.x), sys
                 check_solution(sys, res.x)
     assert set(statuses) == {"optimal", "unbounded"}
-    assert len(statuses) == 80
+    assert len(statuses) == 160

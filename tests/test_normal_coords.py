@@ -201,6 +201,18 @@ def test_decompose_rejects_vectors_outside_the_space():
         decompose(fig8, bad)
 
 
+def test_decompose_refuses_another_triangulations_basis():
+    # fig8-flat1's basis has 3 tetrahedral vectors for fig8's 2 tets,
+    # which would index past fig8's coordinate.
+    fig8 = fixture("fig8").triangulation
+    s = combine(solution_space_basis(fig8), [1, 2], [0, 1])
+    other = solution_space_basis(fixture("fig8-flat1").triangulation)
+    with pytest.raises(NormalCoordinateError,
+                       match="basis has 3 tetrahedral and 2 edge vectors, "
+                             "not 2 and 2"):
+        decompose(fig8, s, other)
+
+
 def test_normal_coordinate_arithmetic():
     # combine adds the scaled basis vectors entry by entry.
     fig8 = fixture("fig8").triangulation

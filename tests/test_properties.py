@@ -285,7 +285,8 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     # certify_condition2 projects the triangle columns away; the oracle
     # keeps them, each split into a nonnegative pair.  Its one LP starts
     # from the slice's known point on both tableaus, which must take the
-    # same start pivots and the same phase-2 pivots.
+    # same phase-1 pivots over that point's support and the same phase-2
+    # pivots.
     with oracles.same_pivots() as statuses:
         cert = certify_condition2(t, alpha)
     assert len(statuses) == 1
