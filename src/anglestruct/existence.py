@@ -379,9 +379,10 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     For s built from the canonical basis as sum omega_i W_sigma_i +
     sum z_j W_e_j, the left side is the pairing (h, z).(a, b) and the
     right side is chi*(s) - chi^(A,k)(s) plus half the edge-incidence
-    correction sum of (z_j + h at the two corner endpoints) times
-    (the two corner targets minus 2*pi).  Both sides are returned for
-    the caller to compare; no equality is assumed here.
+    correction: over each class's distinct corners, (mult * z_j + h at
+    the two corner endpoints) times (the two corner targets minus 2*pi),
+    mult being 2 at a folded corner, which z counts once.  Both sides
+    are returned for the caller to compare; no equality is assumed here.
     """
     _check_semi(alpha, t, ExistenceError)
     n = t.tet_count
@@ -391,6 +392,8 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     omega = exact("identity_4_9 omega", omega, ExistenceError)
     if len(h) != 4 * n or len(z) != m or len(omega) != n:
         raise ExistenceError("h, z, omega sizes do not match")
+    if t.boundary_faces():
+        raise ExistenceError("the basis needs a table without boundary faces")
     ac = realized_area_curvature(alpha, t)
     a = [ac.area[c] + 1 for c in range(4 * n)]
     b = [2 - ac.curvature[j] for j in range(m)]
@@ -399,9 +402,10 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     s = combine(solution_space_basis(t), omega, z)
     correction = Fraction(0)
     for cls in t.edge_classes:
-        for i, k in cls.corners:
+        for i, k in set(cls.corners):
             l1, l2 = EDGE_VERTICES[k]
-            correction += (z[cls.index] + h[4 * i + l1] + h[4 * i + l2]) * \
-                (a[4 * i + l1] + a[4 * i + l2] - 2)
+            mult = cls.corners.count((i, k))
+            correction += (mult * z[cls.index] + h[4 * i + l1] +
+                           h[4 * i + l2]) * (a[4 * i + l1] + a[4 * i + l2] - 2)
     rhs = chi_star(t, s) - chi_area_curvature(t, s, ac) + correction / 2
     return (lhs, rhs)

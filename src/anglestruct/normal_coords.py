@@ -234,12 +234,18 @@ def _crossing_weights(nums) -> list:
     return out
 
 
-def _edge_sums(nums, edge_classes) -> list:
-    """For each edge class, the crossing weights of a scaled coordinate
-    summed over the class's corners, with multiplicity, from one crossing
-    list."""
+def _edge_sums(nums, edge_classes) -> tuple:
+    """(v, ints), the one edge tally of a scaled coordinate: v is the lcm
+    of the valences, and ints[e] is class e's crossing weights summed
+    over its distinct corners, times v / valence, so z_e is ints[e] /
+    (2 v den).  A folded class lists each corner twice; matching an
+    angle's coefficient in chi^(A,k), directly and through Lemma 2,
+    gives mult * z_e = w / 2 at a corner of crossing weight w, so each
+    distinct corner counts once."""
     w = _crossing_weights(nums)
-    return [sum(w[6 * i + k] for i, k in e.corners) for e in edge_classes]
+    v = lcm(*(e.valence for e in edge_classes))
+    return v, [v // e.valence * sum(w[6 * i + k] for i, k in set(e.corners))
+               for e in edge_classes]
 
 
 def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
@@ -253,8 +259,8 @@ def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
     for each tet-edge it crosses.  For an embedded surface the total is
     the surface's Euler characteristic.
 
-    A folded edge lists a corner twice, and its valence counts it twice,
-    but the corner is one tet-edge: its crossing weight is counted once.
+    The edge term is the edge tally of `_edge_sums`, the one z reads: a
+    folded corner, listed twice, is one tet-edge and is counted once.
     """
     n = t.tet_count
     den, nums = s._scaled
@@ -262,33 +268,29 @@ def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
         raise NormalCoordinateError(
             "coordinate has %d entries, triangulation needs %d"
             % (len(nums), 7 * n))
-    w = _crossing_weights(nums)
-    v = lcm(*(e.valence for e in t.edge_classes))
-    edges = sum(v // e.valence * sum(w[6 * i + k]
-                                     for i, k in set(e.corners))
-                for e in t.edge_classes)
+    v, edges = _edge_sums(nums, t.edge_classes)
     # Boundary face (i, f) is an arc of each tet-i disk but triangle f.
     disks = 2 * sum(nums[:3 * n]) + sum(nums[3 * n:])
     for i, f in t.boundary_faces():
         tris = nums[3 * n + 4 * i:3 * n + 4 * i + 4]
         disks += sum(nums[3 * i:3 * i + 3]) + sum(tris) - tris[f]
-    return Fraction(2 * edges - v * disks, 2 * den * v)
+    return Fraction(2 * sum(edges) - v * disks, 2 * den * v)
 
 
 def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
     """The edge coefficient of s at edge class e.
 
-    Averages, over the corners identified to e (with multiplicity), the
-    crossing weight of that tet-edge.  For an embedded surface this is
-    half the number of intersections with e.
+    The crossing weights of e's distinct corners over twice e's valence,
+    as `_edge_sums` tallies them.  For an embedded surface this is half
+    the number of intersections with e.
     """
     if e not in t.edge_classes:
         raise NormalCoordinateError(
             "%r is not an edge class of the triangulation" % (e,))
     _check_member(t, s)
     den, nums = s._scaled
-    (total,) = _edge_sums(nums, (e,))
-    return Fraction(total, 2 * e.valence * den)
+    v, (total,) = _edge_sums(nums, (e,))
+    return Fraction(total, 2 * v * den)
 
 
 def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
@@ -297,7 +299,7 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
 
     (1/2pi) (sum_t y_t A_t + sum_j 2 z_j(s) kappa_j); with areas and
     curvatures in units of pi the pi factors cancel and the value is an
-    exact rational.  It is summed as one int, z_j being E_j / 2 valence_j.
+    exact rational, summed as one int over the edge tally's denominator.
     """
     n, edge_classes = t.tet_count, t.edge_classes
     if len(ac.area) != 4 * n or len(ac.curvature) != len(edge_classes):
@@ -305,10 +307,9 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
     _check_member(t, s, AngleStructureError)
     den, nums = s._scaled
     aden, ints = scaled(ac.area + ac.curvature)
-    v = lcm(*(e.valence for e in edge_classes))
+    v, edges = _edge_sums(nums, edge_classes)
     total = v * sum(map(mul, nums[3 * n:], ints[:4 * n])) + sum(
-        k * (v // e.valence) * x for e, k, x in
-        zip(edge_classes, ints[4 * n:], _edge_sums(nums, edge_classes)))
+        map(mul, ints[4 * n:], edges))
     return Fraction(total, 2 * den * aden * v)
 
 
@@ -337,7 +338,8 @@ class SolutionBasis:
     triangles, -1 on its three quads.  ``w_edge[j]`` weights each triangle
     by how many of its corner's tet-edges lie in t.edge_classes[j] and
     each quad by minus the number of its separated pair in class j; the
-    edge coefficients of w_edge[j] under z_functional are exactly delta_jk.
+    edge coefficients of w_edge[j] under z_functional, which counts a
+    folded corner once, are exactly delta_jk.
     """
     w_sigma: tuple
     w_edge: tuple
@@ -363,12 +365,12 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
     """Construct and exhaustively verify the tetrahedra-and-edges basis.
 
     Requires a triangulation without boundary faces.  Verification checks
-    membership of every vector in the solution space, the delta property
-    of the edge vectors under z_functional, vanishing of z on the
-    tetrahedral vectors (together these imply linear independence), and
-    that the count n+m matches the solution space dimension; any failure
-    raises BasisVerificationError rather than returning a bad basis.
-    Each vector's m edge coefficients come from one crossing list.
+    each vector's membership in the solution space and its m edge
+    coefficients, read off one edge tally: 0 on a tetrahedral vector,
+    delta_jk on edge vector j (together these imply linear independence);
+    then that the count n+m matches the solution space dimension.  Any
+    failure raises BasisVerificationError rather than returning a bad
+    basis.
     """
     if t.boundary_faces():
         raise BasisVerificationError(
@@ -385,25 +387,18 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
                                 [(i, min(k, 5 - k)) for i, k in cls.corners])
                    for cls in edge_classes)
 
-    for name, vecs in (("tetrahedral", w_sigma), ("edge", w_edge)):
-        for idx, w in enumerate(vecs):
-            if not is_in_solution_space(sys, w):
-                raise BasisVerificationError(
-                    "%s vector %d is not in the solution space" % (name, idx))
-    # An edge coefficient is its edge sum over 2 * valence * den, so it
-    # is 0 or 1 exactly when the sum is 0 or that divisor.
-    for w in w_sigma:
-        if any(_edge_sums(w._scaled[1], edge_classes)):
+    # Edge coefficient k is ints[k] / (2 v den): delta at k = j - n.
+    for j, w in enumerate(w_sigma + w_edge):
+        name = ("tetrahedral vector %d" % j if j < n
+                else "edge vector %d" % (j - n))
+        if not is_in_solution_space(sys, w):
             raise BasisVerificationError(
-                "tetrahedral vector has nonzero edge coefficient")
-    for j, w in enumerate(w_edge):
+                "%s is not in the solution space" % name)
         den, nums = w._scaled
-        for cls, total in zip(edge_classes, _edge_sums(nums, edge_classes)):
-            want = 2 * cls.valence * den if cls.index == j else 0
-            if total != want:
-                raise BasisVerificationError(
-                    "edge vector %d has wrong coefficient at edge %d"
-                    % (j, cls.index))
+        v, ints = _edge_sums(nums, edge_classes)
+        if ints != [2 * v * den * (k == j - n) for k in range(m)]:
+            raise BasisVerificationError(
+                "%s has wrong edge coefficients" % name)
     # Independent: z reads off edge weights; tet vectors have disjoint support.
     if sys.columns - sys.rank != n + m:
         raise BasisVerificationError(
@@ -464,10 +459,8 @@ def decompose(t: Triangulation, s: NormalCoordinate,
                len(t.edge_classes)))
     _check_member(t, s)
     den, nums = s._scaled
-    valences = lcm(*(e.valence for e in t.edge_classes))
-    zden = 2 * den * valences
-    z = [total * (valences // e.valence) for total, e in
-         zip(_edge_sums(nums, t.edge_classes), t.edge_classes)]
+    v, z = _edge_sums(nums, t.edge_classes)
+    zden = 2 * den * v
     z_terms = [(zden, x, w) for x, w in zip(z, basis.w_edge) if x]
     oden, residual = _combination(
         [(1, 1, s)] + [(d, -x, w) for d, x, w in z_terms], len(nums))

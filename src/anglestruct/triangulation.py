@@ -241,7 +241,7 @@ class EdgeClass:
     ``corners`` lists the (tet, tet-edge) wedges around the edge in cyclic
     (or path, for boundary edges) order.  A wedge appears twice when a
     gluing folds the edge onto itself reversing its ends, so the valence
-    counts corners with multiplicity.
+    counts corners with multiplicity; z and chi* count such a wedge once.
     """
     index: int
     corners: tuple

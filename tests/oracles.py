@@ -719,9 +719,21 @@ def crossing_weight(s, i: int, k: int) -> Fraction:
 
 
 def edge_coefficient(s, e) -> Fraction:
-    """The edge coefficient z_e: the crossing weights of e's corners, with
-    multiplicity, over twice the valence."""
-    return sum((crossing_weight(s, i, k) for i, k in e.corners),
+    """The edge coefficient z_e: the crossing weights of e's distinct
+    corners over twice the valence.
+
+    In chi^(A,k) = (1/2) sum_t y_t A_t + sum_e z_e kappa_e, the angle at
+    a corner (i, k) of e, of multiplicity mult in e.corners, has
+    coefficient (y_u + y_v) / 2 - mult * z_e directly, u and v being the
+    tet-edge's ends, since kappa_e subtracts that angle mult times.
+    Through Lemma 2, chi* minus half the quad-area pairing, it has
+    coefficient (y_u + y_v) / 2 - w / 2, w the corner's crossing weight,
+    since each of the two quads that cross the tet-edge counts that
+    angle in its area.  So mult * z_e = w / 2.  On the solution space every
+    corner of e has one crossing weight, and a folded class lists each of
+    its corners exactly twice, so z_e is the sum of w over the distinct
+    corners over 2 * valence."""
+    return sum((crossing_weight(s, i, k) for i, k in set(e.corners)),
                Fraction(0)) / (2 * e.valence)
 
 

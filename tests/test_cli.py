@@ -277,6 +277,19 @@ def test_analyze_with_boundary_skips_canonical_basis(capsys, tmp_path):
         assert entry["link_euler"] == 1
 
 
+def test_analyze_builds_the_basis_on_a_folded_table(capsys, tmp_path):
+    # One tetrahedron, faces glued in two pairs, one edge class folded
+    # onto itself: z counts its corners once, so the basis verifies.
+    tri = tmp_path / "folded.tri"
+    tri.write_text("tets 1\nglue 0 0 0 3 3120\nglue 0 1 0 2 0231\n",
+                   encoding="utf-8")
+    code, out, _ = run(capsys, ["analyze", str(tri), "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["canonical_basis"] == {"tetrahedral": 1, "edge": 2}
+    assert rep["compatibility"]["solution_space_dim"] == 3
+
+
 def assert_realized_recomputes(paths, rep):
     """The report's realized data, recomputed from its own assignment,
     equals both the report's field and the target file."""

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
                          ExistenceError, Fails, Holds, Triangulation,
                          angle_linear_system, build_edge_classes,
@@ -442,11 +443,40 @@ def rand_vec(rng, size):
                  for _ in range(size))
 
 
+def folded_closed_tables(rng, count):
+    """count closed tables of 1-4 tetrahedra that have a folded edge: the
+    4n face slots paired at random, each pair glued by a random
+    permutation carrying one face to the other."""
+    tables = []
+    while len(tables) < count:
+        n = rng.randint(1, 4)
+        slots = [(i, f) for i in range(n) for f in range(4)]
+        rng.shuffle(slots)
+        gluings = {}
+        for (i, f), (j, g) in zip(slots[0::2], slots[1::2]):
+            images = [w for w in range(4) if w != g]
+            rng.shuffle(images)
+            perm = [g] * 4
+            for v, w in zip((v for v in range(4) if v != f), images):
+                perm[v] = w
+            gluings[(i, f)] = (j, g, tuple(perm))
+        t = Triangulation(n, gluings)
+        if oracles.has_folded_edge(t):
+            tables.append(t)
+    return tables
+
+
 def test_identity_holds_with_omega_matched_to_h():
+    # On the fixtures, and on closed tables with a folded edge, where the
+    # correction counts a folded corner once with twice its z, under
+    # semi angles drawn in steps of pi/36.
     rng = random.Random(49)
-    for name in ("fig8", "fig8-flat1"):
-        fx = fixture(name)
-        t, alpha = fx.triangulation, fx.angles
+    cases = [(fixture(name).triangulation, fixture(name).angles)
+             for name in ("fig8", "fig8-flat1")]
+    for t in folded_closed_tables(random.Random(34), 8):
+        cases.append((t, AngleAssignment.from_vector(t.tet_count, [
+            F(rng.randint(0, 36), 36) for _ in range(6 * t.tet_count)])))
+    for t, alpha in cases:
         n = t.tet_count
         m = len(build_edge_classes(t))
         for _ in range(50):
@@ -495,6 +525,12 @@ def test_identity_rejects_bad_shapes_and_generalized_angles():
     one = fixture("one-tet")
     with pytest.raises(ExistenceError, match="sizes do not match"):
         identity_4_9(one.triangulation, one.angles, (), (), ())
+    # With h, z, omega of the right sizes, one-tet's boundary faces are
+    # refused as a precondition, before the basis is built.
+    m = len(one.triangulation.edge_classes)
+    with pytest.raises(ExistenceError, match="without boundary faces"):
+        identity_4_9(one.triangulation, one.angles, (F(0),) * 4,
+                     (F(0),) * m, (F(0),))
 
 
 def test_strict_implies_negative_quad_areas():

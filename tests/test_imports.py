@@ -13,6 +13,8 @@ place an assignment's angles are summed: its readers, the realized
 data, a solve's re-verification and the flat-pair check, call no sum()
 of their own, and `existence` and `perturbation` read no assignment's
 scaled view.  No per-corner vertex-link check is kept beside them.
+The normal-coordinate edge functionals read one edge tally, and take
+no lcm of the valences and walk no class's corners of their own.
 Answers are read out by `_rational.unscaled` alone, `LinearSystem`
 keeps no `rows` view for tests, and `perturbation` writes into no
 `__dict__`.  The CLI's `_emit` writes the one report
@@ -181,6 +183,29 @@ def test_angle_sums_are_tallied_in_one_place():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         assert "_scaled" not in {n.attr for n in ast.walk(tree)
                                  if isinstance(n, ast.Attribute)}
+
+
+def test_edge_functionals_read_the_one_edge_tally():
+    # normal_coords._edge_sums is the one place an edge class's crossing
+    # weights are summed, over its distinct corners, and the valences'
+    # lcm taken.  chi*, z, chi^(A,k), decompose and the basis check read
+    # its (v, ints) and take no lcm of their own; the first four read no
+    # class's corners, so a folded corner is counted one way everywhere.
+    tree = ast.parse((PACKAGE / "normal_coords.py").read_text(
+        encoding="utf-8"))
+    fns = {fn.name: fn for fn in tree.body
+           if isinstance(fn, ast.FunctionDef)}
+    readers = ("chi_star", "z_functional", "chi_area_curvature", "decompose",
+               "solution_space_basis")
+    for name in readers:
+        nodes = list(ast.walk(fns[name]))
+        assert not any(isinstance(n, ast.Name) and n.id == "lcm"
+                       for n in nodes), name
+        assert any(isinstance(n, ast.Name) and n.id == "_edge_sums"
+                   for n in nodes), name
+        if name != "solution_space_basis":
+            assert not any(isinstance(n, ast.Attribute) and
+                           n.attr == "corners" for n in nodes), name
 
 
 def test_cli_handlers_leave_the_header_to_emit():
