@@ -2,16 +2,17 @@
 fraction-free elimination step behind it and behind the simplex.
 
 A matrix is a sequence of rows, each a sequence of (column, coefficient)
-pairs; absent columns are zero.  The compatibility equations have at
-most four nonzeros per row, so elimination keeps each row as a dict of
-its nonzero int entries and reduces it against the pivot rows found so
-far, leading column first.  The elimination is fraction-free: each row
-is scaled to integers over the lcm of its denominators, which keeps the
-row space, and every pivot row is primitive with a positive leading
-entry.  The size of the echelon form is the rank: `normal_coords` keeps
-one per compatibility system.  `lp_core`'s tableau rows are dicts of the
-same kind, and its pivots take the same two steps, `_eliminate` and
-`_primitive`.
+pairs; absent columns are zero.  Rows are sparse, so elimination keeps
+each row as a dict of its nonzero int entries and reduces it against the
+pivot rows found so far, leading column first.  The elimination is
+fraction-free: each row is scaled to integers over the lcm of its
+denominators, which keeps the row space, and every pivot row is
+primitive with a positive leading entry.  The size of the echelon form
+is the rank.  `normal_coords` runs it once per compatibility system,
+over the quad-only residuals left once the triangle columns are
+projected along the vertex-link forest.  `lp_core`'s tableau rows are
+dicts of the same kind, and its pivots take the same two steps,
+`_eliminate` and `_primitive`.
 """
 
 from __future__ import annotations

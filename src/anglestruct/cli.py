@@ -193,7 +193,7 @@ def cmd_analyze(args) -> None:
     solution_dim = csys.columns - csys.rank
     report = dict(summary, inputs={"triangulation": dig})
     report["compatibility"] = {
-        "rows": len(csys.rows), "columns": csys.columns,
+        "rows": len(csys.arcs), "columns": csys.columns,
         "solution_space_dim": solution_dim,
     }
     linking = []

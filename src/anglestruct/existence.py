@@ -301,13 +301,14 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     for the data alpha realizes: by Lemma 2 (chi_via_lemma2), chi^(A,k)
     is chi* minus half the quad-area pairing.
 
-    The triangle part is projected away: the LP runs on normal_coords'
-    _quad_slice, and _from_slice solves a witness's triangle weights in
-    ints.  The objective is the quad areas as ints over their den, which
-    leaves the pivots and the optimizer alone.  The slice holds the quad
-    part of -W_sigma_0 / 3 (1/3 on tet 0's quads, -1/3 on its
-    triangles), and the LP starts from that point, checked exactly, with
-    phase 1 priced over that point's three quads.
+    The triangle part is projected away along the vertex-link forest:
+    the LP runs on normal_coords' _quad_slice, the quad rows that
+    projection leaves, and _from_slice sets a witness's triangle weights
+    along the forest in ints.  The objective is the quad areas as ints
+    over their den, which leaves the pivots and the optimizer alone.
+    The slice holds the quad part of -W_sigma_0 / 3 (1/3 on tet 0's
+    quads, -1/3 on its triangles), and the LP starts from that point,
+    checked exactly, with phase 1 priced over that point's three quads.
     """
     _check_semi(alpha, t, ExistenceError)
     rows, rhs, point = _quad_slice(t.compatibility_system)

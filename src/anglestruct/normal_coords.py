@@ -114,8 +114,24 @@ class CompatibilitySystem:
     An arc is the columns (quad, triangle) on one side of the face, then
     on the other, whose weights must match.  Its row, derived, is the
     (column, int coefficient) pairs of its nonzero entries.  ``matrix`` is
-    a dense view for readers outside the package.  ``_echelon``, kept,
-    is the rows' echelon form, triangles first; ``rank`` is its size.
+    a dense view for readers outside the package.
+
+    An arc's triangle part joins two corners of one vertex link, so the
+    triangle weights are fixed by the quads up to one weight per link
+    component.  ``_projection``, kept, projects them away along a
+    spanning forest of the link graph: (forest, quad_rows).  A
+    union-find in arc order sorts each arc into a tree or a cycle arc.
+    The forest maps the child corner of each tree arc to (parent, qc,
+    qp), the child's weight being the parent's minus quad qc plus quad
+    qp; it is rooted at each component's largest corner, and lists
+    parents before children.  A cycle arc's residual, its quads minus
+    the signed quads of the tree arcs on the forest path between its two
+    corners, is a row over the quads alone; quad_rows is
+    `_linalg.echelon` of those residuals in arc order.  This is, row for
+    row, what eliminating the triangle columns first gives: each arc is
+    reduced by exactly the tree arcs on that path, with coefficients
+    +-1, and a largest corner never leads.  ``rank`` is the tree arcs
+    plus the quad pivots.
     """
     columns: int
     arcs: tuple
@@ -136,14 +152,61 @@ class CompatibilitySystem:
             for entries in map(dict, self.rows))
 
     @cached_property
-    def _echelon(self) -> dict:
-        tris = 4 * self.columns // 7
-        return echelon([((c + tris) % self.columns, v) for c, v in row]
-                       for row in self.rows)
+    def _projection(self) -> tuple:
+        quads = 3 * self.columns // 7
+        up = list(range(self.columns))
+
+        def root(c):
+            while up[c] != c:
+                up[c] = up[up[c]]
+                c = up[c]
+            return c
+
+        links = {c: [] for c in range(quads, self.columns)}
+        cycles = []
+        for q, tri, q2, tri2 in self.arcs:
+            a, b = root(tri), root(tri2)
+            if a == b:
+                cycles.append((q, tri, q2, tri2))
+            else:
+                up[a] = b
+                links[tri].append((tri2, q, q2))
+                links[tri2].append((tri, q2, q))
+        forest, depth = {}, {}
+        for top in reversed(links):
+            if top in depth:
+                continue
+            depth[top] = 0
+            stack = [top]
+            while stack:
+                parent = stack.pop()
+                for child, qp, qc in links[parent]:
+                    if child not in depth:
+                        depth[child] = depth[parent] + 1
+                        forest[child] = (parent, qc, qp)
+                        stack.append(child)
+        residuals = []
+        for q, a, q2, b in cycles:
+            row = {q: 1}
+            row[q2] = row.get(q2, 0) - 1
+            while a != b:
+                # Up from the deeper end: a's weight enters the row with
+                # +1, b's with -1.
+                if depth[a] >= depth[b]:
+                    a, qc, qp = forest[a]
+                    sign = 1
+                else:
+                    b, qc, qp = forest[b]
+                    sign = -1
+                row[qc] = row.get(qc, 0) - sign
+                row[qp] = row.get(qp, 0) + sign
+            residuals.append(row.items())
+        return forest, echelon(residuals)
 
     @property
     def rank(self) -> int:
-        return len(self._echelon)
+        forest, quad_rows = self._projection
+        return len(forest) + len(quad_rows)
 
 
 def compatibility_system(t: Triangulation) -> CompatibilitySystem:
@@ -183,14 +246,12 @@ def _check_member(t: Triangulation, s: NormalCoordinate,
 
 
 def _quad_slice(sys: CompatibilitySystem) -> tuple:
-    """(rows, rhs, point) over the 3n quads: the echelon form's quad-led
-    rows, which have quad entries alone, and the quads summing to 1; and
-    a point of that slice, 1/3 on tet 0's quads and 0 elsewhere, the
-    quad part of -W_sigma_0 / 3, which lies in every solution space."""
-    tris = 4 * sys.columns // 7
-    quads = sys.columns - tris
-    rows = [[(c - tris, v) for c, v in row.items()]
-            for lead, row in sys._echelon.items() if lead >= tris]
+    """(rows, rhs, point) over the 3n quads: the projection's quad rows,
+    in the order found, and the quads summing to 1; and a point of that
+    slice, 1/3 on tet 0's quads and 0 elsewhere, the quad part of
+    -W_sigma_0 / 3, which lies in every solution space."""
+    quads = 3 * sys.columns // 7
+    rows = [list(row.items()) for row in sys._projection[1].values()]
     rows.append([(c, 1) for c in range(quads)])
     third = Fraction(1, 3)
     return (rows, [0] * (len(rows) - 1) + [1],
@@ -198,23 +259,16 @@ def _quad_slice(sys: CompatibilitySystem) -> tuple:
 
 
 def _from_slice(sys: CompatibilitySystem, quads) -> NormalCoordinate:
-    """The coordinate with the given quads, its triangles solved from the
-    triangle-led rows, last lead first, 0 on unled columns.
+    """The coordinate with the given quads, its triangles set along the
+    projection's forest, 0 at each root: a child's weight is its
+    parent's minus the child-side quad plus the parent-side one.
 
-    Solved in ints over the quads' denominator: each triangle-led row
-    leads with 1, since an arc's triangle part is a +-1 incidence row
-    and elimination keeps it one, so no row divides."""
-    tris = 4 * sys.columns // 7
+    Set in ints over the quads' denominator, with no division."""
     den, nums = scaled(quads)
-    x = [0] * tris + list(nums)
-    for lead in sorted((l for l in sys._echelon if l < tris), reverse=True):
-        row = sys._echelon[lead]
-        if row[lead] != 1:
-            raise NormalCoordinateError(
-                "internal error: triangle-led row %d leads with %d"
-                % (lead, row[lead]))
-        x[lead] = -sum(v * x[c] for c, v in row.items() if c != lead)
-    return NormalCoordinate._of_scaled(den, x[tris:] + x[:tris])
+    x = list(nums) + [0] * (sys.columns - len(nums))
+    for child, (parent, qc, qp) in sys._projection[0].items():
+        x[child] = x[parent] - x[qc] + x[qp]
+    return NormalCoordinate._of_scaled(den, x)
 
 
 def _crossing_weights(nums) -> list:

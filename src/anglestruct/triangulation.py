@@ -369,12 +369,14 @@ def build_vertex_classes(t: Triangulation):
     oriented by their ascending cyclic order.  A gluing matches two such
     triangles along a side, and their orientations fit together (give
     that side opposite directions) exactly when
-    -parity(perm) * (-1)**(v + perm[v]) is +1.
+    -parity(perm) * (-1)**(v + perm[v]) is +1.  The parity is read once
+    per glued pair.
     """
-    links = [((i, v), (j, perm[v]),
-              -perm_parity(perm) * (-1) ** (v + perm[v]))
-             for (i, f), (j, g), perm in t.glued_pairs()
-             for v in FACE_VERTICES[f]]
+    links = []
+    for (i, f), (j, g), perm in t.glued_pairs():
+        sign = -perm_parity(perm)
+        links += (((i, v), (j, perm[v]), -sign if (v ^ perm[v]) & 1 else sign)
+                  for v in FACE_VERTICES[f])
     classes = _components(
         [(i, v) for i in range(t.tet_count) for v in range(4)], links)
     class_of = {c: n for n, (corners, _) in enumerate(classes)

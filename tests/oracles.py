@@ -21,9 +21,12 @@ take the same pivots, with phase 1 priced over a start's support too.
 So are the normal-coordinate formulas, one Fraction at a time:
 membership, crossing weights, edge coefficients, chi*, combine,
 decompose and a slice witness's back-substitution, against which the
-integer kernels are checked, and the Farkas sign conditions recomputed
-over Fractions, against which the integer certificate check is.  An
-assignment's realized data is summed angle by angle, and the flat-pair
+integer kernels are checked; the quad rows and rank of the compatibility
+rows, by a generic elimination with the triangle columns first, against
+which the vertex-link forest's projection is checked; and the Farkas
+sign conditions recomputed over Fractions, against which the integer
+certificate check is.  An assignment's realized data is summed angle by
+angle, and the flat-pair
 test is read off those Fraction areas, against the int corner sums the
 package compares.  Theorem 3's move is rebuilt over Fractions too: its
 coefficients, its safe range as a plain minimum of Fraction bounds, and
@@ -38,6 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from anglestruct import NormalCoordinate, lp_core
+from anglestruct._linalg import echelon
 from anglestruct.lp_core import (STRICT_POS, LinearSystem, Optimum,
                                  minimize_linear)
 
@@ -686,15 +690,36 @@ def quad_slice_max(t, alpha):
     return -res.value
 
 
+def _triangles_first_echelon(sys) -> dict:
+    """`_linalg.echelon` of the compatibility rows with the columns
+    rotated so that the 4n triangles come first, then the 3n quads: a
+    generic elimination that knows nothing of the vertex-link forest."""
+    tris = 4 * sys.columns // 7
+    return echelon([((c + tris) % sys.columns, v) for c, v in row]
+                   for row in sys.rows)
+
+
+def quad_rows(sys) -> tuple:
+    """(rows, rank): the triangles-first echelon's quad-led rows, in the
+    order found, each a dict over the quad columns, and its size."""
+    tris = 4 * sys.columns // 7
+    pivots = _triangles_first_echelon(sys)
+    return ([{c - tris: v for c, v in row.items()}
+             for lead, row in pivots.items() if lead >= tris],
+            len(pivots))
+
+
 def from_slice(sys, quads):
     """The coordinate with the given quads, its triangles solved from the
-    compatibility echelon's triangle-led rows over Fractions, last lead
+    triangles-first echelon's triangle-led rows over Fractions, last lead
     first, each divided by its lead, and 0 on unled columns: the
-    back-substitution that normal_coords._from_slice runs in ints."""
+    coordinate that normal_coords._from_slice sets in ints along the
+    vertex-link forest."""
     tris = 4 * sys.columns // 7
+    pivots = _triangles_first_echelon(sys)
     x = [Fraction(0)] * tris + list(quads)
-    for lead in sorted((l for l in sys._echelon if l < tris), reverse=True):
-        row = sys._echelon[lead]
+    for lead in sorted((l for l in pivots if l < tris), reverse=True):
+        row = pivots[lead]
         x[lead] = -sum((v * x[c] for c, v in row.items() if c != lead),
                        Fraction(0)) / row[lead]
     return NormalCoordinate.from_vector(sys.columns // 7, x[tris:] + x[:tris])

@@ -20,11 +20,14 @@ keeps no `rows` view for tests, and `perturbation` writes into no
 `__dict__`.  The CLI's `_emit` writes the one report
 header: no command handler names "schema" or `EXIT_OK`, or returns a
 value.  `normal_coords` is the one module that knows the 7n coordinate
-layout: `angle_structures` imports nothing from it, and `existence`
-reaches the echelon form through it, not through `_linalg`.  No public
-type, field or accessor restates a value the package already holds.  A
-certificate is checked against its own system's column signs: no module
-passes a mode beside the system.
+layout: `angle_structures` imports nothing from it, no other module
+reads a compatibility system's rows, and `existence` reaches the quad
+rows through it, not through `_linalg`.  Its projection of the triangle
+columns along the vertex-link forest, and the witness set along that
+forest, use no Fraction and no "/"; no triangles-first echelon form is
+kept.  No public type, field or accessor restates a value the package
+already holds.  A certificate is checked against its own system's
+column signs: no module passes a mode beside the system.
 """
 
 from __future__ import annotations
@@ -112,9 +115,12 @@ def test_pivot_loop_stays_in_integers():
     # scaled int view: the membership check, which compares the two
     # sides of each arc, the crossing weights, their sums per edge class,
     # and the sum of scaled vectors that combine and decompose's
-    # recombination share.  Nor does the certificate check, which sums
-    # A^T y and y.b over scaled ints, nor the lift of a pair-system
-    # refutation, nor the re-verification of an assignment, which checks
+    # recombination share.  Nor does the compatibility system's
+    # projection along the vertex-link forest, nor _from_slice, which
+    # sets a witness's triangles along that forest.  Nor does the
+    # certificate check, which sums A^T y and y.b over scaled ints, nor
+    # the lift of a pair-system refutation, nor the re-verification of
+    # an assignment, which checks
     # its angle sums against the int targets, nor the tally of those sums
     # over the assignment's scaled angles (its corner sums come with
     # those angles from _angle_ints, by _corner_sums), nor the tally of
@@ -127,6 +133,8 @@ def test_pivot_loop_stays_in_integers():
                                           "verify_certificate")),
                           ("_linalg.py", ("_eliminate", "_primitive")),
                           ("normal_coords.py", ("is_in_solution_space",
+                                                "_projection",
+                                                "_from_slice",
                                                 "_crossing_weights",
                                                 "_edge_sums",
                                                 "_combination")),
@@ -138,16 +146,20 @@ def test_pivot_loop_stays_in_integers():
                                                    "_quad_areas")),
                           ("perturbation.py", ("_least_bound",))):
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-        hot.update((node.name, node) for node in tree.body
+        body = list(tree.body)
+        body += (node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body)
+        hot.update((node.name, node) for node in body
                    if isinstance(node, ast.FunctionDef)
                    and node.name in names)
     assert sorted(hot) == ["_angle_ints", "_angle_sums", "_basic_values",
                            "_check_realization", "_combination",
                            "_corner_sums", "_crossing_weights", "_edge_sums",
-                           "_eliminate", "_least_bound", "_leaving",
-                           "_lifted", "_pivot", "_pivot_loop", "_primitive",
-                           "_quad_areas", "_tableau",
-                           "is_in_solution_space", "verify_certificate"]
+                           "_eliminate", "_from_slice", "_least_bound",
+                           "_leaving", "_lifted", "_pivot", "_pivot_loop",
+                           "_primitive", "_projection", "_quad_areas",
+                           "_tableau", "is_in_solution_space",
+                           "verify_certificate"]
     for fn in hot.values():
         for node in ast.walk(fn):
             assert not (isinstance(node, ast.Name) and node.id == "Fraction")
@@ -242,9 +254,11 @@ def _package_imports(module: str) -> set:
 def test_normal_coords_owns_the_coordinate_layout():
     # The layering runs triangulation -> angle_structures -> normal_coords
     # -> existence: angles know nothing of coordinates, and certify's
-    # quad slice and witness come from normal_coords' one echelon form.
-    # No other module spells an offset into the 3n quads, then 4n
-    # triangles layout, and the helpers that did are gone.
+    # quad slice and witness come from normal_coords' one projection
+    # along the vertex-link forest, which keeps no triangles-first
+    # echelon form.  No other module spells an offset into the 3n quads,
+    # then 4n triangles layout, or reads a compatibility system's rows,
+    # and the helpers that did are gone.
     assert "normal_coords" not in _package_imports("angle_structures.py")
     assert "_linalg" not in _package_imports("existence.py")
     for path in MODULES:
@@ -252,7 +266,10 @@ def test_normal_coords_owns_the_coordinate_layout():
             source = path.read_text(encoding="utf-8")
             assert "3 * t.tet_count" not in source, path.name
             assert "3 * n + 4 *" not in source, path.name
+            assert "rows" not in {n.attr for n in ast.walk(ast.parse(source))
+                                  if isinstance(n, ast.Attribute)}, path.name
     from anglestruct import _linalg, angle_structures, normal_coords
+    assert not hasattr(normal_coords.CompatibilitySystem, "_echelon")
     assert not hasattr(normal_coords, "_edge_coefficients")
     assert not hasattr(angle_structures, "_quad_area")
     assert not hasattr(_linalg, "rank")

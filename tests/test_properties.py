@@ -35,9 +35,11 @@ Theorem 3 against their Fraction oracles on fig8 with 1 to 6 stacked
 flat tetrahedra and on closed tables, folded edges included: a combined
 point and that point bumped at one disk type, and a flat pair built
 from strict host tetrahedra and flat ones.  A fifth checks, on closed
-tables and tables with boundary of up to 8 tetrahedra, that every
-triangle-led row of the compatibility echelon leads with 1 and that the
-int back-substitution of a slice witness equals the Fraction one.
+tables and tables with boundary of up to 8 tetrahedra, on every fixture
+and on two hand-built tables, that the vertex-link forest's projection
+gives the quad rows and rank of a generic elimination with the triangle
+columns first, and that the int witness it sets along the forest equals
+that elimination's Fraction back-substitution.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from anglestruct import (AngleAssignment, AreaCurvature, ExistenceError,
                          chi_star, chi_via_lemma2, classify, combine,
                          compatibility_system, decompose,
                          find_angle_structure, find_semi_angle_structure,
-                         fixture, insert_flat_tetrahedron, is_flat_pair,
-                         is_in_solution_space, is_orientable,
+                         fixture, fixture_names, insert_flat_tetrahedron,
+                         is_flat_pair, is_in_solution_space, is_orientable,
                          realized_area_curvature, solution_space_basis,
                          solve_feasibility_nonneg, solve_feasibility_strict,
                          verify_certificate, z_functional)
@@ -109,25 +111,49 @@ def test_edge_classes_are_their_least_readings(kind, data):
         in enumerate(oracles.least_edge_readings(t))]
 
 
-@pytest.mark.parametrize("kind", ["closed", "boundary"])
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_slice_witness_in_ints_equals_the_fraction_one(kind, data):
-    # _from_slice divides by no lead: each triangle-led row leads with 1.
-    # On the slice's known point, whose witness lies in the solution
-    # space, and on any rational quads, it must give the coordinate the
-    # Fraction back-substitution gives, with its scaled form kept.
-    t = data.draw(TABLE_KINDS[kind])
+def _check_projection(t, more_quads):
+    # The vertex-link forest's projection must give, row for row and in
+    # the order found, the quad-led rows of the generic elimination with
+    # the triangle columns first, and its rank.  On the slice's known
+    # point, whose witness lies in the solution space, and on any
+    # rational quads, _from_slice must give the coordinate the Fraction
+    # back-substitution over that elimination gives, with its scaled
+    # form kept.
     csys = t.compatibility_system
-    tris = 4 * t.tet_count
-    assert all(row[lead] == 1 for lead, row in csys._echelon.items()
-               if lead < tris)
-    point = _quad_slice(csys)[2]
-    for quads in (point, data.draw(rationals(3 * t.tet_count))):
+    rows, _, point = _quad_slice(csys)
+    assert ([dict(row) for row in rows[:-1]], csys.rank) == \
+        oracles.quad_rows(csys)
+    for quads in (point, more_quads):
         w = _from_slice(csys, quads)
         assert w == oracles.from_slice(csys, quads)
         assert w._scaled == scaled(w.quads + w.tris)
     assert is_in_solution_space(csys, _from_slice(csys, point))
+
+
+@pytest.mark.parametrize("kind", ["closed", "boundary"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_slice_witness_in_ints_equals_the_fraction_one(kind, data):
+    t = data.draw(TABLE_KINDS[kind])
+    _check_projection(t, data.draw(rationals(3 * t.tet_count)))
+
+
+# One tet with face 0 glued to face 1 by 1023: the arcs at vertices 2
+# and 3 have both triangles in one column.  Two tets glued only along
+# face 0: corners (0, 0) and (1, 0) touch no arc.
+HAND_BUILT = {
+    "self-glued": Triangulation(1, {(0, 0): (0, 1, (1, 0, 2, 3))}),
+    "one-face": Triangulation(2, {(0, 0): (1, 0, (0, 1, 2, 3))}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT) + list(fixture_names()))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_projection_equals_the_triangles_first_elimination(name, data):
+    t = HAND_BUILT[name] if name in HAND_BUILT \
+        else fixture(name).triangulation
+    _check_projection(t, data.draw(rationals(3 * t.tet_count)))
 
 
 def rationals(count):
