@@ -205,14 +205,13 @@ def cmd_analyze(args) -> None:
             "link_euler": v.link_euler,
         })
     report["vertex_linking_classes"] = linking
-    basis_available = len(t.boundary_faces()) == 0
-    report["canonical_basis_available"] = basis_available
-    if basis_available:
-        basis = solution_space_basis(t)
-        report["canonical_basis"] = {
-            "tetrahedral": len(basis.w_sigma),
-            "edge": len(basis.w_edge),
-        }
+    basis = solution_space_basis(t)
+    # Always true: the key stays so that existing reports keep their bytes.
+    report["canonical_basis_available"] = True
+    report["canonical_basis"] = {
+        "tetrahedral": len(basis.w_sigma),
+        "edge": len(basis.w_edge),
+    }
     lines = [
         "%d tetrahedra, %d edge classes, %d vertex classes"
         % (summary["tet_count"], len(summary["edge_classes"]),

@@ -378,12 +378,15 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     """Evaluate both sides of the dual pairing identity, exactly.
 
     For s built from the canonical basis as sum omega_i W_sigma_i +
-    sum z_j W_e_j, the left side is the pairing (h, z).(a, b) and the
-    right side is chi*(s) - chi^(A,k)(s) plus half the edge-incidence
-    correction: over each class's distinct corners, (mult * z_j + h at
-    the two corner endpoints) times (the two corner targets minus 2*pi),
-    mult being 2 at a folded corner, which z counts once.  Both sides
-    are returned for the caller to compare; no equality is assumed here.
+    sum z_j W_e_j, the left side is the pairing (h, z).(a, b) with the
+    solvers' own targets from _targets: a_i^l = A + 1, and b_j =
+    2 - kappa_j on an interior class and 1 - kappa_j on a boundary
+    class.  The right side is chi*(s) - chi^(A,k)(s) plus half the
+    edge-incidence correction: over each class's distinct corners,
+    (mult * z_j + h at the two corner endpoints) times (the two corner
+    targets minus 2*pi), mult being 2 at a folded corner, which z counts
+    once.  Both sides are returned for the caller to compare; no
+    equality is assumed here.
     """
     _check_semi(alpha, t, ExistenceError)
     n = t.tet_count
@@ -393,13 +396,10 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     omega = exact("identity_4_9 omega", omega, ExistenceError)
     if len(h) != 4 * n or len(z) != m or len(omega) != n:
         raise ExistenceError("h, z, omega sizes do not match")
-    if t.boundary_faces():
-        raise ExistenceError("the basis needs a table without boundary faces")
     ac = realized_area_curvature(alpha, t)
-    a = [ac.area[c] + 1 for c in range(4 * n)]
-    b = [2 - ac.curvature[j] for j in range(m)]
-    lhs = sum((h[c] * a[c] for c in range(4 * n)), Fraction(0)) + \
-        sum((z[j] * b[j] for j in range(m)), Fraction(0))
+    den, corner, edge, _ = _targets(t, ac, "semi")
+    a = [Fraction(x, den) for x in corner]
+    lhs = Fraction(sum(x * y for x, y in zip(h + z, corner + edge)), den)
     s = combine(solution_space_basis(t), omega, z)
     correction = Fraction(0)
     for cls in t.edge_classes:

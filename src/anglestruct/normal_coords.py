@@ -385,8 +385,8 @@ class BasisVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionBasis:
-    """A verified basis of the solution space of a triangulation without
-    boundary faces; its vertex links need not be those of an ideal one.
+    """A verified basis of a triangulation's solution space, boundary
+    faces allowed; its vertex links need not be those of an ideal one.
 
     ``w_sigma[i]`` is supported on tetrahedron i alone: +1 on its four
     triangles, -1 on its three quads.  ``w_edge[j]`` weights each triangle
@@ -418,17 +418,14 @@ def _vertex_linking_coordinate(t: Triangulation, vclass) -> NormalCoordinate:
 def solution_space_basis(t: Triangulation) -> SolutionBasis:
     """Construct and exhaustively verify the tetrahedra-and-edges basis.
 
-    Requires a triangulation without boundary faces.  Verification checks
-    each vector's membership in the solution space and its m edge
-    coefficients, read off one edge tally: 0 on a tetrahedral vector,
-    delta_jk on edge vector j (together these imply linear independence);
-    then that the count n+m matches the solution space dimension.  Any
-    failure raises BasisVerificationError rather than returning a bad
-    basis.
+    Every table takes this one path, boundary faces included: an
+    unglued face adds no row.  Verification checks each vector's
+    membership in the solution space and its m edge coefficients, read
+    off one edge tally: 0 on a tetrahedral vector, delta_jk on edge
+    vector j (together these imply linear independence); then that the
+    count n+m matches the solution space dimension.  Any failure raises
+    BasisVerificationError rather than returning a bad basis.
     """
-    if t.boundary_faces():
-        raise BasisVerificationError(
-            "basis requires a triangulation without boundary faces")
     n = t.tet_count
     edge_classes = t.edge_classes
     m = len(edge_classes)

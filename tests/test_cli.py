@@ -264,13 +264,13 @@ def test_analyze_report(capsys, tmp_path):
         {"chi_star": "0/1", "link_euler": 0, "vertex_class": 0}]
 
 
-def test_analyze_with_boundary_skips_canonical_basis(capsys, tmp_path):
+def test_analyze_with_boundary_builds_canonical_basis(capsys, tmp_path):
     paths = write_fixture(capsys, tmp_path, "one-tet")
     code, out, _ = run(capsys, ["analyze", paths["tri"], "--json"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["canonical_basis_available"] is False
-    assert "canonical_basis" not in rep
+    assert rep["canonical_basis_available"] is True
+    assert rep["canonical_basis"] == {"tetrahedral": 1, "edge": 6}
     assert len(rep["vertex_linking_classes"]) == 4
     for entry in rep["vertex_linking_classes"]:
         assert entry["chi_star"] == "1/1"

@@ -443,17 +443,19 @@ def rand_vec(rng, size):
                  for _ in range(size))
 
 
-def folded_closed_tables(rng, count):
-    """count closed tables of 1-4 tetrahedra that have a folded edge: the
-    4n face slots paired at random, each pair glued by a random
-    permutation carrying one face to the other."""
+def random_tables(rng, count, keep, unglued=0):
+    """count tables of 1-4 tetrahedra that keep accepts: the 4n face
+    slots paired at random, the first unglued pairs left as boundary
+    faces and each other pair glued by a random permutation carrying one
+    face to the other."""
     tables = []
     while len(tables) < count:
         n = rng.randint(1, 4)
         slots = [(i, f) for i in range(n) for f in range(4)]
         rng.shuffle(slots)
         gluings = {}
-        for (i, f), (j, g) in zip(slots[0::2], slots[1::2]):
+        skip = 2 * min(unglued, n)
+        for (i, f), (j, g) in zip(slots[skip::2], slots[skip + 1::2]):
             images = [w for w in range(4) if w != g]
             rng.shuffle(images)
             perm = [g] * 4
@@ -461,19 +463,25 @@ def folded_closed_tables(rng, count):
                 perm[v] = w
             gluings[(i, f)] = (j, g, tuple(perm))
         t = Triangulation(n, gluings)
-        if oracles.has_folded_edge(t):
+        if keep(t):
             tables.append(t)
     return tables
 
 
 def test_identity_holds_with_omega_matched_to_h():
-    # On the fixtures, and on closed tables with a folded edge, where the
-    # correction counts a folded corner once with twice its z, under
-    # semi angles drawn in steps of pi/36.
+    # On the fixtures, on closed tables with a folded edge, where the
+    # correction counts a folded corner once with twice its z, and on
+    # tables with one or two unglued face pairs, where a boundary class
+    # has target 1 - kappa, under semi angles drawn in steps of pi/36.
     rng = random.Random(49)
     cases = [(fixture(name).triangulation, fixture(name).angles)
-             for name in ("fig8", "fig8-flat1")]
-    for t in folded_closed_tables(random.Random(34), 8):
+             for name in ("fig8", "fig8-flat1", "one-tet")]
+    tables = random_tables(random.Random(34), 8, oracles.has_folded_edge)
+    boundary = random.Random(35)
+    tables += [t for unglued in (1, 2) for t in random_tables(
+        boundary, 4, lambda t: True, unglued)]
+    assert sum(bool(t.boundary_faces()) for t in tables) == 8
+    for t in tables:
         cases.append((t, AngleAssignment.from_vector(t.tet_count, [
             F(rng.randint(0, 36), 36) for _ in range(6 * t.tet_count)])))
     for t, alpha in cases:
@@ -516,8 +524,7 @@ def test_identity_rejects_bad_shapes_and_generalized_angles():
         identity_4_9(fig8, bad, (F(0),) * 8, (F(0),) * 2, (F(0),) * 2)
     # An assignment on another number of tets, or h, z, omega of the
     # wrong sizes, is refused before the basis is built, as at every
-    # other entry point of existence; one-tet's boundary faces would
-    # fail the basis.
+    # other entry point of existence.
     for n in (1, 3):
         other = AngleAssignment.from_vector(n, [F(1, 3)] * (6 * n))
         with pytest.raises(ExistenceError, match="size does not match"):
@@ -525,12 +532,13 @@ def test_identity_rejects_bad_shapes_and_generalized_angles():
     one = fixture("one-tet")
     with pytest.raises(ExistenceError, match="sizes do not match"):
         identity_4_9(one.triangulation, one.angles, (), (), ())
-    # With h, z, omega of the right sizes, one-tet's boundary faces are
-    # refused as a precondition, before the basis is built.
+    # With h, z, omega of the right sizes and omega matched to h, one-tet,
+    # all four faces boundary, gives equal sides.
     m = len(one.triangulation.edge_classes)
-    with pytest.raises(ExistenceError, match="without boundary faces"):
-        identity_4_9(one.triangulation, one.angles, (F(0),) * 4,
-                     (F(0),) * m, (F(0),))
+    h = (F(1), F(-2), F(3), F(1, 2))
+    lhs, rhs = identity_4_9(one.triangulation, one.angles, h,
+                            tuple(F(j, 3) for j in range(m)), (sum(h),))
+    assert lhs == rhs
 
 
 def test_strict_implies_negative_quad_areas():

@@ -14,7 +14,9 @@ data, a solve's re-verification and the flat-pair check, call no sum()
 of their own, and `existence` and `perturbation` read no assignment's
 scaled view.  No per-corner vertex-link check is kept beside them.
 The normal-coordinate edge functionals read one edge tally, and take
-no lcm of the valences and walk no class's corners of their own.
+no lcm of the valences and walk no class's corners of their own.  The
+basis, the dual pairing identity and `analyze` ask for no boundary
+faces, and the identity reads the solvers' targets.
 Answers are read out by `_rational.unscaled` alone, `LinearSystem`
 keeps no `rows` view for tests, and `perturbation` writes into no
 `__dict__`.  The CLI's `_emit` writes the one report
@@ -218,6 +220,27 @@ def test_edge_functionals_read_the_one_edge_tally():
         if name != "solution_space_basis":
             assert not any(isinstance(n, ast.Attribute) and
                            n.attr == "corners" for n in nodes), name
+
+
+def test_the_normal_surface_layer_has_no_boundary_branch():
+    # The basis, the dual pairing identity and analyze take one path on
+    # every table, boundary faces included: none asks for the boundary
+    # faces.  The identity reads its targets from existence._targets, as
+    # the solvers do, and no class's is_boundary or curvature of its own,
+    # so a boundary class's b = 1 - kappa is stated in one place.
+    fns = {}
+    for module in ("normal_coords.py", "existence.py", "cli.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        fns.update((fn.name, list(ast.walk(fn))) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef))
+    for name in ("solution_space_basis", "identity_4_9", "cmd_analyze"):
+        assert "boundary_faces" not in {
+            n.attr for n in fns[name] if isinstance(n, ast.Attribute)}, name
+    identity = fns["identity_4_9"]
+    assert any(isinstance(n, ast.Name) and n.id == "_targets"
+               for n in identity)
+    assert not {"is_boundary", "curvature"} & {
+        n.attr for n in identity if isinstance(n, ast.Attribute)}
 
 
 def test_cli_handlers_leave_the_header_to_emit():

@@ -165,11 +165,21 @@ def test_is_in_solution_space_rejects_perturbed_vectors():
         is_in_solution_space(sys, NormalCoordinate.zero(3))
 
 
-def test_solution_space_basis_refuses_boundary():
-    from anglestruct import BasisVerificationError
+def test_solution_space_basis_on_one_tet():
+    # Four boundary faces, no gluing: the basis is built and verified on
+    # the one path every table takes, one tetrahedral vector and one edge
+    # vector per edge, each with edge coefficients delta.
     one = fixture("one-tet").triangulation
-    with pytest.raises(BasisVerificationError):
-        solution_space_basis(one)
+    basis = solution_space_basis(one)
+    sys = compatibility_system(one)
+    assert (len(basis.w_sigma), len(basis.w_edge)) == (1, 6)
+    for w in basis.w_sigma + basis.w_edge:
+        assert is_in_solution_space(sys, w)
+    assert [[z_functional(one, w, e) for e in one.edge_classes]
+            for w in basis.w_edge] == \
+        [[int(j == k) for k in range(6)] for j in range(6)]
+    assert all(z_functional(one, basis.w_sigma[0], e) == 0
+               for e in one.edge_classes)
 
 
 def test_solution_space_basis_on_a_closed_table_that_is_not_ideal():

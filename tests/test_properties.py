@@ -11,12 +11,13 @@ against a dense build, cell by cell.  The finders, which solve the
 smaller system over opposite-edge pairs, must agree with the full one on
 every table, in both modes and with and without caps: each refutation
 verifies as a certificate over the full rows, and each assignment
-realizes its target.  Closed one-tetrahedron tables
-also check the semi and strict solvers against brute-force
-enumeration, and every closed table checks the quad-slice
-certification, which projects the triangle columns away, against the
-unprojected program with each triangle column split in two.  The angle
-systems of every table, in both modes, and the quad-slice program, from
+realizes its target.  One-tetrahedron tables also check the semi and
+strict solvers against brute-force enumeration.  Every table, boundary
+faces included, checks the quad-slice certification, which projects the
+triangle columns away, against the unprojected program with each
+triangle column split in two, and the canonical basis: it verifies,
+decompose undoes combine, and chi^(A,k) equals its Lemma 2 form.  The
+angle systems of every table, in both modes, and the quad-slice program, from
 the slice's known point, are also solved over the Fraction tableau,
 which must take the same pivots and give the same results.
 Every table also checks the integer normal-coordinate kernels
@@ -280,8 +281,6 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
                     assert verify_certificate(
                         angle_linear_system(t, ac, mode), res.y)
     assert len(statuses) == 6
-    if t.boundary_faces():
-        return
 
     if n == 1:
         # Brute force enumerates bases, so it stays at one tetrahedron.
@@ -325,7 +324,8 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
         assert sum(a * v for a, v in zip(oracles.quad_areas(alpha, n),
                                          w.quads)) == raw_max
 
-    # The basis holds on every closed table, folded edges included.
+    # The basis holds on every table, folded edges and boundary faces
+    # included.
     basis = solution_space_basis(t)
     omega = data.draw(rationals(n))
     z = data.draw(rationals(len(t.edge_classes)))
