@@ -50,7 +50,6 @@ from .fixtures import fixture, fixture_names
 from .normal_coords import (
     _vertex_linking_coordinate,
     chi_star,
-    solution_space_basis,
 )
 from .perturbation import apply_theorem3
 from .triangulation import (
@@ -99,12 +98,13 @@ def _load_json(path: str, reader):
 
 
 def _check_sizes(args, t, path, **vectors):
-    need = {"angles": 6 * t.tet_count, "area": 4 * t.tet_count,
-            "curvature": len(t.edge_classes)}
     for field, values in vectors.items():
-        if len(values) != need[field]:
+        # Only a curvature vector needs the edge classes walked.
+        need = len(t.edge_classes) if field == "curvature" else \
+            {"angles": 6, "area": 4}[field] * t.tet_count
+        if len(values) != need:
             raise ValueError('%s: field "%s" has %d entries, %s needs %d' % (
-                path, field, len(values), args.triangulation, need[field]))
+                path, field, len(values), args.triangulation, need))
 
 
 def _load_angles(args, t):
@@ -205,7 +205,7 @@ def cmd_analyze(args) -> None:
             "link_euler": v.link_euler,
         })
     report["vertex_linking_classes"] = linking
-    basis = solution_space_basis(t)
+    basis = t.solution_basis
     # Always true: the key stays so that existing reports keep their bytes.
     report["canonical_basis_available"] = True
     report["canonical_basis"] = {

@@ -72,7 +72,6 @@ from .normal_coords import (
     chi_star,
     combine,
     is_in_solution_space,
-    solution_space_basis,
 )
 from .triangulation import EDGE_VERTICES, EDGES_AT_VERTEX, Triangulation
 
@@ -400,7 +399,7 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     den, corner, edge, _ = _targets(t, ac, "semi")
     a = [Fraction(x, den) for x in corner]
     lhs = Fraction(sum(x * y for x, y in zip(h + z, corner + edge)), den)
-    s = combine(solution_space_basis(t), omega, z)
+    s = combine(t.solution_basis, omega, z)
     correction = Fraction(0)
     for cls in t.edge_classes:
         for i, k in set(cls.corners):

@@ -425,6 +425,7 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
     vector j (together these imply linear independence); then that the
     count n+m matches the solution space dimension.  Any failure raises
     BasisVerificationError rather than returning a bad basis.
+    ``t.solution_basis`` keeps the one built for t.
     """
     n = t.tet_count
     edge_classes = t.edge_classes
@@ -498,10 +499,10 @@ def decompose(t: Triangulation, s: NormalCoordinate,
     The edge weights are the edge coefficients of s; the tetrahedral
     weights come from the residual s - sum z_j w_edge_j, read at each
     tetrahedron's first triangle.  s is then checked to be recombined
-    exactly, all of it in ints.
+    exactly, all of it in ints.  basis defaults to t.solution_basis.
     """
     if basis is None:
-        basis = solution_space_basis(t)
+        basis = t.solution_basis
     if (len(basis.w_sigma), len(basis.w_edge)) != \
             (t.tet_count, len(t.edge_classes)):
         raise NormalCoordinateError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
 # Tet-edge k is the vertex pair EDGE_VERTICES[k].  Pairs are listed in
 # lexicographic order, which makes edges k and 5-k opposite (disjoint).
@@ -39,6 +39,8 @@ EDGES_AT_VERTEX = tuple(
 FACES_AT_EDGE = tuple(
     tuple(f for f in range(4) if f not in EDGE_VERTICES[k]) for k in range(6)
 )
+# _EDGE_AT[u][v] is EDGE_INDEX[(u, v)], read as a 4x4 table.
+_EDGE_AT = [[EDGE_INDEX.get((u, v)) for v in range(4)] for u in range(4)]
 
 
 def compose(p, q):
@@ -62,28 +64,40 @@ def perm_parity(p) -> int:
     return sign
 
 
+# The 24 permutations of 0123, looked up rather than worked out per call:
+# each one's inverse and parity, and each by its four-character spelling.
+_INVERSE = {p: inverse(p) for p in permutations(range(4))}
+_PARITY = {p: perm_parity(p) for p in _INVERSE}
+_SPELLED = {"".join(map(str, p)): p for p in _INVERSE}
+
+
 class TriangulationError(ValueError):
     """Raised for malformed gluing tables or invalid gluing data."""
 
 
-def _check_perm(perm):
-    if len(perm) != 4 or sorted(perm) != [0, 1, 2, 3]:
+def _perm(p):
+    """The tuple of p's entries, once checked to be a permutation of 0123.
+    A bool or a float hashes like an int, so each entry's type is checked,
+    as _check_slot checks each index's."""
+    perm = tuple(p)
+    if not all(type(x) is int for x in perm) or perm not in _INVERSE:
         raise TriangulationError("not a permutation of 0123: %r" % (perm,))
+    return perm
 
 
 def _check_slot(tet_count, tet, face):
-    if not (0 <= tet < tet_count):
-        raise TriangulationError("tetrahedron index %d out of range" % tet)
-    if not (0 <= face < 4):
-        raise TriangulationError("face index %d out of range" % face)
+    if type(tet) is not int or not (0 <= tet < tet_count):
+        raise TriangulationError("tetrahedron index %r out of range" % (tet,))
+    if type(face) is not int or not (0 <= face < 4):
+        raise TriangulationError("face index %r out of range" % (face,))
 
 
 def _glue(table, tet_count, i, f, j, g, perm):
-    """Record face (i, f) glued to (j, g) by perm in table, both ways,
-    once the faces, perm and the involution on table are checked."""
+    """Record face (i, f) glued to (j, g) by perm, a key of _INVERSE, in
+    table, both ways, once the faces and the involution on table are
+    checked."""
     _check_slot(tet_count, i, f)
     _check_slot(tet_count, j, g)
-    _check_perm(perm)
     if perm[f] != g:
         raise TriangulationError(
             "permutation %r does not carry face %d to face %d"
@@ -91,7 +105,7 @@ def _glue(table, tet_count, i, f, j, g, perm):
     if (i, f) == (j, g):
         raise TriangulationError("face (%d,%d) glued to itself" % (i, f))
     for src, dst in (((i, f), (j, g, perm)),
-                     ((j, g), (i, f, inverse(perm)))):
+                     ((j, g), (i, f, _INVERSE[perm]))):
         if table.get(src, dst) != dst:
             raise TriangulationError(
                 "non-involutive gluing at face (%d,%d)" % src)
@@ -107,18 +121,21 @@ class Triangulation:
     checks that the result is a fixed-point-free involution on the glued
     face slots.
 
-    Edge classes, vertex classes and the compatibility system are
-    computed on first use and kept; the package reads them from here.
+    Edge classes, vertex classes, the compatibility system and the
+    solution-space basis are computed on first use and kept; the package
+    reads them from here.
     """
 
     def __init__(self, tet_count: int, gluings=None, name: str = ""):
+        if type(tet_count) is not int:
+            raise TriangulationError("bad tetrahedron count %r" % (tet_count,))
         if tet_count < 1:
             raise TriangulationError("need at least one tetrahedron")
         self.tet_count = tet_count
         self.name = name
         table = {}
         for (i, f), (j, g, perm) in dict(gluings or {}).items():
-            _glue(table, tet_count, i, f, j, g, tuple(perm))
+            _glue(table, tet_count, i, f, j, g, _perm(perm))
         self._gluing = table
 
     @cached_property
@@ -138,21 +155,29 @@ class Triangulation:
         from .normal_coords import compatibility_system
         return compatibility_system(self)
 
+    @cached_property
+    def solution_basis(self):
+        """The verified basis normal_coords.solution_space_basis builds."""
+        from .normal_coords import solution_space_basis
+        return solution_space_basis(self)
+
     def gluing(self, tet: int, face: int):
         """(tet, face, perm) on the far side, or None for a boundary face;
-        a slot that no tetrahedron has raises TriangulationError."""
+        a missing slot or a non-int index raises TriangulationError."""
         glu = self._gluing.get((tet, face))
-        if glu is None:
+        if glu is None or type(tet) is not int or type(face) is not int:
             _check_slot(self.tet_count, tet, face)
         return glu
 
+    @cached_property
+    def _glued_pairs(self):  # complete once built, so sorted once
+        return tuple(((i, f), (j, g), perm)
+                     for (i, f), (j, g, perm) in sorted(self._gluing.items())
+                     if (i, f) <= (j, g))
+
     def glued_pairs(self):
         """Each gluing once, as ((i,f),(j,g),perm) with the lesser side first."""
-        out = []
-        for (i, f), (j, g, perm) in sorted(self._gluing.items()):
-            if (i, f) <= (j, g):
-                out.append(((i, f), (j, g), perm))
-        return tuple(out)
+        return self._glued_pairs
 
     def boundary_faces(self):
         return tuple((i, f) for i in range(self.tet_count)
@@ -212,11 +237,11 @@ def parse_triangulation(text: str, name: str = "") -> Triangulation:
             if not all(map(_is_digits, fields[1:5])):
                 raise TriangulationError("bad index")
             i, f, j, g = (int(x) for x in fields[1:5])
-            p = fields[5]
-            if len(p) != 4 or set(p) != {"0", "1", "2", "3"}:
-                raise TriangulationError("bad permutation %r" % (p,))
+            perm = _SPELLED.get(fields[5])
+            if perm is None:
+                raise TriangulationError("bad permutation %r" % (fields[5],))
             # Each line is checked once, into the table t keeps.
-            _glue(t._gluing, tet_count, i, f, j, g, tuple(int(c) for c in p))
+            _glue(t._gluing, tet_count, i, f, j, g, perm)
         except TriangulationError as err:
             raise TriangulationError("line %d: %s" % (lineno, err))
         except ValueError:  # past int()'s limit on digits
@@ -252,25 +277,27 @@ class EdgeClass:
         return len(self.corners)
 
 
-def _walk(t, state):
-    """Walk round an edge from state (tet, oriented tet-edge, enter face,
-    exit face), crossing the gluing at each exit face.
+def _walk(gluing, state):
+    """Walk round an edge from state (tet, u, v, exit face), the edge
+    running from vertex u to v, crossing the gluing table at each exit
+    face.  Entered at face g, the edge exits through 6 - u - v - g, the
+    one label neither an end of it nor g.
 
     Returns the corners met and, when the walk leaves through an unglued
     face, its last state; None when it closes up at the start state.
     """
     start = state
+    i, u, v, exit_face = state
     corners = []
     while True:
-        i, (u, v), _, exit_face = state
-        corners.append((i, EDGE_INDEX[(u, v)]))
-        glu = t.gluing(i, exit_face)
+        corners.append((i, _EDGE_AT[u][v]))
+        glu = gluing.get((i, exit_face))
         if glu is None:
-            return corners, state
-        j, g, perm = glu
-        f1, f2 = FACES_AT_EDGE[EDGE_INDEX[(perm[u], perm[v])]]
-        state = (j, (perm[u], perm[v]), g, f2 if f1 == g else f1)
-        if state == start:
+            return corners, (i, u, v, exit_face)
+        i, g, perm = glu
+        u, v = perm[u], perm[v]
+        exit_face = 6 - u - v - g
+        if (i, u, v, exit_face) == start:
             return corners, None
 
 
@@ -292,13 +319,13 @@ def build_edge_classes(t: Triangulation):
     raw = []
     seen = set()
     for i in range(t.tet_count):
-        for k in range(6):
+        for k, (u, v) in enumerate(EDGE_VERTICES):
             if (i, k) in seen:
                 continue
-            corners, end = _walk(t, (i, EDGE_VERTICES[k]) + FACES_AT_EDGE[k])
+            corners, end = _walk(t._gluing, (i, u, v, FACES_AT_EDGE[k][1]))
             if end is not None:
-                j, oriented, enter, exit_face = end
-                corners, _ = _walk(t, (j, oriented, exit_face, enter))
+                j, a, b, exit_face = end
+                corners, _ = _walk(t._gluing, (j, a, b, 6 - a - b - exit_face))
             seen.update(corners)
             least = min(corners)
             readings = (corners, corners[::-1])
@@ -311,30 +338,32 @@ def build_edge_classes(t: Triangulation):
                  for n, (_, bdry, corners) in enumerate(raw))
 
 
-def _components(nodes, links):
-    """Connected components of a signed graph, in order of least node.
+def _components(count, links):
+    """Connected components of a signed graph on the nodes 0..count-1, in
+    order of least node.
 
     ``links`` are (a, b, sign) triples with sign +1 or -1.  Each
-    component comes back as (its sorted nodes, clash), clash being
+    component comes back as (its ascending nodes, clash), clash being
     whether no choice of node signs s has s[b] == s[a] * sign on every
-    link inside it.
+    link inside it.  A search from each least unsigned node signs its
+    component through list-indexed adjacency and signs, 0 for unsigned.
     """
-    adjacent = {}
+    adjacent = [[] for _ in range(count)]
     for a, b, sign in links:
-        adjacent.setdefault(a, []).append((b, sign))
-        adjacent.setdefault(b, []).append((a, sign))
-    signs = {}
+        adjacent[a].append((b, sign))
+        adjacent[b].append((a, sign))
+    signs = [0] * count
     out = []
-    for start in sorted(nodes):
-        if start in signs:
+    for start in range(count):
+        if signs[start]:
             continue
         signs[start] = 1
         stack, members, clash = [start], [start], False
         while stack:
             a = stack.pop()
-            for b, sign in adjacent.get(a, ()):
+            for b, sign in adjacent[a]:
                 want = signs[a] * sign
-                if b not in signs:
+                if not signs[b]:
                     signs[b] = want
                     stack.append(b)
                     members.append(b)
@@ -369,16 +398,17 @@ def build_vertex_classes(t: Triangulation):
     oriented by their ascending cyclic order.  A gluing matches two such
     triangles along a side, and their orientations fit together (give
     that side opposite directions) exactly when
-    -parity(perm) * (-1)**(v + perm[v]) is +1.  The parity is read once
-    per glued pair.
+    -parity(perm) * (-1)**(v + perm[v]) is +1.  The parity is looked up
+    once per glued pair, and the corners are grouped by _components as
+    the int nodes 4i + v, whose order is that of the pairs (i, v).
     """
     links = []
     for (i, f), (j, g), perm in t.glued_pairs():
-        sign = -perm_parity(perm)
-        links += (((i, v), (j, perm[v]), -sign if (v ^ perm[v]) & 1 else sign)
+        sign = -_PARITY[perm]
+        links += ((4 * i + v, 4 * j + perm[v],
+                   -sign if (v ^ perm[v]) & 1 else sign)
                   for v in FACE_VERTICES[f])
-    classes = _components(
-        [(i, v) for i in range(t.tet_count) for v in range(4)], links)
+    classes = _components(4 * t.tet_count, links)
     class_of = {c: n for n, (corners, _) in enumerate(classes)
                 for c in corners}
 
@@ -388,9 +418,9 @@ def build_vertex_classes(t: Triangulation):
     for e in t.edge_classes:
         i, k = e.corners[0]
         u, w = EDGE_VERTICES[k]
-        v_count[class_of[(i, u)]] += 1
+        v_count[class_of[4 * i + u]] += 1
         if len(set(e.corners)) == e.valence:
-            v_count[class_of[(i, w)]] += 1
+            v_count[class_of[4 * i + w]] += 1
 
     # Link edges: a corner's triangle has three sides, one in each other
     # face of its tet.  Sides in glued faces match in pairs; a side in a
@@ -400,9 +430,9 @@ def build_vertex_classes(t: Triangulation):
     sides = [0] * len(classes)
     for i, f in t.boundary_faces():
         for v in FACE_VERTICES[f]:
-            sides[class_of[(i, v)]] += 1
+            sides[class_of[4 * i + v]] += 1
     return tuple(
-        VertexClass(index=n, corners=tuple(corners),
+        VertexClass(index=n, corners=tuple(divmod(c, 4) for c in corners),
                     link_euler=v_count[n] - (len(corners) + sides[n]) // 2,
                     link_closed=sides[n] == 0, link_orientable=not clash)
         for n, (corners, clash) in enumerate(classes))
@@ -412,12 +442,12 @@ def is_orientable(t: Triangulation) -> bool:
     """Whether the tetrahedra admit orientations all gluings reverse.
 
     A gluing between coherently oriented tetrahedra is compatible exactly
-    when its vertex permutation is odd.
+    when its vertex permutation is odd: _components groups the tets i
+    by links of sign -parity, looked up per glued pair.
     """
-    links = [(i, j, -perm_parity(perm))
+    links = [(i, j, -_PARITY[perm])
              for (i, _), (j, _), perm in t.glued_pairs()]
-    components = _components(range(t.tet_count), links)
-    return not any(clash for _, clash in components)
+    return not any(clash for _, clash in _components(t.tet_count, links))
 
 
 def is_ideal_triangulation(t: Triangulation) -> bool:
@@ -468,8 +498,7 @@ def insert_flat_tetrahedron(t: Triangulation, face_a, face_b, matching):
     glu_b = t.gluing(j, fb)
     if face_a == face_b:
         raise TriangulationError("cannot insert at a single face")
-    matching = tuple(matching)
-    _check_perm(matching)
+    matching = _perm(matching)
     if matching[fa] != fb:
         raise TriangulationError(
             "matching %r does not carry face %d to face %d"
@@ -487,7 +516,7 @@ def insert_flat_tetrahedron(t: Triangulation, face_a, face_b, matching):
         rho1[v] = pos
     rho1[fa] = 3
     rho1 = tuple(rho1)
-    rho2 = compose(_FLAT_TWIST, compose(rho1, inverse(matching)))
+    rho2 = compose(_FLAT_TWIST, compose(rho1, _INVERSE[matching]))
 
     gluings = dict(t._gluing)
     gluings.pop((i, fa), None)

@@ -290,6 +290,43 @@ def test_analyze_builds_the_basis_on_a_folded_table(capsys, tmp_path):
     assert rep["compatibility"]["solution_space_dim"] == 3
 
 
+def test_each_command_derives_only_what_its_report_reads(capsys, tmp_path,
+                                                         monkeypatch):
+    # Counted, not timed, on fig8: certify checks an angle vector's size
+    # from the tetrahedron count alone and walks no edge class; validate
+    # and analyze walk them once.  Each sorts the glued pairs once, though
+    # analyze's vertex classes, orientability and compatibility system
+    # all read them.
+    from functools import cached_property
+
+    from anglestruct import triangulation
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    walks, sorts = [], []
+    build = triangulation.build_edge_classes
+    pairs = triangulation.Triangulation.__dict__["_glued_pairs"].func
+
+    def counted_build(t):
+        walks.append(t.name)
+        return build(t)
+
+    def counted_pairs(t):
+        sorts.append(t.name)
+        return pairs(t)
+
+    counted = cached_property(counted_pairs)
+    counted.__set_name__(triangulation.Triangulation, "_glued_pairs")
+    monkeypatch.setattr(triangulation, "build_edge_classes", counted_build)
+    monkeypatch.setattr(triangulation.Triangulation, "_glued_pairs", counted)
+    for argv, builds in ((["certify", paths["tri"], paths["angles"]], 0),
+                         (["validate", paths["tri"]], 1),
+                         (["analyze", paths["tri"]], 1)):
+        walks.clear()
+        sorts.clear()
+        assert run(capsys, argv + ["--json"])[0] == 0, argv
+        assert len(walks) == builds, argv
+        assert sorts == ["fig8"], argv
+
+
 def assert_realized_recomputes(paths, rep):
     """The report's realized data, recomputed from its own assignment,
     equals both the report's field and the target file."""

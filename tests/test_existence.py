@@ -14,6 +14,7 @@ from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
                          identity_4_9, parse_triangulation,
                          realized_area_curvature, verify_certificate)
 from anglestruct import existence, lp_core
+from anglestruct.fixtures import FIG8_TABLE
 from anglestruct.lp_core import (NONNEG, STRICT_POS, Infeasible, LPError,
                                  Solution, StrictSolution)
 
@@ -436,6 +437,29 @@ def test_identity_sides_trivial_and_frozen_counterexample():
     half = AngleAssignment.from_vector(2, [F(1, 2)] * 12)
     lhs2, rhs2 = identity_4_9(fig8, half, zero_h, zero_z, (F(1), F(0)))
     assert lhs2 == rhs2 == 0
+
+
+def test_identity_and_decompose_build_the_basis_once_per_table(
+        monkeypatch):
+    # The verified basis is kept on the triangulation, as its
+    # compatibility system is: repeated identity_4_9 calls and
+    # decompose's default read t.solution_basis.
+    from anglestruct import decompose, normal_coords
+    build = normal_coords.solution_space_basis
+    built = []
+
+    def counted(t):
+        built.append(t.name)
+        return build(t)
+
+    monkeypatch.setattr(normal_coords, "solution_space_basis", counted)
+    fig8 = parse_triangulation(FIG8_TABLE, name="fig8")
+    third = fixture("fig8").angles
+    for w in range(3):
+        identity_4_9(fig8, third, (F(0),) * 8, (F(0),) * 2, (F(w), F(0)))
+    s = normal_coords.combine(fig8.solution_basis, (F(1), F(2)), (F(3), F(4)))
+    assert decompose(fig8, s) == ((1, 2), (3, 4))
+    assert built == ["fig8"]
 
 
 def rand_vec(rng, size):

@@ -30,6 +30,9 @@ forest, use no Fraction and no "/"; no triangles-first echelon form is
 kept.  No public type, field or accessor restates a value the package
 already holds.  A certificate is checked against its own system's
 column signs: no module passes a mode beside the system.
+`triangulation` looks each permutation's inverse and parity up in tables
+built at import, its edge walk reads the raw gluing table, and certify's
+size check walks no edge class.
 """
 
 from __future__ import annotations
@@ -259,6 +262,31 @@ def test_cli_handlers_leave_the_header_to_emit():
                         and node.id == "EXIT_OK"), fn.name
             assert not (isinstance(node, ast.Return)
                         and node.value is not None), fn.name
+
+
+def test_triangulation_reads_its_tables():
+    # The 24 permutations' inverses, parities and spellings are tables
+    # built once: the gluing check, the parser and both signed searches
+    # look them up and work out no parity or inverse per call.  The edge
+    # walk reads the raw gluing table and calls no Triangulation method,
+    # and certify's angle check walks no edge class.
+    from anglestruct.triangulation import Triangulation
+    fns = {}
+    for module in ("triangulation.py", "cli.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        fns.update((fn.name, list(ast.walk(fn))) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef))
+    for name in ("_glue", "parse_triangulation", "build_vertex_classes",
+                 "is_orientable"):
+        assert not {"perm_parity", "inverse"} & {
+            n.id for n in fns[name] if isinstance(n, ast.Name)}, name
+    methods = {name for name in vars(Triangulation) if name[0] != "_"}
+    assert {"gluing", "glued_pairs", "edge_classes"} <= methods
+    assert not methods & {n.attr for n in fns["_walk"]
+                          if isinstance(n, ast.Attribute)}
+    for name in ("cmd_certify", "_load_angles"):
+        assert "edge_classes" not in {
+            n.attr for n in fns[name] if isinstance(n, ast.Attribute)}, name
 
 
 def _package_imports(module: str) -> set:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,8 +10,10 @@ from anglestruct import (Triangulation, TriangulationError,
                          insert_flat_tetrahedron, is_ideal_triangulation,
                          is_orientable, parse_triangulation)
 from anglestruct.fixtures import FIG8_TABLE
-from anglestruct.triangulation import (EDGE_VERTICES, EDGES_AT_VERTEX,
-                                       MAX_TETS)
+from anglestruct.triangulation import (_INVERSE, _PARITY, _SPELLED,
+                                       EDGE_VERTICES, EDGES_AT_VERTEX,
+                                       MAX_TETS, compose, inverse,
+                                       perm_parity)
 
 
 def test_edge_tables_are_consistent():
@@ -28,6 +31,7 @@ def test_parse_format_round_trip_on_fixtures():
     for name in fixture_names():
         t = fixture(name).triangulation
         again = parse_triangulation(format_triangulation(t))
+        assert again == t and again.glued_pairs() == t.glued_pairs()
         assert again.tet_count == t.tet_count
         for i in range(t.tet_count):
             for f in range(4):
@@ -213,6 +217,11 @@ def test_face_slots_that_do_not_exist_are_refused():
     with pytest.raises(TriangulationError,
                        match="face index -1 out of range"):
         fig8.gluing(0, -1)
+    # True and 0.0 hash like 1 and 0, so a bare lookup would answer.
+    with pytest.raises(TriangulationError, match="tetrahedron index True"):
+        fig8.gluing(True, 0)
+    with pytest.raises(TriangulationError, match="face index 1.0"):
+        fig8.gluing(0, 1.0)
     assert one.gluing(0, 3) is None
 
 
@@ -248,3 +257,54 @@ def test_klein_bottle_vertex_link():
     assert (vc.link_euler, vc.link_closed, vc.link_orientable) == \
         (0, True, False)
     assert not is_orientable(t)
+
+
+@pytest.mark.parametrize("args,fragment", [
+    ((1, {(0, 0): (0, 1, (True, False, 2, 3))}), "not a permutation"),
+    ((1, {(0, 0): (0, 1, (1.0, 0, 2, 3))}), "not a permutation"),
+    ((1, {(0, 0): (0, 1, (1, 0, 2, 3.0))}), "not a permutation"),
+    ((1, {(0, 0.0): (0, 1, (1, 0, 2, 3))}), "face index 0.0"),
+    ((1, {(0, 0): (0, 1.0, (1, 0, 2, 3))}), "face index 1.0"),
+    ((1, {(0, True): (0, 0, (1, 0, 2, 3))}), "face index True"),
+    ((1, {(0.0, 0): (0, 1, (1, 0, 2, 3))}), "tetrahedron index 0.0"),
+    ((2, {(0, 0): (True, 1, (0, 1, 2, 3))}), "tetrahedron index True"),
+    ((2.0,), "bad tetrahedron count 2.0"),
+    ((True,), "bad tetrahedron count True"),
+])
+def test_constructor_refuses_entries_that_are_not_ints(args, fragment):
+    # A bool or a float compares and hashes like the int it equals, so
+    # each would slip past a range check or a lookup; each is refused by
+    # name before it can be stored, written out or indexed with.  The
+    # fixtures still round-trip (test_parse_format_round_trip_on_fixtures).
+    with pytest.raises(TriangulationError, match=fragment):
+        Triangulation(*args)
+
+
+def test_permutation_tables_agree_with_their_definitions():
+    # Each of the 24 entries is its inverse, its parity (-1 to the power
+    # 4 minus its cycle count) and its spelling.
+    perms = list(itertools.permutations(range(4)))
+    assert sorted(_INVERSE) == sorted(_PARITY) == perms
+    assert sorted(_SPELLED.values()) == perms
+    for p in perms:
+        assert _INVERSE[p] == inverse(p)
+        assert compose(p, _INVERSE[p]) == (0, 1, 2, 3)
+        seen, count = set(), 0
+        for x in range(4):
+            count += x not in seen
+            while x not in seen:
+                seen.add(x)
+                x = p[x]
+        assert _PARITY[p] == perm_parity(p) == (-1) ** (4 - count)
+        assert _SPELLED["".join(str(x) for x in p)] == p
+
+
+def test_parse_refuses_every_spelling_that_is_not_a_permutation():
+    spellings = ["".join(w) for w in itertools.product("0123", repeat=4)
+                 if len(set(w)) < 4]
+    assert len(spellings) == 232
+    for spelling in spellings + ["012", "01234", "0\u066123"]:
+        with pytest.raises(TriangulationError,
+                           match="^line 2: bad permutation") as err:
+            parse_triangulation("tets 1\nglue 0 0 0 1 %s\n" % spelling)
+        assert repr(spelling) in str(err.value)
