@@ -4,7 +4,8 @@ readers that want ints, and keeps ints as ints; `scaled` takes a row or
 a vector to ints over the lcm of its denominators, `reduced` takes such
 a (den, ints) form to its least denominator, `unscaled` turns it back
 into Fractions, and no other module takes a number apart.  Lists of
-plain ints pass the gate and the scaling in one look at their types.
+plain ints pass the gate and the scaling, and lists of ints and
+Fractions the gate, in one look at their types.
 
 Every number crossing a file boundary is a fraction printed as "p/q" with
 q > 0 and gcd(p,q) = 1; the denominator is kept even when it is 1 so that
@@ -22,16 +23,17 @@ from math import gcd, lcm
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-# The type of a plain int: the one type that the gate and the scaling
-# pass through without a look at each entry.
+# The type of a plain int: the one type that the scaling passes through
+# without a look at each entry; the gate passes Fractions beside them.
 _INT = frozenset([int])
+_EXACT = frozenset([int, Fraction])
 
 
 def _gate(where: str, values, error) -> tuple:
     """values as a tuple, once each is an int or a Fraction; a bool, a
     float or anything else raises error, naming where and its index."""
     values = tuple(values)
-    if not _INT.issuperset(map(type, values)):
+    if not _EXACT.issuperset(map(type, values)):
         for idx, v in enumerate(values):
             if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise error("%s entry %d is %r, not an int or a Fraction"

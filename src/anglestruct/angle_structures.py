@@ -13,11 +13,11 @@ coordinates, reading the corner, edge and quad tallies kept here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from ._rational import exact, format_rational, parse_rational, scaled
+from ._record import Record
 from .triangulation import EDGES_AT_VERTEX, Triangulation
 
 
@@ -25,8 +25,7 @@ class AngleStructureError(ValueError):
     """Raised for dimension mismatches or violated preconditions."""
 
 
-@dataclass(frozen=True)
-class AngleAssignment:
+class AngleAssignment(Record):
     """6n dihedral angles in units of pi, tet-major, edges 0..5.
 
     ``_scaled``, derived on first use and kept, is (den, ints): the
@@ -59,8 +58,7 @@ class AngleAssignment:
         return scaled(self.angles)
 
 
-@dataclass(frozen=True)
-class AreaCurvature:
+class AreaCurvature(Record):
     """Prescribed or realized data: 4n triangle areas, m edge curvatures."""
     area: tuple
     curvature: tuple

@@ -37,12 +37,12 @@ areas as ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from ._rational import exact, scaled
+from ._record import Record
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
@@ -275,15 +275,13 @@ def find_angle_structure(t: Triangulation, ac: AreaCurvature):
     return _decide(t, ac, "strict")
 
 
-@dataclass(frozen=True)
-class Holds:
+class Holds(Record):
     """The quad-slice maximum is negative: no compatible class can stop a
     strict upgrade."""
     optimum: Fraction
 
 
-@dataclass(frozen=True)
-class Fails:
+class Fails(Record):
     """Refuted by a compatible class with nonnegative quad part summing
     to 1 and nonnegative total quad area."""
     optimum: Fraction
@@ -329,8 +327,8 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     return Fails(optimum=optimum, witness=witness)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
+    """Both sides of Corollary 2 on one input, or why its hypothesis fails."""
     hypothesis_met: bool
     reason: str
     semi: Optional[AngleAssignment] = None

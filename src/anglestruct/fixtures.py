@@ -23,10 +23,10 @@ angle assignment and an area-curvature target:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
@@ -60,8 +60,8 @@ class FixtureError(ValueError):
     """Raised for unknown fixture names."""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
+    """A named triangulation, its angles if it has any, and its target."""
     name: str
     description: str
     triangulation: Triangulation

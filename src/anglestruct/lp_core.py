@@ -34,7 +34,6 @@ mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -42,6 +41,7 @@ from operator import mul
 
 from ._linalg import _eliminate, _primitive
 from ._rational import exact_scaled, reduced, unscaled
+from ._record import Record
 
 NONNEG = "nonneg"
 STRICT_POS = "strict-pos"
@@ -53,8 +53,7 @@ class LPError(ValueError):
     """Raised for malformed systems or violated preconditions."""
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Rational equality system A x = b with a sign constraint per column,
     held once as ints.
 
@@ -135,37 +134,35 @@ class LinearSystem:
         return len(self.signs)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Farkas vector over the rows of the system it refutes."""
     y: tuple
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
+    """A point x >= 0 with A x = b, exact."""
     x: tuple
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Record):
     """A refusal, with a certificate checked against the system's signs."""
     certificate: Certificate
 
 
-@dataclass(frozen=True)
-class StrictSolution:
+class StrictSolution(Record):
+    """A point x with A x = b and every entry at least margin > 0."""
     x: tuple
     margin: Fraction
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(Record):
+    """The least value of the objective and a point x that attains it."""
     value: Fraction
     x: tuple
 
 
-@dataclass(frozen=True)
-class Unbounded:
+class Unbounded(Record):
+    """A ray along which the objective falls without bound."""
     ray: tuple
 
 

@@ -25,7 +25,6 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -33,6 +32,7 @@ from operator import mul
 
 from ._linalg import echelon
 from ._rational import exact, exact_scaled, scaled, unscaled
+from ._record import Record
 from .angle_structures import (
     AngleAssignment,
     AngleStructureError,
@@ -64,8 +64,7 @@ class NormalCoordinateError(ValueError):
     inputs."""
 
 
-@dataclass(frozen=True)
-class NormalCoordinate:
+class NormalCoordinate(Record):
     """A rational weight per normal disk type: 3n quads, 4n triangles.
 
     ``_scaled``, derived on first use unless built from ints, is (den,
@@ -107,8 +106,7 @@ class NormalCoordinate:
                             NormalCoordinateError))
 
 
-@dataclass(frozen=True)
-class CompatibilitySystem:
+class CompatibilitySystem(Record):
     """The disk-matching equations: one per interior face arc type.
 
     An arc is the columns (quad, triangle) on one side of the face, then
@@ -383,8 +381,7 @@ class BasisVerificationError(RuntimeError):
     """The constructed solution-space basis failed an exactness check."""
 
 
-@dataclass(frozen=True)
-class SolutionBasis:
+class SolutionBasis(Record):
     """A verified basis of a triangulation's solution space, boundary
     faces allowed; its vertex links need not be those of an ideal one.
 

@@ -14,12 +14,12 @@ on ints, the bounds compared by cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from ._rational import exact_scaled, scaled, unscaled
+from ._record import Record
 from .angle_structures import (
     AngleAssignment,
     AreaCurvature,
@@ -53,8 +53,7 @@ def edge_angle_census(alpha: AngleAssignment, t: Triangulation) -> tuple:
     return tuple(census)
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
+class PerturbationFamily(Record):
     """The affine family alpha_t = base + coeffs * t, one coefficient per
     tet-edge, built so that every edge class has zero coefficient sum.
     ``census`` is the base's edge_angle_census; ``_ints``, derived on
@@ -140,8 +139,7 @@ def max_perturbation_parameter(fam: PerturbationFamily) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class Perturbed:
+class Perturbed(Record):
     """The strict assignment apply_theorem3 returns, its realized data,
     and the family and safe range it was taken from."""
     assignment: AngleAssignment

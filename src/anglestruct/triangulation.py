@@ -15,9 +15,10 @@ and vertex classes with the Euler characteristic of their links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+
+from ._record import Record
 
 # Tet-edge k is the vertex pair EDGE_VERTICES[k].  Pairs are listed in
 # lexicographic order, which makes edges k and 5-k opposite (disjoint).
@@ -259,8 +260,7 @@ def format_triangulation(t: Triangulation) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+class EdgeClass(Record):
     """One edge of the quotient complex.
 
     ``corners`` lists the (tet, tet-edge) wedges around the edge in cyclic
@@ -373,8 +373,7 @@ def _components(count, links):
     return out
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(Record):
     """One vertex of the quotient with the combinatorics of its link.
 
     The link surface is assembled from one triangle per (tet, vertex)
@@ -457,8 +456,7 @@ def is_ideal_triangulation(t: Triangulation) -> bool:
                for c in t.vertex_classes)
 
 
-@dataclass(frozen=True)
-class FlatTetrahedron:
+class FlatTetrahedron(Record):
     """Bookkeeping for a tetrahedron inserted in a squashed-flat position.
 
     Its opposite tet-edges 0 and 5 run along the two creases of the

@@ -32,14 +32,14 @@ already holds.  A certificate is checked against its own system's
 column signs: no module passes a mode beside the system.
 `triangulation` looks each permutation's inverse and parity up in tables
 built at import, its edge walk reads the raw gluing table, and certify's
-size check walks no edge class.
+size check walks no edge class.  No module imports dataclasses or a
+namedtuple factory: every record is a `_record.Record`.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -341,9 +341,8 @@ def test_no_second_name_for_a_value_the_package_holds():
                              SolutionBasis, angle_structures)
     assert not hasattr(anglestruct, "NotStrict")
     assert not hasattr(anglestruct, "EdgeAngleCensus")
-    assert tuple(f.name for f in fields(FlatTetrahedron)) == ("tet",)
-    assert tuple(f.name for f in fields(SolutionBasis)) == \
-        ("w_sigma", "w_edge")
+    assert FlatTetrahedron._fields == ("tet",)
+    assert SolutionBasis._fields == ("w_sigma", "w_edge")
     for cls in (AngleAssignment, NormalCoordinate):
         for name in ("angle", "quad", "tri"):
             assert not hasattr(cls, name), (cls.__name__, name)
@@ -374,3 +373,27 @@ def test_a_certificate_is_checked_against_its_systems_signs():
                                     isinstance(n.value, str)), \
                             (path.name, node.lineno)
     assert callers == {"existence.py", "lp_core.py"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_records_take_no_generated_code(path):
+    # Every record is a `_record.Record`, whose fields, defaults and field
+    # getter are worked out when its class is made: no module imports
+    # dataclasses, whose decorator writes and compiles six methods per
+    # class, or a namedtuple factory.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported.update(node.module + "." + alias.name
+                            for alias in node.names)
+    read = {(n.value.id, n.attr) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+    banned = {"collections.namedtuple", "typing.NamedTuple"}
+    assert "dataclasses" not in imported, path.name
+    assert not imported & banned, path.name
+    assert not {"%s.%s" % pair for pair in read} & banned, path.name

@@ -155,3 +155,17 @@ def test_inexact_entries_are_refused_where_they_enter(entry, bad):
             "%s entry %d is %r, not an int or a Fraction"
             % (where, idx, bad))):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5])
+def test_gate_takes_ints_and_fractions_in_one_look(bad):
+    # A tuple of ints and Fractions, the form an assignment's or a target's
+    # vector has after its first gate, passes unchanged; a bool or a float
+    # among Fractions still takes the per-entry look and its message.
+    from anglestruct._rational import _gate
+    mixed = (0, Fraction(1, 3), -2, Fraction(5, 2))
+    assert _gate("mixed", mixed, ValueError) is mixed
+    assert _gate("mixed", list(mixed), ValueError) == mixed
+    with pytest.raises(ValueError, match=re.escape(
+            "mixed entry 2 is %r, not an int or a Fraction" % bad)):
+        _gate("mixed", (Fraction(1, 2), 1, bad, Fraction(3)), ValueError)
