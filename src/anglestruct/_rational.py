@@ -51,9 +51,6 @@ def exact(where: str, values, error) -> tuple:
 def exact_scaled(where: str, values, error) -> tuple:
     """(den, ints): values through the gate of exact, over the lcm of
     their denominators; ints come back as they are, over 1."""
-    values = tuple(values)
-    if _INT.issuperset(map(type, values)):
-        return 1, values
     return scaled(_gate(where, values, error))
 
 
@@ -78,11 +75,9 @@ def reduced(den: int, ints) -> tuple:
 
 
 def unscaled(den: int, ints) -> tuple:
-    """(values, form): the Fractions ints / den, one built per distinct
-    int, and the form (den, ints) reduced, as scaled gives it for them."""
-    form = reduced(den, ints)
-    made = {v: Fraction(v, form[0]) for v in set(form[1])}
-    return tuple(map(made.__getitem__, form[1])), form
+    """The Fractions ints / den, one built per distinct int."""
+    made = {v: Fraction(v, den) for v in set(ints)}
+    return tuple(map(made.__getitem__, ints))
 
 
 def format_rational(x) -> str:

@@ -328,12 +328,11 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
 
 
 class EquivalenceReport(Record):
-    """Both sides of Corollary 2 on one input, or why its hypothesis fails."""
-    hypothesis_met: bool
+    """Both sides of Corollary 2 on one input, or why its hypothesis
+    fails: reason is "ok" when it holds, and then the strict result is
+    an assignment exactly when the condition-2 result holds."""
     reason: str
     semi: Optional[AngleAssignment] = None
-    strict_exists: Optional[bool] = None
-    condition2_holds: Optional[bool] = None
     strict_result: object = None
     condition2_result: object = None
 
@@ -349,26 +348,21 @@ def check_corollary2(t: Triangulation, ac: AreaCurvature) -> EquivalenceReport:
     assignment can still certify, and raise (ROADMAP item 2).
     """
     if any(a > 0 for a in ac.area):
-        return EquivalenceReport(
-            hypothesis_met=False, reason="a triangle area is positive")
+        return EquivalenceReport(reason="a triangle area is positive")
     semi_res = find_semi_angle_structure(t, ac)
     if isinstance(semi_res, Certificate):
         return EquivalenceReport(
-            hypothesis_met=False,
             reason="no semi assignment realizes the data",
             strict_result=semi_res)
     strict_res = find_angle_structure(t, ac)
     cond2 = certify_condition2(t, semi_res)
     strict_exists = isinstance(strict_res, AngleAssignment)
-    cond2_holds = isinstance(cond2, Holds)
-    if strict_exists != cond2_holds:
+    if strict_exists != isinstance(cond2, Holds):
         raise ExistenceError(
             "equivalence violated: strict existence is %s but the "
             "quad-slice certification returned %r" % (strict_exists, cond2))
-    return EquivalenceReport(
-        hypothesis_met=True, reason="ok", semi=semi_res,
-        strict_exists=strict_exists, condition2_holds=cond2_holds,
-        strict_result=strict_res, condition2_result=cond2)
+    return EquivalenceReport(reason="ok", semi=semi_res,
+                             strict_result=strict_res, condition2_result=cond2)
 
 
 def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):

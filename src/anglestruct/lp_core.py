@@ -115,7 +115,7 @@ class LinearSystem(Record):
 
     @cached_property
     def rhs(self) -> tuple:
-        return unscaled(*self.scaled_rhs)[0]
+        return unscaled(*self.scaled_rhs)
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -336,7 +336,7 @@ def _verified(sys: LinearSystem, y) -> Certificate:
     if not verify_certificate(sys, y[1]):
         raise LPError("internal error: emitted certificate failed "
                       "verification")
-    return Certificate(y=unscaled(*y)[0])
+    return Certificate(y=unscaled(*y))
 
 
 def solve_feasibility_nonneg(sys: LinearSystem):
@@ -348,7 +348,7 @@ def solve_feasibility_nonneg(sys: LinearSystem):
     res = _solve(sys.scaled_rows, sys.scaled_rhs, (1, (0,) * sys.col_count))
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"]))
-    return Solution(x=unscaled(*res["x"])[0])
+    return Solution(x=unscaled(*res["x"]))
 
 
 def solve_feasibility_strict(sys: LinearSystem):
@@ -380,7 +380,7 @@ def solve_feasibility_strict(sys: LinearSystem):
         d, x = res["x"]
         eps = x[t]
         if eps > 0:
-            return StrictSolution(x=unscaled(d, [v + eps for v in x[:t]])[0],
+            return StrictSolution(x=unscaled(d, [v + eps for v in x[:t]]),
                                   margin=Fraction(eps, d))
         d, y = res["dual"]
     return Infeasible(certificate=_verified(sys, (d, y[:k])))
@@ -425,8 +425,8 @@ def minimize_linear(objective, sys: LinearSystem, start=None):
                           "support left a residue")
         return Infeasible(certificate=_verified(sys, res["farkas"]))
     if res["status"] == "unbounded":
-        return Unbounded(ray=unscaled(*res["ray"])[0])
-    return Optimum(value=res["value"], x=unscaled(*res["x"])[0])
+        return Unbounded(ray=unscaled(*res["ray"]))
+    return Optimum(value=res["value"], x=unscaled(*res["x"]))
 
 
 def verify_certificate(sys: LinearSystem, y) -> bool:

@@ -31,7 +31,7 @@ from math import lcm
 from operator import mul
 
 from ._linalg import echelon
-from ._rational import exact, exact_scaled, scaled, unscaled
+from ._rational import exact, exact_scaled, reduced, scaled, unscaled
 from ._record import Record
 from .angle_structures import (
     AngleAssignment,
@@ -95,7 +95,8 @@ class NormalCoordinate(Record):
     @classmethod
     def _of_scaled(cls, den: int, nums):
         """The coordinate nums / den, its scaled form kept."""
-        vec, form = unscaled(den, nums)
+        form = reduced(den, nums)
+        vec = unscaled(*form)
         s = cls(quads=vec[:3 * len(vec) // 7], tris=vec[3 * len(vec) // 7:])
         s.__dict__["_scaled"] = form
         return s
@@ -110,9 +111,8 @@ class CompatibilitySystem(Record):
     """The disk-matching equations: one per interior face arc type.
 
     An arc is the columns (quad, triangle) on one side of the face, then
-    on the other, whose weights must match.  Its row, derived, is the
-    (column, int coefficient) pairs of its nonzero entries.  ``matrix`` is
-    a dense view for readers outside the package.
+    on the other, whose weights must match.  ``matrix`` is a dense view
+    of their rows for readers outside the package.
 
     An arc's triangle part joins two corners of one vertex link, so the
     triangle weights are fixed by the quads up to one weight per link
@@ -134,20 +134,14 @@ class CompatibilitySystem(Record):
     columns: int
     arcs: tuple
 
-    @cached_property
-    def rows(self) -> tuple:
-        # A quad can cancel only the other side's quad, and a triangle
-        # only the other triangle: the later key then holds 0.
-        return tuple(tuple((c, a) for c, a in sorted(
-            {q: 1, tri: 1, q2: -(q2 != q), tri2: -(tri2 != tri)}.items())
-            if a) for q, tri, q2, tri2 in self.arcs)
-
     @property
     def matrix(self) -> tuple:
-        """The rows as dense tuples of length ``columns``."""
-        return tuple(
-            tuple(entries.get(c, 0) for c in range(self.columns))
-            for entries in map(dict, self.rows))
+        """One dense row of length ``columns`` per arc: +1 at one side's
+        quad and triangle, -1 at the other's; where a face is glued to
+        its own tetrahedron both sides may hit one column, which reads 0."""
+        return tuple(tuple((c in (q, tri)) - (c in (q2, tri2))
+                           for c in range(self.columns))
+                     for q, tri, q2, tri2 in self.arcs)
 
     @cached_property
     def _projection(self) -> tuple:

@@ -73,7 +73,7 @@ class PerturbationFamily(Record):
         den, a, _ = _angle_ints(self.base)
         scale, c = self._ints
         return AngleAssignment(angles=unscaled(den * scale * tden, [
-            x * scale * tden + y * tnum * den for x, y in zip(a, c)])[0])
+            x * scale * tden + y * tnum * den for x, y in zip(a, c)]))
 
 
 def build_perturbation(alpha: AngleAssignment,
@@ -104,7 +104,7 @@ def build_perturbation(alpha: AngleAssignment,
             raise PerturbationError(
                 "internal error: nonzero coefficient sum on edge class %d"
                 % cls.index)
-    return PerturbationFamily(base=alpha, coeffs=unscaled(scale, coeffs)[0],
+    return PerturbationFamily(base=alpha, coeffs=unscaled(scale, coeffs),
                               census=census)
 
 

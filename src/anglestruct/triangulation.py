@@ -120,7 +120,8 @@ class Triangulation:
     4-tuple of vertex images.  Both directions of every gluing pair are
     stored; the constructor accepts either one direction or both and
     checks that the result is a fixed-point-free involution on the glued
-    face slots.
+    face slots.  Two triangulations are equal, and hash equal, when their
+    tet counts and tables are; the name is not compared.
 
     Edge classes, vertex classes, the compatibility system and the
     solution-space basis are computed on first use and kept; the package
@@ -165,10 +166,8 @@ class Triangulation:
     def gluing(self, tet: int, face: int):
         """(tet, face, perm) on the far side, or None for a boundary face;
         a missing slot or a non-int index raises TriangulationError."""
-        glu = self._gluing.get((tet, face))
-        if glu is None or type(tet) is not int or type(face) is not int:
-            _check_slot(self.tet_count, tet, face)
-        return glu
+        _check_slot(self.tet_count, tet, face)
+        return self._gluing.get((tet, face))
 
     @cached_property
     def _glued_pairs(self):  # complete once built, so sorted once
@@ -188,6 +187,10 @@ class Triangulation:
         return (isinstance(other, Triangulation)
                 and self.tet_count == other.tet_count
                 and self._gluing == other._gluing)
+
+    def __hash__(self):
+        # Not kept: parse_triangulation fills the table after __init__.
+        return hash((self.tet_count, frozenset(self._gluing.items())))
 
     def __repr__(self):
         return "Triangulation(%d tets, %d boundary faces%s)" % (

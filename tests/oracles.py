@@ -23,7 +23,9 @@ membership, crossing weights, edge coefficients, chi*, combine,
 decompose and a slice witness's back-substitution, against which the
 integer kernels are checked; the quad rows and rank of the compatibility
 rows, by a generic elimination with the triangle columns first, against
-which the vertex-link forest's projection is checked; and the Farkas
+which the vertex-link forest's projection is checked, those rows read
+off the system's arcs here, as the package keeps no sparse view of
+them; and the Farkas
 sign conditions recomputed over Fractions, against which the integer
 certificate check is.  An assignment's realized data is summed angle by
 angle, and the flat-pair
@@ -618,6 +620,19 @@ def fraction_rows(sys) -> tuple:
                  for row in rows)
 
 
+def compatibility_rows(sys) -> tuple:
+    """Each arc of a CompatibilitySystem as the sorted (column, int)
+    pairs of its nonzeros: +1 at one side's quad and triangle, -1 at the
+    other's, summed where both sides hit one column."""
+    out = []
+    for arc in sys.arcs:
+        row = {}
+        for c, a in zip(arc, (1, 1, -1, -1)):
+            row[c] = row.get(c, 0) + a
+        out.append(tuple(sorted((c, a) for c, a in row.items() if a)))
+    return tuple(out)
+
+
 def verify_certificate(sys, y) -> bool:
     """The Farkas sign conditions of lp_core.verify_certificate, with
     A^T y and y.b summed as Fractions: A^T y <= 0, and y.b > 0 or y.b = 0
@@ -696,7 +711,7 @@ def _triangles_first_echelon(sys) -> dict:
     generic elimination that knows nothing of the vertex-link forest."""
     tris = 4 * sys.columns // 7
     return echelon([((c + tris) % sys.columns, v) for c, v in row]
-                   for row in sys.rows)
+                   for row in compatibility_rows(sys))
 
 
 def quad_rows(sys) -> tuple:
@@ -730,7 +745,7 @@ def in_solution_space(t, s) -> bool:
     of each compatibility row."""
     vec = s.quads + s.tris
     return all(sum((Fraction(a) * vec[c] for c, a in row), Fraction(0)) == 0
-               for row in t.compatibility_system.rows)
+               for row in compatibility_rows(t.compatibility_system))
 
 
 def crossing_weight(s, i: int, k: int) -> Fraction:

@@ -38,6 +38,7 @@ from anglestruct.angle_structures import (
 )
 from anglestruct.cli import main
 from anglestruct.existence import (
+    Holds,
     angle_linear_system,
     check_corollary2,
     find_angle_structure,
@@ -160,8 +161,9 @@ def test_criterion_3_equivalence_on_sampled_targets():
             assert all(a <= 0 for a in ac.area)
             # raises with both outcomes attached on any disagreement
             rep = check_corollary2(t, ac)
-            assert rep.hypothesis_met
-            assert rep.strict_exists == rep.condition2_holds
+            assert rep.reason == "ok"
+            assert isinstance(rep.strict_result, AngleAssignment) == \
+                isinstance(rep.condition2_result, Holds)
             total += 1
     print("criterion 3 PASS: strict existence and the quad-slice "
           "certification agree on all %d sampled targets" % total)

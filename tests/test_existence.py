@@ -404,23 +404,26 @@ def test_certify_condition2_never_vacuous_on_fixtures():
 def test_check_corollary2_agreement_on_fixture_targets():
     fig8 = fixture("fig8")
     rep = check_corollary2(fig8.triangulation, fig8.ac)
-    assert rep.hypothesis_met and rep.strict_exists and rep.condition2_holds
+    assert rep.reason == "ok" and isinstance(rep.strict_result,
+                                             AngleAssignment)
+    assert isinstance(rep.condition2_result, Holds)
 
     flat1 = fixture("fig8-flat1")
     rep1 = check_corollary2(flat1.triangulation, flat1.ac)
-    assert rep1.hypothesis_met
-    assert rep1.strict_exists and rep1.condition2_holds
+    assert rep1.reason == "ok"
+    assert isinstance(rep1.strict_result, AngleAssignment)
+    assert isinstance(rep1.condition2_result, Holds)
 
     infeasible = fixture("fig8-infeasible")
     rep2 = check_corollary2(infeasible.triangulation, infeasible.ac)
-    assert not rep2.hypothesis_met and "no semi" in rep2.reason
+    assert rep2.reason != "ok" and "no semi" in rep2.reason
 
 
 def test_check_corollary2_refuses_positive_area_hypothesis():
     fig8 = fixture("fig8").triangulation
     ac = AreaCurvature(area=(F(1, 2),) * 8, curvature=(F(0),) * 2)
     rep = check_corollary2(fig8, ac)
-    assert not rep.hypothesis_met and "area" in rep.reason
+    assert rep.reason != "ok" and "area" in rep.reason
 
 
 def test_identity_sides_trivial_and_frozen_counterexample():
@@ -598,8 +601,9 @@ def test_sampled_agreement_between_strict_existence_and_condition2():
         if any(a > 0 for a in ac.area):
             continue
         rep = check_corollary2(fig8, ac)
-        assert rep.hypothesis_met
-        assert rep.strict_exists == rep.condition2_holds
+        assert rep.reason == "ok"
+        assert isinstance(rep.strict_result, AngleAssignment) == \
+            isinstance(rep.condition2_result, Holds)
 
 
 def test_degenerate_zero_corner_target_breaks_agreement_loudly():
@@ -640,5 +644,6 @@ def test_check_corollary2_agrees_on_semi_data_with_a_zero_angle():
     alpha = AngleAssignment.from_vector(2, [F(v) for v in (
         "1/36 1/12 0 5/18 5/18 7/36 5/18 1/3 1/18 1/36 5/18 1/18").split()])
     rep = check_corollary2(t, realized_area_curvature(alpha, t))
-    assert not rep.hypothesis_met or \
-        rep.strict_exists == rep.condition2_holds
+    assert rep.reason != "ok" or \
+        isinstance(rep.strict_result, AngleAssignment) == \
+        isinstance(rep.condition2_result, Holds)

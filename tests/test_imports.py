@@ -2,7 +2,8 @@
 
 Every module uses each name it imports: a stdlib stand-in for pyflakes'
 unused-import check (F401); an import line marked ``# noqa: F401`` is
-kept on purpose and exempt.  No module reads a dense matrix view, only
+kept on purpose and exempt.  Every private module-level name is read
+somewhere in the package: no helper is kept for tests alone.  No module reads a dense matrix view, only
 `_rational` takes a number apart into numerator and denominator, and
 the simplex's per-pivot code, with the elimination step it shares with
 the echelon form, the integer normal-coordinate kernels (the arc
@@ -17,8 +18,8 @@ The normal-coordinate edge functionals read one edge tally, and take
 no lcm of the valences and walk no class's corners of their own.  The
 basis, the dual pairing identity and `analyze` ask for no boundary
 faces, and the identity reads the solvers' targets.
-Answers are read out by `_rational.unscaled` alone, `LinearSystem`
-keeps no `rows` view for tests, and `perturbation` writes into no
+Answers are read out by `_rational.unscaled` alone, `LinearSystem` and
+`CompatibilitySystem` keep no `rows` view for tests, and `perturbation` writes into no
 `__dict__`.  The CLI's `_emit` writes the one report
 header: no command handler names "schema" or `EXIT_OK`, or returns a
 value.  `normal_coords` is the one module that knows the 7n coordinate
@@ -66,6 +67,41 @@ def test_module_uses_every_name_it_imports(path):
     assert sorted(imported - used) == []
 
 
+def _defined_privately(tree) -> set:
+    """The module-level _names a module defines: its functions, classes
+    and assigned names, loop targets not included."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for target in targets
+                         for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_private_name_is_kept_for_tests_alone():
+    # A private helper, class or constant at module level is read by the
+    # package itself, in its own module or another: a name and an
+    # attribute both count as a read, a definition or an import does not.
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update((name, path.name) for name in _defined_privately(tree))
+        read.update(n.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and
+                    isinstance(n.ctx, ast.Load))
+        read.update(n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute))
+    assert "_gate" in defined and "_RATIONAL" in defined
+    assert "_k" not in defined
+    assert sorted((defined[name], name) for name in defined
+                  if name not in read) == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_package_reads_no_dense_view(path):
@@ -99,11 +135,15 @@ def test_only_rational_takes_numbers_apart(path):
 
 def test_no_view_kept_for_tests_and_no_slot_written_by_hand():
     # LinearSystem has no Fraction rows view: the package reads its int
-    # form, and tests read oracles.fraction_rows.  The perturbation
+    # form, and tests read oracles.fraction_rows.  Nor does
+    # CompatibilitySystem keep sparse rows: the package reads its arcs,
+    # and tests read oracles.compatibility_rows.  The perturbation
     # family's scaled coefficients are derived on first use, not written
     # into its __dict__ past the cached property.
     from anglestruct.lp_core import LinearSystem
+    from anglestruct.normal_coords import CompatibilitySystem
     assert not hasattr(LinearSystem, "rows")
+    assert not hasattr(CompatibilitySystem, "rows")
     tree = ast.parse((PACKAGE / "perturbation.py").read_text(encoding="utf-8"))
     assert "__dict__" not in {n.attr for n in ast.walk(tree)
                               if isinstance(n, ast.Attribute)}
@@ -334,15 +374,20 @@ def test_no_second_name_for_a_value_the_package_holds():
     # accessor that took an index past a tetrahedron's end answered with
     # the next tetrahedron's entry.  An edge's curvature is read off
     # realized_area_curvature, and a triangle area's slope along a
-    # perturbation is its area at 1 minus its area at 0.
+    # perturbation is its area at 1 minus its area at 0.  Corollary 2's
+    # report says whether its hypothesis holds by its reason, and whether
+    # each side holds by the type of that side's result.
     import anglestruct
-    from anglestruct import (AngleAssignment, FlatTetrahedron,
-                             NormalCoordinate, PerturbationFamily,
-                             SolutionBasis, angle_structures)
+    from anglestruct import (AngleAssignment, EquivalenceReport,
+                             FlatTetrahedron, NormalCoordinate,
+                             PerturbationFamily, SolutionBasis,
+                             angle_structures)
     assert not hasattr(anglestruct, "NotStrict")
     assert not hasattr(anglestruct, "EdgeAngleCensus")
     assert FlatTetrahedron._fields == ("tet",)
     assert SolutionBasis._fields == ("w_sigma", "w_edge")
+    assert EquivalenceReport._fields == ("reason", "semi", "strict_result",
+                                         "condition2_result")
     for cls in (AngleAssignment, NormalCoordinate):
         for name in ("angle", "quad", "tri"):
             assert not hasattr(cls, name), (cls.__name__, name)

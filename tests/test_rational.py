@@ -157,6 +157,19 @@ def test_inexact_entries_are_refused_where_they_enter(entry, bad):
         call(bad)
 
 
+def test_unscaled_returns_the_fractions_alone():
+    # The readout is the Fractions ints / den at their least terms; a
+    # caller that wants the reduced (den, ints) form asks reduced for it.
+    from anglestruct._rational import reduced, unscaled
+    values = unscaled(2, (1, 2))
+    assert values == (Fraction(1, 2), Fraction(1))
+    assert type(values) is tuple
+    assert all(type(v) is Fraction for v in values)
+    assert unscaled(6, (2, -4, 2)) == (Fraction(1, 3), Fraction(-2, 3),
+                                       Fraction(1, 3))
+    assert reduced(6, (2, -4, 2)) == (3, (1, -2, 1))
+
+
 @pytest.mark.parametrize("bad", [True, 0.5])
 def test_gate_takes_ints_and_fractions_in_one_look(bad):
     # A tuple of ints and Fractions, the form an assignment's or a target's

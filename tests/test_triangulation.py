@@ -147,6 +147,25 @@ def test_equality_reads_the_gluings_alone():
     assert t != FIG8_TABLE
 
 
+def test_equal_tables_hash_equal():
+    # A triangulation hashes the way it compares, by its tet count and
+    # gluing table and not by its name, so equal tables built one way,
+    # both ways or by parsing collapse in a set; the hash is not kept,
+    # since the parser fills the table after construction.
+    t = parse_triangulation(FIG8_TABLE, name="fig8")
+    one_way = {(i, f): (j, g, perm) for (i, f), (j, g), perm
+               in t.glued_pairs()}
+    built = [t, Triangulation(2, one_way, name="a"),
+             Triangulation(2, t._gluing, name="b"),
+             parse_triangulation(FIG8_TABLE), fixture("fig8").triangulation]
+    assert len({hash(x) for x in built}) == 1
+    assert len(set(built)) == 1
+    bad = FIG8_TABLE.replace("glue 0 0 1 0 0123", "glue 0 0 1 0 0132")
+    assert len({t, parse_triangulation(bad), Triangulation(2),
+                Triangulation(1)}) == 4
+    assert len(set(map(fixture, fixture_names()))) == len(fixture_names())
+
+
 def test_orientability():
     assert is_orientable(fixture("fig8").triangulation)
     assert is_orientable(fixture("one-tet").triangulation)
