@@ -42,7 +42,6 @@ from .lp_core import (
     LPError,
     Optimum,
     Solution,
-    StrictSolution,
     Unbounded,
     minimize_linear,
     solve_feasibility_nonneg,

@@ -244,7 +244,7 @@ def cmd_solve(args) -> None:
         # existence._check_realization found its realized data equal to ac.
         report["realized"] = ac_to_json(ac)
         lines = ["%s assignment found" % report["classification"],
-                 "angles: %s" % " ".join(_vector(result.angles))]
+                 "angles: %s" % " ".join(report["assignment"]["angles"])]
     else:
         # The solvers verify every certificate they emit and raise
         # LPError otherwise.
@@ -271,8 +271,7 @@ def cmd_certify(args) -> None:
         report["witness"] = {"quads": _vector(result.witness.quads),
                              "tris": _vector(result.witness.tris)}
         lines = ["negative quad-area condition fails; optimum %s" % report["optimum"],
-                 "witness quads: %s" % " ".join(
-                     _vector(result.witness.quads))]
+                 "witness quads: %s" % " ".join(report["witness"]["quads"])]
     _emit(args, report, lines)
 
 
@@ -291,9 +290,9 @@ def cmd_perturb(args) -> None:
               "after": ac_to_json(res.realized)}
     lines = ["perturbed to a strict assignment at t* = %s (t_max = %s)"
              % (report["t_star"], report["t_max"]),
-             "areas after: %s" % " ".join(_vector(res.realized.area)),
+             "areas after: %s" % " ".join(report["after"]["area"]),
              "curvatures preserved: %s" % " ".join(
-                 _vector(res.realized.curvature))]
+                 report["after"]["curvature"])]
     _emit(args, report, lines)
 
 

@@ -81,12 +81,10 @@ class ExistenceError(ValueError):
     detected violation of the strict/condition-2 equivalence."""
 
 
-def _targets(t: Triangulation, ac: AreaCurvature, mode: str):
+def _targets(t: Triangulation, ac: AreaCurvature):
     """(den, corner, edge, capped): the corner targets a_i^l = A + 1 and
     the edge targets b_j = 2 (1 on the boundary) - kappa as ints over one
     denominator, and whether a positive area needs caps."""
-    if mode not in ("semi", "strict"):
-        raise ExistenceError("unknown solve mode %r" % (mode,))
     n = t.tet_count
     edge_classes = t.edge_classes
     if len(ac.area) != 4 * n or len(ac.curvature) != len(edge_classes):
@@ -136,7 +134,7 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
     refutation they return is a Farkas vector over this system's rows.
     The targets go to LinearSystem.of as ints over their denominator.
     """
-    den, corner, edge, capped = _targets(t, ac, mode)
+    den, corner, edge, capped = _targets(t, ac)
     n = t.tet_count
     rows = [[(6 * i + k, 1) for k in EDGES_AT_VERTEX[l]]
             for i in range(n) for l in range(4)]
@@ -149,11 +147,14 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
 def _system(rows, rhs, width: int, caps, mode: str, den: int):
     """rows and rhs over width columns, and a cap row x + slack = c for
     each column when caps lists the c's, as a LinearSystem whose columns
-    all carry the mode's sign: its one statement of what is asked."""
+    all carry the mode's sign, its one statement of what is asked: the
+    one place a mode becomes a sign, and so where an unknown one fails."""
+    sign = {"semi": NONNEG, "strict": STRICT_POS}.get(mode)
+    if sign is None:
+        raise ExistenceError("unknown solve mode %r" % (mode,))
     if caps:
         rows += [[(p, 1), (width + p, 1)] for p in range(width)]
         rhs += caps
-    sign = STRICT_POS if mode == "strict" else NONNEG
     return LinearSystem.of(rows, rhs, [sign] * (width + len(caps)),
                            rhs_den=den)
 
@@ -241,7 +242,7 @@ def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
 
 
 def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
-    targets = _targets(t, ac, mode)
+    targets = _targets(t, ac)
     sys, den, shift = _pair_system(t, targets, mode)
     if mode == "strict":
         res = solve_feasibility_strict(sys)
@@ -388,7 +389,7 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     if len(h) != 4 * n or len(z) != m or len(omega) != n:
         raise ExistenceError("h, z, omega sizes do not match")
     ac = realized_area_curvature(alpha, t)
-    den, corner, edge, _ = _targets(t, ac, "semi")
+    den, corner, edge, _ = _targets(t, ac)
     a = [Fraction(x, den) for x in corner]
     lhs = Fraction(sum(x * y for x, y in zip(h + z, corner + edge)), den)
     s = combine(t.solution_basis, omega, z)

@@ -5,8 +5,8 @@ cycle-free), exact and with no floating point anywhere.  A system is
 held once as ints: its rows over one positive denominator and its rhs
 over another, built by `_rational`'s gate, which keeps ints as ints.
 Answers are fractions.Fraction, built only at readout: x, the Farkas
-vector, the margin and the optimum, each vector read out of its (den,
-ints) form by `_rational.unscaled`.  The tableau is fraction-free and
+vector and the optimum, each vector read out of its (den, ints) form
+by `_rational.unscaled`.  The tableau is fraction-free and
 sparse, each row a dict of its nonzero ints whose entry at the row's
 basic column is its positive denominator.  A pivot is `_linalg`'s
 elimination step, the one the echelon form takes, and keeps every row
@@ -21,15 +21,17 @@ Three entry points cover what the rest of the package needs: feasibility
 of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
 from zero by the largest possible epsilon), and linear minimization over
-the same polyhedra.  Minimization may start from a known point of the
-polyhedron, checked exactly against the system's ints: phase 1 then
-prices only the columns of its support, and so ends at residue 0, since
-the point solves that smaller program.  All three refuse with one
-type, Infeasible, whose Farkas vector y a separate routine re-verifies
-by plain recomputation, as int sums over the system's int form and
-against its column signs, which alone say whether no x >= 0 or no x > 0
-is proved, so no caller has to trust the solver's internals or name a
-mode.
+the same polyhedra.  Both feasibility checks answer with one type,
+Solution, whose entries meet the system's column signs: the epsilon is
+how a strict point is found, not part of the answer.  Minimization may
+start from a known point of the polyhedron, checked exactly against the
+system's ints: phase 1 then prices only the columns of its support, and
+so ends at residue 0, since the point solves that smaller program.  All
+three refuse with one type, Infeasible, whose Farkas vector y a separate
+routine re-verifies by plain recomputation, as int sums over the
+system's int form and against its column signs, which alone say whether
+no x >= 0 or no x > 0 is proved, so no caller has to trust the solver's
+internals or name a mode.
 """
 
 from __future__ import annotations
@@ -140,19 +142,14 @@ class Certificate(Record):
 
 
 class Solution(Record):
-    """A point x >= 0 with A x = b, exact."""
+    """A point x with A x = b, exact, whose entries meet its system's
+    column signs: >= 0, or > 0 on a strict-pos column."""
     x: tuple
 
 
 class Infeasible(Record):
     """A refusal, with a certificate checked against the system's signs."""
     certificate: Certificate
-
-
-class StrictSolution(Record):
-    """A point x with A x = b and every entry at least margin > 0."""
-    x: tuple
-    margin: Fraction
 
 
 class Optimum(Record):
@@ -356,9 +353,9 @@ def solve_feasibility_strict(sys: LinearSystem):
 
     Solves the auxiliary program: maximize epsilon subject to
     A(u + epsilon 1) = b, u >= 0, 0 <= epsilon <= 1.  The cap keeps the
-    program bounded without affecting the sign of the optimum, so the
-    reported margin never exceeds 1.  A positive optimum yields
-    x = u + epsilon 1; otherwise the dual of the auxiliary program is the
+    program bounded without affecting the sign of the optimum.  A
+    positive optimum yields the Solution x = u + epsilon 1, every entry
+    at least epsilon; otherwise the dual of the auxiliary program is the
     certificate of an Infeasible, which may cut with y.b = 0 since every
     column is strict-pos.  The epsilon column of a row is the sum of its
     ints, over the rows' den.
@@ -380,8 +377,7 @@ def solve_feasibility_strict(sys: LinearSystem):
         d, x = res["x"]
         eps = x[t]
         if eps > 0:
-            return StrictSolution(x=unscaled(d, [v + eps for v in x[:t]]),
-                                  margin=Fraction(eps, d))
+            return Solution(x=unscaled(d, [v + eps for v in x[:t]]))
         d, y = res["dual"]
     return Infeasible(certificate=_verified(sys, (d, y[:k])))
 

@@ -33,6 +33,12 @@ test is read off those Fraction areas, against the int corner sums the
 package compares.  Theorem 3's move is rebuilt over Fractions too: its
 coefficients, its safe range as a plain minimum of Fraction bounds, and
 the angles at half of it.
+
+Generated inputs are built here too, from the gluing table alone: random
+tables, closed or with boundary faces; a relabelling of the tetrahedra
+and of each one's vertices, with the maps that carry angles, corners
+and certificates along; and walks of 2-3 moves from fig8, each move
+checked against the invariants it must keep by the oracles above.
 """
 
 from __future__ import annotations
@@ -42,8 +48,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from anglestruct import NormalCoordinate, lp_core
+from anglestruct import (NormalCoordinate, Triangulation, lp_core,
+                         parse_triangulation)
 from anglestruct._linalg import echelon
+from anglestruct.fixtures import FIG8_TABLE
+from anglestruct.triangulation import inverse
 from anglestruct.lp_core import (STRICT_POS, LinearSystem, Optimum,
                                  minimize_linear)
 
@@ -1009,3 +1018,126 @@ def is_edge_walk(t, cls) -> bool:
             if tuple(walked) == cls.corners and closed != cls.is_boundary:
                 return True
     return False
+
+
+def random_table(rng, n: int, unglued_pairs: int = 0):
+    """Pair the 4n face slots at random, each pair glued by a random
+    permutation carrying one face to the other; the first 2 *
+    unglued_pairs slots of the shuffle stay boundary faces."""
+    slots = [(i, f) for i in range(n) for f in range(4)]
+    rng.shuffle(slots)
+    gluings = {}
+    skip = 2 * unglued_pairs
+    for (i, f), (j, g) in zip(slots[skip::2], slots[skip + 1::2]):
+        images = [w for w in range(4) if w != g]
+        rng.shuffle(images)
+        perm = [g] * 4
+        for v, w in zip((v for v in range(4) if v != f), images):
+            perm[v] = w
+        gluings[(i, f)] = (j, g, tuple(perm))
+    return Triangulation(n, gluings)
+
+
+def relabel(t, order, perms):
+    """t with tet i renamed order[i] and its vertex v renamed perms[i][v],
+    and where each tet-edge and each corner goes.
+
+    A gluing (i, f) -> (j, g, p) becomes (order[i], perms[i][f]) ->
+    (order[j], perms[j][g], perms[j] . p . perms[i]^-1).  Tet-edge 6i + k,
+    the edge (u, v) of tet i, goes to the edge (perms[i][u], perms[i][v])
+    of tet order[i], and corner 4i + v to 4 order[i] + perms[i][v]: a
+    vector over either is carried along by carry()."""
+    gluings = {}
+    for (i, f), (j, g), p in t.glued_pairs():
+        back = inverse(perms[i])
+        gluings[(order[i], perms[i][f])] = (
+            order[j], perms[j][g], tuple(perms[j][p[back[w]]]
+                                         for w in range(4)))
+    edges, corners = {}, {}
+    for i, (o, pi) in enumerate(zip(order, perms)):
+        for k, (u, v) in enumerate(EDGE_VERTICES):
+            edges[6 * i + k] = 6 * o + EDGE_INDEX[(pi[u], pi[v])]
+        for v in range(4):
+            corners[4 * i + v] = 4 * o + pi[v]
+    return Triangulation(t.tet_count, gluings), edges, corners
+
+
+def carry(values, index_map) -> tuple:
+    """values moved along index_map: entry r goes to index_map[r]."""
+    out = [None] * len(values)
+    for r, v in enumerate(values):
+        out[index_map[r]] = v
+    return tuple(out)
+
+
+def two_three(t, a: int, f: int):
+    """The 2-3 move on face f of tet a, glued to a tet b other than a.
+
+    a and b give way to three tets T_k = (N, S, x_{k+1}, x_{k+2}) around
+    the new edge NS, N being a's vertex f, S b's vertex opposite the face
+    and x_0 x_1 x_2 the face's vertices in a, indices mod 3.  T_k's face 2
+    is glued to T_{k+1}'s face 3 by 0132.  The other tets keep their
+    order, and T_0 T_1 T_2 come last.  Every old face slot but the two
+    sides of face f goes to a new slot with a vertex map (new -> old):
+    a's face opposite x_k is T_k's face 1, b's face opposite the image
+    of x_k is T_k's face 0, and every other tet's slots stay as they
+    are.  Each old gluing is re-glued through the maps at both its ends,
+    so faces that a and b share, or a tet shares with itself, need no
+    case of their own."""
+    b, g, p = t.gluing(a, f)
+    if b == a:
+        raise ValueError("face (%d,%d) is glued to its own tet" % (a, f))
+    rest = [i for i in range(t.tet_count) if i not in (a, b)]
+    slot = {(i, e): (r, e, (0, 1, 2, 3)) for r, i in enumerate(rest)
+            for e in range(4)}
+    m = len(rest)
+    x = [v for v in range(4) if v != f]
+    for k in range(3):
+        x0, x1, x2 = x[k], x[(k + 1) % 3], x[(k + 2) % 3]
+        slot[(a, x0)] = (m + k, 1, (f, x0, x1, x2))
+        slot[(b, p[x0])] = (m + k, 0, (p[x0], g, p[x1], p[x2]))
+    gluings = {(m + k, 2): (m + (k + 1) % 3, 3, (0, 1, 3, 2))
+               for k in range(3)}
+    for (i, e), (j, h), q in t.glued_pairs():
+        if (i, e) in ((a, f), (b, g)):
+            continue
+        s, d, phi = slot[(i, e)]
+        s2, d2, psi = slot[(j, h)]
+        back = inverse(psi)
+        gluings[(s, d)] = (s2, d2, tuple(back[q[phi[v]]] for v in range(4)))
+    return Triangulation(t.tet_count + 1, gluings)
+
+
+def _one_torus_link(t) -> bool:
+    """Whether every corner lies on one vertex, whose link is a closed
+    orientable torus."""
+    uf = UnionFind()
+    for (i, f), (j, _), perm in t.glued_pairs():
+        for v in range(4):
+            if v != f:
+                uf.union((i, v), (j, perm[v]))
+    corners = [(i, v) for i in range(t.tet_count) for v in range(4)]
+    return (len({uf.find(c) for c in corners}) == 1 and
+            not t.boundary_faces() and
+            link_euler_oracle(t, corners) == 0 and
+            link_orientable_oracle(t, corners))
+
+
+def two_three_walk(rng, moves: int) -> list:
+    """fig8 and the table after each of moves random 2-3 moves.  Each
+    move keeps M orientable, one vertex with a closed orientable torus
+    link, edge classes minus tets and first homology, all read by the
+    oracles here."""
+    t = parse_triangulation(FIG8_TABLE)
+    walk = [t]
+    excess = len(union_find_edge_partition(t)) - t.tet_count
+    h1 = h1_invariants(t)
+    for _ in range(moves):
+        faces = [(i, f) for i in range(t.tet_count) for f in range(4)
+                 if t.gluing(i, f)[0] != i]
+        t = two_three(t, *rng.choice(faces))
+        assert orientable_oracle(t) and _one_torus_link(t)
+        assert len(union_find_edge_partition(t)) - t.tet_count == excess
+        assert h1_invariants(t) == h1
+        walk.append(t)
+    return walk

@@ -22,7 +22,6 @@ from anglestruct import (
     Infeasible,
     Optimum,
     Solution,
-    StrictSolution,
     Unbounded,
     minimize_linear,
     solve_feasibility_nonneg,
@@ -259,7 +258,7 @@ def test_criterion_4_farkas_soundness():
         rhs.append(F(rng.randint(1, 3)))
         sys_ = oracles.dense_system(coeffs, rhs, [STRICT_POS] * cols)
         res = solve_feasibility_strict(sys_)
-        assert isinstance(res, StrictSolution) == \
+        assert isinstance(res, Solution) == \
             oracles.bf_strict_feasible(sys_)
         if isinstance(res, Infeasible):
             check_cert(sys_, res.certificate)

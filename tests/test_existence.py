@@ -16,7 +16,7 @@ from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
 from anglestruct import existence, lp_core
 from anglestruct.fixtures import FIG8_TABLE
 from anglestruct.lp_core import (NONNEG, STRICT_POS, Infeasible, LPError,
-                                 Solution, StrictSolution)
+                                 Solution)
 
 F = Fraction
 
@@ -75,6 +75,17 @@ def test_angle_linear_system_modes_and_capping():
     assert len(capped.coeffs) == 10 + 12
     with pytest.raises(ExistenceError):
         angle_linear_system(fig8, zero_ac(fig8), "maybe")
+
+
+def test_an_unknown_mode_is_refused_where_it_would_become_a_sign():
+    # The targets are the same in both modes; _system, which turns the
+    # mode into the columns' sign, refuses any other, capped or not.
+    fig8 = fixture("fig8").triangulation
+    pos = AreaCurvature(area=(F(1, 2),) * 8, curvature=(F(0),) * 2)
+    for ac in (zero_ac(fig8), pos):
+        with pytest.raises(ExistenceError,
+                           match=r"^unknown solve mode 'bogus'$"):
+            angle_linear_system(fig8, ac, "bogus")
 
 
 def test_find_semi_and_strict_on_fig8_zero_target():
@@ -197,10 +208,8 @@ def test_assignment_off_the_target_fails_reverification(monkeypatch):
     third = fixture("fig8").angles
     x = list(_pair_x(third))
     x[0] += F(1, 100)
-    for name, res in (("solve_feasibility_nonneg", Solution(x=tuple(x))),
-                      ("solve_feasibility_strict",
-                       StrictSolution(x=tuple(x), margin=F(1, 3)))):
-        monkeypatch.setattr(existence, name, lambda sys, res=res: res)
+    for name in ("solve_feasibility_nonneg", "solve_feasibility_strict"):
+        monkeypatch.setattr(existence, name, lambda sys: Solution(x=tuple(x)))
     for finder in (find_semi_angle_structure, find_angle_structure):
         with pytest.raises(ExistenceError,
                            match="solver output failed re-verification"):
@@ -214,7 +223,7 @@ def test_strict_answer_with_a_zero_angle_fails_reverification(monkeypatch):
     x = _pair_x(fx.angles)
     assert min(x) == 0
     monkeypatch.setattr(existence, "solve_feasibility_strict",
-                        lambda sys: StrictSolution(x=x, margin=F(1)))
+                        lambda sys: Solution(x=x))
     with pytest.raises(ExistenceError,
                        match="solver output failed re-verification"):
         find_angle_structure(fx.triangulation, fx.ac)
@@ -337,22 +346,6 @@ def test_certify_condition2_rejects_generalized_assignments():
         certify_condition2(fig8, fixture("one-tet").angles)
 
 
-def _random_closed_table(rng, n):
-    """Pair the 4n face slots at random, each pair glued by a random
-    permutation carrying one face to the other."""
-    slots = [(i, f) for i in range(n) for f in range(4)]
-    rng.shuffle(slots)
-    gluings = {}
-    for (i, f), (j, g) in zip(slots[0::2], slots[1::2]):
-        images = [w for w in range(4) if w != g]
-        rng.shuffle(images)
-        perm = [g] * 4
-        for v, w in zip((v for v in range(4) if v != f), images):
-            perm[v] = w
-        gluings[(i, f)] = (j, g, tuple(perm))
-    return Triangulation(n, gluings)
-
-
 def test_certify_condition2_prices_phase_1_over_tet_0_quads(monkeypatch):
     # The slice's known point is 1/3 on tet 0's three quads, so phase 1
     # prices those three columns alone, in at most three pivots here;
@@ -363,7 +356,7 @@ def test_certify_condition2_prices_phase_1_over_tet_0_quads(monkeypatch):
     rng = random.Random(1)
     cases = [(fx.triangulation, fx.angles or fixture("fig8").angles)
              for fx in map(fixture, fixture_names())]
-    cases.append((_random_closed_table(rng, 32), AngleAssignment.from_vector(
+    cases.append((oracles.random_table(rng, 32), AngleAssignment.from_vector(
         32, [F(rng.randint(1, 12), 36) for _ in range(6 * 32)])))
     loop, pivot = lp_core._pivot_loop, lp_core._pivot
     calls, pivots = [], []
@@ -478,18 +471,7 @@ def random_tables(rng, count, keep, unglued=0):
     tables = []
     while len(tables) < count:
         n = rng.randint(1, 4)
-        slots = [(i, f) for i in range(n) for f in range(4)]
-        rng.shuffle(slots)
-        gluings = {}
-        skip = 2 * min(unglued, n)
-        for (i, f), (j, g) in zip(slots[skip::2], slots[skip + 1::2]):
-            images = [w for w in range(4) if w != g]
-            rng.shuffle(images)
-            perm = [g] * 4
-            for v, w in zip((v for v in range(4) if v != f), images):
-                perm[v] = w
-            gluings[(i, f)] = (j, g, tuple(perm))
-        t = Triangulation(n, gluings)
+        t = oracles.random_table(rng, n, min(unglued, n))
         if keep(t):
             tables.append(t)
     return tables

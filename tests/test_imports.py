@@ -29,8 +29,11 @@ rows through it, not through `_linalg`.  Its projection of the triangle
 columns along the vertex-link forest, and the witness set along that
 forest, use no Fraction and no "/"; no triangles-first echelon form is
 kept.  No public type, field or accessor restates a value the package
-already holds.  A certificate is checked against its own system's
-column signs: no module passes a mode beside the system.
+already holds: a strict point is a Solution, with no margin beside it.
+A certificate is checked against its own system's column signs: no
+module passes a mode beside the system.  A solve mode becomes a column
+sign in one place, `existence._system`, which alone refuses an unknown
+mode; the targets take none.
 `triangulation` looks each permutation's inverse and parity up in tables
 built at import, its edge walk reads the raw gluing table, and certify's
 size check walks no edge class.  No module imports dataclasses or a
@@ -367,7 +370,8 @@ def test_normal_coords_owns_the_coordinate_layout():
 
 
 def test_no_second_name_for_a_value_the_package_holds():
-    # A strict refusal is an Infeasible like every other; the census is
+    # A strict refusal is an Infeasible and a strict point a Solution,
+    # like every other, with no margin restating min(x); the census is
     # the tuple of triples; a flat tetrahedron's creases are always
     # tet-edges 0 and 5; the basis's edge classes are t.edge_classes; and
     # an assignment or a coordinate is read through its tuples, where an
@@ -383,6 +387,9 @@ def test_no_second_name_for_a_value_the_package_holds():
                              PerturbationFamily, SolutionBasis,
                              angle_structures)
     assert not hasattr(anglestruct, "NotStrict")
+    assert not hasattr(anglestruct, "StrictSolution")
+    assert not hasattr(anglestruct.lp_core, "StrictSolution")
+    assert anglestruct.Solution._fields == ("x",)
     assert not hasattr(anglestruct, "EdgeAngleCensus")
     assert FlatTetrahedron._fields == ("tet",)
     assert SolutionBasis._fields == ("w_sigma", "w_edge")
@@ -418,6 +425,24 @@ def test_a_certificate_is_checked_against_its_systems_signs():
                                     isinstance(n.value, str)), \
                             (path.name, node.lineno)
     assert callers == {"existence.py", "lp_core.py"}
+
+
+def test_a_solve_mode_becomes_a_sign_in_one_place():
+    # existence._system turns "semi" or "strict" into the columns' sign
+    # and is the one place an unknown mode is refused; the targets, the
+    # same for both modes, take no mode to validate.
+    from anglestruct import existence
+    assert list(inspect.signature(existence._targets).parameters) == \
+        ["t", "ac"]
+    raisers = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                raisers += [(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Raise) and
+                            "unknown solve mode" in ast.unparse(node)]
+    assert raisers == [("existence.py", "_system")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

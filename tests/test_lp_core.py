@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from anglestruct import (Infeasible, LinearSystem, Optimum, Solution,
-                         StrictSolution, Unbounded, fixture,
-                         minimize_linear, solve_feasibility_nonneg,
-                         solve_feasibility_strict, verify_certificate)
+                         Unbounded, fixture, minimize_linear,
+                         solve_feasibility_nonneg, solve_feasibility_strict,
+                         verify_certificate)
 from anglestruct.existence import angle_linear_system
 from anglestruct import lp_core
 from anglestruct.lp_core import NONNEG, STRICT_POS, Certificate, LPError
@@ -59,8 +59,8 @@ def test_feasibility_on_the_two_tet_angle_system():
 def test_strict_feasibility_simple_cases():
     sys = oracles.dense_system([[1, 1]], [1], [STRICT_POS, STRICT_POS])
     res = solve_feasibility_strict(sys)
-    assert isinstance(res, StrictSolution)
-    assert res.margin == F(1, 2)
+    assert isinstance(res, Solution)
+    assert res.x == (F(1, 2), F(1, 2))
     check_solution(sys, res.x)
 
     sys2 = oracles.dense_system([[1, 0], [0, 1], [1, 1]], [1, -1, 0],
@@ -270,9 +270,8 @@ def test_strict_agrees_with_brute_force_on_bounded_systems():
         sys = oracles.dense_system(coeffs, rhs, [STRICT_POS] * cols)
         res = solve_feasibility_strict(sys)
         expect = oracles.bf_strict_feasible(sys)
-        assert isinstance(res, StrictSolution) == expect, sys
-        if isinstance(res, StrictSolution):
-            assert res.margin > 0
+        assert isinstance(res, Solution) == expect, sys
+        if isinstance(res, Solution):
             check_solution(sys, res.x)
         else:
             assert verify_certificate(sys, res.certificate.y)

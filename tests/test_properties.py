@@ -54,7 +54,7 @@ from hypothesis import strategies as st
 import oracles
 from anglestruct import (AngleAssignment, AreaCurvature, ExistenceError,
                          Fails, LinearSystem, NormalCoordinate, Solution,
-                         StrictSolution, Triangulation,
+                         Triangulation,
                          angle_linear_system, build_edge_classes,
                          certify_condition2, chi_area_curvature,
                          chi_star, chi_via_lemma2, classify, combine,
@@ -254,8 +254,7 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
                 sys = angle_linear_system(t, ac, mode)
                 assert (sys.coeffs, sys.rhs, sys.signs) == \
                     oracles.angle_system_dense(t, ac, mode)
-                feasible[ac, mode] = isinstance(
-                    solve(sys), (Solution, StrictSolution))
+                feasible[ac, mode] = isinstance(solve(sys), Solution)
     assert len(statuses) == 4
     # The finders solve the pair system, also on both tableaus, and must
     # agree with the full system: a refutation is a certificate over its
@@ -387,8 +386,8 @@ def test_int_checks_and_int_systems_agree_with_fractions(data):
             assert is_flat_pair(beta, t) == oracles.flat_pair(t, beta)
     for ac in (realized, AreaCurvature.of(data_moved[:4 * n],
                                           data_moved[4 * n:])):
+        targets = existence._targets(t, ac)
         for mode in within:
-            targets = existence._targets(t, ac, mode)
             for beta in (alpha, moved):
                 area, curvature = oracles.realized_data(t, beta)
                 expect = (area, curvature) == \

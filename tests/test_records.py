@@ -90,7 +90,7 @@ def _values(record) -> tuple:
 
 
 def test_every_record_type_has_a_sample():
-    assert len(RECORDS) >= 21
+    assert len(RECORDS) >= 20
     assert sorted(c.__qualname__ for c in SAMPLES) == \
         [c.__qualname__ for c in RECORDS]
 
