@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from ._rational import exact, format_rational, parse_rational, scaled
+from ._rational import (exact, format_rational, parse_rational, reduced,
+                        scaled, unscaled)
 from ._record import Record
 from .triangulation import EDGES_AT_VERTEX, Triangulation
 
@@ -28,8 +29,8 @@ class AngleStructureError(ValueError):
 class AngleAssignment(Record):
     """6n dihedral angles in units of pi, tet-major, edges 0..5.
 
-    ``_scaled``, derived on first use and kept, is (den, ints): the
-    angles over the lcm of their denominators, as `_rational.scaled`.
+    ``_scaled``, kept, is (den, ints): the angles over the lcm of their
+    denominators, as `_rational.scaled`, derived unless built from ints.
     Sums and bounds are read off it as ints.
     """
     angles: tuple
@@ -48,6 +49,14 @@ class AngleAssignment(Record):
             raise AngleStructureError(
                 "expected %d angles, got %d" % (6 * tet_count, len(vec)))
         return cls(angles=vec)
+
+    @classmethod
+    def _of_scaled(cls, den: int, ints):
+        """The assignment ints / den, its scaled form kept."""
+        form = reduced(den, ints)
+        alpha = cls(angles=unscaled(*form))
+        alpha.__dict__["_scaled"] = form
+        return alpha
 
     @property
     def tet_count(self) -> int:

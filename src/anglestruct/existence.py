@@ -17,13 +17,13 @@ lifted to a Farkas vector over angle_linear_system's rows, the paper's
 system, and verified there too.
 
 From the targets to the verdict the finders work in ints.  The targets
-are scaled once, to ints over one denominator, and both systems take
-their rhs as those ints.  The pair solution becomes angles over one
-denominator, and the assignment is re-verified on its own scaled ints:
-each corner and edge sum against its target, with no AreaCurvature
-built.  A refusal is lifted over the pair certificate's scaled ints.
-Past lp_core's own answers on the pair system, Fractions are built only
-for what is returned: the angles and the lifted y.
+are scaled once, to ints over one denominator, and both systems are
+built in lp_core's int form, their rhs those ints.  The pair solution
+becomes angles over one denominator, kept by the assignment as its
+scaled form, which is re-verified: each corner and edge sum against its
+target, with no AreaCurvature built.  A refusal is lifted over the pair
+certificate's scaled ints.  Past lp_core's answers, Fractions are built
+only for what is returned: the angles, one per value, and the lifted y.
 
 The second deliverable is the certification of the quad-cone condition:
 a strict structure with nonpositive triangle areas exists if and only if
@@ -37,6 +37,7 @@ areas as ints.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -132,31 +133,37 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
     x + slack = 1 are appended and the slacks share the sign constraint
     of the angles.  The finders solve the smaller pair system below; every
     refutation they return is a Farkas vector over this system's rows.
-    The targets go to LinearSystem.of as ints over their denominator.
+    Built in lp_core's int form: the targets are ints over their den.
     """
     den, corner, edge, capped = _targets(t, ac)
     n = t.tet_count
-    rows = [[(6 * i + k, 1) for k in EDGES_AT_VERTEX[l]]
+    rows = [tuple((6 * i + k, 1) for k in EDGES_AT_VERTEX[l])
             for i in range(n) for l in range(4)]
-    rows += [[(6 * i + k, 1) for i, k in cls.corners]
+    rows += [_tally(6 * i + k for i, k in cls.corners)
              for cls in t.edge_classes]
     caps = [den] * (6 * n) if capped else []
     return _system(rows, corner + edge, 6 * n, caps, mode, den)
 
 
+def _tally(columns) -> tuple:
+    """The int row of listed columns: a column listed twice counts 2."""
+    return tuple(sorted(Counter(columns).items()))
+
+
 def _system(rows, rhs, width: int, caps, mode: str, den: int):
-    """rows and rhs over width columns, and a cap row x + slack = c for
-    each column when caps lists the c's, as a LinearSystem whose columns
-    all carry the mode's sign, its one statement of what is asked: the
-    one place a mode becomes a sign, and so where an unknown one fails."""
+    """Int rows and rhs over den, over width columns, and a cap row x +
+    slack = c for each column when caps lists the c's, as a LinearSystem
+    whose columns all carry the mode's sign, its one statement of what is
+    asked: the one place a mode becomes a sign, and so where an unknown
+    one fails."""
     sign = {"semi": NONNEG, "strict": STRICT_POS}.get(mode)
     if sign is None:
         raise ExistenceError("unknown solve mode %r" % (mode,))
     if caps:
-        rows += [[(p, 1), (width + p, 1)] for p in range(width)]
+        rows += [((p, 1), (width + p, 1)) for p in range(width)]
         rhs += caps
-    return LinearSystem.of(rows, rhs, [sign] * (width + len(caps)),
-                           rhs_den=den)
+    return LinearSystem._of_ints(rows, rhs, [sign] * (width + len(caps)),
+                                 rhs_den=den)
 
 
 def _pair_system(t: Triangulation, targets, mode: str):
@@ -174,7 +181,7 @@ def _pair_system(t: Triangulation, targets, mode: str):
     pair columns, less their shifts; and when capped, y + slack = 1 - |d|
     per pair, since the larger angle of the pair is y + |d|.  Every
     number is an int over twice the targets' denominator, so d is too,
-    and the rhs goes to LinearSystem.of as those ints.
+    and those ints are the rhs, in lp_core's int form.
     """
     den, corner, edge, capped = targets
     n = t.tet_count
@@ -185,12 +192,10 @@ def _pair_system(t: Triangulation, targets, mode: str):
         c = corner[4 * i:4 * i + 4]
         shift += [max(c[u] + c[v] - c[a] - c[b], 0) for (u, v), (a, b)
                   in zip(EDGE_VERTICES, reversed(EDGE_VERTICES))]
-        rows.append([(3 * i + k, 1) for k in range(3)])
+        rows.append(((3 * i, 1), (3 * i + 1, 1), (3 * i + 2, 1)))
         rhs.append(2 * c[0] - sum(shift[6 * i:6 * i + 3]))
     for cls, b in zip(t.edge_classes, edge):
-        # Both sides of a pair, or a folded edge, can lie on one edge
-        # class: of() adds up the pairs on one column.
-        rows.append([(3 * i + min(k, 5 - k), 1) for i, k in cls.corners])
+        rows.append(_tally(3 * i + min(k, 5 - k) for i, k in cls.corners))
         rhs.append(2 * b - sum(shift[6 * i + k] for i, k in cls.corners))
     caps = [den - shift[6 * i + k] - shift[6 * i + 5 - k]
             for i in range(n) for k in range(3)] if capped else []
@@ -253,9 +258,9 @@ def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
     d, xs = scaled(res.x)
     lcd = lcm(d, den)
     fx, fs = lcd // d, lcd // den
-    angles = [xs[3 * i + min(k, 5 - k)] * fx + shift[6 * i + k] * fs
-              for i in range(t.tet_count) for k in range(6)]
-    alpha = AngleAssignment(angles=tuple(Fraction(v, lcd) for v in angles))
+    alpha = AngleAssignment._of_scaled(lcd, [
+        xs[3 * i + min(k, 5 - k)] * fx + shift[6 * i + k] * fs
+        for i in range(t.tet_count) for k in range(6)])
     return _check_realization(t, targets, alpha, mode)
 
 
@@ -311,9 +316,8 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     _check_semi(alpha, t, ExistenceError)
     rows, rhs, point = _quad_slice(t.compatibility_system)
     den, areas = _quad_areas(alpha)
-    res = minimize_linear([-a for a in areas],
-                          LinearSystem.of(rows, rhs, [NONNEG] * len(areas)),
-                          start=point)
+    res = minimize_linear([-a for a in areas], LinearSystem._of_ints(
+        rows, rhs, [NONNEG] * len(areas)), start=point)
     if not isinstance(res, Optimum):
         raise ExistenceError("internal error: quad-slice program %s"
                              % type(res).__name__.lower())

@@ -3,7 +3,8 @@
 A two-phase tableau simplex with Bland's rule (deterministic,
 cycle-free), exact and with no floating point anywhere.  A system is
 held once as ints: its rows over one positive denominator and its rhs
-over another, built by `_rational`'s gate, which keeps ints as ints.
+over another.  Two doors lead to that form: `LinearSystem.of`, through
+`_rational`'s gate, and the ungated `_of_ints`, for the package's rows.
 Answers are fractions.Fraction, built only at readout: x, the Farkas
 vector and the optimum, each vector read out of its (den, ints) form
 by `_rational.unscaled`.  The tableau is fraction-free and
@@ -63,9 +64,9 @@ class LinearSystem(Record):
     int) pairs of its nonzeros, every entry over the one positive den.
     ``scaled_rhs`` is (den, ints), b over its own positive den.  Both
     denominators are the least that hold their entries, so equal systems
-    compare equal however they were given.  ``rhs`` and the dense
-    ``coeffs`` are Fraction views of them for readers outside the
-    package, derived on first use and kept.
+    compare equal, built by `of`, the gate for callers' numbers, or by
+    `_of_ints`, for the package's.  ``rhs`` and the dense ``coeffs`` are
+    Fraction views for readers outside the package, derived and kept.
     """
     scaled_rows: tuple
     scaled_rhs: tuple
@@ -114,6 +115,14 @@ class LinearSystem(Record):
             sparse = [tuple((c, v // g) for c, v in row) for row in sparse]
         return cls(scaled_rows=(den, tuple(sparse)),
                    scaled_rhs=reduced(bden * rhs_den, b), signs=sg)
+
+    @classmethod
+    def _of_ints(cls, rows, rhs, signs, rhs_den: int = 1):
+        """No gate: rows are tuples of (column, int) pairs, columns
+        ascending and distinct, no zero, over den 1; rhs ints over rhs_den.
+        For the package's own builders, as `NormalCoordinate._of_scaled`."""
+        return cls(scaled_rows=(1, tuple(rows)),
+                   scaled_rhs=reduced(rhs_den, rhs), signs=tuple(signs))
 
     @cached_property
     def rhs(self) -> tuple:

@@ -239,12 +239,13 @@ def _check_member(t: Triangulation, s: NormalCoordinate,
 
 def _quad_slice(sys: CompatibilitySystem) -> tuple:
     """(rows, rhs, point) over the 3n quads: the projection's quad rows,
-    in the order found, and the quads summing to 1; and a point of that
-    slice, 1/3 on tet 0's quads and 0 elsewhere, the quad part of
-    -W_sigma_0 / 3, which lies in every solution space."""
+    in the order found, each as its sorted (column, int) pairs, and the
+    quads summing to 1; and a point of that slice, 1/3 on tet 0's quads
+    and 0 elsewhere, the quad part of -W_sigma_0 / 3, which lies in every
+    solution space."""
     quads = 3 * sys.columns // 7
-    rows = [list(row.items()) for row in sys._projection[1].values()]
-    rows.append([(c, 1) for c in range(quads)])
+    rows = [tuple(sorted(row.items())) for row in sys._projection[1].values()]
+    rows.append(tuple((c, 1) for c in range(quads)))
     third = Fraction(1, 3)
     return (rows, [0] * (len(rows) - 1) + [1],
             [third] * 3 + [0] * (quads - 3))

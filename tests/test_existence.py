@@ -14,9 +14,10 @@ from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
                          identity_4_9, parse_triangulation,
                          realized_area_curvature, verify_certificate)
 from anglestruct import existence, lp_core
+from anglestruct._rational import scaled
 from anglestruct.fixtures import FIG8_TABLE
-from anglestruct.lp_core import (NONNEG, STRICT_POS, Infeasible, LPError,
-                                 Solution)
+from anglestruct.lp_core import (NONNEG, STRICT_POS, Infeasible, LinearSystem,
+                                 LPError, Solution)
 
 F = Fraction
 
@@ -629,3 +630,93 @@ def test_check_corollary2_agrees_on_semi_data_with_a_zero_angle():
     assert rep.reason != "ok" or \
         isinstance(rep.strict_result, AngleAssignment) == \
         isinstance(rep.condition2_result, Holds)
+
+
+def _int_form_tables():
+    """Closed tables and tables with boundary faces of 1-6 tetrahedra,
+    from oracles.random_table; folded edges among them."""
+    rng = random.Random(42)
+    tables = [oracles.random_table(rng, rng.randint(1, 6),
+                                   rng.randint(1, 2) if j % 2 else 0)
+              for j in range(14)]
+    assert any(oracles.has_folded_edge(t) for t in tables)
+    assert any(t.boundary_faces for t in tables)
+    return rng, tables
+
+
+def test_built_systems_are_the_form_of_gives(monkeypatch):
+    # The angle, pair and quad-slice systems are built straight in
+    # lp_core's int form, past LinearSystem.of's gate.  Each must be the
+    # system of() gives over the same rows, given the long way: the dense
+    # angle system, the pair rows as shuffled unit pairs that of() must
+    # add up, and the echelon rows in their dict order.
+    rng, tables = _int_form_tables()
+    slices, entries = [], set()
+    for t in tables:
+        n, m = t.tet_count, len(t.edge_classes)
+        area = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(4 * n)]
+        curvature = [F(rng.randint(-6, 6), rng.randint(1, 6))
+                     for _ in range(m)]
+        area[0] = abs(area[0]) + F(1, 3)
+        for ac in (AreaCurvature.of([-abs(a) for a in area], curvature),
+                   AreaCurvature.of(area, curvature)):
+            targets = existence._targets(t, ac)
+            for mode in ("semi", "strict"):
+                coeffs, rhs, signs = oracles.angle_system_dense(t, ac, mode)
+                assert angle_linear_system(t, ac, mode) == LinearSystem.of(
+                    [[(c, v) for c, v in enumerate(row) if v]
+                     for row in coeffs], rhs, signs)
+                pair = existence._pair_system(t, targets, mode)[0]
+                assert pair.scaled_rows[0] == 1
+                units = []
+                for row in pair.scaled_rows[1]:
+                    entries.update(v for _, v in row)
+                    units.append([(c, 1 if v > 0 else -1)
+                                  for c, v in row for _ in range(abs(v))])
+                    rng.shuffle(units[-1])
+                assert pair == LinearSystem.of(
+                    units, pair.scaled_rhs[1], pair.signs,
+                    rhs_den=pair.scaled_rhs[0])
+        built = []
+
+        def minimize(objective, sys, start=None):
+            built.append(sys)
+            return lp_core.minimize_linear(objective, sys, start)
+
+        alpha = AngleAssignment.from_vector(
+            n, [F(rng.randint(0, 12), 36) for _ in range(6 * n)])
+        monkeypatch.setattr(existence, "minimize_linear", minimize)
+        certify_condition2(t, alpha)
+        csys = t.compatibility_system
+        rows = [list(row.items()) for row in csys._projection[1].values()]
+        rows.append([(c, 1) for c in range(3 * n)])
+        assert built == [LinearSystem.of(
+            rows, [0] * (len(rows) - 1) + [1], [NONNEG] * (3 * n))]
+        slices.append(len(rows))
+    # A folded edge puts 2 or more on a pair column, and some slice has
+    # echelon rows beside the row that sums the quads to 1.
+    assert {1, 2} <= entries and max(slices) > 1
+
+
+def test_a_found_assignment_keeps_a_true_scaled_form():
+    # A solve reads its assignment out of the pair solution's ints and
+    # keeps that form as the assignment's _scaled: it must be the form
+    # the angles give, and the assignment one built from the angles.
+    _, tables = _int_form_tables()
+    rng = random.Random(7)
+    cases = [(fx.triangulation, realized_area_curvature(fx.angles,
+                                                        fx.triangulation))
+             for fx in map(fixture, fixture_names()) if fx.angles is not None]
+    cases += [(t, realized_area_curvature(AngleAssignment.from_vector(
+        t.tet_count, [F(rng.randint(1, 35), 36)
+                      for _ in range(6 * t.tet_count)]), t)) for t in tables]
+    found = 0
+    for t, ac in cases:
+        for finder in (find_semi_angle_structure, find_angle_structure):
+            alpha = finder(t, ac)
+            if isinstance(alpha, AngleAssignment):
+                found += 1
+                assert alpha._scaled == scaled(alpha.angles)
+                again = AngleAssignment(angles=alpha.angles)
+                assert alpha == again and hash(alpha) == hash(again)
+    assert found >= 2 * len(tables)

@@ -33,7 +33,10 @@ already holds: a strict point is a Solution, with no margin beside it.
 A certificate is checked against its own system's column signs: no
 module passes a mode beside the system.  A solve mode becomes a column
 sign in one place, `existence._system`, which alone refuses an unknown
-mode; the targets take none.
+mode; the targets take none.  The package builds its own systems in
+lp_core's int form with `LinearSystem._of_ints`, which lp_core defines
+and `existence` alone calls: no module calls `LinearSystem.of`, the
+gated door for callers' numbers.
 `triangulation` looks each permutation's inverse and parity up in tables
 built at import, its edge walk reads the raw gluing table, and certify's
 size check walks no edge class.  No module imports dataclasses or a
@@ -443,6 +446,27 @@ def test_a_solve_mode_becomes_a_sign_in_one_place():
                             if isinstance(node, ast.Raise) and
                             "unknown solve mode" in ast.unparse(node)]
     assert raisers == [("existence.py", "_system")]
+
+
+def test_the_package_builds_its_systems_past_the_gate():
+    # LinearSystem.of gates, adds up and sorts each row, for callers'
+    # numbers.  The package's own rows are already ints, sorted and
+    # summed, so it builds no system through of(): existence hands them
+    # to _of_ints, the ungated door, which no other module calls.
+    defined, callers = [], set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_of_ints":
+                defined.append(path.name)
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute):
+                assert ast.unparse(node.func) != "LinearSystem.of", \
+                    (path.name, node.lineno)
+                if node.func.attr == "_of_ints":
+                    callers.add(path.name)
+    assert defined == ["lp_core.py"]
+    assert callers == {"existence.py"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

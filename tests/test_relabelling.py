@@ -3,8 +3,10 @@
 Renumbering the tetrahedra and each one's vertices (oracles.relabel)
 changes the gluing table but not the space it glues, so no answer may
 change: not the semi or strict verdict on a target carried along with
-the table, nor certify's verdict and optimum, nor the edge and vertex
-classes, each matched to its image through a corner.  Every certificate
+the table, refused or met (a target realized by a second draw of
+angles is met in both modes), nor certify's verdict and optimum, nor
+the edge and vertex classes, each matched to its image through a
+corner.  Every certificate
 found on the original table, its rows carried along, verifies on the
 relabelled angle system, and so does every one found there.  Answers
 only are compared, never pivots or certificate bytes: the simplex may
@@ -93,8 +95,11 @@ def _check_relabelled(rng, t, alpha):
     edge = rng.randrange(6 * n)
     curvature = list(ac.curvature)
     curvature[_class_at(t.edge_classes, 6)[edge]] += F(1, 36)
+    # Moved to data realized by strict angles, the target stays feasible.
+    second = realized_area_curvature(AngleAssignment.from_vector(
+        n, [F(rng.randint(1, 12), 36) for _ in range(6 * n)]), t)
     for target in (ac, AreaCurvature.of(area, ac.curvature),
-                   AreaCurvature.of(ac.area, curvature)):
+                   AreaCurvature.of(ac.area, curvature), second):
         carried = AreaCurvature.of(oracles.carry(target.area, corners),
                                    oracles.carry(target.curvature, classes))
         assert carried.curvature[_class_at(u.edge_classes, 6)[edges[edge]]] \
@@ -102,6 +107,9 @@ def _check_relabelled(rng, t, alpha):
         for mode, finder in FINDERS.items():
             before, after = finder(t, target), finder(u, carried)
             assert type(before) is type(after), (mode, target)
+            if target is second:
+                assert isinstance(after, AngleAssignment)
+                assert realized_area_curvature(after, u) == carried
             if isinstance(after, Certificate):
                 # Rows: 4n corners, m edge classes, then 6n caps if any.
                 m = len(classes)

@@ -3,11 +3,12 @@
 Every table of a walk (oracles.two_three_walk) triangulates the
 figure-eight knot complement: one vertex whose link is a torus, and as
 many edge classes as tetrahedra, where random tables have few.  On each,
-a target realized by angles k/36, k in 1..12, is met in both modes;
-with one triangle area moved it is refused in both, since around a
-torus link the areas and curvatures are tied by vertex Gauss-Bonnet:
-the vector 1 on every corner row and -2 on every edge row, signed by the
-move, refutes the moved target, and each returned certificate verifies.
+a target realized by angles k/36, k in 1..12, is met in both modes, and
+so is one realized by a second such draw; with one triangle area moved
+it is refused in both, since around a torus link the areas and
+curvatures are tied by vertex Gauss-Bonnet: the vector 1 on every
+corner row and -2 on every edge row, signed by the move, refutes the
+moved target, and each returned certificate verifies.
 certify holds, or fails with a witness in the solution space, and the
 canonical basis has a vector per tetrahedron and per edge class.
 """
@@ -30,14 +31,22 @@ from anglestruct import (AngleAssignment, AreaCurvature, Certificate, Fails,
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_decisions_on_two_three_walks_from_fig8(seed):
     rng = random.Random(seed)
+    # The second draws come from their own generator, so the walk and
+    # the moves are those of the first.
+    draws = random.Random(-seed)
     for t in oracles.two_three_walk(rng, 10):
         n, m = t.tet_count, len(t.edge_classes)
         assert m == n and len(t.vertex_classes) == 1
         alpha = AngleAssignment.from_vector(
             n, [F(rng.randint(1, 12), 36) for _ in range(6 * n)])
         ac = realized_area_curvature(alpha, t)
+        second = realized_area_curvature(AngleAssignment.from_vector(
+            n, [F(draws.randint(1, 12), 36) for _ in range(6 * n)]), t)
         for finder in (find_semi_angle_structure, find_angle_structure):
             assert isinstance(finder(t, ac), AngleAssignment)
+            found = finder(t, second)
+            assert isinstance(found, AngleAssignment)
+            assert realized_area_curvature(found, t) == second
 
         area = list(ac.area)
         step = rng.choice((-1, 1))
