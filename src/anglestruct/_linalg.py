@@ -1,25 +1,23 @@
-"""Exact echelon form of sparse rational matrices, and the one
+"""Exact echelon form of sparse integer matrices, and the one
 fraction-free elimination step behind it and behind the simplex.
 
-A matrix is a sequence of rows, each a sequence of (column, coefficient)
-pairs; absent columns are zero.  Rows are sparse, so elimination keeps
-each row as a dict of its nonzero int entries and reduces it against the
-pivot rows found so far, leading column first.  The elimination is
-fraction-free: each row is scaled to integers over the lcm of its
-denominators, which keeps the row space, and every pivot row is
-primitive with a positive leading entry.  The size of the echelon form
-is the rank.  `normal_coords` runs it once per compatibility system,
-over the quad-only residuals left once the triangle columns are
-projected along the vertex-link forest.  `lp_core`'s tableau rows are
-dicts of the same kind, and its pivots take the same two steps,
-`_eliminate` and `_primitive`.
+A matrix is a sequence of rows, each a dict of its nonzero int entries
+by column; absent columns are zero.  Elimination reduces each row
+against the pivot rows found so far, leading column first, and consumes
+it: the dicts given may be updated in place or kept as pivot rows.  The
+elimination is fraction-free: a caller with rational rows scales each to
+ints first, which keeps the row space, and every pivot row is primitive
+with a positive leading entry.  The size of the echelon form is the
+rank.  `normal_coords` runs it once per compatibility system, over the
+quad-only residuals left once the triangle columns are projected along
+the vertex-link forest.  `lp_core`'s tableau rows are dicts of the same
+kind, and its pivots take the same two steps, `_eliminate` and
+`_primitive`.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-from ._rational import scaled
 
 
 def _primitive(row: dict, lead: int) -> dict:
@@ -50,14 +48,13 @@ def _eliminate(row: dict, pivot: dict, lead: int) -> dict:
 
 
 def echelon(rows) -> dict:
-    """An echelon form of the matrix whose sparse rows are given, as
-    leading column -> pivot row, each a dict of its nonzero int entries,
-    all in columns >= the leading one, primitive and positive there.  The
-    pivot rows span the row space; coefficients are ints or Fractions."""
+    """An echelon form of the matrix whose rows, dicts of nonzero ints,
+    are given, as leading column -> pivot row, each a dict of its nonzero
+    int entries, all in columns >= the leading one, primitive and
+    positive there.  The pivot rows span the row space.  The rows are
+    consumed: each may be updated in place or kept as a pivot row."""
     pivots = {}
-    for pairs in rows:
-        pairs = [(c, v) for c, v in pairs if v]
-        row = dict(zip([c for c, _ in pairs], scaled(v for _, v in pairs)[1]))
+    for row in rows:
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

@@ -4,7 +4,10 @@ Every command reads plain-text gluing tables and JSON angle or
 area-curvature files, runs the exact pipeline, and emits a versioned
 JSON report in which every number is a reduced "p/q" rational.  Reports
 contain no timestamps and are byte-identical across reruns on identical
-inputs; wall-clock timing goes to stderr.
+inputs; wall-clock timing goes to stderr.  `_json_text` writes them with
+a small writer over the types a report holds, whose bytes are those of
+json.dumps(report, sort_keys=True, indent=2) and a newline; that call's
+indent would take json's pure-Python encoder.  json itself only reads.
 
 Every report holds the header keys "schema" ("v1"), "command" and
 "exit_code" (0), plus "inputs" (basename and sha256 of each file read)
@@ -29,6 +32,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from ._rational import format_rational
 from .angle_structures import (
@@ -120,7 +124,55 @@ def _vector(values) -> list:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, and a
+    newline: its dicts' keys sorted, lists and tuples as arrays, strs
+    escaped to ASCII, ints, bools and None as literals.  Any other type,
+    a non-str key included, raises TypeError."""
+    out = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(obj, newline: str, out: list) -> None:
+    """Append the chunks of obj's JSON text to out, newline being the
+    line break and indent of obj's own depth."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if type(key) is not str:
+                raise TypeError("report key %r is not a str" % (key,))
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out += (newline, "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out += (newline, "]")
+    elif kind is bool or obj is None:
+        out.append(_LITERALS[obj])
+    else:
+        raise TypeError("a report holds no %s: %r" % (kind.__name__, obj))
 
 
 def _write_text(path: str, text: str) -> None:

@@ -135,7 +135,12 @@ def angle_linear_system(t: Triangulation, ac: AreaCurvature,
     refutation they return is a Farkas vector over this system's rows.
     Built in lp_core's int form: the targets are ints over their den.
     """
-    den, corner, edge, capped = _targets(t, ac)
+    return _angle_system(t, _targets(t, ac), mode)
+
+
+def _angle_system(t: Triangulation, targets, mode: str) -> LinearSystem:
+    """angle_linear_system over _targets' targets for the same data."""
+    den, corner, edge, capped = targets
     n = t.tet_count
     rows = [tuple((6 * i + k, 1) for k in EDGES_AT_VERTEX[l])
             for i in range(n) for l in range(4)]
@@ -202,9 +207,10 @@ def _pair_system(t: Triangulation, targets, mode: str):
     return _system(rows, rhs, 3 * n, caps, mode, den), den, shift
 
 
-def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
-    """The pair system's Farkas vector y = (z, w, g) as one over
-    angle_linear_system's rows, verified there.
+def _lifted(t: Triangulation, targets, mode: str, shift, y):
+    """The pair system's Farkas vector y = (z, w, g), a (den, ints) form,
+    as one over angle_linear_system's rows for the targets, verified
+    there.
 
     The edge multipliers w stay, and u = E^T w is what they put on each
     tet-edge column.  On each pair's tight side, the side with the
@@ -217,13 +223,13 @@ def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
     to z_i come from h_v = (sum of the three at v - z_i) / 2.  Then y.b
     is the pair system's y.b, so the refutation carries over, strictness
     included: a negative pair or slack column stays a negative column.
-    The lift is taken over y scaled to ints, over den; h is over 2 den,
-    so w and g are doubled to join it, and the Fractions of the lifted
-    vector are built once it has been verified.
+    The lift is taken over y's ints, over den; h is over 2 den, so w and
+    g are doubled to join it, and the Fractions of the lifted vector are
+    built once it has been verified.
     """
     n = t.tet_count
     m = len(t.edge_classes)
-    den, ints = scaled(y)
+    den, ints = y
     z, w, g = ints[:n], ints[n:n + m], ints[n + m:]
     u = [0] * (6 * n)
     for cls, wj in zip(t.edge_classes, w):
@@ -242,7 +248,7 @@ def _lifted(t: Triangulation, ac: AreaCurvature, mode: str, shift, y):
                 caps[6 * i + tight] = 2 * g[3 * i + k]
         h += [sum(sums[k] for k in EDGES_AT_VERTEX[v]) - z[i]
               for v in range(4)]
-    return _verified(angle_linear_system(t, ac, mode),
+    return _verified(_angle_system(t, targets, mode),
                      (2 * den, (*h, *(2 * v for v in w), *caps)))
 
 
@@ -254,8 +260,8 @@ def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
     else:
         res = solve_feasibility_nonneg(sys)
     if isinstance(res, Infeasible):
-        return _lifted(t, ac, mode, shift, res.certificate.y)
-    d, xs = scaled(res.x)
+        return _lifted(t, targets, mode, shift, res.certificate._scaled_y)
+    d, xs = res._scaled_x
     lcd = lcm(d, den)
     fx, fs = lcd // d, lcd // den
     alpha = AngleAssignment._of_scaled(lcd, [

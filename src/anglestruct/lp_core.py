@@ -7,7 +7,8 @@ over another.  Two doors lead to that form: `LinearSystem.of`, through
 `_rational`'s gate, and the ungated `_of_ints`, for the package's rows.
 Answers are fractions.Fraction, built only at readout: x, the Farkas
 vector and the optimum, each vector read out of its (den, ints) form
-by `_rational.unscaled`.  The tableau is fraction-free and
+by `_rational.unscaled`; a Solution and a Certificate keep that form,
+reduced, for the package's readers.  The tableau is fraction-free and
 sparse, each row a dict of its nonzero ints whose entry at the row's
 basic column is its positive denominator.  A pivot is `_linalg`'s
 elimination step, the one the echelon form takes, and keeps every row
@@ -43,7 +44,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._linalg import _eliminate, _primitive
-from ._rational import exact_scaled, reduced, unscaled
+from ._rational import exact_scaled, reduced, scaled, unscaled
 from ._record import Record
 
 NONNEG = "nonneg"
@@ -73,10 +74,9 @@ class LinearSystem(Record):
     signs: tuple
 
     @classmethod
-    def of(cls, rows, rhs, signs, rhs_den: int = 1):
+    def of(cls, rows, rhs, signs):
         """Pairs on the same column add up, and zero sums are dropped.
-        Coefficients and rhs entries are ints or Fractions; each rhs
-        entry is read over rhs_den, a positive int."""
+        Coefficients and rhs entries are ints or Fractions."""
         bden, b = exact_scaled("LinearSystem.of rhs", rhs, LPError)
         sg = tuple(signs)
         if len(rows) != len(b):
@@ -84,9 +84,6 @@ class LinearSystem(Record):
         for s in sg:
             if s not in _SIGNS:
                 raise LPError("unknown sign constraint %r" % (s,))
-        if not (type(rhs_den) is int and rhs_den > 0):
-            raise LPError("rhs denominator %r is not a positive int"
-                          % (rhs_den,))
         ncols = len(sg)
         dens, sums = [], []
         for r, pairs in enumerate(rows):
@@ -114,7 +111,7 @@ class LinearSystem(Record):
             den //= g
             sparse = [tuple((c, v // g) for c, v in row) for row in sparse]
         return cls(scaled_rows=(den, tuple(sparse)),
-                   scaled_rhs=reduced(bden * rhs_den, b), signs=sg)
+                   scaled_rhs=reduced(bden, b), signs=sg)
 
     @classmethod
     def _of_ints(cls, rows, rhs, signs, rhs_den: int = 1):
@@ -146,14 +143,46 @@ class LinearSystem(Record):
 
 
 class Certificate(Record):
-    """Farkas vector over the rows of the system it refutes."""
+    """Farkas vector over the rows of the system it refutes.
+
+    ``_scaled_y`` is (den, ints), y over its least denominator: kept from
+    the solve that read y out of it, else derived on first use.
+    """
     y: tuple
+
+    @classmethod
+    def _of_scaled(cls, den: int, ints):
+        """The certificate ints / den, its scaled form kept."""
+        form = reduced(den, ints)
+        cert = cls(y=unscaled(*form))
+        cert.__dict__["_scaled_y"] = form
+        return cert
+
+    @cached_property
+    def _scaled_y(self) -> tuple:
+        return scaled(self.y)
 
 
 class Solution(Record):
     """A point x with A x = b, exact, whose entries meet its system's
-    column signs: >= 0, or > 0 on a strict-pos column."""
+    column signs: >= 0, or > 0 on a strict-pos column.
+
+    ``_scaled_x`` is (den, ints), x over its least denominator: kept from
+    the solve that read x out of it, else derived on first use.
+    """
     x: tuple
+
+    @classmethod
+    def _of_scaled(cls, den: int, ints):
+        """The point ints / den, its scaled form kept."""
+        form = reduced(den, ints)
+        sol = cls(x=unscaled(*form))
+        sol.__dict__["_scaled_x"] = form
+        return sol
+
+    @cached_property
+    def _scaled_x(self) -> tuple:
+        return scaled(self.x)
 
 
 class Infeasible(Record):
@@ -342,7 +371,7 @@ def _verified(sys: LinearSystem, y) -> Certificate:
     if not verify_certificate(sys, y[1]):
         raise LPError("internal error: emitted certificate failed "
                       "verification")
-    return Certificate(y=unscaled(*y))
+    return Certificate._of_scaled(*y)
 
 
 def solve_feasibility_nonneg(sys: LinearSystem):
@@ -354,7 +383,7 @@ def solve_feasibility_nonneg(sys: LinearSystem):
     res = _solve(sys.scaled_rows, sys.scaled_rhs, (1, (0,) * sys.col_count))
     if res["status"] == "infeasible":
         return Infeasible(certificate=_verified(sys, res["farkas"]))
-    return Solution(x=unscaled(*res["x"]))
+    return Solution._of_scaled(*res["x"])
 
 
 def solve_feasibility_strict(sys: LinearSystem):
@@ -386,7 +415,7 @@ def solve_feasibility_strict(sys: LinearSystem):
         d, x = res["x"]
         eps = x[t]
         if eps > 0:
-            return Solution(x=unscaled(d, [v + eps for v in x[:t]]))
+            return Solution._of_scaled(d, [v + eps for v in x[:t]])
         d, y = res["dual"]
     return Infeasible(certificate=_verified(sys, (d, y[:k])))
 

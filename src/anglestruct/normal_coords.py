@@ -59,6 +59,12 @@ def quad_type_at_arc(face: int, vertex: int) -> int:
     return min(k, 5 - k)
 
 
+# _QUAD_AT[f][v] is quad_type_at_arc(f, v), read as a 4x4 table; a face
+# has no arc at its own opposite vertex, so _QUAD_AT[f][f] is None.
+_QUAD_AT = [[quad_type_at_arc(f, v) if v != f else None for v in range(4)]
+            for f in range(4)]
+
+
 class NormalCoordinateError(ValueError):
     """Raised for dimension mismatches, inexact entries or non-solution
     inputs."""
@@ -125,10 +131,11 @@ class CompatibilitySystem(Record):
     parents before children.  A cycle arc's residual, its quads minus
     the signed quads of the tree arcs on the forest path between its two
     corners, is a row over the quads alone; quad_rows is
-    `_linalg.echelon` of those residuals in arc order.  This is, row for
-    row, what eliminating the triangle columns first gives: each arc is
-    reduced by exactly the tree arcs on that path, with coefficients
-    +-1, and a largest corner never leads.  ``rank`` is the tree arcs
+    `_linalg.echelon` of those residuals in arc order, each handed over
+    as the dict of its nonzero ints.  This is, row for row, what
+    eliminating the triangle columns first gives: each arc is reduced by
+    exactly the tree arcs on that path, with coefficients +-1, and a
+    largest corner never leads.  ``rank`` is the tree arcs
     plus the quad pivots.
     """
     columns: int
@@ -192,7 +199,7 @@ class CompatibilitySystem(Record):
                     sign = -1
                 row[qc] = row.get(qc, 0) - sign
                 row[qp] = row.get(qp, 0) + sign
-            residuals.append(row.items())
+            residuals.append({c: v for c, v in row.items() if v})
         return forest, echelon(residuals)
 
     @property
@@ -206,17 +213,19 @@ def compatibility_system(t: Triangulation) -> CompatibilitySystem:
 
     For the arc cutting off vertex v inside glued face (i,f) ~ (j,g,perm),
     the disks crossing it on each side are one quad and one triangle; the
-    equation equates the two sides.  When a face is glued to a face of the
-    same tetrahedron the two sides may hit the same column and entries
+    equation equates the two sides, each side's quad type read from the
+    _QUAD_AT table.  When a face is glued to a face of the same
+    tetrahedron the two sides may hit the same column and entries
     cancel.  ``t.compatibility_system`` keeps the one built for t.
     """
     n = t.tet_count
     arcs = []
     for (i, f), (j, g), perm in t.glued_pairs():
+        here, there = _QUAD_AT[f], _QUAD_AT[g]
         for v in FACE_VERTICES[f]:
-            arcs.append((3 * i + quad_type_at_arc(f, v), 3 * n + 4 * i + v,
-                         3 * j + quad_type_at_arc(g, perm[v]),
-                         3 * n + 4 * j + perm[v]))
+            w = perm[v]
+            arcs.append((3 * i + here[v], 3 * n + 4 * i + v,
+                         3 * j + there[w], 3 * n + 4 * j + w))
     return CompatibilitySystem(columns=7 * n, arcs=tuple(arcs))
 
 

@@ -719,7 +719,7 @@ def _triangles_first_echelon(sys) -> dict:
     rotated so that the 4n triangles come first, then the 3n quads: a
     generic elimination that knows nothing of the vertex-link forest."""
     tris = 4 * sys.columns // 7
-    return echelon([((c + tris) % sys.columns, v) for c, v in row]
+    return echelon({(c + tris) % sys.columns: v for c, v in row}
                    for row in compatibility_rows(sys))
 
 

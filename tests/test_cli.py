@@ -605,6 +605,83 @@ def test_json_output_is_canonical(capsys, tmp_path):
     assert "elapsed" not in out
 
 
+def _dumped(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_every_report_is_written_as_json_dumps_writes_it(capsys, tmp_path,
+                                                        monkeypatch):
+    # cli._json_text has its own writer: every object it writes, each
+    # command's report on every fixture and the fixture files, must read
+    # the bytes json.dumps gives with sorted keys and an indent of 2.
+    seen = []
+    write = cli._json_text
+
+    def recording(obj):
+        text = write(obj)
+        seen.append((obj, text))
+        return text
+    monkeypatch.setattr(cli, "_json_text", recording)
+    for name in fixture_names():
+        directory = tmp_path / name
+        directory.mkdir()
+        paths = write_fixture(capsys, directory, name)
+        argvs = [["fixtures"], ["validate", paths["tri"]],
+                 ["analyze", paths["tri"]]]
+        argvs += [["solve", paths["tri"], paths["ac"], "--mode", mode]
+                  for mode in ("semi", "strict")]
+        if fixture(name).angles is not None:
+            argvs += [[command, paths["tri"], paths["angles"]]
+                      for command in ("certify", "perturb")]
+        for argv in argvs:
+            run(capsys, argv + ["--json"])
+    assert {obj.get("command") for obj, _ in seen} >= {
+        "fixtures", "validate", "analyze", "solve", "certify", "perturb",
+        None}
+    for obj, text in seen:
+        assert text == _dumped(obj)
+
+
+_KEYS = st.text(st.characters(), max_size=6)
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() |
+    st.integers(-10 ** 80, 10 ** 80) | _KEYS,
+    lambda inner: (st.lists(inner, max_size=4) |
+                   st.lists(inner, max_size=4).map(tuple) |
+                   st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+@example({"": [], "a\"b\\c": {}, "\x00\x1f\x7f\n\t": [{}, {"z": None}],
+          "\u00e9\u20ac\U0001f600": (True, False, -2 ** 100, 0),
+          "\ud800": "\udfff \u2028"})
+@example([[], {}, [[{}]], ()])
+def test_the_report_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == _dumped(obj)
+
+
+@pytest.mark.parametrize("bad", [0.5, {1}, frozenset(), {"a": [1.0]},
+                                 ({2},), {"k": {"n": float("nan")}}])
+def test_the_report_writer_refuses_floats_and_sets(bad):
+    with pytest.raises(TypeError):
+        cli._json_text(bad)
+
+
+def test_a_non_ascii_basename_is_reported_as_json_dumps_writes_it(
+        capsys, tmp_path):
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    odd = tmp_path / 'fïg8 "€" \\ \U0001f600.tri'
+    with open(paths["tri"], "rb") as fh:
+        odd.write_bytes(fh.read())
+    code, out, _ = run(capsys, ["validate", str(odd), "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["inputs"]["triangulation"]["path"] == odd.name
+    assert out.isascii() and out == _dumped(rep)
+
+
 def test_repeated_runs_are_byte_identical(capsys, tmp_path):
     fig8 = write_fixture(capsys, tmp_path, "fig8")
     flat1 = write_fixture(capsys, tmp_path, "fig8-flat1")

@@ -674,9 +674,9 @@ def test_built_systems_are_the_form_of_gives(monkeypatch):
                     units.append([(c, 1 if v > 0 else -1)
                                   for c, v in row for _ in range(abs(v))])
                     rng.shuffle(units[-1])
+                bden, b = pair.scaled_rhs
                 assert pair == LinearSystem.of(
-                    units, pair.scaled_rhs[1], pair.signs,
-                    rhs_den=pair.scaled_rhs[0])
+                    units, [F(v, bden) for v in b], pair.signs)
         built = []
 
         def minimize(objective, sys, start=None):

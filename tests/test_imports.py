@@ -41,6 +41,11 @@ gated door for callers' numbers.
 built at import, its edge walk reads the raw gluing table, and certify's
 size check walks no edge class.  No module imports dataclasses or a
 namedtuple factory: every record is a `_record.Record`.
+`_linalg`'s echelon form takes rows that are already int dicts, imports
+nothing from `_rational`, and has one caller, the compatibility
+system's projection.  A solve scales its targets once, and reads the
+solver's point or certificate in the int form it was read out of.  The
+CLI writes its reports itself: json is imported for reading alone.
 """
 
 from __future__ import annotations
@@ -491,3 +496,53 @@ def test_records_take_no_generated_code(path):
     assert "dataclasses" not in imported, path.name
     assert not imported & banned, path.name
     assert not {"%s.%s" % pair for pair in read} & banned, path.name
+
+
+def test_echelon_takes_int_rows_from_the_projection_alone():
+    # _linalg's echelon takes rows that are already dicts of nonzero
+    # ints, so it scales nothing and imports nothing from _rational; the
+    # one package caller is the compatibility system's projection, which
+    # hands it the residuals of the forest's cycle arcs.
+    assert "_rational" not in _package_imports("_linalg.py")
+    callers = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(fn.name, fn) for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef)]
+        scopes += [("%s.%s" % (cls.name, fn.name), fn) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef)]
+        for name, fn in scopes:
+            callers += [(path.name, name) for node in ast.walk(fn)
+                        if isinstance(node, ast.Call) and
+                        isinstance(node.func, ast.Name) and
+                        node.func.id == "echelon"]
+    assert callers == [("normal_coords.py", "CompatibilitySystem._projection")]
+
+
+def test_a_solve_reads_its_answer_in_ints_and_its_targets_once():
+    # _decide scales the targets once and hands them to _lifted, which
+    # builds the paper's system from them; the solver's point and
+    # certificate are read in the (den, ints) form they were read out of,
+    # with no scaled() call on Fractions that unscaled() just built.
+    tree = ast.parse((PACKAGE / "existence.py").read_text(encoding="utf-8"))
+    fns = {fn.name: list(ast.walk(fn)) for fn in tree.body
+           if isinstance(fn, ast.FunctionDef)}
+
+    def called(name):
+        return [n.func.id for n in fns[name] if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)]
+    assert called("_decide").count("_targets") == 1
+    assert not {"angle_linear_system", "scaled"} & set(called("_decide"))
+    assert not {"_targets", "angle_linear_system", "scaled"} & \
+        set(called("_lifted"))
+
+
+def test_cli_reads_json_and_writes_its_own():
+    # Reports are written by cli._json_text's own writer, which gives
+    # json.dumps(obj, sort_keys=True, indent=2)'s bytes without its
+    # pure-Python indenting encoder: json is imported for reading alone.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "json"} == \
+        {"loads"}

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from anglestruct._linalg import echelon
 from oracles import _rank, nullspace
@@ -14,8 +14,17 @@ def rand_matrix(rng, rows, cols, lo=-5, hi=5, den=1):
     return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
+def int_row(pairs) -> dict:
+    """The nonzero (column, value) pairs of a rational row as echelon
+    takes them: a dict of ints, over the lcm of their denominators,
+    which keeps the row space."""
+    pairs = [(c, Fraction(v)) for c, v in pairs if v]
+    den = lcm(*(v.denominator for _, v in pairs))
+    return {c: int(v * den) for c, v in pairs}
+
+
 def sparse(matrix):
-    return [[(c, v) for c, v in enumerate(row) if v] for row in matrix]
+    return [int_row(enumerate(row)) for row in matrix]
 
 
 def test_rank_on_known_sparse_matrix():
@@ -25,13 +34,13 @@ def test_rank_on_known_sparse_matrix():
             [(0, 2), (1, 4), (2, 7)],
             [(0, 3), (1, 6), (2, 10)],
             []]
-    assert len(echelon(rows)) == 2
+    assert len(echelon(map(int_row, rows))) == 2
     assert len(echelon([])) == 0
-    assert len(echelon([[(3, Fraction(1, 2))], [(3, -1)]])) == 1
+    assert len(echelon(map(int_row, [[(3, Fraction(1, 2))], [(3, -1)]]))) == 1
 
 
 def test_rank_matches_pivot_count_and_transpose():
-    # integer entries first, then rational ones, which echelon scales to
+    # integer entries first, then rational ones, which sparse scales to
     # integers over the lcm of each row's denominators
     rng = random.Random(7)
     for den in (1, 4):

@@ -8,6 +8,7 @@ from anglestruct import (Infeasible, LinearSystem, Optimum, Solution,
                          Unbounded, fixture, minimize_linear,
                          solve_feasibility_nonneg, solve_feasibility_strict,
                          verify_certificate)
+from anglestruct._rational import scaled
 from anglestruct.existence import angle_linear_system
 from anglestruct import lp_core
 from anglestruct.lp_core import NONNEG, STRICT_POS, Certificate, LPError
@@ -175,10 +176,6 @@ def test_linear_system_rows_are_sorted_nonzero_pairs():
     # A bool is an int subclass, but no column index, as it is no value.
     with pytest.raises(LPError, match="no column True"):
         LinearSystem.of([[(True, 1)]], [1], [NONNEG] * 2)
-    for den in (0, True):
-        with pytest.raises(LPError, match="rhs denominator %r is not a "
-                                          "positive int" % (den,)):
-            LinearSystem.of([[(0, 1)]], [1], [NONNEG], rhs_den=den)
     # two halves on one column sum to 1 over den 2, which the gcd
     # reduces to den 1
     halves = LinearSystem.of([[(0, F(1, 2)), (0, F(1, 2))]], [1], [NONNEG])
@@ -303,6 +300,36 @@ def test_integer_tableau_takes_the_fraction_simplex_pivots():
                 oracles.fraction_rows(sys), sys.rhs, [STRICT_POS] * cols))
     assert set(statuses) == {"optimal", "unbounded", "infeasible"}
     assert len(statuses) == 3 * 160
+
+
+def test_answers_keep_the_scaled_form_they_were_read_out_of():
+    # A solve's Solution and Certificate keep the (den, ints) form lp_core
+    # read them out of, and existence reads it in place of their
+    # Fractions: it must be the form scaled() gives their entries, and
+    # the answer equal to, and hash as, one built from those entries.
+    # One built by hand derives that form on first use.
+    rng = random.Random(2031)
+    kept = set()
+    for trial in range(120):
+        build = rand_system if trial % 2 else rand_rational_system
+        cols = rng.randint(1, 6)
+        sys = build(rng, rng.randint(1, 4), cols)
+        strict = LinearSystem.of(oracles.fraction_rows(sys), sys.rhs,
+                                 [STRICT_POS] * cols)
+        for res in (solve_feasibility_nonneg(sys),
+                    solve_feasibility_strict(strict)):
+            if isinstance(res, Solution):
+                kept.add("x")
+                again = Solution(x=res.x)
+                assert res._scaled_x == scaled(res.x)
+            else:
+                kept.add("y")
+                res, again = res.certificate, Certificate(y=res.certificate.y)
+                assert res._scaled_y == scaled(res.y)
+            assert res == again and hash(res) == hash(again)
+    assert kept == {"x", "y"}
+    assert Solution(x=(F(1, 2), 3))._scaled_x == (2, (1, 6))
+    assert Certificate(y=(F(-2, 3), F(0)))._scaled_y == (3, (-2, 0))
 
 
 def test_integer_certificate_check_agrees_with_the_fraction_one():

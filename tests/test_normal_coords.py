@@ -11,7 +11,8 @@ from anglestruct import (AngleAssignment, NormalCoordinate, Triangulation,
                          is_in_solution_space, solution_space_basis,
                          z_functional)
 from anglestruct._rational import scaled
-from anglestruct.normal_coords import NormalCoordinateError, quad_type_at_arc
+from anglestruct.normal_coords import (_QUAD_AT, NormalCoordinateError,
+                                       quad_type_at_arc)
 from anglestruct.triangulation import EDGE_INDEX
 
 
@@ -29,12 +30,16 @@ def rand_omega_z(rng, n, m, lo=-6, hi=6):
 
 
 def test_quad_type_at_arc_names_the_separated_edge_pair():
+    # compatibility_system reads the same quad types from the 4x4 table
+    # built at import, which has no entry at a face's own vertex.
     for face in range(4):
+        assert _QUAD_AT[face][face] is None
         for vertex in range(4):
             if vertex == face:
                 continue
             k = EDGE_INDEX[(vertex, face)]
             assert quad_type_at_arc(face, vertex) == min(k, 5 - k)
+            assert _QUAD_AT[face][vertex] == min(k, 5 - k)
 
 
 def test_quad_edges_are_the_four_edges_missed_by_the_pair():

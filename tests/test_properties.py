@@ -402,8 +402,9 @@ def test_int_checks_and_int_systems_agree_with_fractions(data):
                     assert expect
     # LinearSystem.of holds one int form: the angle system, built from
     # ints over the targets' denominator, equals the system given as the
-    # equal Fractions and as ints over a multiple of that denominator,
-    # and the solvers answer the Fraction-built one as they answer it.
+    # equal Fractions and as its int rows with the rhs written over a
+    # multiple of that denominator, and the solvers answer the
+    # Fraction-built one as they answer it.
     for mode, solve in (("semi", solve_feasibility_nonneg),
                         ("strict", solve_feasibility_strict)):
         sys = angle_linear_system(t, realized, mode)
@@ -414,8 +415,8 @@ def test_int_checks_and_int_systems_agree_with_fractions(data):
         built = LinearSystem.of([[(c, Fraction(v)) for c, v in row]
                                  for row in rows],
                                 [Fraction(v, bden) for v in b], sys.signs)
-        for other in (built, LinearSystem.of(rows, [k * v for v in b],
-                                             sys.signs, rhs_den=k * bden)):
+        over_k = [Fraction(k * v, k * bden) for v in b]
+        for other in (built, LinearSystem.of(rows, over_k, sys.signs)):
             assert other == sys
             assert (oracles.fraction_rows(other), other.rhs) == \
                 (oracles.fraction_rows(sys), sys.rhs)
