@@ -8,6 +8,12 @@ nonnegative or strictly positive solution.  Both answers come with proof:
 an assignment is re-verified against the targets and the mode, and a
 refusal carries a Farkas certificate checked by recomputation.
 
+Before any LP, a target on a closed table is tested against the summed
+Gauss-Bonnet identity that every realization meets, sum_c A_c +
+sum_e (2 / mult_e) kappa_e = sum_e 4 / mult_e - 4n; one that breaks it
+is refused in closed form, by a certificate over angle_linear_system's
+rows that the sum itself gives.
+
 The solvers run a smaller system with the same solutions.  A
 tetrahedron's four corner rows fix the difference of each pair of
 opposite angles, so one variable per pair, shifted by the offset the
@@ -40,6 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional
 
 from ._rational import exact, scaled
@@ -252,8 +259,42 @@ def _lifted(t: Triangulation, targets, mode: str, shift, y):
                      (2 * den, (*h, *(2 * v for v in w), *caps)))
 
 
+def _summed_refusal(t: Triangulation, targets, mode: str):
+    """A certificate over angle_linear_system's rows when the targets
+    break the summed Gauss-Bonnet identity, else None.
+
+    Only on a table with no boundary face, so no boundary edge class,
+    whose classes each list their corners all once or all twice (mult 1
+    or 2).  An edge walk passes a corner at most twice, so a class whose
+    valence is its count of distinct corners, or twice it, is such a
+    class.  y is 1 on each corner row, -2 / mult on each edge row and 0
+    on the cap rows: an angle column meets two corner rows and its
+    class's row mult times, so A^T y = 0, and y.b = 0 for every
+    realization.  That is the identity sum_c A_c + sum_e (2 / mult_e)
+    kappa_e = sum_e 4 / mult_e - 4n, in units of pi.  When y.b is not 0,
+    y or -y refutes both modes, with y.b > 0."""
+    _, corner, edge, capped = targets
+    weights = []
+    for cls in t.edge_classes:
+        once = len(set(cls.corners))
+        if cls.is_boundary or cls.valence not in (once, 2 * once):
+            return None
+        weights.append(-2 if cls.valence == once else -1)
+    yb = sum(corner) + sum(map(mul, weights, edge))
+    if not yb:
+        return None
+    sign = 1 if yb > 0 else -1
+    y = [sign] * len(corner) + [sign * w for w in weights]
+    if capped:
+        y += [0] * (6 * t.tet_count)
+    return _verified(_angle_system(t, targets, mode), (1, y))
+
+
 def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
     targets = _targets(t, ac)
+    refusal = _summed_refusal(t, targets, mode)
+    if refusal is not None:
+        return refusal
     sys, den, shift = _pair_system(t, targets, mode)
     if mode == "strict":
         res = solve_feasibility_strict(sys)
@@ -274,16 +315,19 @@ def find_semi_angle_structure(t: Triangulation, ac: AreaCurvature):
     """A semi assignment (angles in [0, pi]) realizing ac, or a Farkas
     certificate over angle_linear_system's semi rows that none exists.
 
-    Solved over the pair system (3n columns, n + m rows, plus 3n caps
-    and slacks when an area is positive); a refutation is lifted to the
-    full system and verified there, an assignment re-verified."""
+    A target that breaks the summed Gauss-Bonnet identity is refused
+    first, with no LP.  Else solved over the pair system (3n columns,
+    n + m rows, plus 3n caps and slacks when an area is positive); a
+    refutation is lifted to the full system and verified there, an
+    assignment re-verified."""
     return _decide(t, ac, "semi")
 
 
 def find_angle_structure(t: Triangulation, ac: AreaCurvature):
     """A strict assignment (angles in (0, pi)) realizing ac, or a
     strict-mode Farkas certificate over angle_linear_system's strict
-    rows, decided by margin maximization over the pair system."""
+    rows, decided as the semi finder does, by margin maximization over
+    the pair system."""
     return _decide(t, ac, "strict")
 
 
@@ -331,7 +375,7 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     optimum = raw_max / 2
     if raw_max < 0:
         return Holds(optimum=optimum)
-    witness = _from_slice(t.compatibility_system, res.x)
+    witness = _from_slice(t.compatibility_system, res._scaled_x)
     if not is_in_solution_space(t.compatibility_system, witness):
         raise ExistenceError(
             "internal error: quad-slice witness left the solution space")

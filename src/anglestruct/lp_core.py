@@ -7,18 +7,23 @@ over another.  Two doors lead to that form: `LinearSystem.of`, through
 `_rational`'s gate, and the ungated `_of_ints`, for the package's rows.
 Answers are fractions.Fraction, built only at readout: x, the Farkas
 vector and the optimum, each vector read out of its (den, ints) form
-by `_rational.unscaled`; a Solution and a Certificate keep that form,
-reduced, for the package's readers.  The tableau is fraction-free and
-sparse, each row a dict of its nonzero ints whose entry at the row's
-basic column is its positive denominator.  A pivot is `_linalg`'s
-elimination step, the one the echelon form takes, and keeps every row
-primitive, so it costs int operations, not Fraction objects.
+by `_rational.unscaled`; a Solution, an Optimum and a Certificate keep
+that form, reduced, for the package's readers.  The tableau is
+fraction-free and sparse, each row a dict of its nonzero ints whose
+entry at the row's basic column is its positive denominator.  A pivot
+is `_linalg`'s elimination step, the one the echelon form takes, and
+keeps every row primitive, so it costs int operations, not Fraction
+objects.
 Below the constraint rows the tableau carries the phase-2 and then the
 phase-1 objective row: the reduced cost of every column, then minus the
 cost of the current basic solution.  Both are built once and only pivots
 change them; the residue, the optimum, the Farkas vector and the dual
-are read off them.  Every column is sign-constrained: nonnegative, or
-strictly positive in the margin program.
+are read off them.  With no start given, the tableau begins from the
+slack basis: each row that holds a column no other row holds, positive
+in the row's sign, has that column basic in place of its artificial,
+so a cap row or the margin program's epsilon row costs no phase-1
+pivot.  Every column is sign-constrained: nonnegative, or strictly
+positive in the margin program.
 Three entry points cover what the rest of the package needs: feasibility
 of an equality system with sign-constrained variables, strict feasibility
 via margin maximization (find x with every constrained entry bounded away
@@ -191,9 +196,26 @@ class Infeasible(Record):
 
 
 class Optimum(Record):
-    """The least value of the objective and a point x that attains it."""
+    """The least value of the objective and a point x that attains it.
+
+    ``_scaled_x`` is (den, ints), x over its least denominator: kept from
+    the solve that read x out of it, else derived on first use.
+    """
     value: Fraction
     x: tuple
+
+    @classmethod
+    def _of_scaled(cls, value: Fraction, den: int, ints):
+        """The optimum value at the point ints / den, its scaled form
+        kept."""
+        form = reduced(den, ints)
+        opt = cls(value=value, x=unscaled(*form))
+        opt.__dict__["_scaled_x"] = form
+        return opt
+
+    @cached_property
+    def _scaled_x(self) -> tuple:
+        return scaled(self.x)
 
 
 class Unbounded(Record):
@@ -252,17 +274,25 @@ def _pivot_loop(rows, basis, cols, end: int):
         _pivot(rows, basis, r, enter)
 
 
-def _tableau(a, b, cost):
-    """The starting tableau of the all-artificial basis, and the sign
-    each row was multiplied by to make its rhs nonnegative.
+def _tableau(a, b, cost, slack: bool):
+    """The starting tableau, and the sign each row was multiplied by to
+    make its rhs nonnegative.
 
     a, b and cost are (den, ints) forms: the rows of A as (column, int)
     pairs, then b and the costs.  Row i is A_i and b_i, both brought over
     a's den times b's, with that product at its artificial column t + i:
     one denominator for every constraint row.  Below them are the
     phase-2 row, the costs over their den at column t + k + 1, and the
-    phase-1 row, 1 on each artificial minus the sum of the constraint
-    rows, made primitive, at column t + k + 2.
+    phase-1 row, 1 on each artificial minus the sum of the rows whose
+    artificial is basic, made primitive, at column t + k + 2.
+
+    With slack, the slack-basis start: a row that holds a column with no
+    nonzero in any other row, positive after the row's sign, starts with
+    its lowest such column basic in place of its artificial, the row
+    made primitive there, and the phase-2 row priced out at it.  Its
+    value there is the row's rhs over a positive entry, so the start is
+    feasible; its artificial stays in the row, nonbasic at cost 1, so
+    the readouts are those of the all-artificial start.
     """
     (aden, arows), (bden, bs), (cden, cs) = a, b, cost
     k, t = len(bs), len(cs)
@@ -276,16 +306,33 @@ def _tableau(a, b, cost):
             row[end] = s * aden * v
         row[t + i] = den
         rows.append(row)
-    phase1 = dict.fromkeys([*range(t, end), end + 2], den)
-    for row in rows:
-        for c, v in row.items():
-            phase1[c] = phase1.get(c, 0) - v
-    phase1 = {c: v for c, v in phase1.items() if v}
     obj = {j: v for j, v in enumerate(cs) if v}
     obj[end + 1] = cden
+    basis = [t + i for i in range(k)]
+    if slack:
+        held, again = set(), set()
+        for pairs in arows:
+            for c, _ in pairs:
+                if c in held:
+                    again.add(c)
+                held.add(c)
+        held -= again
+        for i, row in enumerate(rows if held else ()):
+            j = min((c for c in held.intersection(row) if row[c] > 0),
+                    default=None)
+            if j is not None:
+                basis[i] = j
+                rows[i] = _primitive(row, j)
+                if j in obj:
+                    obj = _primitive(_eliminate(obj, rows[i], j), end + 1)
+    phase1 = dict.fromkeys([*range(t, end), end + 2], den)
+    for row, b in zip(rows, basis):
+        if b >= t:
+            for c, v in row.items():
+                phase1[c] = phase1.get(c, 0) - v
+    phase1 = {c: v for c, v in phase1.items() if v}
     rows += [obj, _primitive(phase1, end + 2)]
-    basis = [t + i for i in range(k)] + [end + 1, end + 2]
-    return rows, basis, scale
+    return rows, basis + [end + 1, end + 2], scale
 
 
 def _basic_values(rows, basis, t: int, col: int) -> tuple:
@@ -323,9 +370,10 @@ def _solve(a, b, cost, cols=None):
     unscaled back to the caller's.
 
     Phase 1 prices the columns in cols, every real and artificial one by
-    default; phase 2 prices every real column.
+    default, and then starts from the slack basis; given cols, it starts
+    from the all-artificial one.  Phase 2 prices every real column.
     """
-    rows, basis, scale = _tableau(a, b, cost)
+    rows, basis, scale = _tableau(a, b, cost, slack=cols is None)
     k = len(scale)
     t = len(cost[1])
     end = t + k
@@ -460,7 +508,7 @@ def minimize_linear(objective, sys: LinearSystem, start=None):
         return Infeasible(certificate=_verified(sys, res["farkas"]))
     if res["status"] == "unbounded":
         return Unbounded(ray=unscaled(*res["ray"]))
-    return Optimum(value=res["value"], x=unscaled(*res["x"]))
+    return Optimum._of_scaled(res["value"], *res["x"])
 
 
 def verify_certificate(sys: LinearSystem, y) -> bool:

@@ -261,12 +261,13 @@ def _quad_slice(sys: CompatibilitySystem) -> tuple:
 
 
 def _from_slice(sys: CompatibilitySystem, quads) -> NormalCoordinate:
-    """The coordinate with the given quads, its triangles set along the
-    projection's forest, 0 at each root: a child's weight is its
-    parent's minus the child-side quad plus the parent-side one.
+    """The coordinate with the quads of the (den, ints) form quads, its
+    triangles set along the projection's forest, 0 at each root: a
+    child's weight is its parent's minus the child-side quad plus the
+    parent-side one.
 
     Set in ints over the quads' denominator, with no division."""
-    den, nums = scaled(quads)
+    den, nums = quads
     x = list(nums) + [0] * (sys.columns - len(nums))
     for child, (parent, qc, qp) in sys._projection[0].items():
         x[child] = x[parent] - x[qc] + x[qp]

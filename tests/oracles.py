@@ -496,7 +496,12 @@ def fraction_simplex(sparse, rhs, cost, cols=None):
     orientation and is unscaled back to the caller's.
 
     Phase 1 prices the columns in cols, every real and artificial one by
-    default, and phase 2 every real column.
+    default, and phase 2 every real column.  With no cols the start is
+    the slack basis: a row holding a column that no other row holds,
+    positive once the row is scaled, starts with the lowest such column
+    basic, the row divided by its entry there and that column's cost
+    priced out of the phase-2 row; its artificial stays, nonbasic, and
+    the phase-1 row sums only the rows whose artificial is basic.
     """
     k = len(sparse)
     t = len(cost)
@@ -509,13 +514,35 @@ def fraction_simplex(sparse, rhs, cost, cols=None):
         if b:
             row[end] = s * b
         rows.append(row)
-    phase1 = dict.fromkeys(range(t, end), ONE)
-    for row in rows:
-        for c, v in row.items():
-            phase1[c] = phase1.get(c, ZERO) - v
-    rows.append({j: v for j, v in enumerate(cost) if v})
-    rows.append({c: v for c, v in phase1.items() if v})
+    costs = {j: v for j, v in enumerate(cost) if v}
     basis = [t + i for i in range(k)]
+    if cols is None:
+        held = {}
+        for row in rows:
+            for c in row:
+                held[c] = held.get(c, 0) + 1
+        for i, row in enumerate(rows):
+            single = [c for c, v in row.items()
+                      if c < t and held[c] == 1 and v > 0]
+            if single:
+                j = min(single)
+                piv = row[j]
+                rows[i] = row = {c: v / piv for c, v in row.items()}
+                basis[i] = j
+                f = costs.get(j, ZERO)
+                for c, v in row.items():
+                    w = costs.get(c, ZERO) - f * v
+                    if w:
+                        costs[c] = w
+                    else:
+                        costs.pop(c, None)
+    phase1 = dict.fromkeys(range(t, end), ONE)
+    for row, b in zip(rows, basis):
+        if b >= t:
+            for c, v in row.items():
+                phase1[c] = phase1.get(c, ZERO) - v
+    rows.append(costs)
+    rows.append({c: v for c, v in phase1.items() if v})
     _fraction_pivot_loop(rows, basis, range(end) if cols is None else cols,
                          end)
     obj = rows.pop()
@@ -619,6 +646,42 @@ def dense_system(coeffs, rhs, signs):
     return LinearSystem.of(
         [[(c, v) for c, v in enumerate(row) if v] for row in coeffs],
         rhs, signs)
+
+
+def breaks_summed_identity(t, ac) -> bool:
+    """Whether ac breaks the summed Gauss-Bonnet identity, over Fractions:
+    on a table with no boundary face whose edge classes each list their
+    corners all once or all twice (mult 1 or 2), the areas plus each
+    (2 / mult) kappa against the sum of 4 / mult less 4n.  False where
+    the identity is not stated."""
+    if t.boundary_faces():
+        return False
+    lhs = sum(ac.area, Fraction(0))
+    rhs = Fraction(-4 * t.tet_count)
+    for e in t.edge_classes:
+        mults = {e.corners.count(c) for c in e.corners}
+        if len(mults) != 1:
+            return False
+        mult = mults.pop()
+        lhs += Fraction(2, mult) * ac.curvature[e.index]
+        rhs += Fraction(4, mult)
+    return lhs != rhs
+
+
+def summed_certificate(t, ac) -> tuple:
+    """The Farkas vector of a target that breaks the summed identity, as
+    Fractions over angle_system_dense's rows: 1 on each corner row,
+    -2 on each edge row, -1 where the gluings fold the edge, 0 on each
+    cap row, negated where its product with the rhs is negative."""
+    folded = folded_tet_edges(t)
+    y = [Fraction(1)] * (4 * t.tet_count)
+    y += [Fraction(-1 if e.corners[0] in folded else -2)
+          for e in t.edge_classes]
+    rhs = angle_system_dense(t, ac, "semi")[1]
+    y += [Fraction(0)] * (len(rhs) - len(y))
+    if sum((a * b for a, b in zip(y, rhs)), Fraction(0)) < 0:
+        y = [-v for v in y]
+    return tuple(y)
 
 
 def fraction_rows(sys) -> tuple:

@@ -185,7 +185,9 @@ def test_finders_solve_one_column_per_opposite_edge_pair(monkeypatch):
         monkeypatch.setattr(existence, name, spy)
     fig8 = fixture("fig8").triangulation
     one = fixture("one-tet").triangulation
-    pos = AreaCurvature(area=(F(1, 2),) * 8, curvature=(F(0),) * 2)
+    # Areas of both signs summing to 0 keep fig8's summed Gauss-Bonnet
+    # identity, so the capped target reaches the LP.
+    pos = AreaCurvature(area=(F(1, 2), F(-1, 2)) * 4, curvature=(F(0),) * 2)
     for t, ac in ((fig8, zero_ac(fig8)), (fig8, pos), (one, zero_ac(one))):
         find_semi_angle_structure(t, ac)
         find_angle_structure(t, ac)
@@ -235,8 +237,11 @@ def test_strict_answer_with_a_zero_angle_fails_reverification(monkeypatch):
 
 def test_corrupted_pair_certificate_fails_on_the_lifted_system(monkeypatch):
     # The pair system's refutation, negated after lp_core verified it, is
-    # lifted and refused by the check on angle_linear_system's rows.
-    fx = fixture("fig8-infeasible")
+    # lifted and refused by the check on angle_linear_system's rows.  The
+    # table has boundary faces, so the target reaches the LP: every edge
+    # target 1 - 2 is negative.
+    t = fixture("one-tet").triangulation
+    ac = AreaCurvature(area=(F(0),) * 4, curvature=(F(2),) * 6)
     for mode, name in (("semi", "solve_feasibility_nonneg"),
                        ("strict", "solve_feasibility_strict")):
         def corrupted(sys, solve=getattr(lp_core, name)):
@@ -249,7 +254,7 @@ def test_corrupted_pair_certificate_fails_on_the_lifted_system(monkeypatch):
             else find_semi_angle_structure
         with pytest.raises(LPError,
                            match="emitted certificate failed verification"):
-            finder(fx.triangulation, fx.ac)
+            finder(t, ac)
 
 
 def _degenerate_fig8_target():
@@ -294,6 +299,124 @@ def test_lifted_certificates_verify_on_the_full_system(name):
         full = angle_linear_system(t, ac, mode)
         assert len(cert.y) == full.row_count
         assert verify_certificate(full, cert.y)
+
+
+def _summed_cases(seed: int, unglued: int):
+    """(table, realized target) pairs on oracles.random_table draws of 1-6
+    tetrahedra, unglued face pairs left as boundary faces: each table
+    once with angles in [pi/36, pi/3], every area <= 0, and once with
+    angles in [pi/36, 35 pi/36], some area > 0, so capped."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        t = oracles.random_table(rng, n, min(unglued, n))
+        for hi in (12, 35):
+            alpha = AngleAssignment.from_vector(n, [
+                F(rng.randint(1, hi), 36) for _ in range(6 * n)])
+            cases.append((t, realized_area_curvature(alpha, t)))
+    closed = [t for t, _ in cases if not t.boundary_faces()]
+    if not unglued:
+        cases += [(t, realized_area_curvature(AngleAssignment.from_vector(
+            t.tet_count, [F(rng.randint(1, 35), 36)
+                          for _ in range(6 * t.tet_count)]), t))
+            for t in random_tables(rng, 4, oracles.has_folded_edge)]
+        assert len(closed) == 24
+    else:
+        assert not closed
+    assert {any(a > 0 for a in ac.area) for _, ac in cases} == {True, False}
+    return cases
+
+
+def _moved(rng, t, ac):
+    """ac with one area or one curvature moved by a nonzero step."""
+    area, curvature = list(ac.area), list(ac.curvature)
+    step = F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+    values = rng.choice([area, curvature])
+    values[rng.randrange(len(values))] += step
+    return AreaCurvature.of(area, curvature)
+
+
+FINDERS = (("semi", find_semi_angle_structure, "solve_feasibility_nonneg"),
+           ("strict", find_angle_structure, "solve_feasibility_strict"))
+
+
+def _lp_calls(monkeypatch):
+    """The count of pair-system LPs the finders run, once spied on."""
+    calls = []
+    for _, _, name in FINDERS:
+        def spy(sys, solve=getattr(lp_core, name)):
+            calls.append(sys)
+            return solve(sys)
+        monkeypatch.setattr(existence, name, spy)
+    return calls
+
+
+def test_a_realized_target_never_takes_the_summed_refusal(monkeypatch):
+    # Realized data keep the summed Gauss-Bonnet identity, folded edges
+    # included, so each reaches the LP and is realized in both modes.
+    calls = _lp_calls(monkeypatch)
+    cases = _summed_cases(46, 0) + _summed_cases(47, 1)
+    for t, ac in cases:
+        assert not oracles.breaks_summed_identity(t, ac)
+        for mode, find, _ in FINDERS:
+            assert existence._summed_refusal(
+                t, existence._targets(t, ac), mode) is None
+            res = find(t, ac)
+            assert isinstance(res, AngleAssignment)
+            assert realized_area_curvature(res, t) == ac
+    assert len(calls) == 2 * len(cases)
+
+
+def test_a_moved_target_is_refused_in_closed_form(monkeypatch):
+    # Moving one area or one curvature of a realized target on a closed
+    # table breaks the identity.  The finders then refuse it with no LP,
+    # by 1 on each corner row, -2 on each edge row (-1 on a folded one)
+    # and 0 on each cap row, signed so that y.b > 0; the certificate
+    # verifies on the paper's system in both modes, and the pair system's
+    # LP refuses the target too.
+    calls = _lp_calls(monkeypatch)
+    rng = random.Random(48)
+    signs, folded, capped = set(), set(), set()
+    for t, ac in _summed_cases(46, 0):
+        moved = _moved(rng, t, ac)
+        assert oracles.breaks_summed_identity(t, moved)
+        y = oracles.summed_certificate(t, moved)
+        targets = existence._targets(t, moved)
+        for mode, find, name in FINDERS:
+            cert = find(t, moved)
+            assert cert == Certificate(y=y)
+            assert existence._summed_refusal(t, targets, mode) == cert
+            assert verify_certificate(angle_linear_system(t, moved, mode),
+                                      cert.y)
+            pair = existence._pair_system(t, targets, mode)[0]
+            assert isinstance(getattr(lp_core, name)(pair), Infeasible)
+        signs.add(y[0])
+        folded.add(oracles.has_folded_edge(t))
+        capped.add(any(a > 0 for a in moved.area))
+    assert calls == []
+    assert signs == {1, -1} and folded == capped == {True, False}
+
+
+def test_a_table_with_boundary_faces_never_takes_the_summed_refusal(
+        monkeypatch):
+    # The identity is stated on closed tables alone: with boundary faces
+    # a realized target and a moved one both go to the LP.
+    calls = _lp_calls(monkeypatch)
+    rng = random.Random(49)
+    cases = _summed_cases(47, 2)
+    for t, ac in cases:
+        moved = _moved(rng, t, ac)
+        for mode, find, _ in FINDERS:
+            assert existence._summed_refusal(
+                t, existence._targets(t, moved), mode) is None
+            res = find(t, moved)
+            if isinstance(res, Certificate):
+                assert verify_certificate(
+                    angle_linear_system(t, moved, mode), res.y)
+            else:
+                assert realized_area_curvature(res, t) == moved
+    assert len(calls) == 2 * len(cases)
 
 
 def test_certify_condition2_on_fig8():

@@ -46,6 +46,10 @@ nothing from `_rational`, and has one caller, the compatibility
 system's projection.  A solve scales its targets once, and reads the
 solver's point or certificate in the int form it was read out of.  The
 CLI writes its reports itself: json is imported for reading alone.
+The summed Gauss-Bonnet refusal has one home, which `_decide` calls
+before it builds the pair system; the slack-basis start lives in
+`lp_core._tableau` alone; and no public solver or finder gains a
+parameter, the CLI no option, and no module reads the environment.
 """
 
 from __future__ import annotations
@@ -546,3 +550,85 @@ def test_cli_reads_json_and_writes_its_own():
     assert {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
             and isinstance(n.value, ast.Name) and n.value.id == "json"} == \
         {"loads"}
+
+
+def test_the_summed_refusal_has_one_home_before_the_pair_system():
+    # The summed Gauss-Bonnet identity is tested in one function,
+    # existence._summed_refusal, and _decide alone calls it, once, before
+    # it builds the pair system.
+    callers = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                callers += [(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and
+                            isinstance(node.func, ast.Name) and
+                            node.func.id == "_summed_refusal"]
+    assert callers == [("existence.py", "_decide")]
+    tree = ast.parse((PACKAGE / "existence.py").read_text(encoding="utf-8"))
+    decide = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_decide")
+    calls = sorted((n.lineno, n.col_offset, n.func.id)
+                   for n in ast.walk(decide) if isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Name))
+    names = [name for *_, name in calls]
+    assert names.index("_summed_refusal") < names.index("_pair_system")
+
+
+def test_the_slack_start_lives_in_the_tableau_alone():
+    # lp_core._tableau lays out the slack-basis start; _solve, its one
+    # caller, only says whether to take it, and a basis entry is set
+    # there and by a pivot alone.
+    tree = ast.parse((PACKAGE / "lp_core.py").read_text(encoding="utf-8"))
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    takers, setters = [], []
+    for name, fn in fns.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "_tableau":
+                takers.append(name)
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Subscript) and
+                    ast.unparse(target.value) == "basis"
+                    for target in node.targets):
+                setters.append(name)
+    assert takers == ["_solve"] and sorted(setters) == ["_pivot", "_tableau"]
+    slack = [(path.name, node.name) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef)
+             and "slack" in [a.arg for a in node.args.args]]
+    assert slack == [("lp_core.py", "_tableau")]
+
+
+def test_no_public_function_gains_a_parameter_or_an_option():
+    # The solvers and finders keep their signatures, the CLI its options,
+    # and no module reads the environment.
+    from anglestruct import cli, existence, lp_core
+    public = {}
+    for module in (lp_core, existence):
+        public.update((name, list(inspect.signature(fn).parameters))
+                      for name, fn in vars(module).items()
+                      if inspect.isfunction(fn) and not name.startswith("_")
+                      and fn.__module__ == module.__name__)
+    assert public == {
+        "solve_feasibility_nonneg": ["sys"],
+        "solve_feasibility_strict": ["sys"],
+        "minimize_linear": ["objective", "sys", "start"],
+        "verify_certificate": ["sys", "y"],
+        "angle_linear_system": ["t", "ac", "mode"],
+        "find_semi_angle_structure": ["t", "ac"],
+        "find_angle_structure": ["t", "ac"],
+        "certify_condition2": ["t", "alpha"],
+        "check_corollary2": ["t", "ac"],
+        "identity_4_9": ["t", "alpha", "h", "z", "omega"]}
+    assert {name: [flag for flag, _ in spec]
+            for name, (_, _, spec) in cli._COMMANDS.items()} == {
+        "validate": ["triangulation"], "analyze": ["triangulation"],
+        "solve": ["triangulation", "ac", "--mode"],
+        "certify": ["triangulation", "angles"],
+        "perturb": ["triangulation", "angles"],
+        "fixtures": ["name", "dir"]}
+    for path in MODULES:
+        text = path.read_text(encoding="utf-8")
+        assert "environ" not in text and "getenv" not in text, path.name

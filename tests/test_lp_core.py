@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from anglestruct import (Infeasible, LinearSystem, Optimum, Solution,
-                         Unbounded, fixture, minimize_linear,
-                         solve_feasibility_nonneg, solve_feasibility_strict,
-                         verify_certificate)
+from anglestruct import (AngleAssignment, Infeasible, LinearSystem,
+                         Optimum, Solution, Unbounded, find_angle_structure,
+                         find_semi_angle_structure, fixture, minimize_linear,
+                         realized_area_curvature, solve_feasibility_nonneg,
+                         solve_feasibility_strict, verify_certificate)
 from anglestruct._rational import scaled
 from anglestruct.existence import angle_linear_system
 from anglestruct import lp_core
@@ -300,6 +301,90 @@ def test_integer_tableau_takes_the_fraction_simplex_pivots():
                 oracles.fraction_rows(sys), sys.rhs, [STRICT_POS] * cols))
     assert set(statuses) == {"optimal", "unbounded", "infeasible"}
     assert len(statuses) == 3 * 160
+
+
+def test_slack_start_agrees_with_brute_force_on_singleton_columns(
+        monkeypatch):
+    # Each system has columns that one row alone holds, of either sign and
+    # with rational entries, so some rows start with such a column basic
+    # and some, scaled to a nonnegative rhs, cannot.  Feasibility and
+    # minimization must reach brute force's verdict, each certificate
+    # verifies, and the integer tableau takes the Fraction one's pivots.
+    rng = random.Random(2030)
+    started = []
+    tableau = lp_core._tableau
+
+    def spy(a, b, cost, slack):
+        rows, basis, scale = tableau(a, b, cost, slack)
+        started.append(sum(c < len(cost[1]) for c in basis))
+        return rows, basis, scale
+
+    monkeypatch.setattr(lp_core, "_tableau", spy)
+    with oracles.same_pivots() as statuses:
+        for trial in range(120):
+            k = rng.randint(1, 3)
+            dense = rand_rational_system(rng, k, rng.randint(0, 3))
+            coeffs = [list(row) for row in dense.coeffs]
+            for _ in range(rng.randint(1, 3)):
+                r = rng.randrange(k)
+                for i, row in enumerate(coeffs):
+                    row.append(F(rng.choice([-3, -1, 1, 2]),
+                                 rng.randint(1, 3)) if i == r else F(0))
+            cols = len(coeffs[0])
+            sys = oracles.dense_system(coeffs, dense.rhs, [NONNEG] * cols)
+            res = solve_feasibility_nonneg(sys)
+            assert isinstance(res, Solution) == oracles.bf_feasible(sys)
+            if isinstance(res, Solution):
+                check_solution(sys, res.x)
+            else:
+                assert verify_certificate(sys, res.certificate.y)
+            obj = [F(rng.randint(-3, 3)) for _ in range(cols)]
+            res = minimize_linear(obj, sys)
+            status, value = oracles.bf_minimize(obj, sys)
+            assert type(res) is {"infeasible": Infeasible,
+                                 "unbounded": Unbounded,
+                                 "optimal": Optimum}[status], (trial, sys)
+            if status == "infeasible":
+                assert verify_certificate(sys, res.certificate.y)
+            elif status == "optimal":
+                assert res.value == value == dot(obj, res.x)
+                check_solution(sys, res.x)
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}
+    assert 0 < started.count(0) < len(started) == 2 * 120
+
+
+def _capped_pivots(monkeypatch, start: bool) -> list:
+    """The pivots of the semi and the strict finder on a capped target of
+    32 tetrahedra: a random closed table, angles k pi/36 with k in 1..30
+    drawn after it, and the data they realize."""
+    rng = random.Random(1)
+    t = oracles.random_table(rng, 32)
+    alpha = AngleAssignment.from_vector(32, [F(rng.randint(1, 30), 36)
+                                             for _ in range(6 * 32)])
+    ac = realized_area_curvature(alpha, t)
+    assert any(a > 0 for a in ac.area)
+    tableau, pivot, pivots = lp_core._tableau, lp_core._pivot, []
+    monkeypatch.setattr(lp_core, "_tableau",
+                        lambda a, b, cost, slack: tableau(a, b, cost, start))
+
+    def counted(*args):
+        pivots[-1] += 1
+        pivot(*args)
+
+    monkeypatch.setattr(lp_core, "_pivot", counted)
+    for find in (find_semi_angle_structure, find_angle_structure):
+        pivots.append(0)
+        assert realized_area_curvature(find(t, ac), t) == ac
+    monkeypatch.undo()
+    return pivots
+
+
+def test_the_slack_start_cuts_the_capped_pivots(monkeypatch):
+    # Each of the 3n cap rows starts with its slack basic, and each strict
+    # solve's epsilon <= 1 row too, where the all-artificial start paid a
+    # phase-1 pivot for each.
+    assert _capped_pivots(monkeypatch, True) == [59, 65]
+    assert _capped_pivots(monkeypatch, False) == [172, 177]
 
 
 def test_answers_keep_the_scaled_form_they_were_read_out_of():

@@ -117,18 +117,18 @@ def _check_projection(t, more_quads):
     # the order found, the quad-led rows of the generic elimination with
     # the triangle columns first, and its rank.  On the slice's known
     # point, whose witness lies in the solution space, and on any
-    # rational quads, _from_slice must give the coordinate the Fraction
-    # back-substitution over that elimination gives, with its scaled
-    # form kept.
+    # rational quads, _from_slice, given their scaled form, must give the
+    # coordinate the Fraction back-substitution over that elimination
+    # gives, with its scaled form kept.
     csys = t.compatibility_system
     rows, _, point = _quad_slice(csys)
     assert ([dict(row) for row in rows[:-1]], csys.rank) == \
         oracles.quad_rows(csys)
     for quads in (point, more_quads):
-        w = _from_slice(csys, quads)
+        w = _from_slice(csys, scaled(quads))
         assert w == oracles.from_slice(csys, quads)
         assert w._scaled == scaled(w.quads + w.tris)
-    assert is_in_solution_space(csys, _from_slice(csys, point))
+    assert is_in_solution_space(csys, _from_slice(csys, scaled(point)))
 
 
 @pytest.mark.parametrize("kind", ["closed", "boundary"])
@@ -280,7 +280,12 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
                 else:
                     assert verify_certificate(
                         angle_linear_system(t, ac, mode), res.y)
-    assert len(statuses) == 6
+    # A target that breaks the summed Gauss-Bonnet identity on a closed
+    # table is refused in closed form, with no LP; a realized one never.
+    assert not oracles.breaks_summed_identity(t, realized)
+    assert len(statuses) == 2 * sum(
+        not oracles.breaks_summed_identity(t, ac) for ac in (*targets,
+                                                             realized))
 
     if n == 1:
         # Brute force enumerates bases, so it stays at one tetrahedron.
