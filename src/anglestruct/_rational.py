@@ -7,6 +7,9 @@ into Fractions, and no other module takes a number apart.  Lists of
 plain ints pass the gate and the scaling, and lists of ints and
 Fractions the gate, in one look at their types.
 
+`ScaledVector` keeps that form for every record that holds one rational
+vector, and this module alone writes it into a record's ``__dict__``.
+
 Every number crossing a file boundary is a fraction printed as "p/q" with
 q > 0 and gcd(p,q) = 1; the denominator is kept even when it is 1 so that
 readers never have to guess whether a value is exact.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 # ASCII digits only, with an optional sign on the numerator: int() alone
@@ -78,6 +82,39 @@ def unscaled(den: int, ints) -> tuple:
     """The Fractions ints / den, one built per distinct int."""
     made = {v: Fraction(v, den) for v in set(ints)}
     return tuple(map(made.__getitem__, ints))
+
+
+class ScaledVector:
+    """A record's one rational vector, kept as (den, ints).
+
+    The record names in ``_vector`` the fields that hold the vector, in
+    order, each with its share of the vector's length, and in ``_error``
+    the error a bad entry raises.  ``_scaled`` is (den, ints), the vector
+    over its least denominator: kept by `_of_scaled`, else derived on
+    first use through the gate of `exact_scaled`.
+    """
+
+    @classmethod
+    def _of_scaled(cls, den: int, ints, **fields):
+        """The record whose vector is ints / den, cut into its fields by
+        their shares, other fields as given; its reduced form is kept."""
+        form = reduced(den, ints)
+        vec = unscaled(*form)
+        total, start, upto = sum(cls._vector.values()), 0, 0
+        for name, share in cls._vector.items():
+            upto += share
+            end = len(vec) * upto // total
+            fields[name] = vec[start:end]
+            start = end
+        record = cls(**fields)
+        record.__dict__["_scaled"] = form
+        return record
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        return exact_scaled(type(self).__qualname__, [
+            v for name in self._vector for v in getattr(self, name)],
+            self._error)
 
 
 def format_rational(x) -> str:

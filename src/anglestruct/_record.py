@@ -8,7 +8,8 @@ field tuple and prints as ``Name(field=value, ...)``.  Assigning or
 deleting an attribute raises `FrozenInstanceError`, an AttributeError.
 All of this is worked out once per class, when it is made, and no code
 is generated; an instance keeps its fields in its ``__dict__``, beside
-what a `functools.cached_property` derives.
+what a `functools.cached_property` derives and the (den, ints) form a
+`_rational.ScaledVector` keeps.
 """
 
 from operator import attrgetter

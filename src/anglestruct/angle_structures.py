@@ -14,10 +14,8 @@ coordinates, reading the corner, edge and quad tallies kept here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
-from ._rational import (exact, format_rational, parse_rational, reduced,
-                        scaled, unscaled)
+from ._rational import ScaledVector, exact, format_rational, parse_rational
 from ._record import Record
 from .triangulation import EDGES_AT_VERTEX, Triangulation
 
@@ -26,14 +24,11 @@ class AngleStructureError(ValueError):
     """Raised for dimension mismatches or violated preconditions."""
 
 
-class AngleAssignment(Record):
-    """6n dihedral angles in units of pi, tet-major, edges 0..5.
-
-    ``_scaled``, kept, is (den, ints): the angles over the lcm of their
-    denominators, as `_rational.scaled`, derived unless built from ints.
-    Sums and bounds are read off it as ints.
-    """
+class AngleAssignment(Record, ScaledVector):
+    """6n dihedral angles in units of pi, tet-major, edges 0..5."""
     angles: tuple
+    _vector = {"angles": 1}
+    _error = AngleStructureError
 
     def __post_init__(self):
         object.__setattr__(self, "angles", exact(
@@ -50,21 +45,9 @@ class AngleAssignment(Record):
                 "expected %d angles, got %d" % (6 * tet_count, len(vec)))
         return cls(angles=vec)
 
-    @classmethod
-    def _of_scaled(cls, den: int, ints):
-        """The assignment ints / den, its scaled form kept."""
-        form = reduced(den, ints)
-        alpha = cls(angles=unscaled(*form))
-        alpha.__dict__["_scaled"] = form
-        return alpha
-
     @property
     def tet_count(self) -> int:
         return len(self.angles) // 6
-
-    @cached_property
-    def _scaled(self) -> tuple:
-        return scaled(self.angles)
 
 
 class AreaCurvature(Record):

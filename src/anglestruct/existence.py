@@ -32,13 +32,15 @@ certificate's scaled ints.  Past lp_core's answers, Fractions are built
 only for what is returned: the angles, one per value, and the lifted y.
 
 The second deliverable is the certification of the quad-cone condition:
-a strict structure with nonpositive triangle areas exists if and only if
-every compatible normal class with nonnegative, not-all-zero quad part
-has negative total quad area against the semi assignment.  That is one
-exact LP over the normalized quad slice, its triangle part projected
-away; `normal_coords` gives the slice's rows and turns an optimal quad
-part back into a coordinate, and the objective is the assignment's quad
-areas as ints.
+whether every compatible normal class with nonnegative, not-all-zero
+quad part has negative total quad area against the semi assignment.
+That is one exact LP over the normalized quad slice, its triangle part
+projected away; `normal_coords` gives the slice's rows and turns an
+optimal quad part back into a coordinate, and the objective is the
+assignment's quad areas as ints.  Whether the condition holds exactly
+when a strict structure with nonpositive triangle areas exists is what
+check_corollary2 tests; as coded it does not: on some tables a verified
+certificate refutes strict existence while the condition holds.
 """
 
 from __future__ import annotations
@@ -263,23 +265,18 @@ def _summed_refusal(t: Triangulation, targets, mode: str):
     """A certificate over angle_linear_system's rows when the targets
     break the summed Gauss-Bonnet identity, else None.
 
-    Only on a table with no boundary face, so no boundary edge class,
-    whose classes each list their corners all once or all twice (mult 1
-    or 2).  An edge walk passes a corner at most twice, so a class whose
-    valence is its count of distinct corners, or twice it, is such a
-    class.  y is 1 on each corner row, -2 / mult on each edge row and 0
-    on the cap rows: an angle column meets two corner rows and its
-    class's row mult times, so A^T y = 0, and y.b = 0 for every
-    realization.  That is the identity sum_c A_c + sum_e (2 / mult_e)
-    kappa_e = sum_e 4 / mult_e - 4n, in units of pi.  When y.b is not 0,
+    Only on a table with no boundary face, so no boundary edge class.
+    y is 1 on each corner row, -2 / mult on each edge row, mult the
+    class's fold multiplicity (`EdgeClass.mult`, 1 or 2), and 0 on the
+    cap rows: an angle column meets two corner rows and its class's row
+    mult times, so A^T y = 0, and y.b = 0 for every realization.  That
+    is the identity sum_c A_c + sum_e (2 / mult_e) kappa_e =
+    sum_e 4 / mult_e - 4n, in units of pi.  When y.b is not 0,
     y or -y refutes both modes, with y.b > 0."""
     _, corner, edge, capped = targets
-    weights = []
-    for cls in t.edge_classes:
-        once = len(set(cls.corners))
-        if cls.is_boundary or cls.valence not in (once, 2 * once):
-            return None
-        weights.append(-2 if cls.valence == once else -1)
+    if any(cls.is_boundary for cls in t.edge_classes):
+        return None
+    weights = [-2 // cls.mult for cls in t.edge_classes]
     yb = sum(corner) + sum(map(mul, weights, edge))
     if not yb:
         return None
@@ -301,8 +298,8 @@ def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
     else:
         res = solve_feasibility_nonneg(sys)
     if isinstance(res, Infeasible):
-        return _lifted(t, targets, mode, shift, res.certificate._scaled_y)
-    d, xs = res._scaled_x
+        return _lifted(t, targets, mode, shift, res.certificate._scaled)
+    d, xs = res._scaled
     lcd = lcm(d, den)
     fx, fs = lcd // d, lcd // den
     alpha = AngleAssignment._of_scaled(lcd, [
@@ -332,8 +329,8 @@ def find_angle_structure(t: Triangulation, ac: AreaCurvature):
 
 
 class Holds(Record):
-    """The quad-slice maximum is negative: no compatible class can stop a
-    strict upgrade."""
+    """The quad-slice maximum is negative: no compatible class with
+    nonnegative quad part has nonnegative total quad area."""
     optimum: Fraction
 
 
@@ -375,7 +372,7 @@ def certify_condition2(t: Triangulation, alpha: AngleAssignment):
     optimum = raw_max / 2
     if raw_max < 0:
         return Holds(optimum=optimum)
-    witness = _from_slice(t.compatibility_system, res._scaled_x)
+    witness = _from_slice(t.compatibility_system, res._scaled)
     if not is_in_solution_space(t.compatibility_system, witness):
         raise ExistenceError(
             "internal error: quad-slice witness left the solution space")
@@ -430,9 +427,9 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     class.  The right side is chi*(s) - chi^(A,k)(s) plus half the
     edge-incidence correction: over each class's distinct corners,
     (mult * z_j + h at the two corner endpoints) times (the two corner
-    targets minus 2*pi), mult being 2 at a folded corner, which z counts
-    once.  Both sides are returned for the caller to compare; no
-    equality is assumed here.
+    targets minus 2*pi), mult being the class's fold multiplicity, 2 at
+    a folded corner, which z counts once.  Both sides are returned for
+    the caller to compare; no equality is assumed here.
     """
     _check_semi(alpha, t, ExistenceError)
     n = t.tet_count
@@ -451,8 +448,7 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     for cls in t.edge_classes:
         for i, k in set(cls.corners):
             l1, l2 = EDGE_VERTICES[k]
-            mult = cls.corners.count((i, k))
-            correction += (mult * z[cls.index] + h[4 * i + l1] +
+            correction += (cls.mult * z[cls.index] + h[4 * i + l1] +
                            h[4 * i + l2]) * (a[4 * i + l1] + a[4 * i + l2] - 2)
     rhs = chi_star(t, s) - chi_area_curvature(t, s, ac) + correction / 2
     return (lhs, rhs)

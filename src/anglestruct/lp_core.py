@@ -8,7 +8,8 @@ over another.  Two doors lead to that form: `LinearSystem.of`, through
 Answers are fractions.Fraction, built only at readout: x, the Farkas
 vector and the optimum, each vector read out of its (den, ints) form
 by `_rational.unscaled`; a Solution, an Optimum and a Certificate keep
-that form, reduced, for the package's readers.  The tableau is
+that form, reduced, as the ``_scaled`` of `_rational.ScaledVector`, for
+the package's readers.  The tableau is
 fraction-free and sparse, each row a dict of its nonzero ints whose
 entry at the row's basic column is its positive denominator.  A pivot
 is `_linalg`'s elimination step, the one the echelon form takes, and
@@ -49,7 +50,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._linalg import _eliminate, _primitive
-from ._rational import exact_scaled, reduced, scaled, unscaled
+from ._rational import ScaledVector, exact_scaled, reduced, unscaled
 from ._record import Record
 
 NONNEG = "nonneg"
@@ -147,47 +148,19 @@ class LinearSystem(Record):
         return len(self.signs)
 
 
-class Certificate(Record):
-    """Farkas vector over the rows of the system it refutes.
-
-    ``_scaled_y`` is (den, ints), y over its least denominator: kept from
-    the solve that read y out of it, else derived on first use.
-    """
+class Certificate(Record, ScaledVector):
+    """Farkas vector over the rows of the system it refutes."""
     y: tuple
-
-    @classmethod
-    def _of_scaled(cls, den: int, ints):
-        """The certificate ints / den, its scaled form kept."""
-        form = reduced(den, ints)
-        cert = cls(y=unscaled(*form))
-        cert.__dict__["_scaled_y"] = form
-        return cert
-
-    @cached_property
-    def _scaled_y(self) -> tuple:
-        return scaled(self.y)
+    _vector = {"y": 1}
+    _error = LPError
 
 
-class Solution(Record):
+class Solution(Record, ScaledVector):
     """A point x with A x = b, exact, whose entries meet its system's
-    column signs: >= 0, or > 0 on a strict-pos column.
-
-    ``_scaled_x`` is (den, ints), x over its least denominator: kept from
-    the solve that read x out of it, else derived on first use.
-    """
+    column signs: >= 0, or > 0 on a strict-pos column."""
     x: tuple
-
-    @classmethod
-    def _of_scaled(cls, den: int, ints):
-        """The point ints / den, its scaled form kept."""
-        form = reduced(den, ints)
-        sol = cls(x=unscaled(*form))
-        sol.__dict__["_scaled_x"] = form
-        return sol
-
-    @cached_property
-    def _scaled_x(self) -> tuple:
-        return scaled(self.x)
+    _vector = {"x": 1}
+    _error = LPError
 
 
 class Infeasible(Record):
@@ -195,27 +168,12 @@ class Infeasible(Record):
     certificate: Certificate
 
 
-class Optimum(Record):
-    """The least value of the objective and a point x that attains it.
-
-    ``_scaled_x`` is (den, ints), x over its least denominator: kept from
-    the solve that read x out of it, else derived on first use.
-    """
+class Optimum(Record, ScaledVector):
+    """The least value of the objective and a point x that attains it."""
     value: Fraction
     x: tuple
-
-    @classmethod
-    def _of_scaled(cls, value: Fraction, den: int, ints):
-        """The optimum value at the point ints / den, its scaled form
-        kept."""
-        form = reduced(den, ints)
-        opt = cls(value=value, x=unscaled(*form))
-        opt.__dict__["_scaled_x"] = form
-        return opt
-
-    @cached_property
-    def _scaled_x(self) -> tuple:
-        return scaled(self.x)
+    _vector = {"x": 1}
+    _error = LPError
 
 
 class Unbounded(Record):
@@ -508,7 +466,7 @@ def minimize_linear(objective, sys: LinearSystem, start=None):
         return Infeasible(certificate=_verified(sys, res["farkas"]))
     if res["status"] == "unbounded":
         return Unbounded(ray=unscaled(*res["ray"]))
-    return Optimum._of_scaled(res["value"], *res["x"])
+    return Optimum._of_scaled(*res["x"], value=res["value"])
 
 
 def verify_certificate(sys: LinearSystem, y) -> bool:

@@ -31,7 +31,7 @@ from math import lcm
 from operator import mul
 
 from ._linalg import echelon
-from ._rational import exact, exact_scaled, reduced, scaled, unscaled
+from ._rational import ScaledVector, exact, exact_scaled, scaled
 from ._record import Record
 from .angle_structures import (
     AngleAssignment,
@@ -70,14 +70,12 @@ class NormalCoordinateError(ValueError):
     inputs."""
 
 
-class NormalCoordinate(Record):
-    """A rational weight per normal disk type: 3n quads, 4n triangles.
-
-    ``_scaled``, derived on first use unless built from ints, is (den,
-    nums): the entries over the lcm of their denominators, as `scaled`.
-    """
+class NormalCoordinate(Record, ScaledVector):
+    """A rational weight per normal disk type: 3n quads, 4n triangles."""
     quads: tuple
     tris: tuple
+    _vector = {"quads": 3, "tris": 4}
+    _error = NormalCoordinateError
 
     def __post_init__(self):
         if 4 * len(self.quads) != 3 * len(self.tris):
@@ -97,20 +95,6 @@ class NormalCoordinate(Record):
             raise NormalCoordinateError(
                 "expected %d coordinates, got %d" % (7 * tet_count, len(vec)))
         return cls(quads=vec[:3 * tet_count], tris=vec[3 * tet_count:])
-
-    @classmethod
-    def _of_scaled(cls, den: int, nums):
-        """The coordinate nums / den, its scaled form kept."""
-        form = reduced(den, nums)
-        vec = unscaled(*form)
-        s = cls(quads=vec[:3 * len(vec) // 7], tris=vec[3 * len(vec) // 7:])
-        s.__dict__["_scaled"] = form
-        return s
-
-    @cached_property
-    def _scaled(self) -> tuple:
-        return scaled(exact("NormalCoordinate", self.quads + self.tris,
-                            NormalCoordinateError))
 
 
 class CompatibilitySystem(Record):
@@ -301,8 +285,8 @@ def _edge_sums(nums, edge_classes) -> tuple:
     distinct corner counts once."""
     w = _crossing_weights(nums)
     v = lcm(*(e.valence for e in edge_classes))
-    return v, [v // e.valence * sum(w[6 * i + k] for i, k in set(e.corners))
-               for e in edge_classes]
+    return v, [v // e.valence * sum(w[6 * i + k] for i, k in e.corners)
+               // e.mult for e in edge_classes]
 
 
 def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:

@@ -15,10 +15,9 @@ on ints, the bounds compared by cross-multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
-from ._rational import exact_scaled, scaled, unscaled
+from ._rational import ScaledVector, exact_scaled
 from ._record import Record
 from .angle_structures import (
     AngleAssignment,
@@ -53,27 +52,23 @@ def edge_angle_census(alpha: AngleAssignment, t: Triangulation) -> tuple:
     return tuple(census)
 
 
-class PerturbationFamily(Record):
+class PerturbationFamily(Record, ScaledVector):
     """The affine family alpha_t = base + coeffs * t, one coefficient per
     tet-edge, built so that every edge class has zero coefficient sum.
-    ``census`` is the base's edge_angle_census; ``_ints``, derived on
-    first use and kept, the coefficients as `_rational.scaled` gives them.
-    """
+    ``census`` is the base's edge_angle_census."""
     base: AngleAssignment
     coeffs: tuple
     census: tuple
-
-    @cached_property
-    def _ints(self) -> tuple:
-        return scaled(self.coeffs)
+    _vector = {"coeffs": 1}
+    _error = PerturbationError
 
     def at(self, t: Fraction) -> AngleAssignment:
         tden, (tnum,) = exact_scaled("PerturbationFamily.at", (t,),
                                      PerturbationError)
         den, a, _ = _angle_ints(self.base)
-        scale, c = self._ints
-        return AngleAssignment(angles=unscaled(den * scale * tden, [
-            x * scale * tden + y * tnum * den for x, y in zip(a, c)]))
+        scale, c = self._scaled
+        return AngleAssignment._of_scaled(den * scale * tden, [
+            x * scale * tden + y * tnum * den for x, y in zip(a, c)])
 
 
 def build_perturbation(alpha: AngleAssignment,
@@ -104,8 +99,8 @@ def build_perturbation(alpha: AngleAssignment,
             raise PerturbationError(
                 "internal error: nonzero coefficient sum on edge class %d"
                 % cls.index)
-    return PerturbationFamily(base=alpha, coeffs=unscaled(scale, coeffs),
-                              census=census)
+    return PerturbationFamily._of_scaled(scale, coeffs, base=alpha,
+                                         census=census)
 
 
 def _least_bound(fam: PerturbationFamily) -> tuple:
@@ -113,7 +108,7 @@ def _least_bound(fam: PerturbationFamily) -> tuple:
     angles and corner sums over den, moving by c over scale, a bound is
     p / q in units of scale / den, and bounds are cross-multiplied."""
     den, a, corner = _angle_ints(fam.base)
-    scale, c = fam._ints
+    scale, c = fam._scaled
     slopes = _corner_sums(c)
     p, q = 1, 0
     for bp, bq in [(den - x, y) if y > 0 else (x, -y)

@@ -270,6 +270,10 @@ class EdgeClass(Record):
     (or path, for boundary edges) order.  A wedge appears twice when a
     gluing folds the edge onto itself reversing its ends, so the valence
     counts corners with multiplicity; z and chi* count such a wedge once.
+    ``mult``, the fold multiplicity, is how many times each wedge
+    appears: 2 on a folded class, 1 elsewhere.  A walk meets a wedge
+    again only reversed, and then, no face being glued to itself, meets
+    every wedge of the class reversed too.
     """
     index: int
     corners: tuple
@@ -278,6 +282,10 @@ class EdgeClass(Record):
     @property
     def valence(self) -> int:
         return len(self.corners)
+
+    @cached_property
+    def mult(self) -> int:
+        return self.valence // len(set(self.corners))
 
 
 def _walk(gluing, state):
@@ -415,13 +423,13 @@ def build_vertex_classes(t: Triangulation):
                 for c in corners}
 
     # Link vertices: the two ends of each edge class, or one end when a
-    # repeated corner shows that a fold swaps them.
+    # fold swaps them.
     v_count = [0] * len(classes)
     for e in t.edge_classes:
         i, k = e.corners[0]
         u, w = EDGE_VERTICES[k]
         v_count[class_of[4 * i + u]] += 1
-        if len(set(e.corners)) == e.valence:
+        if e.mult == 1:
             v_count[class_of[4 * i + w]] += 1
 
     # Link edges: a corner's triangle has three sides, one in each other

@@ -13,7 +13,7 @@ certificate check, the tally of an assignment's angle sums and Theorem
 place an assignment's angles are summed: its readers, the realized
 data, a solve's re-verification and the flat-pair check, call no sum()
 of their own, and `existence` and `perturbation` read no assignment's
-scaled view.  No per-corner vertex-link check is kept beside them.
+scaled view, only an LP answer's and the perturbation family's.  No per-corner vertex-link check is kept beside them.
 The normal-coordinate edge functionals read one edge tally, and take
 no lcm of the valences and walk no class's corners of their own.  The
 basis, the dual pairing identity and `analyze` ask for no boundary
@@ -50,6 +50,11 @@ The summed Gauss-Bonnet refusal has one home, which `_decide` calls
 before it builds the pair system; the slack-basis start lives in
 `lp_core._tableau` alone; and no public solver or finder gains a
 parameter, the CLI no option, and no module reads the environment.
+`_rational.ScaledVector` alone defines `_of_scaled` and `_scaled`, the
+(den, ints) form every record with one rational vector keeps; no record
+keeps that form under another name, and only `_rational` writes a slot
+of a `__dict__`.  An edge class's fold multiplicity is derived once, as
+`EdgeClass.mult`, which the four places that need it read.
 """
 
 from __future__ import annotations
@@ -153,8 +158,8 @@ def test_no_view_kept_for_tests_and_no_slot_written_by_hand():
     # form, and tests read oracles.fraction_rows.  Nor does
     # CompatibilitySystem keep sparse rows: the package reads its arcs,
     # and tests read oracles.compatibility_rows.  The perturbation
-    # family's scaled coefficients are derived on first use, not written
-    # into its __dict__ past the cached property.
+    # family keeps its scaled coefficients through _rational's
+    # ScaledVector and writes into no __dict__ itself.
     from anglestruct.lp_core import LinearSystem
     from anglestruct.normal_coords import CompatibilitySystem
     assert not hasattr(LinearSystem, "rows")
@@ -232,8 +237,10 @@ def test_angle_sums_are_tallied_in_one_place():
     # re-verification of a solve and the flat-pair check read its ints
     # (the flat-pair check its corner sums, from _angle_ints) and call no
     # sum() of their own; existence and perturbation read no assignment's
-    # _scaled view at all.  The paper sets no per-corner rule by the
-    # vertex link's Euler characteristic, and the package keeps none.
+    # _scaled view at all: there _scaled is read off an LP answer (res,
+    # res.certificate) or the perturbation family (fam, self) alone.  The
+    # paper sets no per-corner rule by the vertex link's Euler
+    # characteristic, and the package keeps none.
     import anglestruct
     from anglestruct import angle_structures
     for name in ("check_vertex_link_conditions", "VertexConditionEntry"):
@@ -251,10 +258,13 @@ def test_angle_sums_are_tallied_in_one_place():
                 assert not any(isinstance(node, ast.Name) and
                                node.id == "sum" for node in ast.walk(fn))
     assert len(found) == 3
-    for module in ("existence.py", "perturbation.py"):
+    receivers = {"existence.py": {"res", "res.certificate"},
+                 "perturbation.py": {"fam", "self"}}
+    for module, allowed in receivers.items():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-        assert "_scaled" not in {n.attr for n in ast.walk(tree)
-                                 if isinstance(n, ast.Attribute)}
+        read = {ast.unparse(n.value) for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr == "_scaled"}
+        assert read == allowed, module
 
 
 def test_edge_functionals_read_the_one_edge_tally():
@@ -632,3 +642,48 @@ def test_no_public_function_gains_a_parameter_or_an_option():
     for path in MODULES:
         text = path.read_text(encoding="utf-8")
         assert "environ" not in text and "getenv" not in text, path.name
+
+
+def test_the_kept_exact_form_is_defined_once():
+    # _rational.ScaledVector defines _of_scaled and the gated, cached
+    # _scaled once for every record that keeps one rational vector as
+    # (den, ints); no record keeps that form under a name of its own.
+    # Only _rational writes a slot of a record's __dict__: Record's
+    # __init__ fills the fields by update, by no slot.
+    defined, writers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.name, node.name))
+            assert not {"_scaled_x", "_scaled_y", "_ints"} & {
+                getattr(node, "attr", None), getattr(node, "id", None),
+                getattr(node, "name", None)}, path.name
+            if isinstance(node, ast.Subscript) and \
+                    isinstance(node.ctx, ast.Store) and \
+                    isinstance(node.value, ast.Attribute) and \
+                    node.value.attr == "__dict__":
+                writers.add(path.name)
+    assert [d for d in defined if d[1] in ("_of_scaled", "_scaled")] == \
+        [("_rational.py", "_of_scaled"), ("_rational.py", "_scaled")]
+    assert writers == {"_rational.py"}
+
+
+def test_the_fold_multiplicity_is_derived_once():
+    # EdgeClass.mult derives an edge class's fold multiplicity; the link
+    # count, the edge tally, the dual pairing identity and the summed
+    # refusal read it and count no class's corners of their own.
+    fns = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fns.update((fn.name, list(ast.walk(fn))) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef))
+        assert not any(isinstance(n, ast.Attribute) and n.attr == "count"
+                       and ast.unparse(n.value).endswith("corners")
+                       for n in ast.walk(tree)), path.name
+    for name in ("build_vertex_classes", "_edge_sums", "identity_4_9",
+                 "_summed_refusal"):
+        attrs = {n.attr for n in fns[name] if isinstance(n, ast.Attribute)}
+        assert "mult" in attrs, name
+        if name != "identity_4_9":
+            assert not any(isinstance(n, ast.Name) and n.id == "set"
+                           for n in fns[name]), name

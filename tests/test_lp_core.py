@@ -406,15 +406,15 @@ def test_answers_keep_the_scaled_form_they_were_read_out_of():
             if isinstance(res, Solution):
                 kept.add("x")
                 again = Solution(x=res.x)
-                assert res._scaled_x == scaled(res.x)
+                assert res._scaled == scaled(res.x)
             else:
                 kept.add("y")
                 res, again = res.certificate, Certificate(y=res.certificate.y)
-                assert res._scaled_y == scaled(res.y)
+                assert res._scaled == scaled(res.y)
             assert res == again and hash(res) == hash(again)
     assert kept == {"x", "y"}
-    assert Solution(x=(F(1, 2), 3))._scaled_x == (2, (1, 6))
-    assert Certificate(y=(F(-2, 3), F(0)))._scaled_y == (3, (-2, 0))
+    assert Solution(x=(F(1, 2), 3))._scaled == (2, (1, 6))
+    assert Certificate(y=(F(-2, 3), F(0)))._scaled == (3, (-2, 0))
 
 
 def test_integer_certificate_check_agrees_with_the_fraction_one():

@@ -31,8 +31,10 @@ bounds it stands for, and that LinearSystem.of gives one system, with
 one answer, from ints and from equal Fractions.  A third checks, on
 closed tables, tables with boundary and tables with a folded edge, of
 up to 8 tetrahedra, that each edge class is stored as the least of all
-its readings.  A fourth checks the int decompose, membership and
-Theorem 3 against their Fraction oracles on fig8 with 1 to 6 stacked
+its readings, and that it lists each corner mult times, mult 1 or 2,
+and 2 exactly on the tet-edges the union-find oracle finds folded.  A
+fourth checks the int decompose, membership and Theorem 3 against their
+Fraction oracles on fig8 with 1 to 6 stacked
 flat tetrahedra and on closed tables, folded edges included: a combined
 point and that point bumped at one disk type, and a flat pair built
 from strict host tetrahedra and flat ones.  A fifth checks, on closed
@@ -45,6 +47,7 @@ that elimination's Fraction back-substitution.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -110,6 +113,21 @@ def test_edge_classes_are_their_least_readings(kind, data):
             for e in build_edge_classes(t)] == [
         (n, corners, boundary) for n, (corners, boundary)
         in enumerate(oracles.least_edge_readings(t))]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_class_lists_each_corner_mult_times(kind, data):
+    # A walk meets a corner again only reversed, and then every corner of
+    # its class: a class is folded all through, mult 2, or not at all,
+    # as the union-find oracle of folded tet-edges finds it.
+    t = data.draw(TABLE_KINDS[kind])
+    folded = oracles.folded_tet_edges(t)
+    for e in t.edge_classes:
+        assert e.mult in (1, 2)
+        assert set(Counter(e.corners).values()) == {e.mult}
+        assert {c in folded for c in e.corners} == {e.mult == 2}
 
 
 def _check_projection(t, more_quads):

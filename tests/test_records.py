@@ -6,8 +6,12 @@ pickled, and refuses assignment, deletion and a wrong field.  Its repr
 is checked against the one `dataclasses` prints for the same fields and
 values; dataclasses is the oracle here only, and the package does not
 import it.  A new record is picked up by the scan; the first test fails
-until `_samples` builds one, so that the rest can run on it.  The import
-itself is pinned by count: it generates and compiles no code.
+until `_samples` builds one, so that the rest can run on it.  Every
+cached property, inherited ones included, fills on first use.  Every
+record that keeps a rational vector as (den, ints) keeps it through
+`_rational.ScaledVector`, and refuses an inexact entry with its module's
+error.  The import itself is pinned by count: it generates and compiles
+no code.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
                          insert_flat_tetrahedron, minimize_linear,
                          solution_space_basis, solve_feasibility_nonneg,
                          solve_feasibility_strict)
+from anglestruct._rational import ScaledVector
 from anglestruct._record import FrozenInstanceError, Record
-from anglestruct.lp_core import NONNEG, STRICT_POS
+from anglestruct.lp_core import NONNEG, STRICT_POS, LPError, Optimum
+from anglestruct.perturbation import PerturbationError, PerturbationFamily
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "anglestruct"
 
@@ -170,14 +176,56 @@ def test_copies_and_pickles_are_equal(cls):
             setattr(twin, cls._fields[0], None)
 
 
+def _cached_properties(cls) -> list:
+    """The names of cls's cached properties, its own and inherited."""
+    return sorted({name for klass in cls.__mro__
+                   for name, attr in vars(klass).items()
+                   if isinstance(attr, cached_property)})
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
 def test_cached_properties_fill_after_construction(cls):
     record = cls(*_values(SAMPLES[cls]))
-    for name, attr in vars(cls).items():
-        if isinstance(attr, cached_property):
-            assert name not in record.__dict__
-            value = getattr(record, name)
-            assert record.__dict__[name] is value is getattr(record, name)
+    for name in _cached_properties(cls):
+        assert name not in record.__dict__
+        value = getattr(record, name)
+        assert record.__dict__[name] is value is getattr(record, name)
+
+
+# Every record that keeps one rational vector as (den, ints), with the
+# error its module raises on an inexact entry.
+VECTOR_ERRORS = {AngleAssignment: AngleStructureError, Certificate: LPError,
+                 NormalCoordinate: NormalCoordinateError, Optimum: LPError,
+                 PerturbationFamily: PerturbationError, Solution: LPError}
+
+
+def test_the_vector_records_are_the_scaled_ones():
+    assert sorted(c.__qualname__ for c in RECORDS
+                  if issubclass(c, ScaledVector)) == \
+        sorted(c.__qualname__ for c in VECTOR_ERRORS)
+    assert [c for c in RECORDS if "_scaled" in _cached_properties(c)] == \
+        [c for c in RECORDS if c in VECTOR_ERRORS]
+
+
+@pytest.mark.parametrize("cls", VECTOR_ERRORS, ids=lambda c: c.__qualname__)
+def test_a_vector_record_keeps_its_scaled_form(cls):
+    # _of_scaled builds the record its (den, ints) form stands for, over
+    # any multiple of its denominator, and keeps that form reduced; an
+    # inexact entry is refused with the module's error, at construction
+    # or when the form is first derived.
+    record = SAMPLES[cls]
+    fields = dict(zip(cls._fields, _values(record)))
+    den, ints = form = cls(**fields)._scaled
+    assert den > 0 and all(type(v) is int for v in ints)
+    others = {f: v for f, v in fields.items() if f not in cls._vector}
+    again = cls._of_scaled(6 * den, [6 * v for v in ints], **others)
+    assert again == record and again.__dict__["_scaled"] == form
+    assert again._scaled is again.__dict__["_scaled"]
+    first = next(iter(cls._vector))
+    fields[first] = (0.5,) + tuple(fields[first][1:])
+    with pytest.raises(VECTOR_ERRORS[cls], match=re.escape(
+            "entry 0 is 0.5, not an int or a Fraction")):
+        cls(**fields)._scaled
 
 
 def test_equivalence_report_defaults_apply():
