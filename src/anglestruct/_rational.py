@@ -88,27 +88,38 @@ class ScaledVector:
     """A record's one rational vector, kept as (den, ints).
 
     The record names in ``_vector`` the fields that hold the vector, in
-    order, each with its share of the vector's length, and in ``_error``
-    the error a bad entry raises.  ``_scaled`` is (den, ints), the vector
-    over its least denominator: kept by `_of_scaled`, else derived on
-    first use through the gate of `exact_scaled`.
+    order, each with its share of the vector's length (None if the split
+    is not fixed, the record then keeping its first field's length as
+    ``_cut``), and in ``_error`` the error a bad entry raises.
+    ``_scaled`` is (den, ints), the vector over its least denominator:
+    kept alone by `_of_scaled`, its Fractions built when first read, else
+    derived on first use through the gate of `exact_scaled`.
     """
 
     @classmethod
     def _of_scaled(cls, den: int, ints, **fields):
-        """The record whose vector is ints / den, cut into its fields by
-        their shares, other fields as given; its reduced form is kept."""
-        form = reduced(den, ints)
-        vec = unscaled(*form)
-        total, start, upto = sum(cls._vector.values()), 0, 0
-        for name, share in cls._vector.items():
-            upto += share
-            end = len(vec) * upto // total
-            fields[name] = vec[start:end]
-            start = end
-        record = cls(**fields)
-        record.__dict__["_scaled"] = form
+        """The record of ints / den and fields, unchecked, kept reduced:
+        no ``__post_init__`` runs."""
+        record = cls.__new__(cls)
+        record.__dict__.update(fields)
+        record.__dict__["_scaled"] = reduced(den, ints)
         return record
+
+    def _parts(self) -> tuple:
+        """(den, *parts): ``_scaled``'s den and each field's slice of ints."""
+        den, ints = self._scaled
+        shares = tuple(self._vector.values())
+        cut = self._cut if shares[0] is None else \
+            len(ints) * shares[0] // sum(shares)
+        return (den, ints[:cut], ints[cut:])[:1 + len(shares)]
+
+    def __getattr__(self, name):
+        # Only a vector field that _of_scaled left unbuilt is missing.
+        if name not in self._vector:
+            return object.__getattribute__(self, name)  # raises
+        d, *ints = self._parts()
+        self.__dict__.update(zip(self._vector, (unscaled(d, i) for i in ints)))
+        return self.__dict__[name]
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -118,14 +129,27 @@ class ScaledVector:
 
 
 def format_rational(x) -> str:
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def parse_rational(text: str) -> Fraction:
-    match = _RATIONAL.fullmatch(text.strip())
-    den = int(match[2] or 1) if match else 0
-    if not den:
-        raise ValueError("not an exact rational: %r" % text)
-    return Fraction(int(match[1]), den)
+def format_vector(record: ScaledVector) -> dict:
+    """format_rational's strings of each vector field of record, by name,
+    printed from its kept ints, each entry over its own gcd with den."""
+    den, *parts = record._parts()
+    made = {v: "%d/%d" % (v // g, den // g)
+            for v in set(record._scaled[1]) for g in [gcd(v, den)]}
+    return {name: list(map(made.__getitem__, ints))
+            for name, ints in zip(record._vector, parts)}
+
+
+def parse_scaled(texts) -> tuple:
+    """(den, ints): the "p/q" strings texts over the lcm of their
+    denominators, each distinct text read once, in order."""
+    read = {}
+    for text in dict.fromkeys(texts):
+        match = _RATIONAL.fullmatch(text.strip())
+        if not (match and int(match[2] or 1)):
+            raise ValueError("not an exact rational: %r" % text)
+        read[text] = int(match[1]), int(match[2] or 1)
+    den = lcm(*(q for _, q in read.values()))
+    return den, tuple(p * (den // q) for p, q in map(read.__getitem__, texts))

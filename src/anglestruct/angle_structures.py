@@ -7,7 +7,9 @@ angle sum minus pi; a quad's is the sum over the four edges it crosses
 minus 2*pi.  An edge's curvature is 2*pi (interior) or pi (boundary)
 minus the angles gathered around it, counted with multiplicity.
 
-Angles alone are known here; `normal_coords` pairs them with normal
+Both records are `_rational.ScaledVector`s; one built from ints keeps
+its (den, ints) form alone, its Fractions built when first read.  Angles
+alone are known here; `normal_coords` pairs them with normal
 coordinates, reading the corner, edge and quad tallies kept here.
 """
 
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._rational import ScaledVector, exact, format_rational, parse_rational
+from ._rational import (ScaledVector, exact, exact_scaled, format_vector,
+                        parse_scaled, scaled)
 from ._record import Record
 from .triangulation import EDGES_AT_VERTEX, Triangulation
 
@@ -39,34 +42,38 @@ class AngleAssignment(Record, ScaledVector):
 
     @classmethod
     def from_vector(cls, tet_count: int, vec):
-        vec = exact("AngleAssignment.from_vector", vec, AngleStructureError)
-        if len(vec) != 6 * tet_count:
+        den, ints = exact_scaled("AngleAssignment.from_vector", vec,
+                                 AngleStructureError)
+        if len(ints) != 6 * tet_count:
             raise AngleStructureError(
-                "expected %d angles, got %d" % (6 * tet_count, len(vec)))
-        return cls(angles=vec)
+                "expected %d angles, got %d" % (6 * tet_count, len(ints)))
+        return cls._of_scaled(den, ints)
 
     @property
     def tet_count(self) -> int:
-        return len(self.angles) // 6
+        return len(self._scaled[1]) // 6
 
 
-class AreaCurvature(Record):
+class AreaCurvature(Record, ScaledVector):
     """Prescribed or realized data: 4n triangle areas, m edge curvatures."""
     area: tuple
     curvature: tuple
+    _vector = {"area": None, "curvature": None}  # 4n to m: kept as _cut
+    _error = AngleStructureError
 
     def __post_init__(self):
-        for field in ("area", "curvature"):
+        for field in self._vector:
             object.__setattr__(self, field, exact(
                 "AreaCurvature " + field, getattr(self, field),
                 AngleStructureError))
+        object.__setattr__(self, "_cut", len(self.area))
 
     @classmethod
     def of(cls, area, curvature):
-        return cls(area=exact("AreaCurvature.of area", area,
-                              AngleStructureError),
-                   curvature=exact("AreaCurvature.of curvature", curvature,
-                                   AngleStructureError))
+        area = exact("AreaCurvature.of area", area, AngleStructureError)
+        return cls._of_scaled(*scaled(area + exact(
+            "AreaCurvature.of curvature", curvature, AngleStructureError)),
+            _cut=len(area))
 
 
 def _check_disk(alpha: AngleAssignment, tet: int, kind: str, index: int,
@@ -142,10 +149,9 @@ def _angle_sums(alpha: AngleAssignment, t: Triangulation) -> tuple:
 def realized_area_curvature(alpha: AngleAssignment,
                             t: Triangulation) -> AreaCurvature:
     den, corner, edge = _angle_sums(alpha, t)
-    return AreaCurvature(
-        area=tuple(Fraction(s - den, den) for s in corner),
-        curvature=tuple(Fraction((1 if cls.is_boundary else 2) * den - s, den)
-                        for cls, s in zip(t.edge_classes, edge)))
+    return AreaCurvature._of_scaled(den, [s - den for s in corner] + [
+        (1 if cls.is_boundary else 2) * den - s
+        for cls, s in zip(t.edge_classes, edge)], _cut=len(corner))
 
 
 def classify(alpha: AngleAssignment) -> str:
@@ -172,34 +178,29 @@ def is_flat_pair(alpha: AngleAssignment, t: Triangulation) -> bool:
         for c, total in enumerate(corner))
 
 
-def _rationals_field(data: dict, key: str) -> list:
-    """The list of "p/q" strings under key, parsed; other JSON types,
-    including a bare string, are rejected rather than coerced."""
+def _rationals_field(data: dict, key: str) -> tuple:
+    """The list of "p/q" strings under key as (den, ints); other JSON
+    types, including a bare string, are rejected rather than coerced."""
     items = data[key]
     if not isinstance(items, list) or \
             not all(isinstance(v, str) for v in items):
         raise AngleStructureError(
             'field "%s" must be a list of rational strings' % key)
     try:
-        return [parse_rational(v) for v in items]
+        return parse_scaled(items)
     except ValueError as err:
         raise AngleStructureError('field "%s": %s' % (key, err))
 
 
-def angles_to_json(alpha: AngleAssignment) -> dict:
-    return {"angles": [format_rational(a) for a in alpha.angles]}
+# A record's JSON is its vector fields by name, as "p/q" strings.
+angles_to_json = ac_to_json = format_vector
 
 
-def angle_vector_from_json(data: dict) -> list:
-    """The parsed "angles" field, whatever its length."""
+def angle_vector_from_json(data: dict) -> tuple:
+    """The "angles" field as (den, ints), whatever its length."""
     if not isinstance(data, dict) or "angles" not in data:
         raise AngleStructureError('expected an object with an "angles" key')
     return _rationals_field(data, "angles")
-
-
-def ac_to_json(ac: AreaCurvature) -> dict:
-    return {"area": [format_rational(a) for a in ac.area],
-            "curvature": [format_rational(k) for k in ac.curvature]}
 
 
 def ac_from_json(data: dict) -> AreaCurvature:
@@ -207,5 +208,7 @@ def ac_from_json(data: dict) -> AreaCurvature:
             "curvature" not in data:
         raise AngleStructureError(
             'expected an object with "area" and "curvature" keys')
-    return AreaCurvature.of(_rationals_field(data, "area"),
-                            _rationals_field(data, "curvature"))
+    da, area = _rationals_field(data, "area")
+    dk, curvature = _rationals_field(data, "curvature")
+    return AreaCurvature._of_scaled(da * dk, [v * dk for v in area] + [
+        v * da for v in curvature], _cut=len(area))

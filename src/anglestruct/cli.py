@@ -34,7 +34,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from ._rational import format_rational
+from ._rational import format_rational, format_vector
 from .angle_structures import (
     AngleAssignment,
     ac_from_json,
@@ -101,8 +101,8 @@ def _load_json(path: str, reader):
     return _load(path, lambda text: reader(json.loads(text)))
 
 
-def _check_sizes(args, t, path, **vectors):
-    for field, values in vectors.items():
+def _check_sizes(args, t, path, record):
+    for field, values in zip(record._vector, record._parts()[1:]):
         # Only a curvature vector needs the edge classes walked.
         need = len(t.edge_classes) if field == "curvature" else \
             {"angles": 6, "area": 4}[field] * t.tet_count
@@ -112,15 +112,11 @@ def _check_sizes(args, t, path, **vectors):
 
 
 def _load_angles(args, t):
-    """The angle file's assignment, its length checked against the
-    triangulation before the vector is cut into tetrahedra."""
-    vec, digest = _load_json(args.angles, angle_vector_from_json)
-    _check_sizes(args, t, args.angles, angles=vec)
-    return AngleAssignment.from_vector(t.tet_count, vec), digest
-
-
-def _vector(values) -> list:
-    return [format_rational(v) for v in values]
+    """The angle file's assignment, kept as ints, its size checked."""
+    form, digest = _load_json(args.angles, angle_vector_from_json)
+    alpha = AngleAssignment._of_scaled(*form)
+    _check_sizes(args, t, args.angles, alpha)
+    return alpha, digest
 
 
 def _json_text(obj) -> str:
@@ -163,6 +159,10 @@ def _write_json(obj, newline: str, out: list) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        if {str}.issuperset(map(type, obj)):  # a vector: one join
+            out += ("[", inner, ("," + inner).join(
+                map(encode_basestring_ascii, obj)), newline, "]")
+            return
         sep = "[" + inner
         for item in obj:
             out.append(sep)
@@ -282,7 +282,7 @@ def cmd_analyze(args) -> None:
 def cmd_solve(args) -> None:
     t, dig_t = _load_triangulation(args.triangulation)
     ac, dig_ac = _load_json(args.ac, ac_from_json)
-    _check_sizes(args, t, args.ac, area=ac.area, curvature=ac.curvature)
+    _check_sizes(args, t, args.ac, ac)
     finder = find_angle_structure if args.mode == "strict" \
         else find_semi_angle_structure
     result = finder(t, ac)
@@ -301,7 +301,7 @@ def cmd_solve(args) -> None:
         # The solvers verify every certificate they emit and raise
         # LPError otherwise.
         report["result"] = "certificate"
-        report["certificate"] = {"y": _vector(result.y), "verified": True}
+        report["certificate"] = dict(format_vector(result), verified=True)
         lines = ["no %s assignment exists; certificate attached "
                  "(verified: True)" % args.mode]
     _emit(args, report, lines)
@@ -320,8 +320,7 @@ def cmd_certify(args) -> None:
                  % report["optimum"]]
     else:
         report["result"] = "fails"
-        report["witness"] = {"quads": _vector(result.witness.quads),
-                             "tris": _vector(result.witness.tris)}
+        report["witness"] = format_vector(result.witness)
         lines = ["negative quad-area condition fails; optimum %s" % report["optimum"],
                  "witness quads: %s" % " ".join(report["witness"]["quads"])]
     _emit(args, report, lines)

@@ -28,8 +28,9 @@ built in lp_core's int form, their rhs those ints.  The pair solution
 becomes angles over one denominator, kept by the assignment as its
 scaled form, which is re-verified: each corner and edge sum against its
 target, with no AreaCurvature built.  A refusal is lifted over the pair
-certificate's scaled ints.  Past lp_core's answers, Fractions are built
-only for what is returned: the angles, one per value, and the lifted y.
+certificate's scaled ints.  Past lp_core's answers no Fraction is
+built: the angles and the lifted y keep their ints, their Fractions
+built when first read.
 
 The second deliverable is the certification of the quad-cone condition:
 whether every compatible normal class with nonnegative, not-all-zero
@@ -51,7 +52,7 @@ from math import lcm
 from operator import mul
 from typing import Optional
 
-from ._rational import exact, scaled
+from ._rational import exact
 from ._record import Record
 from .angle_structures import (
     AngleAssignment,
@@ -95,15 +96,14 @@ def _targets(t: Triangulation, ac: AreaCurvature):
     """(den, corner, edge, capped): the corner targets a_i^l = A + 1 and
     the edge targets b_j = 2 (1 on the boundary) - kappa as ints over one
     denominator, and whether a positive area needs caps."""
-    n = t.tet_count
     edge_classes = t.edge_classes
-    if len(ac.area) != 4 * n or len(ac.curvature) != len(edge_classes):
+    den, area, curvature = ac._parts()
+    if len(area) != 4 * t.tet_count or len(curvature) != len(edge_classes):
         raise ExistenceError("area-curvature size does not match")
-    den, ints = scaled(ac.area + ac.curvature)
-    corner = [a + den for a in ints[:4 * n]]
-    edge = [(1 if cls.is_boundary else 2) * den - ints[4 * n + cls.index]
+    corner = [a + den for a in area]
+    edge = [(1 if cls.is_boundary else 2) * den - curvature[cls.index]
             for cls in edge_classes]
-    return den, corner, edge, any(a > 0 for a in ints[:4 * n])
+    return den, corner, edge, any(a > 0 for a in area)
 
 
 def _check_realization(t: Triangulation, targets, alpha: AngleAssignment,
@@ -233,8 +233,7 @@ def _lifted(t: Triangulation, targets, mode: str, shift, y):
     is the pair system's y.b, so the refutation carries over, strictness
     included: a negative pair or slack column stays a negative column.
     The lift is taken over y's ints, over den; h is over 2 den, so w and
-    g are doubled to join it, and the Fractions of the lifted vector are
-    built once it has been verified.
+    g are doubled to join it, and the lifted vector keeps those ints.
     """
     n = t.tet_count
     m = len(t.edge_classes)

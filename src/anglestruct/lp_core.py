@@ -5,11 +5,12 @@ cycle-free), exact and with no floating point anywhere.  A system is
 held once as ints: its rows over one positive denominator and its rhs
 over another.  Two doors lead to that form: `LinearSystem.of`, through
 `_rational`'s gate, and the ungated `_of_ints`, for the package's rows.
-Answers are fractions.Fraction, built only at readout: x, the Farkas
-vector and the optimum, each vector read out of its (den, ints) form
-by `_rational.unscaled`; a Solution, an Optimum and a Certificate keep
-that form, reduced, as the ``_scaled`` of `_rational.ScaledVector`, for
-the package's readers.  The tableau is
+Answers are fractions.Fraction, built when first read: x and the
+Farkas vector are kept in the (den, ints) form they are read off in,
+reduced, as the ``_scaled`` of `_rational.ScaledVector`, for the
+package's readers, and a Solution, an Optimum or a Certificate builds
+their Fractions by `_rational.unscaled` when a field is first read;
+the optimum is a Fraction from the start.  The tableau is
 fraction-free and sparse, each row a dict of its nonzero ints whose
 entry at the row's basic column is its positive denominator.  A pivot
 is `_linalg`'s elimination step, the one the echelon form takes, and

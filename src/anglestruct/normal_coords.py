@@ -19,8 +19,8 @@ ints over the lcm of a coordinate's denominators, kept from its build
 when it is built from ints.  Membership compares both sides of each arc,
 one pass gives the 6n crossing weights (for each tet-edge, the weight of
 its tetrahedron's disks that cross it), and combine and decompose sum
-scaled vectors over one denominator.  Fractions are built only for
-results.
+scaled vectors over one denominator.  Fractions are built for results,
+and a coordinate's when first read.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from math import lcm
 from operator import mul
 
 from ._linalg import echelon
-from ._rational import ScaledVector, exact, exact_scaled, scaled
+from ._rational import ScaledVector, exact, exact_scaled
 from ._record import Record
 from .angle_structures import (
     AngleAssignment,
@@ -343,14 +343,14 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
     exact rational, summed as one int over the edge tally's denominator.
     """
     n, edge_classes = t.tet_count, t.edge_classes
-    if len(ac.area) != 4 * n or len(ac.curvature) != len(edge_classes):
+    aden, area, curvature = ac._parts()
+    if len(area) != 4 * n or len(curvature) != len(edge_classes):
         raise AngleStructureError("area-curvature size does not match")
     _check_member(t, s, AngleStructureError)
     den, nums = s._scaled
-    aden, ints = scaled(ac.area + ac.curvature)
     v, edges = _edge_sums(nums, edge_classes)
-    total = v * sum(map(mul, nums[3 * n:], ints[:4 * n])) + sum(
-        map(mul, ints[4 * n:], edges))
+    total = v * sum(map(mul, nums[3 * n:], area)) + sum(
+        map(mul, curvature, edges))
     return Fraction(total, 2 * den * aden * v)
 
 

@@ -159,7 +159,7 @@ def apply_theorem3(alpha: AngleAssignment, t: Triangulation) -> Perturbed:
         raise PerturbationError(
             "internal error: perturbed assignment is not strict")
     ac = realized_area_curvature(new, t)
-    if any(a >= 0 for a in ac.area):
+    if any(a >= 0 for a in ac._parts()[1]):
         raise PerturbationError(
             "internal error: perturbed assignment has a nonnegative area")
     d, _, before = _angle_sums(alpha, t)

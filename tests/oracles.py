@@ -32,7 +32,9 @@ angle, and the flat-pair
 test is read off those Fraction areas, against the int corner sums the
 package compares.  Theorem 3's move is rebuilt over Fractions too: its
 coefficients, its safe range as a plain minimum of Fraction bounds, and
-the angles at half of it.
+the angles at half of it.  A "p/q" string is read by the file grammar's
+regex, copied here, into one Fraction at a time, against which the
+reader of whole lists into (den, ints) is checked.
 
 Generated inputs are built here too, from the gluing table alone: random
 tables, closed or with boundary faces; a relabelling of the tetrahedra
@@ -44,6 +46,7 @@ checked against the invariants it must keep by the oracles above.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -65,6 +68,20 @@ for _k, (_u, _v) in enumerate(EDGE_VERTICES):
 FACES_AT_EDGE = tuple(
     tuple(f for f in range(4) if f not in EDGE_VERTICES[k])
     for k in range(6))
+
+
+# ASCII digits only, an optional sign on the numerator, q > 0 required.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The one "p/q" string text as a Fraction; anything else raises
+    ValueError with the file readers' message."""
+    match = _RATIONAL.fullmatch(text.strip())
+    den = int(match[2] or 1) if match else 0
+    if not den:
+        raise ValueError("not an exact rational: %r" % text)
+    return Fraction(int(match[1]), den)
 
 
 class UnionFind:

@@ -28,6 +28,7 @@ from anglestruct import (
     solve_feasibility_strict,
     verify_certificate,
 )
+from anglestruct._rational import unscaled
 from anglestruct.angle_structures import (
     AngleAssignment,
     AreaCurvature,
@@ -115,7 +116,7 @@ def test_criterion_1_figure_eight_strict_pipeline(capsys, tmp_path):
     assert rep["result"] == "assignment"
     t = fixture("fig8").triangulation
     alpha = AngleAssignment.from_vector(
-        t.tet_count, angle_vector_from_json(rep["assignment"]))
+        t.tet_count, unscaled(*angle_vector_from_json(rep["assignment"])))
     assert all(0 < a < 1 for a in alpha.angles)
     for tet in range(2):
         for vertex in range(4):

@@ -10,6 +10,7 @@ from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
                          chi_via_lemma2, classify, combine, fixture,
                          is_flat_pair, realized_area_curvature,
                          solution_space_basis, z_functional)
+from anglestruct._rational import unscaled
 from anglestruct.angle_structures import angle_vector_from_json
 
 F = Fraction
@@ -203,7 +204,7 @@ def test_json_round_trips_are_exact():
     rng = random.Random(23)
     alpha = rand_assignment(rng, 2)
     assert AngleAssignment.from_vector(
-        2, angle_vector_from_json(angles_to_json(alpha))) == alpha
+        2, unscaled(*angle_vector_from_json(angles_to_json(alpha)))) == alpha
     ac = AreaCurvature(area=tuple(F(rng.randint(-5, 5), 7) for _ in range(8)),
                        curvature=(F(1, 3), F(-2, 5)))
     assert ac_from_json(ac_to_json(ac)) == ac

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,9 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anglestruct import cli
+from anglestruct._rational import parse_scaled, unscaled
+from anglestruct import _rational, cli
 from anglestruct.angle_structures import (
     AngleAssignment,
+    AreaCurvature,
     ac_from_json,
     ac_to_json,
     angle_vector_from_json,
@@ -33,6 +36,7 @@ from anglestruct.fixtures import fixture, fixture_names
 from anglestruct.normal_coords import NormalCoordinate, is_in_solution_space
 from anglestruct.triangulation import (TriangulationError,
                                        parse_triangulation)
+from oracles import parse_rational
 
 
 def run(capsys, argv):
@@ -68,7 +72,7 @@ def test_fixtures_writes_round_trippable_files(capsys, tmp_path):
     with open(paths["angles"], encoding="utf-8") as fh:
         assert AngleAssignment.from_vector(
             fx.triangulation.tet_count,
-            angle_vector_from_json(json.load(fh))) == fx.angles
+            unscaled(*angle_vector_from_json(json.load(fh)))) == fx.angles
     with open(paths["ac"], encoding="utf-8") as fh:
         assert ac_from_json(json.load(fh)) == fx.ac
 
@@ -333,7 +337,7 @@ def assert_realized_recomputes(paths, rep):
     with open(paths["tri"], encoding="utf-8") as fh:
         t = parse_triangulation(fh.read(), name="fig8")
     alpha = AngleAssignment.from_vector(
-        t.tet_count, angle_vector_from_json(rep["assignment"]))
+        t.tet_count, unscaled(*angle_vector_from_json(rep["assignment"])))
     recomputed = ac_to_json(realized_area_curvature(alpha, t))
     with open(paths["ac"], encoding="utf-8") as fh:
         target = json.load(fh)
@@ -479,6 +483,110 @@ def test_json_without_its_fields_is_input_error(capsys, tmp_path, command,
     assert err.splitlines()[0] == "error: %s: %s" % (bad, message)
 
 
+# Strings the oracle parse_rational refuses: int() alone would take the
+# first two, "1/0" and "1/-2" have no positive denominator, and "1.5" is
+# not exact.
+_REFUSED = ["1_0", "\u0661", "1/0", "1/-2", "1.5", ""]
+
+
+@pytest.mark.parametrize("bad", _REFUSED)
+@pytest.mark.parametrize("command,field", [("solve", "area"),
+                                           ("solve", "curvature"),
+                                           ("certify", "angles"),
+                                           ("perturb", "angles")])
+def test_the_kept_form_reader_refuses_what_parse_rational_refuses(
+        capsys, tmp_path, command, field, bad):
+    # The readers parse "p/q" lists straight into (den, ints) with
+    # the grammar and message of the oracle parse_rational, named by file
+    # and field.
+    with pytest.raises(ValueError) as refused:
+        parse_rational(bad)
+    paths = write_fixture(capsys, tmp_path, "fig8")
+    key = "ac" if command == "solve" else "angles"
+    with open(paths[key], encoding="utf-8") as fh:
+        data = json.load(fh)
+    data[field][1] = bad
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, [command, paths["tri"], str(target)])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == 'error: %s: field "%s": %s' % (
+        target, field, refused.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(" +-/0123456789_.\u0661\t", max_size=6),
+                max_size=4))
+@example(["2/4", " -3/9 ", "+1/2", "7", "0/5", "1/3"])
+def test_parse_scaled_reads_exactly_what_parse_rational_reads(texts):
+    try:
+        values = [parse_rational(text) for text in texts]
+    except ValueError as err:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(err))):
+            parse_scaled(texts)
+        return
+    den, ints = parse_scaled(texts)
+    assert den > 0 and [Fraction(v, den) for v in ints] == values
+
+
+def _count_unscaled(monkeypatch) -> list:
+    """The list each call of _rational.unscaled is appended to, under
+    every name a package module binds it to."""
+    calls = []
+    real = _rational.unscaled
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "anglestruct" and \
+                getattr(module, "unscaled", None) is real:
+            monkeypatch.setattr(module, "unscaled",
+                                lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_solve_and_certify_reports_build_no_fraction_vector(capsys,
+                                                            tmp_path,
+                                                            monkeypatch):
+    # From the files read to the report written, solve (semi and strict,
+    # an assignment and a certificate) and certify (holds and fails)
+    # keep every vector as (den, ints): _rational.unscaled, the one
+    # function that builds a vector's Fractions, is never called.
+    paths = {}
+    for name in ("fig8", "fig8-infeasible", "fig8-qzero"):
+        (tmp_path / name).mkdir()
+        paths[name] = write_fixture(capsys, tmp_path / name, name)
+    calls = _count_unscaled(monkeypatch)
+    results = []
+    for name, mode in [(n, m) for n in ("fig8", "fig8-infeasible")
+                       for m in ("semi", "strict")]:
+        code, out, _ = run(capsys, ["solve", paths[name]["tri"],
+                                    paths[name]["ac"], "--mode", mode,
+                                    "--json"])
+        results.append((code, json.loads(out)["result"]))
+    for name in ("fig8", "fig8-qzero"):
+        code, out, _ = run(capsys, ["certify", paths[name]["tri"],
+                                    paths[name]["angles"], "--json"])
+        results.append((code, json.loads(out)["result"]))
+    assert results == [(0, "assignment")] * 2 + [(0, "certificate")] * 2 + \
+        [(0, "holds"), (0, "fails")]
+    assert calls == []
+
+
+def test_size_reads_of_a_record_built_from_ints_build_no_fraction(
+        monkeypatch):
+    # tet_count and the CLI's size checks read the kept ints: no
+    # unscaled() call, and the vector fields stay unbuilt.
+    calls = _count_unscaled(monkeypatch)
+    t = fixture("fig8").triangulation
+    alpha = AngleAssignment._of_scaled(3, [1] * 12)
+    ac = AreaCurvature._of_scaled(1, [0] * 8 + [2] * 2, _cut=8)
+    assert alpha.tet_count == 2
+    args = argparse.Namespace(triangulation="fig8.tri")
+    cli._check_sizes(args, t, "angles.json", alpha)
+    cli._check_sizes(args, t, "ac.json", ac)
+    assert calls == []
+    assert "angles" not in alpha.__dict__
+    assert not {"area", "curvature"} & ac.__dict__.keys()
+
+
 def test_perturb_flat_fixture(capsys, tmp_path):
     paths = write_fixture(capsys, tmp_path, "fig8-flat1")
     code, out, _ = run(capsys, ["perturb", paths["tri"], paths["angles"],
@@ -496,7 +604,7 @@ def test_perturb_flat_fixture(capsys, tmp_path):
     assert all(a < 0 for a in after.area)
     perturbed = AngleAssignment.from_vector(
         fixture("fig8-flat1").triangulation.tet_count,
-        angle_vector_from_json(rep["assignment"]))
+        unscaled(*angle_vector_from_json(rep["assignment"])))
     assert all(0 < a < 1 for a in perturbed.angles)
 
 

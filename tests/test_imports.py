@@ -46,10 +46,12 @@ nothing from `_rational`, and has one caller, the compatibility
 system's projection.  A solve scales its targets once, and reads the
 solver's point or certificate in the int form it was read out of.  The
 CLI writes its reports itself: json is imported for reading alone.
-The summed Gauss-Bonnet refusal has one home, which `_decide` calls
-before it builds the pair system; the slack-basis start lives in
-`lp_core._tableau` alone; and no public solver or finder gains a
-parameter, the CLI no option, and no module reads the environment.
+The CLI prints every vector through `_rational.format_vector` and
+builds no Fraction.  The summed Gauss-Bonnet refusal has one home,
+which `_decide` calls before it builds the pair system; the
+slack-basis start lives in `lp_core._tableau` alone; and no public
+solver or finder gains a parameter, the CLI no option, and no module
+reads the environment.
 `_rational.ScaledVector` alone defines `_of_scaled` and `_scaled`, the
 (den, ints) form every record with one rational vector keeps; no record
 keeps that form under another name, and only `_rational` writes a slot
@@ -560,6 +562,29 @@ def test_cli_reads_json_and_writes_its_own():
     assert {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
             and isinstance(n.value, ast.Name) and n.value.id == "json"} == \
         {"loads"}
+
+
+def test_the_cli_prints_vectors_through_rational_and_builds_no_fraction():
+    # A vector goes from the file read to the report written in its kept
+    # (den, ints) form: cli names no Fraction, keeps no vector printer of
+    # its own, and prints vectors by _rational.format_vector alone;
+    # format_rational writes its single numbers, never a vector's entries.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    imported = {(n.module, a.name) for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "Fraction" not in names | {name for _, name in imported}
+    assert not {"fractions"} & {module for module, _ in imported}
+    assert ("_rational", "format_vector") in imported
+    assert "_vector" not in {n.name for n in ast.walk(tree)
+                             if isinstance(n, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp,
+                             ast.DictComp)):
+            assert "format_rational" not in {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "map":
+            assert "format_rational" not in ast.unparse(node)
 
 
 def test_the_summed_refusal_has_one_home_before_the_pair_system():

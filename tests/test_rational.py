@@ -5,14 +5,20 @@ from fractions import Fraction
 import pytest
 
 from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
-                         ExistenceError, LinearSystem, LPError,
+                         Certificate, ExistenceError, LinearSystem, LPError,
                          NormalCoordinate, NormalCoordinateError,
                          PerturbationError, build_perturbation, chi_star,
                          combine, decompose, fixture, identity_4_9,
                          is_in_solution_space, minimize_linear,
                          solution_space_basis, verify_certificate,
                          z_functional)
-from anglestruct._rational import format_rational, parse_rational
+from anglestruct._rational import format_rational, format_vector, parse_scaled
+
+
+def _parse_one(text: str) -> Fraction:
+    """The one "p/q" string text through the package's list reader."""
+    den, (num,) = parse_scaled([text])
+    return Fraction(num, den)
 
 
 def test_format_always_carries_denominator():
@@ -23,10 +29,10 @@ def test_format_always_carries_denominator():
 
 
 def test_parse_accepts_bare_integers_and_fractions():
-    assert parse_rational("7") == 7
-    assert parse_rational(" -3/9 ") == Fraction(-1, 3)
-    assert parse_rational("0/5") == 0
-    assert parse_rational("+1/2") == Fraction(1, 2)
+    assert _parse_one("7") == 7
+    assert _parse_one(" -3/9 ") == Fraction(-1, 3)
+    assert _parse_one("0/5") == 0
+    assert _parse_one("+1/2") == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5", "2 3",
@@ -34,14 +40,43 @@ def test_parse_accepts_bare_integers_and_fractions():
                                  "1/-2"])
 def test_parse_rejects_inexact_or_malformed(bad):
     with pytest.raises(ValueError):
-        parse_rational(bad)
+        _parse_one(bad)
 
 
 def test_round_trip_is_exact_on_random_fractions():
     rng = random.Random(20260819)
     for _ in range(200):
         x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-        assert parse_rational(format_rational(x)) == x
+        assert _parse_one(format_rational(x)) == x
+
+
+def test_the_kept_form_writer_prints_format_rationals_bytes():
+    # format_vector prints a record from its kept ints, each entry over
+    # its own gcd with the den: the strings format_rational gives the
+    # Fractions, for a record built from ints or from those Fractions.
+    # The fixed cases need that per-entry gcd, as the vector's reduced
+    # form keeps den 6 or 12.
+    rng = random.Random(20261020)
+    cases = [(6, [3, 2, 0, -4, 6, -9]), (12, [0, 4, -6, 9, 1, 0, 24]),
+             (1, [0, -1, 5])]
+    for _ in range(300):
+        den = rng.randint(1, 60)
+        cases.append((den, [rng.choice([0, rng.randint(-200, 200)])
+                            for _ in range(rng.randint(0, 14))]))
+    for den, ints in cases:
+        for cls, more in ((AngleAssignment, {}), (Certificate, {}),
+                          (AreaCurvature, {"_cut": len(ints) // 3})):
+            record = cls._of_scaled(den, ints, **more)
+            printed = format_vector(record)
+            assert not printed.keys() & record.__dict__.keys()
+            assert [v for name in cls._vector for v in printed[name]] == [
+                format_rational(Fraction(v, den)) for v in ints]
+        values = [Fraction(v, den) for v in ints]
+        cut = len(ints) // 3
+        assert format_vector(Certificate(y=tuple(values))) == \
+            format_vector(Certificate._of_scaled(den, ints))
+        assert format_vector(AreaCurvature.of(values[:cut], values[cut:])) \
+            == format_vector(AreaCurvature._of_scaled(den, ints, _cut=cut))
 
 
 def _fig8():

@@ -41,7 +41,7 @@ from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
                          insert_flat_tetrahedron, minimize_linear,
                          solution_space_basis, solve_feasibility_nonneg,
                          solve_feasibility_strict)
-from anglestruct._rational import ScaledVector
+from anglestruct._rational import ScaledVector, unscaled
 from anglestruct._record import FrozenInstanceError, Record
 from anglestruct.lp_core import NONNEG, STRICT_POS, LPError, Optimum
 from anglestruct.perturbation import PerturbationError, PerturbationFamily
@@ -194,7 +194,8 @@ def test_cached_properties_fill_after_construction(cls):
 
 # Every record that keeps one rational vector as (den, ints), with the
 # error its module raises on an inexact entry.
-VECTOR_ERRORS = {AngleAssignment: AngleStructureError, Certificate: LPError,
+VECTOR_ERRORS = {AngleAssignment: AngleStructureError,
+                 AreaCurvature: AngleStructureError, Certificate: LPError,
                  NormalCoordinate: NormalCoordinateError, Optimum: LPError,
                  PerturbationFamily: PerturbationError, Solution: LPError}
 
@@ -212,12 +213,15 @@ def test_a_vector_record_keeps_its_scaled_form(cls):
     # _of_scaled builds the record its (den, ints) form stands for, over
     # any multiple of its denominator, and keeps that form reduced; an
     # inexact entry is refused with the module's error, at construction
-    # or when the form is first derived.
+    # or when the form is first derived.  A class whose split is not
+    # fixed (AreaCurvature) is given its first field's length as _cut.
     record = SAMPLES[cls]
     fields = dict(zip(cls._fields, _values(record)))
     den, ints = form = cls(**fields)._scaled
     assert den > 0 and all(type(v) is int for v in ints)
     others = {f: v for f, v in fields.items() if f not in cls._vector}
+    if None in cls._vector.values():
+        others["_cut"] = len(fields[next(iter(cls._vector))])
     again = cls._of_scaled(6 * den, [6 * v for v in ints], **others)
     assert again == record and again.__dict__["_scaled"] == form
     assert again._scaled is again.__dict__["_scaled"]
@@ -226,6 +230,39 @@ def test_a_vector_record_keeps_its_scaled_form(cls):
     with pytest.raises(VECTOR_ERRORS[cls], match=re.escape(
             "entry 0 is 0.5, not an int or a Fraction")):
         cls(**fields)._scaled
+
+
+def _kept_twin(cls):
+    """(record, den, ints): the sample rebuilt by _of_scaled from the
+    (den, ints) form of its Fraction-built twin, and that form."""
+    fields = dict(zip(cls._fields, _values(SAMPLES[cls])))
+    den, ints = cls(**fields)._scaled
+    others = {f: v for f, v in fields.items() if f not in cls._vector}
+    if None in cls._vector.values():
+        others["_cut"] = len(fields[next(iter(cls._vector))])
+    return cls._of_scaled(den, ints, **others), den, ints
+
+
+@pytest.mark.parametrize("cls", VECTOR_ERRORS, ids=lambda c: c.__qualname__)
+def test_a_record_built_from_ints_reads_back_as_its_fraction_twin(cls):
+    # A record built from ints keeps them alone; its vector fields are
+    # the Fractions unscaled(den, ints), cut by the fields' shares, built
+    # on the first read of any field and kept.  It equals, hashes and
+    # prints as the record built from those Fractions, each compared
+    # on a record that has not built them yet.
+    twin = cls(**dict(zip(cls._fields, _values(SAMPLES[cls]))))
+    record, den, ints = _kept_twin(cls)
+    assert not set(cls._vector) & record.__dict__.keys()
+    built = [v for name in cls._vector for v in getattr(record, name)]
+    assert tuple(built) == unscaled(den, ints)
+    assert all(type(getattr(record, name)) is tuple for name in cls._vector)
+    assert all(getattr(record, name) is record.__dict__[name]
+               for name in cls._vector)
+    for read in (lambda r: r == twin, lambda r: hash(r) == hash(twin),
+                 lambda r: repr(r) == repr(twin), lambda r: twin == r):
+        assert read(_kept_twin(cls)[0])
+    with pytest.raises(AttributeError, match="no attribute 'other'"):
+        record.other
 
 
 def test_equivalence_report_defaults_apply():
