@@ -18,9 +18,13 @@ The solvers run a smaller system with the same solutions.  A
 tetrahedron's four corner rows fix the difference of each pair of
 opposite angles, so one variable per pair, shifted by the offset the
 prescribed areas force, leaves one row per tetrahedron: 3n columns and
-n + m rows in place of 6n and 4n + m.  A refusal of that system is
-lifted to a Farkas vector over angle_linear_system's rows, the paper's
-system, and verified there too.
+n + m rows in place of 6n and 4n + m.  Its other rows are written with
+each tetrahedron's third pair replaced by what its tet row says it is,
+so that pair's column is in its tet row alone and lp_core's slack start
+seats it there: phase 1 repairs only the edge rows.  A refusal of that
+system is mapped back to the rows as derived, lifted to a Farkas vector
+over angle_linear_system's rows, the paper's system, and verified there
+too.
 
 From the targets to the verdict the finders work in ints.  The targets
 are scaled once, to ints over one denominator, and both systems are
@@ -46,7 +50,6 @@ certificate refutes strict existence while the condition holds.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -155,29 +158,30 @@ def _angle_system(t: Triangulation, targets, mode: str) -> LinearSystem:
             for i in range(n) for l in range(4)]
     rows += [_tally(6 * i + k for i, k in cls.corners)
              for cls in t.edge_classes]
-    caps = [den] * (6 * n) if capped else []
-    return _system(rows, corner + edge, 6 * n, caps, mode, den)
+    rhs = corner + edge
+    if capped:
+        rows += [((p, 1), (6 * n + p, 1)) for p in range(6 * n)]
+        rhs += [den] * (6 * n)
+    return _system(rows, rhs, 12 * n if capped else 6 * n, mode, den)
 
 
 def _tally(columns) -> tuple:
     """The int row of listed columns: a column listed twice counts 2."""
-    return tuple(sorted(Counter(columns).items()))
+    row = {}
+    for c in columns:
+        row[c] = row.get(c, 0) + 1
+    return tuple(sorted(row.items()))
 
 
-def _system(rows, rhs, width: int, caps, mode: str, den: int):
-    """Int rows and rhs over den, over width columns, and a cap row x +
-    slack = c for each column when caps lists the c's, as a LinearSystem
+def _system(rows, rhs, width: int, mode: str, den: int):
+    """Int rows and rhs over den, over width columns, as a LinearSystem
     whose columns all carry the mode's sign, its one statement of what is
     asked: the one place a mode becomes a sign, and so where an unknown
     one fails."""
     sign = {"semi": NONNEG, "strict": STRICT_POS}.get(mode)
     if sign is None:
         raise ExistenceError("unknown solve mode %r" % (mode,))
-    if caps:
-        rows += [((p, 1), (width + p, 1)) for p in range(width)]
-        rhs += caps
-    return LinearSystem._of_ints(rows, rhs, [sign] * (width + len(caps)),
-                                 rhs_den=den)
+    return LinearSystem._of_ints(rows, rhs, [sign] * width, rhs_den=den)
 
 
 def _pair_system(t: Triangulation, targets, mode: str):
@@ -190,36 +194,71 @@ def _pair_system(t: Triangulation, targets, mode: str):
     minus those at the ends of edge 5 - k, halved.  So x_k = y + max(0,
     d_k) and x_{5-k} = y + max(0, -d_k), and x >= 0 (> 0) exactly when
     y >= 0 (> 0).  Columns 3i + k, k < 3, are tet i's pairs.  Rows: one
-    per tetrahedron, its three pairs summing to the corner target at
-    vertex 0 minus the shifts on the edges there; the m edge rows in the
-    pair columns, less their shifts; and when capped, y + slack = 1 - |d|
-    per pair, since the larger angle of the pair is y + |d|.  Every
-    number is an int over twice the targets' denominator, so d is too,
-    and those ints are the rhs, in lp_core's int form.
+    per tetrahedron, its three pairs summing to r_i, the corner target
+    at vertex 0 minus the shifts on the edges there; the m edge rows in
+    the pair columns, less their shifts; and when capped, y + slack = 1
+    - |d| per pair, since the larger angle of the pair is y + |d|.
+    Every number is an int over twice the targets' denominator, so d is
+    too, and those ints are the rhs, in lp_core's int form.
+
+    Every row but the tet rows is written with tet i's third pair,
+    y_{3i+2} (tet-edges 2 and 3), replaced by r_i - y_{3i} - y_{3i+1},
+    which tet row i says it is: c corners of tet i on edges 2 or 3 put
+    -c on columns 3i and 3i + 1 of an edge row and take c r_i off its
+    rhs, and the cap row of pair (i, 2) reads -y_{3i} - y_{3i+1} +
+    slack = 1 - |d| - r_i.  The solutions are the same.  Column 3i + 2
+    is then in tet row i alone, so lp_core's slack start makes it basic
+    there, and phase 1 has only the edge rows, and the cap rows whose
+    rhs that made negative, to repair.
     """
     den, corner, edge, capped = targets
     n = t.tet_count
     den *= 2
-    shift = []
-    rows, rhs = [], []
+    shift, r, rows = [], [], []
     for i in range(n):
         c = corner[4 * i:4 * i + 4]
         shift += [max(c[u] + c[v] - c[a] - c[b], 0) for (u, v), (a, b)
                   in zip(EDGE_VERTICES, reversed(EDGE_VERTICES))]
         rows.append(((3 * i, 1), (3 * i + 1, 1), (3 * i + 2, 1)))
-        rhs.append(2 * c[0] - sum(shift[6 * i:6 * i + 3]))
+        r.append(2 * c[0] - sum(shift[6 * i:6 * i + 3]))
+    rhs = list(r)
     for cls, b in zip(t.edge_classes, edge):
-        rows.append(_tally(3 * i + min(k, 5 - k) for i, k in cls.corners))
-        rhs.append(2 * b - sum(shift[6 * i + k] for i, k in cls.corners))
-    caps = [den - shift[6 * i + k] - shift[6 * i + 5 - k]
-            for i in range(n) for k in range(3)] if capped else []
-    return _system(rows, rhs, 3 * n, caps, mode, den), den, shift
+        row = {}
+        b *= 2
+        for i, k in cls.corners:
+            b -= shift[6 * i + k]
+            if k in (2, 3):
+                row[3 * i] = row.get(3 * i, 0) - 1
+                row[3 * i + 1] = row.get(3 * i + 1, 0) - 1
+                b -= r[i]
+            else:
+                p = 3 * i + min(k, 5 - k)
+                row[p] = row.get(p, 0) + 1
+        rows.append(tuple(sorted((c, a) for c, a in row.items() if a)))
+        rhs.append(b)
+    if capped:
+        for i in range(n):
+            p, s = 3 * i, 3 * (n + i)
+            caps = [den - shift[6 * i + k] - shift[6 * i + 5 - k]
+                    for k in range(3)]
+            rows += [((p, 1), (s, 1)), ((p + 1, 1), (s + 1, 1)),
+                     ((p, -1), (p + 1, -1), (s + 2, 1))]
+            rhs += [caps[0], caps[1], caps[2] - r[i]]
+    sys = _system(rows, rhs, 6 * n if capped else 3 * n, mode, den)
+    return sys, den, shift
 
 
 def _lifted(t: Triangulation, targets, mode: str, shift, y):
-    """The pair system's Farkas vector y = (z, w, g), a (den, ints) form,
-    as one over angle_linear_system's rows for the targets, verified
-    there.
+    """The reduced pair system's Farkas vector y = (z, w, g), a (den,
+    ints) form, as one over angle_linear_system's rows for the targets,
+    verified there.
+
+    First y is mapped back to the pair rows as derived, before y_{3i+2}
+    was replaced: a reduced row that took c r_i off its rhs is that row
+    less c times tet row i, so the tet multiplier z_i loses w_e for each
+    corner (i, k) of class e with k in {2, 3}, and g_{3i+2}.  The
+    products with the rows and the rhs are unchanged, so the vector
+    refutes the pair system as it refuted the reduced one.
 
     The edge multipliers w stay, and u = E^T w is what they put on each
     tet-edge column.  On each pair's tight side, the side with the
@@ -238,15 +277,19 @@ def _lifted(t: Triangulation, targets, mode: str, shift, y):
     n = t.tet_count
     m = len(t.edge_classes)
     den, ints = y
-    z, w, g = ints[:n], ints[n:n + m], ints[n + m:]
+    z, w, g = list(ints[:n]), ints[n:n + m], ints[n + m:]
     u = [0] * (6 * n)
     for cls, wj in zip(t.edge_classes, w):
         if wj:
             for i, k in cls.corners:
                 u[6 * i + k] += wj
+                if k in (2, 3):
+                    z[i] -= wj
     h = []
     caps = [0] * (6 * n if g else 0)
     for i in range(n):
+        if g:
+            z[i] -= g[3 * i + 2]
         sums = [0] * 6
         for k in range(3):
             tight = 5 - k if shift[6 * i + 5 - k] else k

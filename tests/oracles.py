@@ -8,8 +8,10 @@ comes from a Smith normal form over the dual spine with its own one-step
 traversal, and linear programs are settled by exhaustive enumeration of
 basic solutions instead of simplex pivoting.  The angle system is
 rebuilt as dense rows, cell by cell, with folded tet-edges found by a
-union-find of their own.  Orientability, of the tetrahedra and of each
-vertex link, comes from a union-find over (node, +1/-1) pairs, with
+union-find of their own, and the pair system the finders reduce is
+rebuilt as derived, no row reduced, over Fractions from the corner
+targets and the edge tallies.  Orientability, of the tetrahedra and of
+each vertex link, comes from a union-find over (node, +1/-1) pairs, with
 each link gluing's sign read off the directions of the glued triangle
 sides.  The quad-slice maximum is too large to enumerate; it reruns the
 simplex on the unprojected slice program, over the full compatibility
@@ -182,6 +184,51 @@ def angle_system_dense(t, ac, mode):
             rhs.append(Fraction(1))
     sign = "strict-pos" if mode == "strict" else "nonneg"
     return tuple(coeffs), tuple(rhs), (sign,) * cols
+
+
+def pair_system(t, ac, mode):
+    """The pair system before the finders reduce it, every row as
+    derived, over Fractions.
+
+    Column 3i + k, k < 3, is the smaller angle y of tet i's opposite
+    edges k and 5 - k, the angles being y plus a shift: half the corner
+    targets at the ends of one edge minus those at the ends of the
+    other, where that is positive, else 0.  Rows: per tetrahedron its
+    three pairs summing to the corner target at vertex 0 less the shifts
+    of the edges there; per edge class the tally of its tet-edges'
+    pairs, 2 on a folded one, against its target less their shifts,
+    with the folds and the boundary read off the gluings; and with a
+    positive area, y + slack = 1 - |d| per pair.
+    """
+    n = t.tet_count
+    a = [x + 1 for x in ac.area]
+    capped = any(x > 0 for x in ac.area)
+    folded = folded_tet_edges(t)
+    shift = []
+    for i in range(n):
+        c = a[4 * i:4 * i + 4]
+        for k, (u, v) in enumerate(EDGE_VERTICES):
+            p, q = EDGE_VERTICES[5 - k]
+            shift.append(max((c[u] + c[v] - c[p] - c[q]) / 2, ZERO))
+    rows = [[(3 * i + k, ONE) for k in range(3)] for i in range(n)]
+    rhs = [a[4 * i] - sum(shift[6 * i:6 * i + 3]) for i in range(n)]
+    for cls in t.edge_classes:
+        row, b = [], (1 if any(
+            t.gluing(i, f) is None for i, k in cls.corners
+            for f in FACES_AT_EDGE[k]) else 2) - ac.curvature[cls.index]
+        for i, k in set(cls.corners):
+            times = 2 if (i, k) in folded else 1
+            row.append((3 * i + min(k, 5 - k), Fraction(times)))
+            b -= times * shift[6 * i + k]
+        rows.append(row)
+        rhs.append(b)
+    if capped:
+        for p in range(3 * n):
+            i, k = divmod(p, 3)
+            rows.append([(p, ONE), (3 * n + p, ONE)])
+            rhs.append(1 - shift[6 * i + k] - shift[6 * i + 5 - k])
+    sign = "strict-pos" if mode == "strict" else "nonneg"
+    return LinearSystem.of(rows, rhs, [sign] * (6 * n if capped else 3 * n))
 
 
 def smith_diagonal(mat):

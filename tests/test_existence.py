@@ -301,6 +301,136 @@ def test_lifted_certificates_verify_on_the_full_system(name):
         assert verify_certificate(full, cert.y)
 
 
+def _reduction_cases():
+    """(table, target) pairs on oracles.random_table draws of 1-6
+    tetrahedra, closed or with boundary faces: targets realized by
+    angles in [pi/36, pi/3], every area <= 0, or in [pi/36, 35 pi/36],
+    some area > 0, each as drawn and with one area moved up and another
+    down by one step, which keeps the summed identity.  With every area
+    <= 0 the least area is the one moved up, to 0, so that the moved
+    target stays uncapped."""
+    rng = random.Random(50)
+    cases = []
+    for j in range(16):
+        n = rng.randint(1, 6)
+        t = oracles.random_table(rng, n, rng.randint(1, 2) if j % 2 else 0)
+        for hi in (12, 35):
+            ac = realized_area_curvature(AngleAssignment.from_vector(n, [
+                F(rng.randint(1, hi), 36) for _ in range(6 * n)]), t)
+            area = list(ac.area)
+            up, down = rng.sample(range(4 * n), 2)
+            step = F(rng.randint(1, 12), rng.randint(1, 4))
+            if hi == 12:
+                up = min(range(4 * n), key=area.__getitem__)
+                down = (up + 1 + rng.randrange(4 * n - 1)) % (4 * n)
+                step = -area[up]
+            area[up] += step
+            area[down] -= step
+            cases += [(t, ac), (t, AreaCurvature.of(area, ac.curvature))]
+    return cases
+
+
+def _pair_certificate(t, y):
+    """The pair-row vector (z, w, g) that existence._lifted lifted to y:
+    each z_i is the sum of tet i's four corner multipliers, w is y's
+    edge part, and g_{3i + k} sits on one of its pair's two cap rows,
+    the other 0."""
+    n, m = t.tet_count, len(t.edge_classes)
+    z = [sum(y[4 * i:4 * i + 4]) for i in range(n)]
+    caps = y[4 * n + m:]
+    g = [caps[6 * i + k] + caps[6 * i + 5 - k]
+         for i in range(n) for k in range(3)] if caps else []
+    return (*z, *y[4 * n:4 * n + m], *g)
+
+
+def _skipped_terms(t, pair_y):
+    """Per tetrahedron, the two terms the map back to the pair rows takes
+    off z_i: the edge multipliers of its corners on tet-edges 2 and 3,
+    and the multiplier of its third pair's cap row."""
+    n, m = t.tet_count, len(t.edge_classes)
+    w, g = pair_y[n:n + m], pair_y[n + m:]
+    edge = [F(0)] * n
+    for cls, wj in zip(t.edge_classes, w):
+        for i, k in cls.corners:
+            if k in (2, 3):
+                edge[i] += wj
+    return edge, [g[3 * i + 2] if g else F(0) for i in range(n)]
+
+
+def test_the_third_pair_column_lies_in_its_tet_row_alone():
+    # Each non-tet row has tet i's third pair replaced by tet row i, so
+    # column 3i + 2 is in tet row i alone, with entry 1: the slack start
+    # seats it there.
+    for t, ac in _reduction_cases():
+        targets = existence._targets(t, ac)
+        n = t.tet_count
+        for mode in ("semi", "strict"):
+            rows = existence._pair_system(t, targets, mode)[0].scaled_rows[1]
+            for i in range(n):
+                assert [(r, dict(row)[3 * i + 2])
+                        for r, row in enumerate(rows)
+                        if 3 * i + 2 in dict(row)] == [(i, 1)]
+
+
+def test_the_reduced_pair_system_decides_as_the_unreduced_one():
+    # Each finder's verdict is the unreduced pair system's, built by the
+    # oracle from the edge tallies, and each refusal's pair-row vector,
+    # read off the lifted certificate, verifies on that system.
+    seen = set()
+    for t, ac in _reduction_cases():
+        assert not oracles.breaks_summed_identity(t, ac)
+        capped = any(a > 0 for a in ac.area)
+        for mode, find, name in FINDERS:
+            unreduced = oracles.pair_system(t, ac, mode)
+            expect = getattr(lp_core, name)(unreduced)
+            res = find(t, ac)
+            assert isinstance(res, Certificate) == \
+                isinstance(expect, Infeasible)
+            if isinstance(res, Certificate):
+                assert oracles.verify_certificate(
+                    unreduced, _pair_certificate(t, res.y))
+            else:
+                assert realized_area_curvature(res, t) == ac
+            seen.add((type(res), capped, bool(t.boundary_faces()), mode))
+    assert len(seen) == 16
+
+
+@pytest.mark.parametrize("skip", ["edge", "cap"])
+def test_a_map_back_that_skips_a_term_is_caught(monkeypatch, skip):
+    # A mutant map back to the pair rows leaves out the edge term, or the
+    # third pair's cap term, of each z_i: it is run as _lifted given the
+    # reduced certificate with those terms added back to z.  Wherever
+    # its pair-row vector fails on the unreduced pair system, the check
+    # on angle_linear_system's rows must refuse its lift too.  A cap
+    # multiplier is <= 0, so leaving it out only lowers z_i, and that is
+    # caught where it takes y.b to 0 or below.
+    lifted, caught = existence._lifted, 0
+    for t, ac in _reduction_cases():
+        n = t.tet_count
+        for mode, find, _ in FINDERS:
+            res = find(t, ac)
+            if not isinstance(res, Certificate):
+                continue
+            pair_y = _pair_certificate(t, res.y)
+            terms = _skipped_terms(t, pair_y)[skip == "cap"]
+            mutant = [*(v + d for v, d in zip(pair_y, terms)), *pair_y[n:]]
+            if oracles.verify_certificate(oracles.pair_system(t, ac, mode),
+                                          mutant):
+                continue
+
+            def mutated(t, targets, mode, shift, y, terms=terms):
+                den, ints = y
+                return lifted(t, targets, mode, shift, scaled(
+                    [F(v, den) + d for v, d in zip(ints, terms)] +
+                    [F(v, den) for v in ints[len(terms):]]))
+            monkeypatch.setattr(existence, "_lifted", mutated)
+            with pytest.raises(LPError, match="failed verification"):
+                find(t, ac)
+            monkeypatch.undo()
+            caught += 1
+    assert caught
+
+
 def _summed_cases(seed: int, unglued: int):
     """(table, realized target) pairs on oracles.random_table draws of 1-6
     tetrahedra, unglued face pairs left as boundary faces: each table

@@ -353,16 +353,16 @@ def test_slack_start_agrees_with_brute_force_on_singleton_columns(
     assert 0 < started.count(0) < len(started) == 2 * 120
 
 
-def _capped_pivots(monkeypatch, start: bool) -> list:
-    """The pivots of the semi and the strict finder on a capped target of
-    32 tetrahedra: a random closed table, angles k pi/36 with k in 1..30
-    drawn after it, and the data they realize."""
+def _finder_pivots(monkeypatch, start: bool, n: int, hi: int) -> list:
+    """The pivots of the semi and the strict finder on a random closed
+    table of n tetrahedra, angles k pi/36 with k in 1..hi drawn after
+    it, and the data they realize."""
     rng = random.Random(1)
-    t = oracles.random_table(rng, 32)
-    alpha = AngleAssignment.from_vector(32, [F(rng.randint(1, 30), 36)
-                                             for _ in range(6 * 32)])
+    t = oracles.random_table(rng, n)
+    alpha = AngleAssignment.from_vector(n, [F(rng.randint(1, hi), 36)
+                                            for _ in range(6 * n)])
     ac = realized_area_curvature(alpha, t)
-    assert any(a > 0 for a in ac.area)
+    assert any(a > 0 for a in ac.area) == (hi > 12)
     tableau, pivot, pivots = lp_core._tableau, lp_core._pivot, []
     monkeypatch.setattr(lp_core, "_tableau",
                         lambda a, b, cost, slack: tableau(a, b, cost, start))
@@ -380,11 +380,22 @@ def _capped_pivots(monkeypatch, start: bool) -> list:
 
 
 def test_the_slack_start_cuts_the_capped_pivots(monkeypatch):
-    # Each of the 3n cap rows starts with its slack basic, and each strict
-    # solve's epsilon <= 1 row too, where the all-artificial start paid a
-    # phase-1 pivot for each.
-    assert _capped_pivots(monkeypatch, True) == [59, 65]
-    assert _capped_pivots(monkeypatch, False) == [172, 177]
+    # Each of the 3n cap rows starts with its slack basic, unless its rhs
+    # is negative, and each strict solve's epsilon <= 1 row too, where
+    # the all-artificial start paid a phase-1 pivot for each.  Each tet
+    # row starts with its third pair basic, which only it holds.  Some
+    # angles exceed pi/3, so some areas are positive: n = 32, capped.
+    assert _finder_pivots(monkeypatch, True, 32, 30) == [19, 22]
+    assert _finder_pivots(monkeypatch, False, 32, 30) == [172, 177]
+
+
+def test_the_slack_start_leaves_the_edge_rows_to_phase_1(monkeypatch):
+    # Uncapped, the tet rows are all the slack start can seat: angles up
+    # to pi/3 make every area nonpositive.  On n = 128 the finders then
+    # take a handful of pivots, where the all-artificial start pays more
+    # than one per row.
+    assert _finder_pivots(monkeypatch, True, 128, 12) == [6, 8]
+    assert _finder_pivots(monkeypatch, False, 128, 12) == [190, 194]
 
 
 def test_answers_keep_the_scaled_form_they_were_read_out_of():
