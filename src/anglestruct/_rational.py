@@ -1,11 +1,9 @@
-"""Exact numbers: `exact` refuses floats, bools, and all but ints and
-Fractions, at every entry point; `exact_scaled` is the same gate for
-readers that want ints, and keeps ints as ints; `scaled` takes a row or
-a vector to ints over the lcm of its denominators, `reduced` takes such
-a (den, ints) form to its least denominator, `unscaled` turns it back
-into Fractions, and no other module takes a number apart.  Lists of
-plain ints pass the gate and the scaling, and lists of ints and
-Fractions the gate, in one look at their types.
+"""Exact numbers: `exact_scaled` is the one gate, where numbers enter.
+It refuses floats, bools, and all but ints and Fractions, and takes what
+passes to (den, ints), ints over the lcm of the denominators; a list of
+plain ints passes in one look at its types and comes back over 1.
+`reduced` takes such a form to its least denominator, `unscaled` turns
+it back into Fractions, and no other module takes a number apart.
 
 `ScaledVector` keeps that form for every record that holds one rational
 vector, and this module alone writes it into a record's ``__dict__``.
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 # ASCII digits only, with an optional sign on the numerator: int() alone
@@ -27,45 +24,27 @@ from math import gcd, lcm
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-# The type of a plain int: the one type that the scaling passes through
-# without a look at each entry; the gate passes Fractions beside them.
+# The type of a plain int, the one type that passes without a look at
+# each entry, and the types that pass beside it.
 _INT = frozenset([int])
 _EXACT = frozenset([int, Fraction])
 
 
-def _gate(where: str, values, error) -> tuple:
-    """values as a tuple, once each is an int or a Fraction; a bool, a
-    float or anything else raises error, naming where and its index."""
+def exact_scaled(where: str, values, error) -> tuple:
+    """(den, ints): values over the lcm of their denominators, once each
+    is an int or a Fraction; ints come back as they are, over 1.  A bool,
+    a float or anything else raises error, naming where and its index.
+    The den is the least: each Fraction is in its least terms."""
     values = tuple(values)
-    if not _EXACT.issuperset(map(type, values)):
+    types = set(map(type, values))
+    if types <= _INT:
+        return 1, values
+    if not types <= _EXACT:
         for idx, v in enumerate(values):
             if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise error("%s entry %d is %r, not an int or a Fraction"
                             % (where, idx, v))
-    return values
-
-
-def exact(where: str, values, error) -> tuple:
-    """values as Fractions: an int is converted, a Fraction kept, and
-    anything else raises error, naming where and the entry's index."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v)
-                 for v in _gate(where, values, error))
-
-
-def exact_scaled(where: str, values, error) -> tuple:
-    """(den, ints): values through the gate of exact, over the lcm of
-    their denominators; ints come back as they are, over 1."""
-    return scaled(_gate(where, values, error))
-
-
-def scaled(values) -> tuple:
-    """(den, ints): ints or Fractions over the lcm of their denominators."""
-    values = tuple(values)
-    if _INT.issuperset(map(type, values)):
-        return 1, values
     den = lcm(*(v.denominator for v in values))
-    if den == 1:
-        return 1, tuple(v.numerator for v in values)
     return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
@@ -91,9 +70,10 @@ class ScaledVector:
     order, each with its share of the vector's length (None if the split
     is not fixed, the record then keeping its first field's length as
     ``_cut``), and in ``_error`` the error a bad entry raises.
-    ``_scaled`` is (den, ints), the vector over its least denominator:
-    kept alone by `_of_scaled`, its Fractions built when first read, else
-    derived on first use through the gate of `exact_scaled`.
+    ``_scaled`` is (den, ints), the vector over its least denominator,
+    kept alone either way a record is built: by `_of_scaled`, unchecked,
+    or by its fields, each gated once by ``__post_init__``.  The
+    Fractions are built when a vector field is first read.
     """
 
     @classmethod
@@ -105,6 +85,18 @@ class ScaledVector:
         record.__dict__["_scaled"] = reduced(den, ints)
         return record
 
+    def __post_init__(self):
+        # Each vector field through the gate, as "<Class> <field>", its
+        # value replaced by the one (den, ints) form of them all.
+        forms = [exact_scaled("%s %s" % (type(self).__qualname__, name),
+                              self.__dict__.pop(name), self._error)
+                 for name in self._vector]
+        den = lcm(*(d for d, _ in forms))
+        self.__dict__["_scaled"] = den, tuple(
+            v * (den // d) for d, ints in forms for v in ints)
+        if None in self._vector.values():
+            self.__dict__["_cut"] = len(forms[0][1])
+
     def _parts(self) -> tuple:
         """(den, *parts): ``_scaled``'s den and each field's slice of ints."""
         den, ints = self._scaled
@@ -114,18 +106,12 @@ class ScaledVector:
         return (den, ints[:cut], ints[cut:])[:1 + len(shares)]
 
     def __getattr__(self, name):
-        # Only a vector field that _of_scaled left unbuilt is missing.
+        # Only a vector field is missing: the record keeps its ints alone.
         if name not in self._vector:
             return object.__getattribute__(self, name)  # raises
         d, *ints = self._parts()
         self.__dict__.update(zip(self._vector, (unscaled(d, i) for i in ints)))
         return self.__dict__[name]
-
-    @cached_property
-    def _scaled(self) -> tuple:
-        return exact_scaled(type(self).__qualname__, [
-            v for name in self._vector for v in getattr(self, name)],
-            self._error)
 
 
 def format_rational(x) -> str:

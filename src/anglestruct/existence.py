@@ -55,7 +55,7 @@ from math import lcm
 from operator import mul
 from typing import Optional
 
-from ._rational import exact
+from ._rational import exact_scaled, unscaled
 from ._record import Record
 from .angle_structures import (
     AngleAssignment,
@@ -476,9 +476,9 @@ def identity_4_9(t: Triangulation, alpha: AngleAssignment, h, z, omega):
     _check_semi(alpha, t, ExistenceError)
     n = t.tet_count
     m = len(t.edge_classes)
-    h = exact("identity_4_9 h", h, ExistenceError)
-    z = exact("identity_4_9 z", z, ExistenceError)
-    omega = exact("identity_4_9 omega", omega, ExistenceError)
+    h, z, omega = (unscaled(*exact_scaled("identity_4_9 " + name, v,
+                                          ExistenceError))
+                   for name, v in (("h", h), ("z", z), ("omega", omega)))
     if len(h) != 4 * n or len(z) != m or len(omega) != n:
         raise ExistenceError("h, z, omega sizes do not match")
     ac = realized_area_curvature(alpha, t)

@@ -114,7 +114,7 @@ def fixture(name: str) -> Fixture:
         t, _ = insert_flat_tetrahedron(t, face, other, matching)
     if angles is None:
         return Fixture(name, description, t, None,
-                       AreaCurvature.of([0] * 8, [2] * 2))
+                       AreaCurvature((0,) * 8, (2,) * 2))
     alpha = AngleAssignment.from_vector(t.tet_count, angles)
     return Fixture(name, description, t, alpha,
                    realized_area_curvature(alpha, t))

@@ -105,20 +105,12 @@ class LinearSystem(Record):
             dens.append(d)
             sums.append(row)
         den = lcm(*dens)
-        sparse = []
-        for d, row in zip(dens, sums):
-            f = den // d
-            items = sorted(row.items())
-            if f != 1 or 0 in row.values():
-                items = [(c, v * f) for c, v in items if v]
-            sparse.append(tuple(items))
-        g = gcd(den, *(v for row in sparse for _, v in row)) \
-            if den > 1 else 1
-        if g > 1:
-            den //= g
-            sparse = [tuple((c, v // g) for c, v in row) for row in sparse]
-        return cls(scaled_rows=(den, tuple(sparse)),
-                   scaled_rhs=reduced(bden, b), signs=sg)
+        sparse = [[(c, v * (den // d)) for c, v in sorted(row.items()) if v]
+                  for d, row in zip(dens, sums)]
+        g = gcd(den, *(v for row in sparse for _, v in row))
+        kept = tuple(tuple((c, v // g) for c, v in row) for row in sparse)
+        return cls(scaled_rows=(den // g, kept), scaled_rhs=reduced(bden, b),
+                   signs=sg)
 
     @classmethod
     def _of_ints(cls, rows, rhs, signs, rhs_den: int = 1):

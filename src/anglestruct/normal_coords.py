@@ -13,10 +13,10 @@ the per-edge coefficient functional z and both forms of chi^(A,k), and
 builds a verified basis of the solution space: one tetrahedral vector
 per tetrahedron and one edge vector per edge class.
 
-Coordinates are exact: `_rational.exact` refuses anything but an int or
-a Fraction, a float above all, where it enters.  The kernels run on
-ints over the lcm of a coordinate's denominators, kept from its build
-when it is built from ints.  Membership compares both sides of each arc,
+Coordinates are exact: `_rational.exact_scaled` refuses anything but an
+int or a Fraction, a float above all, where it enters, and a coordinate
+keeps its entries as ints over the lcm of their denominators, which the
+kernels run on.  Membership compares both sides of each arc,
 one pass gives the 6n crossing weights (for each tet-edge, the weight of
 its tetrahedron's disks that cross it), and combine and decompose sum
 scaled vectors over one denominator.  Fractions are built for results,
@@ -31,7 +31,7 @@ from math import lcm
 from operator import mul
 
 from ._linalg import echelon
-from ._rational import ScaledVector, exact, exact_scaled
+from ._rational import ScaledVector, exact_scaled
 from ._record import Record
 from .angle_structures import (
     AngleAssignment,
@@ -82,6 +82,7 @@ class NormalCoordinate(Record, ScaledVector):
             raise NormalCoordinateError(
                 "%d quads and %d triangles are not 3n and 4n"
                 % (len(self.quads), len(self.tris)))
+        super().__post_init__()
 
     @classmethod
     def zero(cls, tet_count: int):
@@ -89,12 +90,12 @@ class NormalCoordinate(Record, ScaledVector):
 
     @classmethod
     def from_vector(cls, tet_count: int, vec):
-        vec = exact("NormalCoordinate.from_vector", vec,
-                    NormalCoordinateError)
-        if len(vec) != 7 * tet_count:
+        den, ints = exact_scaled("NormalCoordinate.from_vector", vec,
+                                 NormalCoordinateError)
+        if len(ints) != 7 * tet_count:
             raise NormalCoordinateError(
-                "expected %d coordinates, got %d" % (7 * tet_count, len(vec)))
-        return cls(quads=vec[:3 * tet_count], tris=vec[3 * tet_count:])
+                "expected %d coordinates, got %d" % (7 * tet_count, len(ints)))
+        return cls._of_scaled(den, ints)
 
 
 class CompatibilitySystem(Record):

@@ -136,7 +136,12 @@ class Triangulation:
         self.tet_count = tet_count
         self.name = name
         table = {}
-        for (i, f), (j, g, perm) in dict(gluings or {}).items():
+        for key, value in dict(gluings or {}).items():
+            try:
+                (i, f), (j, g, perm) = key, value
+            except (TypeError, ValueError):
+                raise TriangulationError("malformed gluing entry %r: %r"
+                                         % (key, value)) from None
             _glue(table, tet_count, i, f, j, g, _perm(perm))
         self._gluing = table
 

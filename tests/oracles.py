@@ -36,7 +36,9 @@ package compares.  Theorem 3's move is rebuilt over Fractions too: its
 coefficients, its safe range as a plain minimum of Fraction bounds, and
 the angles at half of it.  A "p/q" string is read by the file grammar's
 regex, copied here, into one Fraction at a time, against which the
-reader of whole lists into (den, ints) is checked.
+reader of whole lists into (den, ints) is checked, and a vector is
+scaled to that form over Fractions, against which the kept form of a
+record is.
 
 Generated inputs are built here too, from the gluing table alone: random
 tables, closed or with boundary faces; a relabelling of the tetrahedra
@@ -70,6 +72,14 @@ for _k, (_u, _v) in enumerate(EDGE_VERTICES):
 FACES_AT_EDGE = tuple(
     tuple(f for f in range(4) if f not in EDGE_VERTICES[k])
     for k in range(6))
+
+
+def scaled(values) -> tuple:
+    """(den, ints): ints or Fractions over the lcm of their denominators,
+    each entry read as a Fraction and multiplied out."""
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(int(v * den) for v in values)
 
 
 # ASCII digits only, an optional sign on the numerator, q > 0 required.

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import scaled
 from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
                          ExistenceError, Fails, Holds, Triangulation,
                          angle_linear_system, build_edge_classes,
@@ -14,7 +15,6 @@ from anglestruct import (AngleAssignment, AreaCurvature, Certificate,
                          identity_4_9, parse_triangulation,
                          realized_area_curvature, verify_certificate)
 from anglestruct import existence, lp_core
-from anglestruct._rational import scaled
 from anglestruct.fixtures import FIG8_TABLE
 from anglestruct.lp_core import (NONNEG, STRICT_POS, Infeasible, LinearSystem,
                                  LPError, Solution)

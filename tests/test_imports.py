@@ -52,10 +52,12 @@ which `_decide` calls before it builds the pair system; the
 slack-basis start lives in `lp_core._tableau` alone; and no public
 solver or finder gains a parameter, the CLI no option, and no module
 reads the environment.
-`_rational.ScaledVector` alone defines `_of_scaled` and `_scaled`, the
-(den, ints) form every record with one rational vector keeps; no record
-keeps that form under another name, and only `_rational` writes a slot
-of a `__dict__`.  An edge class's fold multiplicity is derived once, as
+`_rational.ScaledVector` alone writes `_scaled`, the (den, ints) form
+every record with one rational vector keeps, in `_of_scaled` and in
+its ``__post_init__``; no record keeps that form under another name,
+and only `_rational` writes a slot of a `__dict__`.  `_rational` has
+one gate, `exact_scaled`, and no `exact`, `scaled` or `_gate` beside
+it.  An edge class's fold multiplicity is derived once, as
 `EdgeClass.mult`, which the four places that need it read.
 """
 
@@ -118,7 +120,7 @@ def test_no_private_name_is_kept_for_tests_alone():
                     isinstance(n.ctx, ast.Load))
         read.update(n.attr for n in ast.walk(tree)
                     if isinstance(n, ast.Attribute))
-    assert "_gate" in defined and "_RATIONAL" in defined
+    assert "_EXACT" in defined and "_RATIONAL" in defined
     assert "_k" not in defined
     assert sorted((defined[name], name) for name in defined
                   if name not in read) == []
@@ -143,8 +145,8 @@ def test_package_reads_no_dense_view(path):
                          ids=lambda p: p.name)
 def test_only_rational_takes_numbers_apart(path):
     # _rational is the one module that knows what an exact number is:
-    # its exact() gates every entry point and its scaled() takes a row
-    # or a vector to ints over the lcm of its denominators, and its
+    # its exact_scaled() gates every entry point and takes a row or a
+    # vector to ints over the lcm of its denominators, and its
     # unscaled() reads every answer back out as Fractions.  No other
     # module reads a numerator or a denominator or keeps its own _exact
     # or _fractions.
@@ -670,16 +672,26 @@ def test_no_public_function_gains_a_parameter_or_an_option():
 
 
 def test_the_kept_exact_form_is_defined_once():
-    # _rational.ScaledVector defines _of_scaled and the gated, cached
-    # _scaled once for every record that keeps one rational vector as
-    # (den, ints); no record keeps that form under a name of its own.
+    # _rational.ScaledVector writes _scaled for every record that keeps
+    # one rational vector as (den, ints), in two places alone: _of_scaled,
+    # for ints its caller has gated, and __post_init__, which gates a
+    # record built by its fields.  No record keeps that form under a
+    # name of its own, and no function or property is named _scaled.
     # Only _rational writes a slot of a record's __dict__: Record's
     # __init__ fills the fields by update, by no slot.
-    defined, writers = [], set()
+    defined, writers, scaled_writers = [], set(), []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef):
-                defined.append((path.name, node.name))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            defined.append((path.name, fn.name))
+            scaled_writers += [
+                (path.name, fn.name) for node in ast.walk(fn)
+                if isinstance(node, ast.Subscript) and
+                isinstance(node.ctx, ast.Store) and
+                ast.unparse(node.slice) == "'_scaled'"]
+        for node in ast.walk(tree):
             assert not {"_scaled_x", "_scaled_y", "_ints"} & {
                 getattr(node, "attr", None), getattr(node, "id", None),
                 getattr(node, "name", None)}, path.name
@@ -689,8 +701,24 @@ def test_the_kept_exact_form_is_defined_once():
                     node.value.attr == "__dict__":
                 writers.add(path.name)
     assert [d for d in defined if d[1] in ("_of_scaled", "_scaled")] == \
-        [("_rational.py", "_of_scaled"), ("_rational.py", "_scaled")]
+        [("_rational.py", "_of_scaled")]
+    assert sorted(scaled_writers) == [("_rational.py", "__post_init__"),
+                                      ("_rational.py", "_of_scaled")]
     assert writers == {"_rational.py"}
+
+
+def test_rational_has_one_gate():
+    # exact_scaled is the one gate and the one scaling of callers'
+    # numbers: exact, which returned Fractions, scaled, which scaled
+    # without a gate, and _gate, which both called, are gone.
+    tree = ast.parse((PACKAGE / "_rational.py").read_text(encoding="utf-8"))
+    names = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names.update(n.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets for n in ast.walk(target)
+                 if isinstance(n, ast.Name))
+    assert "exact_scaled" in names
+    assert not {"exact", "scaled", "_gate"} & names
 
 
 def test_the_fold_multiplicity_is_derived_once():

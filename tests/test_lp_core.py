@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import scaled
 from anglestruct import (AngleAssignment, Infeasible, LinearSystem,
                          Optimum, Solution, Unbounded, find_angle_structure,
                          find_semi_angle_structure, fixture, minimize_linear,
                          realized_area_curvature, solve_feasibility_nonneg,
                          solve_feasibility_strict, verify_certificate)
-from anglestruct._rational import scaled
 from anglestruct.existence import angle_linear_system
 from anglestruct import lp_core
 from anglestruct.lp_core import NONNEG, STRICT_POS, Certificate, LPError
@@ -403,7 +403,7 @@ def test_answers_keep_the_scaled_form_they_were_read_out_of():
     # read them out of, and existence reads it in place of their
     # Fractions: it must be the form scaled() gives their entries, and
     # the answer equal to, and hash as, one built from those entries.
-    # One built by hand derives that form on first use.
+    # One built by hand keeps that form from its constructor's gate.
     rng = random.Random(2031)
     kept = set()
     for trial in range(120):

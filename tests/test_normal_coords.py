@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import scaled
 from anglestruct import (AngleAssignment, NormalCoordinate, Triangulation,
                          area_of_quad, build_edge_classes,
                          build_vertex_classes, chi_star,
@@ -10,7 +11,6 @@ from anglestruct import (AngleAssignment, NormalCoordinate, Triangulation,
                          fixture_names, is_ideal_triangulation,
                          is_in_solution_space, solution_space_basis,
                          z_functional)
-from anglestruct._rational import scaled
 from anglestruct.normal_coords import (_QUAD_AT, NormalCoordinateError,
                                        quad_type_at_arc)
 from anglestruct.triangulation import EDGE_INDEX
@@ -250,8 +250,8 @@ def test_chi_star_refuses_a_coordinate_of_another_size():
 
 
 def test_exact_entries_are_kept():
-    # ints and Fractions are the exact entries; from_vector stores both
-    # as Fractions, and the scaled view is over the lcm of denominators.
+    # ints and Fractions are the exact entries; from_vector keeps both
+    # as ints over the lcm of denominators, and reads back Fractions.
     s = NormalCoordinate.from_vector(1, [0, 1, Fraction(1, 2),
                                          Fraction(-2, 3), 0, 0, 1])
     assert all(type(v) is Fraction for v in s.quads + s.tris)

@@ -55,6 +55,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import scaled
 from anglestruct import (AngleAssignment, AreaCurvature, ExistenceError,
                          Fails, LinearSystem, NormalCoordinate, Solution,
                          Triangulation,
@@ -69,7 +70,6 @@ from anglestruct import (AngleAssignment, AreaCurvature, ExistenceError,
                          solve_feasibility_nonneg, solve_feasibility_strict,
                          verify_certificate, z_functional)
 from anglestruct import existence
-from anglestruct._rational import scaled
 from anglestruct.angle_structures import _quad_areas
 from anglestruct.normal_coords import (NormalCoordinateError,
                                        _crossing_weights, _edge_sums,

@@ -6,13 +6,15 @@ import pytest
 
 from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
                          Certificate, ExistenceError, LinearSystem, LPError,
-                         NormalCoordinate, NormalCoordinateError,
-                         PerturbationError, build_perturbation, chi_star,
+                         NormalCoordinate, NormalCoordinateError, Optimum,
+                         PerturbationError, Solution, build_perturbation,
+                         chi_star,
                          combine, decompose, fixture, identity_4_9,
                          is_in_solution_space, minimize_linear,
                          solution_space_basis, verify_certificate,
                          z_functional)
 from anglestruct._rational import format_rational, format_vector, parse_scaled
+from anglestruct.perturbation import PerturbationFamily
 
 
 def _parse_one(text: str) -> Fraction:
@@ -89,7 +91,7 @@ def _system():
 
 def _coordinate(x):
     """A fig8 coordinate built field by field, with x as its last entry:
-    it is checked where the kernels scale it, in any call that reads it."""
+    it is refused where it is built, inside any call that is handed it."""
     return NormalCoordinate(quads=(0,) * 6, tris=(0,) * 7 + (x,))
 
 
@@ -98,26 +100,40 @@ def _family():
     return build_perturbation(fx.angles, fx.triangulation)
 
 
-# Each exact entry point: the error class of its module, the name its
-# message gives, the index of the bad entry, and a call passing x there.
+def _family_ending_in(x):
+    """_family() built field by field, its last coefficient (of 18)
+    replaced by x."""
+    fam = _family()
+    return PerturbationFamily(base=fam.base, coeffs=fam.coeffs[:-1] + (x,),
+                              census=fam.census)
+
+
+# Each exact entry point, a record's constructor included: the error
+# class of its module, the name its message gives, the index of the bad
+# entry, and a call passing x there.  A record built by its fields gates
+# each vector field as "<Class> <field>", so a kernel handed a coordinate
+# with a bad entry is refused inside the call, where the record is built.
 ENTRY_POINTS = {
     "NormalCoordinate.from_vector": (
         NormalCoordinateError, "NormalCoordinate.from_vector", 6,
         lambda x: NormalCoordinate.from_vector(1, [0] * 6 + [x])),
     "is_in_solution_space": (
-        NormalCoordinateError, "NormalCoordinate", 13,
+        NormalCoordinateError, "NormalCoordinate tris", 7,
         lambda x: is_in_solution_space(_fig8().compatibility_system,
                                        _coordinate(x))),
     "chi_star": (
-        NormalCoordinateError, "NormalCoordinate", 13,
+        NormalCoordinateError, "NormalCoordinate tris", 7,
         lambda x: chi_star(_fig8(), _coordinate(x))),
     "z_functional": (
-        NormalCoordinateError, "NormalCoordinate", 13,
+        NormalCoordinateError, "NormalCoordinate tris", 7,
         lambda x: z_functional(_fig8(), _coordinate(x),
                                _fig8().edge_classes[0])),
     "decompose": (
-        NormalCoordinateError, "NormalCoordinate", 13,
+        NormalCoordinateError, "NormalCoordinate tris", 7,
         lambda x: decompose(_fig8(), _coordinate(x))),
+    "NormalCoordinate": (
+        NormalCoordinateError, "NormalCoordinate quads", 0,
+        lambda x: NormalCoordinate(quads=(x, 0, 0), tris=(0,) * 4)),
     "combine-omega": (
         NormalCoordinateError, "combine omega", 0,
         lambda x: combine(solution_space_basis(_fig8()), [x, 0], [0, 0])),
@@ -138,11 +154,17 @@ ENTRY_POINTS = {
         AngleStructureError, "AreaCurvature curvature", 0,
         lambda x: AreaCurvature(area=(0, 0), curvature=(x,))),
     "AreaCurvature.of-area": (
-        AngleStructureError, "AreaCurvature.of area", 1,
+        AngleStructureError, "AreaCurvature area", 1,
         lambda x: AreaCurvature.of([0, x], [0])),
     "AreaCurvature.of-curvature": (
-        AngleStructureError, "AreaCurvature.of curvature", 0,
+        AngleStructureError, "AreaCurvature curvature", 0,
         lambda x: AreaCurvature.of([0, 0], [x])),
+    "Certificate": (
+        LPError, "Certificate y", 0, lambda x: Certificate(y=(x,))),
+    "Solution": (
+        LPError, "Solution x", 1, lambda x: Solution(x=(Fraction(1, 2), x))),
+    "Optimum": (
+        LPError, "Optimum x", 0, lambda x: Optimum(value=0, x=(x,))),
     "LinearSystem.of-rhs": (
         LPError, "LinearSystem.of rhs", 1,
         lambda x: LinearSystem.of([[(0, 1)], [(1, 1)]], [1, x],
@@ -172,6 +194,9 @@ ENTRY_POINTS = {
         ExistenceError, "identity_4_9 omega", 0,
         lambda x: identity_4_9(_fig8(), fixture("fig8").angles,
                                [0] * 8, [0, 0], [x, 0])),
+    "PerturbationFamily": (
+        PerturbationError, "PerturbationFamily coeffs", 17,
+        _family_ending_in),
     "PerturbationFamily.at": (
         PerturbationError, "PerturbationFamily.at", 0,
         lambda x: _family().at(x)),
@@ -207,13 +232,20 @@ def test_unscaled_returns_the_fractions_alone():
 
 @pytest.mark.parametrize("bad", [True, 0.5])
 def test_gate_takes_ints_and_fractions_in_one_look(bad):
-    # A tuple of ints and Fractions, the form an assignment's or a target's
-    # vector has after its first gate, passes unchanged; a bool or a float
-    # among Fractions still takes the per-entry look and its message.
-    from anglestruct._rational import _gate
+    # A tuple of plain ints comes back as the same object, over 1; ints
+    # mixed with Fractions pass and are scaled over the lcm of the
+    # denominators; a bool or a float among Fractions still takes the
+    # per-entry look and its message.
+    from anglestruct._rational import exact_scaled
+    ints = (0, 3, -2, 5)
+    den, kept = exact_scaled("ints", ints, ValueError)
+    assert den == 1 and kept is ints
+    assert exact_scaled("ints", list(ints), ValueError) == (1, ints)
     mixed = (0, Fraction(1, 3), -2, Fraction(5, 2))
-    assert _gate("mixed", mixed, ValueError) is mixed
-    assert _gate("mixed", list(mixed), ValueError) == mixed
+    assert exact_scaled("mixed", mixed, ValueError) == (6, (0, 2, -12, 15))
+    assert exact_scaled("mixed", list(mixed), ValueError) == \
+        (6, (0, 2, -12, 15))
     with pytest.raises(ValueError, match=re.escape(
             "mixed entry 2 is %r, not an int or a Fraction" % bad)):
-        _gate("mixed", (Fraction(1, 2), 1, bad, Fraction(3)), ValueError)
+        exact_scaled("mixed", (Fraction(1, 2), 1, bad, Fraction(3)),
+                     ValueError)

@@ -201,20 +201,24 @@ VECTOR_ERRORS = {AngleAssignment: AngleStructureError,
 
 
 def test_the_vector_records_are_the_scaled_ones():
+    # The seven records that keep one rational vector are the
+    # ScaledVectors, and none derives its form later: _scaled is no
+    # cached property, as every way of building one keeps it at once.
+    assert len(VECTOR_ERRORS) == 7
     assert sorted(c.__qualname__ for c in RECORDS
                   if issubclass(c, ScaledVector)) == \
         sorted(c.__qualname__ for c in VECTOR_ERRORS)
-    assert [c for c in RECORDS if "_scaled" in _cached_properties(c)] == \
-        [c for c in RECORDS if c in VECTOR_ERRORS]
+    assert not [c for c in RECORDS if "_scaled" in _cached_properties(c)]
+    assert "_scaled" not in vars(ScaledVector)
 
 
 @pytest.mark.parametrize("cls", VECTOR_ERRORS, ids=lambda c: c.__qualname__)
 def test_a_vector_record_keeps_its_scaled_form(cls):
     # _of_scaled builds the record its (den, ints) form stands for, over
     # any multiple of its denominator, and keeps that form reduced; an
-    # inexact entry is refused with the module's error, at construction
-    # or when the form is first derived.  A class whose split is not
-    # fixed (AreaCurvature) is given its first field's length as _cut.
+    # inexact entry is refused with the module's error by the constructor
+    # itself.  A class whose split is not fixed (AreaCurvature) is given
+    # its first field's length as _cut.
     record = SAMPLES[cls]
     fields = dict(zip(cls._fields, _values(record)))
     den, ints = form = cls(**fields)._scaled
@@ -228,8 +232,31 @@ def test_a_vector_record_keeps_its_scaled_form(cls):
     first = next(iter(cls._vector))
     fields[first] = (0.5,) + tuple(fields[first][1:])
     with pytest.raises(VECTOR_ERRORS[cls], match=re.escape(
-            "entry 0 is 0.5, not an int or a Fraction")):
-        cls(**fields)._scaled
+            "%s %s entry 0 is 0.5, not an int or a Fraction"
+            % (cls.__qualname__, first))):
+        cls(**fields)
+
+
+@pytest.mark.parametrize("cls", VECTOR_ERRORS, ids=lambda c: c.__qualname__)
+def test_a_record_built_by_its_fields_keeps_the_scaled_form_alone(cls):
+    # Built by its fields, a vector record holds what _of_scaled holds
+    # right after construction: _scaled (and _cut), no vector field,
+    # which is built from the ints when first read.
+    fields = dict(zip(cls._fields, _values(SAMPLES[cls])))
+    record = cls(**fields)
+    assert "_scaled" in record.__dict__
+    assert not set(cls._vector) & record.__dict__.keys()
+    assert ("_cut" in record.__dict__) == (None in cls._vector.values())
+    assert record.__dict__.keys() == _kept_twin(cls)[0].__dict__.keys()
+    assert record == SAMPLES[cls]
+
+
+def test_a_vector_record_built_from_a_list_hashes():
+    # A vector field given as a list is kept as ints and read back as a
+    # tuple, so the record equals and hashes as the one _of_scaled builds.
+    record, kept = Solution(x=[1, 2]), Solution._of_scaled(1, (1, 2))
+    assert record == kept and hash(record) == hash(kept)
+    assert record.x == (1, 2) and type(record.x) is tuple
 
 
 def _kept_twin(cls):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -216,6 +217,18 @@ def test_insert_flat_tetrahedron_errors():
     with pytest.raises(TriangulationError,
                        match="cannot insert at a single face"):
         insert_flat_tetrahedron(fig8, (0, 0), (0, 0), (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("key,value", [
+    ((0, 0), (0, 1)), ((0, 0), (0, 1, (0, 1, 2, 3), 4)),
+    ((0, 0, 1), (0, 1, (1, 0, 2, 3))), (0, (0, 1, (1, 0, 2, 3))),
+    ((0, 0), 5), ((0, 0), None)])
+def test_malformed_gluing_entries_are_refused(key, value):
+    # A gluing entry is a (tet, face) key and a (tet, face, perm) value;
+    # one of another shape is refused by name, not by a bare unpack error.
+    with pytest.raises(TriangulationError, match=re.escape(
+            "malformed gluing entry %r: %r" % (key, value))):
+        Triangulation(2, {key: value})
 
 
 def test_face_slots_that_do_not_exist_are_refused():
