@@ -16,8 +16,6 @@ from .angle_structures import (
     ac_from_json,
     ac_to_json,
     angles_to_json,
-    area_of_quad,
-    area_of_triangle,
     classify,
     is_flat_pair,
     realized_area_curvature,
@@ -37,7 +35,6 @@ from .existence import (
 from .fixtures import Fixture, FixtureError, fixture, fixture_names
 from .lp_core import (
     Certificate,
-    Infeasible,
     LinearSystem,
     LPError,
     Optimum,

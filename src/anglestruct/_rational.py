@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 # ASCII digits only, with an optional sign on the numerator: int() alone
 # would also take "1_0", non-ASCII digits and inner whitespace.
@@ -73,8 +74,18 @@ class ScaledVector:
     ``_scaled`` is (den, ints), the vector over its least denominator,
     kept alone either way a record is built: by `_of_scaled`, unchecked,
     or by its fields, each gated once by ``__post_init__``.  The
-    Fractions are built when a vector field is first read.
+    Fractions are built when a vector field is first read; equality
+    reads the other fields, ``_scaled`` and ``_cut`` alone.
     """
+
+    def __init_subclass__(cls):
+        # After Record's: its field tuple is known, and this replaces its
+        # equality key.  Least forms are equal exactly when vectors are.
+        super().__init_subclass__()
+        kept = [f for f in cls._fields if f not in cls._vector]
+        kept += ["_scaled", "_cut"] if None in cls._vector.values() \
+            else ["_scaled"]
+        cls._compared = staticmethod(attrgetter(*kept))
 
     @classmethod
     def _of_scaled(cls, den: int, ints, **fields):

@@ -9,7 +9,8 @@ deleting an attribute raises `FrozenInstanceError`, an AttributeError.
 All of this is worked out once per class, when it is made, and no code
 is generated; an instance keeps its fields in its ``__dict__``, beside
 what a `functools.cached_property` derives; a `_rational.ScaledVector`
-keeps its vector's (den, ints) form there in place of its fields.
+keeps its vector's (den, ints) form there in place of its fields, and
+is compared by it, which is equal exactly when the fields are.
 """
 
 from operator import attrgetter
@@ -28,8 +29,9 @@ class Record:
         cls._defaults = {f: vars(cls)[f] for f in names if f in vars(cls)}
         cls._post_init = hasattr(cls, "__post_init__")
         get = attrgetter(*names)
-        cls._values = staticmethod(
+        cls._values = cls._compared = staticmethod(
             get if len(names) > 1 else lambda record: (get(record),))
+        super().__init_subclass__()
 
     def __init__(self, *args, **kwargs):
         if args or kwargs.keys() != self._field_set:
@@ -58,7 +60,7 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
+            return self._compared(self) == other._compared(other)
         return NotImplemented
 
     def __hash__(self):

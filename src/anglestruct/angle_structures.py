@@ -15,8 +15,6 @@ coordinates, reading the corner, edge and quad tallies kept here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._rational import (ScaledVector, exact_scaled, format_vector,
                         parse_scaled)
 from ._record import Record
@@ -67,37 +65,12 @@ class AreaCurvature(Record, ScaledVector):
         return cls(area, curvature)
 
 
-def _check_disk(alpha: AngleAssignment, tet: int, kind: str, index: int,
-                count: int) -> None:
-    if not 0 <= tet < alpha.tet_count:
-        raise AngleStructureError("tetrahedron %d is not among the %d of "
-                                  "the assignment" % (tet, alpha.tet_count))
-    if not 0 <= index < count:
-        raise AngleStructureError("%s %d is not among 0..%d"
-                                  % (kind, index, count - 1))
-
-
-def area_of_triangle(alpha: AngleAssignment, tet: int,
-                     corner: int) -> Fraction:
-    """Corner angle sum minus pi for the triangle cutting off a vertex."""
-    _check_disk(alpha, tet, "corner", corner, 4)
-    den, _, corners = _angle_ints(alpha)
-    return Fraction(corners[4 * tet + corner] - den, den)
-
-
 def _quad_areas(alpha: AngleAssignment) -> tuple:
     """(den, ints): alpha's 3n quad areas over its den.  Quad p crosses
     every edge of its tetrahedron but the pair p, 5 - p."""
     den, a = alpha._scaled
     return den, [sum(a[i:i + 6]) - a[i + p] - a[i + 5 - p] - 2 * den
                  for i in range(0, len(a), 6) for p in range(3)]
-
-
-def area_of_quad(alpha: AngleAssignment, tet: int, quad: int) -> Fraction:
-    """Angle sum over the four crossed edges minus 2*pi."""
-    _check_disk(alpha, tet, "quad type", quad, 3)
-    den, areas = _quad_areas(alpha)
-    return Fraction(areas[3 * tet + quad], den)
 
 
 def _check_size(alpha: AngleAssignment, t: Triangulation,

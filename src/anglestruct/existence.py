@@ -70,7 +70,6 @@ from .lp_core import (
     NONNEG,
     STRICT_POS,
     Certificate,
-    Infeasible,
     LinearSystem,
     Optimum,
     _verified,
@@ -339,8 +338,8 @@ def _decide(t: Triangulation, ac: AreaCurvature, mode: str):
         res = solve_feasibility_strict(sys)
     else:
         res = solve_feasibility_nonneg(sys)
-    if isinstance(res, Infeasible):
-        return _lifted(t, targets, mode, shift, res.certificate._scaled)
+    if isinstance(res, Certificate):
+        return _lifted(t, targets, mode, shift, res._scaled)
     d, xs = res._scaled
     lcd = lcm(d, den)
     fx, fs = lcd // d, lcd // den

@@ -36,8 +36,8 @@ how a strict point is found, not part of the answer.  Minimization may
 start from a known point of the polyhedron, checked exactly against the
 system's ints: phase 1 then prices only the columns of its support, and
 so ends at residue 0, since the point solves that smaller program.  All
-three refuse with one type, Infeasible, whose Farkas vector y a separate
-routine re-verifies by plain recomputation, as int sums over the
+three refuse with one type, the Certificate, whose Farkas vector y a
+separate routine re-verifies by plain recomputation, as int sums over the
 system's int form and against its column signs, which alone say whether
 no x >= 0 or no x > 0 is proved, so no caller has to trust the solver's
 internals or name a mode.
@@ -156,17 +156,16 @@ class Solution(Record, ScaledVector):
     _error = LPError
 
 
-class Infeasible(Record):
-    """A refusal, with a certificate checked against the system's signs."""
-    certificate: Certificate
-
-
 class Optimum(Record, ScaledVector):
     """The least value of the objective and a point x that attains it."""
     value: Fraction
     x: tuple
     _vector = {"x": 1}
     _error = LPError
+
+    def __post_init__(self):
+        exact_scaled("Optimum value", (self.value,), LPError)
+        super().__post_init__()
 
 
 class Unbounded(Record):
@@ -376,12 +375,12 @@ def _verified(sys: LinearSystem, y) -> Certificate:
 def solve_feasibility_nonneg(sys: LinearSystem):
     """Find x with A x = b and x >= 0, or refute it.
 
-    The refutation is a Farkas vector y with A^T y <= 0 and y.b > 0.
+    The refutation is a Certificate: y with A^T y <= 0 and y.b > 0.
     """
     _nonneg(sys)
     res = _solve(sys.scaled_rows, sys.scaled_rhs, (1, (0,) * sys.col_count))
     if res["status"] == "infeasible":
-        return Infeasible(certificate=_verified(sys, res["farkas"]))
+        return _verified(sys, res["farkas"])
     return Solution._of_scaled(*res["x"])
 
 
@@ -393,7 +392,7 @@ def solve_feasibility_strict(sys: LinearSystem):
     program bounded without affecting the sign of the optimum.  A
     positive optimum yields the Solution x = u + epsilon 1, every entry
     at least epsilon; otherwise the dual of the auxiliary program is the
-    certificate of an Infeasible, which may cut with y.b = 0 since every
+    Certificate returned, which may cut with y.b = 0 since every
     column is strict-pos.  The epsilon column of a row is the sum of its
     ints, over the rows' den.
     """
@@ -416,7 +415,7 @@ def solve_feasibility_strict(sys: LinearSystem):
         if eps > 0:
             return Solution._of_scaled(d, [v + eps for v in x[:t]])
         d, y = res["dual"]
-    return Infeasible(certificate=_verified(sys, (d, y[:k])))
+    return _verified(sys, (d, y[:k]))
 
 
 def _checked_start(sys: LinearSystem, start) -> tuple:
@@ -456,7 +455,7 @@ def minimize_linear(objective, sys: LinearSystem, start=None):
         if cols is not None:
             raise LPError("internal error: phase 1 over the start's "
                           "support left a residue")
-        return Infeasible(certificate=_verified(sys, res["farkas"]))
+        return _verified(sys, res["farkas"])
     if res["status"] == "unbounded":
         return Unbounded(ray=unscaled(*res["ray"]))
     return Optimum._of_scaled(*res["x"], value=res["value"])

@@ -136,7 +136,12 @@ class Triangulation:
         self.tet_count = tet_count
         self.name = name
         table = {}
-        for key, value in dict(gluings or {}).items():
+        try:
+            entries = dict(gluings or {}).items()
+        except (TypeError, ValueError):
+            raise TriangulationError("malformed gluing table %r"
+                                     % (gluings,)) from None
+        for key, value in entries:
             try:
                 (i, f), (j, g, perm) = key, value
             except (TypeError, ValueError):

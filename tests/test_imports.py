@@ -64,6 +64,7 @@ it.  An edge class's fold multiplicity is derived once, as
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -241,9 +242,9 @@ def test_angle_sums_are_tallied_in_one_place():
     # re-verification of a solve and the flat-pair check read its ints
     # (the flat-pair check its corner sums, from _angle_ints) and call no
     # sum() of their own; existence and perturbation read no assignment's
-    # _scaled view at all: there _scaled is read off an LP answer (res,
-    # res.certificate) or the perturbation family (fam, self) alone.  The
-    # paper sets no per-corner rule by the vertex link's Euler
+    # _scaled view at all: there _scaled is read off an LP answer (res, a
+    # Solution or a Certificate) or the perturbation family (fam, self)
+    # alone.  The paper sets no per-corner rule by the vertex link's Euler
     # characteristic, and the package keeps none.
     import anglestruct
     from anglestruct import angle_structures
@@ -262,7 +263,7 @@ def test_angle_sums_are_tallied_in_one_place():
                 assert not any(isinstance(node, ast.Name) and
                                node.id == "sum" for node in ast.walk(fn))
     assert len(found) == 3
-    receivers = {"existence.py": {"res", "res.certificate"},
+    receivers = {"existence.py": {"res"},
                  "perturbation.py": {"fam", "self"}}
     for module, allowed in receivers.items():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
@@ -396,17 +397,19 @@ def test_normal_coords_owns_the_coordinate_layout():
 
 
 def test_no_second_name_for_a_value_the_package_holds():
-    # A strict refusal is an Infeasible and a strict point a Solution,
-    # like every other, with no margin restating min(x); the census is
-    # the tuple of triples; a flat tetrahedron's creases are always
-    # tet-edges 0 and 5; the basis's edge classes are t.edge_classes; and
-    # an assignment or a coordinate is read through its tuples, where an
-    # accessor that took an index past a tetrahedron's end answered with
-    # the next tetrahedron's entry.  An edge's curvature is read off
-    # realized_area_curvature, and a triangle area's slope along a
-    # perturbation is its area at 1 minus its area at 0.  Corollary 2's
-    # report says whether its hypothesis holds by its reason, and whether
-    # each side holds by the type of that side's result.
+    # Every refusal is its Certificate, with no record wrapping it, and a
+    # strict point a Solution, like every other, with no margin restating
+    # min(x); the census is the tuple of triples; a flat tetrahedron's
+    # creases are always tet-edges 0 and 5; the basis's edge classes are
+    # t.edge_classes; and an assignment or a coordinate is read through
+    # its tuples, where an accessor that took an index past a
+    # tetrahedron's end answered with the next tetrahedron's entry.  An
+    # edge's curvature is read off realized_area_curvature, and a
+    # triangle area's slope along a perturbation is its area at 1 minus
+    # its area at 0; a triangle's area is read off it too, and a quad's
+    # off _quad_areas, with no accessor by index beside them.  Corollary
+    # 2's report says whether its hypothesis holds by its reason, and
+    # whether each side holds by the type of that side's result.
     import anglestruct
     from anglestruct import (AngleAssignment, EquivalenceReport,
                              FlatTetrahedron, NormalCoordinate,
@@ -428,6 +431,15 @@ def test_no_second_name_for_a_value_the_package_holds():
     assert not hasattr(anglestruct, "curvature")
     assert not hasattr(angle_structures, "curvature")
     assert not hasattr(PerturbationFamily, "triangle_area_slope")
+    gone = {"Infeasible", "area_of_triangle", "area_of_quad", "_check_disk"}
+    for path in [PACKAGE / "__init__.py", *MODULES]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {n.name for n in ast.walk(tree) if isinstance(
+            n, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & gone, path.name
+    for module in [anglestruct, *(importlib.import_module(
+            "anglestruct." + path.stem) for path in MODULES)]:
+        assert not any(hasattr(module, name) for name in gone), module
 
 
 def test_a_certificate_is_checked_against_its_systems_signs():

@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from oracles import scaled
-from anglestruct import (AngleAssignment, Infeasible, LinearSystem,
-                         Optimum, Solution, Unbounded, find_angle_structure,
+from anglestruct import (AngleAssignment, LinearSystem, Optimum,
+                         Solution, Unbounded, find_angle_structure,
                          find_semi_angle_structure, fixture, minimize_linear,
                          realized_area_curvature, solve_feasibility_nonneg,
                          solve_feasibility_strict, verify_certificate)
@@ -39,8 +39,8 @@ def test_feasibility_simple_cases():
 
     sys2 = oracles.dense_system([[1, 1]], [-1], [NONNEG, NONNEG])
     res2 = solve_feasibility_nonneg(sys2)
-    assert isinstance(res2, Infeasible)
-    y = res2.certificate.y
+    assert isinstance(res2, Certificate)
+    y = res2.y
     assert verify_certificate(sys2, y)
     # the canonical refutation: both columns weighted down, y.b positive
     assert sum(yi * bi for yi, bi in zip(y, sys2.rhs)) > 0
@@ -68,8 +68,8 @@ def test_strict_feasibility_simple_cases():
     sys2 = oracles.dense_system([[1, 0], [0, 1], [1, 1]], [1, -1, 0],
                                 [STRICT_POS, STRICT_POS])
     res2 = solve_feasibility_strict(sys2)
-    assert isinstance(res2, Infeasible)
-    assert verify_certificate(sys2, res2.certificate.y)
+    assert isinstance(res2, Certificate)
+    assert verify_certificate(sys2, res2.y)
 
 
 def test_strict_feasibility_boundary_of_cone():
@@ -80,8 +80,8 @@ def test_strict_feasibility_boundary_of_cone():
                                [1, 0, 1],
                                [STRICT_POS, STRICT_POS, STRICT_POS])
     res = solve_feasibility_strict(sys)
-    assert isinstance(res, Infeasible)
-    assert verify_certificate(sys, res.certificate.y)
+    assert isinstance(res, Certificate)
+    assert verify_certificate(sys, res.y)
 
 
 def test_minimize_examples():
@@ -97,8 +97,8 @@ def test_minimize_examples():
     infeasible = oracles.dense_system([[1, 1], [1, 1]], [1, 2],
                                       [NONNEG, NONNEG])
     res4 = minimize_linear([F(1), F(1)], infeasible)
-    assert isinstance(res4, Infeasible)
-    assert verify_certificate(infeasible, res4.certificate.y)
+    assert isinstance(res4, Certificate)
+    assert verify_certificate(infeasible, res4.y)
 
     for objective in ([F(1)], [F(1)] * 3):
         with pytest.raises(LPError, match="objective length does not "
@@ -112,7 +112,7 @@ def test_verify_certificate_rejects_junk():
     assert not verify_certificate(sys, [F(0)])
     assert not verify_certificate(strict, [F(0)])
     assert not verify_certificate(sys, [F(1)])  # A^T y > 0
-    good = solve_feasibility_nonneg(sys).certificate.y
+    good = solve_feasibility_nonneg(sys).y
     assert verify_certificate(sys, good)
     # a certificate of the wrong shape is simply not valid
     assert not verify_certificate(sys, [F(1), F(1)])
@@ -129,9 +129,9 @@ def test_a_certificate_answers_its_own_systems_question():
     assert not verify_certificate(nonneg, [-1])
     assert verify_certificate(strict, [-1])
     refused = solve_feasibility_strict(strict)
-    assert isinstance(refused, Infeasible)
-    assert verify_certificate(strict, refused.certificate.y)
-    assert not verify_certificate(nonneg, refused.certificate.y)
+    assert isinstance(refused, Certificate)
+    assert verify_certificate(strict, refused.y)
+    assert not verify_certificate(nonneg, refused.y)
     mixed = [NONNEG, STRICT_POS]
     assert not verify_certificate(LinearSystem.of([[(0, 1)]], [0], mixed),
                                   [-1])
@@ -226,7 +226,7 @@ def test_feasibility_agrees_with_brute_force_on_small_systems():
         if isinstance(res, Solution):
             check_solution(sys, res.x)
         else:
-            assert verify_certificate(sys, res.certificate.y)
+            assert verify_certificate(sys, res.y)
 
 
 def test_minimize_agrees_with_brute_force_on_small_systems():
@@ -238,7 +238,7 @@ def test_minimize_agrees_with_brute_force_on_small_systems():
         res = minimize_linear(obj, sys)
         status, value = oracles.bf_minimize(obj, sys)
         if status == "infeasible":
-            assert isinstance(res, Infeasible), (trial, sys)
+            assert isinstance(res, Certificate), (trial, sys)
         elif status == "unbounded":
             assert isinstance(res, Unbounded), (trial, sys)
             ray = res.ray
@@ -272,7 +272,7 @@ def test_strict_agrees_with_brute_force_on_bounded_systems():
         if isinstance(res, Solution):
             check_solution(sys, res.x)
         else:
-            assert verify_certificate(sys, res.certificate.y)
+            assert verify_certificate(sys, res.y)
         done += 1
 
 
@@ -337,15 +337,15 @@ def test_slack_start_agrees_with_brute_force_on_singleton_columns(
             if isinstance(res, Solution):
                 check_solution(sys, res.x)
             else:
-                assert verify_certificate(sys, res.certificate.y)
+                assert verify_certificate(sys, res.y)
             obj = [F(rng.randint(-3, 3)) for _ in range(cols)]
             res = minimize_linear(obj, sys)
             status, value = oracles.bf_minimize(obj, sys)
-            assert type(res) is {"infeasible": Infeasible,
+            assert type(res) is {"infeasible": Certificate,
                                  "unbounded": Unbounded,
                                  "optimal": Optimum}[status], (trial, sys)
             if status == "infeasible":
-                assert verify_certificate(sys, res.certificate.y)
+                assert verify_certificate(sys, res.y)
             elif status == "optimal":
                 assert res.value == value == dot(obj, res.x)
                 check_solution(sys, res.x)
@@ -420,7 +420,7 @@ def test_answers_keep_the_scaled_form_they_were_read_out_of():
                 assert res._scaled == scaled(res.x)
             else:
                 kept.add("y")
-                res, again = res.certificate, Certificate(y=res.certificate.y)
+                again = Certificate(y=res.y)
                 assert res._scaled == scaled(res.y)
             assert res == again and hash(res) == hash(again)
     assert kept == {"x", "y"}
@@ -451,9 +451,9 @@ def test_integer_certificate_check_agrees_with_the_fraction_one():
                     for _ in range(k))]
         for res in (solve_feasibility_nonneg(nonneg),
                     solve_feasibility_strict(strict)):
-            if isinstance(res, Infeasible):
-                ys += [res.certificate.y,
-                       tuple(-v for v in res.certificate.y)]
+            if isinstance(res, Certificate):
+                ys += [res.y,
+                       tuple(-v for v in res.y)]
         for y in ys:
             split = verify_certificate(nonneg, y) != \
                 verify_certificate(strict, y)
@@ -515,10 +515,10 @@ def test_updated_row_is_reduced_by_its_gcd():
                                [NONNEG] * 3)
     res = solve_feasibility_nonneg(bad)
     assert not oracles.bf_feasible(bad)
-    assert res == Infeasible(certificate=Certificate(y=(F(1), F(-1, 2))))
+    assert res == Certificate(y=(F(1), F(-1, 2)))
     assert oracles.fraction_simplex(oracles.fraction_rows(bad), bad.rhs,
                                     [F(0)] * 3)["farkas"] == (F(1), F(-1, 2))
-    assert verify_certificate(bad, res.certificate.y)
+    assert verify_certificate(bad, res.y)
 
 
 def test_a_start_off_the_polyhedron_is_refused():

@@ -5,14 +5,15 @@ import pytest
 
 from oracles import scaled
 from anglestruct import (AngleAssignment, NormalCoordinate, Triangulation,
-                         area_of_quad, build_edge_classes,
-                         build_vertex_classes, chi_star,
+                         build_edge_classes, build_vertex_classes, chi_star,
                          combine, compatibility_system, decompose, fixture,
                          fixture_names, is_ideal_triangulation,
                          is_in_solution_space, solution_space_basis,
                          z_functional)
 from anglestruct.normal_coords import (_QUAD_AT, NormalCoordinateError,
                                        quad_type_at_arc)
+from anglestruct._rational import unscaled
+from anglestruct.angle_structures import _quad_areas
 from anglestruct.triangulation import EDGE_INDEX
 
 
@@ -51,7 +52,7 @@ def test_quad_edges_are_the_four_edges_missed_by_the_pair():
     for i in range(2):
         for p in range(3):
             crossed = set(range(6)) - {p, 5 - p}
-            assert area_of_quad(alpha, i, p) == \
+            assert unscaled(*_quad_areas(alpha))[3 * i + p] == \
                 sum(alpha.angles[6 * i + k] for k in crossed) - 2
 
 

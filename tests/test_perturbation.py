@@ -14,8 +14,6 @@ import pytest
 
 from anglestruct.angle_structures import (
     AngleAssignment,
-    AngleStructureError,
-    area_of_triangle,
     classify,
     realized_area_curvature,
 )
@@ -38,7 +36,12 @@ def flat_alone_assignment() -> AngleAssignment:
     return AngleAssignment.from_vector(1, vec)
 
 
-def oracle_t_max(fam) -> Fraction:
+def areas(alpha, t) -> tuple:
+    """alpha's 4n triangle areas on t, tet-major."""
+    return realized_area_curvature(alpha, t).area
+
+
+def oracle_t_max(fam, t) -> Fraction:
     """Rebuild the safe range from evaluated assignments only.
 
     Every constraint (each angle in (0, pi), each triangle area below
@@ -55,12 +58,10 @@ def oracle_t_max(fam) -> Fraction:
             bounds.append((1 - a0) / slope)
         elif slope < 0:
             bounds.append(a0 / -slope)
-    for tet in range(base.tet_count):
-        for corner in range(4):
-            f0 = area_of_triangle(base, tet, corner)
-            slope = area_of_triangle(probe, tet, corner) - f0
-            if slope > 0:
-                bounds.append(-f0 / slope)
+    for f0, f1 in zip(areas(base, t), areas(probe, t)):
+        slope = f1 - f0
+        if slope > 0:
+            bounds.append(-f0 / slope)
     return min(bounds) if bounds else Fraction(1)
 
 
@@ -184,34 +185,20 @@ def test_flat_triangle_area_slope_is_minus_one():
     # corners of the inserted tetrahedron: two zero coefficients +1 and
     # one pi coefficient -3 meet at every corner; areas are affine in t,
     # so the slope is the area at 1 minus the area at 0
+    at1, at0 = (areas(fam.at(s), fx.triangulation) for s in (1, 0))
     for corner in range(4):
-        assert area_of_triangle(fam.at(1), 2, corner) - \
-            area_of_triangle(fam.at(0), 2, corner) == -1
-
-
-@pytest.mark.parametrize("tet, corner", ((0, -1), (0, 4), (3, 0)))
-def test_triangle_area_slope_refuses_a_corner_past_the_assignment(tet,
-                                                                  corner):
-    # The slope is read from the family's points; an unchecked index into
-    # their 4n corners would answer another tetrahedron's corner.
-    fx = fixture("fig8-flat1")
-    fam = build_perturbation(fx.angles, fx.triangulation)
-    for t in (0, 1):
-        with pytest.raises(AngleStructureError, match="is not among"):
-            area_of_triangle(fam.at(t), tet, corner)
+        assert at1[4 * 2 + corner] - at0[4 * 2 + corner] == -1
 
 
 def test_triangle_area_slope_matches_sampled_areas():
     fx = fixture("fig8-flat2")
     fam = build_perturbation(fx.angles, fx.triangulation)
     t = Fraction(1, 7)
-    moved = fam.at(t)
-    for tet in range(fx.triangulation.tet_count):
-        for corner in range(4):
-            base_area = area_of_triangle(fx.angles, tet, corner)
-            slope = area_of_triangle(fam.at(1), tet, corner) - \
-                area_of_triangle(fam.at(0), tet, corner)
-            assert area_of_triangle(moved, tet, corner) == base_area + slope * t
+    base, at0, at1, moved = (areas(alpha, fx.triangulation) for alpha in
+                             (fx.angles, fam.at(0), fam.at(1), fam.at(t)))
+    assert len(moved) == 4 * fx.triangulation.tet_count
+    for c, area in enumerate(moved):
+        assert area == base[c] + (at1[c] - at0[c]) * t
 
 
 @pytest.mark.parametrize("name,t_max", [
@@ -222,7 +209,7 @@ def test_max_parameter_frozen_values(name, t_max):
     fx = fixture(name)
     fam = build_perturbation(fx.angles, fx.triangulation)
     assert max_perturbation_parameter(fam) == t_max
-    assert oracle_t_max(fam) == t_max
+    assert oracle_t_max(fam, fx.triangulation) == t_max
 
 
 def test_max_parameter_constant_family_defaults_to_one():
@@ -230,7 +217,7 @@ def test_max_parameter_constant_family_defaults_to_one():
     fam = build_perturbation(fx.angles, fx.triangulation)
     assert set(fam.coeffs) == {Fraction(0)}
     assert max_perturbation_parameter(fam) == 1
-    assert oracle_t_max(fam) == 1
+    assert oracle_t_max(fam, fx.triangulation) == 1
 
 
 def test_sampling_inside_at_and_beyond_the_safe_range():
@@ -273,7 +260,7 @@ def test_apply_postconditions(name, t_star):
     # flat triangles land at area exactly -t*
     for tet in range(2, fx.triangulation.tet_count):
         for corner in range(4):
-            assert area_of_triangle(new, tet, corner) == -t_star
+            assert ac.area[4 * tet + corner] == -t_star
 
 
 def test_apply_output_target_is_strictly_realizable():

@@ -165,6 +165,8 @@ ENTRY_POINTS = {
         LPError, "Solution x", 1, lambda x: Solution(x=(Fraction(1, 2), x))),
     "Optimum": (
         LPError, "Optimum x", 0, lambda x: Optimum(value=0, x=(x,))),
+    "Optimum-value": (
+        LPError, "Optimum value", 0, lambda x: Optimum(value=x, x=(0,))),
     "LinearSystem.of-rhs": (
         LPError, "LinearSystem.of rhs", 1,
         lambda x: LinearSystem.of([[(0, 1)], [(1, 1)]], [1, x],

@@ -225,10 +225,15 @@ def test_insert_flat_tetrahedron_errors():
     ((0, 0), 5), ((0, 0), None)])
 def test_malformed_gluing_entries_are_refused(key, value):
     # A gluing entry is a (tet, face) key and a (tet, face, perm) value;
-    # one of another shape is refused by name, not by a bare unpack error.
+    # one of another shape is refused by name, not by a bare unpack error,
+    # and so is a table that is neither a mapping nor a list of pairs.
     with pytest.raises(TriangulationError, match=re.escape(
             "malformed gluing entry %r: %r" % (key, value))):
         Triangulation(2, {key: value})
+    for table in (5, "ab"):
+        with pytest.raises(TriangulationError, match=re.escape(
+                "malformed gluing table %r" % (table,))):
+            Triangulation(1, table)
 
 
 def test_face_slots_that_do_not_exist_are_refused():
