@@ -34,9 +34,13 @@ _EXACT = frozenset([int, Fraction])
 def exact_scaled(where: str, values, error) -> tuple:
     """(den, ints): values over the lcm of their denominators, once each
     is an int or a Fraction; ints come back as they are, over 1.  A bool,
-    a float or anything else raises error, naming where and its index.
+    a float or anything else raises error, naming where and its index,
+    as do values that are no sequence, naming where and values.
     The den is the least: each Fraction is in its least terms."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise error("%s is %r, not a sequence" % (where, values)) from None
     types = set(map(type, values))
     if types <= _INT:
         return 1, values

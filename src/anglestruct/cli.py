@@ -11,8 +11,10 @@ indent would take json's pure-Python encoder.  json itself only reads.
 
 Every report holds the header keys "schema" ("v1"), "command" and
 "exit_code" (0), plus "inputs" (basename and sha256 of each file read)
-when the command reads files.  A file that is not UTF-8 text is refused
-as "PATH: not a UTF-8 text file", gluing table and JSON file alike.
+when the command reads files: one loader, `_load_inputs`, reads and
+digests them all by `_READERS`, and the handler takes their values.  A
+file that is not UTF-8 text is refused as "PATH: not a UTF-8 text
+file", gluing table and JSON file alike.
 
 Exit codes: 0 = decided (an attached infeasibility certificate is a
 decision), 1 = invalid input, 2 = precondition or usage error.
@@ -74,7 +76,7 @@ class _InputError(Exception):
 
 
 def _load(path: str, parse):
-    """parse(text) of the UTF-8 file at path and its digest, or _InputError."""
+    """parse(path, text) of the file at path and its digest, or _InputError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -85,20 +87,21 @@ def _load(path: str, parse):
     except UnicodeDecodeError:
         raise _InputError("%s: not a UTF-8 text file" % path)
     try:
-        parsed = parse(text)
+        parsed = parse(path, text)
     except (ValueError, RecursionError) as err:
         raise _InputError("%s: %s" % (path, err))
     return parsed, {"path": os.path.basename(path),
                     "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _load_triangulation(path: str):
-    name = os.path.splitext(os.path.basename(path))[0]
-    return _load(path, lambda text: parse_triangulation(text, name=name))
-
-
-def _load_json(path: str, reader):
-    return _load(path, lambda text: reader(json.loads(text)))
+# Each file positional's reader: its path and text to its value.
+_READERS = {
+    "triangulation": lambda path, text: parse_triangulation(
+        text, name=os.path.splitext(os.path.basename(path))[0]),
+    "ac": lambda path, text: ac_from_json(json.loads(text)),
+    "angles": lambda path, text: AngleAssignment._of_scaled(
+        *angle_vector_from_json(json.loads(text))),
+}
 
 
 def _check_sizes(args, t, path, record):
@@ -111,12 +114,18 @@ def _check_sizes(args, t, path, record):
                 path, field, len(values), args.triangulation, need))
 
 
-def _load_angles(args, t):
-    """The angle file's assignment, kept as ints, its size checked."""
-    form, digest = _load_json(args.angles, angle_vector_from_json)
-    alpha = AngleAssignment._of_scaled(*form)
-    _check_sizes(args, t, args.angles, alpha)
-    return alpha, digest
+def _load_inputs(args) -> list:
+    """The values of the command's files, read in argv order, each digest
+    kept in args.inputs, each data file's sizes checked against the first."""
+    args.inputs, values = {}, []
+    for arg, _ in _COMMANDS[args.command][2]:
+        if arg in _READERS:
+            path = getattr(args, arg)
+            value, args.inputs[arg] = _load(path, _READERS[arg])
+            if values:
+                _check_sizes(args, values[0], path, value)
+            values.append(value)
+    return values
 
 
 def _json_text(obj) -> str:
@@ -185,8 +194,10 @@ def _write_text(path: str, text: str) -> None:
 
 def _emit(args, body: dict, lines) -> None:
     """Write body under the report header every command shares."""
-    text = _json_text(dict(body, schema="v1", command=args.command,
-                           exit_code=EXIT_OK))
+    report = dict(body, schema="v1", command=args.command, exit_code=EXIT_OK)
+    if args.inputs:
+        report["inputs"] = args.inputs
+    text = _json_text(report)
     if args.out:
         _write_text(args.out, text)
     if args.json:
@@ -216,8 +227,7 @@ def _triangulation_summary(t: Triangulation) -> dict:
     }
 
 
-def cmd_validate(args) -> None:
-    t, dig = _load_triangulation(args.triangulation)
+def cmd_validate(args, t) -> None:
     summary = _triangulation_summary(t)
     lines = [
         "valid triangulation: %d tetrahedra, %d boundary faces"
@@ -235,15 +245,13 @@ def cmd_validate(args) -> None:
         "orientable: %s, ideal: %s"
         % (summary["orientable"], summary["ideal"]),
     ]
-    _emit(args, dict(summary, inputs={"triangulation": dig}), lines)
+    _emit(args, summary, lines)
 
 
-def cmd_analyze(args) -> None:
-    t, dig = _load_triangulation(args.triangulation)
-    summary = _triangulation_summary(t)
+def cmd_analyze(args, t) -> None:
+    report = _triangulation_summary(t)
     csys = t.compatibility_system
     solution_dim = csys.columns - csys.rank
-    report = dict(summary, inputs={"triangulation": dig})
     report["compatibility"] = {
         "rows": len(csys.arcs), "columns": csys.columns,
         "solution_space_dim": solution_dim,
@@ -266,8 +274,8 @@ def cmd_analyze(args) -> None:
     }
     lines = [
         "%d tetrahedra, %d edge classes, %d vertex classes"
-        % (summary["tet_count"], len(summary["edge_classes"]),
-           len(summary["vertex_classes"])),
+        % (report["tet_count"], len(report["edge_classes"]),
+           len(report["vertex_classes"])),
         "compatibility system: %d rows x %d columns, solution space "
         "dimension %d" % (report["compatibility"]["rows"],
                           report["compatibility"]["columns"], solution_dim),
@@ -279,15 +287,11 @@ def cmd_analyze(args) -> None:
     _emit(args, report, lines)
 
 
-def cmd_solve(args) -> None:
-    t, dig_t = _load_triangulation(args.triangulation)
-    ac, dig_ac = _load_json(args.ac, ac_from_json)
-    _check_sizes(args, t, args.ac, ac)
+def cmd_solve(args, t, ac) -> None:
     finder = find_angle_structure if args.mode == "strict" \
         else find_semi_angle_structure
     result = finder(t, ac)
-    report = {"mode": args.mode,
-              "inputs": {"triangulation": dig_t, "ac": dig_ac}}
+    report = {"mode": args.mode}
     if isinstance(result, AngleAssignment):
         report["result"] = "assignment"
         report["assignment"] = angles_to_json(result)
@@ -307,12 +311,9 @@ def cmd_solve(args) -> None:
     _emit(args, report, lines)
 
 
-def cmd_certify(args) -> None:
-    t, dig_t = _load_triangulation(args.triangulation)
-    alpha, dig_a = _load_angles(args, t)
+def cmd_certify(args, t, alpha) -> None:
     result = certify_condition2(t, alpha)
-    report = {"inputs": {"triangulation": dig_t, "angles": dig_a},
-              "optimum": format_rational(result.optimum)}
+    report = {"optimum": format_rational(result.optimum)}
     if isinstance(result, Holds):
         report["result"] = "holds"
         report["vacuous"] = False  # the quad slice is never empty
@@ -326,12 +327,9 @@ def cmd_certify(args) -> None:
     _emit(args, report, lines)
 
 
-def cmd_perturb(args) -> None:
-    t, dig_t = _load_triangulation(args.triangulation)
-    alpha, dig_a = _load_angles(args, t)
+def cmd_perturb(args, t, alpha) -> None:
     res = apply_theorem3(alpha, t)
-    report = {"inputs": {"triangulation": dig_t, "angles": dig_a},
-              "census": [{"edge_class": j, "zero": c[0], "pi": c[1],
+    report = {"census": [{"edge_class": j, "zero": c[0], "pi": c[1],
                           "interior": c[2]}
                          for j, c in enumerate(res.family.census)],
               "t_max": format_rational(res.t_max),
@@ -472,7 +470,7 @@ def main(argv=None) -> int:
     args = _parse(argv)
     start = time.monotonic()
     try:
-        args.func(args)
+        args.func(args, *_load_inputs(args))
     except _InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -5,12 +5,12 @@ cycle-free), exact and with no floating point anywhere.  A system is
 held once as ints: its rows over one positive denominator and its rhs
 over another.  Two doors lead to that form: `LinearSystem.of`, through
 `_rational`'s gate, and the ungated `_of_ints`, for the package's rows.
-Answers are fractions.Fraction, built when first read: x and the
-Farkas vector are kept in the (den, ints) form they are read off in,
+Answers are fractions.Fraction, built when first read: x, the ray and
+the Farkas vector are kept in the (den, ints) form they are read off in,
 reduced, as the ``_scaled`` of `_rational.ScaledVector`, for the
-package's readers, and a Solution, an Optimum or a Certificate builds
-their Fractions by `_rational.unscaled` when a field is first read;
-the optimum is a Fraction from the start.  The tableau is
+package's readers, and a Solution, an Optimum, an Unbounded or a
+Certificate builds their Fractions by `_rational.unscaled` when a field
+is first read; the optimum is a Fraction from the start.  The tableau is
 fraction-free and sparse, each row a dict of its nonzero ints whose
 entry at the row's basic column is its positive denominator.  A pivot
 is `_linalg`'s elimination step, the one the echelon form takes, and
@@ -85,7 +85,11 @@ class LinearSystem(Record):
         """Pairs on the same column add up, and zero sums are dropped.
         Coefficients and rhs entries are ints or Fractions."""
         bden, b = exact_scaled("LinearSystem.of rhs", rhs, LPError)
-        sg = tuple(signs)
+        try:
+            rows, sg = tuple(rows), tuple(signs)
+        except TypeError:
+            raise LPError("LinearSystem.of takes a sequence of rows and one "
+                          "of signs, not %r and %r" % (rows, signs)) from None
         if len(rows) != len(b):
             raise LPError("row count does not match rhs length")
         for s in sg:
@@ -94,11 +98,16 @@ class LinearSystem(Record):
         ncols = len(sg)
         dens, sums = [], []
         for r, pairs in enumerate(rows):
-            pairs = tuple(pairs)
-            d, values = exact_scaled("LinearSystem.of row %d" % r,
-                                     [v for _, v in pairs], LPError)
+            where = "LinearSystem.of row %d" % r
+            try:
+                pairs = tuple(pairs)
+                cols = [c for c, _ in pairs]
+            except (TypeError, ValueError):
+                raise LPError("%s is %r, not (column, value) pairs"
+                              % (where, pairs)) from None
+            d, values = exact_scaled(where, [v for _, v in pairs], LPError)
             row = {}
-            for (c, _), v in zip(pairs, values):
+            for c, v in zip(cols, values):
                 if not (type(c) is int and 0 <= c < ncols):
                     raise LPError("no column %r" % (c,))
                 row[c] = row.get(c, 0) + v
@@ -168,9 +177,11 @@ class Optimum(Record, ScaledVector):
         super().__post_init__()
 
 
-class Unbounded(Record):
+class Unbounded(Record, ScaledVector):
     """A ray along which the objective falls without bound."""
     ray: tuple
+    _vector = {"ray": 1}
+    _error = LPError
 
 
 def _pivot(rows, basis, r: int, j: int) -> None:
@@ -457,7 +468,7 @@ def minimize_linear(objective, sys: LinearSystem, start=None):
                           "support left a residue")
         return _verified(sys, res["farkas"])
     if res["status"] == "unbounded":
-        return Unbounded(ray=unscaled(*res["ray"]))
+        return Unbounded._of_scaled(*res["ray"])
     return Optimum._of_scaled(*res["x"], value=res["value"])
 
 

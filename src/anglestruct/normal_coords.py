@@ -78,11 +78,12 @@ class NormalCoordinate(Record, ScaledVector):
     _error = NormalCoordinateError
 
     def __post_init__(self):
-        if 4 * len(self.quads) != 3 * len(self.tris):
+        quads, tris = self.quads, self.tris
+        super().__post_init__()  # first: it refuses a non-sequence
+        if 4 * len(quads) != 3 * len(tris):
             raise NormalCoordinateError(
                 "%d quads and %d triangles are not 3n and 4n"
-                % (len(self.quads), len(self.tris)))
-        super().__post_init__()
+                % (len(quads), len(tris)))
 
     @classmethod
     def zero(cls, tet_count: int):

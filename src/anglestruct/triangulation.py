@@ -80,8 +80,12 @@ def _perm(p):
     """The tuple of p's entries, once checked to be a permutation of 0123.
     A bool or a float hashes like an int, so each entry's type is checked,
     as _check_slot checks each index's."""
-    perm = tuple(p)
-    if not all(type(x) is int for x in perm) or perm not in _INVERSE:
+    try:
+        perm = tuple(p)
+    except TypeError:
+        perm = p  # no sequence: refused below, by name
+    if type(perm) is not tuple or not all(type(x) is int for x in perm) \
+            or perm not in _INVERSE:
         raise TriangulationError("not a permutation of 0123: %r" % (perm,))
     return perm
 
@@ -512,7 +516,11 @@ def insert_flat_tetrahedron(t: Triangulation, face_a, face_b, matching):
     Returns the enlarged triangulation together with a FlatTetrahedron
     record naming the new tetrahedron; a face slot t lacks is refused.
     """
-    (i, fa), (j, fb) = face_a, face_b
+    try:
+        (i, fa), (j, fb) = face_a, face_b
+    except (TypeError, ValueError):
+        raise TriangulationError("malformed faces %r and %r"
+                                 % (face_a, face_b)) from None
     glu_a = t.gluing(i, fa)  # first, so that a slot t lacks is refused
     glu_b = t.gluing(j, fb)
     if face_a == face_b:

@@ -897,6 +897,45 @@ def test_every_report_carries_the_shared_header(capsys, monkeypatch,
     assert outcome(capsys, argv + ["--json"]) == narrowed
 
 
+def test_readers_name_exactly_the_file_positionals():
+    # One table says how each input file is read: every positional of a
+    # command that reads files, the gluing table first, and none of
+    # fixtures', which names a fixture and a directory to write to.
+    positionals = {name: [arg for arg, _ in arguments if arg[0] != "-"]
+                   for name, (_, _, arguments) in cli._COMMANDS.items()}
+    assert positionals.pop("fixtures") == ["name", "dir"]
+    assert {files[0] for files in positionals.values()} == {"triangulation"}
+    assert set(cli._READERS) == {
+        arg for files in positionals.values() for arg in files}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "fig8.tri"],
+    ["analyze", "fig8.tri"],
+    ["solve", "fig8.tri", "fig8.ac.json"],
+    ["certify", "fig8.tri", "fig8.angles.json"],
+    ["perturb", "fig8-flat1.tri", "fig8-flat1.angles.json"],
+], ids=" ".join)
+def test_report_inputs_digest_the_bytes_of_each_file_read(capsys, tmp_path,
+                                                          argv):
+    # Each file is named under its positional by its basename and the
+    # sha256 of its bytes as read, not of its parsed or reprinted form.
+    for name in ("fig8", "fig8-flat1"):
+        write_fixture(capsys, tmp_path, name)
+    for path in tmp_path.iterdir():  # bytes no writer of the package gives
+        path.write_bytes(path.read_bytes() + b"\n")
+    paths = [str(tmp_path / name) for name in argv[1:]]
+    code, out, _ = run(capsys, argv[:1] + paths + ["--json"])
+    assert code == 0
+    positionals = [arg for arg, _ in cli._COMMANDS[argv[0]][2]
+                   if arg[0] != "-"]
+    assert json.loads(out)["inputs"] == {
+        arg: {"path": name,
+              "sha256": hashlib.sha256(
+                  (tmp_path / name).read_bytes()).hexdigest()}
+        for arg, name in zip(positionals, argv[1:])}
+
+
 @pytest.mark.parametrize("command,name", [("solve", "binary.ac.json"),
                                           ("certify", "binary.angles.json")])
 def test_non_utf8_json_file_is_input_error(capsys, tmp_path, command, name):

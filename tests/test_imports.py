@@ -319,7 +319,9 @@ def test_the_normal_surface_layer_has_no_boundary_branch():
 def test_cli_handlers_leave_the_header_to_emit():
     # cli._emit adds "schema", "command" and "exit_code" to the body each
     # cmd_* hands it, and main returns EXIT_OK once the handler returns,
-    # so no handler spells the header or an exit code of its own.
+    # so no handler spells the header or an exit code of its own.  The
+    # handlers take their files' values from main: none reads a file or
+    # a reader, and the digests under "inputs" are _emit's to write.
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     handlers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
                 and fn.name.startswith("cmd_")]
@@ -327,7 +329,12 @@ def test_cli_handlers_leave_the_header_to_emit():
     for fn in handlers:
         for node in ast.walk(fn):
             assert not (isinstance(node, ast.Constant)
-                        and node.value == "schema"), fn.name
+                        and node.value in ("schema", "inputs")), fn.name
+            assert not (isinstance(node, ast.Name) and (
+                node.id.startswith("_load")
+                or node.id in ("_READERS", "open"))), fn.name
+            assert "inputs" not in (getattr(node, "arg", None),
+                                    getattr(node, "attr", None)), fn.name
             assert not (isinstance(node, ast.Name)
                         and node.id == "EXIT_OK"), fn.name
             assert not (isinstance(node, ast.Return)
@@ -354,7 +361,7 @@ def test_triangulation_reads_its_tables():
     assert {"gluing", "glued_pairs", "edge_classes"} <= methods
     assert not methods & {n.attr for n in fns["_walk"]
                           if isinstance(n, ast.Attribute)}
-    for name in ("cmd_certify", "_load_angles"):
+    for name in ("cmd_certify", "_load_inputs"):
         assert "edge_classes" not in {
             n.attr for n in fns[name] if isinstance(n, ast.Attribute)}, name
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,23 @@ def test_linear_system_rows_are_sorted_nonzero_pairs():
     halves = LinearSystem.of([[(0, F(1, 2)), (0, F(1, 2))]], [1], [NONNEG])
     assert halves == LinearSystem.of([[(0, 1)]], [1], [NONNEG])
     assert halves.scaled_rows == (1, (((0, 1),),))
+
+
+@pytest.mark.parametrize("rows,signs,message", [
+    (5, [NONNEG], "LinearSystem.of takes a sequence of rows and one of "
+                  "signs, not 5 and ['nonneg']"),
+    ([[5]], [NONNEG], "LinearSystem.of row 0 is (5,), not (column, value) "
+                      "pairs"),
+    ([[(0,)]], [NONNEG], "LinearSystem.of row 0 is ((0,),), not (column, "
+                         "value) pairs"),
+    ([[(0, 1)]], 5, "LinearSystem.of takes a sequence of rows and one of "
+                    "signs, not [[(0, 1)]] and 5"),
+], ids=["rows", "pair", "short-pair", "signs"])
+def test_linear_system_of_refuses_a_malformed_shape(rows, signs, message):
+    # Rows of (column, value) pairs and a sequence of signs, or LPError
+    # naming the row, not a bare TypeError or unpacking ValueError.
+    with pytest.raises(LPError, match=re.escape(message)):
+        LinearSystem.of(rows, [1], signs)
 
 
 def test_coeffs_view_equals_the_dense_rows():

@@ -14,6 +14,7 @@ from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
                          solution_space_basis, verify_certificate,
                          z_functional)
 from anglestruct._rational import format_rational, format_vector, parse_scaled
+from anglestruct.lp_core import Unbounded
 from anglestruct.perturbation import PerturbationFamily
 
 
@@ -89,10 +90,15 @@ def _system():
     return LinearSystem.of([[(0, 1), (1, 1)]], [1], ["nonneg"] * 2)
 
 
+def _coordinate_of(tris):
+    """A fig8 coordinate built field by field: zero quads, and tris."""
+    return NormalCoordinate(quads=(0,) * 6, tris=tris)
+
+
 def _coordinate(x):
     """A fig8 coordinate built field by field, with x as its last entry:
     it is refused where it is built, inside any call that is handed it."""
-    return NormalCoordinate(quads=(0,) * 6, tris=(0,) * 7 + (x,))
+    return _coordinate_of((0,) * 7 + (x,))
 
 
 def _family():
@@ -100,12 +106,16 @@ def _family():
     return build_perturbation(fx.angles, fx.triangulation)
 
 
+def _family_with(coeffs):
+    """_family() built field by field, its coefficients replaced by coeffs."""
+    fam = _family()
+    return PerturbationFamily(base=fam.base, coeffs=coeffs, census=fam.census)
+
+
 def _family_ending_in(x):
     """_family() built field by field, its last coefficient (of 18)
     replaced by x."""
-    fam = _family()
-    return PerturbationFamily(base=fam.base, coeffs=fam.coeffs[:-1] + (x,),
-                              census=fam.census)
+    return _family_with(_family().coeffs[:-1] + (x,))
 
 
 # Each exact entry point, a record's constructor included: the error
@@ -167,6 +177,8 @@ ENTRY_POINTS = {
         LPError, "Optimum x", 0, lambda x: Optimum(value=0, x=(x,))),
     "Optimum-value": (
         LPError, "Optimum value", 0, lambda x: Optimum(value=x, x=(0,))),
+    "Unbounded": (
+        LPError, "Unbounded ray", 0, lambda x: Unbounded(ray=(x,))),
     "LinearSystem.of-rhs": (
         LPError, "LinearSystem.of rhs", 1,
         lambda x: LinearSystem.of([[(0, 1)], [(1, 1)]], [1, x],
@@ -217,6 +229,66 @@ def test_inexact_entries_are_refused_where_they_enter(entry, bad):
             "%s entry %d is %r, not an int or a Fraction"
             % (where, idx, bad))):
         call(bad)
+
+
+# Each row of ENTRY_POINTS that takes a vector, and a call passing v as
+# that whole vector: a number or anything else that is no sequence is
+# refused there, by the row's name and error, not by a bare TypeError.
+WHOLE = {
+    "NormalCoordinate.from_vector":
+        lambda v: NormalCoordinate.from_vector(1, v),
+    "is_in_solution_space": lambda v: is_in_solution_space(
+        _fig8().compatibility_system, _coordinate_of(v)),
+    "chi_star": lambda v: chi_star(_fig8(), _coordinate_of(v)),
+    "z_functional": lambda v: z_functional(
+        _fig8(), _coordinate_of(v), _fig8().edge_classes[0]),
+    "decompose": lambda v: decompose(_fig8(), _coordinate_of(v)),
+    "NormalCoordinate": lambda v: NormalCoordinate(quads=v, tris=(0,) * 4),
+    "combine-omega":
+        lambda v: combine(solution_space_basis(_fig8()), v, [0, 0]),
+    "combine-z": lambda v: combine(solution_space_basis(_fig8()), [0, 0], v),
+    "AngleAssignment.from_vector": lambda v: AngleAssignment.from_vector(1, v),
+    "AngleAssignment": lambda v: AngleAssignment(angles=v),
+    "AreaCurvature-area": lambda v: AreaCurvature(area=v, curvature=(0,)),
+    "AreaCurvature-curvature":
+        lambda v: AreaCurvature(area=(0, 0), curvature=v),
+    "AreaCurvature.of-area": lambda v: AreaCurvature.of(v, [0]),
+    "AreaCurvature.of-curvature": lambda v: AreaCurvature.of([0, 0], v),
+    "Certificate": lambda v: Certificate(y=v),
+    "Solution": lambda v: Solution(x=v),
+    "Optimum": lambda v: Optimum(value=0, x=v),
+    "Unbounded": lambda v: Unbounded(ray=v),
+    "LinearSystem.of-rhs": lambda v: LinearSystem.of(
+        [[(0, 1)], [(1, 1)]], v, ["nonneg"] * 2),
+    "LinearSystem.of-row": lambda v: LinearSystem.of(
+        [[(0, 1)], v], [1, 1], ["nonneg"] * 2),
+    "minimize_linear": lambda v: minimize_linear(v, _system()),
+    "minimize_linear-start":
+        lambda v: minimize_linear([0, 0], _system(), start=v),
+    "verify_certificate": lambda v: verify_certificate(_system(), v),
+    "identity_4_9-h": lambda v: identity_4_9(
+        _fig8(), fixture("fig8").angles, v, [0, 0], [0, 0]),
+    "identity_4_9-z": lambda v: identity_4_9(
+        _fig8(), fixture("fig8").angles, [0] * 8, v, [0, 0]),
+    "identity_4_9-omega": lambda v: identity_4_9(
+        _fig8(), fixture("fig8").angles, [0] * 8, [0, 0], v),
+    "PerturbationFamily": _family_with,
+}
+
+
+def test_every_vector_entry_point_has_a_non_sequence_case():
+    # The two rows left out take one number, not a sequence.
+    assert set(ENTRY_POINTS) - set(WHOLE) == {"Optimum-value",
+                                              "PerturbationFamily.at"}
+
+
+@pytest.mark.parametrize("bad", [5, Fraction(1, 2)])
+@pytest.mark.parametrize("entry", sorted(WHOLE))
+def test_a_non_sequence_is_refused_where_it_enters(entry, bad):
+    error, where, _, _ = ENTRY_POINTS[entry]
+    with pytest.raises(error, match=re.escape(
+            "%s is %r, not " % (where, bad))):
+        WHOLE[entry](bad)
 
 
 def test_unscaled_returns_the_fractions_alone():

@@ -43,7 +43,8 @@ from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
                          solve_feasibility_strict)
 from anglestruct._rational import ScaledVector, unscaled
 from anglestruct._record import FrozenInstanceError, Record
-from anglestruct.lp_core import NONNEG, STRICT_POS, LPError, Optimum
+from anglestruct.lp_core import (NONNEG, STRICT_POS, LPError, Optimum,
+                                 Unbounded)
 from anglestruct.perturbation import PerturbationError, PerturbationFamily
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "anglestruct"
@@ -195,14 +196,15 @@ def test_cached_properties_fill_after_construction(cls):
 VECTOR_ERRORS = {AngleAssignment: AngleStructureError,
                  AreaCurvature: AngleStructureError, Certificate: LPError,
                  NormalCoordinate: NormalCoordinateError, Optimum: LPError,
-                 PerturbationFamily: PerturbationError, Solution: LPError}
+                 PerturbationFamily: PerturbationError, Solution: LPError,
+                 Unbounded: LPError}
 
 
 def test_the_vector_records_are_the_scaled_ones():
-    # The seven records that keep one rational vector are the
+    # The eight records that keep one rational vector are the
     # ScaledVectors, and none derives its form later: _scaled is no
     # cached property, as every way of building one keeps it at once.
-    assert len(VECTOR_ERRORS) == 7
+    assert len(VECTOR_ERRORS) == 8
     assert sorted(c.__qualname__ for c in RECORDS
                   if issubclass(c, ScaledVector)) == \
         sorted(c.__qualname__ for c in VECTOR_ERRORS)

@@ -217,6 +217,17 @@ def test_insert_flat_tetrahedron_errors():
     with pytest.raises(TriangulationError,
                        match="cannot insert at a single face"):
         insert_flat_tetrahedron(fig8, (0, 0), (0, 0), (0, 1, 2, 3))
+    # A face that is no (tet, face) pair, or a matching that is no
+    # sequence, is refused by name, not by a bare unpacking error.
+    with pytest.raises(TriangulationError, match=re.escape(
+            "malformed faces 5 and (1, 0)")):
+        insert_flat_tetrahedron(fig8, 5, (1, 0), (0, 1, 3, 2))
+    with pytest.raises(TriangulationError, match=re.escape(
+            "malformed faces (0,) and (1, 0)")):
+        insert_flat_tetrahedron(fig8, (0,), (1, 0), (0, 1, 3, 2))
+    with pytest.raises(TriangulationError,
+                       match="not a permutation of 0123: 7$"):
+        insert_flat_tetrahedron(fig8, (0, 0), (1, 0), 7)
 
 
 @pytest.mark.parametrize("key,value", [
