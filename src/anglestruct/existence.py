@@ -374,12 +374,18 @@ class Holds(Record):
     nonnegative quad part has nonnegative total quad area."""
     optimum: Fraction
 
+    def __post_init__(self):
+        exact_scaled("Holds optimum", (self.optimum,), ExistenceError)
+
 
 class Fails(Record):
     """Refuted by a compatible class with nonnegative quad part summing
     to 1 and nonnegative total quad area."""
     optimum: Fraction
     witness: NormalCoordinate
+
+    def __post_init__(self):
+        exact_scaled("Fails optimum", (self.optimum,), ExistenceError)
 
 
 def certify_condition2(t: Triangulation, alpha: AngleAssignment):

@@ -16,11 +16,16 @@ per tetrahedron and one edge vector per edge class.
 Coordinates are exact: `_rational.exact_scaled` refuses anything but an
 int or a Fraction, a float above all, where it enters, and a coordinate
 keeps its entries as ints over the lcm of their denominators, which the
-kernels run on.  Membership compares both sides of each arc,
-one pass gives the 6n crossing weights (for each tet-edge, the weight of
-its tetrahedron's disks that cross it), and combine and decompose sum
-scaled vectors over one denominator.  Fractions are built for results,
-and a coordinate's when first read.
+kernels run on.  The kernels read tables built once per triangulation
+or per basis, never per coordinate.  Membership compares both sides of
+each arc of the compatibility system.  The edge tally, which every edge
+functional reads, gathers each edge class's crossing columns over its
+distinct corners: ``t._edge_tally``, built by `_tally_table`.  combine
+sums each basis vector's nonzero support, which `SolutionBasis` derives
+on first use, and decompose checks the residual left by the edge
+vectors against the tetrahedral weights read off it, with no second
+sum.  Fractions are built for results, and a coordinate's when first
+read.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from ._linalg import echelon
 from ._rational import ScaledVector, exact_scaled
@@ -217,6 +222,12 @@ def compatibility_system(t: Triangulation) -> CompatibilitySystem:
 
 def is_in_solution_space(sys: CompatibilitySystem,
                          s: NormalCoordinate) -> bool:
+    """Whether the two sides of every arc of sys carry equal weight in s.
+
+    The arcs are read as the table of column indices they are: on
+    CPython 3.11 a generator over them took 0.65-0.87 of the time of
+    gathering each side with itemgetter and adding with map, at 18 to
+    192 arcs."""
     nums = s._scaled[1]
     if len(nums) != sys.columns:
         raise NormalCoordinateError(
@@ -260,35 +271,46 @@ def _from_slice(sys: CompatibilitySystem, quads) -> NormalCoordinate:
     return NormalCoordinate._of_scaled(den, x)
 
 
-def _crossing_weights(nums) -> list:
-    """The crossing weights of a scaled coordinate: entry 6i + k is the
-    weight of the disk types of tetrahedron i that cross its tet-edge k,
-    the triangles at the edge's two ends and the two quads that do not
-    separate it, over the coordinate's denominator."""
-    n = len(nums) // 7
-    out = []
-    for i in range(n):
-        q0, q1, q2 = nums[3 * i:3 * i + 3]
-        t0, t1, t2, t3 = nums[3 * n + 4 * i:3 * n + 4 * i + 4]
-        # Tet-edges 01, 02, 03, 12, 13, 23; quad p separates edges p and
-        # 5 - p.
-        out += (t0 + t1 + q1 + q2, t0 + t2 + q0 + q2, t0 + t3 + q0 + q1,
-                t1 + t2 + q0 + q1, t1 + t3 + q0 + q2, t2 + t3 + q1 + q2)
-    return out
+# _CROSSING[k] is (the ends of tet-edge k, the two quad types that do
+# not separate it): the disk types that cross tet-edge k.  Quad p
+# separates tet-edges p and 5 - p.
+_CROSSING = tuple((EDGE_VERTICES[k],
+                   tuple(p for p in range(3) if p != min(k, 5 - k)))
+                  for k in range(6))
 
 
-def _edge_sums(nums, edge_classes) -> tuple:
-    """(v, ints), the one edge tally of a scaled coordinate: v is the lcm
-    of the valences, and ints[e] is class e's crossing weights summed
-    over its distinct corners, times v / valence, so z_e is ints[e] /
-    (2 v den).  A folded class lists each corner twice; matching an
-    angle's coefficient in chi^(A,k), directly and through Lemma 2,
-    gives mult * z_e = w / 2 at a corner of crossing weight w, so each
-    distinct corner counts once."""
-    w = _crossing_weights(nums)
-    v = lcm(*(e.valence for e in edge_classes))
-    return v, [v // e.valence * sum(w[6 * i + k] for i, k in e.corners)
-               // e.mult for e in edge_classes]
+def _tally_table(t: Triangulation) -> tuple:
+    """(v, rows), the edge tally's table: v is the lcm of the valences,
+    and each edge class has the row (v / valence, gather), gather being
+    the itemgetter of the crossing columns of its distinct corners: the
+    triangles at the tet-edge's two ends and the two quads that do not
+    separate it.  A class lists each corner mult times, so its sorted
+    corners, read mult apart, are the distinct ones.  Each row gathers
+    at least 4 columns, so a gather gives a tuple, never a bare value.
+    ``t._edge_tally`` keeps the one built for t."""
+    n = t.tet_count
+    v = lcm(*(e.valence for e in t.edge_classes))
+    rows = []
+    for e in t.edge_classes:
+        cols = []
+        for i, k in sorted(e.corners)[::e.mult]:
+            ends, quads = _CROSSING[k]
+            cols += (3 * n + 4 * i + u for u in ends)
+            cols += (3 * i + p for p in quads)
+        rows.append((v // e.valence, itemgetter(*cols)))
+    return v, tuple(rows)
+
+
+def _edge_sums(nums, tally) -> tuple:
+    """(v, ints), the one edge tally of a scaled coordinate over the
+    table tally, which `_tally_table` builds: ints[e] is class e's
+    crossing weights summed over its distinct corners, times v /
+    valence, so z_e is ints[e] / (2 v den).  A folded class lists each
+    corner twice; matching an angle's coefficient in chi^(A,k), directly
+    and through Lemma 2, gives mult * z_e = w / 2 at a corner of
+    crossing weight w, so each distinct corner counts once."""
+    v, rows = tally
+    return v, [f * sum(gather(nums)) for f, gather in rows]
 
 
 def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
@@ -304,6 +326,7 @@ def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
 
     The edge term is the edge tally of `_edge_sums`, the one z reads: a
     folded corner, listed twice, is one tet-edge and is counted once.
+    The boundary faces are the list t keeps.
     """
     n = t.tet_count
     den, nums = s._scaled
@@ -311,7 +334,7 @@ def chi_star(t: Triangulation, s: NormalCoordinate) -> Fraction:
         raise NormalCoordinateError(
             "coordinate has %d entries, triangulation needs %d"
             % (len(nums), 7 * n))
-    v, edges = _edge_sums(nums, t.edge_classes)
+    v, edges = _edge_sums(nums, t._edge_tally)
     # Boundary face (i, f) is an arc of each tet-i disk but triangle f.
     disks = 2 * sum(nums[:3 * n]) + sum(nums[3 * n:])
     for i, f in t.boundary_faces():
@@ -324,15 +347,16 @@ def z_functional(t: Triangulation, s: NormalCoordinate, e) -> Fraction:
     """The edge coefficient of s at edge class e.
 
     The crossing weights of e's distinct corners over twice e's valence,
-    as `_edge_sums` tallies them.  For an embedded surface this is half
-    the number of intersections with e.
+    as `_edge_sums` tallies them, over e's row of the table alone.  For
+    an embedded surface this is half the number of intersections with e.
     """
     if e not in t.edge_classes:
         raise NormalCoordinateError(
             "%r is not an edge class of the triangulation" % (e,))
     _check_member(t, s)
     den, nums = s._scaled
-    v, (total,) = _edge_sums(nums, (e,))
+    v, rows = t._edge_tally
+    _, (total,) = _edge_sums(nums, (v, rows[e.index:e.index + 1]))
     return Fraction(total, 2 * v * den)
 
 
@@ -350,7 +374,7 @@ def chi_area_curvature(t: Triangulation, s: NormalCoordinate,
         raise AngleStructureError("area-curvature size does not match")
     _check_member(t, s, AngleStructureError)
     den, nums = s._scaled
-    v, edges = _edge_sums(nums, edge_classes)
+    v, edges = _edge_sums(nums, t._edge_tally)
     total = v * sum(map(mul, nums[3 * n:], area)) + sum(
         map(mul, curvature, edges))
     return Fraction(total, 2 * den * aden * v)
@@ -382,9 +406,28 @@ class SolutionBasis(Record):
     each quad by minus the number of its separated pair in class j; the
     edge coefficients of w_edge[j] under z_functional, which counts a
     folded corner once, are exactly delta_jk.
+
+    ``_supports`` is each vector's (den, its nonzero (column, int)
+    pairs), w_sigma's then w_edge's, and ``_tetrahedral`` whether each
+    w_sigma[i] is the vector above; both are derived on first use and
+    kept, since analyze, which builds a basis, never combines.
     """
     w_sigma: tuple
     w_edge: tuple
+
+    @cached_property
+    def _supports(self) -> tuple:
+        return tuple((den, tuple((c, y) for c, y in enumerate(nums) if y))
+                     for den, nums in (w._scaled for w in
+                                       self.w_sigma + self.w_edge))
+
+    @cached_property
+    def _tetrahedral(self) -> bool:
+        n = len(self.w_sigma)
+        return all(
+            support == (1, tuple((3 * i + p, -1) for p in range(3)) +
+                        tuple((3 * n + 4 * i + l, 1) for l in range(4)))
+            for i, support in enumerate(self._supports[:n]))
 
 
 def _disk_vector(n: int, tris, quads=()) -> NormalCoordinate:
@@ -428,6 +471,7 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
                    for cls in edge_classes)
 
     # Edge coefficient k is ints[k] / (2 v den): delta at k = j - n.
+    tally = t._edge_tally
     for j, w in enumerate(w_sigma + w_edge):
         name = ("tetrahedral vector %d" % j if j < n
                 else "edge vector %d" % (j - n))
@@ -435,7 +479,7 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
             raise BasisVerificationError(
                 "%s is not in the solution space" % name)
         den, nums = w._scaled
-        v, ints = _edge_sums(nums, edge_classes)
+        v, ints = _edge_sums(nums, tally)
         if ints != [2 * v * den * (k == j - n) for k in range(m)]:
             raise BasisVerificationError(
                 "%s has wrong edge coefficients" % name)
@@ -446,17 +490,19 @@ def solution_space_basis(t: Triangulation) -> SolutionBasis:
     return SolutionBasis(w_sigma=w_sigma, w_edge=w_edge)
 
 
-def _combination(terms, size: int) -> tuple:
-    """(den, ints): the sum of x / d times w over (d, x, w) terms, read
-    off each coordinate w's scaled form, over one denominator."""
-    den = lcm(*(d * w._scaled[0] for d, _, w in terms))
-    total = [0] * size
-    for d, x, w in terms:
-        wden, nums = w._scaled
+def _combination(start, terms) -> tuple:
+    """(den, ints): the scaled vector start, a (den, ints) form, plus x / d
+    times w over (d, x, w) terms, each w a support of
+    `SolutionBasis._supports`, over one denominator.  Only w's nonzero
+    entries are visited."""
+    sden, nums = start
+    den = lcm(sden, *(d * wden for d, _, (wden, _) in terms))
+    f = den // sden
+    total = [f * y for y in nums]
+    for d, x, (wden, entries) in terms:
         f = x * (den // (d * wden))
-        for col, y in enumerate(nums):
-            if y:
-                total[col] += f * y
+        for col, y in entries:
+            total[col] += f * y
     return den, total
 
 
@@ -464,11 +510,14 @@ def combine(basis: SolutionBasis, omega, z) -> NormalCoordinate:
     """The solution-space element with tetrahedral weights omega and edge
     weights z.
 
-    Summed as ints, and each distinct entry is one Fraction.
+    Summed as ints over the vectors' supports, and each distinct entry is
+    one Fraction.
     """
+    n = len(basis.w_sigma)
+    supports = basis._supports
     terms = []
-    for vecs, weights, name in ((basis.w_sigma, omega, "omega"),
-                                (basis.w_edge, z, "z")):
+    for vecs, weights, name in ((supports[:n], omega, "omega"),
+                                (supports[n:], z, "z")):
         den, nums = exact_scaled("combine " + name, weights,
                                  NormalCoordinateError)
         if len(nums) != len(vecs):
@@ -476,8 +525,8 @@ def combine(basis: SolutionBasis, omega, z) -> NormalCoordinate:
                 "combine %s has %d weights for %d vectors"
                 % (name, len(nums), len(vecs)))
         terms += ((den, x, w) for x, w in zip(nums, vecs) if x)
-    return NormalCoordinate._of_scaled(
-        *_combination(terms, 7 * len(basis.w_sigma)))
+    return NormalCoordinate._of_scaled(*_combination((1, (0,) * (7 * n)),
+                                                     terms))
 
 
 def decompose(t: Triangulation, s: NormalCoordinate,
@@ -486,8 +535,12 @@ def decompose(t: Triangulation, s: NormalCoordinate,
 
     The edge weights are the edge coefficients of s; the tetrahedral
     weights come from the residual s - sum z_j w_edge_j, read at each
-    tetrahedron's first triangle.  s is then checked to be recombined
-    exactly, all of it in ints.  basis defaults to t.solution_basis.
+    tetrahedron's first triangle.  The residual is then checked to be
+    omega_i on every triangle of tet i and -omega_i on every quad, all
+    of it in ints: with w_sigma the tetrahedral vectors, whose supports
+    are disjoint, that is exactly s = the recombination, so s is not
+    summed a second time.  A basis whose w_sigma are other vectors is
+    refused the same way.  basis defaults to t.solution_basis.
     """
     if basis is None:
         basis = t.solution_basis
@@ -498,16 +551,17 @@ def decompose(t: Triangulation, s: NormalCoordinate,
             % (len(basis.w_sigma), len(basis.w_edge), t.tet_count,
                len(t.edge_classes)))
     _check_member(t, s)
+    n = t.tet_count
     den, nums = s._scaled
-    v, z = _edge_sums(nums, t.edge_classes)
+    v, z = _edge_sums(nums, t._edge_tally)
     zden = 2 * den * v
-    z_terms = [(zden, x, w) for x, w in zip(z, basis.w_edge) if x]
-    oden, residual = _combination(
-        [(1, 1, s)] + [(d, -x, w) for d, x, w in z_terms], len(nums))
-    omega = residual[3 * t.tet_count::4]
-    check_den, check = _combination(z_terms + [
-        (oden, x, w) for x, w in zip(omega, basis.w_sigma) if x], len(nums))
-    if any(a * den != b * check_den for a, b in zip(check, nums)):
+    oden, residual = _combination((den, nums), [
+        (zden, -x, w) for x, w in zip(z, basis._supports[n:]) if x])
+    quads, tris = residual[:3 * n], residual[3 * n:]
+    omega = tris[::4]
+    if not (basis._tetrahedral and
+            tris[1::4] == tris[2::4] == tris[3::4] == omega and
+            quads[::3] == quads[1::3] == quads[2::3] == [-x for x in omega]):
         raise BasisVerificationError(
             "decomposition failed to recover the coordinate")
     return (tuple(Fraction(x, oden) for x in omega),

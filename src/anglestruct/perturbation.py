@@ -142,6 +142,9 @@ class Perturbed(Record):
     family: PerturbationFamily
     t_max: Fraction
 
+    def __post_init__(self):
+        exact_scaled("Perturbed t_max", (self.t_max,), PerturbationError)
+
 
 def apply_theorem3(alpha: AngleAssignment, t: Triangulation) -> Perturbed:
     """Deform a flat semi assignment into a strict one at half the safe

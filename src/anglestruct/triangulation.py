@@ -127,9 +127,9 @@ class Triangulation:
     face slots.  Two triangulations are equal, and hash equal, when their
     tet counts and tables are; the name is not compared.
 
-    Edge classes, vertex classes, the compatibility system and the
-    solution-space basis are computed on first use and kept; the package
-    reads them from here.
+    Edge classes, vertex classes, the boundary faces, the compatibility
+    system, the edge tally and the solution-space basis are computed on
+    first use and kept; the package reads them from here.
     """
 
     def __init__(self, tet_count: int, gluings=None, name: str = ""):
@@ -177,6 +177,12 @@ class Triangulation:
         from .normal_coords import solution_space_basis
         return solution_space_basis(self)
 
+    @cached_property
+    def _edge_tally(self):
+        """The table normal_coords._tally_table builds."""
+        from .normal_coords import _tally_table
+        return _tally_table(self)
+
     def gluing(self, tet: int, face: int):
         """(tet, face, perm) on the far side, or None for a boundary face;
         a missing slot or a non-int index raises TriangulationError."""
@@ -193,9 +199,14 @@ class Triangulation:
         """Each gluing once, as ((i,f),(j,g),perm) with the lesser side first."""
         return self._glued_pairs
 
-    def boundary_faces(self):
+    @cached_property
+    def _boundary_faces(self):  # complete once built, as _glued_pairs
         return tuple((i, f) for i in range(self.tet_count)
                      for f in range(4) if (i, f) not in self._gluing)
+
+    def boundary_faces(self):
+        """The unglued face slots (i, f), in order."""
+        return self._boundary_faces
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)

@@ -7,16 +7,18 @@ somewhere in the package: no helper is kept for tests alone.  No module reads a 
 `_rational` takes a number apart into numerator and denominator, and
 the simplex's per-pivot code, with the elimination step it shares with
 the echelon form, the integer normal-coordinate kernels (the arc
-membership, the crossing weights and decompose's recombination), the
-certificate check, the tally of an assignment's angle sums and Theorem
-3's bound search use no Fraction and no "/".  That tally is the one
+membership, the edge tally and its table, the basis supports and the
+sum over them) and the table of boundary faces, the certificate check,
+the tally of an assignment's angle sums and Theorem 3's bound search
+use no Fraction and no "/".  That tally is the one
 place an assignment's angles are summed: its readers, the realized
 data, a solve's re-verification and the flat-pair check, call no sum()
 of their own, and `existence` and `perturbation` read no assignment's
 scaled view, only an LP answer's and the perturbation family's.  No per-corner vertex-link check is kept beside them.
-The normal-coordinate edge functionals read one edge tally, and take
-no lcm of the valences and walk no class's corners of their own.  The
-basis, the dual pairing identity and `analyze` ask for no boundary
+The normal-coordinate edge functionals read one edge tally, over the
+one table the triangulation keeps, and take no lcm of the valences and
+walk no class's corners of their own.
+The basis, the dual pairing identity and `analyze` ask for no boundary
 faces, and the identity reads the solvers' targets.
 Answers are read out by `_rational.unscaled` alone, `LinearSystem` and
 `CompatibilitySystem` keep no `rows` view for tests, and `perturbation` writes into no
@@ -183,9 +185,11 @@ def test_pivot_loop_stays_in_integers():
     # form out as the starting tableau, nor the readout of basic values.
     # Nor do the normal-coordinate kernels that read a coordinate's
     # scaled int view: the membership check, which compares the two
-    # sides of each arc, the crossing weights, their sums per edge class,
-    # and the sum of scaled vectors that combine and decompose's
-    # recombination share.  Nor does the compatibility system's
+    # sides of each arc, the edge tally and the table it reads, the
+    # basis vectors' supports and the check that the tetrahedral ones
+    # are the documented vectors, and the sum over supports that combine
+    # and decompose's residual share; nor the table of a triangulation's
+    # boundary faces, which chi* reads.  Nor does the compatibility system's
     # projection along the vertex-link forest, nor _from_slice, which
     # sets a witness's triangles along that forest.  Nor does the
     # certificate check, which sums A^T y and y.b over scaled ints, nor
@@ -205,9 +209,13 @@ def test_pivot_loop_stays_in_integers():
                           ("normal_coords.py", ("is_in_solution_space",
                                                 "_projection",
                                                 "_from_slice",
-                                                "_crossing_weights",
+                                                "_tally_table",
                                                 "_edge_sums",
+                                                "_supports",
+                                                "_tetrahedral",
                                                 "_combination")),
+                          ("triangulation.py", ("_boundary_faces",
+                                                "_edge_tally")),
                           ("existence.py", ("_check_realization",
                                             "_lifted")),
                           ("angle_structures.py", ("_angle_ints",
@@ -223,13 +231,14 @@ def test_pivot_loop_stays_in_integers():
                    if isinstance(node, ast.FunctionDef)
                    and node.name in names)
     assert sorted(hot) == ["_angle_ints", "_angle_sums", "_basic_values",
-                           "_check_realization", "_combination",
-                           "_corner_sums", "_crossing_weights", "_edge_sums",
-                           "_eliminate", "_from_slice", "_least_bound",
-                           "_leaving", "_lifted", "_pivot", "_pivot_loop",
-                           "_primitive", "_projection", "_quad_areas",
-                           "_tableau", "is_in_solution_space",
-                           "verify_certificate"]
+                           "_boundary_faces", "_check_realization",
+                           "_combination", "_corner_sums", "_edge_sums",
+                           "_edge_tally", "_eliminate", "_from_slice",
+                           "_least_bound", "_leaving", "_lifted", "_pivot",
+                           "_pivot_loop", "_primitive", "_projection",
+                           "_quad_areas", "_supports", "_tableau",
+                           "_tally_table", "_tetrahedral",
+                           "is_in_solution_space", "verify_certificate"]
     for fn in hot.values():
         for node in ast.walk(fn):
             assert not (isinstance(node, ast.Name) and node.id == "Fraction")
@@ -273,23 +282,33 @@ def test_angle_sums_are_tallied_in_one_place():
 
 
 def test_edge_functionals_read_the_one_edge_tally():
-    # normal_coords._edge_sums is the one place an edge class's crossing
-    # weights are summed, over its distinct corners, and the valences'
-    # lcm taken.  chi*, z, chi^(A,k), decompose and the basis check read
-    # its (v, ints) and take no lcm of their own; the first four read no
-    # class's corners, so a folded corner is counted one way everywhere.
+    # normal_coords._tally_table is the one place an edge class's
+    # distinct corners are listed as crossing columns and the valences'
+    # lcm taken, once per triangulation, which keeps it as
+    # t._edge_tally; _edge_sums, which sums that table's rows, is the
+    # one place the columns are summed.  chi*, z, chi^(A,k), decompose
+    # and the basis check read the kept table through _edge_sums, and
+    # take no lcm of their own; the first four read no class's corners,
+    # so a folded corner is counted one way everywhere.
     tree = ast.parse((PACKAGE / "normal_coords.py").read_text(
         encoding="utf-8"))
     fns = {fn.name: fn for fn in tree.body
            if isinstance(fn, ast.FunctionDef)}
+    lcm_takers = {name for name, fn in fns.items()
+                  if any(isinstance(n, ast.Name) and n.id == "lcm"
+                         for n in ast.walk(fn))}
+    assert "_tally_table" in lcm_takers and "_edge_sums" not in lcm_takers
     readers = ("chi_star", "z_functional", "chi_area_curvature", "decompose",
                "solution_space_basis")
     for name in readers:
         nodes = list(ast.walk(fns[name]))
-        assert not any(isinstance(n, ast.Name) and n.id == "lcm"
-                       for n in nodes), name
+        assert name not in lcm_takers, name
         assert any(isinstance(n, ast.Name) and n.id == "_edge_sums"
                    for n in nodes), name
+        assert any(isinstance(n, ast.Attribute) and n.attr == "_edge_tally"
+                   for n in nodes), name
+        assert not any(isinstance(n, ast.Name) and n.id == "_tally_table"
+                       for n in nodes), name
         if name != "solution_space_basis":
             assert not any(isinstance(n, ast.Attribute) and
                            n.attr == "corners" for n in nodes), name
@@ -742,8 +761,8 @@ def test_rational_has_one_gate():
 
 def test_the_fold_multiplicity_is_derived_once():
     # EdgeClass.mult derives an edge class's fold multiplicity; the link
-    # count, the edge tally, the dual pairing identity and the summed
-    # refusal read it and count no class's corners of their own.
+    # count, the edge tally's table, the dual pairing identity and the
+    # summed refusal read it and count no class's corners of their own.
     fns = {}
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -752,7 +771,7 @@ def test_the_fold_multiplicity_is_derived_once():
         assert not any(isinstance(n, ast.Attribute) and n.attr == "count"
                        and ast.unparse(n.value).endswith("corners")
                        for n in ast.walk(tree)), path.name
-    for name in ("build_vertex_classes", "_edge_sums", "identity_4_9",
+    for name in ("build_vertex_classes", "_tally_table", "identity_4_9",
                  "_summed_refusal"):
         attrs = {n.attr for n in fns[name] if isinstance(n, ast.Attribute)}
         assert "mult" in attrs, name

@@ -21,7 +21,8 @@ from anglestruct.fixtures import FIG8_TABLE, fixture
 from anglestruct.lp_core import Unbounded
 from anglestruct.normal_coords import (BasisVerificationError,
                                        CompatibilitySystem, NormalCoordinate,
-                                       decompose, is_in_solution_space,
+                                       SolutionBasis, combine, decompose,
+                                       is_in_solution_space,
                                        solution_space_basis)
 from anglestruct.perturbation import (PerturbationError, apply_theorem3,
                                       build_perturbation,
@@ -116,6 +117,31 @@ def test_a_decomposition_that_misses_the_coordinate_is_refused(monkeypatch):
     with _raises(BasisVerificationError,
                  "decomposition failed to recover the coordinate"):
         decompose(t, s)
+
+
+@pytest.mark.parametrize("name", ["fig8", "fig8-flat2"])
+def test_a_basis_changed_at_one_entry_misses_the_coordinate(name):
+    # decompose reads no tetrahedral vector: it checks the residual the
+    # edge vectors leave against the tetrahedral weights read off it.
+    # So every basis vector, changed by 1 at any one entry, must still
+    # make it refuse a coordinate with no zero weight.
+    t = fixture(name).triangulation
+    basis = t.solution_basis
+    n, m = len(basis.w_sigma), len(basis.w_edge)
+    s = combine(basis, range(1, n + 1), range(n + 1, n + m + 1))
+    assert decompose(t, s, SolutionBasis(basis.w_sigma, basis.w_edge)) == \
+        (tuple(range(1, n + 1)), tuple(range(n + 1, n + m + 1)))
+    vectors = basis.w_sigma + basis.w_edge
+    for j, w in enumerate(vectors):
+        for col in range(7 * n):
+            nums = list(w._scaled[1])
+            nums[col] += 1
+            changed = list(vectors)
+            changed[j] = NormalCoordinate.from_vector(n, nums)
+            with _raises(BasisVerificationError,
+                         "decomposition failed to recover the coordinate"):
+                decompose(t, s, SolutionBasis(tuple(changed[:n]),
+                                              tuple(changed[n:])))
 
 
 # perturbation.build_perturbation, max_perturbation_parameter and

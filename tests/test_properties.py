@@ -42,7 +42,12 @@ tables and tables with boundary of up to 8 tetrahedra, on every fixture
 and on two hand-built tables, that the vertex-link forest's projection
 gives the quad rows and rank of a generic elimination with the triangle
 columns first, and that the int witness it sets along the forest equals
-that elimination's Fraction back-substitution.
+that elimination's Fraction back-substitution.  A sixth checks the
+table-driven membership and edge tally against their oracles on
+tables with boundary faces, with folded edges and on one tet with no
+face glued, whose arc table is empty, and a seventh z, the tally and
+decompose on the two one-tet tables with a single edge class, one of
+them folded.
 """
 
 from __future__ import annotations
@@ -71,9 +76,8 @@ from anglestruct import (AngleAssignment, AreaCurvature, ExistenceError,
                          verify_certificate, z_functional)
 from anglestruct import existence
 from anglestruct.angle_structures import _quad_areas
-from anglestruct.normal_coords import (NormalCoordinateError,
-                                       _crossing_weights, _edge_sums,
-                                       _from_slice, _quad_slice)
+from anglestruct.normal_coords import (_CROSSING, NormalCoordinateError,
+                                       _edge_sums, _from_slice, _quad_slice)
 from anglestruct.perturbation import (PerturbationError, apply_theorem3,
                                       max_perturbation_parameter)
 
@@ -181,6 +185,86 @@ def rationals(count):
                     min_size=count, max_size=count).map(tuple)
 
 
+def _check_tally(t, s):
+    # The crossing columns the tally table gathers, tet-edge by
+    # tet-edge, and the edge tally summed over them, against the
+    # Fraction formulas.
+    n = t.tet_count
+    den, nums = s._scaled
+    assert [Fraction(sum(nums[3 * n + 4 * i + u] for u in ends) +
+                     sum(nums[3 * i + p] for p in quads), den)
+            for i in range(n) for ends, quads in _CROSSING] == \
+        [oracles.crossing_weight(s, i, k) for i in range(n) for k in range(6)]
+    v, ints = _edge_sums(nums, t._edge_tally)
+    assert [Fraction(x, 2 * v * den) for x in ints] == \
+        [oracles.edge_coefficient(s, e) for e in t.edge_classes]
+
+
+# One tet with no face glued: the compatibility system has no arc.
+UNGLUED = Triangulation(1)
+
+
+@pytest.mark.parametrize("kind", ["unglued", "boundary", "folded"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_kernels_equal_the_fraction_oracles(kind, data):
+    # Membership, over the arc table, and the edge tally, over the table
+    # t keeps, against the oracles on a point of the solution space and
+    # on that point bumped at one disk type; z at each class, which
+    # reads that class's row of the table alone.  An unglued tet has an
+    # empty arc table, where every coordinate is a member.
+    t = UNGLUED if kind == "unglued" else data.draw(TABLE_KINDS[kind])
+    n = t.tet_count
+    csys = t.compatibility_system
+    assert len(csys.arcs) == 3 * len(t.glued_pairs())
+    null = oracles.nullspace(csys.matrix) if csys.arcs else \
+        [[int(c == d) for c in range(7 * n)] for d in range(7 * n)]
+    weights = data.draw(rationals(len(null)))
+    inside = NormalCoordinate.from_vector(n, [
+        sum((w * v[c] for w, v in zip(weights, null)), Fraction(0))
+        for c in range(7 * n)])
+    bumped = list(inside.quads + inside.tris)
+    bumped[data.draw(st.integers(0, 7 * n - 1))] += 1
+    outside = NormalCoordinate.from_vector(n, bumped)
+    assert is_in_solution_space(csys, inside)
+    for s in (inside, outside):
+        assert is_in_solution_space(csys, s) == \
+            oracles.in_solution_space(t, s)
+        _check_tally(t, s)
+    for e in t.edge_classes:
+        assert z_functional(t, inside, e) == \
+            oracles.edge_coefficient(inside, e)
+
+
+# One tet, faces glued in pairs, all six tet-edges in one edge class:
+# of valence 6, and folded, of valence 12.
+ONE_CLASS = {
+    "valence-6": Triangulation(1, {(0, 3): (0, 0, (1, 3, 2, 0)),
+                                   (0, 2): (0, 1, (2, 0, 1, 3))}),
+    "folded": Triangulation(1, {(0, 0): (0, 1, (1, 2, 0, 3)),
+                                (0, 3): (0, 2, (3, 0, 1, 2))}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CLASS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_z_on_the_one_edge_class(name, data):
+    # The tally has one row, which z reads as the whole table; its
+    # edge vector has z = 1, and a combined point the oracle's z.
+    t = ONE_CLASS[name]
+    (e,) = t.edge_classes
+    assert (e.valence, e.mult) == ((6, 1) if name == "valence-6" else (12, 2))
+    basis = t.solution_basis
+    assert z_functional(t, basis.w_edge[0], e) == 1
+    assert z_functional(t, basis.w_sigma[0], e) == 0
+    omega, z = data.draw(rationals(1)), data.draw(rationals(1))
+    s = combine(basis, omega, z)
+    assert z_functional(t, s, e) == oracles.edge_coefficient(s, e) == z[0]
+    assert decompose(t, s) == (omega, z)
+    _check_tally(t, s)
+
+
 # No shrink phase: each shrink candidate reruns the whole body, oracles
 # included, so shrinking a failing table takes minutes; the first
 # failing table is reported as drawn.
@@ -239,13 +323,7 @@ def test_combinatorics_basis_and_chi_on_generated_tables(data):
     for s in (inside, outside):
         assert is_in_solution_space(csys, s) == \
             oracles.in_solution_space(t, s)
-        den, nums = s._scaled
-        assert [Fraction(w, den) for w in _crossing_weights(nums)] == \
-            [oracles.crossing_weight(s, i, k)
-             for i in range(n) for k in range(6)]
-        v, ints = _edge_sums(nums, t.edge_classes)
-        assert [Fraction(x, 2 * v * den) for x in ints] == \
-            [oracles.edge_coefficient(s, e) for e in t.edge_classes]
+        _check_tally(t, s)
         assert chi_star(t, s) == oracles.chi_star(t, s)
     assert [z_functional(t, inside, e) for e in t.edge_classes] == \
         [oracles.edge_coefficient(inside, e) for e in t.edge_classes]

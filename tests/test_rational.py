@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
-                         Certificate, ExistenceError, LinearSystem, LPError,
+                         Certificate, ExistenceError, Fails, Holds,
+                         LinearSystem, LPError,
                          NormalCoordinate, NormalCoordinateError, Optimum,
                          PerturbationError, Solution, build_perturbation,
                          chi_star,
@@ -15,7 +16,7 @@ from anglestruct import (AngleAssignment, AngleStructureError, AreaCurvature,
                          z_functional)
 from anglestruct._rational import format_rational, format_vector, parse_scaled
 from anglestruct.lp_core import Unbounded
-from anglestruct.perturbation import PerturbationFamily
+from anglestruct.perturbation import PerturbationFamily, Perturbed
 
 
 def _parse_one(text: str) -> Fraction:
@@ -214,6 +215,15 @@ ENTRY_POINTS = {
     "PerturbationFamily.at": (
         PerturbationError, "PerturbationFamily.at", 0,
         lambda x: _family().at(x)),
+    "Holds-optimum": (
+        ExistenceError, "Holds optimum", 0, lambda x: Holds(optimum=x)),
+    "Fails-optimum": (
+        ExistenceError, "Fails optimum", 0,
+        lambda x: Fails(optimum=x, witness=None)),
+    "Perturbed-t_max": (
+        PerturbationError, "Perturbed t_max", 0,
+        lambda x: Perturbed(assignment=None, realized=None, family=None,
+                            t_max=x)),
 }
 
 
@@ -277,9 +287,10 @@ WHOLE = {
 
 
 def test_every_vector_entry_point_has_a_non_sequence_case():
-    # The two rows left out take one number, not a sequence.
-    assert set(ENTRY_POINTS) - set(WHOLE) == {"Optimum-value",
-                                              "PerturbationFamily.at"}
+    # The rows left out take one number, not a sequence.
+    assert set(ENTRY_POINTS) - set(WHOLE) == {
+        "Optimum-value", "PerturbationFamily.at", "Holds-optimum",
+        "Fails-optimum", "Perturbed-t_max"}
 
 
 @pytest.mark.parametrize("bad", [5, Fraction(1, 2)])
